@@ -8,6 +8,7 @@ selection logic depends only on the returned scores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -104,13 +105,20 @@ def _budget(ev: Evaluator) -> dict[str, int]:
 def forward_select(evaluator: Evaluator, n: int, max_rounds: int | None = None) -> SelectionReport:
     """Greedy growth: each round scores every unselected task added to the
     current set, keeps the lowest-loss candidate if it improves, else stops.
-    Ties break toward the smallest task id."""
+    Ties break toward the smallest task id.
+
+    Non-finite candidate scores (NaN, +inf, -inf) are recorded in the
+    trajectory but never chosen and never stop growth: a round adds the best
+    finite candidate if it improves. Raises ValueError if the empty set's
+    score is not finite, since nothing could be compared against it."""
     if n < 1:
         raise ValueError("need at least one task")
     current: frozenset[int] = frozenset()
     trajectory: list[tuple[frozenset[int], float]] = []
     current_score = evaluator(current)
     trajectory.append((current, current_score))
+    if not math.isfinite(current_score):
+        raise ValueError(f"score of the empty set is not finite: {current_score}")
     rounds = 0
     limit = n if max_rounds is None else min(max_rounds, n)
     for _ in range(limit):
@@ -123,8 +131,9 @@ def forward_select(evaluator: Evaluator, n: int, max_rounds: int | None = None) 
             subset = current | {t}
             score = evaluator(subset)
             trajectory.append((subset, score))
-            scored.append((score, t))
-        best_score, best_task = min(scored)
+            if math.isfinite(score):
+                scored.append((score, t))
+        best_score, best_task = min(scored, default=(math.inf, None))
         if best_score < current_score:
             current = current | {best_task}
             current_score = best_score
@@ -202,13 +211,17 @@ def fraction_grid_select(
     T: np.ndarray, evaluator: Evaluator, grid: tuple[float, ...] = FRACTION_GRID
 ) -> tuple[set[int], float]:
     """Threshold cross-validation: score the selected set at each grid
-    fraction and keep the fraction whose set evaluates best."""
+    fraction and keep the fraction whose set evaluates best (the first one
+    on ties). Non-finite scores are skipped; raises ValueError if no grid
+    fraction scores finite."""
     best = None
     for q in grid:
         chosen = threshold_select(T, fraction=q)
         value = evaluator(frozenset(chosen))
-        if best is None or value < best[0]:
+        if math.isfinite(value) and (best is None or value < best[0]):
             best = (value, q, chosen)
+    if best is None:
+        raise ValueError("no grid fraction has a finite score")
     return best[2], best[1]
 
 

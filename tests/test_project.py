@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradsel import project
 from gradsel.project import Projector, identity_projector
 
 
@@ -44,14 +45,62 @@ def test_adjoint_identity_against_dense_oracle():
 
 
 def test_streaming_matches_dense_across_block_boundary():
-    # p > block size exercises multi-block streaming
-    proj = Projector(p=8192 * 2 + 137, d=6, seed=5)
+    # p > block size exercises multi-block streaming; at d=128 P is 16.9 MB,
+    # above the storage limit, so project and lift stream its blocks
+    proj = Projector(p=8192 * 2 + 137, d=128, seed=5)
+    assert proj.p * proj.d * 8 > project._STORE_BYTES
     P = proj.materialize()
     rng = np.random.default_rng(2)
     g = rng.standard_normal(proj.p)
-    x = rng.standard_normal(6)
+    x = rng.standard_normal(128)
     assert np.allclose(proj.project(g), P.T @ g, atol=1e-10)
     assert np.allclose(proj.lift(x), P @ x, atol=1e-10)
+    assert proj._dense is None
+
+
+def test_stored_matches_streamed(monkeypatch):
+    # same seed, one projector keeping P and one streaming it across blocks
+    p, d = 8192 + 300, 12
+    stored = Projector(p=p, d=d, seed=7)
+    rng = np.random.default_rng(8)
+    G = rng.standard_normal((5, p))
+    x = rng.standard_normal(d)
+    stored_lift, stored_many = stored.lift(x), stored.project_many(G)
+    assert stored._dense is not None
+
+    monkeypatch.setattr(project, "_STORE_BYTES", 0)
+    streamed = Projector(p=p, d=d, seed=7)
+    assert streamed == stored
+    assert np.allclose(streamed.lift(x), stored_lift, rtol=0, atol=1e-12)
+    assert np.allclose(streamed.project_many(G), stored_many, rtol=0, atol=1e-12)
+    assert streamed._dense is None
+
+
+def test_small_projector_generates_P_once(monkeypatch):
+    calls = []
+    block = Projector._block
+
+    def counting_block(self, index):
+        calls.append(index)
+        return block(self, index)
+
+    monkeypatch.setattr(Projector, "_block", counting_block)
+    proj = Projector(p=8192 + 10, d=4, seed=3)
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        proj.lift(rng.standard_normal(4))
+        proj.project_many(rng.standard_normal((3, proj.p)))
+    proj.materialize()
+    assert calls == [0, 1]
+
+
+def test_stored_matrix_is_read_only():
+    proj = Projector(p=40, d=5, seed=2)
+    P = proj.materialize()
+    P[0, 0] = 1e9  # the copy may be changed; the stored P may not
+    with pytest.raises(ValueError):
+        proj._dense[0, 0] = 1e9
+    assert not np.array_equal(proj.materialize(), P)
 
 
 def test_project_many_matches_single():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,101 @@ def test_forward_select_budget_formula():
 def test_forward_select_requires_positive_n():
     with pytest.raises(ValueError):
         forward_select(fake_evaluator(lambda s: 0.0), 0)
+
+
+# ---- non-finite and tied scores ----
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+SCORES = st.one_of(
+    st.sampled_from(NON_FINITE + (0.0, 0.5, 1.0)),
+    st.floats(min_value=-10, max_value=10, allow_nan=False),
+)
+
+
+def table_evaluator(table):
+    # score of a subset looked up by its bitmask over task ids 1..n
+    return fake_evaluator(lambda s: table[sum(1 << (t - 1) for t in s)])
+
+
+@st.composite
+def score_tables(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    empty = draw(st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False))
+    rest = draw(st.lists(SCORES, min_size=2**n - 1, max_size=2**n - 1))
+    return n, [empty] + rest
+
+
+@settings(max_examples=200, deadline=None)
+@given(score_tables())
+def test_forward_select_under_nonfinite_scores(case):
+    n, table = case
+    report = forward_select(table_evaluator(table), n)
+    chosen = frozenset(report.chosen)
+    final = table[sum(1 << (t - 1) for t in chosen)]
+    # never worse than the empty set, and never a non-finite set
+    assert math.isfinite(final)
+    assert final <= table[0]
+    # growth stopped only because no finite candidate improves
+    for t in set(range(1, n + 1)) - chosen:
+        value = table[sum(1 << (u - 1) for u in chosen | {t})]
+        assert not math.isfinite(value) or value >= final
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.integers(min_value=1, max_value=n)),
+            st.sampled_from(NON_FINITE),
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n + 1, max_size=n + 1),
+        )
+    )
+)
+def test_forward_select_ties_skip_poisoned_tasks(case):
+    # every clean candidate of a round ties; sets holding a poisoned task
+    # score non-finite. Growth must take the clean tasks in id order while
+    # the per-size level keeps dropping.
+    n, poisoned, poison, level = case
+
+    def score(s):
+        return poison if s & poisoned else level[len(s)]
+
+    report = forward_select(fake_evaluator(score), n)
+    clean = sorted(set(range(1, n + 1)) - poisoned)
+    k = 0
+    while k < len(clean) and level[k + 1] < level[k]:
+        k += 1
+    assert report.chosen == set(clean[:k])
+
+
+def test_nan_candidate_does_not_stop_growth():
+    scores = {frozenset(): 1.0, frozenset({1}): math.nan, frozenset({2}): 0.5}
+    report = forward_select(fake_evaluator(lambda s: scores.get(s, 2.0)), 2)
+    assert report.chosen == {2}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_forward_select_rejects_nonfinite_empty_score(bad):
+    with pytest.raises(ValueError, match="empty set"):
+        forward_select(fake_evaluator(lambda s: bad if not s else 0.0), 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SCORES, min_size=4, max_size=4))
+def test_fraction_grid_select_skips_nonfinite(values):
+    T = np.linspace(0.1, 2.0, 20)
+    by_size = {1: values[0], 2: values[1], 3: values[2], 4: values[3]}
+    ev = fake_evaluator(lambda s: by_size[len(s)])
+    finite = [(v, i) for i, v in enumerate(values) if math.isfinite(v)]
+    if not finite:
+        with pytest.raises(ValueError):
+            fraction_grid_select(T, ev)
+        return
+    chosen, q = fraction_grid_select(T, ev)
+    best = min(finite)[1]  # lowest finite score, first grid fraction on ties
+    assert q == (0.05, 0.10, 0.15, 0.20)[best]
+    assert chosen == set(range(1, best + 2))
 
 
 # ---- random ensemble ----
