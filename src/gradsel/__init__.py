@@ -7,75 +7,4 @@ projected logistic regression per task subset to estimate its fine-tuned loss,
 and drive forward selection or random-ensemble scoring on the estimates.
 """
 
-from .model import ModelConfig, Network, ParamVector, Sample, init_params
-from .taskgen import (
-    Corpus,
-    GroupAssignment,
-    TaskDataset,
-    cluster_into_groups,
-    gen_multitask_gaussian,
-    gen_noisy_addition,
-    load_corpus,
-    save_corpus,
-)
-from .trainer import (
-    FitResult,
-    TrainConfig,
-    eval_loss,
-    fine_tune_subset,
-    load_checkpoint,
-    meta_train,
-    relative_distance,
-    save_checkpoint,
-    true_f,
-)
-from .project import Projector, identity_projector
-from .linearize import (
-    CacheEntry,
-    GradientCache,
-    build_cache,
-    load_cache,
-    rrss,
-    rrss_sweep,
-    save_cache,
-    taylor_margin,
-    taylor_margin_full,
-)
-from .estimate import (
-    EstimateResult,
-    SolveConfig,
-    estimate_f,
-    estimate_f_linearized,
-    estimate_subset,
-    solve_subset,
-    subset_objective,
-)
-from .select import (
-    Evaluator,
-    SelectionReport,
-    compute_T,
-    forward_select,
-    fraction_grid_select,
-    estimator_evaluator,
-    ensemble_select,
-    oracle_evaluator,
-    random_ensemble,
-    select_ds,
-    threshold_select,
-)
-from .bench import (
-    CostLedger,
-    ExperimentReport,
-    baseline_feature_similarity,
-    baseline_gradient_cosine,
-    exp_addition,
-    exp_relerr,
-    exp_rrss,
-    exp_speedup,
-    exp_structure,
-    predicted_forward_passes,
-    relative_error,
-    separation_auroc,
-)
-
 __version__ = "0.1.0"

@@ -9,8 +9,7 @@ reports keyed by corpus digest and seeds.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,18 +20,6 @@ from .model import ModelConfig, Network, ParamVector, stack_samples
 from .project import Projector
 from .taskgen import Corpus, gen_noisy_addition
 from .trainer import TrainConfig, eval_loss, fine_tune_subset, meta_train, relative_distance
-
-
-@dataclass
-class CostLedger:
-    forward_passes: dict[str, int] = field(default_factory=dict)
-    wall_seconds: float = 0.0
-    solves: int = 0
-
-    def add_passes(self, method: str, count: int) -> None:
-        if count < 0:
-            raise ValueError("forward-pass counts are non-negative")
-        self.forward_passes[method] = self.forward_passes.get(method, 0) + count
 
 
 @dataclass
@@ -140,18 +127,10 @@ def exp_rrss(
     distances: list[float],
     n_directions: int = 20,
     seed: int = 0,
-    endpoint_params: list[ParamVector] | None = None,
 ) -> ExperimentReport:
-    """Linearization quality: mean RRSS per relative distance."""
-    rows = rrss_sweep(
-        net,
-        theta_star,
-        corpus.target.val,
-        distances,
-        n_directions,
-        seed,
-        endpoint_params=endpoint_params,
-    )
+    """Linearization quality: mean RRSS per relative distance, along random
+    directions."""
+    rows = rrss_sweep(net, theta_star, corpus.target.val, distances, n_directions, seed)
     table = [
         {
             "distance": r.distance,
@@ -183,24 +162,22 @@ def exp_relerr(
     alpha_frac: float = 0.5,
     seed: int = 0,
 ) -> ExperimentReport:
-    """Estimator fidelity against the oracle over m random subsets, plus the
-    cost ledger of both routes."""
+    """Estimator fidelity against the oracle over m random subsets (one
+    estimator solve each), plus the forward-pass cost of both routes."""
     rng = np.random.default_rng(seed)
     n = corpus.n_tasks
     size = max(1, int(round(alpha_frac * n)))
-    ledger = CostLedger()
+    oracle_passes = 0
     rows = []
     f_true, f_hat = [], []
-    t0 = time.perf_counter()
     for _ in range(m):
         subset = frozenset(int(t) + 1 for t in rng.choice(n, size=size, replace=False))
         fit = fine_tune_subset(net, theta_star, subset, corpus, train_cfg)
         truth = eval_loss(net, fit.params, corpus.target.val)
-        ledger.add_passes("oracle", fit.forward_passes)
+        oracle_passes += fit.forward_passes
         result = est.estimate_subset(
             net, theta_star, projector, cache, subset, corpus.target.val, solve_cfg
         )
-        ledger.solves += 1
         f_true.append(truth)
         f_hat.append(result.f_hat)
         rows.append(
@@ -212,7 +189,6 @@ def exp_relerr(
                 "rel_distance": relative_distance(fit.params, theta_star),
             }
         )
-    ledger.wall_seconds = time.perf_counter() - t0
     err = relative_error(f_true, f_hat)
     # plot-ready cost/error frontier: the oracle route's error is zero by
     # definition, the estimator pays only the flat cached-gradient cost
@@ -220,7 +196,7 @@ def exp_relerr(
         {
             "method": "oracle",
             "forward_pass_units": m * size,
-            "measured_forward_passes": ledger.forward_passes.get("oracle", 0),
+            "measured_forward_passes": oracle_passes,
             "relative_error": 0.0,
         },
         {
@@ -235,8 +211,8 @@ def exp_relerr(
         scalars={
             "relative_error": err,
             "m": m,
-            "oracle_forward_passes": ledger.forward_passes.get("oracle", 0),
-            "solves": ledger.solves,
+            "oracle_forward_passes": oracle_passes,
+            "solves": m,
             "max_rel_distance": max(r["rel_distance"] for r in rows),
         },
         tables={"subsets": rows, "frontier": frontier},
@@ -300,12 +276,11 @@ def exp_addition(
     m: int = 300,
     alpha_frac: float = 0.15,
     seed: int = 0,
-    linearized: bool = True,
 ) -> ExperimentReport:
     """Noisy-addition separation: per-group relevance scores vs the gradient
     cosine and feature similarity baselines, summarized by AUROC.
 
-    Scores default to the linearized evaluator, which reads the first-order
+    Scores come from the linearized evaluator, which reads the first-order
     damage on the target val entries directly and separates more cleanly at
     this scale than a forward pass at the lifted parameters.
     """
@@ -319,7 +294,7 @@ def exp_addition(
     cache = build_cache(net, theta_star, corpus, projector)
 
     evaluator = sel.estimator_evaluator(
-        net, theta_star, projector, cache, corpus.target.val, solve_cfg, linearized=linearized
+        net, theta_star, projector, cache, corpus.target.val, solve_cfg, linearized=True
     )
     scores = sel.random_ensemble(evaluator, n_groups, m=m, alpha_frac=alpha_frac, seed=seed + 2)
     T = sel.compute_T(scores, n_groups)
@@ -363,9 +338,7 @@ def exp_addition(
     )
 
 
-def exp_structure(
-    evaluator: sel.Evaluator, n: int, max_chain: int | None = None
-) -> ExperimentReport:
+def exp_structure(evaluator: sel.Evaluator, n: int) -> ExperimentReport:
     """Greedy search for a non-monotone chain (adding a pairwise-helpful task
     raises the loss) and a submodularity violation (a marginal gain that grows
     with the base set). Reports witnesses, or 'none found'."""
@@ -375,12 +348,11 @@ def exp_structure(
         (t for t in pair_scores if pair_scores[t] < base),
         key=lambda t: (pair_scores[t], t),
     )
-    limit = len(helpers) if max_chain is None else min(max_chain, len(helpers))
 
     chain: list[int] = []
     chain_scores = [base]
     non_monotone = None
-    for t in helpers[:limit]:
+    for t in helpers:
         chain.append(t)
         value = evaluator(frozenset(chain))
         chain_scores.append(value)

@@ -63,7 +63,6 @@ DEFAULT_CONFIG: dict[str, object] = {
     "estimate.ridge_lambda": 0.1,
     "estimate.max_iters": 100,
     "estimate.grad_tol": 1e-8,
-    "estimate.method": "damped_newton",
     "select.method": "fs",
     "select.m": 1000,
     "select.alpha": 0.75,
@@ -187,7 +186,6 @@ def solve_config(cfg: dict[str, str]) -> est.SolveConfig:
         ridge_lambda=float(cfg["estimate.ridge_lambda"]),
         max_iters=int(cfg["estimate.max_iters"]),
         grad_tol=float(cfg["estimate.grad_tol"]),
-        method=cfg["estimate.method"],
     )
 
 
@@ -237,39 +235,59 @@ class _Lock:
             pass
 
 
+def _load(run: RunDir, artifact: str, produced_by: str, loader):
+    """Load a required artifact. A malformed one becomes a one-line
+    StageError naming the artifact and the stage that makes it."""
+    path = run.require(artifact, produced_by)
+    try:
+        return loader(path)
+    except ValueError as e:
+        reason = str(e).removeprefix(f"{path}: ")
+        raise StageError(f"{path.name}: {reason}; re-run '{produced_by}'") from None
+
+
+def addition_model_config(cfg: dict[str, str], digits: int) -> ModelConfig:
+    return ModelConfig(
+        input_dim=2 * digits * 10,
+        hidden_dims=_ints(cfg["addition.hidden_dims"]),
+        activation=cfg["addition.activation"],
+        num_classes=10,
+        num_positions=digits,
+        init_scale=float(cfg["model.init_scale"]),
+        seed=int(cfg["model.seed"]),
+    )
+
+
+def addition_train_config(cfg: dict[str, str]) -> TrainConfig:
+    """Addition corpora need the fixed-epoch recipe: their combined-val
+    minimum sits at the no-learning point, so early stopping cannot train
+    them (the noisy groups' val labels are random)."""
+    return TrainConfig(
+        step_size=float(cfg["addition.step_size"]),
+        batch_size=int(cfg["train.batch_size"]),
+        max_epochs=int(cfg["addition.epochs"]),
+        early_stop_patience=10**9,
+        seed=int(cfg["train.seed"]),
+        optimizer="adam",
+        restore_best=False,
+    )
+
+
 def _load_model_pieces(run: RunDir, cfg: dict[str, str]):
-    corpus = load_corpus(run.require("corpus", "gen"))
+    corpus = _load(run, "corpus", "gen", load_corpus)
     if corpus.meta.get("kind") == "addition":
-        digits = int(corpus.meta["digits"])
-        mc = ModelConfig(
-            input_dim=corpus.input_dim,
-            hidden_dims=_ints(cfg["addition.hidden_dims"]),
-            activation=cfg["addition.activation"],
-            num_classes=10,
-            num_positions=digits,
-            init_scale=float(cfg["model.init_scale"]),
-            seed=int(cfg["model.seed"]),
-        )
+        mc = addition_model_config(cfg, int(corpus.meta["digits"]))
     else:
         mc = model_config(cfg, corpus.input_dim, num_classes=2, num_positions=1)
     return corpus, Network(mc)
 
 
-def _meta_train_config(cfg: dict[str, str], corpus) -> TrainConfig:
-    """Addition corpora need the fixed-epoch recipe: their combined-val
-    minimum sits at the no-learning point, so early stopping cannot train
-    them (the noisy groups' val labels are random)."""
-    if corpus.meta.get("kind") == "addition":
-        return TrainConfig(
-            step_size=float(cfg["addition.step_size"]),
-            batch_size=int(cfg["train.batch_size"]),
-            max_epochs=int(cfg["addition.epochs"]),
-            early_stop_patience=10**9,
-            seed=int(cfg["train.seed"]),
-            optimizer="adam",
-            restore_best=False,
-        )
-    return train_config(cfg, "train")
+def _load_trained(run: RunDir, cfg: dict[str, str]):
+    corpus, net = _load_model_pieces(run, cfg)
+    theta, _, corpus_dig = _load(run, "checkpoint", "meta-train", load_checkpoint)
+    if corpus_dig != corpus.digest():
+        raise StageError("checkpoint was trained on a different corpus; re-run meta-train")
+    return corpus, net, theta
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +332,11 @@ def stage_gen(run: RunDir, cfg: dict[str, str]) -> None:
 
 def stage_meta_train(run: RunDir, cfg: dict[str, str]) -> None:
     corpus, net = _load_model_pieces(run, cfg)
-    fit = meta_train(net, corpus, _meta_train_config(cfg, corpus))
+    if corpus.meta.get("kind") == "addition":
+        tc = addition_train_config(cfg)
+    else:
+        tc = train_config(cfg, "train")
+    fit = meta_train(net, corpus, tc)
     save_checkpoint(
         run.path("checkpoint"),
         fit.params,
@@ -329,10 +351,7 @@ def stage_meta_train(run: RunDir, cfg: dict[str, str]) -> None:
 
 
 def stage_cache(run: RunDir, cfg: dict[str, str]) -> None:
-    corpus, net = _load_model_pieces(run, cfg)
-    theta, _, corpus_dig = load_checkpoint(run.require("checkpoint", "meta-train"))
-    if corpus_dig != corpus.digest():
-        raise StageError("checkpoint was trained on a different corpus; re-run meta-train")
+    corpus, net, theta = _load_trained(run, cfg)
     projector = Projector(p=net.param_count, d=int(cfg["project.d"]), seed=int(cfg["project.seed"]))
     cache = build_cache(net, theta, corpus, projector)
     save_cache(run.path("cache"), cache)
@@ -341,11 +360,8 @@ def stage_cache(run: RunDir, cfg: dict[str, str]) -> None:
 
 
 def _load_estimation_state(run: RunDir, cfg: dict[str, str]):
-    corpus, net = _load_model_pieces(run, cfg)
-    theta, _, corpus_dig = load_checkpoint(run.require("checkpoint", "meta-train"))
-    if corpus_dig != corpus.digest():
-        raise StageError("checkpoint was trained on a different corpus; re-run meta-train")
-    cache = load_cache(run.require("cache", "cache"))
+    corpus, net, theta = _load_trained(run, cfg)
+    cache = _load(run, "cache", "cache", load_cache)
     if cache.theta_star_digest != param_digest(theta):
         raise StageError("cache does not match the checkpoint; re-run cache")
     projector = Projector(p=net.param_count, d=cache.d, seed=cache.projector_seed)
@@ -453,27 +469,9 @@ def stage_bench(run: RunDir, cfg: dict[str, str], experiments: list[str]) -> Non
             )
         elif name == "addition":
             digits = int(cfg["corpus.digits"])
-            mc = ModelConfig(
-                input_dim=2 * digits * 10,
-                hidden_dims=_ints(cfg["addition.hidden_dims"]),
-                activation=cfg["addition.activation"],
-                num_classes=10,
-                num_positions=digits,
-                init_scale=float(cfg["model.init_scale"]),
-                seed=int(cfg["model.seed"]),
-            )
-            add_tc = TrainConfig(
-                step_size=float(cfg["addition.step_size"]),
-                batch_size=int(cfg["train.batch_size"]),
-                max_epochs=int(cfg["addition.epochs"]),
-                early_stop_patience=10**9,
-                seed=int(cfg["train.seed"]),
-                optimizer="adam",
-                restore_best=False,
-            )
             reports.append(
                 bench.exp_addition(
-                    mc, add_tc, scfg,
+                    addition_model_config(cfg, digits), addition_train_config(cfg), scfg,
                     n_groups=int(cfg["corpus.n"]),
                     n_clean=int(cfg["corpus.n_clean"]),
                     digits=digits,
@@ -503,7 +501,7 @@ def stage_bench(run: RunDir, cfg: dict[str, str], experiments: list[str]) -> Non
 def stage_report(run: RunDir, cfg: dict[str, str]) -> None:
     pieces = []
     if run.path("selection").exists():
-        report = sel.load_report(run.path("selection"))
+        report = _load(run, "selection", "select", sel.load_report)
         chosen = " ".join(str(t) for t in sorted(report.chosen)) or "-"
         pieces.append(f"selection[{report.method}]: chosen {{{chosen}}} budget {report.budget}")
     if run.path("estimates").exists():

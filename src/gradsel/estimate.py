@@ -4,8 +4,8 @@ and evaluate the reconstructed parameters on the target validation set.
 The objective over a subset's cached entries is
     mean log(1 + exp(b_i - y_i g~_i . x)) + (lambda / 2) ||x||^2
 in d-space. It is convex; a tiny ridge keeps the minimizer finite even when
-the projected data is separable. The default solver is damped Newton, which is
-cheap because the Hessian is only d x d.
+the projected data is separable. The solver is damped Newton, which is cheap
+because the Hessian is only d x d.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linearize import GradientCache
-from .model import Network, ParamVector, Sample
+from .model import Network, ParamVector, Sample, _sigmoid
 from .project import Projector
 from .trainer import eval_loss
-
-SOLVER_METHODS = ("damped_newton", "lbfgs")
 
 
 @dataclass(frozen=True)
@@ -30,15 +28,12 @@ class SolveConfig:
     ridge_lambda: float = 1e-4
     max_iters: int = 100
     grad_tol: float = 1e-8
-    method: str = "damped_newton"
 
     def __post_init__(self):
         if self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be non-negative")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
-        if self.method not in SOLVER_METHODS:
-            raise ValueError(f"method must be one of {SOLVER_METHODS}")
 
 
 @dataclass
@@ -49,15 +44,6 @@ class EstimateResult:
     solver_iters: int
     solve_seconds: float
     converged: bool
-
-
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _value_grad(b, y, G, x, lam):
@@ -108,52 +94,10 @@ def _newton(b, y, G, lam, cfg, x0):
             if cand_value <= value + 1e-4 * step * slope:
                 break
             step *= 0.5
-        x, value, grad = cand, cand_value, cand_grad
-    return x, cfg.max_iters, bool(np.linalg.norm(grad) <= cfg.grad_tol)
-
-
-def _lbfgs(b, y, G, lam, cfg, x0, memory=10):
-    x = x0.copy()
-    value, grad = _value_grad(b, y, G, x, lam)
-    s_hist, y_hist, rho = [], [], []
-    for it in range(1, cfg.max_iters + 1):
-        if np.linalg.norm(grad) <= cfg.grad_tol:
-            return x, it - 1, True
-        q = grad.copy()
-        alphas = []
-        for si, yi, ri in zip(reversed(s_hist), reversed(y_hist), reversed(rho)):
-            a = ri * (si @ q)
-            alphas.append(a)
-            q -= a * yi
-        if y_hist:
-            gamma = (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
-            q *= gamma
-        for si, yi, ri, a in zip(s_hist, y_hist, rho, reversed(alphas)):
-            beta = ri * (yi @ q)
-            q += (a - beta) * si
-        direction = -q
-        slope = grad @ direction
-        if slope >= 0:
-            direction = -grad
-            slope = grad @ direction
-        step = 1.0
-        for _ in range(60):
-            cand = x + step * direction
-            cand_value, cand_grad = _value_grad(b, y, G, cand, lam)
-            if cand_value <= value + 1e-4 * step * slope:
-                break
-            step *= 0.5
-        s_vec = cand - x
-        y_vec = cand_grad - grad
-        ys = s_vec @ y_vec
-        if ys > 1e-12:
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            rho.append(1.0 / ys)
-            if len(s_hist) > memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho.pop(0)
+        else:
+            # no step decreases the objective: stay at x rather than take an
+            # uphill candidate
+            return x, it, False
         x, value, grad = cand, cand_value, cand_grad
     return x, cfg.max_iters, bool(np.linalg.norm(grad) <= cfg.grad_tol)
 
@@ -166,14 +110,14 @@ def solve_subset(
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, bool]:
     """Minimize the subset objective from x0 (default 0). Returns
-    (x_hat, iterations, converged); non-convergence is flagged, not raised."""
+    (x_hat, iterations, converged); non-convergence, including a line search
+    that finds no decrease, is flagged, not raised."""
     idx = cache.rows_for(subset, include_target=include_target)
     if idx.size == 0:
         raise ValueError(f"no cached samples for subset {sorted(subset)}")
     b, y, G = cache.b[idx], cache.y[idx], cache.g_proj[idx]
     start = np.zeros(cache.d) if x0 is None else np.asarray(x0, dtype=np.float64)
-    solver = _newton if cfg.method == "damped_newton" else _lbfgs
-    return solver(b, y, G, cfg.ridge_lambda, cfg, start)
+    return _newton(b, y, G, cfg.ridge_lambda, cfg, start)
 
 
 def estimate_f(
@@ -206,11 +150,11 @@ def estimate_subset(
     subset,
     target_val: list[Sample],
     cfg: SolveConfig,
-    include_target: bool = True,
 ) -> EstimateResult:
-    """Solve one subset and score it, timing the solve."""
+    """Solve one subset (with the target's train entries) and score it,
+    timing the solve."""
     t0 = time.perf_counter()
-    x_hat, iters, converged = solve_subset(cache, subset, cfg, include_target=include_target)
+    x_hat, iters, converged = solve_subset(cache, subset, cfg)
     seconds = time.perf_counter() - t0
     f_hat = estimate_f(net, theta_star, projector, x_hat, target_val)
     return EstimateResult(

@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -27,23 +28,12 @@ RRSS_DENOM_GUARD = 1e-8
 _CHUNK = 256
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    sample_ref: int
-    task_id: int
-    y_sign: int
-    b: float
-    g_proj: np.ndarray
-
-
 @dataclass
 class GradientCache:
     """Arrays of (b, projected gradient) for every train sample of every
     task, plus the target validation samples kept separately.
 
-    Contents are immutable once built and safe for concurrent reads; the one
-    mutable field is consult_counts, a per-entry instrumentation counter
-    bumped by rows_for.
+    Contents are immutable once built and safe for concurrent reads.
     """
 
     sample_ref: np.ndarray  # (n,) int64, index into corpus train order
@@ -59,11 +49,6 @@ class GradientCache:
     theta_star_digest: str
     projector_seed: int
     projector_mode: str
-    consult_counts: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.consult_counts is None:
-            self.consult_counts = np.zeros(len(self.task_id), dtype=np.int64)
 
     @property
     def n_entries(self) -> int:
@@ -73,25 +58,13 @@ class GradientCache:
     def n_val_entries(self) -> int:
         return len(self.val_b)
 
-    def entry(self, i: int) -> CacheEntry:
-        return CacheEntry(
-            int(self.sample_ref[i]),
-            int(self.task_id[i]),
-            int(self.y[i]),
-            float(self.b[i]),
-            self.g_proj[i],
-        )
-
     def rows_for(self, subset, include_target: bool = True) -> np.ndarray:
         """Indices of entries with task_id in subset (plus the target's train
-        entries unless disabled). Bumps per-entry consultation counters."""
+        entries unless disabled)."""
         wanted = set(int(t) for t in subset)
         if include_target:
             wanted.add(TARGET_TASK_ID)
-        mask = np.isin(self.task_id, sorted(wanted))
-        idx = np.flatnonzero(mask)
-        self.consult_counts[idx] += 1
-        return idx
+        return np.flatnonzero(np.isin(self.task_id, sorted(wanted)))
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -159,43 +132,14 @@ def _project_gradients(net, theta, samples, projector) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Taylor margins and RRSS
+# RRSS
 # ---------------------------------------------------------------------------
 
 
-def taylor_margin(entry: CacheEntry, z_d: np.ndarray) -> float:
-    """First-order margin at theta* + P z, from a cached entry.
-
-    z_d is the d-space displacement; the inner product g~ . z equals the full
-    g . (P z) exactly, which covers every estimator iterate.
-    """
-    h_star = -entry.b * entry.y_sign
-    return float(h_star + entry.g_proj @ np.asarray(z_d, dtype=np.float64))
-
-
-def taylor_margin_full(
-    net: Network, theta_star: ParamVector, x: ParamVector, sample: Sample
-) -> float:
-    """First-order margin at an arbitrary X, using the full gradient."""
-    h_star = net.margin(theta_star, sample)
-    g = net.margin_gradient(theta_star, sample)
-    return float(h_star + g @ (x - theta_star))
-
-
-def rrss(net: Network, theta_star: ParamVector, x: ParamVector, sample: Sample) -> float:
-    """(h_X - h_* - g^T (X - theta*))^2 / h_X^2, with the full gradient.
-
-    Returns NaN when |h_X| is below the denominator guard; aggregates skip
-    such samples.
-    """
-    h_x = net.margin(x, sample)
-    if abs(h_x) < RRSS_DENOM_GUARD:
-        return math.nan
-    pred = taylor_margin_full(net, theta_star, x, sample)
-    return float((h_x - pred) ** 2 / h_x**2)
-
-
 def _rrss_batch(net, theta_star, x, samples) -> np.ndarray:
+    """Per-sample (h_X - h_* - g^T (X - theta*))^2 / h_X^2, with the full
+    gradient g at theta*. NaN where |h_X| is below the denominator guard;
+    aggregates skip such samples."""
     X, labels = stack_samples(samples)
     h_x = net.margins(x, X, labels)
     h_star = net.margins(theta_star, X, labels)
@@ -282,74 +226,64 @@ def rrss_sweep(
 CACHE_MAGIC = b"GSCA"
 CACHE_VERSION = 1
 _HEADER = struct.Struct("<IQIQQqI")
-_RECORD_HEAD = struct.Struct("<IHhd")
+_PREAMBLE = len(CACHE_MAGIC) + _HEADER.size + 32  # magic, header, theta* digest
+
+
+def _record_dtype(d: int) -> np.dtype:
+    """One packed little-endian record per entry: sample ref, task id, sign,
+    b, then the projected gradient as float32. Target-val records carry ref 0
+    and the target's task id."""
+    return np.dtype([("ref", "<u4"), ("tid", "<u2"), ("y", "<i2"), ("b", "<f8"), ("g", "<f4", (d,))])
 
 
 def save_cache(path, cache: GradientCache) -> None:
     if cache.projector_mode != "gaussian":
         raise ValueError("only gaussian-mode caches are serializable")
+    n = cache.n_entries
+    records = np.zeros(n + cache.n_val_entries, dtype=_record_dtype(cache.d))
+    records["ref"][:n] = cache.sample_ref
+    records["tid"][:n] = cache.task_id
+    records["tid"][n:] = TARGET_TASK_ID
+    records["y"] = np.concatenate([cache.y, cache.val_y])
+    records["b"] = np.concatenate([cache.b, cache.val_b])
+    records["g"] = np.concatenate([cache.g_proj, cache.val_g_proj])
+    header = _HEADER.pack(
+        CACHE_VERSION, cache.p, cache.d, n, cache.n_val_entries, cache.projector_seed, GENERATOR_VERSION
+    )
     with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(
-            _HEADER.pack(
-                CACHE_VERSION,
-                cache.p,
-                cache.d,
-                cache.n_entries,
-                cache.n_val_entries,
-                cache.projector_seed,
-                GENERATOR_VERSION,
-            )
-        )
-        f.write(bytes.fromhex(cache.theta_star_digest))
-        for ref, tid, y, b, g in zip(
-            cache.sample_ref, cache.task_id, cache.y, cache.b, cache.g_proj
-        ):
-            f.write(_RECORD_HEAD.pack(int(ref), int(tid), int(y), float(b)))
-            f.write(np.asarray(g, dtype="<f4").tobytes())
-        for y, b, g in zip(cache.val_y, cache.val_b, cache.val_g_proj):
-            f.write(_RECORD_HEAD.pack(0, TARGET_TASK_ID, int(y), float(b)))
-            f.write(np.asarray(g, dtype="<f4").tobytes())
+        f.write(CACHE_MAGIC + header + bytes.fromhex(cache.theta_star_digest))
+        f.write(records.tobytes())
 
 
 def load_cache(path) -> GradientCache:
-    with open(path, "rb") as f:
-        if f.read(4) != CACHE_MAGIC:
-            raise ValueError(f"{path}: not a gradient cache file")
-        version, p, d, n, n_val, proj_seed, proj_version = _HEADER.unpack(
-            f.read(_HEADER.size)
-        )
-        if version != CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
-        if proj_version != GENERATOR_VERSION:
-            raise ValueError(f"{path}: projector generator version mismatch")
-        theta_digest = f.read(32).hex()
-
-        def read_records(count):
-            refs = np.empty(count, dtype=np.int64)
-            tids = np.empty(count, dtype=np.int64)
-            ys = np.empty(count)
-            bs = np.empty(count)
-            gs = np.empty((count, d))
-            for i in range(count):
-                ref, tid, y, b = _RECORD_HEAD.unpack(f.read(_RECORD_HEAD.size))
-                g = np.frombuffer(f.read(4 * d), dtype="<f4")
-                refs[i], tids[i], ys[i], bs[i] = ref, tid, y, b
-                gs[i] = g
-            return refs, tids, ys, bs, gs
-
-        refs, tids, ys, bs, gs = read_records(n)
-        _, _, vys, vbs, vgs = read_records(n_val)
+    """Read a cache file; raises ValueError naming the file when it is not a
+    cache of this version or its length does not match its header."""
+    data = Path(path).read_bytes()
+    if data[:4] != CACHE_MAGIC:
+        raise ValueError(f"{path}: not a gradient cache file")
+    if len(data) < _PREAMBLE:
+        raise ValueError(f"{path}: truncated header ({len(data)} bytes)")
+    version, p, d, n, n_val, proj_seed, proj_version = _HEADER.unpack_from(data, 4)
+    if version != CACHE_VERSION:
+        raise ValueError(f"{path}: unsupported cache version {version}")
+    if proj_version != GENERATOR_VERSION:
+        raise ValueError(f"{path}: projector generator version mismatch")
+    expected = _PREAMBLE + (n + n_val) * (16 + 4 * d)
+    if d < 1 or len(data) != expected:
+        raise ValueError(f"{path}: {len(data)} bytes, but its header describes {expected}")
+    theta_digest = data[_PREAMBLE - 32 : _PREAMBLE].hex()
+    records = np.frombuffer(data, dtype=_record_dtype(d), offset=_PREAMBLE)
+    train, val = records[:n], records[n:]
 
     return GradientCache(
-        sample_ref=refs,
-        task_id=tids,
-        y=ys,
-        b=bs,
-        g_proj=gs,
-        val_y=vys,
-        val_b=vbs,
-        val_g_proj=vgs,
+        sample_ref=train["ref"].astype(np.int64),
+        task_id=train["tid"].astype(np.int64),
+        y=train["y"].astype(np.float64),
+        b=train["b"].astype(np.float64),
+        g_proj=train["g"].astype(np.float64),
+        val_y=val["y"].astype(np.float64),
+        val_b=val["b"].astype(np.float64),
+        val_g_proj=val["g"].astype(np.float64),
         p=int(p),
         d=int(d),
         theta_star_digest=theta_digest,

@@ -332,11 +332,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def init_params(config: ModelConfig) -> ParamVector:
-    """Deterministic initialization for a config; see Network.init_params."""
-    return Network(config).init_params()
-
-
 def finite_difference_margin_gradient(
     net: Network, params: ParamVector, sample: Sample, step: float = 1e-5
 ) -> ParamVector:

@@ -72,10 +72,6 @@ class Projector:
         P.flags.writeable = False
         return P
 
-    def project(self, g: np.ndarray) -> np.ndarray:
-        """P^T g: sketch a p-vector down to d dimensions."""
-        return self.project_many(np.asarray(g, dtype=np.float64)[None, :])[0]
-
     def project_many(self, G: np.ndarray) -> np.ndarray:
         """P^T applied to the rows of G (m, p) -> (m, d), one pass over P."""
         G = np.asarray(G, dtype=np.float64)

@@ -9,7 +9,7 @@ selection logic depends only on the returned scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -102,7 +102,7 @@ def _budget(ev: Evaluator) -> dict[str, int]:
     }
 
 
-def forward_select(evaluator: Evaluator, n: int, max_rounds: int | None = None) -> SelectionReport:
+def forward_select(evaluator: Evaluator, n: int) -> SelectionReport:
     """Greedy growth: each round scores every unselected task added to the
     current set, keeps the lowest-loss candidate if it improves, else stops.
     Ties break toward the smallest task id.
@@ -120,8 +120,7 @@ def forward_select(evaluator: Evaluator, n: int, max_rounds: int | None = None) 
     if not math.isfinite(current_score):
         raise ValueError(f"score of the empty set is not finite: {current_score}")
     rounds = 0
-    limit = n if max_rounds is None else min(max_rounds, n)
-    for _ in range(limit):
+    for _ in range(n):
         candidates = [t for t in range(1, n + 1) if t not in current]
         if not candidates:
             break
@@ -273,42 +272,12 @@ def select_ds(
     if downstream not in ("fs", "re"):
         raise ValueError("downstream must be 'fs' or 're'")
     source_mask = cache.task_id != 0
-    source_G = cache.g_proj[source_mask]
-    sub = GradientCache(
-        sample_ref=cache.sample_ref[source_mask],
-        task_id=cache.task_id[source_mask],
-        y=cache.y[source_mask],
-        b=cache.b[source_mask],
-        g_proj=source_G,
-        val_y=cache.val_y,
-        val_b=cache.val_b,
-        val_g_proj=cache.val_g_proj,
-        p=cache.p,
-        d=cache.d,
-        theta_star_digest=cache.theta_star_digest,
-        projector_seed=cache.projector_seed,
-        projector_mode=cache.projector_mode,
-    )
-    assignment = cluster_into_groups(sub, n_groups, seed)
+    assignment = cluster_into_groups(cache.g_proj[source_mask], n_groups, seed)
 
     # relabel cached source entries by group; target entries keep id 0
     new_task_id = cache.task_id.copy()
     new_task_id[source_mask] = assignment.group_of + 1
-    grouped_cache = GradientCache(
-        sample_ref=cache.sample_ref,
-        task_id=new_task_id,
-        y=cache.y,
-        b=cache.b,
-        g_proj=cache.g_proj,
-        val_y=cache.val_y,
-        val_b=cache.val_b,
-        val_g_proj=cache.val_g_proj,
-        p=cache.p,
-        d=cache.d,
-        theta_star_digest=cache.theta_star_digest,
-        projector_seed=cache.projector_seed,
-        projector_mode=cache.projector_mode,
-    )
+    grouped_cache = replace(cache, task_id=new_task_id)
     evaluator = estimator_evaluator(
         net, theta_star, projector, grouped_cache, corpus.target.val, solve_cfg,
         linearized=linearized,
@@ -353,6 +322,8 @@ def save_report(path, report: SelectionReport, digests: dict[str, str] | None = 
 
 
 def load_report(path) -> SelectionReport:
+    """Read a selection report; raises ValueError naming the file when it is
+    not a report or a line is malformed."""
     with open(path) as f:
         header = f.readline().strip()
         if header != "gradsel-selection v1":
@@ -363,23 +334,29 @@ def load_report(path) -> SelectionReport:
         trajectory = []
         t_pairs = []
         budget: dict[str, int] = {}
-        for line in f:
+        for lineno, line in enumerate(f, 2):
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == "method":
-                method = parts[1]
-            elif parts[0] == "chosen":
-                chosen = {int(t) for t in parts[1:]}
-            elif parts[0] == "rounds":
-                rounds = int(parts[1])
-            elif parts[0] == "eval":
-                ids = frozenset() if parts[1] == "-" else frozenset(int(t) for t in parts[1].split(","))
-                trajectory.append((ids, float(parts[2])))
-            elif parts[0] == "T":
-                t_pairs.append((int(parts[1]), float(parts[2])))
-            elif parts[0] == "budget":
-                budget[parts[1]] = int(parts[2])
+            try:
+                if parts[0] == "method":
+                    method = parts[1]
+                elif parts[0] == "chosen":
+                    chosen = {int(t) for t in parts[1:]}
+                elif parts[0] == "rounds":
+                    rounds = int(parts[1])
+                elif parts[0] == "eval":
+                    ids = frozenset() if parts[1] == "-" else frozenset(int(t) for t in parts[1].split(","))
+                    trajectory.append((ids, float(parts[2])))
+                elif parts[0] == "T":
+                    task = int(parts[1])
+                    if task < 1:
+                        raise ValueError("task ids start at 1")
+                    t_pairs.append((task, float(parts[2])))
+                elif parts[0] == "budget":
+                    budget[parts[1]] = int(parts[2])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: line {lineno}: malformed {parts[0]!r} line") from None
     t_scores = None
     if t_pairs:
         t_scores = np.zeros(max(i for i, _ in t_pairs))

@@ -80,7 +80,8 @@ class Corpus:
 
 @dataclass
 class GroupAssignment:
-    """Map from sample index (cache entry order) to group in [0, n_groups)."""
+    """Map from sample index (row of the clustered gradients) to group in
+    [0, n_groups)."""
 
     group_of: np.ndarray
     n_groups: int
@@ -91,9 +92,6 @@ class GroupAssignment:
         if np.any(counts == 0):
             empty = int(np.flatnonzero(counts == 0)[0])
             raise ValueError(f"group {empty} is empty")
-
-    def members(self, group: int) -> np.ndarray:
-        return np.flatnonzero(self.group_of == group)
 
 
 # ---------------------------------------------------------------------------
@@ -343,51 +341,19 @@ def _kmeans(X: np.ndarray, k: int, seed: int, n_iter: int = 100) -> np.ndarray:
     return labels
 
 
-def cluster_into_groups(cache, n_groups: int, seed: int) -> GroupAssignment:
-    """Group source-task cache entries by k-means on unit-normalized projected
-    gradients, i.e. cosine geometry. Deterministic given seed."""
-    if cache.n_entries == 0:
-        raise ValueError("empty gradient cache")
-    if n_groups > cache.n_entries:
-        raise ValueError("more groups than cached samples")
-    G = cache.g_proj.astype(np.float64, copy=True)
+def cluster_into_groups(g_proj: np.ndarray, n_groups: int, seed: int) -> GroupAssignment:
+    """Group samples by k-means on their unit-normalized projected gradients
+    (the rows of g_proj), i.e. cosine geometry. Deterministic given seed."""
+    if len(g_proj) == 0:
+        raise ValueError("no gradients to cluster")
+    if n_groups > len(g_proj):
+        raise ValueError("more groups than samples")
+    G = np.array(g_proj, dtype=np.float64)
     norms = np.linalg.norm(G, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     G /= norms
     labels = _kmeans(G, n_groups, seed)
     return GroupAssignment(labels, n_groups)
-
-
-def regroup_corpus(corpus: Corpus, assignment: GroupAssignment) -> Corpus:
-    """Rebuild the corpus with one pseudo-task per group; target unchanged.
-
-    assignment indexes the concatenated source-task train samples in corpus
-    order (the same order the gradient cache uses).
-    """
-    source_train = []
-    for t in corpus.tasks:
-        source_train.extend(t.train)
-    if len(assignment.group_of) != len(source_train):
-        raise ValueError("assignment length does not match source train samples")
-
-    groups: list[list[Sample]] = [[] for _ in range(assignment.n_groups)]
-    for idx, s in enumerate(source_train):
-        g = int(assignment.group_of[idx])
-        groups[g].append(
-            Sample(s.features, s.label, g + 1, position_labels=s.position_labels)
-        )
-    # each group keeps a small validation slice carved from its own samples
-    tasks = []
-    for g, samples in enumerate(groups):
-        n_val = max(1, len(samples) // 5)
-        if len(samples) <= n_val:
-            train, val = samples, samples
-        else:
-            train, val = samples[:-n_val], samples[-n_val:]
-        tasks.append(TaskDataset(g + 1, train, val))
-    meta = dict(corpus.meta)
-    meta["regrouped"] = assignment.n_groups
-    return Corpus(tasks, corpus.target, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -438,43 +404,54 @@ def save_corpus(path, corpus: Corpus) -> None:
 
 
 def load_corpus(path) -> Corpus:
+    """Read a corpus file; raises ValueError naming the file when it is not a
+    corpus of this version or a line is malformed."""
     with open(path) as f:
         header = f.readline().split()
-        if not header or header[0] != "gradsel-corpus":
+        if len(header) < 2 or header[0] != "gradsel-corpus":
             raise ValueError(f"{path}: not a corpus file")
         if header[1] != f"v{CORPUS_FORMAT_VERSION}":
             raise ValueError(f"{path}: unsupported corpus format {header[1]}")
         fields = dict(kv.split("=", 1) for kv in header[2:])
-        encoding = fields.pop("encoding")
+        encoding = fields.pop("encoding", None)
         dim_line = f.readline().split()
+        if encoding not in ("onehot", "dense") or len(dim_line) != 2 or dim_line[0] != "dim":
+            raise ValueError(f"{path}: malformed header")
         dim = int(dim_line[1])
         buckets: dict[tuple[int, str], list[Sample]] = {}
-        for line in f:
-            tid_s, split, label_s, feats_s = line.split()
-            tid = int(tid_s)
-            if encoding == "onehot":
-                x = np.zeros(dim)
-                if feats_s:
-                    x[[int(i) for i in feats_s.split(",")]] = 1.0
-            else:
-                x = np.array([float.fromhex(v) for v in feats_s.split(",")])
-            if "," in label_s:
-                pos = tuple(int(v) for v in label_s.split(","))
-                sample = Sample(x, pos[0], tid, position_labels=pos)
-            else:
-                sample = Sample(x, int(label_s), tid)
+        for lineno, line in enumerate(f, 3):
+            try:
+                tid, split, sample = _parse_sample(line, dim, encoding)
+            except (ValueError, IndexError) as e:
+                raise ValueError(f"{path}: line {lineno}: {e}") from None
             buckets.setdefault((tid, split), []).append(sample)
 
     meta = _parse_meta(fields)
     ids = sorted({tid for tid, _ in buckets} - {TARGET_TASK_ID})
     tasks = [
-        TaskDataset(tid, buckets[(tid, "train")], buckets.get((tid, "val"), []))
+        TaskDataset(tid, buckets.get((tid, "train"), []), buckets.get((tid, "val"), []))
         for tid in ids
     ]
     target = TaskDataset(
-        TARGET_TASK_ID, buckets[(TARGET_TASK_ID, "train")], buckets.get((TARGET_TASK_ID, "val"), [])
+        TARGET_TASK_ID, buckets.get((TARGET_TASK_ID, "train"), []), buckets.get((TARGET_TASK_ID, "val"), [])
     )
     return Corpus(tasks, target, meta)
+
+
+def _parse_sample(line: str, dim: int, encoding: str) -> tuple[int, str, Sample]:
+    tid_s, split, label_s, feats_s = line.split()
+    tid = int(tid_s)
+    if encoding == "onehot":
+        x = np.zeros(dim)
+        x[[int(i) for i in feats_s.split(",")]] = 1.0
+    else:
+        x = np.array([float.fromhex(v) for v in feats_s.split(",")])
+        if x.shape != (dim,):
+            raise ValueError(f"expected {dim} features, got {x.shape[0]}")
+    if "," in label_s:
+        pos = tuple(int(v) for v in label_s.split(","))
+        return tid, split, Sample(x, pos[0], tid, position_labels=pos)
+    return tid, split, Sample(x, int(label_s), tid)
 
 
 def _parse_meta(fields: dict[str, str]) -> dict:

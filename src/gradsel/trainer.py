@@ -196,6 +196,7 @@ def true_f(
 
 CHECKPOINT_MAGIC = b"GSCP"
 CHECKPOINT_VERSION = 1
+_CHECKPOINT_HEAD = 80  # magic, version, p, config digest, corpus digest
 
 
 def param_digest(params: ParamVector) -> str:
@@ -213,18 +214,21 @@ def save_checkpoint(path, params: ParamVector, config_digest: str = "", corpus_d
 
 
 def load_checkpoint(path) -> tuple[ParamVector, str, str]:
-    """Returns (params, config_digest, corpus_digest)."""
+    """Returns (params, config_digest, corpus_digest). Raises ValueError when
+    the file is not a checkpoint or its length does not match its header."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        version, p = struct.unpack("<IQ", f.read(12))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        config_digest = f.read(32).hex()
-        corpus_digest = f.read(32).hex()
-        data = f.read(8 * p)
-        if len(data) != 8 * p:
-            raise ValueError(f"{path}: truncated checkpoint")
-        params = np.frombuffer(data, dtype="<f8").copy()
+        data = f.read()
+    if data[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    if len(data) < _CHECKPOINT_HEAD:
+        raise ValueError(f"{path}: truncated header ({len(data)} bytes)")
+    version, p = struct.unpack_from("<IQ", data, 4)
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    expected = _CHECKPOINT_HEAD + 8 * p
+    if len(data) != expected:
+        raise ValueError(f"{path}: {len(data)} bytes, but its header describes {expected}")
+    config_digest = data[16:48].hex()
+    corpus_digest = data[48:80].hex()
+    params = np.frombuffer(data, dtype="<f8", offset=_CHECKPOINT_HEAD).copy()
     return params, config_digest, corpus_digest

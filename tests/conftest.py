@@ -1,8 +1,7 @@
 """Shared fixtures: the default planted corpus and its trained pipeline state.
 
 Session-scoped because meta-training and cache construction are the expensive
-steps; tests treat these as read-only (the cache's consult counters are the
-one mutable field, and tests that assert on them make their own).
+steps; tests treat these as read-only.
 """
 
 import pytest

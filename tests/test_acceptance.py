@@ -253,10 +253,8 @@ def test_criterion_10_unit_suites(gauss_net, theta_star, gauss_corpus):
     b = rng.standard_normal(300)
     a /= np.linalg.norm(a)
     b /= np.linalg.norm(b)
-    vals = np.array([
-        Projector(p=300, d=20, seed=s).project(a) @ Projector(p=300, d=20, seed=s).project(b)
-        for s in range(200)
-    ])
+    sketches = [Projector(p=300, d=20, seed=s).project_many(np.stack([a, b])) for s in range(200)]
+    vals = np.array([pa @ pb for pa, pb in sketches])
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     jl_mean_ok = abs(vals.mean() - a @ b) <= 3 * se
 

@@ -1,0 +1,103 @@
+"""Public API must be used by the program itself, not only by tests.
+
+The check parses src/gradsel/*.py and walks references outward from module
+level code (the CLI entry point, constants) and from the allowlisted
+reference implementations. A public top-level function or class, or a public
+method, that no reachable code names is dead weight kept alive only by its
+tests, and fails the check. Names are matched by identifier, so a method
+counts as used when any reachable code reads an attribute of that name.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gradsel"
+
+# Reference implementations that tests compare the production paths against.
+# They stay although no stage calls them.
+ALLOWED = {
+    "estimate.subset_objective",  # solver objective, checked by finite differences
+    "trainer.true_f",  # the fine-tuning oracle as one call
+    "model.finite_difference_margin_gradient",  # checks the exact margin gradient
+    "project.identity_projector",  # exact d = p projection for exactness tests
+    "project.Projector.materialize",  # dense P for checking project_many and lift
+    "model.Network.sample_loss",  # one-sample loss for checking the batch losses
+}
+
+
+def _names(nodes) -> set[str]:
+    """Identifiers read anywhere inside the given nodes."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def _units():
+    """(qualified name, short name, identifiers it reads) for every top-level
+    function and class and every method, plus the identifiers read by module
+    level code. __init__.py only re-exports, which is not a use."""
+    units, roots = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        mod = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                qual = f"{mod}.{node.name}"
+                if isinstance(node, ast.ClassDef):
+                    methods = [n for n in node.body if isinstance(n, ast.FunctionDef)]
+                    rest = [n for n in node.body if n not in methods]
+                    units.append((qual, node.name, _names(node.bases + node.decorator_list + rest)))
+                    for m in methods:
+                        units.append((f"{qual}.{m.name}", m.name, _names([m])))
+                else:
+                    units.append((qual, node.name, _names([node])))
+            else:
+                roots |= _names([node])
+    return units, roots
+
+
+def _unused() -> list[str]:
+    units, names = _units()
+    reached: set[str] = set()
+    while True:
+        new = [
+            u
+            for u in units
+            if u[0] not in reached
+            and (
+                u[0] in ALLOWED
+                or u[1] in names
+                # dunder methods run implicitly once their class is in use
+                or (u[1].startswith("__") and u[0].rsplit(".", 1)[0] in reached)
+            )
+        ]
+        if not new:
+            break
+        for qual, _, reads in new:
+            reached.add(qual)
+            names |= reads
+    return sorted(
+        qual
+        for qual, short, _ in units
+        if qual not in reached and not short.startswith("_")
+    )
+
+
+def test_every_public_name_is_used_by_the_program():
+    assert _unused() == []
+
+
+def test_allowlist_names_only_unused_reference_implementations():
+    units, roots = _units()
+    defined = {qual for qual, _, _ in units}
+    assert ALLOWED <= defined
+    # an allowlisted name that production code starts calling no longer needs
+    # the exemption
+    called = roots.union(*(reads for qual, _, reads in units if qual not in ALLOWED))
+    assert not {q for q in ALLOWED if q.rsplit(".", 1)[1] in called}

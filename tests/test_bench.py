@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gradsel.bench import (
-    CostLedger,
     baseline_feature_similarity,
     baseline_gradient_cosine,
     exp_structure,
@@ -182,17 +181,6 @@ def test_pairwise_cosine_vs_oracle_correlation_recorded(
     corr = float(np.corrcoef(cosines, f_values)[0, 1])
     print(f"pairwise cosine vs oracle f({{i,j}}) correlation: {corr:+.3f}")
     assert -1.0 <= corr <= 1.0
-
-
-# ---- cost ledger ----
-
-def test_cost_ledger_accumulates():
-    ledger = CostLedger()
-    ledger.add_passes("oracle", 10)
-    ledger.add_passes("oracle", 5)
-    assert ledger.forward_passes["oracle"] == 15
-    with pytest.raises(ValueError):
-        ledger.add_passes("oracle", -1)
 
 
 # ---- structure experiment ----

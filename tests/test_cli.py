@@ -1,3 +1,5 @@
+import shutil
+
 import pytest
 
 from gradsel.cli import (
@@ -41,6 +43,12 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg_file.write_text("corpus.bogus = 1\n")
     with pytest.raises(StageError, match="unknown config key"):
         resolve_config(str(cfg_file), {})
+
+
+def test_removed_solver_method_key_rejected():
+    # damped Newton is the only solver, so there is no method to choose
+    with pytest.raises(StageError, match="unknown config key 'estimate.method'"):
+        resolve_config(None, {"estimate.method": "lbfgs"})
 
 
 def test_malformed_config_line():
@@ -287,3 +295,48 @@ def test_bench_relerr_small(tmp_path):
     frontier = (tmp_path / "bench" / "relerr_frontier.csv").read_text().splitlines()
     assert frontier[0].startswith("method,forward_pass_units")
     assert len(frontier) == 3
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    for stage in ("gen", "meta-train", "cache", "select"):
+        assert run([stage, *TINY], root) == 0
+    return root
+
+
+DAMAGE = {
+    "cut_to_10_bytes": lambda data: data[:10],
+    "cut_in_half": lambda data: data[: len(data) // 2],
+    "drop_last_byte": lambda data: data[:-1],
+    "append_3_bytes": lambda data: data + b"xyz",
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+@pytest.mark.parametrize(
+    "artifact, stage, binary",
+    [
+        ("corpus.txt", "select", False),
+        ("checkpoint.bin", "select", True),
+        ("cache.bin", "select", True),
+        ("selection.txt", "report", False),
+    ],
+)
+def test_damaged_artifact_fails_in_one_line(tiny_run, tmp_path, capsys, artifact, stage, binary, damage):
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / artifact
+    path.write_bytes(DAMAGE[damage](path.read_bytes()))
+    capsys.readouterr()
+    code = run([stage, *TINY], tmp_path)
+    err = capsys.readouterr().err
+    if binary:
+        assert code == 2
+    else:
+        assert code in (0, 2)
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith(f"gradsel {stage}: ")
+        if binary:
+            assert lines[0].startswith(f"gradsel {stage}: {artifact}: ")

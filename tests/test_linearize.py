@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from gradsel.linearize import (
+    RRSS_DENOM_GUARD,
+    _rrss_batch,
     build_cache,
     load_cache,
-    rrss,
     rrss_sweep,
     save_cache,
-    taylor_margin,
-    taylor_margin_full,
 )
 from gradsel.model import ModelConfig, Network, Sample
 from gradsel.project import Projector, identity_projector
@@ -31,6 +30,17 @@ def _linear_net(dim=4, seed=1):
     return Network(ModelConfig(input_dim=dim, hidden_dims=(), num_classes=2, seed=seed))
 
 
+def _cached_taylor_margin(cache, i, z):
+    """First-order margin at theta* + P z from cache entry i: the cached
+    b = -y h* gives h* = -b y, and g~ . z equals the full g . (P z)."""
+    return -cache.b[i] * cache.y[i] + cache.g_proj[i] @ z
+
+
+def _full_taylor_margin(net, theta_star, x, sample):
+    """First-order margin at an arbitrary X, using the full gradient."""
+    return net.margin(theta_star, sample) + net.margin_gradient(theta_star, sample) @ (x - theta_star)
+
+
 def test_cache_entries_and_b_values():
     corpus = _mini_corpus()
     net = _linear_net()
@@ -41,12 +51,10 @@ def test_cache_entries_and_b_values():
     assert cache.n_entries == 2
     assert sorted(cache.task_id) == [0, 1]
     for i in range(cache.n_entries):
-        e = cache.entry(i)
-        sample = (corpus.tasks[0].train + corpus.target.train)[0 if e.task_id == 1 else 0]
-        sample = corpus.task(e.task_id).train[0]
+        sample = corpus.task(int(cache.task_id[i])).train[0]
         y = 2 * sample.label - 1
-        assert e.y_sign == y
-        assert e.b == pytest.approx(-y * net.margin(theta, sample), abs=1e-12)
+        assert cache.y[i] == y
+        assert cache.b[i] == pytest.approx(-y * net.margin(theta, sample), abs=1e-12)
     assert cache.n_val_entries == len(corpus.target.val)
 
 
@@ -72,14 +80,13 @@ def test_cache_soundness_recompute(gauss_net, theta_star, gauss_corpus, projecto
     train = gauss_corpus.all_train_samples()
     rng = np.random.default_rng(0)
     for i in rng.choice(cache.n_entries, size=25, replace=False):
-        e = cache.entry(int(i))
-        s = train[e.sample_ref]
-        assert s.task_id == e.task_id
+        s = train[cache.sample_ref[i]]
+        assert s.task_id == cache.task_id[i]
         y = 2 * s.label - 1
         h = gauss_net.margin(theta_star, s)
-        assert abs(e.b - (-y * h)) <= 1e-10
-        g_proj = projector.project(gauss_net.margin_gradient(theta_star, s))
-        assert np.max(np.abs(g_proj - e.g_proj)) <= 1e-10
+        assert abs(cache.b[i] - (-y * h)) <= 1e-10
+        g_proj = projector.project_many(gauss_net.margin_gradient(theta_star, s)[None, :])[0]
+        assert np.max(np.abs(g_proj - cache.g_proj[i])) <= 1e-10
 
 
 def test_taylor_margin_zero_displacement():
@@ -87,11 +94,12 @@ def test_taylor_margin_zero_displacement():
     net = _linear_net()
     theta = net.init_params()
     cache = build_cache(net, theta, corpus, identity_projector(net.param_count))
-    e = cache.entry(0)
-    sample = corpus.task(e.task_id).train[0]
+    sample = corpus.task(int(cache.task_id[0])).train[0]
     h = net.margin(theta, sample)
-    assert taylor_margin(e, np.zeros(cache.d)) == pytest.approx(h, abs=1e-12)
-    assert taylor_margin_full(net, theta, theta, sample) == pytest.approx(h, abs=1e-12)
+    assert _cached_taylor_margin(cache, 0, np.zeros(cache.d)) == pytest.approx(h, abs=1e-12)
+    assert _full_taylor_margin(net, theta, theta, sample) == pytest.approx(h, abs=1e-12)
+    # zero displacement leaves no residual
+    assert _rrss_batch(net, theta, theta, [sample])[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_taylor_margin_exact_for_linear_model():
@@ -102,7 +110,7 @@ def test_taylor_margin_exact_for_linear_model():
     sample = corpus.tasks[0].train[0]
     for _ in range(3):
         x = theta + rng.standard_normal(net.param_count)
-        assert taylor_margin_full(net, theta, x, sample) == pytest.approx(
+        assert _full_taylor_margin(net, theta, x, sample) == pytest.approx(
             net.margin(x, sample), abs=1e-10
         )
 
@@ -115,17 +123,18 @@ def test_projected_taylor_consistent_with_full(gauss_net, theta_star, gauss_corp
     x = theta_star + lifted
     train = gauss_corpus.all_train_samples()
     for i in (0, 100, 500):
-        e = cache.entry(i)
-        s = train[e.sample_ref]
-        via_cache = taylor_margin(e, z)
+        s = train[cache.sample_ref[i]]
+        via_cache = _cached_taylor_margin(cache, i, z)
         h = gauss_net.margin(theta_star, s)
         g = gauss_net.margin_gradient(theta_star, s)
         assert via_cache == pytest.approx(h + g @ lifted, abs=1e-10)
 
 
 def test_rrss_zero_at_theta_star(gauss_net, theta_star, gauss_corpus):
-    s = gauss_corpus.target.val[0]
-    assert rrss(gauss_net, theta_star, theta_star, s) == pytest.approx(0.0, abs=1e-15)
+    vals = _rrss_batch(gauss_net, theta_star, theta_star, gauss_corpus.target.val[:10])
+    finite = vals[np.isfinite(vals)]
+    assert finite.size > 0
+    assert np.all(finite <= 1e-15)
 
 
 def test_rrss_zero_for_linear_model():
@@ -133,19 +142,24 @@ def test_rrss_zero_for_linear_model():
     net = _linear_net(dim=5, seed=8)
     theta = net.init_params() + 1.0  # keep margins away from zero
     rng = np.random.default_rng(9)
-    sample = corpus.tasks[0].train[0]
+    samples = corpus.tasks[0].train + corpus.tasks[0].val
     for _ in range(5):
         x = theta + rng.standard_normal(net.param_count)
-        value = rrss(net, theta, x, sample)
-        if not math.isnan(value):
-            assert value <= 1e-12
+        vals = _rrss_batch(net, theta, x, samples)
+        assert np.all(vals[np.isfinite(vals)] <= 1e-12)
 
 
 def test_rrss_flags_near_zero_denominator():
     net = _linear_net(dim=3, seed=10)
-    sample = Sample(np.array([1.0, 2.0, -1.0]), 1, 1)
+    flat = Sample(np.array([1.0, 2.0, -1.0]), 1, 1)
     zero = np.zeros(net.param_count)  # margin is exactly 0
-    assert math.isnan(rrss(net, zero, zero, sample))
+    x = zero.copy()
+    x[-1] = 1.0  # bias 1: margin 1, away from the guard
+    vals = _rrss_batch(net, zero, zero, [flat, flat])
+    assert np.isnan(vals).all()
+    vals = _rrss_batch(net, zero, x, [flat])
+    assert abs(net.margin(x, flat)) >= RRSS_DENOM_GUARD
+    assert vals[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rrss_sweep_zero_distance(gauss_net, theta_star, gauss_corpus):
@@ -165,13 +179,8 @@ def test_taylor_margin_tracks_forward_pass_at_five_percent(gauss_corpus):
     rng = np.random.default_rng(4)
     u = rng.standard_normal(net.param_count)
     x = theta + 0.05 * np.linalg.norm(theta) * u / np.linalg.norm(u)
-    ratios = []
-    for s in gauss_corpus.target.val:
-        h_x = net.margin(x, s)
-        if abs(h_x) < 0.5:
-            continue
-        pred = taylor_margin_full(net, theta, x, s)
-        ratios.append((h_x - pred) ** 2 / h_x**2)
+    confident = [s for s in gauss_corpus.target.val if abs(net.margin(x, s)) >= 0.5]
+    ratios = _rrss_batch(net, theta, x, confident)
     assert len(ratios) >= 20
     assert np.mean(ratios) <= 1e-2
 

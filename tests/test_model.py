@@ -9,7 +9,6 @@ from gradsel.model import (
     Network,
     Sample,
     finite_difference_margin_gradient,
-    init_params,
 )
 
 
@@ -22,15 +21,15 @@ def test_param_count_matches_hand_count():
 
 def test_zero_init_scale_gives_zero_vector():
     cfg = ModelConfig(input_dim=3, hidden_dims=(4,), num_classes=2, init_scale=0.0, seed=9)
-    params = init_params(cfg)
+    params = Network(cfg).init_params()
     assert params.shape == (21,)
     assert np.all(params == 0.0)
 
 
 def test_init_determinism():
     cfg = ModelConfig(input_dim=5, hidden_dims=(8, 4), num_classes=3, seed=123)
-    a = init_params(cfg)
-    b = init_params(cfg)
+    a = Network(cfg).init_params()
+    b = Network(cfg).init_params()
     assert np.array_equal(a, b)
 
 

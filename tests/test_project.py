@@ -5,15 +5,20 @@ from gradsel import project
 from gradsel.project import Projector, identity_projector
 
 
+def _project(proj, g):
+    """P^T g for one p-vector."""
+    return proj.project_many(np.asarray(g)[None, :])[0]
+
+
 def test_project_zero_vector():
     proj = Projector(p=50, d=10, seed=1)
-    assert np.array_equal(proj.project(np.zeros(50)), np.zeros(10))
+    assert np.array_equal(_project(proj, np.zeros(50)), np.zeros(10))
 
 
 def test_injected_identity_is_identity():
     proj = identity_projector(12)
     g = np.arange(12.0)
-    assert np.array_equal(proj.project(g), g)
+    assert np.array_equal(_project(proj, g), g)
     assert np.array_equal(proj.lift(g), g)
 
 
@@ -21,8 +26,8 @@ def test_linearity():
     proj = Projector(p=200, d=25, seed=2)
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal(200), rng.standard_normal(200)
-    lhs = proj.project(a + b)
-    rhs = proj.project(a) + proj.project(b)
+    lhs = _project(proj, a + b)
+    rhs = _project(proj, a) + _project(proj, b)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -32,16 +37,16 @@ def test_lift_zero():
 
 
 def test_adjoint_identity_against_dense_oracle():
-    # <lift(x), g> == <x, project(g)>, checked against an explicitly
+    # <lift(x), g> == <x, P^T g>, checked against an explicitly
     # materialized dense matrix on a small p
     proj = Projector(p=300, d=20, seed=4)
     P = proj.materialize()
     rng = np.random.default_rng(1)
     g = rng.standard_normal(300)
     x = rng.standard_normal(20)
-    assert np.allclose(proj.project(g), P.T @ g, atol=1e-12)
+    assert np.allclose(_project(proj, g), P.T @ g, atol=1e-12)
     assert np.allclose(proj.lift(x), P @ x, atol=1e-12)
-    assert proj.lift(x) @ g == pytest.approx(x @ proj.project(g), abs=1e-10)
+    assert proj.lift(x) @ g == pytest.approx(x @ _project(proj, g), abs=1e-10)
 
 
 def test_streaming_matches_dense_across_block_boundary():
@@ -53,7 +58,7 @@ def test_streaming_matches_dense_across_block_boundary():
     rng = np.random.default_rng(2)
     g = rng.standard_normal(proj.p)
     x = rng.standard_normal(128)
-    assert np.allclose(proj.project(g), P.T @ g, atol=1e-10)
+    assert np.allclose(_project(proj, g), P.T @ g, atol=1e-10)
     assert np.allclose(proj.lift(x), P @ x, atol=1e-10)
     assert proj._dense is None
 
@@ -109,16 +114,16 @@ def test_project_many_matches_single():
     G = rng.standard_normal((7, 500))
     batch = proj.project_many(G)
     for i in range(7):
-        assert np.allclose(batch[i], proj.project(G[i]), atol=1e-12)
+        assert np.allclose(batch[i], _project(proj, G[i]), atol=1e-12)
 
 
 def test_determinism_same_seed():
     rng = np.random.default_rng(4)
     g = rng.standard_normal(400)
-    a = Projector(p=400, d=15, seed=9).project(g)
-    b = Projector(p=400, d=15, seed=9).project(g)
+    a = _project(Projector(p=400, d=15, seed=9), g)
+    b = _project(Projector(p=400, d=15, seed=9), g)
     assert np.array_equal(a, b)
-    c = Projector(p=400, d=15, seed=10).project(g)
+    c = _project(Projector(p=400, d=15, seed=10), g)
     assert not np.array_equal(a, c)
 
 
@@ -133,7 +138,7 @@ def test_inner_product_preserved_in_expectation():
     vals = []
     for seed in range(200):
         proj = Projector(p=300, d=20, seed=seed)
-        vals.append(proj.project(a) @ proj.project(b))
+        vals.append(_project(proj, a) @ _project(proj, b))
     vals = np.array(vals)
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - a @ b) <= 3 * se
@@ -172,6 +177,6 @@ def test_validation():
         Projector(p=5, d=3, mode="gaussian", matrix=np.zeros((5, 3)))
     proj = Projector(p=10, d=3, seed=0)
     with pytest.raises(ValueError):
-        proj.project(np.zeros(9))
+        proj.project_many(np.zeros((1, 9)))
     with pytest.raises(ValueError):
         proj.lift(np.zeros(4))

@@ -441,6 +441,16 @@ def test_selection_report_roundtrip(tmp_path):
     assert back.rounds_run == 2
 
 
+@pytest.mark.parametrize("line", ["T 0 0.5", "eval 1,2", "budget calls", "rounds x", "chosen 1 y"])
+def test_load_report_rejects_malformed_lines(tmp_path, line):
+    from gradsel.select import load_report
+
+    path = tmp_path / "selection.txt"
+    path.write_text(f"gradsel-selection v1\nmethod fs\n{line}\n")
+    with pytest.raises(ValueError, match="line 3"):
+        load_report(path)
+
+
 def test_select_ds_re_excludes_planted_noisy_groups():
     # end-to-end data-selection check on a planted cache: six tight gradient
     # clusters, three of them with unfit entries whose fix direction damages
@@ -515,7 +525,7 @@ def test_select_ds_re_excludes_planted_noisy_groups():
     # map chosen group ids back to planted membership via the cluster run
     from gradsel.taskgen import cluster_into_groups
 
-    groups = cluster_into_groups(planted, 6, seed=4).group_of
+    groups = cluster_into_groups(planted.g_proj, 6, seed=4).group_of
     planted_noisy = np.repeat([g in noisy_groups for g in range(6)], per_group)
     chosen_mask = np.isin(groups + 1, list(report.chosen))
     excluded = 1.0 - planted_noisy[chosen_mask].sum() / planted_noisy.sum()

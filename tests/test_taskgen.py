@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradsel.linearize import GradientCache
 from gradsel.taskgen import (
     Corpus,
     GroupAssignment,
@@ -14,30 +13,9 @@ from gradsel.taskgen import (
     gen_multitask_gaussian,
     gen_noisy_addition,
     load_corpus,
-    regroup_corpus,
     save_corpus,
     serialize_corpus,
 )
-
-
-def _fake_cache(g_proj, task_id=None):
-    n, d = g_proj.shape
-    tid = np.ones(n, dtype=np.int64) if task_id is None else np.asarray(task_id)
-    return GradientCache(
-        sample_ref=np.arange(n),
-        task_id=tid,
-        y=np.ones(n),
-        b=np.zeros(n),
-        g_proj=np.asarray(g_proj, dtype=np.float64),
-        val_y=np.ones(1),
-        val_b=np.zeros(1),
-        val_g_proj=np.zeros((1, d)),
-        p=d,
-        d=d,
-        theta_star_digest="0" * 64,
-        projector_seed=0,
-        projector_mode="gaussian",
-    )
 
 
 # ---- gaussian generator ----
@@ -209,7 +187,7 @@ def test_cluster_recovers_planted_partition():
     b = np.r_[np.zeros(3), np.ones(3)]
     G = np.vstack([a + 0.05 * rng.standard_normal(6) for _ in range(20)]
                   + [b + 0.05 * rng.standard_normal(6) for _ in range(20)])
-    labels = cluster_into_groups(_fake_cache(G), 2, seed=0).group_of
+    labels = cluster_into_groups(G, 2, seed=0).group_of
     assert len(set(labels[:20])) == 1
     assert len(set(labels[20:])) == 1
     assert labels[0] != labels[-1]
@@ -218,7 +196,7 @@ def test_cluster_recovers_planted_partition():
 def test_cluster_singletons_when_groups_equal_samples():
     rng = np.random.default_rng(11)
     G = rng.standard_normal((6, 4))
-    assignment = cluster_into_groups(_fake_cache(G), 6, seed=0)
+    assignment = cluster_into_groups(G, 6, seed=0)
     assert sorted(assignment.group_of) == list(range(6))
 
 
@@ -226,33 +204,23 @@ def test_cluster_duplicates_co_assigned():
     rng = np.random.default_rng(12)
     base = rng.standard_normal((4, 5))
     G = np.vstack([base, base])
-    labels = cluster_into_groups(_fake_cache(G), 4, seed=0).group_of
+    labels = cluster_into_groups(G, 4, seed=0).group_of
     assert np.array_equal(labels[:4], labels[4:])
 
 
 def test_cluster_determinism_and_errors():
     rng = np.random.default_rng(13)
     G = rng.standard_normal((10, 3))
-    a = cluster_into_groups(_fake_cache(G), 3, seed=5).group_of
-    b = cluster_into_groups(_fake_cache(G), 3, seed=5).group_of
+    a = cluster_into_groups(G, 3, seed=5).group_of
+    b = cluster_into_groups(G, 3, seed=5).group_of
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        cluster_into_groups(_fake_cache(G), 11, seed=0)
+        cluster_into_groups(G, 11, seed=0)
 
 
 def test_group_assignment_rejects_empty_groups():
     with pytest.raises(ValueError):
         GroupAssignment(np.array([0, 0, 2, 2]), 3)
-
-
-def test_regroup_corpus():
-    c = gen_multitask_gaussian(3, 10, 4, 0.5, 90.0, 0.0, seed=8)
-    n_source = sum(len(t.train) for t in c.tasks)
-    assignment = GroupAssignment(np.arange(n_source) % 2, 2)
-    grouped = regroup_corpus(c, assignment)
-    assert grouped.n_tasks == 2
-    assert sum(len(t.train) + len(t.val) for t in grouped.tasks) == n_source
-    assert grouped.target is c.target
 
 
 def test_corpus_invariants():
