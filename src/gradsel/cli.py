@@ -8,6 +8,7 @@ flag of the same name. All randomness flows from named seeds in the config.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import os
 import sys
@@ -214,25 +215,26 @@ class RunDir:
 
 
 class _Lock:
+    """An exclusive flock on the run directory's .lock file. The kernel drops
+    it when the holding process exits, however it exits, so a killed run
+    leaves no stale lock. The file is left in place; unlocked, it blocks
+    nothing."""
+
     def __init__(self, path: Path):
         self.path = path
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StageError(
-                f"run directory is locked by {self.path}; remove it if no other command is running"
-            ) from None
-        os.close(fd)
+            fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(self._fd)
+            raise StageError(f"run directory is locked: another command holds {self.path}") from None
         return self
 
     def __exit__(self, *exc):
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        os.close(self._fd)  # releases the lock
 
 
 def _load(run: RunDir, artifact: str, produced_by: str, loader):

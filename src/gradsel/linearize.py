@@ -75,14 +75,20 @@ class GradientCache:
         return h.hexdigest()
 
 
-def _margins_and_b(net: Network, theta: ParamVector, samples: list[Sample]):
+def _entries(net: Network, theta: ParamVector, samples: list[Sample], projector: Projector):
+    """(y, b, projected margin gradients) for a sample list, at theta.
+
+    Gradients are built and projected _CHUNK samples at a time, so at most
+    one (_CHUNK, p) gradient block is alive."""
     X, labels = stack_samples(samples)
     h = net.margins(theta, X, labels)
-    if net.config.is_binary:
-        y = 2.0 * np.array([s.label for s in samples], dtype=np.float64) - 1.0
-    else:
-        y = np.ones(len(samples))
-    return y, -y * h
+    y = 2.0 * labels - 1.0 if net.config.is_binary else np.ones(len(samples))
+    g = np.empty((len(samples), projector.d))
+    for lo in range(0, len(samples), _CHUNK):
+        G = net.margin_gradients(theta, X[lo : lo + _CHUNK], labels[lo : lo + _CHUNK])
+        g[lo : lo + len(G)] = projector.project_many(G)
+        del G  # free this block before the next one is built
+    return y, -y * h, g
 
 
 def build_cache(
@@ -98,12 +104,8 @@ def build_cache(
     refs = np.arange(len(train), dtype=np.int64)
     tids = np.array([s.task_id for s in train], dtype=np.int64)
 
-    y, b = _margins_and_b(net, theta_star, train)
-    g = _project_gradients(net, theta_star, train, projector)
-
-    val = corpus.target.val
-    val_y, val_b = _margins_and_b(net, theta_star, val)
-    val_g = _project_gradients(net, theta_star, val, projector)
+    y, b, g = _entries(net, theta_star, train, projector)
+    val_y, val_b, val_g = _entries(net, theta_star, corpus.target.val, projector)
 
     return GradientCache(
         sample_ref=refs,
@@ -122,29 +124,18 @@ def build_cache(
     )
 
 
-def _project_gradients(net, theta, samples, projector) -> np.ndarray:
-    out = np.empty((len(samples), projector.d))
-    for lo in range(0, len(samples), _CHUNK):
-        chunk = samples[lo : lo + _CHUNK]
-        G = np.stack([net.margin_gradient(theta, s) for s in chunk])
-        out[lo : lo + len(chunk)] = projector.project_many(G)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # RRSS
 # ---------------------------------------------------------------------------
 
 
-def _rrss_batch(net, theta_star, x, samples) -> np.ndarray:
-    """Per-sample (h_X - h_* - g^T (X - theta*))^2 / h_X^2, with the full
-    gradient g at theta*. NaN where |h_X| is below the denominator guard;
-    aggregates skip such samples."""
-    X, labels = stack_samples(samples)
+def _rrss_batch(net, theta_star, x, X, labels, G) -> np.ndarray:
+    """Per-sample (h_X - h_* - g^T (X - theta*))^2 / h_X^2, with G the full
+    margin gradients at theta* (one row per sample). NaN where |h_X| is below
+    the denominator guard; aggregates skip such samples."""
     h_x = net.margins(x, X, labels)
     h_star = net.margins(theta_star, X, labels)
-    delta = x - theta_star
-    lin = np.array([net.margin_gradient(theta_star, s) @ delta for s in samples])
+    lin = G @ (x - theta_star)
     small = np.abs(h_x) < RRSS_DENOM_GUARD
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = (h_x - h_star - lin) ** 2 / h_x**2
@@ -193,6 +184,8 @@ def rrss_sweep(
         directions.append(u / np.linalg.norm(u))
     directions = directions[:n_directions]
 
+    X, labels = stack_samples(samples)
+    G = net.margin_gradients(theta_star, X, labels)
     rows = []
     for dist in distances:
         per_direction = []
@@ -200,7 +193,7 @@ def rrss_sweep(
         used = 0
         for u in directions:
             x = theta_star + dist * norm_star * u
-            vals = _rrss_batch(net, theta_star, x, samples)
+            vals = _rrss_batch(net, theta_star, x, X, labels, G)
             ok = vals[np.isfinite(vals)]
             flagged += int(np.size(vals) - ok.size)
             used += ok.size

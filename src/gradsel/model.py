@@ -122,8 +122,7 @@ class Network:
     """A feed-forward classifier over a flat parameter vector.
 
     Parameters are laid out layer by layer: the (out, in) weight matrix in row
-    major order, then the bias. Per-sample gradient calls use one sample at a
-    time so cached gradients are exact, with no batching shortcut.
+    major order, then the bias.
     """
 
     def __init__(self, config: ModelConfig):
@@ -248,58 +247,64 @@ class Network:
 
     # ---- gradients ----
 
-    def _backward(self, params, acts, delta):
-        """Backpropagate output-layer deltas (N, out) to a flat mean gradient."""
+    def _layer_deltas(self, params, acts, delta):
+        """Yield (layer index, output deltas (N, out)) from the last layer to
+        the first, backpropagating the output-layer deltas."""
         layers = self.unpack(params)
-        grad = np.zeros(self.param_count)
-        n = delta.shape[0]
         for i in range(len(layers) - 1, -1, -1):
-            W, _ = layers[i]
-            w0, w1, b1 = self._offsets[i]
-            grad[w0:w1] = (delta.T @ acts[i]).ravel() / n
-            grad[w1:b1] = delta.sum(axis=0) / n
+            yield i, delta
             if i > 0:
-                delta = delta @ W
+                delta = delta @ layers[i][0]
                 a = acts[i]
                 if self.config.activation == "tanh":
                     delta = delta * (1.0 - a * a)
                 else:
                     delta = delta * (a > 0.0)
+
+    def _backward(self, params, acts, delta):
+        """Backpropagate output-layer deltas (N, out) to a flat mean gradient."""
+        grad = np.empty(self.param_count)
+        n = delta.shape[0]
+        for i, d in self._layer_deltas(params, acts, delta):
+            w0, w1, b1 = self._offsets[i]
+            np.matmul(d.T, acts[i], out=grad[w0:w1].reshape(self._shapes[i]))
+            np.sum(d, axis=0, out=grad[w1:b1])
+        grad /= n
         return grad
 
-    def margin_gradient(self, params: ParamVector, sample: Sample) -> ParamVector:
-        """Exact gradient of the margin for one sample, via reverse mode.
+    def margin_gradients(self, params: ParamVector, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Exact per-sample margin gradients, one row per sample: (N, p).
 
-        Multi-position samples return the average of per-position margin
+        One forward and one backward pass over the batch. Each layer's
+        per-sample weight gradient is the outer product of its output delta
+        and its input activation, written straight into the result.
+        Multi-position samples get the average of per-position margin
         gradients.
         """
-        acts, Z = self._forward(params, sample.features[None, :])
+        acts, Z = self._forward(params, X)
         cfg = self.config
+        n = len(Z)
         if cfg.is_binary:
-            delta = np.ones((1, 1))
-        elif cfg.num_positions == 1:
-            delta = self._class_margin_delta(Z, sample.label)
+            delta = np.ones((n, 1))
         else:
-            if sample.position_labels is None:
-                raise ValueError("multi-position model requires position_labels")
-            Zp = Z.reshape(1, cfg.num_positions, cfg.num_classes)
-            blocks = [
-                self._class_margin_delta(Zp[:, i, :], sample.position_labels[i])
-                / cfg.num_positions
-                for i in range(cfg.num_positions)
-            ]
-            delta = np.concatenate(blocks, axis=1)
-        return self._backward(params, acts, delta)
-
-    @staticmethod
-    def _class_margin_delta(Z: np.ndarray, y: int) -> np.ndarray:
-        # d margin / d z_k: 1 at the labeled class, else minus the softmax
-        # restricted to the other classes. Bounded, so stable at any confidence.
-        masked = Z.copy()
-        masked[:, y] = -np.inf
-        delta = -_softmax(masked)
-        delta[:, y] = 1.0
-        return delta
+            labels = np.asarray(labels, dtype=np.int64)
+            want = (n,) if cfg.num_positions == 1 else (n, cfg.num_positions)
+            if labels.shape != want:
+                raise ValueError(f"expected labels of shape {want}, got {labels.shape}")
+            # d margin / d z_k: 1 at the labeled class, else minus the softmax
+            # restricted to the other classes. Bounded, so stable at any confidence.
+            at_label = labels.reshape(n, cfg.num_positions, 1)
+            masked = Z.reshape(n, cfg.num_positions, cfg.num_classes).copy()
+            np.put_along_axis(masked, at_label, -np.inf, axis=-1)
+            delta = -_softmax(masked)
+            np.put_along_axis(delta, at_label, 1.0, axis=-1)
+            delta = delta.reshape(n, -1) / cfg.num_positions
+        out = np.empty((n, self.param_count))
+        for i, d in self._layer_deltas(params, acts, delta):
+            w0, w1, b1 = self._offsets[i]
+            np.multiply(d[:, :, None], acts[i][:, None, :], out=out[:, w0:w1].reshape(n, *self._shapes[i]))
+            out[:, w1:b1] = d
+        return out
 
     def loss_gradient(self, params: ParamVector, X: np.ndarray, labels: np.ndarray) -> ParamVector:
         """Mean log-loss gradient over a batch."""
@@ -316,9 +321,7 @@ class Network:
         else:
             Zp = Z.reshape(len(Z), cfg.num_positions, cfg.num_classes)
             delta = _softmax(Zp)
-            n = np.arange(len(Z))
-            for i in range(cfg.num_positions):
-                delta[n, i, labels[:, i]] -= 1.0
+            delta[np.arange(len(Z))[:, None], np.arange(cfg.num_positions), labels] -= 1.0
             delta = delta.reshape(len(Z), -1) / cfg.num_positions
         return self._backward(params, acts, delta)
 

@@ -2,13 +2,11 @@
 
 The p x d matrix P has i.i.d. N(0, 1/d) entries. In gaussian mode its row
 blocks come from a counter-based Philox stream keyed by (seed, block index), so
-projections are reproducible. When P takes at most _STORE_BYTES (p * d * 8
-bytes), it is built once from that stream on first use and kept, so repeated
-lifts reuse it; the default Gaussian model's P (p=3,841, d=100) is 3.1 MB. A
-larger P is never stored: each call regenerates its row blocks and memory
-stays O(block_rows * d), so the noisy-addition model's 31 MB P (p=38,706) adds
-nothing to its peak memory. Injected mode takes an explicit matrix and is
-meant for tests.
+projections are reproducible. P is built once from that stream, on first use,
+and kept for every later projection and lift; it takes p * d * 8 bytes (3.1 MB
+for the default Gaussian model, p=3,841, d=100; 31 MB for the noisy-addition
+model, p=38,706). Injected mode takes an explicit matrix and is meant for
+tests.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import numpy as np
 GENERATOR_VERSION = 1
 
 _BLOCK_ROWS = 8192
-_STORE_BYTES = 16 * 2**20  # keep P in memory when p * d * 8 is at most this
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ class Projector:
             raise ValueError("gaussian mode does not take a matrix")
 
     def _block(self, index: int) -> np.ndarray:
-        """Rows [index*B, min((index+1)*B, p)) of P, regenerated from the seed."""
+        """Rows [index*B, min((index+1)*B, p)) of P, generated from the seed."""
         lo = index * _BLOCK_ROWS
         rows = min(_BLOCK_ROWS, self.p - lo)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(GENERATOR_VERSION, index))
@@ -59,53 +56,37 @@ class Projector:
         return -(-self.p // _BLOCK_ROWS)
 
     @cached_property
-    def _dense(self) -> np.ndarray | None:
-        """P as one array when it is kept in memory, else None (streamed).
+    def _dense(self) -> np.ndarray:
+        """P as one read-only array, built block by block on first use.
 
-        Built on first use and cached on the instance, outside the dataclass
-        fields, so equality and the constructor ignore it."""
+        Cached on the instance, outside the dataclass fields, so equality and
+        the constructor ignore it."""
         if self.mode == "injected":
             return self.matrix
-        if self.p * self.d * 8 > _STORE_BYTES:
-            return None
-        P = np.vstack([self._block(i) for i in range(self._n_blocks())])
+        P = np.empty((self.p, self.d))
+        for i in range(self._n_blocks()):
+            lo = i * _BLOCK_ROWS
+            P[lo : lo + _BLOCK_ROWS] = self._block(i)
         P.flags.writeable = False
         return P
 
     def project_many(self, G: np.ndarray) -> np.ndarray:
-        """P^T applied to the rows of G (m, p) -> (m, d), one pass over P."""
+        """P^T applied to the rows of G (m, p) -> (m, d)."""
         G = np.asarray(G, dtype=np.float64)
         if G.ndim != 2 or G.shape[1] != self.p:
             raise ValueError(f"expected (m, {self.p}) gradients, got {G.shape}")
-        if self._dense is not None:
-            return G @ self._dense
-        out = np.zeros((G.shape[0], self.d))
-        for i in range(self._n_blocks()):
-            lo = i * _BLOCK_ROWS
-            block = self._block(i)
-            out += G[:, lo : lo + block.shape[0]] @ block
-        return out
+        return G @ self._dense
 
     def lift(self, x_d: np.ndarray) -> np.ndarray:
         """P x_d: map a d-vector back to parameter space."""
         x_d = np.asarray(x_d, dtype=np.float64)
         if x_d.shape != (self.d,):
             raise ValueError(f"expected a length-{self.d} vector, got {x_d.shape}")
-        if self._dense is not None:
-            return self._dense @ x_d
-        out = np.empty(self.p)
-        for i in range(self._n_blocks()):
-            lo = i * _BLOCK_ROWS
-            block = self._block(i)
-            out[lo : lo + block.shape[0]] = block @ x_d
-        return out
+        return self._dense @ x_d
 
     def materialize(self) -> np.ndarray:
-        """Dense copy of P, for oracle checks. A P above _STORE_BYTES is built
-        block by block for this call and not kept."""
-        if self._dense is not None:
-            return self._dense.copy()
-        return np.vstack([self._block(i) for i in range(self._n_blocks())])
+        """Dense copy of P, for oracle checks."""
+        return self._dense.copy()
 
 
 def identity_projector(p: int) -> Projector:

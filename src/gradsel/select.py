@@ -321,9 +321,12 @@ def save_report(path, report: SelectionReport, digests: dict[str, str] | None = 
         f.write(serialize_report(report, digests))
 
 
+_REPORT_KINDS = ("method", "chosen", "rounds", "eval", "T", "budget", "digest")
+
+
 def load_report(path) -> SelectionReport:
     """Read a selection report; raises ValueError naming the file when it is
-    not a report or a line is malformed."""
+    not a report, a line is malformed or a line is of unknown kind."""
     with open(path) as f:
         header = f.readline().strip()
         if header != "gradsel-selection v1":
@@ -338,6 +341,8 @@ def load_report(path) -> SelectionReport:
             parts = line.split()
             if not parts:
                 continue
+            if parts[0] not in _REPORT_KINDS:
+                raise ValueError(f"{path}: line {lineno}: unknown line kind {parts[0]!r}")
             try:
                 if parts[0] == "method":
                     method = parts[1]
@@ -355,6 +360,8 @@ def load_report(path) -> SelectionReport:
                     t_pairs.append((task, float(parts[2])))
                 elif parts[0] == "budget":
                     budget[parts[1]] = int(parts[2])
+                elif parts[0] == "digest" and len(parts) != 3:  # digest <artifact> <sha256>
+                    raise ValueError
             except (IndexError, ValueError):
                 raise ValueError(f"{path}: line {lineno}: malformed {parts[0]!r} line") from None
     t_scores = None

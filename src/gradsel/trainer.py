@@ -87,6 +87,7 @@ def _fit(
     cfg: TrainConfig,
 ) -> FitResult:
     X, y = stack_samples(train)
+    X_val, y_val = stack_samples(val)
     n = len(train)
     rng = np.random.default_rng(cfg.seed)
     params = theta0.copy()
@@ -97,7 +98,7 @@ def _fit(
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    best_val = eval_loss(net, params, val)
+    best_val = float(net.losses(params, X_val, y_val).mean())
     best_params = params.copy()
     best_epoch = 0
     curve: list[float] = []
@@ -119,7 +120,7 @@ def _fit(
                 params -= cfg.step_size * mh / (np.sqrt(vh) + eps)
         forward_passes += n
 
-        val_loss = eval_loss(net, params, val)
+        val_loss = float(net.losses(params, X_val, y_val).mean())
         curve.append(val_loss)
         if not np.isfinite(val_loss):
             raise TrainingDiverged(epoch, val_loss)

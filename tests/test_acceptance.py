@@ -50,7 +50,7 @@ def test_criterion_1_gradient_correctness():
             params = net.init_params()
             for _ in range(3):
                 s = Sample(rng.standard_normal(6), int(rng.integers(2)), 1)
-                g = net.margin_gradient(params, s)
+                g = net.margin_gradients(params, s.features[None], np.array([s.label]))[0]
                 fd = finite_difference_margin_gradient(net, params, s, step=1e-5)
                 worst = max(worst, np.linalg.norm(fd - g) / np.linalg.norm(g))
     _verdict(1, "gradient correctness", worst <= 1e-5, f"max FD relative error {worst:.2e}")

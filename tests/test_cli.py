@@ -1,3 +1,4 @@
+import fcntl
 import shutil
 
 import pytest
@@ -150,13 +151,23 @@ def test_corpus_change_invalidates_checkpoint(tmp_path, capsys):
 
 
 def test_lock_file_blocks_concurrent_use(tmp_path, capsys):
-    tmp_path.mkdir(exist_ok=True)
-    (tmp_path / ".lock").touch()
-    code = run(["gen", *TINY], tmp_path)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "locked" in err
-    (tmp_path / ".lock").unlink()
+    # another holder of the flock on .lock blocks the stage; once it lets go
+    # the stage runs
+    with open(tmp_path / ".lock", "w") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        code = run(["gen", *TINY], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "locked" in err
+        assert len(err.splitlines()) == 1
+    assert run(["gen", *TINY], tmp_path) == 0
+
+
+def test_leftover_lock_file_does_not_block(tmp_path):
+    # a .lock file that no live process holds, as a killed run leaves it,
+    # is not a lock
+    (tmp_path / ".lock").write_text("left by a killed run\n")
+    assert run(["gen", *TINY], tmp_path) == 0
     assert run(["gen", *TINY], tmp_path) == 0
 
 
@@ -340,3 +351,15 @@ def test_damaged_artifact_fails_in_one_line(tiny_run, tmp_path, capsys, artifact
         assert lines[0].startswith(f"gradsel {stage}: ")
         if binary:
             assert lines[0].startswith(f"gradsel {stage}: {artifact}: ")
+
+
+def test_report_rejects_unknown_selection_line(tiny_run, tmp_path, capsys):
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "selection.txt"
+    path.write_text(path.read_text() + "xyz\n")
+    capsys.readouterr()
+    assert run(["report", *TINY], tmp_path) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("gradsel report: selection.txt: ")
+    assert "unknown line kind 'xyz'" in lines[0]

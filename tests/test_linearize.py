@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gradsel import linearize
 from gradsel.linearize import (
     RRSS_DENOM_GUARD,
     _rrss_batch,
@@ -11,7 +12,7 @@ from gradsel.linearize import (
     rrss_sweep,
     save_cache,
 )
-from gradsel.model import ModelConfig, Network, Sample
+from gradsel.model import ModelConfig, Network, Sample, stack_samples
 from gradsel.project import Projector, identity_projector
 from gradsel.taskgen import Corpus, TaskDataset
 from gradsel.trainer import param_digest
@@ -30,6 +31,33 @@ def _linear_net(dim=4, seed=1):
     return Network(ModelConfig(input_dim=dim, hidden_dims=(), num_classes=2, seed=seed))
 
 
+def _grad(net, params, sample):
+    """Full margin gradient of one sample."""
+    X, y = stack_samples([sample])
+    return net.margin_gradients(params, X, y)[0]
+
+
+def _rrss(net, theta_star, x, samples):
+    X, y = stack_samples(samples)
+    return _rrss_batch(net, theta_star, x, X, y, net.margin_gradients(theta_star, X, y))
+
+
+def _multi_position_setup(n_train=6, seed=0):
+    """A multi-position relu model whose p (9,118) spans two P blocks, its
+    init params, and a two-task corpus with three position labels per sample."""
+    net = Network(ModelConfig(input_dim=40, hidden_dims=(128,), activation="relu",
+                              num_classes=10, num_positions=3, seed=seed))
+    rng = np.random.default_rng(seed)
+
+    def task(tid):
+        samples = [Sample(rng.standard_normal(40), 0, tid,
+                          position_labels=tuple(rng.integers(10, size=3)))
+                   for _ in range(n_train + 5)]
+        return TaskDataset(tid, samples[:n_train], samples[n_train:])
+
+    return net, net.init_params(), Corpus([task(1), task(2)], task(0), {"kind": "toy"})
+
+
 def _cached_taylor_margin(cache, i, z):
     """First-order margin at theta* + P z from cache entry i: the cached
     b = -y h* gives h* = -b y, and g~ . z equals the full g . (P z)."""
@@ -38,7 +66,7 @@ def _cached_taylor_margin(cache, i, z):
 
 def _full_taylor_margin(net, theta_star, x, sample):
     """First-order margin at an arbitrary X, using the full gradient."""
-    return net.margin(theta_star, sample) + net.margin_gradient(theta_star, sample) @ (x - theta_star)
+    return net.margin(theta_star, sample) + _grad(net, theta_star, sample) @ (x - theta_star)
 
 
 def test_cache_entries_and_b_values():
@@ -64,9 +92,47 @@ def test_identity_projector_caches_full_gradient():
     theta = net.init_params()
     cache = build_cache(net, theta, corpus, identity_projector(net.param_count))
     sample = corpus.tasks[0].train[0]
-    g = net.margin_gradient(theta, sample)
+    g = _grad(net, theta, sample)
     idx = int(np.flatnonzero(cache.task_id == 1)[0])
     assert np.allclose(cache.g_proj[idx], g, atol=1e-14)
+
+
+def test_build_cache_matches_per_sample_reference(monkeypatch):
+    # batched gradients, chunked across a short chunk size, equal the same
+    # entries computed one sample at a time against the dense P
+    monkeypatch.setattr(linearize, "_CHUNK", 4)
+    net, theta, corpus = _multi_position_setup()
+    projector = Projector(p=net.param_count, d=6, seed=2)
+    assert projector._n_blocks() >= 2
+    cache = build_cache(net, theta, corpus, projector)
+    P = projector.materialize()
+    for samples, b, g_proj in ((corpus.all_train_samples(), cache.b, cache.g_proj),
+                               (corpus.target.val, cache.val_b, cache.val_g_proj)):
+        assert len(samples) == len(b) > linearize._CHUNK
+        for i, s in enumerate(samples):
+            ref = P.T @ _grad(net, theta, s)
+            assert np.max(np.abs(g_proj[i] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+            assert b[i] == pytest.approx(-net.margin(theta, s), abs=1e-12)
+    assert np.all(cache.y == 1.0) and np.all(cache.val_y == 1.0)
+
+
+def test_projection_blocks_generated_once(monkeypatch):
+    # one cache build plus many lifts generate each block of P exactly once
+    calls = []
+    block = Projector._block
+
+    def counting_block(self, index):
+        calls.append(index)
+        return block(self, index)
+
+    monkeypatch.setattr(Projector, "_block", counting_block)
+    net, theta, corpus = _multi_position_setup()
+    projector = Projector(p=net.param_count, d=6, seed=2)
+    build_cache(net, theta, corpus, projector)
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        projector.lift(rng.standard_normal(6))
+    assert calls == list(range(projector._n_blocks()))
 
 
 def test_rebuild_identical_digest(gauss_net, theta_star, gauss_corpus, projector):
@@ -85,7 +151,7 @@ def test_cache_soundness_recompute(gauss_net, theta_star, gauss_corpus, projecto
         y = 2 * s.label - 1
         h = gauss_net.margin(theta_star, s)
         assert abs(cache.b[i] - (-y * h)) <= 1e-10
-        g_proj = projector.project_many(gauss_net.margin_gradient(theta_star, s)[None, :])[0]
+        g_proj = projector.project_many(_grad(gauss_net, theta_star, s)[None, :])[0]
         assert np.max(np.abs(g_proj - cache.g_proj[i])) <= 1e-10
 
 
@@ -99,7 +165,7 @@ def test_taylor_margin_zero_displacement():
     assert _cached_taylor_margin(cache, 0, np.zeros(cache.d)) == pytest.approx(h, abs=1e-12)
     assert _full_taylor_margin(net, theta, theta, sample) == pytest.approx(h, abs=1e-12)
     # zero displacement leaves no residual
-    assert _rrss_batch(net, theta, theta, [sample])[0] == pytest.approx(0.0, abs=1e-15)
+    assert _rrss(net, theta, theta, [sample])[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_taylor_margin_exact_for_linear_model():
@@ -126,12 +192,12 @@ def test_projected_taylor_consistent_with_full(gauss_net, theta_star, gauss_corp
         s = train[cache.sample_ref[i]]
         via_cache = _cached_taylor_margin(cache, i, z)
         h = gauss_net.margin(theta_star, s)
-        g = gauss_net.margin_gradient(theta_star, s)
+        g = _grad(gauss_net, theta_star, s)
         assert via_cache == pytest.approx(h + g @ lifted, abs=1e-10)
 
 
 def test_rrss_zero_at_theta_star(gauss_net, theta_star, gauss_corpus):
-    vals = _rrss_batch(gauss_net, theta_star, theta_star, gauss_corpus.target.val[:10])
+    vals = _rrss(gauss_net, theta_star, theta_star, gauss_corpus.target.val[:10])
     finite = vals[np.isfinite(vals)]
     assert finite.size > 0
     assert np.all(finite <= 1e-15)
@@ -145,7 +211,7 @@ def test_rrss_zero_for_linear_model():
     samples = corpus.tasks[0].train + corpus.tasks[0].val
     for _ in range(5):
         x = theta + rng.standard_normal(net.param_count)
-        vals = _rrss_batch(net, theta, x, samples)
+        vals = _rrss(net, theta, x, samples)
         assert np.all(vals[np.isfinite(vals)] <= 1e-12)
 
 
@@ -155,9 +221,9 @@ def test_rrss_flags_near_zero_denominator():
     zero = np.zeros(net.param_count)  # margin is exactly 0
     x = zero.copy()
     x[-1] = 1.0  # bias 1: margin 1, away from the guard
-    vals = _rrss_batch(net, zero, zero, [flat, flat])
+    vals = _rrss(net, zero, zero, [flat, flat])
     assert np.isnan(vals).all()
-    vals = _rrss_batch(net, zero, x, [flat])
+    vals = _rrss(net, zero, x, [flat])
     assert abs(net.margin(x, flat)) >= RRSS_DENOM_GUARD
     assert vals[0] == pytest.approx(0.0, abs=1e-15)
 
@@ -180,7 +246,7 @@ def test_taylor_margin_tracks_forward_pass_at_five_percent(gauss_corpus):
     u = rng.standard_normal(net.param_count)
     x = theta + 0.05 * np.linalg.norm(theta) * u / np.linalg.norm(u)
     confident = [s for s in gauss_corpus.target.val if abs(net.margin(x, s)) >= 0.5]
-    ratios = _rrss_batch(net, theta, x, confident)
+    ratios = _rrss(net, theta, x, confident)
     assert len(ratios) >= 20
     assert np.mean(ratios) <= 1e-2
 

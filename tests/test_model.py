@@ -9,7 +9,34 @@ from gradsel.model import (
     Network,
     Sample,
     finite_difference_margin_gradient,
+    stack_samples,
 )
+
+
+def _grad(net, params, s):
+    """Margin gradient of one sample through the batched path."""
+    X, y = stack_samples([s])
+    return net.margin_gradients(params, X, y)[0]
+
+
+def _reference_margin_gradient(net, params, x, y):
+    """Row-by-row reference: one sample forward, its margin delta built class
+    by class, then the mean backward pass over that single row."""
+    cfg = net.config
+    acts, Z = net._forward(params, x[None, :])
+    if cfg.is_binary:
+        delta = np.ones(1)
+    else:
+        blocks = []
+        for z, label in zip(Z.reshape(cfg.num_positions, cfg.num_classes), np.atleast_1d(y)):
+            others = np.delete(np.arange(cfg.num_classes), label)
+            e = np.exp(z[others] - z[others].max())
+            block = np.zeros(cfg.num_classes)
+            block[others] = -e / e.sum()
+            block[label] = 1.0
+            blocks.append(block / cfg.num_positions)
+        delta = np.concatenate(blocks)
+    return net._backward(params, acts, delta[None, :])
 
 
 def test_param_count_matches_hand_count():
@@ -105,9 +132,42 @@ def test_margin_gradient_matches_finite_differences(num_classes, positions):
                    position_labels=tuple(rng.integers(num_classes, size=positions)))
     else:
         s = Sample(rng.standard_normal(4), 1, 1)
-    g = net.margin_gradient(params, s)
+    g = _grad(net, params, s)
     fd = finite_difference_margin_gradient(net, params, s, step=1e-5)
     assert np.linalg.norm(g - fd) / np.linalg.norm(g) <= 1e-5
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("num_classes,positions", [(2, 1), (10, 1), (10, 3)])
+def test_margin_gradients_match_row_loop(num_classes, positions, activation):
+    # the batched outer-product path equals the one-sample-at-a-time
+    # reference row by row, through two hidden layers, and matches central
+    # differences
+    cfg = ModelConfig(
+        input_dim=5, hidden_dims=(7, 6), activation=activation,
+        num_classes=num_classes, num_positions=positions, seed=11,
+    )
+    net = Network(cfg)
+    params = net.init_params()
+    rng = np.random.default_rng(4)
+    n = 9
+    X = rng.standard_normal((n, 5))
+    shape = (n, positions) if positions > 1 else (n,)
+    labels = rng.integers(num_classes, size=shape)
+    G = net.margin_gradients(params, X, labels)
+    assert G.shape == (n, net.param_count)
+    for i in range(n):
+        ref = _reference_margin_gradient(net, params, X[i], labels[i])
+        assert np.max(np.abs(G[i] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    for i in (0, n - 1):
+        y = labels[i]
+        s = (Sample(X[i], 0, 1, position_labels=tuple(y)) if positions > 1
+             else Sample(X[i], int(y), 1))
+        fd = finite_difference_margin_gradient(net, params, s, step=1e-5)
+        assert np.linalg.norm(G[i] - fd) / np.linalg.norm(G[i]) <= 1e-5
+    if positions > 1:
+        with pytest.raises(ValueError):
+            net.margin_gradients(params, X, labels[:, 0])
 
 
 def test_linear_binary_gradient_is_feature_vector():
@@ -117,7 +177,7 @@ def test_linear_binary_gradient_is_feature_vector():
     params = net.init_params()
     x = np.array([0.5, -1.5, 2.0, 0.0, 3.0])
     for label in (0, 1):
-        g = net.margin_gradient(params, Sample(x, label, 1))
+        g = _grad(net, params, Sample(x, label, 1))
         assert np.allclose(g[:5], x, atol=1e-14)
         assert g[5] == pytest.approx(1.0, abs=1e-14)
 
@@ -136,12 +196,12 @@ def test_generative_identical_positions_equal_single_position():
         b_out[10 * pos : 10 * (pos + 1)] = b_out[:10]
 
     s3 = Sample(x, 4, 1, position_labels=(4, 4, 4))
-    g3 = net_multi.margin_gradient(params, s3)
+    g3 = _grad(net_multi, params, s3)
 
     cfg_one = ModelConfig(input_dim=4, hidden_dims=(6,), num_classes=10, num_positions=1, seed=8)
     net_one = Network(cfg_one)
     p_one = np.concatenate([params[: 4 * 6 + 6], W_out[:10].ravel(), b_out[:10]])
-    g1 = net_one.margin_gradient(p_one, Sample(x, 4, 1))
+    g1 = _grad(net_one, p_one, Sample(x, 4, 1))
 
     # trunk gradients agree; each head block of g3 is one third of g1's head
     trunk = 4 * 6 + 6
@@ -160,8 +220,8 @@ def test_margin_and_gradient_bitwise_deterministic():
     params = net.init_params()
     s = Sample(np.linspace(-1, 1, 6), 1, 1)
     assert net.margin(params, s) == net.margin(params, s)
-    g1 = net.margin_gradient(params, s)
-    g2 = net.margin_gradient(params, s)
+    g1 = _grad(net, params, s)
+    g2 = _grad(net, params, s)
     assert np.array_equal(g1, g2)
 
 
@@ -179,7 +239,7 @@ def test_relu_activation_gradient():
     net = Network(cfg)
     params = net.init_params()
     s = Sample(np.array([0.4, -0.2, 1.3, 0.9]), 1, 1)
-    g = net.margin_gradient(params, s)
+    g = _grad(net, params, s)
     fd = finite_difference_margin_gradient(net, params, s, step=1e-5)
     assert np.linalg.norm(g - fd) / np.linalg.norm(g) <= 1e-5
 

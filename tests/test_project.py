@@ -50,35 +50,34 @@ def test_adjoint_identity_against_dense_oracle():
 
 
 def test_streaming_matches_dense_across_block_boundary():
-    # p > block size exercises multi-block streaming; at d=128 P is 16.9 MB,
-    # above the storage limit, so project and lift stream its blocks
-    proj = Projector(p=8192 * 2 + 137, d=128, seed=5)
-    assert proj.p * proj.d * 8 > project._STORE_BYTES
+    # p spans three blocks: P's rows are exactly its Philox block stream, and
+    # project_many and lift agree with that P across the block boundaries
+    B = project._BLOCK_ROWS
+    proj = Projector(p=2 * B + 137, d=16, seed=5)
     P = proj.materialize()
+    assert proj._n_blocks() == 3
+    for i in range(3):
+        assert np.array_equal(P[i * B : (i + 1) * B], proj._block(i))
     rng = np.random.default_rng(2)
     g = rng.standard_normal(proj.p)
-    x = rng.standard_normal(128)
+    x = rng.standard_normal(16)
     assert np.allclose(_project(proj, g), P.T @ g, atol=1e-10)
     assert np.allclose(proj.lift(x), P @ x, atol=1e-10)
-    assert proj._dense is None
 
 
-def test_stored_matches_streamed(monkeypatch):
-    # same seed, one projector keeping P and one streaming it across blocks
-    p, d = 8192 + 300, 12
-    stored = Projector(p=p, d=d, seed=7)
+def test_stored_matches_streamed():
+    # the kept P gives what applying its block stream one block at a time gives
+    B = project._BLOCK_ROWS
+    p, d = B + 300, 12
+    proj = Projector(p=p, d=d, seed=7)
     rng = np.random.default_rng(8)
     G = rng.standard_normal((5, p))
     x = rng.standard_normal(d)
-    stored_lift, stored_many = stored.lift(x), stored.project_many(G)
-    assert stored._dense is not None
-
-    monkeypatch.setattr(project, "_STORE_BYTES", 0)
-    streamed = Projector(p=p, d=d, seed=7)
-    assert streamed == stored
-    assert np.allclose(streamed.lift(x), stored_lift, rtol=0, atol=1e-12)
-    assert np.allclose(streamed.project_many(G), stored_many, rtol=0, atol=1e-12)
-    assert streamed._dense is None
+    blocks = [proj._block(i) for i in range(2)]
+    streamed_many = G[:, :B] @ blocks[0] + G[:, B:] @ blocks[1]
+    streamed_lift = np.concatenate([blk @ x for blk in blocks])
+    assert np.allclose(proj.project_many(G), streamed_many, rtol=0, atol=1e-12)
+    assert np.allclose(proj.lift(x), streamed_lift, rtol=0, atol=1e-12)
 
 
 def test_small_projector_generates_P_once(monkeypatch):

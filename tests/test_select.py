@@ -441,7 +441,7 @@ def test_selection_report_roundtrip(tmp_path):
     assert back.rounds_run == 2
 
 
-@pytest.mark.parametrize("line", ["T 0 0.5", "eval 1,2", "budget calls", "rounds x", "chosen 1 y"])
+@pytest.mark.parametrize("line", ["T 0 0.5", "eval 1,2", "budget calls", "rounds x", "chosen 1 y", "digest config", "xyz"])
 def test_load_report_rejects_malformed_lines(tmp_path, line):
     from gradsel.select import load_report
 
