@@ -5,7 +5,12 @@ The objective over a subset's cached entries is
     mean log(1 + exp(b_i - y_i g~_i . x)) + (lambda / 2) ||x||^2
 in d-space. It is convex; a tiny ridge keeps the minimizer finite even when
 the projected data is separable. The solver is damped Newton, which is cheap
-because the Hessian is only d x d.
+because the Hessian is only d x d. The Hessian is accumulated in float32,
+the precision cache.bin stores the gradients in; everything else (margins,
+objective, gradient, linear solve, line search, stopping rule) runs in
+float64, so a converged solve meets the same gradient tolerance. That holds
+while the Hessian's condition number stays well below 1/eps32 (~1.7e7); a
+solve beyond it may stop unconverged, and is flagged as such.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ def subset_objective(
 def _newton(b, y, G, lam, cfg, x0):
     x = x0.copy()
     n = len(b)
+    G32 = G.astype(np.float32)  # for the Hessian only (module docstring)
     value, grad = _value_grad(b, y, G, x, lam)
     for it in range(1, cfg.max_iters + 1):
         if np.linalg.norm(grad) <= cfg.grad_tol:
@@ -78,7 +84,10 @@ def _newton(b, y, G, lam, cfg, x0):
         z = b - y * (G @ x)
         s = _sigmoid(z)
         w = s * (1.0 - s)
-        H = (G.T * w) @ G / n + lam * np.eye(G.shape[1])
+        # rows scaled by sqrt(w / n), so H is one symmetric product (syrk)
+        Gs = G32 * np.sqrt(w / n).astype(np.float32)[:, None]
+        H = (Gs.T @ Gs).astype(np.float64)
+        H.flat[:: H.shape[0] + 1] += lam
         try:
             direction = np.linalg.solve(H, -grad)
         except np.linalg.LinAlgError:
@@ -92,6 +101,11 @@ def _newton(b, y, G, lam, cfg, x0):
             cand = x + step * direction
             cand_value, cand_grad = _value_grad(b, y, G, cand, lam)
             if cand_value <= value + 1e-4 * step * slope:
+                break
+            # near the minimizer the decrease sinks below the rounding of
+            # value; there the approximate Armijo test of Hager & Zhang (2005)
+            # decides from the exact directional derivative instead
+            if cand_value <= value + 1e-10 * abs(value) and cand_grad @ direction <= (2e-4 - 1.0) * slope:
                 break
             step *= 0.5
         else:

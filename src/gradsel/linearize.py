@@ -250,7 +250,9 @@ def save_cache(path, cache: GradientCache) -> None:
 
 def load_cache(path) -> GradientCache:
     """Read a cache file; raises ValueError naming the file when it is not a
-    cache of this version or its length does not match its header."""
+    cache of this version, its length does not match its header, or a
+    record holds a non-finite b or gradient value (the sign y is an integer
+    and always finite). The solver then never has to check its inputs."""
     data = Path(path).read_bytes()
     if data[:4] != CACHE_MAGIC:
         raise ValueError(f"{path}: not a gradient cache file")
@@ -266,6 +268,9 @@ def load_cache(path) -> GradientCache:
         raise ValueError(f"{path}: {len(data)} bytes, but its header describes {expected}")
     theta_digest = data[_PREAMBLE - 32 : _PREAMBLE].hex()
     records = np.frombuffer(data, dtype=_record_dtype(d), offset=_PREAMBLE)
+    finite = np.isfinite(records["b"]) & np.isfinite(records["g"]).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: non-finite b or g in record {int(np.argmin(finite))}")
     train, val = records[:n], records[n:]
 
     return GradientCache(

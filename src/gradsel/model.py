@@ -172,7 +172,8 @@ class Network:
         return X
 
     def _forward(self, params, X):
-        """Return (activations per layer including input, output logits)."""
+        """Return (per-layer (W, b) views of params, activations per layer
+        including input, output logits). The backward pass reuses the views."""
         layers = self.unpack(params)
         acts = [self._check_features(X)]
         a = acts[0]
@@ -182,14 +183,14 @@ class Network:
                 a = np.tanh(z) if self.config.activation == "tanh" else np.maximum(z, 0.0)
                 acts.append(a)
             else:
-                return acts, z
+                return layers, acts, z
 
     def logits(self, params: ParamVector, X: np.ndarray) -> np.ndarray:
-        return self._forward(params, X)[1]
+        return self._forward(params, X)[2]
 
     def penultimate(self, params: ParamVector, X: np.ndarray) -> np.ndarray:
         """Activations feeding the output layer (the input itself if no hidden layer)."""
-        return self._forward(params, X)[0][-1]
+        return self._forward(params, X)[1][-1]
 
     # ---- margins and losses ----
 
@@ -247,10 +248,10 @@ class Network:
 
     # ---- gradients ----
 
-    def _layer_deltas(self, params, acts, delta):
+    def _layer_deltas(self, layers, acts, delta):
         """Yield (layer index, output deltas (N, out)) from the last layer to
-        the first, backpropagating the output-layer deltas."""
-        layers = self.unpack(params)
+        the first, backpropagating the output-layer deltas through the
+        (W, b) views _forward built."""
         for i in range(len(layers) - 1, -1, -1):
             yield i, delta
             if i > 0:
@@ -261,11 +262,11 @@ class Network:
                 else:
                     delta = delta * (a > 0.0)
 
-    def _backward(self, params, acts, delta):
+    def _backward(self, layers, acts, delta):
         """Backpropagate output-layer deltas (N, out) to a flat mean gradient."""
         grad = np.empty(self.param_count)
         n = delta.shape[0]
-        for i, d in self._layer_deltas(params, acts, delta):
+        for i, d in self._layer_deltas(layers, acts, delta):
             w0, w1, b1 = self._offsets[i]
             np.matmul(d.T, acts[i], out=grad[w0:w1].reshape(self._shapes[i]))
             np.sum(d, axis=0, out=grad[w1:b1])
@@ -281,7 +282,7 @@ class Network:
         Multi-position samples get the average of per-position margin
         gradients.
         """
-        acts, Z = self._forward(params, X)
+        layers, acts, Z = self._forward(params, X)
         cfg = self.config
         n = len(Z)
         if cfg.is_binary:
@@ -300,7 +301,7 @@ class Network:
             np.put_along_axis(delta, at_label, 1.0, axis=-1)
             delta = delta.reshape(n, -1) / cfg.num_positions
         out = np.empty((n, self.param_count))
-        for i, d in self._layer_deltas(params, acts, delta):
+        for i, d in self._layer_deltas(layers, acts, delta):
             w0, w1, b1 = self._offsets[i]
             np.multiply(d[:, :, None], acts[i][:, None, :], out=out[:, w0:w1].reshape(n, *self._shapes[i]))
             out[:, w1:b1] = d
@@ -308,7 +309,7 @@ class Network:
 
     def loss_gradient(self, params: ParamVector, X: np.ndarray, labels: np.ndarray) -> ParamVector:
         """Mean log-loss gradient over a batch."""
-        acts, Z = self._forward(params, X)
+        layers, acts, Z = self._forward(params, X)
         cfg = self.config
         labels = np.asarray(labels, dtype=np.int64)
         if cfg.is_binary:
@@ -323,7 +324,7 @@ class Network:
             delta = _softmax(Zp)
             delta[np.arange(len(Z))[:, None], np.arange(cfg.num_positions), labels] -= 1.0
             delta = delta.reshape(len(Z), -1) / cfg.num_positions
-        return self._backward(params, acts, delta)
+        return self._backward(layers, acts, delta)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

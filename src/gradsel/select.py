@@ -24,12 +24,14 @@ from .trainer import TrainConfig, eval_loss, fine_tune_subset
 
 @dataclass
 class Evaluator:
-    """A scoring function over task subsets, with budget counters.
+    """A scoring function over task subsets, with budget and health counters.
 
     kind 'estimator' never triggers fine-tuning; kind 'oracle' fine-tunes per
     call. task_units accumulates |S| per call (the per-task training cost
     convention behind the closed-form pass counts); forward_pass_count
     accumulates trainer-reported sample forward passes for the oracle.
+    nonconverged counts estimator solves that stopped short of the gradient
+    tolerance, and nonfinite counts scores that came out NaN or infinite.
     """
 
     kind: str
@@ -38,12 +40,17 @@ class Evaluator:
     task_units: int = 0
     forward_pass_count: int = 0
     fine_tune_runs: int = 0
+    nonconverged: int = 0
+    nonfinite: int = 0
 
     def __call__(self, subset) -> float:
         s = frozenset(int(t) for t in subset)
         self.call_count += 1
         self.task_units += len(s)
-        return self._score(s)
+        value = self._score(s)
+        if not math.isfinite(value):
+            self.nonfinite += 1
+        return value
 
 
 def estimator_evaluator(
@@ -57,13 +64,18 @@ def estimator_evaluator(
 ) -> Evaluator:
     """Score subsets with the cached-gradient estimator; no fine-tuning runs."""
 
+    ev: Evaluator
+
     def score(subset: frozenset[int]) -> float:
-        x_hat, _, _ = est.solve_subset(cache, subset, cfg)
+        x_hat, _, converged = est.solve_subset(cache, subset, cfg)
+        if not converged:
+            ev.nonconverged += 1
         if linearized:
             return est.estimate_f_linearized(cache, x_hat)
         return est.estimate_f(net, theta_star, projector, x_hat, target_val)
 
-    return Evaluator(kind="estimator", _score=score)
+    ev = Evaluator(kind="estimator", _score=score)
+    return ev
 
 
 def oracle_evaluator(
@@ -99,6 +111,8 @@ def _budget(ev: Evaluator) -> dict[str, int]:
         "task_units": ev.task_units,
         "forward_passes": ev.forward_pass_count,
         "fine_tune_runs": ev.fine_tune_runs,
+        "nonconverged": ev.nonconverged,
+        "nonfinite": ev.nonfinite,
     }
 
 
@@ -309,8 +323,8 @@ def serialize_report(report: SelectionReport, digests: dict[str, str] | None = N
     if report.t_scores is not None:
         for i, v in enumerate(report.t_scores):
             lines.append(f"T {i + 1} {v:.12g}")
-    for key in ("calls", "task_units", "forward_passes", "fine_tune_runs"):
-        lines.append(f"budget {key} {report.budget.get(key, 0)}")
+    for key, value in report.budget.items():
+        lines.append(f"budget {key} {value}")
     for key, value in (digests or {}).items():
         lines.append(f"digest {key} {value}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 import fcntl
 import shutil
 
+import numpy as np
 import pytest
 
 from gradsel.cli import (
@@ -11,6 +12,7 @@ from gradsel.cli import (
     parse_config_text,
     resolve_config,
 )
+from gradsel.linearize import load_cache, save_cache
 
 TINY = [
     "--corpus.n", "4",
@@ -351,6 +353,46 @@ def test_damaged_artifact_fails_in_one_line(tiny_run, tmp_path, capsys, artifact
         assert lines[0].startswith(f"gradsel {stage}: ")
         if binary:
             assert lines[0].startswith(f"gradsel {stage}: {artifact}: ")
+
+
+def _budget(path):
+    return {
+        parts[1]: int(parts[2])
+        for parts in (line.split() for line in path.read_text().splitlines())
+        if parts[0] == "budget"
+    }
+
+
+def test_solver_health_reaches_selection_and_report(tiny_run, tmp_path, capsys):
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    budget = _budget(tmp_path / "selection.txt")
+    assert budget["nonconverged"] == 0
+    assert budget["nonfinite"] == 0
+    # one Newton iteration cannot reach grad_tol: every solve is flagged
+    assert run(["select", *TINY, "--estimate.max_iters", "1"], tmp_path) == 0
+    budget = _budget(tmp_path / "selection.txt")
+    assert budget["calls"] > 0
+    assert budget["nonconverged"] == budget["calls"]
+    assert budget["nonfinite"] == 0
+    capsys.readouterr()
+    assert run(["report", *TINY], tmp_path) == 0
+    assert f"'nonconverged': {budget['calls']}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("stage", [["select"], ["estimate", "--subset", "1"], ["bench", "--exp", "rrss"]])
+def test_nonfinite_cache_fails_in_one_line(tiny_run, tmp_path, capsys, stage):
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "cache.bin"
+    cache = load_cache(path)
+    cache.g_proj[2, 1] = np.nan
+    cache.b[4] = np.inf
+    save_cache(path, cache)
+    capsys.readouterr()
+    assert run([*stage, *TINY], tmp_path) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"gradsel {stage[0]}: cache.bin: non-finite ")
+    assert lines[0].endswith("re-run 'cache'")
 
 
 def test_report_rejects_unknown_selection_line(tiny_run, tmp_path, capsys):

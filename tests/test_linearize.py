@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -313,6 +314,22 @@ def test_cache_file_rejects_injected_and_garbage(tmp_path):
     bad.write_bytes(b"NOPE" + b"\x00" * 100)
     with pytest.raises(ValueError):
         load_cache(bad)
+
+
+@pytest.mark.parametrize(
+    "field, row, value",
+    [("g_proj", 3, np.nan), ("b", 5, np.inf), ("val_g_proj", 0, -np.inf), ("val_b", 1, np.nan)],
+)
+def test_load_cache_rejects_nonfinite_values(tmp_path, cache, field, row, value):
+    # the solver trusts its inputs, so a NaN or inf in any train or val
+    # record is refused at load
+    damaged = getattr(cache, field).copy()
+    damaged[row] = value
+    path = tmp_path / "cache.bin"
+    save_cache(path, dataclasses.replace(cache, **{field: damaged}))
+    record = row + (cache.n_entries if field.startswith("val") else 0)
+    with pytest.raises(ValueError, match=f"non-finite b or g in record {record}$"):
+        load_cache(path)
 
 
 def test_build_cache_dimension_check():

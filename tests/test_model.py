@@ -23,7 +23,7 @@ def _reference_margin_gradient(net, params, x, y):
     """Row-by-row reference: one sample forward, its margin delta built class
     by class, then the mean backward pass over that single row."""
     cfg = net.config
-    acts, Z = net._forward(params, x[None, :])
+    layers, acts, Z = net._forward(params, x[None, :])
     if cfg.is_binary:
         delta = np.ones(1)
     else:
@@ -36,7 +36,7 @@ def _reference_margin_gradient(net, params, x, y):
             block[label] = 1.0
             blocks.append(block / cfg.num_positions)
         delta = np.concatenate(blocks)
-    return net._backward(params, acts, delta[None, :])
+    return net._backward(layers, acts, delta[None, :])
 
 
 def test_param_count_matches_hand_count():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -312,6 +313,26 @@ def test_evaluator_counters():
     assert ev.call_count == 2
     assert ev.task_units == 3
     assert ev.fine_tune_runs == 0
+
+
+def test_evaluator_counts_nonfinite_scores():
+    values = iter([1.0, math.nan, math.inf, -math.inf, 0.5])
+    ev = fake_evaluator(lambda s: next(values))
+    for t in range(1, 6):
+        ev(frozenset({t}))
+    assert ev.call_count == 5
+    assert ev.nonfinite == 3
+
+
+def test_estimator_evaluator_counts_nonconverged_solves(gauss_net, theta_star, gauss_corpus, projector, cache):
+    subsets = [frozenset({1, 2, 3}), frozenset(), frozenset({4})]
+    for max_iters, expected in ((100, 0), (1, len(subsets))):
+        cfg = dataclasses.replace(SOLVE_CFG, max_iters=max_iters)
+        ev = estimator_evaluator(gauss_net, theta_star, projector, cache, gauss_corpus.target.val, cfg)
+        for s in subsets:
+            ev(s)
+        assert ev.nonconverged == expected
+        assert ev.nonfinite == 0
 
 
 def test_estimator_evaluator_never_finetunes(gauss_net, theta_star, gauss_corpus, projector, cache):
