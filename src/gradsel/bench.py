@@ -8,7 +8,6 @@ reports keyed by corpus digest and seeds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,32 +41,19 @@ def relative_error(f_true: list[float], f_hat: list[float]) -> float:
     return float(np.mean((f_true - f_hat) ** 2 / f_true**2))
 
 
-def predicted_forward_passes(
-    method: str,
-    n: int,
-    m: int | None = None,
-    alpha: float | None = None,
-    depth: int | None = None,
-) -> int:
-    """Closed-form forward-pass counts per selection method.
+def predicted_forward_passes(method: str, n: int, depth: int | None = None) -> int:
+    """Closed-form forward-pass counts of the selection routes bench reports.
 
     fs: sum_{i=1..n} (n-i+1) i = n(n+1)(n+2)/6, or the partial sum when
-    truncated at depth. re: alpha * n * log n with alpha the subset size.
-    estimated_fs / estimated_re / deft / less: 3n. dsir: n.
+    truncated at depth. estimated_fs / estimated_re: 3n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if method == "fs":
         k = n if depth is None else min(depth, n)
         return sum((n - i + 1) * i for i in range(1, k + 1))
-    if method == "re":
-        if alpha is None:
-            raise ValueError("re needs the subset size alpha")
-        return int(round(alpha * n * math.log(n)))
-    if method in ("estimated_fs", "estimated_re", "deft", "less"):
+    if method in ("estimated_fs", "estimated_re"):
         return 3 * n
-    if method == "dsir":
-        return n
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -159,14 +145,14 @@ def exp_relerr(
     train_cfg: TrainConfig,
     solve_cfg: est.SolveConfig,
     m: int = 30,
-    alpha_frac: float = 0.5,
     seed: int = 0,
 ) -> ExperimentReport:
-    """Estimator fidelity against the oracle over m random subsets (one
-    estimator solve each), plus the forward-pass cost of both routes."""
+    """Estimator fidelity against the oracle over m random subsets of half
+    the tasks (one estimator solve each), plus the forward-pass cost of both
+    routes."""
     rng = np.random.default_rng(seed)
     n = corpus.n_tasks
-    size = max(1, int(round(alpha_frac * n)))
+    size = max(1, round(n / 2))
     oracle_passes = 0
     rows = []
     f_true, f_hat = [], []

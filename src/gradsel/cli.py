@@ -49,15 +49,11 @@ DEFAULT_CONFIG: dict[str, object] = {
     "train.batch_size": 32,
     "train.max_epochs": 300,
     "train.early_stop_patience": 30,
-    "train.optimizer": "sgd",
-    "train.restore_best": "true",
     "train.seed": 3,
     "finetune.step_size": 0.1,
     "finetune.batch_size": 4096,
     "finetune.max_epochs": 60,
     "finetune.early_stop_patience": 3,
-    "finetune.optimizer": "sgd",
-    "finetune.restore_best": "true",
     "finetune.seed": 4,
     "project.d": 100,
     "project.seed": 5,
@@ -93,6 +89,10 @@ ARTIFACTS = {
     "selection": "selection.txt",
 }
 
+SELECT_METHODS = ("fs", "re", "ds-fs", "ds-re")
+EVALUATORS = ("estimator", "oracle")
+EXPERIMENTS = ("rrss", "relerr", "speedup", "addition", "structure")
+
 
 class StageError(RuntimeError):
     """A stage-level failure with a user-facing diagnostic."""
@@ -117,19 +117,23 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def resolve_config(config_path: str | None, overrides: dict[str, str]) -> dict[str, str]:
+    """Defaults, then the config file, then the flags. Each set value must
+    parse as the type of its key's default."""
     cfg = {k: str(v) for k, v in DEFAULT_CONFIG.items()}
+    from_file = {}
     if config_path:
         try:
-            text = Path(config_path).read_text()
+            from_file = parse_config_text(Path(config_path).read_text())
         except OSError as e:
             raise StageError(f"cannot read config {config_path}: {e}") from e
-        for k, v in parse_config_text(text).items():
-            if k not in cfg:
-                raise StageError(f"unknown config key {k!r}")
-            cfg[k] = v
-    for k, v in overrides.items():
+    for k, v in [*from_file.items(), *overrides.items()]:
         if k not in cfg:
             raise StageError(f"unknown config key {k!r}")
+        kind = type(DEFAULT_CONFIG[k])
+        try:
+            kind(v)
+        except ValueError:
+            raise StageError(f"config {k}: expected {kind.__name__}, got {v!r}") from None
         cfg[k] = v
     return cfg
 
@@ -142,48 +146,78 @@ def config_digest(cfg: dict[str, str]) -> str:
     return hashlib.sha256(config_text(cfg).encode()).hexdigest()
 
 
-def _ints(s: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in str(s).split(",") if v != "")
+def _numbers(cfg: dict[str, str], key: str, kind: type) -> tuple:
+    """A comma-separated list of ints or floats."""
+    try:
+        return tuple(kind(v) for v in cfg[key].split(",") if v != "")
+    except ValueError:
+        raise StageError(f"config {key}: expected a list of {kind.__name__}, got {cfg[key]!r}") from None
 
 
-def _floats(s: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in str(s).split(",") if v != "")
+def _checked(make, **fields):
+    """Build a config object; an invalid value is a one-line StageError."""
+    try:
+        return make(**fields)
+    except ValueError as e:
+        raise StageError(f"config: {e}") from None
 
 
-def model_config(cfg: dict[str, str], input_dim: int, num_classes: int, num_positions: int) -> ModelConfig:
-    return ModelConfig(
+def _check_choice(what: str, value: str, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise StageError(f"unknown {what} {value!r} (choose from {', '.join(choices)})")
+
+
+def recipe(cfg: dict[str, str], kind: str, input_dim: int) -> tuple[ModelConfig, TrainConfig]:
+    """The model and the meta-training recipe for a corpus kind.
+
+    Addition corpora need the fixed-epoch recipe: their combined-val
+    minimum sits at the no-learning point, so early stopping cannot train
+    them (the noisy groups' val labels are random). An addition sample is
+    two one-hot operands of ten inputs per digit, and the head predicts
+    every output digit."""
+    addition = kind == "addition"
+    head = "addition" if addition else "model"
+    model = _checked(
+        ModelConfig,
         input_dim=input_dim,
-        hidden_dims=_ints(cfg["model.hidden_dims"]),
-        activation=cfg["model.activation"],
-        num_classes=num_classes,
-        num_positions=num_positions,
+        hidden_dims=_numbers(cfg, f"{head}.hidden_dims", int),
+        activation=cfg[f"{head}.activation"],
+        num_classes=10 if addition else 2,
+        num_positions=input_dim // 20 if addition else 1,
         init_scale=float(cfg["model.init_scale"]),
         seed=int(cfg["model.seed"]),
     )
-
-
-def _bool(s: str) -> bool:
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise StageError(f"expected a boolean, got {s!r}")
+    if not addition:
+        return model, train_config(cfg, "train")
+    train = _checked(
+        TrainConfig,
+        step_size=float(cfg["addition.step_size"]),
+        batch_size=int(cfg["train.batch_size"]),
+        max_epochs=int(cfg["addition.epochs"]),
+        early_stop_patience=10**9,
+        seed=int(cfg["train.seed"]),
+        optimizer="adam",
+        restore_best=False,
+    )
+    return model, train
 
 
 def train_config(cfg: dict[str, str], prefix: str) -> TrainConfig:
-    return TrainConfig(
+    """SGD with early stopping that restores the best epoch."""
+    return _checked(
+        TrainConfig,
         step_size=float(cfg[f"{prefix}.step_size"]),
         batch_size=int(cfg[f"{prefix}.batch_size"]),
         max_epochs=int(cfg[f"{prefix}.max_epochs"]),
         early_stop_patience=int(cfg[f"{prefix}.early_stop_patience"]),
         seed=int(cfg[f"{prefix}.seed"]),
-        optimizer=cfg[f"{prefix}.optimizer"],
-        restore_best=_bool(cfg[f"{prefix}.restore_best"]),
+        optimizer="sgd",
     )
 
 
 def solve_config(cfg: dict[str, str]) -> est.SolveConfig:
-    return est.SolveConfig(
+    return _checked(
+        est.SolveConfig,
         ridge_lambda=float(cfg["estimate.ridge_lambda"]),
         max_iters=int(cfg["estimate.max_iters"]),
         grad_tol=float(cfg["estimate.grad_tol"]),
@@ -248,44 +282,14 @@ def _load(run: RunDir, artifact: str, produced_by: str, loader):
         raise StageError(f"{path.name}: {reason}; re-run '{produced_by}'") from None
 
 
-def addition_model_config(cfg: dict[str, str], digits: int) -> ModelConfig:
-    return ModelConfig(
-        input_dim=2 * digits * 10,
-        hidden_dims=_ints(cfg["addition.hidden_dims"]),
-        activation=cfg["addition.activation"],
-        num_classes=10,
-        num_positions=digits,
-        init_scale=float(cfg["model.init_scale"]),
-        seed=int(cfg["model.seed"]),
-    )
-
-
-def addition_train_config(cfg: dict[str, str]) -> TrainConfig:
-    """Addition corpora need the fixed-epoch recipe: their combined-val
-    minimum sits at the no-learning point, so early stopping cannot train
-    them (the noisy groups' val labels are random)."""
-    return TrainConfig(
-        step_size=float(cfg["addition.step_size"]),
-        batch_size=int(cfg["train.batch_size"]),
-        max_epochs=int(cfg["addition.epochs"]),
-        early_stop_patience=10**9,
-        seed=int(cfg["train.seed"]),
-        optimizer="adam",
-        restore_best=False,
-    )
-
-
 def _load_model_pieces(run: RunDir, cfg: dict[str, str]):
     corpus = _load(run, "corpus", "gen", load_corpus)
-    if corpus.meta.get("kind") == "addition":
-        mc = addition_model_config(cfg, int(corpus.meta["digits"]))
-    else:
-        mc = model_config(cfg, corpus.input_dim, num_classes=2, num_positions=1)
-    return corpus, Network(mc)
+    model, train = recipe(cfg, corpus.meta.get("kind"), corpus.input_dim)
+    return corpus, Network(model), train
 
 
 def _load_trained(run: RunDir, cfg: dict[str, str]):
-    corpus, net = _load_model_pieces(run, cfg)
+    corpus, net, _ = _load_model_pieces(run, cfg)
     theta, _, corpus_dig = _load(run, "checkpoint", "meta-train", load_checkpoint)
     if corpus_dig != corpus.digest():
         raise StageError("checkpoint was trained on a different corpus; re-run meta-train")
@@ -333,12 +337,8 @@ def stage_gen(run: RunDir, cfg: dict[str, str]) -> None:
 
 
 def stage_meta_train(run: RunDir, cfg: dict[str, str]) -> None:
-    corpus, net = _load_model_pieces(run, cfg)
-    if corpus.meta.get("kind") == "addition":
-        tc = addition_train_config(cfg)
-    else:
-        tc = train_config(cfg, "train")
-    fit = meta_train(net, corpus, tc)
+    corpus, net, train = _load_model_pieces(run, cfg)
+    fit = meta_train(net, corpus, train)
     save_checkpoint(
         run.path("checkpoint"),
         fit.params,
@@ -371,8 +371,8 @@ def _load_estimation_state(run: RunDir, cfg: dict[str, str]):
 
 
 def stage_estimate(run: RunDir, cfg: dict[str, str], subsets: list[str]) -> None:
-    corpus, net, theta, cache, projector = _load_estimation_state(run, cfg)
     scfg = solve_config(cfg)
+    corpus, net, theta, cache, projector = _load_estimation_state(run, cfg)
     parsed = []
     for spec in subsets:
         ids = frozenset(int(t) for t in spec.split(",") if t != "")
@@ -386,9 +386,7 @@ def stage_estimate(run: RunDir, cfg: dict[str, str], subsets: list[str]) -> None
         est.estimate_subset(net, theta, projector, cache, s, corpus.target.val, scfg)
         for s in parsed
     ]
-    path = run.path("estimates")
-    path.unlink(missing_ok=True)
-    est.append_ledger(path, results)
+    est.write_ledger(run.path("estimates"), results)
     _record_config(run, cfg)
     for r in results:
         ids = ",".join(str(t) for t in sorted(r.subset)) or "-"
@@ -396,11 +394,14 @@ def stage_estimate(run: RunDir, cfg: dict[str, str], subsets: list[str]) -> None
 
 
 def stage_select(run: RunDir, cfg: dict[str, str]) -> None:
-    corpus, net, theta, cache, projector = _load_estimation_state(run, cfg)
-    scfg = solve_config(cfg)
     method = cfg["select.method"]
+    _check_choice("selection method", method, SELECT_METHODS)
+    _check_choice("evaluator", cfg["select.evaluator"], EVALUATORS)
+    scfg = solve_config(cfg)
+    ft_cfg = train_config(cfg, "finetune")
+    corpus, net, theta, cache, projector = _load_estimation_state(run, cfg)
     if cfg["select.evaluator"] == "oracle":
-        evaluator = sel.oracle_evaluator(net, theta, corpus, train_config(cfg, "finetune"))
+        evaluator = sel.oracle_evaluator(net, theta, corpus, ft_cfg)
     else:
         evaluator = sel.estimator_evaluator(net, theta, projector, cache, corpus.target.val, scfg)
     if method == "fs":
@@ -412,9 +413,9 @@ def stage_select(run: RunDir, cfg: dict[str, str]) -> None:
             m=int(cfg["select.m"]),
             alpha_frac=float(cfg["select.alpha"]),
             seed=int(cfg["select.seed"]),
-            grid=_floats(cfg["select.fraction_grid"]),
+            grid=_numbers(cfg, "select.fraction_grid", float),
         )
-    elif method in ("ds-fs", "ds-re"):
+    else:
         report = sel.select_ds(
             net,
             theta,
@@ -428,8 +429,6 @@ def stage_select(run: RunDir, cfg: dict[str, str]) -> None:
             m=int(cfg["select.m"]),
             alpha_frac=float(cfg["select.alpha"]),
         )
-    else:
-        raise StageError(f"unknown selection method {method!r}")
     sel.save_report(
         run.path("selection"),
         report,
@@ -441,18 +440,38 @@ def stage_select(run: RunDir, cfg: dict[str, str]) -> None:
 
 
 def stage_bench(run: RunDir, cfg: dict[str, str], experiments: list[str]) -> None:
-    corpus, net, theta, cache, projector = _load_estimation_state(run, cfg)
+    for name in experiments:
+        _check_choice("experiment", name, EXPERIMENTS)
     scfg = solve_config(cfg)
     ft_cfg = train_config(cfg, "finetune")
+    if set(experiments) - {"addition"}:  # addition builds its own corpus, model and cache
+        corpus, net, theta, cache, projector = _load_estimation_state(run, cfg)
     reports = []
     for name in experiments:
-        if name == "rrss":
+        if name == "addition":
+            digits = int(cfg["corpus.digits"])
+            model, train = recipe(cfg, "addition", 20 * digits)
+            reports.append(
+                bench.exp_addition(
+                    model, train, scfg,
+                    n_groups=int(cfg["corpus.n"]),
+                    n_clean=int(cfg["corpus.n_clean"]),
+                    digits=digits,
+                    samples_per_group=int(cfg["addition.samples_per_group"]),
+                    target_samples=int(cfg["addition.target_samples"]),
+                    d=int(cfg["project.d"]),
+                    m=int(cfg["addition.m"]),
+                    alpha_frac=float(cfg["addition.alpha"]),
+                    seed=int(cfg["bench.seed"]),
+                )
+            )
+        elif name == "rrss":
             reports.append(
                 bench.exp_rrss(
                     net,
                     theta,
                     corpus,
-                    distances=list(_floats(cfg["bench.rrss_distances"])),
+                    distances=list(_numbers(cfg, "bench.rrss_distances", float)),
                     n_directions=int(cfg["bench.rrss_directions"]),
                     seed=int(cfg["bench.seed"]),
                 )
@@ -469,27 +488,9 @@ def stage_bench(run: RunDir, cfg: dict[str, str], experiments: list[str]) -> Non
             reports.append(
                 bench.exp_speedup(net, theta, projector, cache, corpus, ft_cfg, scfg)
             )
-        elif name == "addition":
-            digits = int(cfg["corpus.digits"])
-            reports.append(
-                bench.exp_addition(
-                    addition_model_config(cfg, digits), addition_train_config(cfg), scfg,
-                    n_groups=int(cfg["corpus.n"]),
-                    n_clean=int(cfg["corpus.n_clean"]),
-                    digits=digits,
-                    samples_per_group=int(cfg["addition.samples_per_group"]),
-                    target_samples=int(cfg["addition.target_samples"]),
-                    d=int(cfg["project.d"]),
-                    m=int(cfg["addition.m"]),
-                    alpha_frac=float(cfg["addition.alpha"]),
-                    seed=int(cfg["bench.seed"]),
-                )
-            )
-        elif name == "structure":
+        else:
             evaluator = sel.estimator_evaluator(net, theta, projector, cache, corpus.target.val, scfg)
             reports.append(bench.exp_structure(evaluator, corpus.n_tasks))
-        else:
-            raise StageError(f"unknown experiment {name!r}")
     out = run.root / "bench"
     out.mkdir(exist_ok=True)
     for r in reports:
@@ -558,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--exp",
         action="append",
         default=[],
-        help="rrss | relerr | speedup | addition | structure (repeatable; default rrss)",
+        help=f"{' | '.join(EXPERIMENTS)} (repeatable; default rrss)",
     )
     sub.add_parser("report", help="summarize run artifacts", parents=[common])
     return parser

@@ -16,7 +16,6 @@ solve beyond it may stop unconverged, and is flagged as such.
 from __future__ import annotations
 
 import csv
-import os
 import time
 from dataclasses import dataclass
 
@@ -44,7 +43,6 @@ class SolveConfig:
 @dataclass
 class EstimateResult:
     subset: frozenset[int]
-    x_hat_d: np.ndarray
     f_hat: float
     solver_iters: int
     solve_seconds: float
@@ -55,7 +53,7 @@ def _value_grad(b, y, G, x, lam):
     z = b - y * (G @ x)
     value = float(np.mean(np.logaddexp(0.0, z)) + 0.5 * lam * (x @ x))
     grad = -(G.T @ (_sigmoid(z) * y)) / len(b) + lam * x
-    return value, grad
+    return value, grad, z
 
 
 def subset_objective(
@@ -70,18 +68,17 @@ def subset_objective(
     if idx.size == 0:
         raise ValueError(f"no cached samples for subset {sorted(subset)}")
     x = np.asarray(x, dtype=np.float64)
-    return _value_grad(cache.b[idx], cache.y[idx], cache.g_proj[idx], x, ridge_lambda)
+    return _value_grad(cache.b[idx], cache.y[idx], cache.g_proj[idx], x, ridge_lambda)[:2]
 
 
 def _newton(b, y, G, lam, cfg, x0):
     x = x0.copy()
     n = len(b)
     G32 = G.astype(np.float32)  # for the Hessian only (module docstring)
-    value, grad = _value_grad(b, y, G, x, lam)
+    value, grad, z = _value_grad(b, y, G, x, lam)
     for it in range(1, cfg.max_iters + 1):
         if np.linalg.norm(grad) <= cfg.grad_tol:
             return x, it - 1, True
-        z = b - y * (G @ x)
         s = _sigmoid(z)
         w = s * (1.0 - s)
         # rows scaled by sqrt(w / n), so H is one symmetric product (syrk)
@@ -99,7 +96,7 @@ def _newton(b, y, G, lam, cfg, x0):
         step = 1.0
         for _ in range(60):
             cand = x + step * direction
-            cand_value, cand_grad = _value_grad(b, y, G, cand, lam)
+            cand_value, cand_grad, cand_z = _value_grad(b, y, G, cand, lam)
             if cand_value <= value + 1e-4 * step * slope:
                 break
             # near the minimizer the decrease sinks below the rounding of
@@ -112,7 +109,7 @@ def _newton(b, y, G, lam, cfg, x0):
             # no step decreases the objective: stay at x rather than take an
             # uphill candidate
             return x, it, False
-        x, value, grad = cand, cand_value, cand_grad
+        x, value, grad, z = cand, cand_value, cand_grad, cand_z
     return x, cfg.max_iters, bool(np.linalg.norm(grad) <= cfg.grad_tol)
 
 
@@ -173,7 +170,6 @@ def estimate_subset(
     f_hat = estimate_f(net, theta_star, projector, x_hat, target_val)
     return EstimateResult(
         subset=frozenset(int(t) for t in subset),
-        x_hat_d=x_hat,
         f_hat=f_hat,
         solver_iters=iters,
         solve_seconds=seconds,
@@ -188,13 +184,11 @@ def estimate_subset(
 LEDGER_FIELDS = ("subset", "f_hat", "solver_iters", "seconds", "flags")
 
 
-def append_ledger(path, results: list[EstimateResult]) -> None:
-    """Append estimate rows to a CSV ledger, writing the header if new."""
-    new_file = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", newline="") as f:
+def write_ledger(path, results: list[EstimateResult]) -> None:
+    """Write estimate rows to a CSV ledger under its header."""
+    with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        if new_file:
-            writer.writerow(LEDGER_FIELDS)
+        writer.writerow(LEDGER_FIELDS)
         for r in results:
             writer.writerow(
                 [

@@ -194,30 +194,29 @@ class Network:
 
     # ---- margins and losses ----
 
+    def _heads(self, Z: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+        """Non-binary logits as (N, L, C) blocks and labels as (N, L). A
+        multi-class head is the one-position case and takes (N,) labels."""
+        cfg = self.config
+        n = len(Z)
+        labels = np.asarray(labels, dtype=np.int64)
+        want = (n,) if cfg.num_positions == 1 else (n, cfg.num_positions)
+        if labels.shape != want:
+            raise ValueError(f"expected labels of shape {want}, got {labels.shape}")
+        return Z.reshape(n, cfg.num_positions, cfg.num_classes), labels.reshape(n, cfg.num_positions)
+
     def margins(self, params: ParamVector, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Batch margins h(s, y). labels is (N,) or (N, L) for multi-position heads."""
         Z = self.logits(params, X)
-        cfg = self.config
-        if cfg.is_binary:
+        if self.config.is_binary:
             return Z[:, 0]
-        labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        if cfg.num_positions == 1:
-            return self._class_margins(Z, labels)
-        Zp = Z.reshape(len(Z), cfg.num_positions, cfg.num_classes)
-        per_pos = np.stack(
-            [self._class_margins(Zp[:, i, :], labels[:, i]) for i in range(cfg.num_positions)],
-            axis=1,
-        )
-        return per_pos.mean(axis=1)
-
-    @staticmethod
-    def _class_margins(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """log(p_y / (1 - p_y)) = z_y - logsumexp over the other classes."""
-        n = np.arange(len(Z))
-        zy = Z[n, y]
-        masked = Z.copy()
-        masked[n, y] = -np.inf
-        return zy - _logsumexp(masked, axis=1)
+        Zp, y = self._heads(Z, labels)
+        # log(p_y / (1 - p_y)) = z_y - logsumexp over the other classes
+        at_label = y[..., None]
+        zy = np.take_along_axis(Zp, at_label, axis=-1)[..., 0]
+        masked = Zp.copy()
+        np.put_along_axis(masked, at_label, -np.inf, axis=-1)
+        return (zy - _logsumexp(masked, axis=-1)).mean(axis=1)
 
     def margin(self, params: ParamVector, sample: Sample) -> float:
         y = sample.position_labels if sample.position_labels is not None else sample.label
@@ -227,17 +226,13 @@ class Network:
         """Batch log-losses; equals cross-entropy for (multi-)class heads."""
         Z = self.logits(params, X)
         cfg = self.config
-        labels = np.asarray(labels, dtype=np.int64)
         if cfg.is_binary:
-            y = 2.0 * labels - 1.0
+            y = 2.0 * np.asarray(labels, dtype=np.int64) - 1.0
             return np.logaddexp(0.0, -y * Z[:, 0])
-        if cfg.num_positions == 1:
-            n = np.arange(len(Z))
-            return _logsumexp(Z, axis=1) - Z[n, labels]
-        Zp = Z.reshape(len(Z), cfg.num_positions, cfg.num_classes)
+        Zp, y = self._heads(Z, labels)
         n = np.arange(len(Z))
         ce = np.stack(
-            [_logsumexp(Zp[:, i, :], axis=1) - Zp[n, i, labels[:, i]] for i in range(cfg.num_positions)],
+            [_logsumexp(Zp[:, i, :], axis=1) - Zp[n, i, y[:, i]] for i in range(cfg.num_positions)],
             axis=1,
         )
         return ce.mean(axis=1)
@@ -288,14 +283,11 @@ class Network:
         if cfg.is_binary:
             delta = np.ones((n, 1))
         else:
-            labels = np.asarray(labels, dtype=np.int64)
-            want = (n,) if cfg.num_positions == 1 else (n, cfg.num_positions)
-            if labels.shape != want:
-                raise ValueError(f"expected labels of shape {want}, got {labels.shape}")
+            Zp, y = self._heads(Z, labels)
             # d margin / d z_k: 1 at the labeled class, else minus the softmax
             # restricted to the other classes. Bounded, so stable at any confidence.
-            at_label = labels.reshape(n, cfg.num_positions, 1)
-            masked = Z.reshape(n, cfg.num_positions, cfg.num_classes).copy()
+            at_label = y[..., None]
+            masked = Zp.copy()
             np.put_along_axis(masked, at_label, -np.inf, axis=-1)
             delta = -_softmax(masked)
             np.put_along_axis(delta, at_label, 1.0, axis=-1)
@@ -311,18 +303,14 @@ class Network:
         """Mean log-loss gradient over a batch."""
         layers, acts, Z = self._forward(params, X)
         cfg = self.config
-        labels = np.asarray(labels, dtype=np.int64)
         if cfg.is_binary:
-            y = 2.0 * labels - 1.0
+            y = 2.0 * np.asarray(labels, dtype=np.int64) - 1.0
             h = Z[:, 0]
             delta = (-y * _sigmoid(-y * h))[:, None]
-        elif cfg.num_positions == 1:
-            delta = _softmax(Z)
-            delta[np.arange(len(Z)), labels] -= 1.0
         else:
-            Zp = Z.reshape(len(Z), cfg.num_positions, cfg.num_classes)
+            Zp, y = self._heads(Z, labels)
             delta = _softmax(Zp)
-            delta[np.arange(len(Z))[:, None], np.arange(cfg.num_positions), labels] -= 1.0
+            delta[np.arange(len(Z))[:, None], np.arange(cfg.num_positions), y] -= 1.0
             delta = delta.reshape(len(Z), -1) / cfg.num_positions
         return self._backward(layers, acts, delta)
 

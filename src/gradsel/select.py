@@ -1,5 +1,6 @@
 """Subset-selection drivers: greedy forward selection, random ensembles with
-per-task relevance scores, and the clustering-first data-selection variant.
+per-task relevance scores thresholded by grid cross-validation, and the
+clustering-first data-selection variant.
 
 Every driver runs against an Evaluator, which wraps either the gradient-based
 estimator or the true fine-tuning oracle behind the same scoring call, so the
@@ -26,15 +27,14 @@ from .trainer import TrainConfig, eval_loss, fine_tune_subset
 class Evaluator:
     """A scoring function over task subsets, with budget and health counters.
 
-    kind 'estimator' never triggers fine-tuning; kind 'oracle' fine-tunes per
-    call. task_units accumulates |S| per call (the per-task training cost
-    convention behind the closed-form pass counts); forward_pass_count
-    accumulates trainer-reported sample forward passes for the oracle.
-    nonconverged counts estimator solves that stopped short of the gradient
-    tolerance, and nonfinite counts scores that came out NaN or infinite.
+    task_units accumulates |S| per call (the per-task training cost
+    convention behind the closed-form pass counts); forward_pass_count and
+    fine_tune_runs accumulate the oracle's trainer-reported sample forward
+    passes and fine-tunes. nonconverged counts estimator solves that stopped
+    short of the gradient tolerance, and nonfinite counts scores that came
+    out NaN or infinite.
     """
 
-    kind: str
     _score: Callable[[frozenset[int]], float]
     call_count: int = 0
     task_units: int = 0
@@ -74,7 +74,7 @@ def estimator_evaluator(
             return est.estimate_f_linearized(cache, x_hat)
         return est.estimate_f(net, theta_star, projector, x_hat, target_val)
 
-    ev = Evaluator(kind="estimator", _score=score)
+    ev = Evaluator(_score=score)
     return ev
 
 
@@ -91,7 +91,7 @@ def oracle_evaluator(
         ev.forward_pass_count += fit.forward_passes
         return eval_loss(net, fit.params, corpus.target.val)
 
-    ev = Evaluator(kind="oracle", _score=score)
+    ev = Evaluator(_score=score)
     return ev
 
 
@@ -198,18 +198,11 @@ def compute_T(scores: list[tuple[frozenset[int], float]], n: int) -> np.ndarray:
     return sums / counts
 
 
-def threshold_select(
-    T: np.ndarray, gamma: float | None = None, fraction: float | None = None
-) -> set[int]:
-    """Pick tasks by score: strict T_i < gamma, or the bottom ceil(q n) by
-    (score, id) in fraction mode."""
+def threshold_select(T: np.ndarray, fraction: float) -> set[int]:
+    """Pick the bottom ceil(fraction * n) tasks by (score, id)."""
     T = np.asarray(T, dtype=np.float64)
     if not np.all(np.isfinite(T)):
         raise ValueError("T scores must be finite")
-    if (gamma is None) == (fraction is None):
-        raise ValueError("pass exactly one of gamma or fraction")
-    if gamma is not None:
-        return {i + 1 for i in range(len(T)) if T[i] < gamma}
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     k = int(np.ceil(fraction * len(T)))
@@ -244,17 +237,13 @@ def ensemble_select(
     m: int = 1000,
     alpha_frac: float = 0.75,
     seed: int = 0,
-    fraction: float | None = None,
     grid: tuple[float, ...] = FRACTION_GRID,
 ) -> SelectionReport:
-    """Random-ensemble selection: score subsets, build T, then threshold by a
-    fixed fraction or by grid cross-validation."""
+    """Random-ensemble selection: score subsets, build T, then threshold by
+    grid cross-validation."""
     scores = random_ensemble(evaluator, n, m=m, alpha_frac=alpha_frac, seed=seed)
     T = compute_T(scores, n)
-    if fraction is not None:
-        chosen = threshold_select(T, fraction=fraction)
-    else:
-        chosen, _ = fraction_grid_select(T, evaluator, grid=grid)
+    chosen, _ = fraction_grid_select(T, evaluator, grid=grid)
     return SelectionReport(
         method="re",
         chosen=chosen,
@@ -277,8 +266,6 @@ def select_ds(
     seed: int = 0,
     m: int = 1000,
     alpha_frac: float = 0.75,
-    fraction: float | None = None,
-    linearized: bool = False,
 ) -> SelectionReport:
     """Data selection: cluster cached source gradients into groups, relabel
     tasks by group, then run forward selection or random ensembles over the
@@ -293,16 +280,13 @@ def select_ds(
     new_task_id[source_mask] = assignment.group_of + 1
     grouped_cache = replace(cache, task_id=new_task_id)
     evaluator = estimator_evaluator(
-        net, theta_star, projector, grouped_cache, corpus.target.val, solve_cfg,
-        linearized=linearized,
+        net, theta_star, projector, grouped_cache, corpus.target.val, solve_cfg
     )
     if downstream == "fs":
         report = forward_select(evaluator, n_groups)
         report.method = "ds-fs"
     else:
-        report = ensemble_select(
-            evaluator, n_groups, m=m, alpha_frac=alpha_frac, seed=seed, fraction=fraction
-        )
+        report = ensemble_select(evaluator, n_groups, m=m, alpha_frac=alpha_frac, seed=seed)
         report.method = "ds-re"
     return report
 

@@ -10,6 +10,7 @@ from gradsel.cli import (
     config_digest,
     main,
     parse_config_text,
+    recipe,
     resolve_config,
 )
 from gradsel.linearize import load_cache, save_cache
@@ -52,6 +53,32 @@ def test_removed_solver_method_key_rejected():
     # damped Newton is the only solver, so there is no method to choose
     with pytest.raises(StageError, match="unknown config key 'estimate.method'"):
         resolve_config(None, {"estimate.method": "lbfgs"})
+
+
+@pytest.mark.parametrize(
+    "key", ["train.optimizer", "train.restore_best", "finetune.optimizer", "finetune.restore_best"]
+)
+def test_removed_train_keys_rejected(tmp_path, capsys, key):
+    # meta-training runs SGD with best-epoch restore, and the addition recipe
+    # picks Adam by corpus kind, so no key chooses the optimizer
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = adam\n")
+    with pytest.raises(StageError, match=f"unknown config key '{key}'"):
+        resolve_config(str(cfg_file), {})
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert f"--{key}" not in capsys.readouterr().out
+
+
+def test_recipe_per_corpus_kind():
+    cfg = resolve_config(None, {})
+    model, train = recipe(cfg, "gaussian", 10)
+    assert (model.input_dim, model.num_classes, model.num_positions) == (10, 2, 1)
+    assert (train.optimizer, train.restore_best, train.max_epochs) == ("sgd", True, 300)
+    # five-digit addition: two one-hot operands in, five digit heads out
+    model, train = recipe(cfg, "addition", 100)
+    assert (model.input_dim, model.num_classes, model.num_positions, model.activation) == (100, 10, 5, "relu")
+    assert (train.optimizer, train.restore_best, train.max_epochs) == ("adam", False, 120)
 
 
 def test_malformed_config_line():
@@ -276,8 +303,8 @@ def test_bench_speedup_small(tmp_path):
 
 
 def test_bench_addition_small(tmp_path):
-    for stage in (["gen"], ["meta-train"], ["cache"]):
-        assert run([*stage, *TINY], tmp_path) == 0
+    # the addition experiment builds its own corpus, model and cache, so it
+    # runs in an empty run directory
     args = [
         "bench", "--exp", "addition", *TINY,
         "--corpus.n", "4",
@@ -308,6 +335,15 @@ def test_bench_relerr_small(tmp_path):
     frontier = (tmp_path / "bench" / "relerr_frontier.csv").read_text().splitlines()
     assert frontier[0].startswith("method,forward_pass_units")
     assert len(frontier) == 3
+
+
+def test_bench_unknown_experiment_runs_nothing(tmp_path, capsys):
+    # the names are checked before any artifact is loaded or experiment run
+    assert run(["bench", "--exp", "rrss", "--exp", "typo", *TINY], tmp_path) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("gradsel bench: unknown experiment 'typo'")
+    assert not (tmp_path / "bench").exists()
 
 
 @pytest.fixture(scope="module")
@@ -405,3 +441,39 @@ def test_report_rejects_unknown_selection_line(tiny_run, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("gradsel report: selection.txt: ")
     assert "unknown line kind 'xyz'" in lines[0]
+
+
+def test_select_with_oracle_evaluator(tiny_run, tmp_path):
+    # the brute-force baseline: every score is a real fine-tune
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    assert run(["select", *TINY, "--select.evaluator", "oracle"], tmp_path) == 0
+    budget = _budget(tmp_path / "selection.txt")
+    assert budget["fine_tune_runs"] > 0
+    assert budget["fine_tune_runs"] == budget["calls"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["select", "--select.evaluator", "orcale"], "unknown evaluator 'orcale'"),
+        (["select", "--select.method", "xx"], "unknown selection method 'xx'"),
+        (["meta-train", "--model.activation", "foo"], "config: activation must be one of"),
+        (["meta-train", "--train.batch_size", "0"], "config: batch_size must be >= 1"),
+        (["estimate", "--subset", "1", "--estimate.ridge_lambda", "-1"], "config: ridge_lambda must be non-negative"),
+        (["cache", "--project.d", "x"], "config project.d: expected int, got 'x'"),
+        (["select", "--select.alpha", "0.5.1"], "config select.alpha: expected float, got '0.5.1'"),
+        (["meta-train", "--model.hidden_dims", "16,x"], "config model.hidden_dims: expected a list of int"),
+        (["select", "--config", "{cfg}"], "unknown config key 'train.optimizer'"),
+    ],
+)
+def test_bad_config_value_fails_in_one_line(tiny_run, tmp_path, capsys, argv, message):
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "bad.cfg").write_text("train.optimizer = Adam\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    argv = [a.format(cfg=tmp_path / "bad.cfg") for a in argv]
+    capsys.readouterr()
+    assert run([argv[0], *TINY, *argv[1:]], tmp_path) == 2  # the bad value comes last and wins
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"gradsel {argv[0]}: {message}")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before

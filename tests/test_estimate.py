@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from gradsel import estimate
 from gradsel.estimate import (
     SolveConfig,
-    append_ledger,
     estimate_f,
     estimate_f_linearized,
     estimate_subset,
     solve_subset,
     subset_objective,
+    write_ledger,
 )
 from gradsel.linearize import GradientCache, build_cache, load_cache, save_cache
 from gradsel.model import ModelConfig, Network, Sample, _sigmoid
@@ -161,7 +161,7 @@ def test_failed_line_search_keeps_the_iterate(monkeypatch):
     x0 = rng.standard_normal(4)
     monkeypatch.setattr(
         estimate, "_value_grad",
-        lambda b, y, G, x, lam: (float(np.any(x != x0)), np.ones_like(x)),
+        lambda b, y, G, x, lam: (float(np.any(x != x0)), np.ones_like(x), np.zeros(len(b))),
     )
     x, iters, converged = solve_subset(cache, {1}, SolveConfig(), include_target=False, x0=x0)
     assert np.array_equal(x, x0)
@@ -173,18 +173,18 @@ def _newton_float64_hessian(b, y, G, lam, cfg):
     """Reference: the solver's damped Newton from x=0 with the Hessian formed
     in float64 by the plain weighted product."""
     x = np.zeros(G.shape[1])
-    value, grad = estimate._value_grad(b, y, G, x, lam)
+    value, grad, z = estimate._value_grad(b, y, G, x, lam)
     for it in range(1, cfg.max_iters + 1):
         if np.linalg.norm(grad) <= cfg.grad_tol:
             return x, it - 1, True
-        s = _sigmoid(b - y * (G @ x))
+        s = _sigmoid(z)
         H = (G.T * (s * (1.0 - s))) @ G / len(b) + lam * np.eye(G.shape[1])
         direction = np.linalg.solve(H, -grad)
         slope = grad @ direction
         step = 1.0
         for _ in range(60):
             cand = x + step * direction
-            cand_value, cand_grad = estimate._value_grad(b, y, G, cand, lam)
+            cand_value, cand_grad, cand_z = estimate._value_grad(b, y, G, cand, lam)
             if cand_value <= value + 1e-4 * step * slope:
                 break
             if cand_value <= value + 1e-10 * abs(value) and cand_grad @ direction <= (2e-4 - 1.0) * slope:
@@ -192,7 +192,7 @@ def _newton_float64_hessian(b, y, G, lam, cfg):
             step *= 0.5
         else:
             return x, it, False
-        x, value, grad = cand, cand_value, cand_grad
+        x, value, grad, z = cand, cand_value, cand_grad, cand_z
     return x, cfg.max_iters, bool(np.linalg.norm(grad) <= cfg.grad_tol)
 
 
@@ -373,17 +373,18 @@ def test_estimate_subset_records_metadata(gauss_net, theta_star, gauss_corpus, p
     assert math.isfinite(result.f_hat)
 
 
-def test_ledger_append(tmp_path, gauss_net, theta_star, gauss_corpus, projector, cache):
+def test_ledger_write(tmp_path, gauss_net, theta_star, gauss_corpus, projector, cache):
     path = tmp_path / "estimates.csv"
+    path.write_text("stale ledger\n")
     r = estimate_subset(
         gauss_net, theta_star, projector, cache, {3, 1}, gauss_corpus.target.val, SOLVE_CFG
     )
-    append_ledger(path, [r])
-    append_ledger(path, [r])
+    write_ledger(path, [r, r])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "subset,f_hat,solver_iters,seconds,flags"
     assert len(lines) == 3
     assert lines[1].startswith("1;3,")
+    assert lines[1] == lines[2]
 
 
 def test_solve_config_validation():

@@ -166,8 +166,40 @@ def test_margin_gradients_match_row_loop(num_classes, positions, activation):
         fd = finite_difference_margin_gradient(net, params, s, step=1e-5)
         assert np.linalg.norm(G[i] - fd) / np.linalg.norm(G[i]) <= 1e-5
     if positions > 1:
-        with pytest.raises(ValueError):
-            net.margin_gradients(params, X, labels[:, 0])
+        for bad in (labels[:, 0], labels.ravel()):
+            with pytest.raises(ValueError, match="expected labels of shape"):
+                net.margin_gradients(params, X, bad)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("num_classes,positions", [(2, 1), (10, 1), (10, 3)])
+def test_loss_gradient_matches_finite_differences(num_classes, positions, activation):
+    # the training gradient is the central difference of the mean batch loss
+    cfg = ModelConfig(
+        input_dim=4, hidden_dims=(6, 5), activation=activation,
+        num_classes=num_classes, num_positions=positions, seed=13,
+    )
+    net = Network(cfg)
+    rng = np.random.default_rng(8)
+    # nonzero biases keep every relu pre-activation away from its kink
+    params = net.init_params() + 0.1 * rng.standard_normal(net.param_count)
+    n = 7
+    X = rng.standard_normal((n, 4))
+    labels = rng.integers(num_classes, size=(n, positions) if positions > 1 else (n,))
+    g = net.loss_gradient(params, X, labels)
+    fd = np.empty_like(params)
+    step = 1e-5
+    for i in range(len(params)):
+        hi, lo = params.copy(), params.copy()
+        hi[i] += step
+        lo[i] -= step
+        fd[i] = (net.losses(hi, X, labels).mean() - net.losses(lo, X, labels).mean()) / (2 * step)
+    assert np.linalg.norm(g - fd) / np.linalg.norm(g) <= 1e-6
+    if num_classes > 2:
+        # one position per label column: flattened labels must not pass
+        for op in (net.loss_gradient, net.losses, net.margins):
+            with pytest.raises(ValueError, match="expected labels of shape"):
+                op(params, X, np.repeat(labels, 2))
 
 
 def test_linear_binary_gradient_is_feature_vector():

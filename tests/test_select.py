@@ -23,8 +23,8 @@ from gradsel.trainer import fine_tune_subset
 from conftest import FINETUNE_CFG, SOLVE_CFG
 
 
-def fake_evaluator(score_fn, kind="estimator"):
-    return Evaluator(kind=kind, _score=score_fn)
+def fake_evaluator(score_fn):
+    return Evaluator(_score=score_fn)
 
 
 # ---- forward selection ----
@@ -249,18 +249,12 @@ def test_compute_T_full_subset_shifts_all_counts():
 
 def test_threshold_modes():
     T = np.array([0.6, 0.5, 0.7])
-    assert threshold_select(T, gamma=0.4) == set()
-    assert threshold_select(T, gamma=0.65) == {1, 2}
     assert threshold_select(T, fraction=1.0) == {1, 2, 3}
     assert threshold_select(T, fraction=1 / 3) == {2}
     with pytest.raises(ValueError):
         threshold_select(T, fraction=0.0)
     with pytest.raises(ValueError):
-        threshold_select(T)
-    with pytest.raises(ValueError):
-        threshold_select(T, gamma=0.5, fraction=0.5)
-    with pytest.raises(ValueError):
-        threshold_select(np.array([0.5, np.nan]), gamma=1.0)
+        threshold_select(np.array([0.5, np.nan]), fraction=1.0)
 
 
 def test_threshold_fraction_ties_break_by_id():
@@ -296,13 +290,13 @@ def test_evaluator_swap_structural_identity():
     def score(s):
         return table.setdefault(s, 10.0 - len(s & {2, 4}) + 0.01 * len(s))
 
-    fs_a = forward_select(fake_evaluator(score, kind="estimator"), 5)
-    fs_b = forward_select(fake_evaluator(score, kind="oracle"), 5)
+    fs_a = forward_select(fake_evaluator(score), 5)
+    fs_b = forward_select(fake_evaluator(score), 5)
     assert fs_a.trajectory == fs_b.trajectory
     assert fs_a.chosen == fs_b.chosen
 
-    re_a = random_ensemble(fake_evaluator(score, kind="estimator"), 5, m=20, alpha_frac=0.6, seed=7)
-    re_b = random_ensemble(fake_evaluator(score, kind="oracle"), 5, m=20, alpha_frac=0.6, seed=7)
+    re_a = random_ensemble(fake_evaluator(score), 5, m=20, alpha_frac=0.6, seed=7)
+    re_b = random_ensemble(fake_evaluator(score), 5, m=20, alpha_frac=0.6, seed=7)
     assert re_a == re_b
 
 
@@ -339,7 +333,6 @@ def test_estimator_evaluator_never_finetunes(gauss_net, theta_star, gauss_corpus
     ev = estimator_evaluator(gauss_net, theta_star, projector, cache, gauss_corpus.target.val, SOLVE_CFG)
     ev(frozenset({1, 2, 3}))
     ev(frozenset())
-    assert ev.kind == "estimator"
     assert ev.fine_tune_runs == 0
     assert ev.call_count == 2
 
@@ -472,10 +465,11 @@ def test_load_report_rejects_malformed_lines(tmp_path, line):
         load_report(path)
 
 
-def test_select_ds_re_excludes_planted_noisy_groups():
+def test_select_ds_re_excludes_planted_noisy_groups(monkeypatch):
     # end-to-end data-selection check on a planted cache: six tight gradient
     # clusters, three of them with unfit entries whose fix direction damages
     # the target val entries; ds-re must drop the damaging groups
+    from gradsel import estimate as est
     from gradsel.linearize import GradientCache, build_cache
     from gradsel.model import Sample
     from gradsel.project import identity_projector
@@ -538,9 +532,14 @@ def test_select_ds_re_excludes_planted_noisy_groups():
     net = Network(ModelConfig(input_dim=3, hidden_dims=(), num_classes=2, seed=0))
     proj = identity_projector(net.param_count)
 
+    # the planted cache cannot be lifted to a network, so subsets are scored
+    # on its planted target val entries
+    monkeypatch.setattr(
+        est, "estimate_f", lambda net, theta, projector, x, val: est.estimate_f_linearized(planted, x)
+    )
     report = select_ds(
         net, net.init_params(), proj, planted, corpus, n_groups=6, downstream="re",
-        solve_cfg=SOLVE_CFG, seed=4, m=120, alpha_frac=0.34, fraction=0.5, linearized=True,
+        solve_cfg=SOLVE_CFG, seed=4, m=120, alpha_frac=0.34,
     )
     assert report.method == "ds-re"
     # map chosen group ids back to planted membership via the cluster run
