@@ -397,38 +397,32 @@ def stage_select(run: RunDir, cfg: dict[str, str]) -> None:
     method = cfg["select.method"]
     _check_choice("selection method", method, SELECT_METHODS)
     _check_choice("evaluator", cfg["select.evaluator"], EVALUATORS)
+    oracle = cfg["select.evaluator"] == "oracle"
+    grouped = method.startswith("ds-")
+    if oracle and grouped:
+        raise StageError(f"the oracle cannot score {method}: it fine-tunes on tasks, not sample clusters")
     scfg = solve_config(cfg)
     ft_cfg = train_config(cfg, "finetune")
+    grid = _numbers(cfg, "select.fraction_grid", float)
     corpus, net, theta, cache, projector = _load_estimation_state(run, cfg)
-    if cfg["select.evaluator"] == "oracle":
+    n = int(cfg["corpus.n"]) if grouped else corpus.n_tasks
+    if oracle:
         evaluator = sel.oracle_evaluator(net, theta, corpus, ft_cfg)
     else:
-        evaluator = sel.estimator_evaluator(net, theta, projector, cache, corpus.target.val, scfg)
-    if method == "fs":
-        report = sel.forward_select(evaluator, corpus.n_tasks)
-    elif method == "re":
+        scored = sel.group_cache(cache, n, int(cfg["select.seed"])) if grouped else cache
+        evaluator = sel.estimator_evaluator(net, theta, projector, scored, corpus.target.val, scfg)
+    if method.endswith("fs"):
+        report = sel.forward_select(evaluator, n)
+    else:
         report = sel.ensemble_select(
             evaluator,
-            corpus.n_tasks,
+            n,
+            grid,
             m=int(cfg["select.m"]),
             alpha_frac=float(cfg["select.alpha"]),
             seed=int(cfg["select.seed"]),
-            grid=_numbers(cfg, "select.fraction_grid", float),
         )
-    else:
-        report = sel.select_ds(
-            net,
-            theta,
-            projector,
-            cache,
-            corpus,
-            n_groups=int(cfg["corpus.n"]),
-            downstream=method.split("-")[1],
-            solve_cfg=scfg,
-            seed=int(cfg["select.seed"]),
-            m=int(cfg["select.m"]),
-            alpha_frac=float(cfg["select.alpha"]),
-        )
+    report.method = method
     sel.save_report(
         run.path("selection"),
         report,

@@ -16,7 +16,6 @@ solve beyond it may stop unconverged, and is flagged as such.
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,6 @@ class EstimateResult:
     subset: frozenset[int]
     f_hat: float
     solver_iters: int
-    solve_seconds: float
     converged: bool
 
 
@@ -162,17 +160,13 @@ def estimate_subset(
     target_val: list[Sample],
     cfg: SolveConfig,
 ) -> EstimateResult:
-    """Solve one subset (with the target's train entries) and score it,
-    timing the solve."""
-    t0 = time.perf_counter()
+    """Solve one subset (with the target's train entries) and score it."""
     x_hat, iters, converged = solve_subset(cache, subset, cfg)
-    seconds = time.perf_counter() - t0
     f_hat = estimate_f(net, theta_star, projector, x_hat, target_val)
     return EstimateResult(
         subset=frozenset(int(t) for t in subset),
         f_hat=f_hat,
         solver_iters=iters,
-        solve_seconds=seconds,
         converged=converged,
     )
 
@@ -181,7 +175,7 @@ def estimate_subset(
 # CSV ledger
 # ---------------------------------------------------------------------------
 
-LEDGER_FIELDS = ("subset", "f_hat", "solver_iters", "seconds", "flags")
+LEDGER_FIELDS = ("subset", "f_hat", "solver_iters", "flags")
 
 
 def write_ledger(path, results: list[EstimateResult]) -> None:
@@ -195,7 +189,6 @@ def write_ledger(path, results: list[EstimateResult]) -> None:
                     ";".join(str(t) for t in sorted(r.subset)),
                     f"{r.f_hat:.12g}",
                     r.solver_iters,
-                    f"{r.solve_seconds:.3f}",
                     "" if r.converged else "max_iters",
                 ]
             )

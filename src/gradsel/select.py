@@ -1,10 +1,12 @@
-"""Subset-selection drivers: greedy forward selection, random ensembles with
-per-task relevance scores thresholded by grid cross-validation, and the
-clustering-first data-selection variant.
+"""Subset-selection drivers: greedy forward selection (FS), and random
+ensembles (RE) with per-task relevance scores thresholded by grid
+cross-validation.
 
 Every driver runs against an Evaluator, which wraps either the gradient-based
 estimator or the true fine-tuning oracle behind the same scoring call, so the
-selection logic depends only on the returned scores.
+selection logic depends only on the returned scores. Data selection is no
+third driver: group_cache relabels the cached source rows by gradient
+cluster, and FS or RE then select groups of samples as they select tasks.
 """
 
 from __future__ import annotations
@@ -185,16 +187,21 @@ def random_ensemble(
 
 
 def compute_T(scores: list[tuple[frozenset[int], float]], n: int) -> np.ndarray:
-    """Per-task mean score over the subsets covering it. T[i-1] is task i."""
+    """Per-task mean score over the subsets covering it. T[i-1] is task i.
+
+    Non-finite scores (which the evaluator counts as nonfinite) are left out;
+    raises ValueError if some task has no finite-scored subset."""
     sums = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
     for subset, value in scores:
+        if not math.isfinite(value):
+            continue
         for t in subset:
             sums[t - 1] += value
             counts[t - 1] += 1
     if np.any(counts == 0):
         missing = int(np.flatnonzero(counts == 0)[0]) + 1
-        raise ValueError(f"task {missing} is not covered by any scored subset")
+        raise ValueError(f"task {missing} is not covered by any finite-scored subset")
     return sums / counts
 
 
@@ -210,43 +217,37 @@ def threshold_select(T: np.ndarray, fraction: float) -> set[int]:
     return {i + 1 for i in order[:k]}
 
 
-FRACTION_GRID = (0.05, 0.10, 0.15, 0.20)
-
-
-def fraction_grid_select(
-    T: np.ndarray, evaluator: Evaluator, grid: tuple[float, ...] = FRACTION_GRID
-) -> tuple[set[int], float]:
+def fraction_grid_select(T: np.ndarray, evaluator: Evaluator, grid: tuple[float, ...]) -> set[int]:
     """Threshold cross-validation: score the selected set at each grid
-    fraction and keep the fraction whose set evaluates best (the first one
-    on ties). Non-finite scores are skipped; raises ValueError if no grid
+    fraction and keep the set that evaluates best (the first fraction's on
+    ties). Non-finite scores are skipped; raises ValueError if no grid
     fraction scores finite."""
     best = None
     for q in grid:
         chosen = threshold_select(T, fraction=q)
         value = evaluator(frozenset(chosen))
         if math.isfinite(value) and (best is None or value < best[0]):
-            best = (value, q, chosen)
+            best = (value, chosen)
     if best is None:
         raise ValueError("no grid fraction has a finite score")
-    return best[2], best[1]
+    return best[1]
 
 
 def ensemble_select(
     evaluator: Evaluator,
     n: int,
-    m: int = 1000,
-    alpha_frac: float = 0.75,
-    seed: int = 0,
-    grid: tuple[float, ...] = FRACTION_GRID,
+    grid: tuple[float, ...],
+    m: int,
+    alpha_frac: float,
+    seed: int,
 ) -> SelectionReport:
     """Random-ensemble selection: score subsets, build T, then threshold by
     grid cross-validation."""
     scores = random_ensemble(evaluator, n, m=m, alpha_frac=alpha_frac, seed=seed)
     T = compute_T(scores, n)
-    chosen, _ = fraction_grid_select(T, evaluator, grid=grid)
     return SelectionReport(
         method="re",
-        chosen=chosen,
+        chosen=fraction_grid_select(T, evaluator, grid),
         trajectory=scores,
         t_scores=T,
         budget=_budget(evaluator),
@@ -254,41 +255,13 @@ def ensemble_select(
     )
 
 
-def select_ds(
-    net: Network,
-    theta_star: ParamVector,
-    projector: Projector,
-    cache: GradientCache,
-    corpus: Corpus,
-    n_groups: int,
-    downstream: str,
-    solve_cfg: est.SolveConfig,
-    seed: int = 0,
-    m: int = 1000,
-    alpha_frac: float = 0.75,
-) -> SelectionReport:
-    """Data selection: cluster cached source gradients into groups, relabel
-    tasks by group, then run forward selection or random ensembles over the
-    groups with the estimator."""
-    if downstream not in ("fs", "re"):
-        raise ValueError("downstream must be 'fs' or 're'")
-    source_mask = cache.task_id != 0
-    assignment = cluster_into_groups(cache.g_proj[source_mask], n_groups, seed)
-
-    # relabel cached source entries by group; target entries keep id 0
-    new_task_id = cache.task_id.copy()
-    new_task_id[source_mask] = assignment.group_of + 1
-    grouped_cache = replace(cache, task_id=new_task_id)
-    evaluator = estimator_evaluator(
-        net, theta_star, projector, grouped_cache, corpus.target.val, solve_cfg
-    )
-    if downstream == "fs":
-        report = forward_select(evaluator, n_groups)
-        report.method = "ds-fs"
-    else:
-        report = ensemble_select(evaluator, n_groups, m=m, alpha_frac=alpha_frac, seed=seed)
-        report.method = "ds-re"
-    return report
+def group_cache(cache: GradientCache, n_groups: int, seed: int) -> GradientCache:
+    """The cache with each source row relabeled 1..n_groups by its k-means
+    cluster of projected gradients; target rows keep id 0."""
+    source = cache.task_id != 0
+    task_id = cache.task_id.copy()
+    task_id[source] = cluster_into_groups(cache.g_proj[source], n_groups, seed) + 1
+    return replace(cache, task_id=task_id)
 
 
 # ---------------------------------------------------------------------------

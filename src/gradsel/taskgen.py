@@ -2,7 +2,8 @@
 
 Two generators: a Gaussian multitask family with planted helpful/harmful
 source tasks, and a digit-addition family with planted clean/noisy groups.
-Plus k-means grouping of cached gradients for data-selection preprocessing.
+Plus k-means clustering of cached gradients, which partitions samples into
+the groups that data selection selects among.
 """
 
 from __future__ import annotations
@@ -76,22 +77,6 @@ class Corpus:
 
     def digest(self) -> str:
         return hashlib.sha256(serialize_corpus(self).encode()).hexdigest()
-
-
-@dataclass
-class GroupAssignment:
-    """Map from sample index (row of the clustered gradients) to group in
-    [0, n_groups)."""
-
-    group_of: np.ndarray
-    n_groups: int
-
-    def __post_init__(self):
-        self.group_of = np.asarray(self.group_of, dtype=np.int64)
-        counts = np.bincount(self.group_of, minlength=self.n_groups)
-        if np.any(counts == 0):
-            empty = int(np.flatnonzero(counts == 0)[0])
-            raise ValueError(f"group {empty} is empty")
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +326,11 @@ def _kmeans(X: np.ndarray, k: int, seed: int, n_iter: int = 100) -> np.ndarray:
     return labels
 
 
-def cluster_into_groups(g_proj: np.ndarray, n_groups: int, seed: int) -> GroupAssignment:
+def cluster_into_groups(g_proj: np.ndarray, n_groups: int, seed: int) -> np.ndarray:
     """Group samples by k-means on their unit-normalized projected gradients
-    (the rows of g_proj), i.e. cosine geometry. Deterministic given seed."""
+    (the rows of g_proj), i.e. cosine geometry. Returns the (n,) int64 group
+    of each row, in [0, n_groups); raises ValueError if a group is empty.
+    Deterministic given seed."""
     if len(g_proj) == 0:
         raise ValueError("no gradients to cluster")
     if n_groups > len(g_proj):
@@ -353,7 +340,10 @@ def cluster_into_groups(g_proj: np.ndarray, n_groups: int, seed: int) -> GroupAs
     norms[norms == 0] = 1.0
     G /= norms
     labels = _kmeans(G, n_groups, seed)
-    return GroupAssignment(labels, n_groups)
+    counts = np.bincount(labels, minlength=n_groups)
+    if np.any(counts == 0):
+        raise ValueError(f"group {int(np.flatnonzero(counts == 0)[0])} is empty")
+    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -151,21 +151,13 @@ def test_cache_idempotent_byte_identical(tmp_path):
     assert (tmp_path / "cache.bin").read_bytes() == first
 
 
-def test_estimate_idempotent_modulo_seconds(tmp_path):
+def test_estimate_idempotent_byte_identical(tmp_path):
     for stage in (["gen"], ["meta-train"], ["cache"]):
         assert run([*stage, *TINY], tmp_path) == 0
-
-    def strip_seconds(text):
-        rows = []
-        for line in text.strip().splitlines():
-            cols = line.split(",")
-            rows.append(",".join(cols[:3] + cols[4:]))
-        return rows
-
     assert run(["estimate", "--subset", "1,2", *TINY], tmp_path) == 0
-    first = strip_seconds((tmp_path / "estimates.csv").read_text())
+    first = (tmp_path / "estimates.csv").read_bytes()
     assert run(["estimate", "--subset", "1,2", *TINY], tmp_path) == 0
-    assert strip_seconds((tmp_path / "estimates.csv").read_text()) == first
+    assert (tmp_path / "estimates.csv").read_bytes() == first
 
 
 def test_corpus_change_invalidates_checkpoint(tmp_path, capsys):
@@ -452,6 +444,15 @@ def test_select_with_oracle_evaluator(tiny_run, tmp_path):
     assert budget["fine_tune_runs"] == budget["calls"]
 
 
+@pytest.mark.parametrize("method", ["re", "ds-re"])
+def test_select_fraction_grid_applies_to_every_re(tiny_run, tmp_path, method):
+    # m draws, then one threshold set per grid fraction
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    argv = ["select", *TINY, "--select.method", method, "--select.m", "20", "--select.fraction_grid", "0.5"]
+    assert run(argv, tmp_path) == 0
+    assert _budget(tmp_path / "selection.txt")["calls"] == 21
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -464,6 +465,9 @@ def test_select_with_oracle_evaluator(tiny_run, tmp_path):
         (["select", "--select.alpha", "0.5.1"], "config select.alpha: expected float, got '0.5.1'"),
         (["meta-train", "--model.hidden_dims", "16,x"], "config model.hidden_dims: expected a list of int"),
         (["select", "--config", "{cfg}"], "unknown config key 'train.optimizer'"),
+        # the oracle fine-tunes on tasks; it cannot score clusters of samples
+        (["select", "--select.method", "ds-fs", "--select.evaluator", "oracle"], "the oracle cannot score ds-fs"),
+        (["select", "--select.method", "ds-re", "--select.evaluator", "oracle"], "the oracle cannot score ds-re"),
     ],
 )
 def test_bad_config_value_fails_in_one_line(tiny_run, tmp_path, capsys, argv, message):

@@ -369,7 +369,6 @@ def test_estimate_subset_records_metadata(gauss_net, theta_star, gauss_corpus, p
     )
     assert result.subset == frozenset({1, 2})
     assert result.converged
-    assert result.solve_seconds >= 0.0
     assert math.isfinite(result.f_hat)
 
 
@@ -381,7 +380,7 @@ def test_ledger_write(tmp_path, gauss_net, theta_star, gauss_corpus, projector, 
     )
     write_ledger(path, [r, r])
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "subset,f_hat,solver_iters,seconds,flags"
+    assert lines[0] == "subset,f_hat,solver_iters,flags"
     assert len(lines) == 3
     assert lines[1].startswith("1;3,")
     assert lines[1] == lines[2]

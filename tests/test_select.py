@@ -9,18 +9,22 @@ from hypothesis import strategies as st
 from gradsel.select import (
     Evaluator,
     compute_T,
+    ensemble_select,
     forward_select,
     fraction_grid_select,
     estimator_evaluator,
+    group_cache,
     oracle_evaluator,
     random_ensemble,
-    select_ds,
     threshold_select,
 )
 from gradsel.model import ModelConfig, Network
 from gradsel.trainer import fine_tune_subset
 
 from conftest import FINETUNE_CFG, SOLVE_CFG
+
+
+GRID = (0.05, 0.10, 0.15, 0.20)  # the default select.fraction_grid
 
 
 def fake_evaluator(score_fn):
@@ -161,11 +165,10 @@ def test_fraction_grid_select_skips_nonfinite(values):
     finite = [(v, i) for i, v in enumerate(values) if math.isfinite(v)]
     if not finite:
         with pytest.raises(ValueError):
-            fraction_grid_select(T, ev)
+            fraction_grid_select(T, ev, GRID)
         return
-    chosen, q = fraction_grid_select(T, ev)
+    chosen = fraction_grid_select(T, ev, GRID)
     best = min(finite)[1]  # lowest finite score, first grid fraction on ties
-    assert q == (0.05, 0.10, 0.15, 0.20)[best]
     assert chosen == set(range(1, best + 2))
 
 
@@ -245,6 +248,58 @@ def test_compute_T_full_subset_shifts_all_counts():
     with_full = scores + [(frozenset({1, 2, 3}), 1.0)]
     T = compute_T(with_full, 3)
     assert T == pytest.approx([(0.5 + 0.7 + 1.0) / 3, (0.5 + 1.0) / 2, (0.7 + 1.0) / 2], abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.frozensets(st.integers(1, n), min_size=1), SCORES), max_size=8),
+        )
+    )
+)
+def test_compute_T_skips_nonfinite_scores(case):
+    n, scores = case
+    finite = [(s, v) for s, v in scores if math.isfinite(v)]
+    uncovered = set(range(1, n + 1)).difference(*(s for s, _ in finite))
+    if uncovered:
+        with pytest.raises(ValueError, match=f"task {min(uncovered)} is not covered by any finite"):
+            compute_T(scores, n)
+        return
+    T = compute_T(scores, n)
+    assert np.array_equal(T, compute_T(finite, n))  # the non-finite scores add nothing
+    for t in range(1, n + 1):
+        covering = [v for s, v in finite if t in s]
+        assert T[t - 1] == pytest.approx(sum(covering) / len(covering))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(min_value=0, max_value=19)), st.sampled_from(NON_FINITE))
+def test_ensemble_select_builds_T_from_finite_scores(poisoned, bad):
+    # draws of a 3-task ensemble whose index is in poisoned score non-finite;
+    # RE must go on from the finite draws, or name a task none of them covers
+    weight = {1: 0.1, 2: 0.5, 3: 0.9}
+    calls = []
+
+    def score(s):
+        calls.append(s)
+        return bad if len(calls) - 1 in poisoned else sum(weight[t] for t in s)
+
+    def run():
+        return ensemble_select(fake_evaluator(score), 3, GRID, m=20, alpha_frac=2 / 3, seed=1)
+
+    draws = random_ensemble(fake_evaluator(lambda s: 0.0), 3, m=20, alpha_frac=2 / 3, seed=1)
+    covered = set().union(*(s for i, (s, _) in enumerate(draws) if i not in poisoned))
+    if covered != {1, 2, 3}:
+        with pytest.raises(ValueError, match="finite-scored subset"):
+            run()
+        return
+    report = run()
+    assert report.budget["nonfinite"] == len(poisoned)
+    finite = [(s, v) for s, v in report.trajectory if math.isfinite(v)]
+    assert np.array_equal(report.t_scores, compute_T(finite, 3))
+    assert report.chosen == threshold_select(report.t_scores, fraction=GRID[0])
 
 
 def test_threshold_modes():
@@ -369,24 +424,23 @@ def test_fraction_grid_select_picks_min(gauss_corpus):
         calls.append(s)
         return float(min(s))  # favors sets containing task 1
 
-    chosen, q = fraction_grid_select(T, fake_evaluator(score))
-    assert 1 in chosen
-    assert q in (0.05, 0.10, 0.15, 0.20)
+    chosen = fraction_grid_select(T, fake_evaluator(score), GRID)
+    assert chosen == {1}  # the 0.05 fraction's set; every set holds task 1
     assert len(calls) == 4
 
 
 def test_select_ds_single_group(gauss_net, theta_star, gauss_corpus, projector, cache):
-    report = select_ds(
-        gauss_net, theta_star, projector, cache, gauss_corpus,
-        n_groups=1, downstream="fs", solve_cfg=SOLVE_CFG, seed=0,
-    )
-    assert report.method == "ds-fs"
-    assert report.chosen in (set(), {1})
+    grouped = group_cache(cache, 1, seed=0)
+    assert np.array_equal(grouped.task_id, np.minimum(cache.task_id, 1))  # target keeps 0
+    assert grouped.g_proj is cache.g_proj and grouped.digest() != cache.digest()
+    ev = estimator_evaluator(gauss_net, theta_star, projector, grouped, gauss_corpus.target.val, SOLVE_CFG)
+    assert forward_select(ev, 1).chosen in (set(), {1})
 
 
 def test_select_ds_reduces_to_plain_fs_on_separated_gradients():
     # plant perfectly task-separated cached gradients: clustering must recover
-    # the task partition, making ds-fs structurally identical to plain fs
+    # the task partition, making FS over the regrouped cache structurally
+    # identical to plain FS
     from gradsel.linearize import build_cache
     from gradsel.model import Sample
     from gradsel.project import identity_projector
@@ -414,23 +468,20 @@ def test_select_ds_reduces_to_plain_fs_on_separated_gradients():
         g[tid - 1] += 1.0
         cache.g_proj[i] = g
 
-    ds_report = select_ds(net, theta, proj, cache, corpus, n_groups=2,
-                          downstream="fs", solve_cfg=SOLVE_CFG, seed=5)
-    plain_report = forward_select(
-        estimator_evaluator(net, theta, proj, cache, corpus.target.val, SOLVE_CFG), 2
-    )
+    def fs(c):
+        return forward_select(estimator_evaluator(net, theta, proj, c, corpus.target.val, SOLVE_CFG), 2)
+
+    grouped = group_cache(cache, 2, seed=5)
+    # the groups are the tasks, up to relabeling
+    pairs = set(zip(cache.task_id.tolist(), grouped.task_id.tolist()))
+    assert len(pairs) == len(set(grouped.task_id.tolist())) == 3
+    ds_report, plain_report = fs(grouped), fs(cache)
     # group ids are an arbitrary relabeling of task ids, so compare the
     # multisets of evaluated scores and the chosen-set scores
     ds_scores = sorted(round(v, 10) for _, v in ds_report.trajectory)
     plain_scores = sorted(round(v, 10) for _, v in plain_report.trajectory)
     assert ds_scores == plain_scores
     assert len(ds_report.chosen) == len(plain_report.chosen)
-
-
-def test_select_ds_validates_downstream(gauss_net, theta_star, gauss_corpus, projector, cache):
-    with pytest.raises(ValueError):
-        select_ds(gauss_net, theta_star, projector, cache, gauss_corpus,
-                  n_groups=2, downstream="bogus", solve_cfg=SOLVE_CFG)
 
 
 def test_selection_report_roundtrip(tmp_path):
@@ -465,12 +516,11 @@ def test_load_report_rejects_malformed_lines(tmp_path, line):
         load_report(path)
 
 
-def test_select_ds_re_excludes_planted_noisy_groups(monkeypatch):
+def test_select_ds_re_excludes_planted_noisy_groups():
     # end-to-end data-selection check on a planted cache: six tight gradient
     # clusters, three of them with unfit entries whose fix direction damages
     # the target val entries; ds-re must drop the damaging groups
-    from gradsel import estimate as est
-    from gradsel.linearize import GradientCache, build_cache
+    from gradsel.linearize import GradientCache
     from gradsel.model import Sample
     from gradsel.project import identity_projector
     from gradsel.taskgen import Corpus, TaskDataset
@@ -534,19 +584,11 @@ def test_select_ds_re_excludes_planted_noisy_groups(monkeypatch):
 
     # the planted cache cannot be lifted to a network, so subsets are scored
     # on its planted target val entries
-    monkeypatch.setattr(
-        est, "estimate_f", lambda net, theta, projector, x, val: est.estimate_f_linearized(planted, x)
-    )
-    report = select_ds(
-        net, net.init_params(), proj, planted, corpus, n_groups=6, downstream="re",
-        solve_cfg=SOLVE_CFG, seed=4, m=120, alpha_frac=0.34,
-    )
-    assert report.method == "ds-re"
-    # map chosen group ids back to planted membership via the cluster run
-    from gradsel.taskgen import cluster_into_groups
-
-    groups = cluster_into_groups(planted.g_proj, 6, seed=4).group_of
+    grouped = group_cache(planted, 6, seed=4)
+    ev = estimator_evaluator(net, net.init_params(), proj, grouped, corpus.target.val, SOLVE_CFG, linearized=True)
+    report = ensemble_select(ev, 6, GRID, m=120, alpha_frac=0.34, seed=4)
+    # map chosen group ids back to planted membership
     planted_noisy = np.repeat([g in noisy_groups for g in range(6)], per_group)
-    chosen_mask = np.isin(groups + 1, list(report.chosen))
+    chosen_mask = np.isin(grouped.task_id, list(report.chosen))
     excluded = 1.0 - planted_noisy[chosen_mask].sum() / planted_noisy.sum()
     assert excluded >= 0.8

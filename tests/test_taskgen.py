@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradsel import taskgen
 from gradsel.taskgen import (
     Corpus,
-    GroupAssignment,
     TaskDataset,
     addition_output_digits,
     cluster_into_groups,
@@ -187,7 +187,8 @@ def test_cluster_recovers_planted_partition():
     b = np.r_[np.zeros(3), np.ones(3)]
     G = np.vstack([a + 0.05 * rng.standard_normal(6) for _ in range(20)]
                   + [b + 0.05 * rng.standard_normal(6) for _ in range(20)])
-    labels = cluster_into_groups(G, 2, seed=0).group_of
+    labels = cluster_into_groups(G, 2, seed=0)
+    assert labels.dtype == np.int64 and labels.shape == (40,)
     assert len(set(labels[:20])) == 1
     assert len(set(labels[20:])) == 1
     assert labels[0] != labels[-1]
@@ -196,31 +197,31 @@ def test_cluster_recovers_planted_partition():
 def test_cluster_singletons_when_groups_equal_samples():
     rng = np.random.default_rng(11)
     G = rng.standard_normal((6, 4))
-    assignment = cluster_into_groups(G, 6, seed=0)
-    assert sorted(assignment.group_of) == list(range(6))
+    assert sorted(cluster_into_groups(G, 6, seed=0)) == list(range(6))
 
 
 def test_cluster_duplicates_co_assigned():
     rng = np.random.default_rng(12)
     base = rng.standard_normal((4, 5))
     G = np.vstack([base, base])
-    labels = cluster_into_groups(G, 4, seed=0).group_of
+    labels = cluster_into_groups(G, 4, seed=0)
     assert np.array_equal(labels[:4], labels[4:])
 
 
 def test_cluster_determinism_and_errors():
     rng = np.random.default_rng(13)
     G = rng.standard_normal((10, 3))
-    a = cluster_into_groups(G, 3, seed=5).group_of
-    b = cluster_into_groups(G, 3, seed=5).group_of
+    a = cluster_into_groups(G, 3, seed=5)
+    b = cluster_into_groups(G, 3, seed=5)
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         cluster_into_groups(G, 11, seed=0)
 
 
-def test_group_assignment_rejects_empty_groups():
-    with pytest.raises(ValueError):
-        GroupAssignment(np.array([0, 0, 2, 2]), 3)
+def test_cluster_rejects_empty_groups(monkeypatch):
+    monkeypatch.setattr(taskgen, "_kmeans", lambda X, k, seed: np.array([0, 0, 2, 2]))
+    with pytest.raises(ValueError, match="group 1 is empty"):
+        cluster_into_groups(np.eye(4), 3, seed=0)
 
 
 def test_corpus_invariants():
