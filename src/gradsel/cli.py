@@ -355,7 +355,10 @@ def stage_meta_train(run: RunDir, cfg: dict[str, str]) -> None:
 def stage_cache(run: RunDir, cfg: dict[str, str]) -> None:
     corpus, net, theta = _load_trained(run, cfg)
     projector = Projector(p=net.param_count, d=int(cfg["project.d"]), seed=int(cfg["project.seed"]))
-    cache = build_cache(net, theta, corpus, projector)
+    try:
+        cache = build_cache(net, theta, corpus, projector)
+    except ValueError as e:
+        raise StageError(f"{e}: checkpoint.bin gives non-finite values, so cache.bin is not written") from None
     save_cache(run.path("cache"), cache)
     _record_config(run, cfg)
     print(f"cache: {cache.n_entries} train entries, wrote {run.path('cache')}")
@@ -409,7 +412,10 @@ def stage_select(run: RunDir, cfg: dict[str, str]) -> None:
     if oracle:
         evaluator = sel.oracle_evaluator(net, theta, corpus, ft_cfg)
     else:
-        scored = sel.group_cache(cache, n, int(cfg["select.seed"])) if grouped else cache
+        try:
+            scored = sel.group_cache(cache, n, int(cfg["select.seed"])) if grouped else cache
+        except ValueError as e:
+            raise StageError(f"{method} cannot split the cache's source rows into corpus.n groups: {e}") from None
         evaluator = sel.estimator_evaluator(net, theta, projector, scored, corpus.target.val, scfg)
     if method.endswith("fs"):
         report = sel.forward_select(evaluator, n)

@@ -75,27 +75,39 @@ class GradientCache:
         return h.hexdigest()
 
 
-def _entries(net: Network, theta: ParamVector, samples: list[Sample], projector: Projector):
+def _entries(net: Network, theta: ParamVector, samples: list[Sample], product, d: int):
     """(y, b, projected margin gradients) for a sample list, at theta.
 
-    Gradients are built and projected _CHUNK samples at a time, so at most
-    one (_CHUNK, p) gradient block is alive."""
+    product is net.margin_gradient_product(P) for the (p, d) projection P,
+    whose per-layer factors of P are built once per cache. It projects
+    _CHUNK samples at a time from each layer's (activation, delta) factors,
+    so no (N, p) gradient block is ever built; its largest intermediate is
+    _CHUNK * min(in, out) * d floats. The margins are taken per chunk too,
+    so no forward pass spans all samples."""
     X, labels = stack_samples(samples)
-    h = net.margins(theta, X, labels)
     y = 2.0 * labels - 1.0 if net.config.is_binary else np.ones(len(samples))
-    g = np.empty((len(samples), projector.d))
+    h = np.empty(len(samples))
+    g = np.empty((len(samples), d))
     for lo in range(0, len(samples), _CHUNK):
-        G = net.margin_gradients(theta, X[lo : lo + _CHUNK], labels[lo : lo + _CHUNK])
-        g[lo : lo + len(G)] = projector.project_many(G)
-        del G  # free this block before the next one is built
+        chunk = slice(lo, lo + _CHUNK)
+        h[chunk] = net.margins(theta, X[chunk], labels[chunk])
+        g[chunk] = product(theta, X[chunk], labels[chunk])
     return y, -y * h, g
+
+
+def _first_nonfinite(b: np.ndarray, g: np.ndarray) -> int | None:
+    """Index of the first entry whose b or gradient row is not finite."""
+    finite = np.isfinite(b) & np.isfinite(g).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
 
 
 def build_cache(
     net: Network, theta_star: ParamVector, corpus: Corpus, projector: Projector
 ) -> GradientCache:
     """Stage-1 cache: one entry per train sample of tasks 1..n and the target,
-    plus target-val entries for the linearized evaluator."""
+    plus target-val entries for the linearized evaluator. Raises ValueError
+    naming the first train or val entry whose b or projected gradient is not
+    finite, as load_cache does for a file."""
     if projector.p != net.param_count:
         raise ValueError(
             f"projector expects p={projector.p} but the model has {net.param_count} parameters"
@@ -104,8 +116,13 @@ def build_cache(
     refs = np.arange(len(train), dtype=np.int64)
     tids = np.array([s.task_id for s in train], dtype=np.int64)
 
-    y, b, g = _entries(net, theta_star, train, projector)
-    val_y, val_b, val_g = _entries(net, theta_star, corpus.target.val, projector)
+    product = net.margin_gradient_product(projector.dense)
+    y, b, g = _entries(net, theta_star, train, product, projector.d)
+    val_y, val_b, val_g = _entries(net, theta_star, corpus.target.val, product, projector.d)
+    for split, bs, gs in (("train", b, g), ("val", val_b, val_g)):
+        bad = _first_nonfinite(bs, gs)
+        if bad is not None:
+            raise ValueError(f"non-finite b or projected gradient in {split} entry {bad}")
 
     return GradientCache(
         sample_ref=refs,
@@ -129,13 +146,11 @@ def build_cache(
 # ---------------------------------------------------------------------------
 
 
-def _rrss_batch(net, theta_star, x, X, labels, G) -> np.ndarray:
-    """Per-sample (h_X - h_* - g^T (X - theta*))^2 / h_X^2, with G the full
-    margin gradients at theta* (one row per sample). NaN where |h_X| is below
-    the denominator guard; aggregates skip such samples."""
+def _rrss_batch(net, x, X, labels, h_star, lin) -> np.ndarray:
+    """Per-sample (h_X - h_* - lin)^2 / h_X^2, with h_* the margins at theta*
+    and lin the first-order term g^T (X - theta*), one per sample. NaN where
+    |h_X| is below the denominator guard; aggregates skip such samples."""
     h_x = net.margins(x, X, labels)
-    h_star = net.margins(theta_star, X, labels)
-    lin = G @ (x - theta_star)
     small = np.abs(h_x) < RRSS_DENOM_GUARD
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = (h_x - h_star - lin) ** 2 / h_x**2
@@ -167,6 +182,11 @@ def rrss_sweep(
     fine-tuned endpoints are supplied, then random unit directions fill up to
     n_directions. Every direction is rescaled so that ||X - theta*|| equals
     distance * ||theta*|| exactly.
+
+    theta*'s margins and the first-order terms g^T (X - theta*) are computed
+    once per sweep, the latter by Network.margin_gradient_product with the
+    (p, distances x directions) matrix of displacements as M, so no
+    per-sample gradient is built; each point X costs one forward pass.
     """
     if any(dist < 0 for dist in distances):
         raise ValueError("distances must be non-negative")
@@ -185,15 +205,22 @@ def rrss_sweep(
     directions = directions[:n_directions]
 
     X, labels = stack_samples(samples)
-    G = net.margin_gradients(theta_star, X, labels)
+    h_star = net.margins(theta_star, X, labels)
+    points = [theta_star + dist * norm_star * u for dist in distances for u in directions]
+    # g^T (X - theta*) at every point, from one product. The displacement is
+    # X - theta* as rounded, not dist * ||theta*|| * u: the two differ by
+    # about eps * ||theta*||, which moves RRSS at small distances by ~1e-11.
+    steps = np.empty((len(theta_star), len(points)))
+    for k, x in enumerate(points):
+        steps[:, k] = x - theta_star
+    lin = net.margin_gradient_product(steps)(theta_star, X, labels)
     rows = []
-    for dist in distances:
+    for i, dist in enumerate(distances):
         per_direction = []
         flagged = 0
         used = 0
-        for u in directions:
-            x = theta_star + dist * norm_star * u
-            vals = _rrss_batch(net, theta_star, x, X, labels, G)
+        for k in range(i * len(directions), (i + 1) * len(directions)):
+            vals = _rrss_batch(net, points[k], X, labels, h_star, lin[:, k])
             ok = vals[np.isfinite(vals)]
             flagged += int(np.size(vals) - ok.size)
             used += ok.size
@@ -268,9 +295,9 @@ def load_cache(path) -> GradientCache:
         raise ValueError(f"{path}: {len(data)} bytes, but its header describes {expected}")
     theta_digest = data[_PREAMBLE - 32 : _PREAMBLE].hex()
     records = np.frombuffer(data, dtype=_record_dtype(d), offset=_PREAMBLE)
-    finite = np.isfinite(records["b"]) & np.isfinite(records["g"]).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{path}: non-finite b or g in record {int(np.argmin(finite))}")
+    bad = _first_nonfinite(records["b"], records["g"])
+    if bad is not None:
+        raise ValueError(f"{path}: non-finite b or g in record {bad}")
     train, val = records[:n], records[n:]
 
     return GradientCache(

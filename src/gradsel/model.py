@@ -268,6 +268,23 @@ class Network:
         grad /= n
         return grad
 
+    def _margin_deltas(self, Z: np.ndarray, labels) -> np.ndarray:
+        """d margin / d logits, one (out,) row per sample: the output-layer
+        deltas that both margin-gradient paths backpropagate."""
+        cfg = self.config
+        n = len(Z)
+        if cfg.is_binary:
+            return np.ones((n, 1))
+        Zp, y = self._heads(Z, labels)
+        # d margin / d z_k: 1 at the labeled class, else minus the softmax
+        # restricted to the other classes. Bounded, so stable at any confidence.
+        at_label = y[..., None]
+        masked = Zp.copy()
+        np.put_along_axis(masked, at_label, -np.inf, axis=-1)
+        delta = -_softmax(masked)
+        np.put_along_axis(delta, at_label, 1.0, axis=-1)
+        return delta.reshape(n, -1) / cfg.num_positions
+
     def margin_gradients(self, params: ParamVector, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Exact per-sample margin gradients, one row per sample: (N, p).
 
@@ -275,29 +292,58 @@ class Network:
         per-sample weight gradient is the outer product of its output delta
         and its input activation, written straight into the result.
         Multi-position samples get the average of per-position margin
-        gradients.
+        gradients. The reference that margin_gradient_product is checked
+        against; no stage builds the (N, p) block.
         """
         layers, acts, Z = self._forward(params, X)
-        cfg = self.config
+        delta = self._margin_deltas(Z, labels)
         n = len(Z)
-        if cfg.is_binary:
-            delta = np.ones((n, 1))
-        else:
-            Zp, y = self._heads(Z, labels)
-            # d margin / d z_k: 1 at the labeled class, else minus the softmax
-            # restricted to the other classes. Bounded, so stable at any confidence.
-            at_label = y[..., None]
-            masked = Zp.copy()
-            np.put_along_axis(masked, at_label, -np.inf, axis=-1)
-            delta = -_softmax(masked)
-            np.put_along_axis(delta, at_label, 1.0, axis=-1)
-            delta = delta.reshape(n, -1) / cfg.num_positions
         out = np.empty((n, self.param_count))
         for i, d in self._layer_deltas(layers, acts, delta):
             w0, w1, b1 = self._offsets[i]
             np.multiply(d[:, :, None], acts[i][:, None, :], out=out[:, w0:w1].reshape(n, *self._shapes[i]))
             out[:, w1:b1] = d
         return out
+
+    def margin_gradient_product(self, M: np.ndarray):
+        """Return f(params, X, labels) = margin_gradients(params, X, labels) @ M
+        for a (p, k) matrix M, computed without the (N, p) gradient block.
+
+        Layer i's per-sample weight gradient is the outer product of its
+        output deltas d (N, out) and inputs a (N, in), so its part of the
+        product is sum_{o,j} d[n,o] a[n,j] M_i[o,j,:], with M_i the layer's
+        rows of M as (out, in, k). One gemm contracts the larger of in and
+        out with M_i, leaving an (N, min(in, out), k) intermediate; one
+        batched matvec against the other factor finishes it, and d @ M_bias
+        adds the bias rows. The per-layer factors are built here, once per M:
+        where in > out, M_i is reordered to (in, out * k), the only copy made;
+        otherwise it is a view of M.
+        """
+        M = np.asarray(M, dtype=np.float64)
+        if M.ndim != 2 or M.shape[0] != self.param_count:
+            raise DimensionMismatchError(f"expected a ({self.param_count}, k) matrix, got shape {M.shape}")
+        k = M.shape[1]
+        factors = []
+        for (dout, din), (w0, w1, b1) in zip(self._shapes, self._offsets):
+            Mi = M[w0:w1].reshape(dout, din, k)
+            if din > dout:
+                factors.append((True, np.ascontiguousarray(Mi.transpose(1, 0, 2)).reshape(din, dout * k), M[w1:b1]))
+            else:
+                factors.append((False, Mi.reshape(dout, din * k), M[w1:b1]))
+
+        def product(params: ParamVector, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
+            layers, acts, Z = self._forward(params, X)
+            delta = self._margin_deltas(Z, labels)
+            n = len(Z)
+            out = np.zeros((n, k))
+            for i, d in self._layer_deltas(layers, acts, delta):
+                in_first, F, M_bias = factors[i]
+                first, second = (acts[i], d) if in_first else (d, acts[i])
+                out += np.matmul(second[:, None, :], (first @ F).reshape(n, second.shape[1], k))[:, 0]
+                out += d @ M_bias
+            return out
+
+        return product
 
     def loss_gradient(self, params: ParamVector, X: np.ndarray, labels: np.ndarray) -> ParamVector:
         """Mean log-loss gradient over a batch."""

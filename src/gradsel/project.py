@@ -7,6 +7,11 @@ and kept for every later projection and lift; it takes p * d * 8 bytes (3.1 MB
 for the default Gaussian model, p=3,841, d=100; 31 MB for the noisy-addition
 model, p=38,706). Injected mode takes an explicit matrix and is meant for
 tests.
+
+The cache build reads P in place (`dense`) and hands it to
+Network.margin_gradient_product, which projects margin gradients layer by
+layer without building them; `project_many` is the reference it is checked
+against.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ class Projector:
         return -(-self.p // _BLOCK_ROWS)
 
     @cached_property
-    def _dense(self) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         """P as one read-only array, built block by block on first use.
 
         Cached on the instance, outside the dataclass fields, so equality and
@@ -71,22 +76,23 @@ class Projector:
         return P
 
     def project_many(self, G: np.ndarray) -> np.ndarray:
-        """P^T applied to the rows of G (m, p) -> (m, d)."""
+        """P^T applied to the rows of G (m, p) -> (m, d). A reference for
+        the fused product; no stage builds the full gradients G."""
         G = np.asarray(G, dtype=np.float64)
         if G.ndim != 2 or G.shape[1] != self.p:
             raise ValueError(f"expected (m, {self.p}) gradients, got {G.shape}")
-        return G @ self._dense
+        return G @ self.dense
 
     def lift(self, x_d: np.ndarray) -> np.ndarray:
         """P x_d: map a d-vector back to parameter space."""
         x_d = np.asarray(x_d, dtype=np.float64)
         if x_d.shape != (self.d,):
             raise ValueError(f"expected a length-{self.d} vector, got {x_d.shape}")
-        return self._dense @ x_d
+        return self.dense @ x_d
 
     def materialize(self) -> np.ndarray:
         """Dense copy of P, for oracle checks."""
-        return self._dense.copy()
+        return self.dense.copy()
 
 
 def identity_projector(p: int) -> Projector:

@@ -334,7 +334,7 @@ def cluster_into_groups(g_proj: np.ndarray, n_groups: int, seed: int) -> np.ndar
     if len(g_proj) == 0:
         raise ValueError("no gradients to cluster")
     if n_groups > len(g_proj):
-        raise ValueError("more groups than samples")
+        raise ValueError(f"{n_groups} groups but only {len(g_proj)} samples")
     G = np.array(g_proj, dtype=np.float64)
     norms = np.linalg.norm(G, axis=1, keepdims=True)
     norms[norms == 0] = 1.0

@@ -22,6 +22,8 @@ ALLOWED = {
     "project.identity_projector",  # exact d = p projection for exactness tests
     "project.Projector.materialize",  # dense P for checking project_many and lift
     "model.Network.sample_loss",  # one-sample loss for checking the batch losses
+    "model.Network.margin_gradients",  # full (N, p) gradients for checking margin_gradient_product
+    "project.Projector.project_many",  # P^T G for checking the projected cache rows
 }
 
 

@@ -14,6 +14,7 @@ from gradsel.cli import (
     resolve_config,
 )
 from gradsel.linearize import load_cache, save_cache
+from gradsel.trainer import load_checkpoint, save_checkpoint
 
 TINY = [
     "--corpus.n", "4",
@@ -421,6 +422,37 @@ def test_nonfinite_cache_fails_in_one_line(tiny_run, tmp_path, capsys, stage):
     assert len(lines) == 1
     assert lines[0].startswith(f"gradsel {stage[0]}: cache.bin: non-finite ")
     assert lines[0].endswith("re-run 'cache'")
+
+
+def test_nonfinite_checkpoint_fails_cache_in_one_line(tiny_run, tmp_path, capsys):
+    # a checkpoint whose digests still match but whose parameters hold a NaN:
+    # the cache stage stops before it writes cache.bin
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "checkpoint.bin"
+    params, config_dig, corpus_dig = load_checkpoint(path)
+    params[3] = np.nan
+    save_checkpoint(path, params, config_digest=config_dig, corpus_digest=corpus_dig)
+    (tmp_path / "cache.bin").unlink()
+    capsys.readouterr()
+    assert run(["cache", *TINY], tmp_path) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("gradsel cache: non-finite b or projected gradient in train entry 0")
+    assert not (tmp_path / "cache.bin").exists()
+
+
+@pytest.mark.parametrize("method", ["ds-fs", "ds-re"])
+def test_select_ds_with_more_groups_than_source_rows_fails_in_one_line(tiny_run, tmp_path, capsys, method):
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "selection.txt").unlink()
+    rows = int(np.count_nonzero(load_cache(tmp_path / "cache.bin").task_id != 0))
+    capsys.readouterr()
+    assert run(["select", *TINY, "--select.method", method, "--corpus.n", "100"], tmp_path) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"gradsel select: {method} cannot split the cache's source rows")
+    assert f"100 groups but only {rows} samples" in lines[0]
+    assert not (tmp_path / "selection.txt").exists()
 
 
 def test_report_rejects_unknown_selection_line(tiny_run, tmp_path, capsys):

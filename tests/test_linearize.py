@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,8 +40,10 @@ def _grad(net, params, sample):
 
 
 def _rrss(net, theta_star, x, samples):
+    """Per-sample RRSS at x, with the first-order term from the full gradients."""
     X, y = stack_samples(samples)
-    return _rrss_batch(net, theta_star, x, X, y, net.margin_gradients(theta_star, X, y))
+    lin = net.margin_gradients(theta_star, X, y) @ (x - theta_star)
+    return _rrss_batch(net, x, X, y, net.margins(theta_star, X, y), lin)
 
 
 def _multi_position_setup(n_train=6, seed=0):
@@ -115,6 +118,47 @@ def test_build_cache_matches_per_sample_reference(monkeypatch):
             assert np.max(np.abs(g_proj[i] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
             assert b[i] == pytest.approx(-net.margin(theta, s), abs=1e-12)
     assert np.all(cache.y == 1.0) and np.all(cache.val_y == 1.0)
+
+
+def test_build_cache_never_builds_a_gradient_block():
+    # a multi-position relu model with p = 36,196 and two 256-row chunks of
+    # train samples: projecting from the layer factors keeps the traced peak
+    # under a quarter of one (_CHUNK, p) float64 gradient block (74 MB)
+    net = Network(ModelConfig(input_dim=40, hidden_dims=(256,), activation="relu",
+                              num_classes=10, num_positions=10, seed=0))
+    assert net.param_count >= 30_000
+    rng = np.random.default_rng(0)
+
+    def task(tid, n_train):
+        samples = [Sample(rng.standard_normal(40), 0, tid, position_labels=tuple(rng.integers(10, size=10)))
+                   for _ in range(n_train + 20)]
+        return TaskDataset(tid, samples[:n_train], samples[n_train:])
+
+    corpus = Corpus([task(1, 200), task(2, 200)], task(0, 20), {"kind": "toy"})
+    assert len(corpus.all_train_samples()) > linearize._CHUNK
+    projector = Projector(p=net.param_count, d=20, seed=1)
+    projector.dense  # P is built before tracing starts
+    theta = net.init_params()
+    tracemalloc.start()
+    try:
+        cache = build_cache(net, theta, corpus, projector)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cache.g_proj.shape == (420, 20)
+    assert peak < linearize._CHUNK * net.param_count * 8 / 4
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_build_cache_rejects_non_finite_entries(split):
+    corpus = _mini_corpus(n_train=3)
+    samples = corpus.tasks[0].train if split == "train" else corpus.target.val
+    samples[1] = Sample(np.full(4, np.inf), 1, samples[1].task_id)
+    net = _linear_net()
+    with np.errstate(invalid="ignore"), pytest.raises(
+        ValueError, match=f"non-finite b or projected gradient in {split} entry 1$"
+    ):
+        build_cache(net, net.init_params(), corpus, Projector(p=net.param_count, d=3, seed=0))
 
 
 def test_projection_blocks_generated_once(monkeypatch):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradsel.model import (
     DimensionMismatchError,
@@ -11,6 +13,7 @@ from gradsel.model import (
     finite_difference_margin_gradient,
     stack_samples,
 )
+from gradsel.project import Projector
 
 
 def _grad(net, params, s):
@@ -283,3 +286,53 @@ def test_config_validation():
         ModelConfig(input_dim=3, hidden_dims=(4,), activation="gelu")
     with pytest.raises(ValueError):
         ModelConfig(input_dim=3, hidden_dims=(4,), num_classes=1)
+
+
+HEADS = [(2, 1), (3, 1), (10, 1), (4, 3)]  # binary, multi-class, multi-position
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    head=st.sampled_from(HEADS),
+    activation=st.sampled_from(["tanh", "relu"]),
+    input_dim=st.integers(1, 9),
+    hidden_dims=st.lists(st.integers(1, 12), min_size=1, max_size=2),
+    n=st.integers(1, 7),
+    m_kind=st.sampled_from(["gaussian", "injected", "directions"]),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+# one layer each way in one model: 8 -> 3 has in > out, 3 -> 6 has out >= in
+@example(head=(4, 3), activation="relu", input_dim=8, hidden_dims=[3, 6], n=5,
+         m_kind="gaussian", k=1, seed=0)
+@example(head=(2, 1), activation="tanh", input_dim=8, hidden_dims=[3, 6], n=5,
+         m_kind="directions", k=3, seed=1)
+def test_margin_gradient_product_matches_full_gradients(head, activation, input_dim, hidden_dims,
+                                                       n, m_kind, k, seed):
+    # the layer-factored product equals the (N, p) gradient block times M
+    num_classes, positions = head
+    net = Network(ModelConfig(input_dim=input_dim, hidden_dims=tuple(hidden_dims), activation=activation,
+                              num_classes=num_classes, num_positions=positions, seed=seed))
+    rng = np.random.default_rng(seed)
+    params = net.init_params() + 0.3 * rng.standard_normal(net.param_count)
+    X = rng.standard_normal((n, input_dim))
+    labels = rng.integers(num_classes, size=(n, positions) if positions > 1 else (n,))
+    p = net.param_count
+    if m_kind == "gaussian":
+        M = Projector(p=p, d=2 * k + 3, seed=seed).dense
+    elif m_kind == "injected":
+        M = Projector(p=p, d=k + 4, mode="injected", matrix=rng.standard_normal((p, k + 4))).dense
+    else:
+        M = rng.standard_normal((p, k))
+        M /= np.linalg.norm(M, axis=0)
+    ref = net.margin_gradients(params, X, labels) @ M
+    got = net.margin_gradient_product(M)(params, X, labels)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_margin_gradient_product_checks_matrix_shape():
+    net = Network(ModelConfig(input_dim=3, hidden_dims=(4,), seed=0))
+    for bad in (np.zeros(net.param_count), np.zeros((net.param_count + 1, 2))):
+        with pytest.raises(DimensionMismatchError):
+            net.margin_gradient_product(bad)

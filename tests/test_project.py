@@ -103,7 +103,7 @@ def test_stored_matrix_is_read_only():
     P = proj.materialize()
     P[0, 0] = 1e9  # the copy may be changed; the stored P may not
     with pytest.raises(ValueError):
-        proj._dense[0, 0] = 1e9
+        proj.dense[0, 0] = 1e9
     assert not np.array_equal(proj.materialize(), P)
 
 
