@@ -150,6 +150,8 @@ def exp_relerr(
     """Estimator fidelity against the oracle over m random subsets of half
     the tasks (one estimator solve each), plus the forward-pass cost of both
     routes."""
+    if m < 1:
+        raise ValueError("need at least one subset")
     rng = np.random.default_rng(seed)
     n = corpus.n_tasks
     size = max(1, round(n / 2))

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import bench, estimate as est, select as sel
+from . import artifact, bench, estimate as est, select as sel
 from .linearize import build_cache, load_cache, save_cache
 from .model import ModelConfig, Network
 from .project import Projector
@@ -259,7 +259,7 @@ class _Lock:
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
+        self._fd = os.open(self.path, os.O_CREAT | os.O_RDONLY, 0o644)
         try:
             fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
@@ -304,7 +304,8 @@ def _load_trained(run: RunDir, cfg: dict[str, str]):
 def _record_config(run: RunDir, cfg: dict[str, str]) -> None:
     """Keep config.txt in sync with the invocation that last wrote artifacts."""
     run.root.mkdir(parents=True, exist_ok=True)
-    run.path("config").write_text(f"# digest {config_digest(cfg)}\n" + config_text(cfg))
+    text = f"# digest {config_digest(cfg)}\n" + config_text(cfg)
+    artifact.write_atomic(run.path("config"), text.encode())
 
 
 def stage_gen(run: RunDir, cfg: dict[str, str]) -> None:
@@ -355,10 +356,7 @@ def stage_meta_train(run: RunDir, cfg: dict[str, str]) -> None:
 def stage_cache(run: RunDir, cfg: dict[str, str]) -> None:
     corpus, net, theta = _load_trained(run, cfg)
     projector = Projector(p=net.param_count, d=int(cfg["project.d"]), seed=int(cfg["project.seed"]))
-    try:
-        cache = build_cache(net, theta, corpus, projector)
-    except ValueError as e:
-        raise StageError(f"{e}: checkpoint.bin gives non-finite values, so cache.bin is not written") from None
+    cache = build_cache(net, theta, corpus, projector)
     save_cache(run.path("cache"), cache)
     _record_config(run, cfg)
     print(f"cache: {cache.n_entries} train entries, wrote {run.path('cache')}")
@@ -495,8 +493,8 @@ def stage_bench(run: RunDir, cfg: dict[str, str], experiments: list[str]) -> Non
     out.mkdir(exist_ok=True)
     for r in reports:
         for table_name, lines in bench.report_to_csv_lines(r).items():
-            (out / f"{table_name}.csv").write_text("\n".join(lines) + "\n")
-    (out / "summary.txt").write_text(bench.summarize(reports))
+            artifact.write_atomic(out / f"{table_name}.csv", ("\n".join(lines) + "\n").encode())
+    artifact.write_atomic(out / "summary.txt", bench.summarize(reports).encode())
     _record_config(run, cfg)
     print(f"bench: wrote {len(reports)} experiment(s) under {out}")
 
@@ -518,7 +516,7 @@ def stage_report(run: RunDir, cfg: dict[str, str]) -> None:
     out = run.root / "report"
     out.mkdir(exist_ok=True)
     text = "\n".join(pieces) + "\n"
-    (out / "summary.txt").write_text(text)
+    artifact.write_atomic(out / "summary.txt", text.encode())
     print(text, end="")
 
 
@@ -600,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
                 stage_bench(run, cfg, args.exp or ["rrss"])
             elif args.command == "report":
                 stage_report(run, cfg)
-    except StageError as e:
+    except (StageError, ValueError) as e:  # ValueError: an input the program's checks reject
         print(f"gradsel {args.command}: {e}", file=sys.stderr)
         return 2
     return 0

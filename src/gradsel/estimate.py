@@ -16,10 +16,12 @@ solve beyond it may stop unconverged, and is flagged as such.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifact
 from .linearize import GradientCache
 from .model import Network, ParamVector, Sample, _sigmoid
 from .project import Projector
@@ -180,15 +182,16 @@ LEDGER_FIELDS = ("subset", "f_hat", "solver_iters", "flags")
 
 def write_ledger(path, results: list[EstimateResult]) -> None:
     """Write estimate rows to a CSV ledger under its header."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(LEDGER_FIELDS)
-        for r in results:
-            writer.writerow(
-                [
-                    ";".join(str(t) for t in sorted(r.subset)),
-                    f"{r.f_hat:.12g}",
-                    r.solver_iters,
-                    "" if r.converged else "max_iters",
-                ]
-            )
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(LEDGER_FIELDS)
+    for r in results:
+        writer.writerow(
+            [
+                ";".join(str(t) for t in sorted(r.subset)),
+                f"{r.f_hat:.12g}",
+                r.solver_iters,
+                "" if r.converged else "max_iters",
+            ]
+        )
+    artifact.write_atomic(path, out.getvalue().encode())

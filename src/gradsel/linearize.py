@@ -6,18 +6,18 @@ P^T grad h(s, y), both evaluated at theta*. Multi-class and multi-position
 samples are reduced to the binary form through the logistic-margin transform,
 so their effective sign is +1. The relative residual sum of squares (RRSS)
 quantifies how far a true margin at X is from its first-order prediction.
+The cache is saved as an artifact.py container of fixed-width records.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import artifact
 from .model import Network, ParamVector, Sample, stack_samples
 from .project import GENERATOR_VERSION, Projector
 from .taskgen import TARGET_TASK_ID, Corpus
@@ -190,6 +190,8 @@ def rrss_sweep(
     """
     if any(dist < 0 for dist in distances):
         raise ValueError("distances must be non-negative")
+    if n_directions < 1:
+        raise ValueError("need at least one direction")
     rng = np.random.default_rng(seed)
     norm_star = np.linalg.norm(theta_star)
 
@@ -240,13 +242,9 @@ def rrss_sweep(
 
 
 # ---------------------------------------------------------------------------
-# Cache file: fixed-width records under a versioned header
+# Cache artifact: sizes, seeds and the theta* digest in the container header,
+# then one fixed-width record per entry
 # ---------------------------------------------------------------------------
-
-CACHE_MAGIC = b"GSCA"
-CACHE_VERSION = 1
-_HEADER = struct.Struct("<IQIQQqI")
-_PREAMBLE = len(CACHE_MAGIC) + _HEADER.size + 32  # magic, header, theta* digest
 
 
 def _record_dtype(d: int) -> np.dtype:
@@ -267,37 +265,31 @@ def save_cache(path, cache: GradientCache) -> None:
     records["y"] = np.concatenate([cache.y, cache.val_y])
     records["b"] = np.concatenate([cache.b, cache.val_b])
     records["g"] = np.concatenate([cache.g_proj, cache.val_g_proj])
-    header = _HEADER.pack(
-        CACHE_VERSION, cache.p, cache.d, n, cache.n_val_entries, cache.projector_seed, GENERATOR_VERSION
-    )
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC + header + bytes.fromhex(cache.theta_star_digest))
-        f.write(records.tobytes())
+    header = {
+        "p": cache.p,
+        "d": cache.d,
+        "n_train": n,
+        "projector_seed": cache.projector_seed,
+        "generator_version": GENERATOR_VERSION,
+        "theta_star_digest": cache.theta_star_digest,
+    }
+    artifact.write(path, "cache", 1, header, records.tobytes())
 
 
 def load_cache(path) -> GradientCache:
-    """Read a cache file; raises ValueError naming the file when it is not a
-    cache of this version, its length does not match its header, or a
-    record holds a non-finite b or gradient value (the sign y is an integer
-    and always finite). The solver then never has to check its inputs."""
-    data = Path(path).read_bytes()
-    if data[:4] != CACHE_MAGIC:
-        raise ValueError(f"{path}: not a gradient cache file")
-    if len(data) < _PREAMBLE:
-        raise ValueError(f"{path}: truncated header ({len(data)} bytes)")
-    version, p, d, n, n_val, proj_seed, proj_version = _HEADER.unpack_from(data, 4)
-    if version != CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported cache version {version}")
-    if proj_version != GENERATOR_VERSION:
+    """Read a cache artifact; raises ValueError naming the file when it is
+    not a cache container, its projector generator differs from this
+    program's, or a record holds a non-finite b or gradient value (the sign
+    y is an integer and always finite). The solver then never has to check
+    its inputs."""
+    header, body = artifact.read(path, "cache", 1)
+    if header["generator_version"] != GENERATOR_VERSION:
         raise ValueError(f"{path}: projector generator version mismatch")
-    expected = _PREAMBLE + (n + n_val) * (16 + 4 * d)
-    if d < 1 or len(data) != expected:
-        raise ValueError(f"{path}: {len(data)} bytes, but its header describes {expected}")
-    theta_digest = data[_PREAMBLE - 32 : _PREAMBLE].hex()
-    records = np.frombuffer(data, dtype=_record_dtype(d), offset=_PREAMBLE)
+    records = np.frombuffer(body, dtype=_record_dtype(header["d"]))
     bad = _first_nonfinite(records["b"], records["g"])
     if bad is not None:
         raise ValueError(f"{path}: non-finite b or g in record {bad}")
+    n = header["n_train"]
     train, val = records[:n], records[n:]
 
     return GradientCache(
@@ -309,9 +301,9 @@ def load_cache(path) -> GradientCache:
         val_y=val["y"].astype(np.float64),
         val_b=val["b"].astype(np.float64),
         val_g_proj=val["g"].astype(np.float64),
-        p=int(p),
-        d=int(d),
-        theta_star_digest=theta_digest,
-        projector_seed=int(proj_seed),
+        p=header["p"],
+        d=header["d"],
+        theta_star_digest=header["theta_star_digest"],
+        projector_seed=header["projector_seed"],
         projector_mode="gaussian",
     )

@@ -7,6 +7,7 @@ estimator or the true fine-tuning oracle behind the same scoring call, so the
 selection logic depends only on the returned scores. Data selection is no
 third driver: group_cache relabels the cached source rows by gradient
 cluster, and FS or RE then select groups of samples as they select tasks.
+A report is saved as a selection artifact (see artifact.py).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import artifact
 from . import estimate as est
 from .linearize import GradientCache
 from .model import Network, ParamVector
@@ -165,11 +167,7 @@ def forward_select(evaluator: Evaluator, n: int) -> SelectionReport:
 
 
 def random_ensemble(
-    evaluator: Evaluator,
-    n: int,
-    m: int = 1000,
-    alpha_frac: float = 0.75,
-    seed: int = 0,
+    evaluator: Evaluator, n: int, m: int, alpha_frac: float, seed: int
 ) -> list[tuple[frozenset[int], float]]:
     """Score m random subsets of size round(alpha_frac * n), sampled without
     replacement within each subset. Deterministic given seed."""
@@ -243,6 +241,8 @@ def ensemble_select(
 ) -> SelectionReport:
     """Random-ensemble selection: score subsets, build T, then threshold by
     grid cross-validation."""
+    if not grid:
+        raise ValueError("the fraction grid is empty")
     scores = random_ensemble(evaluator, n, m=m, alpha_frac=alpha_frac, seed=seed)
     T = compute_T(scores, n)
     return SelectionReport(
@@ -265,13 +265,12 @@ def group_cache(cache: GradientCache, n_groups: int, seed: int) -> GradientCache
 
 
 # ---------------------------------------------------------------------------
-# Report serialization
+# Selection artifact: one report line per fact under the container header
 # ---------------------------------------------------------------------------
 
 
-def serialize_report(report: SelectionReport, digests: dict[str, str] | None = None) -> str:
-    lines = ["gradsel-selection v1"]
-    lines.append(f"method {report.method}")
+def save_report(path, report: SelectionReport, digests: dict[str, str] | None = None) -> None:
+    lines = [f"method {report.method}"]
     lines.append("chosen " + " ".join(str(t) for t in sorted(report.chosen)))
     lines.append(f"rounds {report.rounds_run}")
     for subset, score in report.trajectory:
@@ -284,57 +283,50 @@ def serialize_report(report: SelectionReport, digests: dict[str, str] | None = N
         lines.append(f"budget {key} {value}")
     for key, value in (digests or {}).items():
         lines.append(f"digest {key} {value}")
-    return "\n".join(lines) + "\n"
-
-
-def save_report(path, report: SelectionReport, digests: dict[str, str] | None = None) -> None:
-    with open(path, "w") as f:
-        f.write(serialize_report(report, digests))
+    artifact.write(path, "selection", 1, {}, ("\n".join(lines) + "\n").encode())
 
 
 _REPORT_KINDS = ("method", "chosen", "rounds", "eval", "T", "budget", "digest")
 
 
 def load_report(path) -> SelectionReport:
-    """Read a selection report; raises ValueError naming the file when it is
-    not a report, a line is malformed or a line is of unknown kind."""
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "gradsel-selection v1":
-            raise ValueError(f"{path}: not a selection report")
-        method = ""
-        chosen: set[int] = set()
-        rounds = 0
-        trajectory = []
-        t_pairs = []
-        budget: dict[str, int] = {}
-        for lineno, line in enumerate(f, 2):
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] not in _REPORT_KINDS:
-                raise ValueError(f"{path}: line {lineno}: unknown line kind {parts[0]!r}")
-            try:
-                if parts[0] == "method":
-                    method = parts[1]
-                elif parts[0] == "chosen":
-                    chosen = {int(t) for t in parts[1:]}
-                elif parts[0] == "rounds":
-                    rounds = int(parts[1])
-                elif parts[0] == "eval":
-                    ids = frozenset() if parts[1] == "-" else frozenset(int(t) for t in parts[1].split(","))
-                    trajectory.append((ids, float(parts[2])))
-                elif parts[0] == "T":
-                    task = int(parts[1])
-                    if task < 1:
-                        raise ValueError("task ids start at 1")
-                    t_pairs.append((task, float(parts[2])))
-                elif parts[0] == "budget":
-                    budget[parts[1]] = int(parts[2])
-                elif parts[0] == "digest" and len(parts) != 3:  # digest <artifact> <sha256>
-                    raise ValueError
-            except (IndexError, ValueError):
-                raise ValueError(f"{path}: line {lineno}: malformed {parts[0]!r} line") from None
+    """Read a selection artifact; raises ValueError naming the file when it
+    is not a selection container, a line is malformed or a line is of
+    unknown kind."""
+    _, body = artifact.read(path, "selection", 1)
+    method = ""
+    chosen: set[int] = set()
+    rounds = 0
+    trajectory = []
+    t_pairs = []
+    budget: dict[str, int] = {}
+    for lineno, line in enumerate(body.decode().splitlines(), 2):
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] not in _REPORT_KINDS:
+            raise ValueError(f"{path}: line {lineno}: unknown line kind {parts[0]!r}")
+        try:
+            if parts[0] == "method":
+                method = parts[1]
+            elif parts[0] == "chosen":
+                chosen = {int(t) for t in parts[1:]}
+            elif parts[0] == "rounds":
+                rounds = int(parts[1])
+            elif parts[0] == "eval":
+                ids = frozenset() if parts[1] == "-" else frozenset(int(t) for t in parts[1].split(","))
+                trajectory.append((ids, float(parts[2])))
+            elif parts[0] == "T":
+                task = int(parts[1])
+                if task < 1:
+                    raise ValueError("task ids start at 1")
+                t_pairs.append((task, float(parts[2])))
+            elif parts[0] == "budget":
+                budget[parts[1]] = int(parts[2])
+            elif parts[0] == "digest" and len(parts) != 3:  # digest <artifact> <sha256>
+                raise ValueError
+        except (IndexError, ValueError):
+            raise ValueError(f"{path}: line {lineno}: malformed {parts[0]!r} line") from None
     t_scores = None
     if t_pairs:
         t_scores = np.zeros(max(i for i, _ in t_pairs))

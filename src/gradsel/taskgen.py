@@ -3,7 +3,9 @@
 Two generators: a Gaussian multitask family with planted helpful/harmful
 source tasks, and a digit-addition family with planted clean/noisy groups.
 Plus k-means clustering of cached gradients, which partitions samples into
-the groups that data selection selects among.
+the groups that data selection selects among, and the corpus artifact: an
+artifact.py container whose header holds the meta and whose body holds one
+sample per line.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifact
 from .model import Sample
 
 TARGET_TASK_ID = 0
@@ -76,7 +79,7 @@ class Corpus:
         return out
 
     def digest(self) -> str:
-        return hashlib.sha256(serialize_corpus(self).encode()).hexdigest()
+        return hashlib.sha256(serialize_corpus(self)).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +336,8 @@ def cluster_into_groups(g_proj: np.ndarray, n_groups: int, seed: int) -> np.ndar
     Deterministic given seed."""
     if len(g_proj) == 0:
         raise ValueError("no gradients to cluster")
+    if n_groups < 1:
+        raise ValueError(f"{n_groups} groups: need at least one")
     if n_groups > len(g_proj):
         raise ValueError(f"{n_groups} groups but only {len(g_proj)} samples")
     G = np.array(g_proj, dtype=np.float64)
@@ -347,76 +352,53 @@ def cluster_into_groups(g_proj: np.ndarray, n_groups: int, seed: int) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Corpus text format
+# Corpus artifact: the input dimension and meta in the container header, then
+# one sample per line
 # ---------------------------------------------------------------------------
 
-CORPUS_FORMAT_VERSION = 1
 
-
-def _write_split(out, task_id: int, split: str, samples: list[Sample], encoding: str):
+def _write_split(out, task_id: int, split: str, samples: list[Sample], onehot: bool):
     for s in samples:
         if s.position_labels is not None:
             label = ",".join(str(v) for v in s.position_labels)
         else:
             label = str(s.label)
-        if encoding == "onehot":
+        if onehot:
             feats = ",".join(str(i) for i in np.flatnonzero(s.features))
         else:
             feats = ",".join(float(v).hex() for v in s.features)
         out.write(f"{task_id} {split} {label} {feats}\n")
 
 
-def serialize_corpus(corpus: Corpus) -> str:
-    """Line-oriented text form: a versioned header, then one sample per line."""
-    encoding = "onehot" if corpus.meta.get("kind") == "addition" else "dense"
-    meta_items = " ".join(
-        f"{k}={_meta_str(v)}" for k, v in sorted(corpus.meta.items())
-    )
+def serialize_corpus(corpus: Corpus) -> bytes:
+    """The corpus artifact's bytes; Corpus.digest hashes them."""
     out = io.StringIO()
-    out.write(f"gradsel-corpus v{CORPUS_FORMAT_VERSION} encoding={encoding} {meta_items}\n")
-    dim = corpus.input_dim
-    out.write(f"dim {dim}\n")
+    onehot = corpus.meta.get("kind") == "addition"  # lines list the set indices
     for t in [corpus.target, *corpus.tasks]:
-        _write_split(out, t.task_id, "train", t.train, encoding)
-        _write_split(out, t.task_id, "val", t.val, encoding)
-    return out.getvalue()
-
-
-def _meta_str(v) -> str:
-    if isinstance(v, list):
-        return ";".join(str(x) for x in v)
-    return str(v)
+        _write_split(out, t.task_id, "train", t.train, onehot)
+        _write_split(out, t.task_id, "val", t.val, onehot)
+    header = {"dim": corpus.input_dim, "meta": corpus.meta}
+    return artifact.encode("corpus", 1, header, out.getvalue().encode())
 
 
 def save_corpus(path, corpus: Corpus) -> None:
-    with open(path, "w") as f:
-        f.write(serialize_corpus(corpus))
+    artifact.write_atomic(path, serialize_corpus(corpus))
 
 
 def load_corpus(path) -> Corpus:
-    """Read a corpus file; raises ValueError naming the file when it is not a
-    corpus of this version or a line is malformed."""
-    with open(path) as f:
-        header = f.readline().split()
-        if len(header) < 2 or header[0] != "gradsel-corpus":
-            raise ValueError(f"{path}: not a corpus file")
-        if header[1] != f"v{CORPUS_FORMAT_VERSION}":
-            raise ValueError(f"{path}: unsupported corpus format {header[1]}")
-        fields = dict(kv.split("=", 1) for kv in header[2:])
-        encoding = fields.pop("encoding", None)
-        dim_line = f.readline().split()
-        if encoding not in ("onehot", "dense") or len(dim_line) != 2 or dim_line[0] != "dim":
-            raise ValueError(f"{path}: malformed header")
-        dim = int(dim_line[1])
-        buckets: dict[tuple[int, str], list[Sample]] = {}
-        for lineno, line in enumerate(f, 3):
-            try:
-                tid, split, sample = _parse_sample(line, dim, encoding)
-            except (ValueError, IndexError) as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
-            buckets.setdefault((tid, split), []).append(sample)
+    """Read a corpus artifact; raises ValueError naming the file when it is
+    not a corpus container or a sample line is malformed."""
+    header, body = artifact.read(path, "corpus", 1)
+    dim, meta = header["dim"], header["meta"]
+    onehot = meta.get("kind") == "addition"
+    buckets: dict[tuple[int, str], list[Sample]] = {}
+    for lineno, line in enumerate(body.decode().splitlines(), 2):
+        try:
+            tid, split, sample = _parse_sample(line, dim, onehot)
+        except (ValueError, IndexError) as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
+        buckets.setdefault((tid, split), []).append(sample)
 
-    meta = _parse_meta(fields)
     ids = sorted({tid for tid, _ in buckets} - {TARGET_TASK_ID})
     tasks = [
         TaskDataset(tid, buckets.get((tid, "train"), []), buckets.get((tid, "val"), []))
@@ -428,10 +410,10 @@ def load_corpus(path) -> Corpus:
     return Corpus(tasks, target, meta)
 
 
-def _parse_sample(line: str, dim: int, encoding: str) -> tuple[int, str, Sample]:
+def _parse_sample(line: str, dim: int, onehot: bool) -> tuple[int, str, Sample]:
     tid_s, split, label_s, feats_s = line.split()
     tid = int(tid_s)
-    if encoding == "onehot":
+    if onehot:
         x = np.zeros(dim)
         x[[int(i) for i in feats_s.split(",")]] = 1.0
     else:
@@ -442,23 +424,3 @@ def _parse_sample(line: str, dim: int, encoding: str) -> tuple[int, str, Sample]
         pos = tuple(int(v) for v in label_s.split(","))
         return tid, split, Sample(x, pos[0], tid, position_labels=pos)
     return tid, split, Sample(x, int(label_s), tid)
-
-
-def _parse_meta(fields: dict[str, str]) -> dict:
-    meta: dict = {}
-    for k, v in fields.items():
-        if k in ("kind",):
-            meta[k] = v
-        elif k.endswith("_ids"):
-            meta[k] = [int(x) for x in v.split(";")] if v else []
-        elif k.endswith("_direction"):
-            meta[k] = [float(x) for x in v.split(";")] if v else []
-        else:
-            try:
-                meta[k] = int(v)
-            except ValueError:
-                try:
-                    meta[k] = float(v)
-                except ValueError:
-                    meta[k] = v
-    return meta

@@ -3,17 +3,18 @@
 Fine-tuning runs mini-batch SGD or Adam with patience-based early stopping on
 a validation set, returning the parameters of the best epoch. The oracle value
 of a task subset S is the target validation loss after fine-tuning on the
-combined data of S plus the target's train split.
+combined data of S plus the target's train split. The meta-trained
+parameters are saved as a checkpoint artifact (see artifact.py).
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifact
 from .model import Network, ParamVector, Sample, stack_samples
 from .taskgen import Corpus
 
@@ -192,44 +193,23 @@ def true_f(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint file: magic, version, p, digests, then float64 little-endian
+# Checkpoint artifact: the config and corpus digests in the container header,
+# then the parameters as little-endian float64
 # ---------------------------------------------------------------------------
-
-CHECKPOINT_MAGIC = b"GSCP"
-CHECKPOINT_VERSION = 1
-_CHECKPOINT_HEAD = 80  # magic, version, p, config digest, corpus digest
 
 
 def param_digest(params: ParamVector) -> str:
     return hashlib.sha256(np.ascontiguousarray(params, dtype="<f8").tobytes()).hexdigest()
 
 
-def save_checkpoint(path, params: ParamVector, config_digest: str = "", corpus_digest: str = "") -> None:
-    arr = np.ascontiguousarray(params, dtype="<f8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<IQ", CHECKPOINT_VERSION, arr.shape[0]))
-        f.write(bytes.fromhex(config_digest or "0" * 64))
-        f.write(bytes.fromhex(corpus_digest or "0" * 64))
-        f.write(arr.tobytes())
+def save_checkpoint(path, params: ParamVector, config_digest: str, corpus_digest: str) -> None:
+    header = {"config_digest": config_digest, "corpus_digest": corpus_digest}
+    artifact.write(path, "checkpoint", 1, header, np.ascontiguousarray(params, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[ParamVector, str, str]:
-    """Returns (params, config_digest, corpus_digest). Raises ValueError when
-    the file is not a checkpoint or its length does not match its header."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    if len(data) < _CHECKPOINT_HEAD:
-        raise ValueError(f"{path}: truncated header ({len(data)} bytes)")
-    version, p = struct.unpack_from("<IQ", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    expected = _CHECKPOINT_HEAD + 8 * p
-    if len(data) != expected:
-        raise ValueError(f"{path}: {len(data)} bytes, but its header describes {expected}")
-    config_digest = data[16:48].hex()
-    corpus_digest = data[48:80].hex()
-    params = np.frombuffer(data, dtype="<f8", offset=_CHECKPOINT_HEAD).copy()
-    return params, config_digest, corpus_digest
+    """Returns (params, config_digest, corpus_digest). Raises ValueError
+    naming the file when it is not a checkpoint container."""
+    header, body = artifact.read(path, "checkpoint", 1)
+    params = np.frombuffer(body, dtype="<f8").copy()
+    return params, header["config_digest"], header["corpus_digest"]

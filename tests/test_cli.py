@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+import gradsel.artifact
 from gradsel.cli import (
     DEFAULT_CONFIG,
     StageError,
@@ -105,7 +106,7 @@ def test_pipeline_end_to_end(tmp_path, capsys):
 
     assert run(["select", *TINY], tmp_path) == 0
     report = (tmp_path / "selection.txt").read_text()
-    assert report.startswith("gradsel-selection v1")
+    assert report.startswith("gradsel selection v1 ")
     assert "budget fine_tune_runs 0" in report
 
     assert run(["report", *TINY], tmp_path) == 0
@@ -347,11 +348,18 @@ def tiny_run(tmp_path_factory):
     return root
 
 
+def _flip_middle_byte(data):
+    data = bytearray(data)
+    data[len(data) // 2] ^= 1
+    return bytes(data)
+
+
 DAMAGE = {
     "cut_to_10_bytes": lambda data: data[:10],
     "cut_in_half": lambda data: data[: len(data) // 2],
     "drop_last_byte": lambda data: data[:-1],
     "append_3_bytes": lambda data: data + b"xyz",
+    "flip_middle_byte": _flip_middle_byte,
 }
 
 
@@ -368,20 +376,34 @@ DAMAGE = {
 def test_damaged_artifact_fails_in_one_line(tiny_run, tmp_path, capsys, artifact, stage, binary, damage):
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
     path = tmp_path / artifact
-    path.write_bytes(DAMAGE[damage](path.read_bytes()))
+    data = path.read_bytes()
+    if not binary:  # a text artifact stays text, its checksum on its own last line
+        assert data.decode().splitlines()[-1].startswith("sha256 ")
+    path.write_bytes(DAMAGE[damage](data))
     capsys.readouterr()
-    code = run([stage, *TINY], tmp_path)
-    err = capsys.readouterr().err
-    if binary:
-        assert code == 2
-    else:
-        assert code in (0, 2)
-    if code == 2:
-        lines = err.splitlines()
-        assert len(lines) == 1, err
-        assert lines[0].startswith(f"gradsel {stage}: ")
-        if binary:
-            assert lines[0].startswith(f"gradsel {stage}: {artifact}: ")
+    assert run([stage, *TINY], tmp_path) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"gradsel {stage}: {artifact}: ")
+
+
+def test_cache_cut_at_any_record_boundary_fails_in_one_line(tiny_run, tmp_path, capsys):
+    # every prefix that ends between records, from the bare header line to
+    # the last record without its checksum line
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "cache.bin"
+    data = path.read_bytes()
+    cache = load_cache(path)
+    start = data.index(b"\n") + 1
+    size = 16 + 4 * cache.d
+    n_records = cache.n_entries + cache.n_val_entries
+    assert len(data) == start + n_records * size + len(b"sha256 \n") + 64
+    for k in range(n_records + 1):
+        path.write_bytes(data[: start + k * size])
+        capsys.readouterr()
+        assert run(["select", *TINY], tmp_path) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["gradsel select: cache.bin: checksum mismatch (damaged or not a gradsel artifact); re-run 'cache'"]
 
 
 def _budget(path):
@@ -458,7 +480,8 @@ def test_select_ds_with_more_groups_than_source_rows_fails_in_one_line(tiny_run,
 def test_report_rejects_unknown_selection_line(tiny_run, tmp_path, capsys):
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "selection.txt"
-    path.write_text(path.read_text() + "xyz\n")
+    header, body = gradsel.artifact.read(path, "selection", 1)
+    gradsel.artifact.write(path, "selection", 1, header, body + b"xyz\n")
     capsys.readouterr()
     assert run(["report", *TINY], tmp_path) == 2
     lines = capsys.readouterr().err.splitlines()
@@ -500,6 +523,18 @@ def test_select_fraction_grid_applies_to_every_re(tiny_run, tmp_path, method):
         # the oracle fine-tunes on tasks; it cannot score clusters of samples
         (["select", "--select.method", "ds-fs", "--select.evaluator", "oracle"], "the oracle cannot score ds-fs"),
         (["select", "--select.method", "ds-re", "--select.evaluator", "oracle"], "the oracle cannot score ds-re"),
+        # values the program's own checks reject, each one line like the rest
+        (["estimate", "--subset", "1,x"], "invalid literal for int()"),
+        (["select", "--select.method", "re", "--select.m", "0"], "m must be >= 1"),
+        (["select", "--select.method", "re", "--select.alpha", "0"], "alpha_frac must be in (0, 1]"),
+        (["select", "--select.method", "re", "--select.fraction_grid", ","], "the fraction grid is empty"),
+        (["bench", "--exp", "relerr", "--bench.relerr_subsets", "0"], "need at least one subset"),
+        (["bench", "--exp", "rrss", "--bench.rrss_distances", "-1"], "distances must be non-negative"),
+        (["bench", "--exp", "rrss", "--bench.rrss_directions", "0"], "need at least one direction"),
+        (["cache", "--project.d", "0"], "p and d must be positive"),
+        (["gen", "--corpus.n", "1"], "need at least 2 source tasks"),
+        (["gen", "--corpus.kind", "addition", "--corpus.n_clean", "50"], "n_clean must not exceed n_groups"),
+        (["select", "--select.method", "ds-fs", "--corpus.n", "0"], "ds-fs cannot split the cache's source rows"),
     ],
 )
 def test_bad_config_value_fails_in_one_line(tiny_run, tmp_path, capsys, argv, message):

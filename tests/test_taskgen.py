@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradsel import taskgen
+from gradsel import artifact, taskgen
 from gradsel.taskgen import (
     Corpus,
     TaskDataset,
@@ -170,6 +172,26 @@ def test_corpus_roundtrip_addition(tmp_path):
     assert np.array_equal(s_a.features, s_b.features)
     assert s_a.position_labels == s_b.position_labels
     assert serialize_corpus(back) == serialize_corpus(c)
+
+
+def test_corpus_meta_keeps_its_types(tmp_path):
+    c = gen_multitask_gaussian(3, 10, 4, 0.5, 135.0, 0.1, seed=6)
+    path = tmp_path / "corpus.txt"
+    save_corpus(path, c)
+    assert load_corpus(path).meta == c.meta
+    assert c.digest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_bad_sample_line_is_named_by_its_file_line(tmp_path):
+    path = tmp_path / "corpus.txt"
+    save_corpus(path, gen_noisy_addition(3, 2, 4, 10, seed=6))
+    header, body = artifact.read(path, "corpus", 1)
+    lines = body.decode().splitlines()
+    lines[2] = "0 train 1,2 x"
+    artifact.write(path, "corpus", 1, header, ("\n".join(lines) + "\n").encode())
+    assert path.read_text().splitlines()[3] == "0 train 1,2 x"  # file line 4
+    with pytest.raises(ValueError, match=f"{path.name}: line 4: "):
+        load_corpus(path)
 
 
 def test_load_rejects_wrong_header(tmp_path):
