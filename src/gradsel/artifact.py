@@ -47,9 +47,10 @@ def write(path, kind: str, version: int, header: dict, body: bytes) -> None:
     write_atomic(path, encode(kind, version, header, body))
 
 
-def read(path, kind: str, version: int) -> tuple[dict, bytes]:
-    """(header, body) of a container. Raises ValueError naming the file when
-    the checksum does not match or the file holds another kind or version."""
+def read(path, kind: str, version: int, keys) -> tuple[dict, bytes]:
+    """(header, body) of a container whose header holds every one of keys.
+    Raises ValueError naming the file when the checksum does not match, the
+    file holds another kind or version, or the header lacks one of keys."""
     with open(path, "rb") as f:
         data = f.read()
     data, trailer = data[:-_TRAILER], data[-_TRAILER:]
@@ -59,8 +60,13 @@ def read(path, kind: str, version: int) -> tuple[dict, bytes]:
     try:
         magic, found, found_version, header = head.decode().split(" ", 3)
         header = json.loads(header)
+        if not isinstance(header, dict):
+            raise ValueError
     except ValueError:
         raise ValueError(f"{path}: malformed container header") from None
     if (magic, found, found_version) != ("gradsel", kind, f"v{version}"):
         raise ValueError(f"{path}: holds a {found} {found_version} artifact, not {kind} v{version}")
+    missing = [k for k in keys if k not in header]
+    if missing:
+        raise ValueError(f"{path}: header has no {missing[0]!r} key")
     return header, body

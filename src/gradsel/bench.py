@@ -16,7 +16,7 @@ from . import estimate as est
 from . import select as sel
 from .linearize import GradientCache, build_cache, rrss_sweep
 from .model import ModelConfig, Network, ParamVector, stack_samples
-from .project import Projector
+from .project import gaussian_projection
 from .taskgen import Corpus, gen_noisy_addition
 from .trainer import TrainConfig, eval_loss, fine_tune_subset, meta_train, relative_distance
 
@@ -139,7 +139,6 @@ def exp_rrss(
 def exp_relerr(
     net: Network,
     theta_star: ParamVector,
-    projector: Projector,
     cache: GradientCache,
     corpus: Corpus,
     train_cfg: TrainConfig,
@@ -163,9 +162,7 @@ def exp_relerr(
         fit = fine_tune_subset(net, theta_star, subset, corpus, train_cfg)
         truth = eval_loss(net, fit.params, corpus.target.val)
         oracle_passes += fit.forward_passes
-        result = est.estimate_subset(
-            net, theta_star, projector, cache, subset, corpus.target.val, solve_cfg
-        )
+        result = est.estimate_subset(net, theta_star, cache, subset, corpus.target.val, solve_cfg)
         f_true.append(truth)
         f_hat.append(result.f_hat)
         rows.append(
@@ -212,7 +209,6 @@ def exp_relerr(
 def exp_speedup(
     net: Network,
     theta_star: ParamVector,
-    projector: Projector,
     cache: GradientCache,
     corpus: Corpus,
     train_cfg: TrainConfig,
@@ -226,9 +222,7 @@ def exp_speedup(
     depth = oracle_report.rounds_run
     predicted = predicted_forward_passes("fs", n, depth=depth)
 
-    estimator_ev = sel.estimator_evaluator(
-        net, theta_star, projector, cache, corpus.target.val, solve_cfg
-    )
+    estimator_ev = sel.estimator_evaluator(net, theta_star, cache, corpus.target.val, solve_cfg)
     estimator_report = sel.forward_select(estimator_ev, n)
 
     full_fs = predicted_forward_passes("fs", n)
@@ -278,11 +272,11 @@ def exp_addition(
     net = Network(model_cfg)
     fit = meta_train(net, corpus, train_cfg)
     theta_star = fit.params
-    projector = Projector(p=net.param_count, d=d, seed=seed + 1)
-    cache = build_cache(net, theta_star, corpus, projector)
+    P = gaussian_projection(net.param_count, d, seed + 1)
+    cache = build_cache(net, theta_star, corpus, P, seed + 1)
 
     evaluator = sel.estimator_evaluator(
-        net, theta_star, projector, cache, corpus.target.val, solve_cfg, linearized=True
+        net, theta_star, cache, corpus.target.val, solve_cfg, linearized=True
     )
     scores = sel.random_ensemble(evaluator, n_groups, m=m, alpha_frac=alpha_frac, seed=seed + 2)
     T = sel.compute_T(scores, n_groups)

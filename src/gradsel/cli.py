@@ -17,7 +17,7 @@ from pathlib import Path
 from . import artifact, bench, estimate as est, select as sel
 from .linearize import build_cache, load_cache, save_cache
 from .model import ModelConfig, Network
-from .project import Projector
+from .project import gaussian_projection
 from .taskgen import gen_multitask_gaussian, gen_noisy_addition, load_corpus, save_corpus
 from .trainer import (
     TrainConfig,
@@ -355,8 +355,9 @@ def stage_meta_train(run: RunDir, cfg: dict[str, str]) -> None:
 
 def stage_cache(run: RunDir, cfg: dict[str, str]) -> None:
     corpus, net, theta = _load_trained(run, cfg)
-    projector = Projector(p=net.param_count, d=int(cfg["project.d"]), seed=int(cfg["project.seed"]))
-    cache = build_cache(net, theta, corpus, projector)
+    seed = int(cfg["project.seed"])
+    P = gaussian_projection(net.param_count, int(cfg["project.d"]), seed)
+    cache = build_cache(net, theta, corpus, P, seed)
     save_cache(run.path("cache"), cache)
     _record_config(run, cfg)
     print(f"cache: {cache.n_entries} train entries, wrote {run.path('cache')}")
@@ -365,15 +366,14 @@ def stage_cache(run: RunDir, cfg: dict[str, str]) -> None:
 def _load_estimation_state(run: RunDir, cfg: dict[str, str]):
     corpus, net, theta = _load_trained(run, cfg)
     cache = _load(run, "cache", "cache", load_cache)
-    if cache.theta_star_digest != param_digest(theta):
+    if cache.theta_star_digest != param_digest(theta) or cache.P.shape[0] != net.param_count:
         raise StageError("cache does not match the checkpoint; re-run cache")
-    projector = Projector(p=net.param_count, d=cache.d, seed=cache.projector_seed)
-    return corpus, net, theta, cache, projector
+    return corpus, net, theta, cache
 
 
 def stage_estimate(run: RunDir, cfg: dict[str, str], subsets: list[str]) -> None:
     scfg = solve_config(cfg)
-    corpus, net, theta, cache, projector = _load_estimation_state(run, cfg)
+    corpus, net, theta, cache = _load_estimation_state(run, cfg)
     parsed = []
     for spec in subsets:
         ids = frozenset(int(t) for t in spec.split(",") if t != "")
@@ -384,7 +384,7 @@ def stage_estimate(run: RunDir, cfg: dict[str, str], subsets: list[str]) -> None
     if not parsed:
         raise StageError("estimate needs at least one --subset")
     results = [
-        est.estimate_subset(net, theta, projector, cache, s, corpus.target.val, scfg)
+        est.estimate_subset(net, theta, cache, s, corpus.target.val, scfg)
         for s in parsed
     ]
     est.write_ledger(run.path("estimates"), results)
@@ -405,7 +405,7 @@ def stage_select(run: RunDir, cfg: dict[str, str]) -> None:
     scfg = solve_config(cfg)
     ft_cfg = train_config(cfg, "finetune")
     grid = _numbers(cfg, "select.fraction_grid", float)
-    corpus, net, theta, cache, projector = _load_estimation_state(run, cfg)
+    corpus, net, theta, cache = _load_estimation_state(run, cfg)
     n = int(cfg["corpus.n"]) if grouped else corpus.n_tasks
     if oracle:
         evaluator = sel.oracle_evaluator(net, theta, corpus, ft_cfg)
@@ -414,7 +414,7 @@ def stage_select(run: RunDir, cfg: dict[str, str]) -> None:
             scored = sel.group_cache(cache, n, int(cfg["select.seed"])) if grouped else cache
         except ValueError as e:
             raise StageError(f"{method} cannot split the cache's source rows into corpus.n groups: {e}") from None
-        evaluator = sel.estimator_evaluator(net, theta, projector, scored, corpus.target.val, scfg)
+        evaluator = sel.estimator_evaluator(net, theta, scored, corpus.target.val, scfg)
     if method.endswith("fs"):
         report = sel.forward_select(evaluator, n)
     else:
@@ -443,7 +443,7 @@ def stage_bench(run: RunDir, cfg: dict[str, str], experiments: list[str]) -> Non
     scfg = solve_config(cfg)
     ft_cfg = train_config(cfg, "finetune")
     if set(experiments) - {"addition"}:  # addition builds its own corpus, model and cache
-        corpus, net, theta, cache, projector = _load_estimation_state(run, cfg)
+        corpus, net, theta, cache = _load_estimation_state(run, cfg)
     reports = []
     for name in experiments:
         if name == "addition":
@@ -477,17 +477,17 @@ def stage_bench(run: RunDir, cfg: dict[str, str], experiments: list[str]) -> Non
         elif name == "relerr":
             reports.append(
                 bench.exp_relerr(
-                    net, theta, projector, cache, corpus, ft_cfg, scfg,
+                    net, theta, cache, corpus, ft_cfg, scfg,
                     m=int(cfg["bench.relerr_subsets"]),
                     seed=int(cfg["bench.seed"]),
                 )
             )
         elif name == "speedup":
             reports.append(
-                bench.exp_speedup(net, theta, projector, cache, corpus, ft_cfg, scfg)
+                bench.exp_speedup(net, theta, cache, corpus, ft_cfg, scfg)
             )
         else:
-            evaluator = sel.estimator_evaluator(net, theta, projector, cache, corpus.target.val, scfg)
+            evaluator = sel.estimator_evaluator(net, theta, cache, corpus.target.val, scfg)
             reports.append(bench.exp_structure(evaluator, corpus.n_tasks))
     out = run.root / "bench"
     out.mkdir(exist_ok=True)

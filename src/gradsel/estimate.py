@@ -11,6 +11,9 @@ objective, gradient, linear solve, line search, stopping rule) runs in
 float64, so a converged solve meets the same gradient tolerance. That holds
 while the Hessian's condition number stays well below 1/eps32 (~1.7e7); a
 solve beyond it may stop unconverged, and is flagged as such.
+
+A solution x_hat lives in d-space; estimate_f lifts it to parameter space by
+the cache's own P, as theta* + P x_hat.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 from . import artifact
 from .linearize import GradientCache
 from .model import Network, ParamVector, Sample, _sigmoid
-from .project import Projector
 from .trainer import eval_loss
 
 
@@ -134,13 +136,13 @@ def solve_subset(
 def estimate_f(
     net: Network,
     theta_star: ParamVector,
-    projector: Projector,
+    cache: GradientCache,
     x_hat_d: np.ndarray,
     target_val: list[Sample],
 ) -> float:
-    """Reconstruct theta* + P x_hat and evaluate the true forward-pass loss on
-    the target validation set."""
-    theta_hat = theta_star + projector.lift(x_hat_d)
+    """Reconstruct theta* + P x_hat with the cache's P and evaluate the true
+    forward-pass loss on the target validation set."""
+    theta_hat = theta_star + cache.P @ x_hat_d
     return eval_loss(net, theta_hat, target_val)
 
 
@@ -156,7 +158,6 @@ def estimate_f_linearized(cache: GradientCache, x_hat_d: np.ndarray) -> float:
 def estimate_subset(
     net: Network,
     theta_star: ParamVector,
-    projector: Projector,
     cache: GradientCache,
     subset,
     target_val: list[Sample],
@@ -164,7 +165,7 @@ def estimate_subset(
 ) -> EstimateResult:
     """Solve one subset (with the target's train entries) and score it."""
     x_hat, iters, converged = solve_subset(cache, subset, cfg)
-    f_hat = estimate_f(net, theta_star, projector, x_hat, target_val)
+    f_hat = estimate_f(net, theta_star, cache, x_hat, target_val)
     return EstimateResult(
         subset=frozenset(int(t) for t in subset),
         f_hat=f_hat,

@@ -6,7 +6,10 @@ P^T grad h(s, y), both evaluated at theta*. Multi-class and multi-position
 samples are reduced to the binary form through the logistic-margin transform,
 so their effective sign is +1. The relative residual sum of squares (RRSS)
 quantifies how far a true margin at X is from its first-order prediction.
-The cache is saved as an artifact.py container of fixed-width records.
+The cache carries the projection P its rows went through, so the estimator
+lifts a solution by the same P. It is saved as an artifact.py container of
+fixed-width records whose header keeps P's sizes and seed, not P itself;
+load_cache rebuilds P from them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import artifact
 from .model import Network, ParamVector, Sample, stack_samples
-from .project import GENERATOR_VERSION, Projector
+from .project import GENERATOR_VERSION, gaussian_projection
 from .taskgen import TARGET_TASK_ID, Corpus
 from .trainer import param_digest
 
@@ -31,7 +34,8 @@ _CHUNK = 256
 @dataclass
 class GradientCache:
     """Arrays of (b, projected gradient) for every train sample of every
-    task, plus the target validation samples kept separately.
+    task, plus the target validation samples kept separately, and the
+    projection P the gradients went through.
 
     Contents are immutable once built and safe for concurrent reads.
     """
@@ -44,11 +48,13 @@ class GradientCache:
     val_y: np.ndarray
     val_b: np.ndarray
     val_g_proj: np.ndarray
-    p: int
-    d: int
     theta_star_digest: str
-    projector_seed: int
-    projector_mode: str
+    P: np.ndarray  # (p, d), read-only
+    projector_seed: int | None  # gaussian_projection's seed for P; None for any other P
+
+    @property
+    def d(self) -> int:
+        return self.P.shape[1]
 
     @property
     def n_entries(self) -> int:
@@ -102,23 +108,24 @@ def _first_nonfinite(b: np.ndarray, g: np.ndarray) -> int | None:
 
 
 def build_cache(
-    net: Network, theta_star: ParamVector, corpus: Corpus, projector: Projector
+    net: Network, theta_star: ParamVector, corpus: Corpus, P: np.ndarray, projector_seed: int | None
 ) -> GradientCache:
     """Stage-1 cache: one entry per train sample of tasks 1..n and the target,
-    plus target-val entries for the linearized evaluator. Raises ValueError
-    naming the first train or val entry whose b or projected gradient is not
-    finite, as load_cache does for a file."""
-    if projector.p != net.param_count:
-        raise ValueError(
-            f"projector expects p={projector.p} but the model has {net.param_count} parameters"
-        )
+    plus target-val entries for the linearized evaluator, projected by the
+    (p, d) matrix P; projector_seed is the seed gaussian_projection built P
+    from, or None for any other P. Raises ValueError naming the first train
+    or val entry whose b or projected gradient is not finite, as load_cache
+    does for a file."""
+    if P.ndim != 2 or P.shape[0] != net.param_count:
+        raise ValueError(f"P has shape {P.shape} but the model has {net.param_count} parameters")
     train = corpus.all_train_samples()
     refs = np.arange(len(train), dtype=np.int64)
     tids = np.array([s.task_id for s in train], dtype=np.int64)
 
-    product = net.margin_gradient_product(projector.dense)
-    y, b, g = _entries(net, theta_star, train, product, projector.d)
-    val_y, val_b, val_g = _entries(net, theta_star, corpus.target.val, product, projector.d)
+    d = P.shape[1]
+    product = net.margin_gradient_product(P)
+    y, b, g = _entries(net, theta_star, train, product, d)
+    val_y, val_b, val_g = _entries(net, theta_star, corpus.target.val, product, d)
     for split, bs, gs in (("train", b, g), ("val", val_b, val_g)):
         bad = _first_nonfinite(bs, gs)
         if bad is not None:
@@ -133,11 +140,9 @@ def build_cache(
         val_y=val_y,
         val_b=val_b,
         val_g_proj=val_g,
-        p=net.param_count,
-        d=projector.d,
         theta_star_digest=param_digest(theta_star),
-        projector_seed=projector.seed,
-        projector_mode=projector.mode,
+        P=P,
+        projector_seed=projector_seed,
     )
 
 
@@ -255,8 +260,8 @@ def _record_dtype(d: int) -> np.dtype:
 
 
 def save_cache(path, cache: GradientCache) -> None:
-    if cache.projector_mode != "gaussian":
-        raise ValueError("only gaussian-mode caches are serializable")
+    if cache.projector_seed is None:
+        raise ValueError("only a cache projected by gaussian_projection is serializable")
     n = cache.n_entries
     records = np.zeros(n + cache.n_val_entries, dtype=_record_dtype(cache.d))
     records["ref"][:n] = cache.sample_ref
@@ -266,7 +271,7 @@ def save_cache(path, cache: GradientCache) -> None:
     records["b"] = np.concatenate([cache.b, cache.val_b])
     records["g"] = np.concatenate([cache.g_proj, cache.val_g_proj])
     header = {
-        "p": cache.p,
+        "p": cache.P.shape[0],
         "d": cache.d,
         "n_train": n,
         "projector_seed": cache.projector_seed,
@@ -277,12 +282,14 @@ def save_cache(path, cache: GradientCache) -> None:
 
 
 def load_cache(path) -> GradientCache:
-    """Read a cache artifact; raises ValueError naming the file when it is
-    not a cache container, its projector generator differs from this
-    program's, or a record holds a non-finite b or gradient value (the sign
-    y is an integer and always finite). The solver then never has to check
-    its inputs."""
-    header, body = artifact.read(path, "cache", 1)
+    """Read a cache artifact and rebuild its P from the header's sizes and
+    seed. Raises ValueError naming the file when it is not a cache
+    container, its projector generator differs from this program's, or a
+    record holds a non-finite b or gradient value (the sign y is an integer
+    and always finite). The solver then never has to check its inputs."""
+    header, body = artifact.read(
+        path, "cache", 1, ("p", "d", "n_train", "projector_seed", "generator_version", "theta_star_digest")
+    )
     if header["generator_version"] != GENERATOR_VERSION:
         raise ValueError(f"{path}: projector generator version mismatch")
     records = np.frombuffer(body, dtype=_record_dtype(header["d"]))
@@ -301,9 +308,7 @@ def load_cache(path) -> GradientCache:
         val_y=val["y"].astype(np.float64),
         val_b=val["b"].astype(np.float64),
         val_g_proj=val["g"].astype(np.float64),
-        p=header["p"],
-        d=header["d"],
         theta_star_digest=header["theta_star_digest"],
+        P=gaussian_projection(header["p"], header["d"], header["projector_seed"]),
         projector_seed=header["projector_seed"],
-        projector_mode="gaussian",
     )

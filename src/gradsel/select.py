@@ -22,7 +22,6 @@ from . import artifact
 from . import estimate as est
 from .linearize import GradientCache
 from .model import Network, ParamVector
-from .project import Projector
 from .taskgen import Corpus, cluster_into_groups
 from .trainer import TrainConfig, eval_loss, fine_tune_subset
 
@@ -60,7 +59,6 @@ class Evaluator:
 def estimator_evaluator(
     net: Network,
     theta_star: ParamVector,
-    projector: Projector,
     cache: GradientCache,
     target_val,
     cfg: est.SolveConfig,
@@ -76,7 +74,7 @@ def estimator_evaluator(
             ev.nonconverged += 1
         if linearized:
             return est.estimate_f_linearized(cache, x_hat)
-        return est.estimate_f(net, theta_star, projector, x_hat, target_val)
+        return est.estimate_f(net, theta_star, cache, x_hat, target_val)
 
     ev = Evaluator(_score=score)
     return ev
@@ -293,7 +291,7 @@ def load_report(path) -> SelectionReport:
     """Read a selection artifact; raises ValueError naming the file when it
     is not a selection container, a line is malformed or a line is of
     unknown kind."""
-    _, body = artifact.read(path, "selection", 1)
+    _, body = artifact.read(path, "selection", 1, ())
     method = ""
     chosen: set[int] = set()
     rounds = 0

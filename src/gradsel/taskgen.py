@@ -388,7 +388,7 @@ def save_corpus(path, corpus: Corpus) -> None:
 def load_corpus(path) -> Corpus:
     """Read a corpus artifact; raises ValueError naming the file when it is
     not a corpus container or a sample line is malformed."""
-    header, body = artifact.read(path, "corpus", 1)
+    header, body = artifact.read(path, "corpus", 1, ("dim", "meta"))
     dim, meta = header["dim"], header["meta"]
     onehot = meta.get("kind") == "addition"
     buckets: dict[tuple[int, str], list[Sample]] = {}

@@ -1,10 +1,11 @@
-"""Meta-training, the true fine-tuning oracle, and loss evaluation.
+"""Meta-training, fine-tuning and loss evaluation.
 
 Fine-tuning runs mini-batch SGD or Adam with patience-based early stopping on
 a validation set, returning the parameters of the best epoch. The oracle value
-of a task subset S is the target validation loss after fine-tuning on the
-combined data of S plus the target's train split. The meta-trained
-parameters are saved as a checkpoint artifact (see artifact.py).
+of a task subset S (select.oracle_evaluator) is the target validation loss
+after fine_tune_subset on the combined data of S plus the target's train
+split. The meta-trained parameters are saved as a checkpoint artifact (see
+artifact.py).
 """
 
 from __future__ import annotations
@@ -179,19 +180,6 @@ def fine_tune_subset(
     return _fit(net, theta0, train, val, cfg)
 
 
-def true_f(
-    net: Network,
-    theta0: ParamVector,
-    subset: frozenset[int] | set[int],
-    corpus: Corpus,
-    cfg: TrainConfig,
-) -> float:
-    """The fine-tuning oracle: target validation loss after fine-tuning on the
-    subset's data combined with the target's."""
-    fit = fine_tune_subset(net, theta0, subset, corpus, cfg)
-    return eval_loss(net, fit.params, corpus.target.val)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoint artifact: the config and corpus digests in the container header,
 # then the parameters as little-endian float64
@@ -210,6 +198,6 @@ def save_checkpoint(path, params: ParamVector, config_digest: str, corpus_digest
 def load_checkpoint(path) -> tuple[ParamVector, str, str]:
     """Returns (params, config_digest, corpus_digest). Raises ValueError
     naming the file when it is not a checkpoint container."""
-    header, body = artifact.read(path, "checkpoint", 1)
+    header, body = artifact.read(path, "checkpoint", 1, ("config_digest", "corpus_digest"))
     params = np.frombuffer(body, dtype="<f8").copy()
     return params, header["config_digest"], header["corpus_digest"]

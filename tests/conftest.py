@@ -1,4 +1,5 @@
-"""Shared fixtures: the default planted corpus and its trained pipeline state.
+"""Shared fixtures: the default planted corpus and its trained pipeline state,
+and a tiny run directory for the CLI stages.
 
 Session-scoped because meta-training and cache construction are the expensive
 steps; tests treat these as read-only.
@@ -6,10 +7,11 @@ steps; tests treat these as read-only.
 
 import pytest
 
+from gradsel.cli import main
 from gradsel.estimate import SolveConfig
 from gradsel.linearize import build_cache
 from gradsel.model import ModelConfig, Network
-from gradsel.project import Projector
+from gradsel.project import gaussian_projection
 from gradsel.taskgen import gen_multitask_gaussian
 from gradsel.trainer import TrainConfig, meta_train
 
@@ -35,6 +37,20 @@ FINETUNE_CFG = TrainConfig(
 
 SOLVE_CFG = SolveConfig(ridge_lambda=0.1)
 
+# flags for a run small enough to take every CLI stage in seconds
+TINY = [
+    "--corpus.n", "4",
+    "--corpus.samples_per_task", "12",
+    "--corpus.dim", "5",
+    "--model.hidden_dims", "16",
+    "--train.max_epochs", "30",
+    "--train.early_stop_patience", "8",
+    "--finetune.max_epochs", "15",
+    "--project.d", "20",
+    "--select.m", "30",
+    "--select.method", "fs",
+]
+
 
 @pytest.fixture(scope="session")
 def gauss_corpus():
@@ -55,10 +71,16 @@ def theta_star(gauss_net, gauss_corpus):
 
 
 @pytest.fixture(scope="session")
-def projector(gauss_net):
-    return Projector(p=gauss_net.param_count, d=100, seed=5)
+def cache(gauss_net, theta_star, gauss_corpus):
+    P = gaussian_projection(gauss_net.param_count, 100, 5)
+    return build_cache(gauss_net, theta_star, gauss_corpus, P, 5)
 
 
 @pytest.fixture(scope="session")
-def cache(gauss_net, theta_star, gauss_corpus, projector):
-    return build_cache(gauss_net, theta_star, gauss_corpus, projector)
+def tiny_run(tmp_path_factory):
+    """A run directory after gen, meta-train, cache and select at TINY
+    sizes. Tests copy it before they change anything in it."""
+    root = tmp_path_factory.mktemp("tiny")
+    for stage in ("gen", "meta-train", "cache", "select"):
+        assert main(["--out", str(root), stage, *TINY]) == 0
+    return root

@@ -18,7 +18,7 @@ from gradsel.model import (
     Sample,
     finite_difference_margin_gradient,
 )
-from gradsel.project import Projector, identity_projector
+from gradsel.project import gaussian_projection
 from gradsel.select import (
     compute_T,
     forward_select,
@@ -91,14 +91,14 @@ def test_criterion_3_rrss_trend(gauss_corpus):
              f"means {['%.2e' % m for m in means]}, monotone={monotone}")
 
 
-def test_criterion_4_estimator_fidelity(gauss_net, theta_star, gauss_corpus, projector, cache):
+def test_criterion_4_estimator_fidelity(gauss_net, theta_star, gauss_corpus, cache):
     rng = np.random.default_rng(101)
     f_true, f_hat = [], []
     for _ in range(30):
         S = frozenset(int(t) + 1 for t in rng.choice(20, size=10, replace=False))
         fit = fine_tune_subset(gauss_net, theta_star, S, gauss_corpus, FINETUNE_CFG)
         f_true.append(eval_loss(gauss_net, fit.params, gauss_corpus.target.val))
-        result = estimate_subset(gauss_net, theta_star, projector, cache, S,
+        result = estimate_subset(gauss_net, theta_star, cache, S,
                                  gauss_corpus.target.val, SOLVE_CFG)
         f_hat.append(result.f_hat)
     err = relative_error(f_true, f_hat)
@@ -123,8 +123,7 @@ def test_criterion_5_convex_equivalence_oracle():
     corpus = Corpus([task(t) for t in range(1, 7)], task(0, n=40), {"kind": "toy"})
     net = Network(ModelConfig(input_dim=dim, hidden_dims=(), num_classes=2, init_scale=0.1, seed=1))
     theta = net.init_params()
-    proj = identity_projector(net.param_count)
-    cache5 = build_cache(net, theta, corpus, proj)
+    cache5 = build_cache(net, theta, corpus, np.eye(net.param_count), None)
     ftc = TrainConfig(step_size=0.5, batch_size=10**6, max_epochs=6000,
                       early_stop_patience=10**6, seed=4, optimizer="sgd", restore_best=False)
     scfg = SolveConfig(ridge_lambda=1e-9, grad_tol=1e-12, max_iters=500)
@@ -134,7 +133,7 @@ def test_criterion_5_convex_equivalence_oracle():
         S = frozenset(int(t) + 1 for t in rng2.choice(6, size=3, replace=False))
         fit = fine_tune_subset(net, theta, S, corpus, ftc)
         truth = eval_loss(net, fit.params, corpus.target.val)
-        result = estimate_subset(net, theta, proj, cache5, S, corpus.target.val, scfg)
+        result = estimate_subset(net, theta, cache5, S, corpus.target.val, scfg)
         worst = max(worst, abs(truth - result.f_hat))
     _verdict(5, "convex equivalence", worst <= 1e-3, f"max |f - f_hat| {worst:.2e}")
 
@@ -150,9 +149,8 @@ def test_criterion_6_cost_accounting():
     predicted = predicted_forward_passes("fs", 12, depth=report.rounds_run)
     exact = report.budget["task_units"] == predicted
 
-    proj = Projector(p=net.param_count, d=100, seed=5)
-    cache6 = build_cache(net, theta, corpus, proj)
-    est_ev = estimator_evaluator(net, theta, proj, cache6, corpus.target.val, SOLVE_CFG)
+    cache6 = build_cache(net, theta, corpus, gaussian_projection(net.param_count, 100, 5), 5)
+    est_ev = estimator_evaluator(net, theta, cache6, corpus.target.val, SOLVE_CFG)
     estimator_report = forward_select(est_ev, 12)
     zero_ft = estimator_report.budget["fine_tune_runs"] == 0
 
@@ -180,11 +178,9 @@ def test_criterion_7_solver_speed():
         val_y=np.ones(1),
         val_b=np.zeros(1),
         val_g_proj=np.zeros((1, d)),
-        p=d,
-        d=d,
         theta_star_digest="0" * 64,
-        projector_seed=0,
-        projector_mode="gaussian",
+        P=np.eye(d),
+        projector_seed=None,
     )
     start = time.perf_counter()
     _, iters, converged = solve_subset(cache7, {1}, SOLVE_CFG, include_target=False)
@@ -221,17 +217,17 @@ def test_criterion_9_selection_soundness():
         meta = TrainConfig(step_size=0.3, batch_size=32, max_epochs=300,
                            early_stop_patience=30, seed=seed + 200, optimizer="sgd")
         theta = meta_train(net, corpus, meta).params
-        proj = Projector(p=net.param_count, d=100, seed=seed + 300)
-        cache9 = build_cache(net, theta, corpus, proj)
+        P = gaussian_projection(net.param_count, 100, seed + 300)
+        cache9 = build_cache(net, theta, corpus, P, seed + 300)
         helpful = set(corpus.meta["helpful_ids"])
         harmful = set(corpus.meta["harmful_ids"])
 
-        ev = estimator_evaluator(net, theta, proj, cache9, corpus.target.val, SOLVE_CFG)
+        ev = estimator_evaluator(net, theta, cache9, corpus.target.val, SOLVE_CFG)
         fs_report = forward_select(ev, corpus.n_tasks)
         if not (fs_report.chosen & harmful):
             fs_clean += 1
 
-        ev2 = estimator_evaluator(net, theta, proj, cache9, corpus.target.val, SOLVE_CFG)
+        ev2 = estimator_evaluator(net, theta, cache9, corpus.target.val, SOLVE_CFG)
         scores = random_ensemble(ev2, corpus.n_tasks, m=300, alpha_frac=0.75, seed=seed + 400)
         T = compute_T(scores, corpus.n_tasks)
         chosen = threshold_select(T, fraction=0.5)  # q matches the planted helpful fraction
@@ -253,18 +249,18 @@ def test_criterion_10_unit_suites(gauss_net, theta_star, gauss_corpus):
     b = rng.standard_normal(300)
     a /= np.linalg.norm(a)
     b /= np.linalg.norm(b)
-    sketches = [Projector(p=300, d=20, seed=s).project_many(np.stack([a, b])) for s in range(200)]
+    sketches = [np.stack([a, b]) @ gaussian_projection(300, 20, s) for s in range(200)]
     vals = np.array([pa @ pb for pa, pb in sketches])
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     jl_mean_ok = abs(vals.mean() - a @ b) <= 3 * se
 
     # JL cosine concentration at d=100, p=1e4
-    proj = Projector(p=10_000, d=100, seed=11)
+    P = gaussian_projection(10_000, 100, 11)
     A = rng.standard_normal((100, 10_000))
     B = rng.standard_normal((100, 10_000))
     A /= np.linalg.norm(A, axis=1, keepdims=True)
     B /= np.linalg.norm(B, axis=1, keepdims=True)
-    PA, PB = proj.project_many(A), proj.project_many(B)
+    PA, PB = A @ P, B @ P
     true_cos = np.sum(A * B, axis=1)
     proj_cos = np.sum(PA * PB, axis=1) / (np.linalg.norm(PA, axis=1) * np.linalg.norm(PB, axis=1))
     jl_cos_ok = (np.abs(proj_cos - true_cos) <= 0.25).mean() >= 0.95
@@ -281,10 +277,10 @@ def test_criterion_10_unit_suites(gauss_net, theta_star, gauss_corpus):
         f_true.append(eval_loss(gauss_net, fit.params, gauss_corpus.target.val))
     errs = {}
     for d in (50, 100, 200, 400):
-        p_d = Projector(p=gauss_net.param_count, d=d, seed=5)
-        cache_d = build_cache(gauss_net, theta_star, gauss_corpus, p_d)
+        P_d = gaussian_projection(gauss_net.param_count, d, 5)
+        cache_d = build_cache(gauss_net, theta_star, gauss_corpus, P_d, 5)
         f_hat = [
-            estimate_subset(gauss_net, theta_star, p_d, cache_d, S,
+            estimate_subset(gauss_net, theta_star, cache_d, S,
                             gauss_corpus.target.val, SOLVE_CFG).f_hat
             for S in subsets
         ]

@@ -17,13 +17,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "gradsel"
 # They stay although no stage calls them.
 ALLOWED = {
     "estimate.subset_objective",  # solver objective, checked by finite differences
-    "trainer.true_f",  # the fine-tuning oracle as one call
     "model.finite_difference_margin_gradient",  # checks the exact margin gradient
-    "project.identity_projector",  # exact d = p projection for exactness tests
-    "project.Projector.materialize",  # dense P for checking project_many and lift
     "model.Network.sample_loss",  # one-sample loss for checking the batch losses
     "model.Network.margin_gradients",  # full (N, p) gradients for checking margin_gradient_product
-    "project.Projector.project_many",  # P^T G for checking the projected cache rows
 }
 
 

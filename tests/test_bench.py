@@ -26,11 +26,9 @@ def _fake_cache(g_proj, task_id):
         val_y=np.ones(1),
         val_b=np.zeros(1),
         val_g_proj=np.zeros((1, d)),
-        p=d,
-        d=d,
         theta_star_digest="0" * 64,
-        projector_seed=0,
-        projector_mode="gaussian",
+        P=np.eye(d),
+        projector_seed=None,
     )
 
 

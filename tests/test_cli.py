@@ -17,18 +17,7 @@ from gradsel.cli import (
 from gradsel.linearize import load_cache, save_cache
 from gradsel.trainer import load_checkpoint, save_checkpoint
 
-TINY = [
-    "--corpus.n", "4",
-    "--corpus.samples_per_task", "12",
-    "--corpus.dim", "5",
-    "--model.hidden_dims", "16",
-    "--train.max_epochs", "30",
-    "--train.early_stop_patience", "8",
-    "--finetune.max_epochs", "15",
-    "--project.d", "20",
-    "--select.m", "30",
-    "--select.method", "fs",
-]
+from conftest import TINY
 
 
 def run(args, tmp_path):
@@ -340,14 +329,6 @@ def test_bench_unknown_experiment_runs_nothing(tmp_path, capsys):
     assert not (tmp_path / "bench").exists()
 
 
-@pytest.fixture(scope="module")
-def tiny_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("tiny")
-    for stage in ("gen", "meta-train", "cache", "select"):
-        assert run([stage, *TINY], root) == 0
-    return root
-
-
 def _flip_middle_byte(data):
     data = bytearray(data)
     data[len(data) // 2] ^= 1
@@ -362,16 +343,22 @@ DAMAGE = {
     "flip_middle_byte": _flip_middle_byte,
 }
 
+DAMAGED_ARTIFACTS = [
+    ("corpus.txt", "select", False),
+    ("checkpoint.bin", "select", True),
+    ("cache.bin", "select", True),
+    ("selection.txt", "report", False),
+]
 
-@pytest.mark.parametrize("damage", DAMAGE)
+# the container kind and a header key its loader reads
+HEADER_KEY = {"corpus.txt": ("corpus", "dim"), "checkpoint.bin": ("checkpoint", "corpus_digest"),
+              "cache.bin": ("cache", "d")}
+
+
 @pytest.mark.parametrize(
-    "artifact, stage, binary",
-    [
-        ("corpus.txt", "select", False),
-        ("checkpoint.bin", "select", True),
-        ("cache.bin", "select", True),
-        ("selection.txt", "report", False),
-    ],
+    "artifact, stage, binary, damage",
+    [(*a, damage) for damage in DAMAGE for a in DAMAGED_ARTIFACTS]
+    + [(*a, "drop_header_key") for a in DAMAGED_ARTIFACTS if a[0] in HEADER_KEY],
 )
 def test_damaged_artifact_fails_in_one_line(tiny_run, tmp_path, capsys, artifact, stage, binary, damage):
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
@@ -379,12 +366,33 @@ def test_damaged_artifact_fails_in_one_line(tiny_run, tmp_path, capsys, artifact
     data = path.read_bytes()
     if not binary:  # a text artifact stays text, its checksum on its own last line
         assert data.decode().splitlines()[-1].startswith("sha256 ")
-    path.write_bytes(DAMAGE[damage](data))
+    if damage == "drop_header_key":  # rewritten whole, so its checksum holds
+        kind, key = HEADER_KEY[artifact]
+        header, body = gradsel.artifact.read(path, kind, 1, ())
+        del header[key]
+        gradsel.artifact.write(path, kind, 1, header, body)
+    else:
+        path.write_bytes(DAMAGE[damage](data))
     capsys.readouterr()
     assert run([stage, *TINY], tmp_path) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith(f"gradsel {stage}: {artifact}: ")
+    if damage == "drop_header_key":
+        assert f"header has no {key!r} key" in lines[0]
+
+
+def test_cache_projected_for_another_model_fails_in_one_line(tiny_run, tmp_path, capsys):
+    # the checksum holds, but the P rebuilt from the header has another row
+    # count than the model has parameters
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "cache.bin"
+    header, body = gradsel.artifact.read(path, "cache", 1, ("p",))
+    gradsel.artifact.write(path, "cache", 1, {**header, "p": header["p"] + 1}, body)
+    capsys.readouterr()
+    assert run(["select", *TINY], tmp_path) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["gradsel select: cache does not match the checkpoint; re-run cache"]
 
 
 def test_cache_cut_at_any_record_boundary_fails_in_one_line(tiny_run, tmp_path, capsys):
@@ -480,7 +488,7 @@ def test_select_ds_with_more_groups_than_source_rows_fails_in_one_line(tiny_run,
 def test_report_rejects_unknown_selection_line(tiny_run, tmp_path, capsys):
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "selection.txt"
-    header, body = gradsel.artifact.read(path, "selection", 1)
+    header, body = gradsel.artifact.read(path, "selection", 1, ())
     gradsel.artifact.write(path, "selection", 1, header, body + b"xyz\n")
     capsys.readouterr()
     assert run(["report", *TINY], tmp_path) == 2

@@ -18,7 +18,6 @@ from gradsel.estimate import (
 )
 from gradsel.linearize import GradientCache, build_cache, load_cache, save_cache
 from gradsel.model import ModelConfig, Network, Sample, _sigmoid
-from gradsel.project import identity_projector
 from gradsel.taskgen import Corpus, TaskDataset
 from gradsel.trainer import eval_loss
 
@@ -42,11 +41,9 @@ def _fake_cache(b, y, G, task_id=None, val=None):
         val_y=np.asarray(val_y, dtype=np.float64),
         val_b=np.asarray(val_b, dtype=np.float64),
         val_g_proj=np.asarray(val_G, dtype=np.float64),
-        p=d,
-        d=d,
         theta_star_digest="0" * 64,
-        projector_seed=0,
-        projector_mode="gaussian",
+        P=np.eye(d),
+        projector_seed=None,
     )
 
 
@@ -287,9 +284,9 @@ def test_empty_subset_data_raises():
         solve_subset(cache, {7}, SolveConfig(), include_target=False)
 
 
-def test_estimate_f_zero_displacement(gauss_net, theta_star, gauss_corpus, projector):
+def test_estimate_f_zero_displacement(gauss_net, theta_star, gauss_corpus, cache):
     base = eval_loss(gauss_net, theta_star, gauss_corpus.target.val)
-    value = estimate_f(gauss_net, theta_star, projector, np.zeros(projector.d), gauss_corpus.target.val)
+    value = estimate_f(gauss_net, theta_star, cache, np.zeros(cache.d), gauss_corpus.target.val)
     assert value == pytest.approx(base, abs=1e-14)
 
 
@@ -322,30 +319,29 @@ def _linear_setup(seed=0):
     corpus = Corpus([task(1), task(2)], task(0), {"kind": "toy"})
     net = Network(ModelConfig(input_dim=dim, hidden_dims=(), num_classes=2, seed=seed + 1))
     theta = net.init_params()
-    proj = identity_projector(net.param_count)
-    cache = build_cache(net, theta, corpus, proj)
-    return corpus, net, theta, proj, cache
+    cache = build_cache(net, theta, corpus, np.eye(net.param_count), None)
+    return corpus, net, theta, cache
 
 
 def test_linearized_exact_for_linear_model_identity_projector():
-    corpus, net, theta, proj, cache = _linear_setup()
+    corpus, net, theta, cache = _linear_setup()
     rng = np.random.default_rng(9)
     for _ in range(3):
         x = 0.5 * rng.standard_normal(cache.d)
         lin = estimate_f_linearized(cache, x)
-        full = estimate_f(net, theta, proj, x, corpus.target.val)
+        full = estimate_f(net, theta, cache, x, corpus.target.val)
         assert lin == pytest.approx(full, abs=1e-10)
 
 
 def test_linearized_agrees_with_forward_on_default_corpus(
-    gauss_net, theta_star, gauss_corpus, projector, cache
+    gauss_net, theta_star, gauss_corpus, cache
 ):
     rng = np.random.default_rng(10)
     for _ in range(5):
         S = frozenset(int(t) + 1 for t in rng.choice(20, size=10, replace=False))
         x, _, _ = solve_subset(cache, S, SOLVE_CFG)
         lin = estimate_f_linearized(cache, x)
-        full = estimate_f(gauss_net, theta_star, projector, x, gauss_corpus.target.val)
+        full = estimate_f(gauss_net, theta_star, cache, x, gauss_corpus.target.val)
         assert abs(lin - full) / full <= 0.10
 
 
@@ -363,21 +359,17 @@ def test_subset_solve_is_fast_at_scale():
     assert elapsed < 2.0
 
 
-def test_estimate_subset_records_metadata(gauss_net, theta_star, gauss_corpus, projector, cache):
-    result = estimate_subset(
-        gauss_net, theta_star, projector, cache, {1, 2}, gauss_corpus.target.val, SOLVE_CFG
-    )
+def test_estimate_subset_records_metadata(gauss_net, theta_star, gauss_corpus, cache):
+    result = estimate_subset(gauss_net, theta_star, cache, {1, 2}, gauss_corpus.target.val, SOLVE_CFG)
     assert result.subset == frozenset({1, 2})
     assert result.converged
     assert math.isfinite(result.f_hat)
 
 
-def test_ledger_write(tmp_path, gauss_net, theta_star, gauss_corpus, projector, cache):
+def test_ledger_write(tmp_path, gauss_net, theta_star, gauss_corpus, cache):
     path = tmp_path / "estimates.csv"
     path.write_text("stale ledger\n")
-    r = estimate_subset(
-        gauss_net, theta_star, projector, cache, {3, 1}, gauss_corpus.target.val, SOLVE_CFG
-    )
+    r = estimate_subset(gauss_net, theta_star, cache, {3, 1}, gauss_corpus.target.val, SOLVE_CFG)
     write_ledger(path, [r, r])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "subset,f_hat,solver_iters,flags"

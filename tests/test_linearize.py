@@ -15,7 +15,7 @@ from gradsel.linearize import (
     save_cache,
 )
 from gradsel.model import ModelConfig, Network, Sample, stack_samples
-from gradsel.project import Projector, identity_projector
+from gradsel.project import _BLOCK_ROWS, gaussian_projection
 from gradsel.taskgen import Corpus, TaskDataset
 from gradsel.trainer import param_digest
 
@@ -77,8 +77,7 @@ def test_cache_entries_and_b_values():
     corpus = _mini_corpus()
     net = _linear_net()
     theta = net.init_params()
-    proj = identity_projector(net.param_count)
-    cache = build_cache(net, theta, corpus, proj)
+    cache = build_cache(net, theta, corpus, np.eye(net.param_count), None)
     # one entry per train sample: the single source sample plus the target's
     assert cache.n_entries == 2
     assert sorted(cache.task_id) == [0, 1]
@@ -94,7 +93,7 @@ def test_identity_projector_caches_full_gradient():
     corpus = _mini_corpus()
     net = _linear_net()
     theta = net.init_params()
-    cache = build_cache(net, theta, corpus, identity_projector(net.param_count))
+    cache = build_cache(net, theta, corpus, np.eye(net.param_count), None)
     sample = corpus.tasks[0].train[0]
     g = _grad(net, theta, sample)
     idx = int(np.flatnonzero(cache.task_id == 1)[0])
@@ -106,10 +105,9 @@ def test_build_cache_matches_per_sample_reference(monkeypatch):
     # entries computed one sample at a time against the dense P
     monkeypatch.setattr(linearize, "_CHUNK", 4)
     net, theta, corpus = _multi_position_setup()
-    projector = Projector(p=net.param_count, d=6, seed=2)
-    assert projector._n_blocks() >= 2
-    cache = build_cache(net, theta, corpus, projector)
-    P = projector.materialize()
+    assert net.param_count > _BLOCK_ROWS
+    P = gaussian_projection(net.param_count, 6, 2)
+    cache = build_cache(net, theta, corpus, P, 2)
     for samples, b, g_proj in ((corpus.all_train_samples(), cache.b, cache.g_proj),
                                (corpus.target.val, cache.val_b, cache.val_g_proj)):
         assert len(samples) == len(b) > linearize._CHUNK
@@ -136,12 +134,11 @@ def test_build_cache_never_builds_a_gradient_block():
 
     corpus = Corpus([task(1, 200), task(2, 200)], task(0, 20), {"kind": "toy"})
     assert len(corpus.all_train_samples()) > linearize._CHUNK
-    projector = Projector(p=net.param_count, d=20, seed=1)
-    projector.dense  # P is built before tracing starts
+    P = gaussian_projection(net.param_count, 20, 1)  # built before tracing starts
     theta = net.init_params()
     tracemalloc.start()
     try:
-        cache = build_cache(net, theta, corpus, projector)
+        cache = build_cache(net, theta, corpus, P, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -158,35 +155,32 @@ def test_build_cache_rejects_non_finite_entries(split):
     with np.errstate(invalid="ignore"), pytest.raises(
         ValueError, match=f"non-finite b or projected gradient in {split} entry 1$"
     ):
-        build_cache(net, net.init_params(), corpus, Projector(p=net.param_count, d=3, seed=0))
+        build_cache(net, net.init_params(), corpus, gaussian_projection(net.param_count, 3, 0), 0)
 
 
-def test_projection_blocks_generated_once(monkeypatch):
-    # one cache build plus many lifts generate each block of P exactly once
+def test_projection_blocks_generated_once(tmp_path, monkeypatch):
+    # build_cache projects by the P it is given and generates none; loading
+    # the saved cache generates P once, equal to the built cache's
     calls = []
-    block = Projector._block
-
-    def counting_block(self, index):
-        calls.append(index)
-        return block(self, index)
-
-    monkeypatch.setattr(Projector, "_block", counting_block)
+    monkeypatch.setattr(linearize, "gaussian_projection",
+                        lambda *args: calls.append(args) or gaussian_projection(*args))
     net, theta, corpus = _multi_position_setup()
-    projector = Projector(p=net.param_count, d=6, seed=2)
-    build_cache(net, theta, corpus, projector)
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        projector.lift(rng.standard_normal(6))
-    assert calls == list(range(projector._n_blocks()))
+    P = gaussian_projection(net.param_count, 6, 2)
+    cache = build_cache(net, theta, corpus, P, 2)
+    assert cache.P is P and calls == []
+    save_cache(tmp_path / "cache.bin", cache)
+    back = load_cache(tmp_path / "cache.bin")
+    assert calls == [(net.param_count, 6, 2)]
+    assert np.array_equal(back.P, P)
 
 
-def test_rebuild_identical_digest(gauss_net, theta_star, gauss_corpus, projector):
-    a = build_cache(gauss_net, theta_star, gauss_corpus, projector)
-    b = build_cache(gauss_net, theta_star, gauss_corpus, projector)
-    assert a.digest() == b.digest()
+def test_rebuild_identical_digest(gauss_net, theta_star, gauss_corpus, cache):
+    a = build_cache(gauss_net, theta_star, gauss_corpus, cache.P, cache.projector_seed)
+    b = build_cache(gauss_net, theta_star, gauss_corpus, cache.P, cache.projector_seed)
+    assert a.digest() == b.digest() == cache.digest()
 
 
-def test_cache_soundness_recompute(gauss_net, theta_star, gauss_corpus, projector, cache):
+def test_cache_soundness_recompute(gauss_net, theta_star, gauss_corpus, cache):
     # recompute b and the projected gradient for a sample of entries
     train = gauss_corpus.all_train_samples()
     rng = np.random.default_rng(0)
@@ -196,7 +190,7 @@ def test_cache_soundness_recompute(gauss_net, theta_star, gauss_corpus, projecto
         y = 2 * s.label - 1
         h = gauss_net.margin(theta_star, s)
         assert abs(cache.b[i] - (-y * h)) <= 1e-10
-        g_proj = projector.project_many(_grad(gauss_net, theta_star, s)[None, :])[0]
+        g_proj = _grad(gauss_net, theta_star, s) @ cache.P
         assert np.max(np.abs(g_proj - cache.g_proj[i])) <= 1e-10
 
 
@@ -204,7 +198,7 @@ def test_taylor_margin_zero_displacement():
     corpus = _mini_corpus()
     net = _linear_net()
     theta = net.init_params()
-    cache = build_cache(net, theta, corpus, identity_projector(net.param_count))
+    cache = build_cache(net, theta, corpus, np.eye(net.param_count), None)
     sample = corpus.task(int(cache.task_id[0])).train[0]
     h = net.margin(theta, sample)
     assert _cached_taylor_margin(cache, 0, np.zeros(cache.d)) == pytest.approx(h, abs=1e-12)
@@ -226,11 +220,11 @@ def test_taylor_margin_exact_for_linear_model():
         )
 
 
-def test_projected_taylor_consistent_with_full(gauss_net, theta_star, gauss_corpus, projector, cache):
+def test_projected_taylor_consistent_with_full(gauss_net, theta_star, gauss_corpus, cache):
     # for X = theta* + P z the cached inner product equals the full one
     rng = np.random.default_rng(6)
     z = 0.01 * rng.standard_normal(cache.d)
-    lifted = projector.lift(z)
+    lifted = cache.P @ z
     x = theta_star + lifted
     train = gauss_corpus.all_train_samples()
     for i in (0, 100, 500):
@@ -332,7 +326,8 @@ def test_cache_file_roundtrip(tmp_path, cache):
     path = tmp_path / "cache.bin"
     save_cache(path, cache)
     back = load_cache(path)
-    assert back.p == cache.p and back.d == cache.d
+    # load rebuilds the P the rows were projected by from the header's seed
+    assert np.array_equal(back.P, cache.P) and not back.P.flags.writeable
     assert back.theta_star_digest == cache.theta_star_digest
     assert back.projector_seed == cache.projector_seed
     assert np.array_equal(back.task_id, cache.task_id)
@@ -348,12 +343,15 @@ def test_cache_file_roundtrip(tmp_path, cache):
 
 
 def test_cache_file_rejects_injected_and_garbage(tmp_path):
+    # a P with no seed (here the identity) cannot be rebuilt at load, so it
+    # is not saved
     corpus = _mini_corpus()
     net = _linear_net()
     theta = net.init_params()
-    cache = build_cache(net, theta, corpus, identity_projector(net.param_count))
-    with pytest.raises(ValueError):
+    cache = build_cache(net, theta, corpus, np.eye(net.param_count), None)
+    with pytest.raises(ValueError, match="gaussian_projection"):
         save_cache(tmp_path / "x.bin", cache)
+    assert not (tmp_path / "x.bin").exists()
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOPE" + b"\x00" * 100)
     with pytest.raises(ValueError):
@@ -380,7 +378,7 @@ def test_build_cache_dimension_check():
     corpus = _mini_corpus()
     net = _linear_net()
     with pytest.raises(ValueError):
-        build_cache(net, net.init_params(), corpus, Projector(p=net.param_count + 1, d=4, seed=0))
+        build_cache(net, net.init_params(), corpus, gaussian_projection(net.param_count + 1, 4, 0), 0)
 
 
 def test_theta_digest_recorded(gauss_net, theta_star, cache):

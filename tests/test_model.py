@@ -13,7 +13,7 @@ from gradsel.model import (
     finite_difference_margin_gradient,
     stack_samples,
 )
-from gradsel.project import Projector
+from gradsel.project import gaussian_projection
 
 
 def _grad(net, params, s):
@@ -319,9 +319,9 @@ def test_margin_gradient_product_matches_full_gradients(head, activation, input_
     labels = rng.integers(num_classes, size=(n, positions) if positions > 1 else (n,))
     p = net.param_count
     if m_kind == "gaussian":
-        M = Projector(p=p, d=2 * k + 3, seed=seed).dense
+        M = gaussian_projection(p, 2 * k + 3, seed)
     elif m_kind == "injected":
-        M = Projector(p=p, d=k + 4, mode="injected", matrix=rng.standard_normal((p, k + 4))).dense
+        M = rng.standard_normal((p, k + 4))
     else:
         M = rng.standard_normal((p, k))
         M /= np.linalg.norm(M, axis=0)

@@ -365,19 +365,19 @@ def test_evaluator_counts_nonfinite_scores():
     assert ev.nonfinite == 3
 
 
-def test_estimator_evaluator_counts_nonconverged_solves(gauss_net, theta_star, gauss_corpus, projector, cache):
+def test_estimator_evaluator_counts_nonconverged_solves(gauss_net, theta_star, gauss_corpus, cache):
     subsets = [frozenset({1, 2, 3}), frozenset(), frozenset({4})]
     for max_iters, expected in ((100, 0), (1, len(subsets))):
         cfg = dataclasses.replace(SOLVE_CFG, max_iters=max_iters)
-        ev = estimator_evaluator(gauss_net, theta_star, projector, cache, gauss_corpus.target.val, cfg)
+        ev = estimator_evaluator(gauss_net, theta_star, cache, gauss_corpus.target.val, cfg)
         for s in subsets:
             ev(s)
         assert ev.nonconverged == expected
         assert ev.nonfinite == 0
 
 
-def test_estimator_evaluator_never_finetunes(gauss_net, theta_star, gauss_corpus, projector, cache):
-    ev = estimator_evaluator(gauss_net, theta_star, projector, cache, gauss_corpus.target.val, SOLVE_CFG)
+def test_estimator_evaluator_never_finetunes(gauss_net, theta_star, gauss_corpus, cache):
+    ev = estimator_evaluator(gauss_net, theta_star, cache, gauss_corpus.target.val, SOLVE_CFG)
     ev(frozenset({1, 2, 3}))
     ev(frozenset())
     assert ev.fine_tune_runs == 0
@@ -400,8 +400,8 @@ def test_oracle_evaluator_budget_matches_trainer(gauss_net, theta_star, gauss_co
 
 # ---- integrated selection on the planted corpus ----
 
-def test_forward_select_avoids_harmful_tasks(gauss_net, theta_star, gauss_corpus, projector, cache):
-    ev = estimator_evaluator(gauss_net, theta_star, projector, cache, gauss_corpus.target.val, SOLVE_CFG)
+def test_forward_select_avoids_harmful_tasks(gauss_net, theta_star, gauss_corpus, cache):
+    ev = estimator_evaluator(gauss_net, theta_star, cache, gauss_corpus.target.val, SOLVE_CFG)
     report = forward_select(ev, gauss_corpus.n_tasks)
     harmful = set(gauss_corpus.meta["harmful_ids"])
     assert report.chosen
@@ -421,11 +421,11 @@ def test_fraction_grid_select_picks_min(gauss_corpus):
     assert len(calls) == 4
 
 
-def test_select_ds_single_group(gauss_net, theta_star, gauss_corpus, projector, cache):
+def test_select_ds_single_group(gauss_net, theta_star, gauss_corpus, cache):
     grouped = group_cache(cache, 1, seed=0)
     assert np.array_equal(grouped.task_id, np.minimum(cache.task_id, 1))  # target keeps 0
     assert grouped.g_proj is cache.g_proj and grouped.digest() != cache.digest()
-    ev = estimator_evaluator(gauss_net, theta_star, projector, grouped, gauss_corpus.target.val, SOLVE_CFG)
+    ev = estimator_evaluator(gauss_net, theta_star, grouped, gauss_corpus.target.val, SOLVE_CFG)
     assert forward_select(ev, 1).chosen in (set(), {1})
 
 
@@ -435,7 +435,6 @@ def test_select_ds_reduces_to_plain_fs_on_separated_gradients():
     # identical to plain FS
     from gradsel.linearize import build_cache
     from gradsel.model import Sample
-    from gradsel.project import identity_projector
     from gradsel.taskgen import Corpus, TaskDataset
 
     rng = np.random.default_rng(13)
@@ -448,8 +447,7 @@ def test_select_ds_reduces_to_plain_fs_on_separated_gradients():
     corpus = Corpus([task(1), task(2)], task(0), {"kind": "toy"})
     net = Network(ModelConfig(input_dim=dim, hidden_dims=(), num_classes=2, seed=1))
     theta = net.init_params()
-    proj = identity_projector(net.param_count)
-    cache = build_cache(net, theta, corpus, proj)
+    cache = build_cache(net, theta, corpus, np.eye(net.param_count), None)
 
     # overwrite source gradients with two tight, well-separated clusters
     for i in range(cache.n_entries):
@@ -461,7 +459,7 @@ def test_select_ds_reduces_to_plain_fs_on_separated_gradients():
         cache.g_proj[i] = g
 
     def fs(c):
-        return forward_select(estimator_evaluator(net, theta, proj, c, corpus.target.val, SOLVE_CFG), 2)
+        return forward_select(estimator_evaluator(net, theta, c, corpus.target.val, SOLVE_CFG), 2)
 
     grouped = group_cache(cache, 2, seed=5)
     # the groups are the tasks, up to relabeling
@@ -515,7 +513,6 @@ def test_select_ds_re_excludes_planted_noisy_groups():
     # the target val entries; ds-re must drop the damaging groups
     from gradsel.linearize import GradientCache
     from gradsel.model import Sample
-    from gradsel.project import identity_projector
     from gradsel.taskgen import Corpus, TaskDataset
 
     rng = np.random.default_rng(21)
@@ -559,11 +556,9 @@ def test_select_ds_re_excludes_planted_noisy_groups():
         val_y=np.ones(len(val_b)),
         val_b=np.array(val_b),
         val_g_proj=np.array(val_g),
-        p=d,
-        d=d,
         theta_star_digest="0" * 64,
-        projector_seed=0,
-        projector_mode="gaussian",
+        P=np.eye(d),
+        projector_seed=None,
     )
 
     samples = [Sample(np.zeros(3), 0, 1) for _ in range(n)]
@@ -573,12 +568,11 @@ def test_select_ds_re_excludes_planted_noisy_groups():
         {"kind": "toy"},
     )
     net = Network(ModelConfig(input_dim=3, hidden_dims=(), num_classes=2, seed=0))
-    proj = identity_projector(net.param_count)
 
     # the planted cache cannot be lifted to a network, so subsets are scored
     # on its planted target val entries
     grouped = group_cache(planted, 6, seed=4)
-    ev = estimator_evaluator(net, net.init_params(), proj, grouped, corpus.target.val, SOLVE_CFG, linearized=True)
+    ev = estimator_evaluator(net, net.init_params(), grouped, corpus.target.val, SOLVE_CFG, linearized=True)
     report = ensemble_select(ev, 6, GRID, m=120, alpha_frac=0.34, seed=4)
     # map chosen group ids back to planted membership
     planted_noisy = np.repeat([g in noisy_groups for g in range(6)], per_group)

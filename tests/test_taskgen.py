@@ -185,7 +185,7 @@ def test_corpus_meta_keeps_its_types(tmp_path):
 def test_bad_sample_line_is_named_by_its_file_line(tmp_path):
     path = tmp_path / "corpus.txt"
     save_corpus(path, gen_noisy_addition(3, 2, 4, 10, seed=6))
-    header, body = artifact.read(path, "corpus", 1)
+    header, body = artifact.read(path, "corpus", 1, ())
     lines = body.decode().splitlines()
     lines[2] = "0 train 1,2 x"
     artifact.write(path, "corpus", 1, header, ("\n".join(lines) + "\n").encode())

@@ -15,8 +15,8 @@ from gradsel.trainer import (
     param_digest,
     relative_distance,
     save_checkpoint,
-    true_f,
 )
+from gradsel.select import oracle_evaluator
 
 from conftest import FINETUNE_CFG
 
@@ -107,7 +107,9 @@ def test_true_f_empty_subset_ignores_sources():
     net = Network(ModelConfig(input_dim=4, hidden_dims=(6,), num_classes=2, seed=1))
     theta0 = net.init_params()
     cfg = TrainConfig(step_size=0.2, batch_size=8, max_epochs=15, early_stop_patience=3, seed=2, optimizer="sgd")
-    assert true_f(net, theta0, frozenset(), corpus_a, cfg) == true_f(net, theta0, frozenset(), corpus_b, cfg)
+    oracle_a = oracle_evaluator(net, theta0, corpus_a, cfg)
+    oracle_b = oracle_evaluator(net, theta0, corpus_b, cfg)
+    assert oracle_a(frozenset()) == oracle_b(frozenset())
 
 
 def test_true_f_zero_epochs_returns_theta0_loss():
@@ -115,7 +117,7 @@ def test_true_f_zero_epochs_returns_theta0_loss():
     net = Network(ModelConfig(input_dim=4, hidden_dims=(6,), num_classes=2, seed=1))
     theta0 = net.init_params()
     cfg = TrainConfig(step_size=0.2, batch_size=8, max_epochs=0, early_stop_patience=0, seed=2, optimizer="sgd")
-    value = true_f(net, theta0, frozenset({1}), corpus, cfg)
+    value = oracle_evaluator(net, theta0, corpus, cfg)(frozenset({1}))
     assert value == pytest.approx(eval_loss(net, theta0, corpus.target.val), abs=1e-15)
 
 
@@ -129,9 +131,8 @@ def test_unknown_task_id_raises():
 def test_helpful_subset_beats_harmful_subset(gauss_net, theta_star, gauss_corpus):
     helpful = frozenset(gauss_corpus.meta["helpful_ids"][:5])
     harmful = frozenset(gauss_corpus.meta["harmful_ids"][:5])
-    f_help = true_f(gauss_net, theta_star, helpful, gauss_corpus, FINETUNE_CFG)
-    f_harm = true_f(gauss_net, theta_star, harmful, gauss_corpus, FINETUNE_CFG)
-    assert f_help < f_harm
+    oracle = oracle_evaluator(gauss_net, theta_star, gauss_corpus, FINETUNE_CFG)
+    assert oracle(helpful) < oracle(harmful)
 
 
 def test_finetuned_subsets_stay_near_theta_star(gauss_net, theta_star, gauss_corpus):
