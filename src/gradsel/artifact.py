@@ -47,10 +47,11 @@ def write(path, kind: str, version: int, header: dict, body: bytes) -> None:
     write_atomic(path, encode(kind, version, header, body))
 
 
-def read(path, kind: str, version: int, keys) -> tuple[dict, bytes]:
-    """(header, body) of a container whose header holds every one of keys.
+def read(path, kind: str, version: int, keys: dict[str, type]) -> tuple[dict, bytes]:
+    """(header, body) of a container whose header holds a value of each
+    keys[k]'s type under each key k (JSON true and false are not ints).
     Raises ValueError naming the file when the checksum does not match, the
-    file holds another kind or version, or the header lacks one of keys."""
+    file holds another kind or version, or a key is missing or mistyped."""
     with open(path, "rb") as f:
         data = f.read()
     data, trailer = data[:-_TRAILER], data[-_TRAILER:]
@@ -66,7 +67,10 @@ def read(path, kind: str, version: int, keys) -> tuple[dict, bytes]:
         raise ValueError(f"{path}: malformed container header") from None
     if (magic, found, found_version) != ("gradsel", kind, f"v{version}"):
         raise ValueError(f"{path}: holds a {found} {found_version} artifact, not {kind} v{version}")
-    missing = [k for k in keys if k not in header]
-    if missing:
-        raise ValueError(f"{path}: header has no {missing[0]!r} key")
+    for key, want in keys.items():
+        if key not in header:
+            raise ValueError(f"{path}: header has no {key!r} key")
+        value = header[key]
+        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+            raise ValueError(f"{path}: header key {key!r} is {value!r}, not of type {want.__name__}")
     return header, body

@@ -15,7 +15,7 @@ import numpy as np
 from . import estimate as est
 from . import select as sel
 from .linearize import GradientCache, build_cache, rrss_sweep
-from .model import ModelConfig, Network, ParamVector, stack_samples
+from .model import ModelConfig, Network, ParamVector
 from .project import gaussian_projection
 from .taskgen import Corpus, gen_noisy_addition
 from .trainer import TrainConfig, eval_loss, fine_tune_subset, meta_train, relative_distance
@@ -90,11 +90,7 @@ def baseline_feature_similarity(
 ) -> float:
     """Cosine similarity of task-mean penultimate-layer activations."""
 
-    def task_mean(task_id: int) -> np.ndarray:
-        X, _ = stack_samples(corpus.task(task_id).train)
-        return net.penultimate(theta_star, X).mean(axis=0)
-
-    fi, fj = task_mean(i), task_mean(j)
+    fi, fj = (net.penultimate(theta_star, corpus.task(t).train[0]).mean(axis=0) for t in (i, j))
     ni, nj = np.linalg.norm(fi), np.linalg.norm(fj)
     if ni == 0 or nj == 0:
         raise ValueError("zero task-mean activation")
@@ -116,7 +112,7 @@ def exp_rrss(
 ) -> ExperimentReport:
     """Linearization quality: mean RRSS per relative distance, along random
     directions."""
-    rows = rrss_sweep(net, theta_star, corpus.target.val, distances, n_directions, seed)
+    rows = rrss_sweep(net, theta_star, *corpus.target.val, distances, n_directions, seed)
     table = [
         {
             "distance": r.distance,
@@ -160,7 +156,7 @@ def exp_relerr(
     for _ in range(m):
         subset = frozenset(int(t) + 1 for t in rng.choice(n, size=size, replace=False))
         fit = fine_tune_subset(net, theta_star, subset, corpus, train_cfg)
-        truth = eval_loss(net, fit.params, corpus.target.val)
+        truth = eval_loss(net, fit.params, *corpus.target.val)
         oracle_passes += fit.forward_passes
         result = est.estimate_subset(net, theta_star, cache, subset, corpus.target.val, solve_cfg)
         f_true.append(truth)

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import artifact
 from .linearize import GradientCache
-from .model import Network, ParamVector, Sample, _sigmoid
+from .model import Network, ParamVector, _sigmoid
+from .taskgen import Split
 from .trainer import eval_loss
 
 
@@ -56,21 +57,6 @@ def _value_grad(b, y, G, x, lam):
     value = float(np.mean(np.logaddexp(0.0, z)) + 0.5 * lam * (x @ x))
     grad = -(G.T @ (_sigmoid(z) * y)) / len(b) + lam * x
     return value, grad, z
-
-
-def subset_objective(
-    cache: GradientCache,
-    subset,
-    x: np.ndarray,
-    ridge_lambda: float,
-    include_target: bool = True,
-) -> tuple[float, np.ndarray]:
-    """Value and gradient of the subset objective at x."""
-    idx = cache.rows_for(subset, include_target=include_target)
-    if idx.size == 0:
-        raise ValueError(f"no cached samples for subset {sorted(subset)}")
-    x = np.asarray(x, dtype=np.float64)
-    return _value_grad(cache.b[idx], cache.y[idx], cache.g_proj[idx], x, ridge_lambda)[:2]
 
 
 def _newton(b, y, G, lam, cfg, x0):
@@ -138,12 +124,12 @@ def estimate_f(
     theta_star: ParamVector,
     cache: GradientCache,
     x_hat_d: np.ndarray,
-    target_val: list[Sample],
+    target_val: Split,
 ) -> float:
     """Reconstruct theta* + P x_hat with the cache's P and evaluate the true
     forward-pass loss on the target validation set."""
     theta_hat = theta_star + cache.P @ x_hat_d
-    return eval_loss(net, theta_hat, target_val)
+    return eval_loss(net, theta_hat, *target_val)
 
 
 def estimate_f_linearized(cache: GradientCache, x_hat_d: np.ndarray) -> float:
@@ -160,7 +146,7 @@ def estimate_subset(
     theta_star: ParamVector,
     cache: GradientCache,
     subset,
-    target_val: list[Sample],
+    target_val: Split,
     cfg: SolveConfig,
 ) -> EstimateResult:
     """Solve one subset (with the target's train entries) and score it."""

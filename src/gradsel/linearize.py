@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifact
-from .model import Network, ParamVector, Sample, stack_samples
+from .model import Network, ParamVector
 from .project import GENERATOR_VERSION, gaussian_projection
 from .taskgen import TARGET_TASK_ID, Corpus
 from .trainer import param_digest
@@ -81,8 +81,8 @@ class GradientCache:
         return h.hexdigest()
 
 
-def _entries(net: Network, theta: ParamVector, samples: list[Sample], product, d: int):
-    """(y, b, projected margin gradients) for a sample list, at theta.
+def _entries(net: Network, theta: ParamVector, X: np.ndarray, labels: np.ndarray, product, d: int):
+    """(y, b, projected margin gradients) for a batch, at theta.
 
     product is net.margin_gradient_product(P) for the (p, d) projection P,
     whose per-layer factors of P are built once per cache. It projects
@@ -90,11 +90,10 @@ def _entries(net: Network, theta: ParamVector, samples: list[Sample], product, d
     so no (N, p) gradient block is ever built; its largest intermediate is
     _CHUNK * min(in, out) * d floats. The margins are taken per chunk too,
     so no forward pass spans all samples."""
-    X, labels = stack_samples(samples)
-    y = 2.0 * labels - 1.0 if net.config.is_binary else np.ones(len(samples))
-    h = np.empty(len(samples))
-    g = np.empty((len(samples), d))
-    for lo in range(0, len(samples), _CHUNK):
+    y = 2.0 * labels - 1.0 if net.config.is_binary else np.ones(len(X))
+    h = np.empty(len(X))
+    g = np.empty((len(X), d))
+    for lo in range(0, len(X), _CHUNK):
         chunk = slice(lo, lo + _CHUNK)
         h[chunk] = net.margins(theta, X[chunk], labels[chunk])
         g[chunk] = product(theta, X[chunk], labels[chunk])
@@ -118,21 +117,21 @@ def build_cache(
     does for a file."""
     if P.ndim != 2 or P.shape[0] != net.param_count:
         raise ValueError(f"P has shape {P.shape} but the model has {net.param_count} parameters")
-    train = corpus.all_train_samples()
-    refs = np.arange(len(train), dtype=np.int64)
-    tids = np.array([s.task_id for s in train], dtype=np.int64)
+    X, labels = corpus.mixture("train")
+    tasks = [*corpus.tasks, corpus.target]  # the order mixture stacks them in
+    tids = np.repeat(np.array([t.task_id for t in tasks], dtype=np.int64), [len(t.train[0]) for t in tasks])
 
     d = P.shape[1]
     product = net.margin_gradient_product(P)
-    y, b, g = _entries(net, theta_star, train, product, d)
-    val_y, val_b, val_g = _entries(net, theta_star, corpus.target.val, product, d)
+    y, b, g = _entries(net, theta_star, X, labels, product, d)
+    val_y, val_b, val_g = _entries(net, theta_star, *corpus.target.val, product, d)
     for split, bs, gs in (("train", b, g), ("val", val_b, val_g)):
         bad = _first_nonfinite(bs, gs)
         if bad is not None:
             raise ValueError(f"non-finite b or projected gradient in {split} entry {bad}")
 
     return GradientCache(
-        sample_ref=refs,
+        sample_ref=np.arange(len(X), dtype=np.int64),
         task_id=tids,
         y=y,
         b=b,
@@ -175,7 +174,8 @@ class RrssRow:
 def rrss_sweep(
     net: Network,
     theta_star: ParamVector,
-    samples: list[Sample],
+    X: np.ndarray,
+    labels: np.ndarray,
     distances: list[float],
     n_directions: int,
     seed: int,
@@ -211,7 +211,6 @@ def rrss_sweep(
         directions.append(u / np.linalg.norm(u))
     directions = directions[:n_directions]
 
-    X, labels = stack_samples(samples)
     h_star = net.margins(theta_star, X, labels)
     points = [theta_star + dist * norm_star * u for dist in distances for u in directions]
     # g^T (X - theta*) at every point, from one product. The displacement is
@@ -287,9 +286,9 @@ def load_cache(path) -> GradientCache:
     container, its projector generator differs from this program's, or a
     record holds a non-finite b or gradient value (the sign y is an integer
     and always finite). The solver then never has to check its inputs."""
-    header, body = artifact.read(
-        path, "cache", 1, ("p", "d", "n_train", "projector_seed", "generator_version", "theta_star_digest")
-    )
+    header, body = artifact.read(path, "cache", 1, {
+        "p": int, "d": int, "n_train": int, "projector_seed": int, "generator_version": int, "theta_star_digest": str,
+    })
     if header["generator_version"] != GENERATOR_VERSION:
         raise ValueError(f"{path}: projector generator version mismatch")
     records = np.frombuffer(body, dtype=_record_dtype(header["d"]))

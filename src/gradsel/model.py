@@ -1,5 +1,7 @@
 """Small dense classifiers with per-sample margins, losses, and exact gradients.
 
+Labeled data is the pair the network reads: features X (N, D) float64 and
+int64 labels, (N,) class indices, or (N, L) for a head of L > 1 positions.
 Everything runs in float64 and is deterministic given (config, seed). Margins
 follow the logistic-margin convention: a binary head emits a raw logit h, a
 multi-class head reports h = log(p_y / (1 - p_y)) for the labeled class, and a
@@ -68,41 +70,6 @@ class ModelConfig:
     def param_count(self) -> int:
         dims = (self.input_dim, *self.hidden_dims, self.output_units)
         return sum((din + 1) * dout for din, dout in zip(dims[:-1], dims[1:]))
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One labeled example. position_labels is set for multi-position samples."""
-
-    features: np.ndarray
-    label: int
-    task_id: int
-    position_labels: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "features", np.ascontiguousarray(self.features, dtype=np.float64)
-        )
-        if self.position_labels is not None:
-            object.__setattr__(
-                self, "position_labels", tuple(int(v) for v in self.position_labels)
-            )
-
-
-def stack_samples(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack a homogeneous sample list into (features (N,D), labels).
-
-    Labels are (N,) class indices, or (N, L) position labels when the samples
-    carry position_labels.
-    """
-    if not samples:
-        raise ValueError("empty sample list")
-    X = np.stack([s.features for s in samples])
-    if samples[0].position_labels is not None:
-        y = np.array([s.position_labels for s in samples], dtype=np.int64)
-    else:
-        y = np.array([s.label for s in samples], dtype=np.int64)
-    return X, y
 
 
 def _logsumexp(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -218,10 +185,6 @@ class Network:
         np.put_along_axis(masked, at_label, -np.inf, axis=-1)
         return (zy - _logsumexp(masked, axis=-1)).mean(axis=1)
 
-    def margin(self, params: ParamVector, sample: Sample) -> float:
-        y = sample.position_labels if sample.position_labels is not None else sample.label
-        return float(self.margins(params, sample.features[None, :], np.asarray([y]))[0])
-
     def losses(self, params: ParamVector, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Batch log-losses; equals cross-entropy for (multi-)class heads."""
         Z = self.logits(params, X)
@@ -236,10 +199,6 @@ class Network:
             axis=1,
         )
         return ce.mean(axis=1)
-
-    def sample_loss(self, params: ParamVector, sample: Sample) -> float:
-        y = sample.position_labels if sample.position_labels is not None else sample.label
-        return float(self.losses(params, sample.features[None, :], np.asarray([y]))[0])
 
     # ---- gradients ----
 
@@ -270,7 +229,7 @@ class Network:
 
     def _margin_deltas(self, Z: np.ndarray, labels) -> np.ndarray:
         """d margin / d logits, one (out,) row per sample: the output-layer
-        deltas that both margin-gradient paths backpropagate."""
+        deltas margin_gradient_product backpropagates."""
         cfg = self.config
         n = len(Z)
         if cfg.is_binary:
@@ -285,29 +244,9 @@ class Network:
         np.put_along_axis(delta, at_label, 1.0, axis=-1)
         return delta.reshape(n, -1) / cfg.num_positions
 
-    def margin_gradients(self, params: ParamVector, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Exact per-sample margin gradients, one row per sample: (N, p).
-
-        One forward and one backward pass over the batch. Each layer's
-        per-sample weight gradient is the outer product of its output delta
-        and its input activation, written straight into the result.
-        Multi-position samples get the average of per-position margin
-        gradients. The reference that margin_gradient_product is checked
-        against; no stage builds the (N, p) block.
-        """
-        layers, acts, Z = self._forward(params, X)
-        delta = self._margin_deltas(Z, labels)
-        n = len(Z)
-        out = np.empty((n, self.param_count))
-        for i, d in self._layer_deltas(layers, acts, delta):
-            w0, w1, b1 = self._offsets[i]
-            np.multiply(d[:, :, None], acts[i][:, None, :], out=out[:, w0:w1].reshape(n, *self._shapes[i]))
-            out[:, w1:b1] = d
-        return out
-
     def margin_gradient_product(self, M: np.ndarray):
-        """Return f(params, X, labels) = margin_gradients(params, X, labels) @ M
-        for a (p, k) matrix M, computed without the (N, p) gradient block.
+        """Return f(params, X, labels) = G @ M for a (p, k) matrix M, with G
+        the (N, p) per-sample margin gradients, computed without building G.
 
         Layer i's per-sample weight gradient is the outer product of its
         output deltas d (N, out) and inputs a (N, in), so its part of the
@@ -369,19 +308,3 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     out[~pos] = ez / (1.0 + ez)
     return out
 
-
-def finite_difference_margin_gradient(
-    net: Network, params: ParamVector, sample: Sample, step: float = 1e-5
-) -> ParamVector:
-    """Central-difference margin gradient. Independent check for the exact path."""
-    grad = np.zeros_like(params)
-    work = params.copy()
-    for i in range(len(params)):
-        orig = work[i]
-        work[i] = orig + step
-        hi = net.margin(work, sample)
-        work[i] = orig - step
-        lo = net.margin(work, sample)
-        work[i] = orig
-        grad[i] = (hi - lo) / (2.0 * step)
-    return grad

@@ -91,7 +91,7 @@ def oracle_evaluator(
         fit = fine_tune_subset(net, theta0, subset, corpus, cfg)
         ev.fine_tune_runs += 1
         ev.forward_pass_count += fit.forward_passes
-        return eval_loss(net, fit.params, corpus.target.val)
+        return eval_loss(net, fit.params, *corpus.target.val)
 
     ev = Evaluator(_score=score)
     return ev
@@ -291,7 +291,7 @@ def load_report(path) -> SelectionReport:
     """Read a selection artifact; raises ValueError naming the file when it
     is not a selection container, a line is malformed or a line is of
     unknown kind."""
-    _, body = artifact.read(path, "selection", 1, ())
+    _, body = artifact.read(path, "selection", 1, {})
     method = ""
     chosen: set[int] = set()
     rounds = 0

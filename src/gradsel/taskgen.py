@@ -1,5 +1,6 @@
 """Deterministic synthetic corpora with controllable task relatedness.
 
+Every split of a task is the (X, labels) pair Network reads (see model.py).
 Two generators: a Gaussian multitask family with planted helpful/harmful
 source tasks, and a digit-addition family with planted clean/noisy groups.
 Plus k-means clustering of cached gradients, which partitions samples into
@@ -17,21 +18,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifact
-from .model import Sample
 
 TARGET_TASK_ID = 0
 
 DIGIT_CLASSES = 10
 
 
+# (X (N, D) float64, labels (N,) or (N, L) int64), in sample order
+Split = tuple[np.ndarray, np.ndarray]
+
+
+def _position_labels(Y: np.ndarray) -> np.ndarray:
+    """(N, L) labels in the shape Network takes, (N,) if L == 1: the one rule
+    of generators and load_corpus alike, so both give the same arrays."""
+    return Y[:, 0] if Y.shape[1] == 1 else Y
+
+
 @dataclass
 class TaskDataset:
     task_id: int
-    train: list[Sample]
-    val: list[Sample]
+    train: Split
+    val: Split
 
     def __post_init__(self):
-        if not self.train:
+        if len(self.train[0]) == 0:
             raise ValueError(f"task {self.task_id} has empty train split")
 
 
@@ -61,22 +71,14 @@ class Corpus:
 
     @property
     def input_dim(self) -> int:
-        return int(self.target.train[0].features.shape[0])
+        return int(self.target.train[0].shape[1])
 
-    def all_train_samples(self) -> list[Sample]:
-        """Train samples of every source task then the target, in id order."""
-        out: list[Sample] = []
-        for t in self.tasks:
-            out.extend(t.train)
-        out.extend(self.target.train)
-        return out
-
-    def all_val_samples(self) -> list[Sample]:
-        out: list[Sample] = []
-        for t in self.tasks:
-            out.extend(t.val)
-        out.extend(self.target.val)
-        return out
+    def mixture(self, split: str, subset=None) -> Split:
+        """The "train" or "val" split of the subset's source tasks (default:
+        all) in id order, then the target's: D_S plus the target."""
+        ids = range(1, self.n_tasks + 1) if subset is None else sorted(subset)
+        parts = [getattr(self.task(t), split) for t in [*ids, TARGET_TASK_ID]]
+        return np.concatenate([X for X, _ in parts]), np.concatenate([y for _, y in parts])
 
     def digest(self) -> str:
         return hashlib.sha256(serialize_corpus(self)).hexdigest()
@@ -112,7 +114,7 @@ def _gaussian_task(rng, task_id, direction, n_train, n_val, dim, label_noise):
         if label_noise > 0:
             flip = rng.random(n) < label_noise
             y = np.where(flip, 1 - y, y)
-        return [Sample(X[i], int(y[i]), task_id) for i in range(n)]
+        return X, y
 
     return TaskDataset(task_id, draw(n_train), draw(n_val))
 
@@ -216,19 +218,20 @@ def encode_addition_features(a_digits, b_digits) -> np.ndarray:
     return x
 
 
-def _addition_sample(rng, task_id, digits, noisy):
-    while True:
-        a = rng.integers(0, 10, size=digits)
-        b = rng.integers(0, 10, size=digits)
-        if int("".join(map(str, a)) or "0") + int("".join(map(str, b)) or "0") < 10**digits:
-            break
-    if noisy:
-        labels = [int(v) for v in rng.integers(0, 10, size=digits)]
-    else:
-        labels = addition_output_digits(list(a), list(b))
-    return Sample(
-        encode_addition_features(a, b), labels[0], task_id, position_labels=tuple(labels)
-    )
+def _addition_split(rng, n, digits, noisy) -> Split:
+    """n samples drawn one after another: the operands (redrawn until their
+    sum fits in digits), then a noisy sample's random output digits."""
+    X = np.zeros((n, 2 * digits * DIGIT_CLASSES))
+    Y = np.empty((n, digits), dtype=np.int64)
+    for i in range(n):
+        while True:
+            a = rng.integers(0, 10, size=digits)
+            b = rng.integers(0, 10, size=digits)
+            if int("".join(map(str, a)) or "0") + int("".join(map(str, b)) or "0") < 10**digits:
+                break
+        X[i] = encode_addition_features(a, b)
+        Y[i] = rng.integers(0, 10, size=digits) if noisy else addition_output_digits(list(a), list(b))
+    return X, _position_labels(Y)
 
 
 def gen_noisy_addition(
@@ -257,9 +260,8 @@ def gen_noisy_addition(
     def group(task_id, noisy, n_train, n_val=None):
         if n_val is None:
             n_val = max(8, n_train // 4)
-        train = [_addition_sample(rng, task_id, digits, noisy) for _ in range(n_train)]
-        val = [_addition_sample(rng, task_id, digits, noisy) for _ in range(n_val)]
-        return TaskDataset(task_id, train, val)
+        train = _addition_split(rng, n_train, digits, noisy)
+        return TaskDataset(task_id, train, _addition_split(rng, n_val, digits, noisy))
 
     # the target's val split anchors every evaluation, so keep it solid even
     # when its train split is small
@@ -357,17 +359,13 @@ def cluster_into_groups(g_proj: np.ndarray, n_groups: int, seed: int) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _write_split(out, task_id: int, split: str, samples: list[Sample], onehot: bool):
-    for s in samples:
-        if s.position_labels is not None:
-            label = ",".join(str(v) for v in s.position_labels)
-        else:
-            label = str(s.label)
+def _write_split(out, task_id: int, split: str, X: np.ndarray, labels: np.ndarray, onehot: bool):
+    for x, y in zip(X, labels.reshape(len(labels), -1)):
         if onehot:
-            feats = ",".join(str(i) for i in np.flatnonzero(s.features))
+            feats = ",".join(str(i) for i in np.flatnonzero(x))
         else:
-            feats = ",".join(float(v).hex() for v in s.features)
-        out.write(f"{task_id} {split} {label} {feats}\n")
+            feats = ",".join(float(v).hex() for v in x)
+        out.write(f"{task_id} {split} {','.join(str(v) for v in y)} {feats}\n")
 
 
 def serialize_corpus(corpus: Corpus) -> bytes:
@@ -375,8 +373,8 @@ def serialize_corpus(corpus: Corpus) -> bytes:
     out = io.StringIO()
     onehot = corpus.meta.get("kind") == "addition"  # lines list the set indices
     for t in [corpus.target, *corpus.tasks]:
-        _write_split(out, t.task_id, "train", t.train, onehot)
-        _write_split(out, t.task_id, "val", t.val, onehot)
+        _write_split(out, t.task_id, "train", *t.train, onehot)
+        _write_split(out, t.task_id, "val", *t.val, onehot)
     header = {"dim": corpus.input_dim, "meta": corpus.meta}
     return artifact.encode("corpus", 1, header, out.getvalue().encode())
 
@@ -387,32 +385,35 @@ def save_corpus(path, corpus: Corpus) -> None:
 
 def load_corpus(path) -> Corpus:
     """Read a corpus artifact; raises ValueError naming the file when it is
-    not a corpus container or a sample line is malformed."""
-    header, body = artifact.read(path, "corpus", 1, ("dim", "meta"))
+    not a corpus container, a sample line is malformed or a split is ragged."""
+    header, body = artifact.read(path, "corpus", 1, {"dim": int, "meta": dict})
     dim, meta = header["dim"], header["meta"]
     onehot = meta.get("kind") == "addition"
-    buckets: dict[tuple[int, str], list[Sample]] = {}
+    buckets: dict[tuple[int, str], list] = {}
     for lineno, line in enumerate(body.decode().splitlines(), 2):
         try:
-            tid, split, sample = _parse_sample(line, dim, onehot)
+            tid, split, x, y = _parse_sample(line, dim, onehot)
         except (ValueError, IndexError) as e:
             raise ValueError(f"{path}: line {lineno}: {e}") from None
-        buckets.setdefault((tid, split), []).append(sample)
+        buckets.setdefault((tid, split), []).append((x, y))
 
-    ids = sorted({tid for tid, _ in buckets} - {TARGET_TASK_ID})
-    tasks = [
-        TaskDataset(tid, buckets.get((tid, "train"), []), buckets.get((tid, "val"), []))
-        for tid in ids
-    ]
-    target = TaskDataset(
-        TARGET_TASK_ID, buckets.get((TARGET_TASK_ID, "train"), []), buckets.get((TARGET_TASK_ID, "val"), [])
-    )
-    return Corpus(tasks, target, meta)
+    def stacked(tid: int, split: str) -> Split:
+        rows = buckets.get((tid, split))
+        if not rows:
+            raise ValueError(f"{path}: task {tid} has no {split} lines")
+        try:
+            Y = np.array([y for _, y in rows], dtype=np.int64)
+        except ValueError:
+            raise ValueError(f"{path}: task {tid} {split} lines differ in their number of labels") from None
+        return np.array([x for x, _ in rows]), _position_labels(Y)
+
+    ids = sorted({tid for tid, _ in buckets} | {TARGET_TASK_ID})  # the target first
+    tasks = [TaskDataset(tid, stacked(tid, "train"), stacked(tid, "val")) for tid in ids]
+    return Corpus(tasks[1:], tasks[0], meta)
 
 
-def _parse_sample(line: str, dim: int, onehot: bool) -> tuple[int, str, Sample]:
+def _parse_sample(line: str, dim: int, onehot: bool) -> tuple[int, str, np.ndarray, list[int]]:
     tid_s, split, label_s, feats_s = line.split()
-    tid = int(tid_s)
     if onehot:
         x = np.zeros(dim)
         x[[int(i) for i in feats_s.split(",")]] = 1.0
@@ -420,7 +421,4 @@ def _parse_sample(line: str, dim: int, onehot: bool) -> tuple[int, str, Sample]:
         x = np.array([float.fromhex(v) for v in feats_s.split(",")])
         if x.shape != (dim,):
             raise ValueError(f"expected {dim} features, got {x.shape[0]}")
-    if "," in label_s:
-        pos = tuple(int(v) for v in label_s.split(","))
-        return tid, split, Sample(x, pos[0], tid, position_labels=pos)
-    return tid, split, Sample(x, int(label_s), tid)
+    return int(tid_s), split, x, [int(v) for v in label_s.split(",")]

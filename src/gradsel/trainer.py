@@ -1,9 +1,10 @@
 """Meta-training, fine-tuning and loss evaluation.
 
 Fine-tuning runs mini-batch SGD or Adam with patience-based early stopping on
-a validation set, returning the parameters of the best epoch. The oracle value
-of a task subset S (select.oracle_evaluator) is the target validation loss
-after fine_tune_subset on the combined data of S plus the target's train
+a validation set, returning the parameters of the best epoch. Both read
+(X, labels) splits (taskgen.Split) that Corpus.mixture stacks. The oracle
+value of a task subset S (select.oracle_evaluator) is the target validation
+loss after fine_tune_subset on the combined data of S plus the target's train
 split. The meta-trained parameters are saved as a checkpoint artifact (see
 artifact.py).
 """
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifact
-from .model import Network, ParamVector, Sample, stack_samples
-from .taskgen import Corpus
+from .model import Network, ParamVector
+from .taskgen import Corpus, Split
 
 OPTIMIZERS = ("sgd", "adam")
 
@@ -63,12 +64,11 @@ class FitResult:
     best_epoch: int
 
 
-def eval_loss(net: Network, params: ParamVector, data: list[Sample]) -> float:
-    """Mean sample loss over a nonempty sample list."""
-    if not data:
+def eval_loss(net: Network, params: ParamVector, X: np.ndarray, labels: np.ndarray) -> float:
+    """Mean loss over a nonempty batch."""
+    if len(X) == 0:
         raise ValueError("empty evaluation data")
-    X, y = stack_samples(data)
-    return float(net.losses(params, X, y).mean())
+    return float(net.losses(params, X, labels).mean())
 
 
 def relative_distance(x: ParamVector, theta_star: ParamVector) -> float:
@@ -84,13 +84,12 @@ def relative_distance(x: ParamVector, theta_star: ParamVector) -> float:
 def _fit(
     net: Network,
     theta0: ParamVector,
-    train: list[Sample],
-    val: list[Sample],
+    train: Split,
+    val: Split,
     cfg: TrainConfig,
 ) -> FitResult:
-    X, y = stack_samples(train)
-    X_val, y_val = stack_samples(val)
-    n = len(train)
+    (X, y), (X_val, y_val) = train, val
+    n = len(X)
     rng = np.random.default_rng(cfg.seed)
     params = theta0.copy()
 
@@ -151,7 +150,7 @@ def meta_train(net: Network, corpus: Corpus, cfg: TrainConfig) -> FitResult:
     """Train on the union of every task's train split (sources plus target),
     early-stopping on the combined validation loss."""
     theta0 = net.init_params()
-    return _fit(net, theta0, corpus.all_train_samples(), corpus.all_val_samples(), cfg)
+    return _fit(net, theta0, corpus.mixture("train"), corpus.mixture("val"), cfg)
 
 
 def fine_tune_subset(
@@ -170,14 +169,7 @@ def fine_tune_subset(
     bad = set(subset) - set(range(1, corpus.n_tasks + 1))
     if bad:
         raise ValueError(f"unknown task ids in subset: {sorted(bad)}")
-    train: list[Sample] = []
-    val: list[Sample] = []
-    for tid in sorted(subset):
-        train.extend(corpus.task(tid).train)
-        val.extend(corpus.task(tid).val)
-    train.extend(corpus.target.train)
-    val.extend(corpus.target.val)
-    return _fit(net, theta0, train, val, cfg)
+    return _fit(net, theta0, corpus.mixture("train", subset), corpus.mixture("val", subset), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +190,6 @@ def save_checkpoint(path, params: ParamVector, config_digest: str, corpus_digest
 def load_checkpoint(path) -> tuple[ParamVector, str, str]:
     """Returns (params, config_digest, corpus_digest). Raises ValueError
     naming the file when it is not a checkpoint container."""
-    header, body = artifact.read(path, "checkpoint", 1, ("config_digest", "corpus_digest"))
+    header, body = artifact.read(path, "checkpoint", 1, {"config_digest": str, "corpus_digest": str})
     params = np.frombuffer(body, dtype="<f8").copy()
     return params, header["config_digest"], header["corpus_digest"]

@@ -12,12 +12,7 @@ import numpy as np
 from gradsel.bench import exp_addition, predicted_forward_passes, relative_error
 from gradsel.estimate import SolveConfig, estimate_subset, solve_subset
 from gradsel.linearize import GradientCache, build_cache, rrss_sweep
-from gradsel.model import (
-    ModelConfig,
-    Network,
-    Sample,
-    finite_difference_margin_gradient,
-)
+from gradsel.model import ModelConfig, Network
 from gradsel.project import gaussian_projection
 from gradsel.select import (
     compute_T,
@@ -31,6 +26,7 @@ from gradsel.taskgen import Corpus, TaskDataset, gen_multitask_gaussian
 from gradsel.trainer import TrainConfig, eval_loss, fine_tune_subset, meta_train
 
 from conftest import DEFAULT_CORPUS, FINETUNE_CFG, META_CFG, SOLVE_CFG
+from reference import finite_difference_margin_gradient, margin
 
 
 def _verdict(number, name, ok, detail):
@@ -39,7 +35,8 @@ def _verdict(number, name, ok, detail):
 
 
 def test_criterion_1_gradient_correctness():
-    # margin gradients vs central finite differences across the model grid
+    # the margin gradients the cache stage projects (margin_gradient_product,
+    # here with M = I) vs central finite differences across the model grid
     rng = np.random.default_rng(0)
     worst = 0.0
     for width in (8, 64):
@@ -48,10 +45,11 @@ def test_criterion_1_gradient_correctness():
                               num_classes=2, init_scale=0.5, seed=width + depth)
             net = Network(cfg)
             params = net.init_params()
+            full = net.margin_gradient_product(np.eye(net.param_count))
             for _ in range(3):
-                s = Sample(rng.standard_normal(6), int(rng.integers(2)), 1)
-                g = net.margin_gradients(params, s.features[None], np.array([s.label]))[0]
-                fd = finite_difference_margin_gradient(net, params, s, step=1e-5)
+                x, label = rng.standard_normal(6), int(rng.integers(2))
+                g = full(params, x[None], np.array([label]))[0]
+                fd = finite_difference_margin_gradient(net, params, x, label, step=1e-5)
                 worst = max(worst, np.linalg.norm(fd - g) / np.linalg.norm(g))
     _verdict(1, "gradient correctness", worst <= 1e-5, f"max FD relative error {worst:.2e}")
 
@@ -60,8 +58,9 @@ def test_criterion_2_linearization_exact_for_linear_models():
     rng = np.random.default_rng(1)
     net = Network(ModelConfig(input_dim=6, hidden_dims=(), num_classes=2, init_scale=0.5, seed=2))
     theta = net.init_params() + 0.5  # margins bounded away from zero
-    samples = [Sample(rng.standard_normal(6) + 1.0, int(rng.integers(2)), 0) for _ in range(25)]
-    rows = rrss_sweep(net, theta, samples, [0.0025, 0.005, 0.01, 0.025], 10, seed=3)
+    draws = [(rng.standard_normal(6) + 1.0, int(rng.integers(2))) for _ in range(25)]
+    X, y = np.array([x for x, _ in draws]), np.array([label for _, label in draws])
+    rows = rrss_sweep(net, theta, X, y, [0.0025, 0.005, 0.01, 0.025], 10, seed=3)
     worst = max(r.mean_rrss for r in rows)
     _verdict(2, "linear exactness", worst <= 1e-12, f"max mean RRSS {worst:.2e}")
 
@@ -77,12 +76,12 @@ def test_criterion_3_rrss_trend(gauss_corpus):
         endpoints.append(fine_tune_subset(net, theta, S, gauss_corpus, FINETUNE_CFG).params)
     # RRSS divides by h_X^2, so evaluate where the base margin is bounded away
     # from the zero crossing; near-boundary samples put a pole in the ratio
-    val = gauss_corpus.target.val
-    margins = np.array([net.margin(theta, s) for s in val])
-    samples = [s for s, h in zip(val, margins) if abs(h) >= 0.5][:40]
+    X, y = gauss_corpus.target.val
+    margins = np.array([margin(net, theta, X[i], y[i]) for i in range(len(X))])
+    samples = np.flatnonzero(np.abs(margins) >= 0.5)[:40]
     assert len(samples) >= 20
     distances = [0.0025, 0.005, 0.01, 0.025]
-    rows = rrss_sweep(net, theta, samples, distances, 20, seed=6,
+    rows = rrss_sweep(net, theta, X[samples], y[samples], distances, 20, seed=6,
                       endpoint_params=endpoints)
     means = [r.mean_rrss for r in rows]
     monotone = all(a <= b for a, b in zip(means, means[1:]))
@@ -97,7 +96,7 @@ def test_criterion_4_estimator_fidelity(gauss_net, theta_star, gauss_corpus, cac
     for _ in range(30):
         S = frozenset(int(t) + 1 for t in rng.choice(20, size=10, replace=False))
         fit = fine_tune_subset(gauss_net, theta_star, S, gauss_corpus, FINETUNE_CFG)
-        f_true.append(eval_loss(gauss_net, fit.params, gauss_corpus.target.val))
+        f_true.append(eval_loss(gauss_net, fit.params, *gauss_corpus.target.val))
         result = estimate_subset(gauss_net, theta_star, cache, S,
                                  gauss_corpus.target.val, SOLVE_CFG)
         f_hat.append(result.f_hat)
@@ -117,8 +116,7 @@ def test_criterion_5_convex_equivalence_oracle():
         X = (2 * y - 1)[:, None] * 1.2 + rng.standard_normal((n, dim))
         flip = rng.random(n) < 0.15
         y = np.where(flip, 1 - y, y)
-        samples = [Sample(X[i], int(y[i]), tid) for i in range(n)]
-        return TaskDataset(tid, samples, samples)
+        return TaskDataset(tid, (X, y), (X, y))
 
     corpus = Corpus([task(t) for t in range(1, 7)], task(0, n=40), {"kind": "toy"})
     net = Network(ModelConfig(input_dim=dim, hidden_dims=(), num_classes=2, init_scale=0.1, seed=1))
@@ -132,7 +130,7 @@ def test_criterion_5_convex_equivalence_oracle():
     for _ in range(10):
         S = frozenset(int(t) + 1 for t in rng2.choice(6, size=3, replace=False))
         fit = fine_tune_subset(net, theta, S, corpus, ftc)
-        truth = eval_loss(net, fit.params, corpus.target.val)
+        truth = eval_loss(net, fit.params, *corpus.target.val)
         result = estimate_subset(net, theta, cache5, S, corpus.target.val, scfg)
         worst = max(worst, abs(truth - result.f_hat))
     _verdict(5, "convex equivalence", worst <= 1e-3, f"max |f - f_hat| {worst:.2e}")
@@ -274,7 +272,7 @@ def test_criterion_10_unit_suites(gauss_net, theta_star, gauss_corpus):
         S = frozenset(int(t) + 1 for t in rng2.choice(20, size=10, replace=False))
         subsets.append(S)
         fit = fine_tune_subset(gauss_net, theta_star, S, gauss_corpus, ftc)
-        f_true.append(eval_loss(gauss_net, fit.params, gauss_corpus.target.val))
+        f_true.append(eval_loss(gauss_net, fit.params, *gauss_corpus.target.val))
     errs = {}
     for d in (50, 100, 200, 400):
         P_d = gaussian_projection(gauss_net.param_count, d, 5)

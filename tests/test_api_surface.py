@@ -1,26 +1,18 @@
 """Public API must be used by the program itself, not only by tests.
 
 The check parses src/gradsel/*.py and walks references outward from module
-level code (the CLI entry point, constants) and from the allowlisted
-reference implementations. A public top-level function or class, or a public
-method, that no reachable code names is dead weight kept alive only by its
-tests, and fails the check. Names are matched by identifier, so a method
-counts as used when any reachable code reads an attribute of that name.
+level code (the CLI entry point, constants). A public top-level function or
+class, or a public method, that no reachable code names is dead weight kept
+alive only by its tests, and fails the check. Names are matched by
+identifier, so a method counts as used when any reachable code reads an
+attribute of that name. Reference implementations that tests compare the
+production paths against live in tests/reference.py, not in src/.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gradsel"
-
-# Reference implementations that tests compare the production paths against.
-# They stay although no stage calls them.
-ALLOWED = {
-    "estimate.subset_objective",  # solver objective, checked by finite differences
-    "model.finite_difference_margin_gradient",  # checks the exact margin gradient
-    "model.Network.sample_loss",  # one-sample loss for checking the batch losses
-    "model.Network.margin_gradients",  # full (N, p) gradients for checking margin_gradient_product
-}
 
 
 def _names(nodes) -> set[str]:
@@ -69,8 +61,7 @@ def _unused() -> list[str]:
             for u in units
             if u[0] not in reached
             and (
-                u[0] in ALLOWED
-                or u[1] in names
+                u[1] in names
                 # dunder methods run implicitly once their class is in use
                 or (u[1].startswith("__") and u[0].rsplit(".", 1)[0] in reached)
             )
@@ -90,12 +81,3 @@ def _unused() -> list[str]:
 def test_every_public_name_is_used_by_the_program():
     assert _unused() == []
 
-
-def test_allowlist_names_only_unused_reference_implementations():
-    units, roots = _units()
-    defined = {qual for qual, _, _ in units}
-    assert ALLOWED <= defined
-    # an allowlisted name that production code starts calling no longer needs
-    # the exemption
-    called = roots.union(*(reads for qual, _, reads in units if qual not in ALLOWED))
-    assert not {q for q in ALLOWED if q.rsplit(".", 1)[1] in called}

@@ -167,7 +167,7 @@ def test_pairwise_cosine_vs_oracle_correlation_recorded(
         i, j = (int(t) + 1 for t in rng.choice(20, size=2, replace=False))
         cosines.append(baseline_gradient_cosine(cache, i, j))
         fit = fine_tune_subset(gauss_net, theta_star, {i, j}, gauss_corpus, FINETUNE_CFG)
-        f_values.append(eval_loss(gauss_net, fit.params, gauss_corpus.target.val))
+        f_values.append(eval_loss(gauss_net, fit.params, *gauss_corpus.target.val))
     corr = float(np.corrcoef(cosines, f_values)[0, 1])
     print(f"pairwise cosine vs oracle f({{i,j}}) correlation: {corr:+.3f}")
     assert -1.0 <= corr <= 1.0

@@ -306,6 +306,26 @@ def test_bench_addition_small(tmp_path):
     assert (tmp_path / "bench" / "addition_groups.csv").exists()
 
 
+def test_one_digit_addition_runs_in_memory_and_from_its_file(tmp_path):
+    # bench builds its addition corpus in memory, the stages load theirs from
+    # corpus.txt; a one-digit corpus has one label per sample either way
+    args = [
+        *TINY,
+        "--corpus.kind", "addition",
+        "--corpus.n_clean", "2",
+        "--corpus.digits", "1",
+        "--addition.hidden_dims", "16",
+        "--addition.epochs", "2",
+        "--addition.samples_per_group", "40",
+        "--addition.target_samples", "10",
+        "--addition.m", "20",
+    ]
+    assert run(["bench", "--exp", "addition", *args], tmp_path) == 0
+    assert (tmp_path / "bench" / "addition_scalars.csv").exists()
+    for stage in ("gen", "meta-train", "cache", "select"):
+        assert run([stage, *args], tmp_path) == 0
+
+
 def test_bench_relerr_small(tmp_path):
     for stage in (["gen"], ["meta-train"], ["cache"]):
         assert run([*stage, *TINY], tmp_path) == 0
@@ -354,11 +374,17 @@ DAMAGED_ARTIFACTS = [
 HEADER_KEY = {"corpus.txt": ("corpus", "dim"), "checkpoint.bin": ("checkpoint", "corpus_digest"),
               "cache.bin": ("cache", "d")}
 
+# the container kind, a header key its loader reads, and a value of the wrong
+# JSON type for it
+MISTYPED = {"corpus.txt": ("corpus", "dim", "5"), "checkpoint.bin": ("checkpoint", "corpus_digest", True),
+            "cache.bin": ("cache", "projector_seed", "5")}
+
 
 @pytest.mark.parametrize(
     "artifact, stage, binary, damage",
     [(*a, damage) for damage in DAMAGE for a in DAMAGED_ARTIFACTS]
-    + [(*a, "drop_header_key") for a in DAMAGED_ARTIFACTS if a[0] in HEADER_KEY],
+    + [(*a, "drop_header_key") for a in DAMAGED_ARTIFACTS if a[0] in HEADER_KEY]
+    + [(*a, "mistype_header_key") for a in DAMAGED_ARTIFACTS if a[0] in MISTYPED],
 )
 def test_damaged_artifact_fails_in_one_line(tiny_run, tmp_path, capsys, artifact, stage, binary, damage):
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
@@ -368,9 +394,13 @@ def test_damaged_artifact_fails_in_one_line(tiny_run, tmp_path, capsys, artifact
         assert data.decode().splitlines()[-1].startswith("sha256 ")
     if damage == "drop_header_key":  # rewritten whole, so its checksum holds
         kind, key = HEADER_KEY[artifact]
-        header, body = gradsel.artifact.read(path, kind, 1, ())
+        header, body = gradsel.artifact.read(path, kind, 1, {})
         del header[key]
         gradsel.artifact.write(path, kind, 1, header, body)
+    elif damage == "mistype_header_key":
+        kind, key, value = MISTYPED[artifact]
+        header, body = gradsel.artifact.read(path, kind, 1, {})
+        gradsel.artifact.write(path, kind, 1, {**header, key: value}, body)
     else:
         path.write_bytes(DAMAGE[damage](data))
     capsys.readouterr()
@@ -380,6 +410,8 @@ def test_damaged_artifact_fails_in_one_line(tiny_run, tmp_path, capsys, artifact
     assert lines[0].startswith(f"gradsel {stage}: {artifact}: ")
     if damage == "drop_header_key":
         assert f"header has no {key!r} key" in lines[0]
+    if damage == "mistype_header_key":
+        assert f"header key {key!r} is {value!r}, not of type " in lines[0]
 
 
 def test_cache_projected_for_another_model_fails_in_one_line(tiny_run, tmp_path, capsys):
@@ -387,7 +419,7 @@ def test_cache_projected_for_another_model_fails_in_one_line(tiny_run, tmp_path,
     # count than the model has parameters
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "cache.bin"
-    header, body = gradsel.artifact.read(path, "cache", 1, ("p",))
+    header, body = gradsel.artifact.read(path, "cache", 1, {})
     gradsel.artifact.write(path, "cache", 1, {**header, "p": header["p"] + 1}, body)
     capsys.readouterr()
     assert run(["select", *TINY], tmp_path) == 2
@@ -488,7 +520,7 @@ def test_select_ds_with_more_groups_than_source_rows_fails_in_one_line(tiny_run,
 def test_report_rejects_unknown_selection_line(tiny_run, tmp_path, capsys):
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "selection.txt"
-    header, body = gradsel.artifact.read(path, "selection", 1, ())
+    header, body = gradsel.artifact.read(path, "selection", 1, {})
     gradsel.artifact.write(path, "selection", 1, header, body + b"xyz\n")
     capsys.readouterr()
     assert run(["report", *TINY], tmp_path) == 2

@@ -13,15 +13,15 @@ from gradsel.estimate import (
     estimate_f_linearized,
     estimate_subset,
     solve_subset,
-    subset_objective,
     write_ledger,
 )
 from gradsel.linearize import GradientCache, build_cache, load_cache, save_cache
-from gradsel.model import ModelConfig, Network, Sample, _sigmoid
+from gradsel.model import ModelConfig, Network, _sigmoid
 from gradsel.taskgen import Corpus, TaskDataset
 from gradsel.trainer import eval_loss
 
 from conftest import SOLVE_CFG
+from reference import subset_objective
 
 
 def _fake_cache(b, y, G, task_id=None, val=None):
@@ -285,7 +285,7 @@ def test_empty_subset_data_raises():
 
 
 def test_estimate_f_zero_displacement(gauss_net, theta_star, gauss_corpus, cache):
-    base = eval_loss(gauss_net, theta_star, gauss_corpus.target.val)
+    base = eval_loss(gauss_net, theta_star, *gauss_corpus.target.val)
     value = estimate_f(gauss_net, theta_star, cache, np.zeros(cache.d), gauss_corpus.target.val)
     assert value == pytest.approx(base, abs=1e-14)
 
@@ -313,8 +313,7 @@ def _linear_setup(seed=0):
     def task(tid, n=30):
         y = rng.integers(0, 2, size=n)
         X = (2 * y - 1)[:, None] * 1.2 + rng.standard_normal((n, dim))
-        samples = [Sample(X[i], int(y[i]), tid) for i in range(n)]
-        return TaskDataset(tid, samples, samples)  # val = train
+        return TaskDataset(tid, (X, y), (X, y))  # val = train
 
     corpus = Corpus([task(1), task(2)], task(0), {"kind": "toy"})
     net = Network(ModelConfig(input_dim=dim, hidden_dims=(), num_classes=2, seed=seed + 1))

@@ -14,18 +14,25 @@ from gradsel.linearize import (
     rrss_sweep,
     save_cache,
 )
-from gradsel.model import ModelConfig, Network, Sample, stack_samples
+from gradsel.model import ModelConfig, Network
 from gradsel.project import _BLOCK_ROWS, gaussian_projection
 from gradsel.taskgen import Corpus, TaskDataset
 from gradsel.trainer import param_digest
+from reference import margin, margin_gradients
+
+
+def _task(tid, rows, n_train):
+    """A task from (features, label) rows: the first n_train train, the rest val."""
+    X = np.array([x for x, _ in rows])
+    y = np.array([label for _, label in rows], dtype=np.int64)
+    return TaskDataset(tid, (X[:n_train], y[:n_train]), (X[n_train:], y[n_train:]))
 
 
 def _mini_corpus(dim=4, seed=0, n_train=1):
     rng = np.random.default_rng(seed)
     def task(tid):
-        samples = [Sample(rng.standard_normal(dim), int(rng.integers(2)), tid)
-                   for _ in range(n_train + 2)]
-        return TaskDataset(tid, samples[:n_train], samples[n_train:])
+        rows = [(rng.standard_normal(dim), rng.integers(2)) for _ in range(n_train + 2)]
+        return _task(tid, rows, n_train)
     return Corpus([task(1)], task(0), {"kind": "toy"})
 
 
@@ -33,16 +40,19 @@ def _linear_net(dim=4, seed=1):
     return Network(ModelConfig(input_dim=dim, hidden_dims=(), num_classes=2, seed=seed))
 
 
-def _grad(net, params, sample):
-    """Full margin gradient of one sample."""
-    X, y = stack_samples([sample])
-    return net.margin_gradients(params, X, y)[0]
+def _first(split, n):
+    """The first n samples of an (X, labels) split."""
+    return split[0][:n], split[1][:n]
 
 
-def _rrss(net, theta_star, x, samples):
+def _grad(net, params, x, label):
+    """Full margin gradient of the one sample (x, label)."""
+    return margin_gradients(net, params, x[None, :], np.asarray([label]))[0]
+
+
+def _rrss(net, theta_star, x, X, y):
     """Per-sample RRSS at x, with the first-order term from the full gradients."""
-    X, y = stack_samples(samples)
-    lin = net.margin_gradients(theta_star, X, y) @ (x - theta_star)
+    lin = margin_gradients(net, theta_star, X, y) @ (x - theta_star)
     return _rrss_batch(net, x, X, y, net.margins(theta_star, X, y), lin)
 
 
@@ -54,10 +64,7 @@ def _multi_position_setup(n_train=6, seed=0):
     rng = np.random.default_rng(seed)
 
     def task(tid):
-        samples = [Sample(rng.standard_normal(40), 0, tid,
-                          position_labels=tuple(rng.integers(10, size=3)))
-                   for _ in range(n_train + 5)]
-        return TaskDataset(tid, samples[:n_train], samples[n_train:])
+        return _task(tid, [(rng.standard_normal(40), rng.integers(10, size=3)) for _ in range(n_train + 5)], n_train)
 
     return net, net.init_params(), Corpus([task(1), task(2)], task(0), {"kind": "toy"})
 
@@ -68,9 +75,9 @@ def _cached_taylor_margin(cache, i, z):
     return -cache.b[i] * cache.y[i] + cache.g_proj[i] @ z
 
 
-def _full_taylor_margin(net, theta_star, x, sample):
+def _full_taylor_margin(net, theta_star, x, features, label):
     """First-order margin at an arbitrary X, using the full gradient."""
-    return net.margin(theta_star, sample) + _grad(net, theta_star, sample) @ (x - theta_star)
+    return margin(net, theta_star, features, label) + _grad(net, theta_star, features, label) @ (x - theta_star)
 
 
 def test_cache_entries_and_b_values():
@@ -82,11 +89,11 @@ def test_cache_entries_and_b_values():
     assert cache.n_entries == 2
     assert sorted(cache.task_id) == [0, 1]
     for i in range(cache.n_entries):
-        sample = corpus.task(int(cache.task_id[i])).train[0]
-        y = 2 * sample.label - 1
+        X, labels = corpus.task(int(cache.task_id[i])).train
+        y = 2 * labels[0] - 1
         assert cache.y[i] == y
-        assert cache.b[i] == pytest.approx(-y * net.margin(theta, sample), abs=1e-12)
-    assert cache.n_val_entries == len(corpus.target.val)
+        assert cache.b[i] == pytest.approx(-y * margin(net, theta, X[0], labels[0]), abs=1e-12)
+    assert cache.n_val_entries == len(corpus.target.val[0])
 
 
 def test_identity_projector_caches_full_gradient():
@@ -94,8 +101,8 @@ def test_identity_projector_caches_full_gradient():
     net = _linear_net()
     theta = net.init_params()
     cache = build_cache(net, theta, corpus, np.eye(net.param_count), None)
-    sample = corpus.tasks[0].train[0]
-    g = _grad(net, theta, sample)
+    X, labels = corpus.tasks[0].train
+    g = _grad(net, theta, X[0], labels[0])
     idx = int(np.flatnonzero(cache.task_id == 1)[0])
     assert np.allclose(cache.g_proj[idx], g, atol=1e-14)
 
@@ -108,13 +115,13 @@ def test_build_cache_matches_per_sample_reference(monkeypatch):
     assert net.param_count > _BLOCK_ROWS
     P = gaussian_projection(net.param_count, 6, 2)
     cache = build_cache(net, theta, corpus, P, 2)
-    for samples, b, g_proj in ((corpus.all_train_samples(), cache.b, cache.g_proj),
-                               (corpus.target.val, cache.val_b, cache.val_g_proj)):
-        assert len(samples) == len(b) > linearize._CHUNK
-        for i, s in enumerate(samples):
-            ref = P.T @ _grad(net, theta, s)
+    for (X, labels), b, g_proj in ((corpus.mixture("train"), cache.b, cache.g_proj),
+                                   (corpus.target.val, cache.val_b, cache.val_g_proj)):
+        assert len(X) == len(b) > linearize._CHUNK
+        for i in range(len(X)):
+            ref = P.T @ _grad(net, theta, X[i], labels[i])
             assert np.max(np.abs(g_proj[i] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-            assert b[i] == pytest.approx(-net.margin(theta, s), abs=1e-12)
+            assert b[i] == pytest.approx(-margin(net, theta, X[i], labels[i]), abs=1e-12)
     assert np.all(cache.y == 1.0) and np.all(cache.val_y == 1.0)
 
 
@@ -128,12 +135,10 @@ def test_build_cache_never_builds_a_gradient_block():
     rng = np.random.default_rng(0)
 
     def task(tid, n_train):
-        samples = [Sample(rng.standard_normal(40), 0, tid, position_labels=tuple(rng.integers(10, size=10)))
-                   for _ in range(n_train + 20)]
-        return TaskDataset(tid, samples[:n_train], samples[n_train:])
+        return _task(tid, [(rng.standard_normal(40), rng.integers(10, size=10)) for _ in range(n_train + 20)], n_train)
 
     corpus = Corpus([task(1, 200), task(2, 200)], task(0, 20), {"kind": "toy"})
-    assert len(corpus.all_train_samples()) > linearize._CHUNK
+    assert len(corpus.mixture("train")[0]) > linearize._CHUNK
     P = gaussian_projection(net.param_count, 20, 1)  # built before tracing starts
     theta = net.init_params()
     tracemalloc.start()
@@ -149,8 +154,8 @@ def test_build_cache_never_builds_a_gradient_block():
 @pytest.mark.parametrize("split", ["train", "val"])
 def test_build_cache_rejects_non_finite_entries(split):
     corpus = _mini_corpus(n_train=3)
-    samples = corpus.tasks[0].train if split == "train" else corpus.target.val
-    samples[1] = Sample(np.full(4, np.inf), 1, samples[1].task_id)
+    X, labels = corpus.tasks[0].train if split == "train" else corpus.target.val
+    X[1], labels[1] = np.inf, 1
     net = _linear_net()
     with np.errstate(invalid="ignore"), pytest.raises(
         ValueError, match=f"non-finite b or projected gradient in {split} entry 1$"
@@ -182,15 +187,16 @@ def test_rebuild_identical_digest(gauss_net, theta_star, gauss_corpus, cache):
 
 def test_cache_soundness_recompute(gauss_net, theta_star, gauss_corpus, cache):
     # recompute b and the projected gradient for a sample of entries
-    train = gauss_corpus.all_train_samples()
+    X, labels = gauss_corpus.mixture("train")
+    tasks = [*gauss_corpus.tasks, gauss_corpus.target]
+    assert np.array_equal(cache.task_id, np.concatenate([[t.task_id] * len(t.train[1]) for t in tasks]))
     rng = np.random.default_rng(0)
     for i in rng.choice(cache.n_entries, size=25, replace=False):
-        s = train[cache.sample_ref[i]]
-        assert s.task_id == cache.task_id[i]
-        y = 2 * s.label - 1
-        h = gauss_net.margin(theta_star, s)
+        x, label = X[cache.sample_ref[i]], labels[cache.sample_ref[i]]
+        y = 2 * label - 1
+        h = margin(gauss_net, theta_star, x, label)
         assert abs(cache.b[i] - (-y * h)) <= 1e-10
-        g_proj = _grad(gauss_net, theta_star, s) @ cache.P
+        g_proj = _grad(gauss_net, theta_star, x, label) @ cache.P
         assert np.max(np.abs(g_proj - cache.g_proj[i])) <= 1e-10
 
 
@@ -199,12 +205,12 @@ def test_taylor_margin_zero_displacement():
     net = _linear_net()
     theta = net.init_params()
     cache = build_cache(net, theta, corpus, np.eye(net.param_count), None)
-    sample = corpus.task(int(cache.task_id[0])).train[0]
-    h = net.margin(theta, sample)
+    X, labels = _first(corpus.task(int(cache.task_id[0])).train, 1)
+    h = margin(net, theta, X[0], labels[0])
     assert _cached_taylor_margin(cache, 0, np.zeros(cache.d)) == pytest.approx(h, abs=1e-12)
-    assert _full_taylor_margin(net, theta, theta, sample) == pytest.approx(h, abs=1e-12)
+    assert _full_taylor_margin(net, theta, theta, X[0], labels[0]) == pytest.approx(h, abs=1e-12)
     # zero displacement leaves no residual
-    assert _rrss(net, theta, theta, [sample])[0] == pytest.approx(0.0, abs=1e-15)
+    assert _rrss(net, theta, theta, X, labels)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_taylor_margin_exact_for_linear_model():
@@ -212,11 +218,11 @@ def test_taylor_margin_exact_for_linear_model():
     net = _linear_net(dim=5, seed=4)
     theta = net.init_params()
     rng = np.random.default_rng(5)
-    sample = corpus.tasks[0].train[0]
+    X, labels = corpus.tasks[0].train
     for _ in range(3):
         x = theta + rng.standard_normal(net.param_count)
-        assert _full_taylor_margin(net, theta, x, sample) == pytest.approx(
-            net.margin(x, sample), abs=1e-10
+        assert _full_taylor_margin(net, theta, x, X[0], labels[0]) == pytest.approx(
+            margin(net, x, X[0], labels[0]), abs=1e-10
         )
 
 
@@ -226,17 +232,17 @@ def test_projected_taylor_consistent_with_full(gauss_net, theta_star, gauss_corp
     z = 0.01 * rng.standard_normal(cache.d)
     lifted = cache.P @ z
     x = theta_star + lifted
-    train = gauss_corpus.all_train_samples()
+    X, labels = gauss_corpus.mixture("train")
     for i in (0, 100, 500):
-        s = train[cache.sample_ref[i]]
+        x, label = X[cache.sample_ref[i]], labels[cache.sample_ref[i]]
         via_cache = _cached_taylor_margin(cache, i, z)
-        h = gauss_net.margin(theta_star, s)
-        g = _grad(gauss_net, theta_star, s)
+        h = margin(gauss_net, theta_star, x, label)
+        g = _grad(gauss_net, theta_star, x, label)
         assert via_cache == pytest.approx(h + g @ lifted, abs=1e-10)
 
 
 def test_rrss_zero_at_theta_star(gauss_net, theta_star, gauss_corpus):
-    vals = _rrss(gauss_net, theta_star, theta_star, gauss_corpus.target.val[:10])
+    vals = _rrss(gauss_net, theta_star, theta_star, *_first(gauss_corpus.target.val, 10))
     finite = vals[np.isfinite(vals)]
     assert finite.size > 0
     assert np.all(finite <= 1e-15)
@@ -247,28 +253,29 @@ def test_rrss_zero_for_linear_model():
     net = _linear_net(dim=5, seed=8)
     theta = net.init_params() + 1.0  # keep margins away from zero
     rng = np.random.default_rng(9)
-    samples = corpus.tasks[0].train + corpus.tasks[0].val
+    t = corpus.tasks[0]
+    X, y = np.concatenate([t.train[0], t.val[0]]), np.concatenate([t.train[1], t.val[1]])
     for _ in range(5):
         x = theta + rng.standard_normal(net.param_count)
-        vals = _rrss(net, theta, x, samples)
+        vals = _rrss(net, theta, x, X, y)
         assert np.all(vals[np.isfinite(vals)] <= 1e-12)
 
 
 def test_rrss_flags_near_zero_denominator():
     net = _linear_net(dim=3, seed=10)
-    flat = Sample(np.array([1.0, 2.0, -1.0]), 1, 1)
+    flat = np.array([[1.0, 2.0, -1.0]])
     zero = np.zeros(net.param_count)  # margin is exactly 0
     x = zero.copy()
     x[-1] = 1.0  # bias 1: margin 1, away from the guard
-    vals = _rrss(net, zero, zero, [flat, flat])
+    vals = _rrss(net, zero, zero, np.vstack([flat, flat]), np.array([1, 1]))
     assert np.isnan(vals).all()
-    vals = _rrss(net, zero, x, [flat])
-    assert abs(net.margin(x, flat)) >= RRSS_DENOM_GUARD
+    vals = _rrss(net, zero, x, flat, np.array([1]))
+    assert abs(margin(net, x, flat[0], 1)) >= RRSS_DENOM_GUARD
     assert vals[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rrss_sweep_zero_distance(gauss_net, theta_star, gauss_corpus):
-    rows = rrss_sweep(gauss_net, theta_star, gauss_corpus.target.val[:20], [0.0], 4, seed=0)
+    rows = rrss_sweep(gauss_net, theta_star, *_first(gauss_corpus.target.val, 20), [0.0], 4, seed=0)
     assert rows[0].mean_rrss == pytest.approx(0.0, abs=1e-20)
 
 
@@ -284,8 +291,9 @@ def test_taylor_margin_tracks_forward_pass_at_five_percent(gauss_corpus):
     rng = np.random.default_rng(4)
     u = rng.standard_normal(net.param_count)
     x = theta + 0.05 * np.linalg.norm(theta) * u / np.linalg.norm(u)
-    confident = [s for s in gauss_corpus.target.val if abs(net.margin(x, s)) >= 0.5]
-    ratios = _rrss(net, theta, x, confident)
+    X, y = gauss_corpus.target.val
+    confident = np.abs(net.margins(x, X, y)) >= 0.5
+    ratios = _rrss(net, theta, x, X[confident], y[confident])
     assert len(ratios) >= 20
     assert np.mean(ratios) <= 1e-2
 
@@ -298,13 +306,13 @@ def test_rrss_sweep_monotone_and_stable(gauss_corpus):
     net = Network(ModelConfig(input_dim=10, hidden_dims=(64,), activation="tanh",
                               num_classes=2, init_scale=0.5, seed=7))
     theta = meta_train(net, gauss_corpus, META_CFG).params
-    samples = gauss_corpus.target.val[:40]
+    samples = _first(gauss_corpus.target.val, 40)
     distances = [0.0025, 0.005, 0.01, 0.025]
-    rows = rrss_sweep(net, theta, samples, distances, 10, seed=1)
+    rows = rrss_sweep(net, theta, *samples, distances, 10, seed=1)
     means = [r.mean_rrss for r in rows]
     assert all(a <= b for a, b in zip(means, means[1:]))
     # doubling the direction count moves the means by < 2 standard errors
-    rows2 = rrss_sweep(net, theta, samples, distances, 20, seed=2)
+    rows2 = rrss_sweep(net, theta, *samples, distances, 20, seed=2)
     for r1, r2 in zip(rows, rows2):
         se = max(r1.std_rrss / math.sqrt(10), 1e-18)
         assert abs(r1.mean_rrss - r2.mean_rrss) <= 2 * (se + r2.std_rrss / math.sqrt(20))
@@ -312,14 +320,14 @@ def test_rrss_sweep_monotone_and_stable(gauss_corpus):
 
 def test_rrss_sweep_uses_endpoints(gauss_net, theta_star, gauss_corpus):
     endpoint = theta_star + 0.01 * np.ones_like(theta_star)
-    rows = rrss_sweep(gauss_net, theta_star, gauss_corpus.target.val[:10],
+    rows = rrss_sweep(gauss_net, theta_star, *_first(gauss_corpus.target.val, 10),
                       [0.001], 1, seed=3, endpoint_params=[endpoint])
     assert rows[0].n_used > 0
 
 
 def test_rrss_sweep_rejects_negative_distance(gauss_net, theta_star, gauss_corpus):
     with pytest.raises(ValueError):
-        rrss_sweep(gauss_net, theta_star, gauss_corpus.target.val[:5], [-0.1], 2, seed=0)
+        rrss_sweep(gauss_net, theta_star, *_first(gauss_corpus.target.val, 5), [-0.1], 2, seed=0)
 
 
 def test_cache_file_roundtrip(tmp_path, cache):

@@ -5,21 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradsel.model import (
-    DimensionMismatchError,
-    ModelConfig,
-    Network,
-    Sample,
-    finite_difference_margin_gradient,
-    stack_samples,
-)
+from gradsel.model import DimensionMismatchError, ModelConfig, Network
 from gradsel.project import gaussian_projection
+from reference import finite_difference_margin_gradient, margin, margin_gradients
 
 
-def _grad(net, params, s):
-    """Margin gradient of one sample through the batched path."""
-    X, y = stack_samples([s])
-    return net.margin_gradients(params, X, y)[0]
+def _grad(net, params, x, label):
+    """Margin gradient of the one sample (x, label) through the batched path."""
+    return margin_gradients(net, params, x[None, :], np.asarray([label]))[0]
+
+
+def _loss(net, params, x, label):
+    return float(net.losses(params, x[None, :], np.asarray([label]))[0])
 
 
 def _reference_margin_gradient(net, params, x, y):
@@ -66,16 +63,14 @@ def test_init_determinism():
 def test_zero_params_binary_margin_is_zero():
     cfg = ModelConfig(input_dim=4, hidden_dims=(6,), num_classes=2)
     net = Network(cfg)
-    s = Sample(np.array([1.0, -2.0, 0.5, 3.0]), 1, 1)
-    assert net.margin(np.zeros(net.param_count), s) == 0.0
+    assert margin(net, np.zeros(net.param_count), np.array([1.0, -2.0, 0.5, 3.0]), 1) == 0.0
 
 
 def test_uniform_softmax_margin():
     # zero params -> uniform softmax over K=10 -> log(0.1 / 0.9)
     cfg = ModelConfig(input_dim=3, hidden_dims=(), num_classes=10)
     net = Network(cfg)
-    s = Sample(np.array([0.3, -0.7, 1.1]), 4, 1)
-    h = net.margin(np.zeros(net.param_count), s)
+    h = margin(net, np.zeros(net.param_count), np.array([0.3, -0.7, 1.1]), 4)
     assert h == pytest.approx(math.log(0.1 / 0.9), abs=1e-12)
 
 
@@ -87,26 +82,25 @@ def test_margin_softmax_identity():
     params = net.init_params()
     rng = np.random.default_rng(0)
     for label in (0, 3, 6):
-        s = Sample(rng.standard_normal(5), label, 1)
-        z = net.logits(params, s.features[None, :])[0]
+        x = rng.standard_normal(5)
+        z = net.logits(params, x[None, :])[0]
         p = np.exp(z - z.max())
         p /= p.sum()
-        h = net.margin(params, s)
+        h = margin(net, params, x, label)
         assert math.exp(h) / (1 + math.exp(h)) == pytest.approx(p[label], abs=1e-12)
 
 
 def test_loss_at_zero_margin_is_log2():
     cfg = ModelConfig(input_dim=4, hidden_dims=(6,), num_classes=2)
     net = Network(cfg)
-    s = Sample(np.ones(4), 0, 1)
-    assert net.sample_loss(np.zeros(net.param_count), s) == pytest.approx(math.log(2), abs=1e-12)
+    assert _loss(net, np.zeros(net.param_count), np.ones(4), 0) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_uniform_softmax_loss():
     cfg = ModelConfig(input_dim=3, hidden_dims=(), num_classes=10)
     net = Network(cfg)
-    s = Sample(np.array([0.3, -0.7, 1.1]), 2, 1)
-    assert net.sample_loss(np.zeros(net.param_count), s) == pytest.approx(math.log(10), abs=1e-12)
+    x = np.array([0.3, -0.7, 1.1])
+    assert _loss(net, np.zeros(net.param_count), x, 2) == pytest.approx(math.log(10), abs=1e-12)
 
 
 def test_loss_equals_logistic_of_margin():
@@ -116,9 +110,9 @@ def test_loss_equals_logistic_of_margin():
     params = net.init_params()
     rng = np.random.default_rng(1)
     for _ in range(5):
-        s = Sample(rng.standard_normal(6), int(rng.integers(5)), 1)
-        h = net.margin(params, s)
-        assert net.sample_loss(params, s) == pytest.approx(math.log1p(math.exp(-h)), abs=1e-12)
+        x, label = rng.standard_normal(6), int(rng.integers(5))
+        h = margin(net, params, x, label)
+        assert _loss(net, params, x, label) == pytest.approx(math.log1p(math.exp(-h)), abs=1e-12)
 
 
 @pytest.mark.parametrize("num_classes,positions", [(2, 1), (10, 1), (10, 3)])
@@ -130,13 +124,10 @@ def test_margin_gradient_matches_finite_differences(num_classes, positions):
     net = Network(cfg)
     params = net.init_params()
     rng = np.random.default_rng(2)
-    if positions > 1:
-        s = Sample(rng.standard_normal(4), 1, 1,
-                   position_labels=tuple(rng.integers(num_classes, size=positions)))
-    else:
-        s = Sample(rng.standard_normal(4), 1, 1)
-    g = _grad(net, params, s)
-    fd = finite_difference_margin_gradient(net, params, s, step=1e-5)
+    x = rng.standard_normal(4)
+    label = rng.integers(num_classes, size=positions) if positions > 1 else 1
+    g = _grad(net, params, x, label)
+    fd = finite_difference_margin_gradient(net, params, x, label, step=1e-5)
     assert np.linalg.norm(g - fd) / np.linalg.norm(g) <= 1e-5
 
 
@@ -157,21 +148,18 @@ def test_margin_gradients_match_row_loop(num_classes, positions, activation):
     X = rng.standard_normal((n, 5))
     shape = (n, positions) if positions > 1 else (n,)
     labels = rng.integers(num_classes, size=shape)
-    G = net.margin_gradients(params, X, labels)
+    G = margin_gradients(net, params, X, labels)
     assert G.shape == (n, net.param_count)
     for i in range(n):
         ref = _reference_margin_gradient(net, params, X[i], labels[i])
         assert np.max(np.abs(G[i] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
     for i in (0, n - 1):
-        y = labels[i]
-        s = (Sample(X[i], 0, 1, position_labels=tuple(y)) if positions > 1
-             else Sample(X[i], int(y), 1))
-        fd = finite_difference_margin_gradient(net, params, s, step=1e-5)
+        fd = finite_difference_margin_gradient(net, params, X[i], labels[i], step=1e-5)
         assert np.linalg.norm(G[i] - fd) / np.linalg.norm(G[i]) <= 1e-5
     if positions > 1:
         for bad in (labels[:, 0], labels.ravel()):
             with pytest.raises(ValueError, match="expected labels of shape"):
-                net.margin_gradients(params, X, bad)
+                margin_gradients(net, params, X, bad)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -212,7 +200,7 @@ def test_linear_binary_gradient_is_feature_vector():
     params = net.init_params()
     x = np.array([0.5, -1.5, 2.0, 0.0, 3.0])
     for label in (0, 1):
-        g = _grad(net, params, Sample(x, label, 1))
+        g = _grad(net, params, x, label)
         assert np.allclose(g[:5], x, atol=1e-14)
         assert g[5] == pytest.approx(1.0, abs=1e-14)
 
@@ -230,13 +218,12 @@ def test_generative_identical_positions_equal_single_position():
         W_out[10 * pos : 10 * (pos + 1)] = W_out[:10]
         b_out[10 * pos : 10 * (pos + 1)] = b_out[:10]
 
-    s3 = Sample(x, 4, 1, position_labels=(4, 4, 4))
-    g3 = _grad(net_multi, params, s3)
+    g3 = _grad(net_multi, params, x, [4, 4, 4])
 
     cfg_one = ModelConfig(input_dim=4, hidden_dims=(6,), num_classes=10, num_positions=1, seed=8)
     net_one = Network(cfg_one)
     p_one = np.concatenate([params[: 4 * 6 + 6], W_out[:10].ravel(), b_out[:10]])
-    g1 = _grad(net_one, p_one, Sample(x, 4, 1))
+    g1 = _grad(net_one, p_one, x, 4)
 
     # trunk gradients agree; each head block of g3 is one third of g1's head
     trunk = 4 * 6 + 6
@@ -246,17 +233,17 @@ def test_generative_identical_positions_equal_single_position():
     w_blocks = head3[: 30 * 6].reshape(3, 10 * 6)
     for blk in w_blocks:
         assert np.allclose(blk, head1[: 10 * 6] / 3.0, atol=1e-12)
-    assert net_multi.margin(params, s3) == pytest.approx(net_one.margin(p_one, Sample(x, 4, 1)), abs=1e-12)
+    assert margin(net_multi, params, x, [4, 4, 4]) == pytest.approx(margin(net_one, p_one, x, 4), abs=1e-12)
 
 
 def test_margin_and_gradient_bitwise_deterministic():
     cfg = ModelConfig(input_dim=6, hidden_dims=(10,), num_classes=2, seed=42)
     net = Network(cfg)
     params = net.init_params()
-    s = Sample(np.linspace(-1, 1, 6), 1, 1)
-    assert net.margin(params, s) == net.margin(params, s)
-    g1 = _grad(net, params, s)
-    g2 = _grad(net, params, s)
+    x = np.linspace(-1, 1, 6)
+    assert margin(net, params, x, 1) == margin(net, params, x, 1)
+    g1 = _grad(net, params, x, 1)
+    g2 = _grad(net, params, x, 1)
     assert np.array_equal(g1, g2)
 
 
@@ -264,18 +251,18 @@ def test_dimension_mismatch_raises():
     cfg = ModelConfig(input_dim=4, hidden_dims=(3,), num_classes=2)
     net = Network(cfg)
     with pytest.raises(DimensionMismatchError):
-        net.margin(np.zeros(net.param_count + 1), Sample(np.zeros(4), 0, 1))
+        margin(net, np.zeros(net.param_count + 1), np.zeros(4), 0)
     with pytest.raises(DimensionMismatchError):
-        net.margin(np.zeros(net.param_count), Sample(np.zeros(5), 0, 1))
+        margin(net, np.zeros(net.param_count), np.zeros(5), 0)
 
 
 def test_relu_activation_gradient():
     cfg = ModelConfig(input_dim=4, hidden_dims=(8,), activation="relu", num_classes=2, seed=6)
     net = Network(cfg)
     params = net.init_params()
-    s = Sample(np.array([0.4, -0.2, 1.3, 0.9]), 1, 1)
-    g = _grad(net, params, s)
-    fd = finite_difference_margin_gradient(net, params, s, step=1e-5)
+    x = np.array([0.4, -0.2, 1.3, 0.9])
+    g = _grad(net, params, x, 1)
+    fd = finite_difference_margin_gradient(net, params, x, 1, step=1e-5)
     assert np.linalg.norm(g - fd) / np.linalg.norm(g) <= 1e-5
 
 
@@ -325,7 +312,7 @@ def test_margin_gradient_product_matches_full_gradients(head, activation, input_
     else:
         M = rng.standard_normal((p, k))
         M /= np.linalg.norm(M, axis=0)
-    ref = net.margin_gradients(params, X, labels) @ M
+    ref = margin_gradients(net, params, X, labels) @ M
     got = net.margin_gradient_product(M)(params, X, labels)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

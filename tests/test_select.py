@@ -434,15 +434,15 @@ def test_select_ds_reduces_to_plain_fs_on_separated_gradients():
     # the task partition, making FS over the regrouped cache structurally
     # identical to plain FS
     from gradsel.linearize import build_cache
-    from gradsel.model import Sample
     from gradsel.taskgen import Corpus, TaskDataset
 
     rng = np.random.default_rng(13)
     dim = 6
 
     def task(tid, n=10):
-        samples = [Sample(rng.standard_normal(dim), int(rng.integers(2)), tid) for _ in range(n)]
-        return TaskDataset(tid, samples, samples[:2])
+        rows = [(rng.standard_normal(dim), rng.integers(2)) for _ in range(n)]
+        X, y = np.array([x for x, _ in rows]), np.array([label for _, label in rows])
+        return TaskDataset(tid, (X, y), (X[:2], y[:2]))
 
     corpus = Corpus([task(1), task(2)], task(0), {"kind": "toy"})
     net = Network(ModelConfig(input_dim=dim, hidden_dims=(), num_classes=2, seed=1))
@@ -512,8 +512,6 @@ def test_select_ds_re_excludes_planted_noisy_groups():
     # clusters, three of them with unfit entries whose fix direction damages
     # the target val entries; ds-re must drop the damaging groups
     from gradsel.linearize import GradientCache
-    from gradsel.model import Sample
-    from gradsel.taskgen import Corpus, TaskDataset
 
     rng = np.random.default_rng(21)
     d = 12
@@ -561,18 +559,12 @@ def test_select_ds_re_excludes_planted_noisy_groups():
         projector_seed=None,
     )
 
-    samples = [Sample(np.zeros(3), 0, 1) for _ in range(n)]
-    corpus = Corpus(
-        [TaskDataset(1, samples, samples[:2])],
-        TaskDataset(0, [Sample(np.zeros(3), 0, 0)], [Sample(np.zeros(3), 0, 0)]),
-        {"kind": "toy"},
-    )
     net = Network(ModelConfig(input_dim=3, hidden_dims=(), num_classes=2, seed=0))
 
     # the planted cache cannot be lifted to a network, so subsets are scored
-    # on its planted target val entries
+    # on its planted target val entries, and no target val data is needed
     grouped = group_cache(planted, 6, seed=4)
-    ev = estimator_evaluator(net, net.init_params(), grouped, corpus.target.val, SOLVE_CFG, linearized=True)
+    ev = estimator_evaluator(net, net.init_params(), grouped, None, SOLVE_CFG, linearized=True)
     report = ensemble_select(ev, 6, GRID, m=120, alpha_frac=0.34, seed=4)
     # map chosen group ids back to planted membership
     planted_noisy = np.repeat([g in noisy_groups for g in range(6)], per_group)

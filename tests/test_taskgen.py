@@ -33,8 +33,8 @@ def test_180_rotation_exactly_inverts_the_rule():
     assert np.array_equal(np.array(c.meta["harmful_direction"]), -w)
     # harmful samples labeled y sit at mean -shift*w per y: projection sign flips
     for tid in c.meta["harmful_ids"]:
-        t = c.task(tid)
-        proj = np.array([(2 * s.label - 1) * (w @ s.features) for s in t.train])
+        X, y = c.task(tid).train
+        proj = (2 * y - 1) * (X @ w)
         assert proj.mean() < -0.5
 
 
@@ -48,8 +48,11 @@ def test_task_ids_and_splits():
     c = gen_multitask_gaussian(3, 12, 4, 0.5, 90.0, 0.0, seed=2)
     assert [t.task_id for t in c.tasks] == [1, 2, 3]
     assert c.target.task_id == 0
-    assert all(s.task_id == t.task_id for t in c.tasks for s in t.train + t.val)
-    assert len(c.target.val) == 40
+    for t in [c.target, *c.tasks]:
+        for X, y in (t.train, t.val):
+            assert X.shape == (len(y), 4) and X.dtype == np.float64
+            assert y.ndim == 1 and y.dtype == np.int64
+    assert len(c.target.val[0]) == 40
 
 
 def test_invalid_fractions_raise():
@@ -114,11 +117,11 @@ def test_clean_groups_match_oracle_noisy_groups_random():
     c = gen_noisy_addition(6, 3, 5, 60, seed=9)
     clean_hits = noisy_hits = clean_n = noisy_n = 0
     for t in c.tasks:
-        for s in t.train:
-            digits_a = [int(np.argmax(s.features[i * 10 : (i + 1) * 10])) for i in range(5)]
-            digits_b = [int(np.argmax(s.features[(5 + i) * 10 : (6 + i) * 10])) for i in range(5)]
+        for x, y in zip(*t.train):
+            digits_a = [int(np.argmax(x[i * 10 : (i + 1) * 10])) for i in range(5)]
+            digits_b = [int(np.argmax(x[(5 + i) * 10 : (6 + i) * 10])) for i in range(5)]
             truth = addition_output_digits(digits_a, digits_b)
-            hits = sum(int(a == b) for a, b in zip(truth, s.position_labels))
+            hits = sum(int(a == b) for a, b in zip(truth, y))
             if t.task_id <= 3:
                 clean_hits += hits
                 clean_n += 5
@@ -133,8 +136,8 @@ def test_clean_groups_match_oracle_noisy_groups_random():
 
 def test_addition_target_is_clean_and_sized():
     c = gen_noisy_addition(4, 2, 3, 40, seed=5, target_samples=12)
-    assert len(c.target.train) == 12
-    assert len(c.target.val) >= 100
+    assert len(c.target.train[0]) == 12
+    assert len(c.target.val[0]) >= 100
     assert c.meta["clean_ids"] == [1, 2]
     assert c.meta["noisy_ids"] == [3, 4]
 
@@ -155,10 +158,7 @@ def test_corpus_roundtrip_gaussian(tmp_path):
     back = load_corpus(path)
     assert back.n_tasks == c.n_tasks
     assert back.meta["helpful_ids"] == c.meta["helpful_ids"]
-    for t_a, t_b in zip([c.target, *c.tasks], [back.target, *back.tasks]):
-        for s_a, s_b in zip(t_a.train + t_a.val, t_b.train + t_b.val):
-            assert np.array_equal(s_a.features, s_b.features)
-            assert s_a.label == s_b.label
+    _assert_same_arrays(c, back)
     assert serialize_corpus(back) == serialize_corpus(c)
 
 
@@ -167,11 +167,44 @@ def test_corpus_roundtrip_addition(tmp_path):
     path = tmp_path / "corpus.txt"
     save_corpus(path, c)
     back = load_corpus(path)
-    s_a = c.tasks[0].train[0]
-    s_b = back.tasks[0].train[0]
-    assert np.array_equal(s_a.features, s_b.features)
-    assert s_a.position_labels == s_b.position_labels
+    _assert_same_arrays(c, back)
     assert serialize_corpus(back) == serialize_corpus(c)
+
+
+def _assert_same_arrays(a, b):
+    assert a.n_tasks == b.n_tasks
+    for t_a, t_b in zip([a.target, *a.tasks], [b.target, *b.tasks]):
+        assert t_a.task_id == t_b.task_id
+        for arr_a, arr_b in zip((*t_a.train, *t_a.val), (*t_b.train, *t_b.val)):
+            assert arr_a.shape == arr_b.shape and arr_a.dtype == arr_b.dtype
+            assert np.array_equal(arr_a, arr_b)
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(["gaussian", "addition"]), digits=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_loaded_corpus_holds_the_generated_arrays(tmp_path_factory, kind, digits, seed):
+    # one label-shape rule for generator and loader: a 1-digit addition
+    # corpus has (N,) labels in memory and after a round trip alike
+    if kind == "gaussian":
+        c = gen_multitask_gaussian(2 + digits, 6, 2 + digits, 0.5, 135.0, 0.2, seed=seed)
+    else:
+        c = gen_noisy_addition(3, 2, digits, 6, seed=seed, target_samples=4)
+        assert c.target.train[1].shape == ((4,) if digits == 1 else (4, digits))
+    path = tmp_path_factory.mktemp("c") / "corpus.txt"
+    save_corpus(path, c)
+    back = load_corpus(path)
+    _assert_same_arrays(c, back)
+    assert back.digest() == c.digest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_mixture_stacks_the_subset_then_the_target():
+    c = gen_multitask_gaussian(3, 10, 4, 0.5, 135.0, 0.1, seed=6)
+    X, y = c.mixture("val", {3, 1})
+    parts = [c.task(1).val, c.task(3).val, c.target.val]
+    assert np.array_equal(X, np.concatenate([p[0] for p in parts]))
+    assert np.array_equal(y, np.concatenate([p[1] for p in parts]))
+    X_all, _ = c.mixture("train")
+    assert len(X_all) == sum(len(t.train[0]) for t in [*c.tasks, c.target])
 
 
 def test_corpus_meta_keeps_its_types(tmp_path):
@@ -185,12 +218,38 @@ def test_corpus_meta_keeps_its_types(tmp_path):
 def test_bad_sample_line_is_named_by_its_file_line(tmp_path):
     path = tmp_path / "corpus.txt"
     save_corpus(path, gen_noisy_addition(3, 2, 4, 10, seed=6))
-    header, body = artifact.read(path, "corpus", 1, ())
+    header, body = artifact.read(path, "corpus", 1, {})
     lines = body.decode().splitlines()
     lines[2] = "0 train 1,2 x"
     artifact.write(path, "corpus", 1, header, ("\n".join(lines) + "\n").encode())
     assert path.read_text().splitlines()[3] == "0 train 1,2 x"  # file line 4
     with pytest.raises(ValueError, match=f"{path.name}: line 4: "):
+        load_corpus(path)
+
+
+def _drop_task_2_val(lines):
+    return [line for line in lines if not line.startswith("2 val ")]
+
+
+def _drop_first_label_of_line_1(lines):
+    tid, split, labels, feats = lines[0].split()
+    return [f"{tid} {split} {labels.split(',', 1)[1]} {feats}", *lines[1:]]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_task_2_val, "task 2 has no val lines"),
+        (_drop_first_label_of_line_1, "task 0 train lines differ in their number of labels"),
+    ],
+)
+def test_incomplete_or_ragged_split_is_named_by_its_file(tmp_path, edit, message):
+    path = tmp_path / "corpus.txt"
+    save_corpus(path, gen_noisy_addition(3, 2, 4, 10, seed=6))
+    header, body = artifact.read(path, "corpus", 1, {})
+    lines = edit(body.decode().splitlines())
+    artifact.write(path, "corpus", 1, header, ("\n".join(lines) + "\n").encode())
+    with pytest.raises(ValueError, match=f"^{path}: {message}$"):
         load_corpus(path)
 
 
@@ -250,5 +309,5 @@ def test_corpus_invariants():
     c = gen_multitask_gaussian(3, 10, 4, 0.5, 90.0, 0.0, seed=8)
     with pytest.raises(ValueError):
         Corpus(c.tasks, TaskDataset(1, c.target.train, c.target.val), c.meta)
-    with pytest.raises(ValueError):
-        TaskDataset(2, [], [])
+    with pytest.raises(ValueError, match="empty train split"):
+        TaskDataset(2, (np.zeros((0, 4)), np.zeros(0, dtype=np.int64)), c.target.val)

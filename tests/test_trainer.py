@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gradsel.model import ModelConfig, Network, Sample
+from gradsel.model import ModelConfig, Network
 from gradsel.taskgen import Corpus, TaskDataset
 from gradsel.trainer import (
     TrainConfig,
@@ -25,8 +25,7 @@ def _separable_task(n=40, dim=4, seed=0, task_id=1):
     rng = np.random.default_rng(seed)
     y = rng.integers(0, 2, size=n)
     X = (2 * y - 1)[:, None] * 3.0 + rng.standard_normal((n, dim)) * 0.3
-    samples = [Sample(X[i], int(y[i]), task_id) for i in range(n)]
-    return TaskDataset(task_id, samples[: n // 2], samples[n // 2 :])
+    return TaskDataset(task_id, (X[: n // 2], y[: n // 2]), (X[n // 2 :], y[n // 2 :]))
 
 
 def _tiny_corpus(seed=0):
@@ -68,22 +67,27 @@ def test_training_is_deterministic():
 
 def test_eval_loss_zero_params_binary():
     net = Network(ModelConfig(input_dim=3, hidden_dims=(4,), num_classes=2))
-    data = [Sample(np.ones(3), i % 2, 0) for i in range(6)]
-    assert eval_loss(net, np.zeros(net.param_count), data) == pytest.approx(math.log(2), abs=1e-12)
+    X, y = np.ones((6, 3)), np.arange(6) % 2
+    assert eval_loss(net, np.zeros(net.param_count), X, y) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_eval_loss_singleton_and_streaming():
     net = Network(ModelConfig(input_dim=3, hidden_dims=(4,), num_classes=2, seed=3))
     params = net.init_params()
     rng = np.random.default_rng(5)
-    data = [Sample(rng.standard_normal(3), int(rng.integers(2)), 0) for _ in range(17)]
-    single = eval_loss(net, params, data[:1])
-    assert single == pytest.approx(net.sample_loss(params, data[0]), abs=1e-15)
-    mean = eval_loss(net, params, data)
-    streaming = sum(net.sample_loss(params, s) for s in data) / len(data)
+    rows = [(rng.standard_normal(3), int(rng.integers(2))) for _ in range(17)]
+    X, y = np.array([x for x, _ in rows]), np.array([label for _, label in rows])
+
+    def row_loss(i):
+        return float(net.losses(params, X[i : i + 1], y[i : i + 1])[0])
+
+    single = eval_loss(net, params, X[:1], y[:1])
+    assert single == pytest.approx(row_loss(0), abs=1e-15)
+    mean = eval_loss(net, params, X, y)
+    streaming = sum(row_loss(i) for i in range(len(X))) / len(X)
     assert mean == pytest.approx(streaming, abs=1e-12)
     with pytest.raises(ValueError):
-        eval_loss(net, params, [])
+        eval_loss(net, params, X[:0], y[:0])
 
 
 def test_relative_distance():
@@ -118,7 +122,7 @@ def test_true_f_zero_epochs_returns_theta0_loss():
     theta0 = net.init_params()
     cfg = TrainConfig(step_size=0.2, batch_size=8, max_epochs=0, early_stop_patience=0, seed=2, optimizer="sgd")
     value = oracle_evaluator(net, theta0, corpus, cfg)(frozenset({1}))
-    assert value == pytest.approx(eval_loss(net, theta0, corpus.target.val), abs=1e-15)
+    assert value == pytest.approx(eval_loss(net, theta0, *corpus.target.val), abs=1e-15)
 
 
 def test_unknown_task_id_raises():
@@ -148,7 +152,7 @@ def test_finetuned_subsets_stay_near_theta_star(gauss_net, theta_star, gauss_cor
 def test_forward_pass_accounting():
     corpus = _tiny_corpus()
     net = Network(ModelConfig(input_dim=4, hidden_dims=(6,), num_classes=2, seed=1))
-    n_train = sum(len(t.train) for t in corpus.tasks) + len(corpus.target.train)
+    n_train = sum(len(t.train[0]) for t in corpus.tasks) + len(corpus.target.train[0])
     cfg5 = TrainConfig(step_size=0.05, batch_size=8, max_epochs=5, early_stop_patience=5, seed=2, optimizer="sgd")
     cfg9 = TrainConfig(step_size=0.05, batch_size=8, max_epochs=9, early_stop_patience=9, seed=2, optimizer="sgd")
     fit5 = meta_train(net, corpus, cfg5)
