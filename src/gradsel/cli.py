@@ -21,6 +21,7 @@ from .project import gaussian_projection
 from .taskgen import gen_multitask_gaussian, gen_noisy_addition, load_corpus, save_corpus
 from .trainer import (
     TrainConfig,
+    eval_loss,
     load_checkpoint,
     meta_train,
     param_digest,
@@ -347,8 +348,9 @@ def stage_meta_train(run: RunDir, cfg: dict[str, str]) -> None:
         corpus_digest=corpus.digest(),
     )
     _record_config(run, cfg)
+    train_loss = eval_loss(net, fit.params, *corpus.mixture("train"))
     print(
-        f"meta-train: {fit.epochs_run} epochs, train loss {fit.final_train_loss:.4f}, "
+        f"meta-train: {fit.epochs_run} epochs, train loss {train_loss:.4f}, "
         f"wrote {run.path('checkpoint')}"
     )
 
@@ -368,6 +370,8 @@ def _load_estimation_state(run: RunDir, cfg: dict[str, str]):
     cache = _load(run, "cache", "cache", load_cache)
     if cache.theta_star_digest != param_digest(theta) or cache.P.shape[0] != net.param_count:
         raise StageError("cache does not match the checkpoint; re-run cache")
+    if cache.n_entries != len(corpus.mixture("train")[1]) or cache.n_val_entries != len(corpus.target.val[0]):
+        raise StageError("cache does not match the corpus; re-run cache")
     return corpus, net, theta, cache
 
 

@@ -6,11 +6,11 @@ The objective over a subset's cached entries is
 in d-space. It is convex; a tiny ridge keeps the minimizer finite even when
 the projected data is separable. The solver is damped Newton, which is cheap
 because the Hessian is only d x d. The Hessian is accumulated in float32,
-the precision cache.bin stores the gradients in; everything else (margins,
-objective, gradient, linear solve, line search, stopping rule) runs in
-float64, so a converged solve meets the same gradient tolerance. That holds
-while the Hessian's condition number stays well below 1/eps32 (~1.7e7); a
-solve beyond it may stop unconverged, and is flagged as such.
+the precision of the gradients every cache holds, built or loaded; all else
+(margins, objective, gradient, linear solve, line search, stopping rule)
+runs in float64, so a converged solve meets the same gradient tolerance.
+That holds while the Hessian's condition number stays well below 1/eps32
+(~1.7e7); a solve beyond it may stop unconverged, and is flagged as such.
 
 A solution x_hat lives in d-space; estimate_f lifts it to parameter space by
 the cache's own P, as theta* + P x_hat.

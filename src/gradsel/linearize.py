@@ -9,7 +9,9 @@ quantifies how far a true margin at X is from its first-order prediction.
 The cache carries the projection P its rows went through, so the estimator
 lifts a solution by the same P. It is saved as an artifact.py container of
 fixed-width records whose header keeps P's sizes and seed, not P itself;
-load_cache rebuilds P from them.
+load_cache rebuilds P from them. build_cache passes its entries through the
+same records, so every cache, built or loaded, holds float32-rounded
+projected gradients (in float64 arrays) and float64 b values.
 """
 
 from __future__ import annotations
@@ -100,49 +102,28 @@ def _entries(net: Network, theta: ParamVector, X: np.ndarray, labels: np.ndarray
     return y, -y * h, g
 
 
-def _first_nonfinite(b: np.ndarray, g: np.ndarray) -> int | None:
-    """Index of the first entry whose b or gradient row is not finite."""
-    finite = np.isfinite(b) & np.isfinite(g).all(axis=1)
-    return None if finite.all() else int(np.argmin(finite))
-
-
 def build_cache(
     net: Network, theta_star: ParamVector, corpus: Corpus, P: np.ndarray, projector_seed: int | None
 ) -> GradientCache:
     """Stage-1 cache: one entry per train sample of tasks 1..n and the target,
     plus target-val entries for the linearized evaluator, projected by the
     (p, d) matrix P; projector_seed is the seed gaussian_projection built P
-    from, or None for any other P. Raises ValueError naming the first train
-    or val entry whose b or projected gradient is not finite, as load_cache
-    does for a file."""
+    from, or None for any other P. The entries pass through the records
+    cache.bin stores, so the result equals what load_cache reads back from
+    save_cache's file, and refuses a non-finite entry by the same check."""
     if P.ndim != 2 or P.shape[0] != net.param_count:
         raise ValueError(f"P has shape {P.shape} but the model has {net.param_count} parameters")
     X, labels = corpus.mixture("train")
     tasks = [*corpus.tasks, corpus.target]  # the order mixture stacks them in
     tids = np.repeat(np.array([t.task_id for t in tasks], dtype=np.int64), [len(t.train[0]) for t in tasks])
 
-    d = P.shape[1]
     product = net.margin_gradient_product(P)
-    y, b, g = _entries(net, theta_star, X, labels, product, d)
-    val_y, val_b, val_g = _entries(net, theta_star, *corpus.target.val, product, d)
-    for split, bs, gs in (("train", b, g), ("val", val_b, val_g)):
-        bad = _first_nonfinite(bs, gs)
-        if bad is not None:
-            raise ValueError(f"non-finite b or projected gradient in {split} entry {bad}")
-
-    return GradientCache(
-        sample_ref=np.arange(len(X), dtype=np.int64),
-        task_id=tids,
-        y=y,
-        b=b,
-        g_proj=g,
-        val_y=val_y,
-        val_b=val_b,
-        val_g_proj=val_g,
-        theta_star_digest=param_digest(theta_star),
-        P=P,
-        projector_seed=projector_seed,
+    records = _pack(
+        np.arange(len(X)), tids,
+        _entries(net, theta_star, X, labels, product, P.shape[1]),
+        _entries(net, theta_star, *corpus.target.val, product, P.shape[1]),
     )
+    return _from_records(records, len(X), param_digest(theta_star), P, projector_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +239,54 @@ def _record_dtype(d: int) -> np.dtype:
     return np.dtype([("ref", "<u4"), ("tid", "<u2"), ("y", "<i2"), ("b", "<f8"), ("g", "<f4", (d,))])
 
 
+def _pack(sample_ref, task_id, train, val) -> np.ndarray:
+    """The train entries, then the target-val entries, as cache.bin's
+    records; train and val are (y, b, g) triples."""
+    n = len(task_id)
+    records = np.zeros(n + len(val[1]), dtype=_record_dtype(train[2].shape[1]))
+    records["ref"][:n] = sample_ref
+    records["tid"][:n] = task_id
+    records["tid"][n:] = TARGET_TASK_ID
+    with np.errstate(over="ignore"):  # a gradient beyond float32's range becomes inf
+        for field, t, v in zip(("y", "b", "g"), train, val):
+            records[field][:n], records[field][n:] = t, v
+    return records
+
+
+def _from_records(records, n_train: int, theta_star_digest: str, P: np.ndarray, projector_seed) -> GradientCache:
+    """The cache whose first n_train records are train entries and the rest
+    target-val entries. Raises ValueError naming the first entry whose b or
+    projected gradient is not finite as stored (the sign y is an integer and
+    always finite), so the solver never has to check its inputs."""
+    train, val = records[:n_train], records[n_train:]
+    for split, part in (("train", train), ("val", val)):
+        finite = np.isfinite(part["b"]) & np.isfinite(part["g"]).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite b or projected gradient in {split} entry {np.argmin(finite)}")
+    return GradientCache(
+        sample_ref=train["ref"].astype(np.int64),
+        task_id=train["tid"].astype(np.int64),
+        y=train["y"].astype(np.float64),
+        b=train["b"].astype(np.float64),
+        g_proj=train["g"].astype(np.float64),
+        val_y=val["y"].astype(np.float64),
+        val_b=val["b"].astype(np.float64),
+        val_g_proj=val["g"].astype(np.float64),
+        theta_star_digest=theta_star_digest,
+        P=P,
+        projector_seed=projector_seed,
+    )
+
+
 def save_cache(path, cache: GradientCache) -> None:
     if cache.projector_seed is None:
         raise ValueError("only a cache projected by gaussian_projection is serializable")
-    n = cache.n_entries
-    records = np.zeros(n + cache.n_val_entries, dtype=_record_dtype(cache.d))
-    records["ref"][:n] = cache.sample_ref
-    records["tid"][:n] = cache.task_id
-    records["tid"][n:] = TARGET_TASK_ID
-    records["y"] = np.concatenate([cache.y, cache.val_y])
-    records["b"] = np.concatenate([cache.b, cache.val_b])
-    records["g"] = np.concatenate([cache.g_proj, cache.val_g_proj])
+    records = _pack(cache.sample_ref, cache.task_id, (cache.y, cache.b, cache.g_proj),
+                    (cache.val_y, cache.val_b, cache.val_g_proj))
     header = {
         "p": cache.P.shape[0],
         "d": cache.d,
-        "n_train": n,
+        "n_train": cache.n_entries,
         "projector_seed": cache.projector_seed,
         "generator_version": GENERATOR_VERSION,
         "theta_star_digest": cache.theta_star_digest,
@@ -283,31 +297,16 @@ def save_cache(path, cache: GradientCache) -> None:
 def load_cache(path) -> GradientCache:
     """Read a cache artifact and rebuild its P from the header's sizes and
     seed. Raises ValueError naming the file when it is not a cache
-    container, its projector generator differs from this program's, or a
-    record holds a non-finite b or gradient value (the sign y is an integer
-    and always finite). The solver then never has to check its inputs."""
+    container, its projector generator differs from this program's, or an
+    entry is not finite (see _from_records)."""
     header, body = artifact.read(path, "cache", 1, {
         "p": int, "d": int, "n_train": int, "projector_seed": int, "generator_version": int, "theta_star_digest": str,
     })
     if header["generator_version"] != GENERATOR_VERSION:
         raise ValueError(f"{path}: projector generator version mismatch")
     records = np.frombuffer(body, dtype=_record_dtype(header["d"]))
-    bad = _first_nonfinite(records["b"], records["g"])
-    if bad is not None:
-        raise ValueError(f"{path}: non-finite b or g in record {bad}")
-    n = header["n_train"]
-    train, val = records[:n], records[n:]
-
-    return GradientCache(
-        sample_ref=train["ref"].astype(np.int64),
-        task_id=train["tid"].astype(np.int64),
-        y=train["y"].astype(np.float64),
-        b=train["b"].astype(np.float64),
-        g_proj=train["g"].astype(np.float64),
-        val_y=val["y"].astype(np.float64),
-        val_b=val["b"].astype(np.float64),
-        val_g_proj=val["g"].astype(np.float64),
-        theta_star_digest=header["theta_star_digest"],
-        P=gaussian_projection(header["p"], header["d"], header["projector_seed"]),
-        projector_seed=header["projector_seed"],
-    )
+    P = gaussian_projection(header["p"], header["d"], header["projector_seed"])
+    try:
+        return _from_records(records, header["n_train"], header["theta_star_digest"], P, header["projector_seed"])
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -57,7 +57,6 @@ class TrainConfig:
 @dataclass
 class FitResult:
     params: ParamVector
-    final_train_loss: float
     val_loss_curve: list[float]
     epochs_run: int
     forward_passes: int
@@ -135,10 +134,8 @@ def _fit(
     if not cfg.restore_best:
         best_params = params
         best_epoch = len(curve)
-    train_loss = float(net.losses(best_params, X, y).mean())
     return FitResult(
         params=best_params,
-        final_train_loss=train_loss,
         val_loss_curve=curve,
         epochs_run=len(curve),
         forward_passes=forward_passes,

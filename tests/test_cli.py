@@ -15,6 +15,7 @@ from gradsel.cli import (
     resolve_config,
 )
 from gradsel.linearize import load_cache, save_cache
+from gradsel.taskgen import load_corpus, save_corpus
 from gradsel.trainer import load_checkpoint, save_checkpoint
 
 from conftest import TINY
@@ -425,6 +426,39 @@ def test_cache_projected_for_another_model_fails_in_one_line(tiny_run, tmp_path,
     assert run(["select", *TINY], tmp_path) == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["gradsel select: cache does not match the checkpoint; re-run cache"]
+
+
+def test_cache_with_more_train_entries_than_the_corpus_fails_in_one_line(tiny_run, tmp_path, capsys):
+    # the checksum and the types hold, but the header's n_train would read
+    # target-val records as target train entries
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "cache.bin"
+    header, body = gradsel.artifact.read(path, "cache", 1, {})
+    gradsel.artifact.write(path, "cache", 1, {**header, "n_train": header["n_train"] + 30}, body)
+    capsys.readouterr()
+    assert run(["select", *TINY], tmp_path) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["gradsel select: cache does not match the corpus; re-run cache"]
+
+
+def test_cache_beyond_float32_fails_cache_in_one_line(tmp_path, capsys):
+    # relu target-val features scaled by 1e39: their projected gradients are
+    # finite in float64 but not as the float32 values cache.bin stores, so the
+    # cache stage stops instead of writing a file every later stage refuses
+    relu = [*TINY, "--model.activation", "relu"]
+    for stage in ("gen", "meta-train"):
+        assert run([stage, *relu], tmp_path) == 0
+    corpus = load_corpus(tmp_path / "corpus.txt")
+    corpus.target.val[0][:] *= 1e39
+    save_corpus(tmp_path / "corpus.txt", corpus)
+    params, config_dig, _ = load_checkpoint(tmp_path / "checkpoint.bin")
+    save_checkpoint(tmp_path / "checkpoint.bin", params, config_digest=config_dig, corpus_digest=corpus.digest())
+    capsys.readouterr()
+    assert run(["cache", *relu], tmp_path) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("gradsel cache: non-finite b or projected gradient in val entry ")
+    assert not (tmp_path / "cache.bin").exists()
 
 
 def test_cache_cut_at_any_record_boundary_fails_in_one_line(tiny_run, tmp_path, capsys):

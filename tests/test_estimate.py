@@ -313,6 +313,8 @@ def _linear_setup(seed=0):
     def task(tid, n=30):
         y = rng.integers(0, 2, size=n)
         X = (2 * y - 1)[:, None] * 1.2 + rng.standard_normal((n, dim))
+        # float32 values: the linear model's gradients (X, 1) are then cached exactly
+        X = X.astype(np.float32).astype(np.float64)
         return TaskDataset(tid, (X, y), (X, y))  # val = train
 
     corpus = Corpus([task(1), task(2)], task(0), {"kind": "toy"})

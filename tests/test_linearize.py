@@ -1,9 +1,14 @@
 import dataclasses
 import math
+import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradsel import linearize
 from gradsel.linearize import (
@@ -119,7 +124,8 @@ def test_build_cache_matches_per_sample_reference(monkeypatch):
                                    (corpus.target.val, cache.val_b, cache.val_g_proj)):
         assert len(X) == len(b) > linearize._CHUNK
         for i in range(len(X)):
-            ref = P.T @ _grad(net, theta, X[i], labels[i])
+            # rounded to the float32 values every cache holds
+            ref = (P.T @ _grad(net, theta, X[i], labels[i])).astype(np.float32)
             assert np.max(np.abs(g_proj[i] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
             assert b[i] == pytest.approx(-margin(net, theta, X[i], labels[i]), abs=1e-12)
     assert np.all(cache.y == 1.0) and np.all(cache.val_y == 1.0)
@@ -196,7 +202,7 @@ def test_cache_soundness_recompute(gauss_net, theta_star, gauss_corpus, cache):
         y = 2 * label - 1
         h = margin(gauss_net, theta_star, x, label)
         assert abs(cache.b[i] - (-y * h)) <= 1e-10
-        g_proj = _grad(gauss_net, theta_star, x, label) @ cache.P
+        g_proj = (_grad(gauss_net, theta_star, x, label) @ cache.P).astype(np.float32)
         assert np.max(np.abs(g_proj - cache.g_proj[i])) <= 1e-10
 
 
@@ -227,18 +233,17 @@ def test_taylor_margin_exact_for_linear_model():
 
 
 def test_projected_taylor_consistent_with_full(gauss_net, theta_star, gauss_corpus, cache):
-    # for X = theta* + P z the cached inner product equals the full one
+    # the first-order margin at theta* + P z from a cache entry equals the one
+    # from the full gradient projected by P, rounded to the float32 values
+    # the cache holds
     rng = np.random.default_rng(6)
     z = 0.01 * rng.standard_normal(cache.d)
-    lifted = cache.P @ z
-    x = theta_star + lifted
     X, labels = gauss_corpus.mixture("train")
     for i in (0, 100, 500):
         x, label = X[cache.sample_ref[i]], labels[cache.sample_ref[i]]
-        via_cache = _cached_taylor_margin(cache, i, z)
         h = margin(gauss_net, theta_star, x, label)
-        g = _grad(gauss_net, theta_star, x, label)
-        assert via_cache == pytest.approx(h + g @ lifted, abs=1e-10)
+        g_proj = (_grad(gauss_net, theta_star, x, label) @ cache.P).astype(np.float32)
+        assert _cached_taylor_margin(cache, i, z) == pytest.approx(h + g_proj @ z, abs=1e-10)
 
 
 def test_rrss_zero_at_theta_star(gauss_net, theta_star, gauss_corpus):
@@ -338,16 +343,48 @@ def test_cache_file_roundtrip(tmp_path, cache):
     assert np.array_equal(back.P, cache.P) and not back.P.flags.writeable
     assert back.theta_star_digest == cache.theta_star_digest
     assert back.projector_seed == cache.projector_seed
-    assert np.array_equal(back.task_id, cache.task_id)
-    assert np.array_equal(back.y, cache.y)
-    assert np.array_equal(back.b, cache.b)
-    # gradients are stored as float32
-    assert np.allclose(back.g_proj, cache.g_proj, rtol=1e-6, atol=1e-6)
-    assert np.allclose(back.val_g_proj, cache.val_g_proj, rtol=1e-6, atol=1e-6)
+    _assert_same_entries(back, cache)
     # byte-identical on rewrite
     path2 = tmp_path / "cache2.bin"
     save_cache(path2, cache)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _assert_same_entries(a, b):
+    assert a.digest() == b.digest()
+    for field in ("sample_ref", "task_id", "y", "b", "g_proj", "val_y", "val_b", "val_g_proj"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), n_tasks=st.integers(1, 3), n_train=st.integers(1, 4),
+       dim=st.integers(1, 6), hidden=st.sampled_from([(), (3,), (5, 2)]), multi=st.booleans(),
+       d=st.integers(1, 8))
+def test_built_cache_equals_its_loaded_copy(seed, n_tasks, n_train, dim, hidden, multi, d):
+    # build_cache holds the numbers load_cache reads back from save_cache's file
+    net = Network(ModelConfig(input_dim=dim, hidden_dims=hidden, activation="relu" if multi else "tanh",
+                              num_classes=10 if multi else 2, num_positions=2 if multi else 1, seed=seed))
+    rng = np.random.default_rng(seed)
+
+    def task(tid):
+        labels = rng.integers(10, size=(n_train + 2, 2)) if multi else rng.integers(2, size=n_train + 2)
+        return _task(tid, list(zip(rng.standard_normal((n_train + 2, dim)), labels)), n_train)
+
+    corpus = Corpus([task(t) for t in range(1, n_tasks + 1)], task(0), {"kind": "toy"})
+    cache = build_cache(net, net.init_params(), corpus, gaussian_projection(net.param_count, d, seed), seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_cache(Path(tmp) / "cache.bin", cache)
+        _assert_same_entries(load_cache(Path(tmp) / "cache.bin"), cache)
+
+
+def test_build_cache_rejects_gradients_beyond_float32():
+    # finite in float64 but beyond float32's range as the cache stores it:
+    # build_cache refuses the entry, as load_cache would refuse it in a file
+    corpus = _mini_corpus(n_train=3)
+    corpus.target.val[0][1] *= 1e39
+    net = _linear_net()
+    with pytest.raises(ValueError, match="non-finite b or projected gradient in val entry 1$"):
+        build_cache(net, net.init_params(), corpus, gaussian_projection(net.param_count, 3, 0), 0)
 
 
 def test_cache_file_rejects_injected_and_garbage(tmp_path):
@@ -377,8 +414,9 @@ def test_load_cache_rejects_nonfinite_values(tmp_path, cache, field, row, value)
     damaged[row] = value
     path = tmp_path / "cache.bin"
     save_cache(path, dataclasses.replace(cache, **{field: damaged}))
-    record = row + (cache.n_entries if field.startswith("val") else 0)
-    with pytest.raises(ValueError, match=f"non-finite b or g in record {record}$"):
+    split = "val" if field.startswith("val") else "train"
+    message = f"{path}: non-finite b or projected gradient in {split} entry {row}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_cache(path)
 
 

@@ -41,7 +41,7 @@ def test_linear_model_fits_separable_task():
     cfg = TrainConfig(step_size=0.5, batch_size=64, max_epochs=400,
                       early_stop_patience=400, seed=2, optimizer="sgd", restore_best=False)
     fit = meta_train(net, corpus, cfg)
-    assert fit.final_train_loss < 0.05
+    assert eval_loss(net, fit.params, *corpus.mixture("train")) < 0.05
 
 
 def test_zero_epochs_returns_initialization():
