@@ -259,7 +259,7 @@ def exp_addition(
     cosine and feature similarity baselines, summarized by AUROC.
 
     Scores come from the linearized evaluator, which reads the first-order
-    damage on the target val entries directly and separates more cleanly at
+    damage on the cached target-val rows directly and separates more cleanly at
     this scale than a forward pass at the lifted parameters.
     """
     corpus = gen_noisy_addition(

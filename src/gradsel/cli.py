@@ -14,8 +14,10 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import artifact, bench, estimate as est, select as sel
-from .linearize import build_cache, load_cache, save_cache
+from .linearize import TARGET_VAL_ID, build_cache, load_cache, row_task_ids, save_cache
 from .model import ModelConfig, Network
 from .project import gaussian_projection
 from .taskgen import gen_multitask_gaussian, gen_noisy_addition, load_corpus, save_corpus
@@ -362,7 +364,7 @@ def stage_cache(run: RunDir, cfg: dict[str, str]) -> None:
     cache = build_cache(net, theta, corpus, P, seed)
     save_cache(run.path("cache"), cache)
     _record_config(run, cfg)
-    print(f"cache: {cache.n_entries} train entries, wrote {run.path('cache')}")
+    print(f"cache: {np.count_nonzero(cache.task_id != TARGET_VAL_ID)} train entries, wrote {run.path('cache')}")
 
 
 def _load_estimation_state(run: RunDir, cfg: dict[str, str]):
@@ -370,7 +372,9 @@ def _load_estimation_state(run: RunDir, cfg: dict[str, str]):
     cache = _load(run, "cache", "cache", load_cache)
     if cache.theta_star_digest != param_digest(theta) or cache.P.shape[0] != net.param_count:
         raise StageError("cache does not match the checkpoint; re-run cache")
-    if cache.n_entries != len(corpus.mixture("train")[1]) or cache.n_val_entries != len(corpus.target.val[0]):
+    # the rows' task ids in order, so a cache re-split or relabeled between
+    # tasks is refused even where the row totals agree
+    if not np.array_equal(cache.task_id, row_task_ids(corpus)):
         raise StageError("cache does not match the corpus; re-run cache")
     return corpus, net, theta, cache
 

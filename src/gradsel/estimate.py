@@ -1,16 +1,17 @@
 """Subset loss estimation: solve the projected logistic regression per subset
 and evaluate the reconstructed parameters on the target validation set.
 
-The objective over a subset's cached entries is
-    mean log(1 + exp(b_i - y_i g~_i . x)) + (lambda / 2) ||x||^2
-in d-space. It is convex; a tiny ridge keeps the minimizer finite even when
+The objective over a subset's cached rows (b_i, g~_i) is
+    mean log(1 + exp(b_i - g~_i . x)) + (lambda / 2) ||x||^2
+in d-space: the mean log-loss at the first-order margins -b_i + g~_i . x.
+It is convex; a tiny ridge keeps the minimizer finite even when
 the projected data is separable. The solver is damped Newton, which is cheap
 because the Hessian is only d x d. The Hessian is accumulated in float32,
 the precision of the gradients every cache holds, built or loaded; all else
 (margins, objective, gradient, linear solve, line search, stopping rule)
 runs in float64, so a converged solve meets the same gradient tolerance.
 That holds while the Hessian's condition number stays well below 1/eps32
-(~1.7e7); a solve beyond it may stop unconverged, and is flagged as such.
+(~1.7e7); a solve beyond it may stop unconverged, and its Stop says why.
 
 A solution x_hat lives in d-space; estimate_f lifts it to parameter space by
 the cache's own P, as theta* + P x_hat.
@@ -19,13 +20,14 @@ the cache's own P, as theta* + P x_hat.
 from __future__ import annotations
 
 import csv
+import enum
 import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import artifact
-from .linearize import GradientCache
+from .linearize import TARGET_VAL_ID, GradientCache
 from .model import Network, ParamVector, _sigmoid
 from .taskgen import Split
 from .trainer import eval_loss
@@ -44,29 +46,41 @@ class SolveConfig:
             raise ValueError("grad_tol must be positive")
 
 
+class Stop(enum.Enum):
+    """Why a solve ended. Only CONVERGED is true, so `if stop:` asks
+    whether the solve converged."""
+
+    CONVERGED = "converged"
+    MAX_ITERS = "max_iters"  # the iteration budget ran out
+    LINESEARCH = "linesearch"  # no step along the Newton direction decreased the objective
+
+    def __bool__(self) -> bool:
+        return self is Stop.CONVERGED
+
+
 @dataclass
 class EstimateResult:
     subset: frozenset[int]
     f_hat: float
     solver_iters: int
-    converged: bool
+    stop: Stop
 
 
-def _value_grad(b, y, G, x, lam):
-    z = b - y * (G @ x)
+def _value_grad(b, G, x, lam):
+    z = b - G @ x
     value = float(np.mean(np.logaddexp(0.0, z)) + 0.5 * lam * (x @ x))
-    grad = -(G.T @ (_sigmoid(z) * y)) / len(b) + lam * x
+    grad = -(G.T @ _sigmoid(z)) / len(b) + lam * x
     return value, grad, z
 
 
-def _newton(b, y, G, lam, cfg, x0):
+def _newton(b, G, lam, cfg, x0):
     x = x0.copy()
     n = len(b)
     G32 = G.astype(np.float32)  # for the Hessian only (module docstring)
-    value, grad, z = _value_grad(b, y, G, x, lam)
+    value, grad, z = _value_grad(b, G, x, lam)
     for it in range(1, cfg.max_iters + 1):
         if np.linalg.norm(grad) <= cfg.grad_tol:
-            return x, it - 1, True
+            return x, it - 1, Stop.CONVERGED
         s = _sigmoid(z)
         w = s * (1.0 - s)
         # rows scaled by sqrt(w / n), so H is one symmetric product (syrk)
@@ -84,7 +98,7 @@ def _newton(b, y, G, lam, cfg, x0):
         step = 1.0
         for _ in range(60):
             cand = x + step * direction
-            cand_value, cand_grad, cand_z = _value_grad(b, y, G, cand, lam)
+            cand_value, cand_grad, cand_z = _value_grad(b, G, cand, lam)
             if cand_value <= value + 1e-4 * step * slope:
                 break
             # near the minimizer the decrease sinks below the rounding of
@@ -96,9 +110,9 @@ def _newton(b, y, G, lam, cfg, x0):
         else:
             # no step decreases the objective: stay at x rather than take an
             # uphill candidate
-            return x, it, False
+            return x, it, Stop.LINESEARCH
         x, value, grad, z = cand, cand_value, cand_grad, cand_z
-    return x, cfg.max_iters, bool(np.linalg.norm(grad) <= cfg.grad_tol)
+    return x, cfg.max_iters, Stop.CONVERGED if np.linalg.norm(grad) <= cfg.grad_tol else Stop.MAX_ITERS
 
 
 def solve_subset(
@@ -107,16 +121,15 @@ def solve_subset(
     cfg: SolveConfig,
     include_target: bool = True,
     x0: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int, Stop]:
     """Minimize the subset objective from x0 (default 0). Returns
-    (x_hat, iterations, converged); non-convergence, including a line search
-    that finds no decrease, is flagged, not raised."""
+    (x_hat, iterations, stop); a solve that stops short of the gradient
+    tolerance is reported by its Stop, not raised."""
     idx = cache.rows_for(subset, include_target=include_target)
     if idx.size == 0:
         raise ValueError(f"no cached samples for subset {sorted(subset)}")
-    b, y, G = cache.b[idx], cache.y[idx], cache.g_proj[idx]
     start = np.zeros(cache.d) if x0 is None else np.asarray(x0, dtype=np.float64)
-    return _newton(b, y, G, cfg.ridge_lambda, cfg, start)
+    return _newton(cache.b[idx], cache.g_proj[idx], cfg.ridge_lambda, cfg, start)
 
 
 def estimate_f(
@@ -133,11 +146,11 @@ def estimate_f(
 
 
 def estimate_f_linearized(cache: GradientCache, x_hat_d: np.ndarray) -> float:
-    """Cheap surrogate: mean linearized loss over cached target-val entries."""
-    if cache.n_val_entries == 0:
-        raise ValueError("cache has no target validation entries")
-    x = np.asarray(x_hat_d, dtype=np.float64)
-    z = cache.val_b - cache.val_y * (cache.val_g_proj @ x)
+    """Cheap surrogate: mean linearized loss over the cached target-val rows."""
+    val = cache.task_id == TARGET_VAL_ID
+    if not val.any():
+        raise ValueError("cache has no target validation rows")
+    z = cache.b[val] - cache.g_proj[val] @ np.asarray(x_hat_d, dtype=np.float64)
     return float(np.mean(np.logaddexp(0.0, z)))
 
 
@@ -149,14 +162,14 @@ def estimate_subset(
     target_val: Split,
     cfg: SolveConfig,
 ) -> EstimateResult:
-    """Solve one subset (with the target's train entries) and score it."""
-    x_hat, iters, converged = solve_subset(cache, subset, cfg)
+    """Solve one subset (with the target's train rows) and score it."""
+    x_hat, iters, stop = solve_subset(cache, subset, cfg)
     f_hat = estimate_f(net, theta_star, cache, x_hat, target_val)
     return EstimateResult(
         subset=frozenset(int(t) for t in subset),
         f_hat=f_hat,
         solver_iters=iters,
-        converged=converged,
+        stop=stop,
     )
 
 
@@ -178,7 +191,7 @@ def write_ledger(path, results: list[EstimateResult]) -> None:
                 ";".join(str(t) for t in sorted(r.subset)),
                 f"{r.f_hat:.12g}",
                 r.solver_iters,
-                "" if r.converged else "max_iters",
+                "" if r.stop else r.stop.value,
             ]
         )
     artifact.write_atomic(path, out.getvalue().encode())

@@ -2,11 +2,12 @@
 
 Labeled data is the pair the network reads: features X (N, D) float64 and
 int64 labels, (N,) class indices, or (N, L) for a head of L > 1 positions.
-Everything runs in float64 and is deterministic given (config, seed). Margins
-follow the logistic-margin convention: a binary head emits a raw logit h, a
-multi-class head reports h = log(p_y / (1 - p_y)) for the labeled class, and a
-multi-position head averages per-position multi-class margins. Under that
-convention the log-loss log(1 + exp(-y h)) coincides with cross-entropy.
+Everything runs in float64 and is deterministic given (config, seed). A margin
+is the labeled class's log-odds h = log(p_y / (1 - p_y)): a binary head's
+logit z signed by the label, h = (2l - 1) z; for a multi-class head,
+z_y - logsumexp over the other classes; a multi-position head averages its
+positions' margins. The loss of a sample with margin h is log(1 + exp(-h)),
+which for (multi-)class heads is the cross-entropy.
 """
 
 from __future__ import annotations
@@ -173,10 +174,11 @@ class Network:
         return Z.reshape(n, cfg.num_positions, cfg.num_classes), labels.reshape(n, cfg.num_positions)
 
     def margins(self, params: ParamVector, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Batch margins h(s, y). labels is (N,) or (N, L) for multi-position heads."""
+        """Batch margins of the labeled class (module docstring). labels is
+        (N,) or (N, L) for multi-position heads."""
         Z = self.logits(params, X)
         if self.config.is_binary:
-            return Z[:, 0]
+            return _label_signs(labels) * Z[:, 0]
         Zp, y = self._heads(Z, labels)
         # log(p_y / (1 - p_y)) = z_y - logsumexp over the other classes
         at_label = y[..., None]
@@ -190,8 +192,7 @@ class Network:
         Z = self.logits(params, X)
         cfg = self.config
         if cfg.is_binary:
-            y = 2.0 * np.asarray(labels, dtype=np.int64) - 1.0
-            return np.logaddexp(0.0, -y * Z[:, 0])
+            return np.logaddexp(0.0, -_label_signs(labels) * Z[:, 0])
         Zp, y = self._heads(Z, labels)
         n = np.arange(len(Z))
         ce = np.stack(
@@ -233,7 +234,7 @@ class Network:
         cfg = self.config
         n = len(Z)
         if cfg.is_binary:
-            return np.ones((n, 1))
+            return _label_signs(labels)[:, None]
         Zp, y = self._heads(Z, labels)
         # d margin / d z_k: 1 at the labeled class, else minus the softmax
         # restricted to the other classes. Bounded, so stable at any confidence.
@@ -289,15 +290,19 @@ class Network:
         layers, acts, Z = self._forward(params, X)
         cfg = self.config
         if cfg.is_binary:
-            y = 2.0 * np.asarray(labels, dtype=np.int64) - 1.0
-            h = Z[:, 0]
-            delta = (-y * _sigmoid(-y * h))[:, None]
+            y = _label_signs(labels)
+            delta = (-y * _sigmoid(-y * Z[:, 0]))[:, None]
         else:
             Zp, y = self._heads(Z, labels)
             delta = _softmax(Zp)
             delta[np.arange(len(Z))[:, None], np.arange(cfg.num_positions), y] -= 1.0
             delta = delta.reshape(len(Z), -1) / cfg.num_positions
         return self._backward(layers, acts, delta)
+
+
+def _label_signs(labels) -> np.ndarray:
+    """A binary head's labels as the signs 2l - 1 of their margins' logits."""
+    return 2.0 * np.asarray(labels, dtype=np.int64) - 1.0
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from . import artifact
 from . import estimate as est
 from .linearize import GradientCache
 from .model import Network, ParamVector
-from .taskgen import Corpus, cluster_into_groups
+from .taskgen import TARGET_TASK_ID, Corpus, cluster_into_groups
 from .trainer import TrainConfig, eval_loss, fine_tune_subset
 
 
@@ -33,9 +33,10 @@ class Evaluator:
     task_units accumulates |S| per call (the per-task training cost
     convention behind the closed-form pass counts); forward_pass_count and
     fine_tune_runs accumulate the oracle's trainer-reported sample forward
-    passes and fine-tunes. nonconverged counts estimator solves that stopped
-    short of the gradient tolerance, and nonfinite counts scores that came
-    out NaN or infinite.
+    passes and fine-tunes. nonconverged counts estimator solves that ran out
+    of iterations short of the gradient tolerance, linesearch_failures those
+    whose line search found no decrease, and nonfinite counts scores that
+    came out NaN or infinite.
     """
 
     _score: Callable[[frozenset[int]], float]
@@ -44,6 +45,7 @@ class Evaluator:
     forward_pass_count: int = 0
     fine_tune_runs: int = 0
     nonconverged: int = 0
+    linesearch_failures: int = 0
     nonfinite: int = 0
 
     def __call__(self, subset) -> float:
@@ -69,9 +71,9 @@ def estimator_evaluator(
     ev: Evaluator
 
     def score(subset: frozenset[int]) -> float:
-        x_hat, _, converged = est.solve_subset(cache, subset, cfg)
-        if not converged:
-            ev.nonconverged += 1
+        x_hat, _, stop = est.solve_subset(cache, subset, cfg)
+        ev.nonconverged += stop is est.Stop.MAX_ITERS
+        ev.linesearch_failures += stop is est.Stop.LINESEARCH
         if linearized:
             return est.estimate_f_linearized(cache, x_hat)
         return est.estimate_f(net, theta_star, cache, x_hat, target_val)
@@ -114,6 +116,7 @@ def _budget(ev: Evaluator) -> dict[str, int]:
         "forward_passes": ev.forward_pass_count,
         "fine_tune_runs": ev.fine_tune_runs,
         "nonconverged": ev.nonconverged,
+        "linesearch_failures": ev.linesearch_failures,
         "nonfinite": ev.nonfinite,
     }
 
@@ -255,8 +258,8 @@ def ensemble_select(
 
 def group_cache(cache: GradientCache, n_groups: int, seed: int) -> GradientCache:
     """The cache with each source row relabeled 1..n_groups by its k-means
-    cluster of projected gradients; target rows keep id 0."""
-    source = cache.task_id != 0
+    cluster of projected gradients; target rows keep their ids."""
+    source = cache.task_id > TARGET_TASK_ID
     task_id = cache.task_id.copy()
     task_id[source] = cluster_into_groups(cache.g_proj[source], n_groups, seed) + 1
     return replace(cache, task_id=task_id)

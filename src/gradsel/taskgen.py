@@ -106,7 +106,7 @@ def _rotate(w: np.ndarray, u: np.ndarray, degrees: float) -> np.ndarray:
     return c * w + s * u
 
 
-def _gaussian_task(rng, task_id, direction, n_train, n_val, dim, label_noise):
+def _gaussian_task(rng, task_id, direction, train_size, val_size, dim, label_noise):
     def draw(n):
         y = rng.integers(0, 2, size=n)
         sign = 2.0 * y - 1.0
@@ -116,7 +116,7 @@ def _gaussian_task(rng, task_id, direction, n_train, n_val, dim, label_noise):
             y = np.where(flip, 1 - y, y)
         return X, y
 
-    return TaskDataset(task_id, draw(n_train), draw(n_val))
+    return TaskDataset(task_id, draw(train_size), draw(val_size))
 
 
 def gen_multitask_gaussian(
@@ -257,20 +257,20 @@ def gen_noisy_addition(
 
     rng = np.random.default_rng(seed)
 
-    def group(task_id, noisy, n_train, n_val=None):
-        if n_val is None:
-            n_val = max(8, n_train // 4)
-        train = _addition_split(rng, n_train, digits, noisy)
-        return TaskDataset(task_id, train, _addition_split(rng, n_val, digits, noisy))
+    def group(task_id, noisy, train_size, val_size=None):
+        if val_size is None:
+            val_size = max(8, train_size // 4)
+        train = _addition_split(rng, train_size, digits, noisy)
+        return TaskDataset(task_id, train, _addition_split(rng, val_size, digits, noisy))
 
     # the target's val split anchors every evaluation, so keep it solid even
     # when its train split is small
     target = group(
-        TARGET_TASK_ID, noisy=False, n_train=target_samples,
-        n_val=max(100, target_samples),
+        TARGET_TASK_ID, noisy=False, train_size=target_samples,
+        val_size=max(100, target_samples),
     )
     tasks = [
-        group(tid, noisy=(tid > n_clean), n_train=samples_per_group)
+        group(tid, noisy=(tid > n_clean), train_size=samples_per_group)
         for tid in range(1, n_groups + 1)
     ]
     meta = {

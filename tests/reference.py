@@ -6,13 +6,18 @@ can compare a fast path with it.
 
 import numpy as np
 
-from gradsel.estimate import _value_grad
-
 
 def margin(net, params, x, label) -> float:
-    """Margin of the one sample (x, label); label is a class index, or the
+    """Margin of the labeled class of the one sample (x, label), from its
+    logits: (2 label - 1) z for a binary head's logit z, else the labeled
+    class's log-odds averaged over positions; label is a class index, or the
     (L,) position labels of a multi-position head."""
-    return float(net.margins(params, x[None, :], np.asarray([label]))[0])
+    z = net.logits(params, x[None, :])[0]
+    if net.config.is_binary:
+        return float((2 * label - 1) * z[0])
+    per_position = z.reshape(net.config.num_positions, net.config.num_classes)
+    odds = [row[c] - np.logaddexp.reduce(np.delete(row, c)) for row, c in zip(per_position, np.atleast_1d(label))]
+    return float(np.mean(odds))
 
 
 def margin_gradients(net, params, X, labels) -> np.ndarray:
@@ -52,9 +57,14 @@ def finite_difference_margin_gradient(net, params, x, label, step: float = 1e-5)
 
 def subset_objective(cache, subset, x, ridge_lambda: float, include_target: bool = True):
     """Value and gradient of the solver's objective over a subset's cached
-    entries at x."""
+    rows at x: mean log(1 + exp(b_i - g_i . x)) + ridge_lambda / 2 ||x||^2,
+    the log-loss at the first-order margins -b_i + g_i . x."""
     idx = cache.rows_for(subset, include_target=include_target)
     if idx.size == 0:
         raise ValueError(f"no cached samples for subset {sorted(subset)}")
     x = np.asarray(x, dtype=np.float64)
-    return _value_grad(cache.b[idx], cache.y[idx], cache.g_proj[idx], x, ridge_lambda)[:2]
+    b, G = cache.b[idx], cache.g_proj[idx]
+    z = b - G @ x
+    value = float(np.mean(np.logaddexp(0.0, z)) + 0.5 * ridge_lambda * (x @ x))
+    grad = -(G.T @ (1.0 / (1.0 + np.exp(-z)))) / len(b) + ridge_lambda * x
+    return value, grad

@@ -167,15 +167,12 @@ def test_criterion_6_cost_accounting():
 def test_criterion_7_solver_speed():
     rng = np.random.default_rng(11)
     n, d = 10_000, 100
+    # the labels' signs y, folded into the gradient rows as the cache holds them
+    y = rng.choice([-1.0, 1.0], size=n)
     cache7 = GradientCache(
-        sample_ref=np.arange(n),
         task_id=np.ones(n, dtype=np.int64),
-        y=rng.choice([-1.0, 1.0], size=n),
         b=rng.standard_normal(n),
-        g_proj=rng.standard_normal((n, d)),
-        val_y=np.ones(1),
-        val_b=np.zeros(1),
-        val_g_proj=np.zeros((1, d)),
+        g_proj=y[:, None] * rng.standard_normal((n, d)),
         theta_star_digest="0" * 64,
         P=np.eye(d),
         projector_seed=None,

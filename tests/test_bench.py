@@ -18,14 +18,9 @@ from gradsel.select import Evaluator
 def _fake_cache(g_proj, task_id):
     n, d = g_proj.shape
     return GradientCache(
-        sample_ref=np.arange(n),
         task_id=np.asarray(task_id, dtype=np.int64),
-        y=np.ones(n),
         b=np.zeros(n),
         g_proj=np.asarray(g_proj, dtype=np.float64),
-        val_y=np.ones(1),
-        val_b=np.zeros(1),
-        val_g_proj=np.zeros((1, d)),
         theta_star_digest="0" * 64,
         P=np.eye(d),
         projector_seed=None,

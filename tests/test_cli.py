@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gradsel.artifact
+import gradsel.estimate
 from gradsel.cli import (
     DEFAULT_CONFIG,
     StageError,
@@ -14,7 +15,8 @@ from gradsel.cli import (
     recipe,
     resolve_config,
 )
-from gradsel.linearize import load_cache, save_cache
+from gradsel import linearize
+from gradsel.linearize import TARGET_VAL_ID, load_cache, save_cache
 from gradsel.taskgen import load_corpus, save_corpus
 from gradsel.trainer import load_checkpoint, save_checkpoint
 
@@ -371,6 +373,9 @@ DAMAGED_ARTIFACTS = [
     ("selection.txt", "report", False),
 ]
 
+# the container version each loader reads
+VERSION = {"corpus.txt": 1, "checkpoint.bin": 1, "cache.bin": 2}
+
 # the container kind and a header key its loader reads
 HEADER_KEY = {"corpus.txt": ("corpus", "dim"), "checkpoint.bin": ("checkpoint", "corpus_digest"),
               "cache.bin": ("cache", "d")}
@@ -395,13 +400,13 @@ def test_damaged_artifact_fails_in_one_line(tiny_run, tmp_path, capsys, artifact
         assert data.decode().splitlines()[-1].startswith("sha256 ")
     if damage == "drop_header_key":  # rewritten whole, so its checksum holds
         kind, key = HEADER_KEY[artifact]
-        header, body = gradsel.artifact.read(path, kind, 1, {})
+        header, body = gradsel.artifact.read(path, kind, VERSION[artifact], {})
         del header[key]
-        gradsel.artifact.write(path, kind, 1, header, body)
+        gradsel.artifact.write(path, kind, VERSION[artifact], header, body)
     elif damage == "mistype_header_key":
         kind, key, value = MISTYPED[artifact]
-        header, body = gradsel.artifact.read(path, kind, 1, {})
-        gradsel.artifact.write(path, kind, 1, {**header, key: value}, body)
+        header, body = gradsel.artifact.read(path, kind, VERSION[artifact], {})
+        gradsel.artifact.write(path, kind, VERSION[artifact], {**header, key: value}, body)
     else:
         path.write_bytes(DAMAGE[damage](data))
     capsys.readouterr()
@@ -420,25 +425,60 @@ def test_cache_projected_for_another_model_fails_in_one_line(tiny_run, tmp_path,
     # count than the model has parameters
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "cache.bin"
-    header, body = gradsel.artifact.read(path, "cache", 1, {})
-    gradsel.artifact.write(path, "cache", 1, {**header, "p": header["p"] + 1}, body)
+    header, body = gradsel.artifact.read(path, "cache", 2, {})
+    gradsel.artifact.write(path, "cache", 2, {**header, "p": header["p"] + 1}, body)
     capsys.readouterr()
     assert run(["select", *TINY], tmp_path) == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["gradsel select: cache does not match the checkpoint; re-run cache"]
 
 
+def _rewrite_cache(path, edit):
+    """Rewrite cache.bin through the container with its records passed
+    through edit, so the checksum and the header hold."""
+    header, body = gradsel.artifact.read(path, "cache", 2, {})
+    records = np.frombuffer(body, dtype=linearize._record_dtype(header["d"])).copy()
+    gradsel.artifact.write(path, "cache", 2, header, edit(records).tobytes())
+
+
 def test_cache_with_more_train_entries_than_the_corpus_fails_in_one_line(tiny_run, tmp_path, capsys):
-    # the checksum and the types hold, but the header's n_train would read
-    # target-val records as target train entries
+    # 30 more target train rows than the corpus has
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
-    path = tmp_path / "cache.bin"
-    header, body = gradsel.artifact.read(path, "cache", 1, {})
-    gradsel.artifact.write(path, "cache", 1, {**header, "n_train": header["n_train"] + 30}, body)
+    _rewrite_cache(tmp_path / "cache.bin", lambda r: np.concatenate([r, np.repeat(r[r["tid"] == 0][:1], 30)]))
     capsys.readouterr()
     assert run(["select", *TINY], tmp_path) == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["gradsel select: cache does not match the corpus; re-run cache"]
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (1, TARGET_VAL_ID)])
+def test_cache_with_two_tasks_ids_swapped_fails_in_one_line(tiny_run, tmp_path, capsys, a, b):
+    # the row total and the checksum hold; tasks 1 and 2 have equal row
+    # counts, task 1 and the target-val rows do not
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+
+    def swap(records):
+        tid = records["tid"].copy()
+        records["tid"][tid == a], records["tid"][tid == b] = b, a
+        return records
+
+    _rewrite_cache(tmp_path / "cache.bin", swap)
+    capsys.readouterr()
+    assert run(["select", *TINY], tmp_path) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["gradsel select: cache does not match the corpus; re-run cache"]
+
+
+def test_cache_v1_fails_in_one_line(tiny_run, tmp_path, capsys):
+    # a cache.bin from before the one-table layout is refused by its version
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "cache.bin"
+    header, body = gradsel.artifact.read(path, "cache", 2, {})
+    gradsel.artifact.write(path, "cache", 1, {**header, "n_train": 1}, body)
+    capsys.readouterr()
+    assert run(["select", *TINY], tmp_path) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["gradsel select: cache.bin: holds a cache v1 artifact, not cache v2; re-run 'cache'"]
 
 
 def test_cache_beyond_float32_fails_cache_in_one_line(tmp_path, capsys):
@@ -457,7 +497,8 @@ def test_cache_beyond_float32_fails_cache_in_one_line(tmp_path, capsys):
     assert run(["cache", *relu], tmp_path) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("gradsel cache: non-finite b or projected gradient in val entry ")
+    assert lines[0].startswith("gradsel cache: non-finite b or projected gradient in row ")
+    assert lines[0].endswith(" (task id -1)")  # a target-val row
     assert not (tmp_path / "cache.bin").exists()
 
 
@@ -469,8 +510,8 @@ def test_cache_cut_at_any_record_boundary_fails_in_one_line(tiny_run, tmp_path, 
     data = path.read_bytes()
     cache = load_cache(path)
     start = data.index(b"\n") + 1
-    size = 16 + 4 * cache.d
-    n_records = cache.n_entries + cache.n_val_entries
+    size = 10 + 4 * cache.d
+    n_records = len(cache.task_id)
     assert len(data) == start + n_records * size + len(b"sha256 \n") + 64
     for k in range(n_records + 1):
         path.write_bytes(data[: start + k * size])
@@ -498,10 +539,29 @@ def test_solver_health_reaches_selection_and_report(tiny_run, tmp_path, capsys):
     budget = _budget(tmp_path / "selection.txt")
     assert budget["calls"] > 0
     assert budget["nonconverged"] == budget["calls"]
+    assert budget["linesearch_failures"] == 0
     assert budget["nonfinite"] == 0
     capsys.readouterr()
     assert run(["report", *TINY], tmp_path) == 0
     assert f"'nonconverged': {budget['calls']}" in capsys.readouterr().out
+
+
+def test_line_search_failures_are_told_apart_from_max_iters(tiny_run, tmp_path, monkeypatch):
+    # no candidate ever decreases the objective: every solve stops in its
+    # first line search, and the budget and the ledger say so
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    monkeypatch.setattr(gradsel.estimate, "_value_grad",
+                        lambda b, G, x, lam: (float(np.any(x != 0)), np.ones_like(x), np.zeros(len(b))))
+    assert run(["select", *TINY], tmp_path) == 0
+    budget = _budget(tmp_path / "selection.txt")
+    assert budget["linesearch_failures"] == budget["calls"] > 0
+    assert budget["nonconverged"] == 0
+    assert run(["estimate", *TINY, "--subset", "1,2", "--subset", "3"], tmp_path) == 0
+    rows = (tmp_path / "estimates.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["linesearch", "linesearch"]
+    monkeypatch.undo()
+    assert run(["estimate", *TINY, "--subset", "1,2", "--estimate.max_iters", "1"], tmp_path) == 0
+    assert (tmp_path / "estimates.csv").read_text().splitlines()[1].endswith(",max_iters")
 
 
 @pytest.mark.parametrize("stage", [["select"], ["estimate", "--subset", "1"], ["bench", "--exp", "rrss"]])
@@ -533,7 +593,7 @@ def test_nonfinite_checkpoint_fails_cache_in_one_line(tiny_run, tmp_path, capsys
     assert run(["cache", *TINY], tmp_path) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("gradsel cache: non-finite b or projected gradient in train entry 0")
+    assert lines[0] == "gradsel cache: non-finite b or projected gradient in row 0 (task id 1)"
     assert not (tmp_path / "cache.bin").exists()
 
 
@@ -541,7 +601,7 @@ def test_nonfinite_checkpoint_fails_cache_in_one_line(tiny_run, tmp_path, capsys
 def test_select_ds_with_more_groups_than_source_rows_fails_in_one_line(tiny_run, tmp_path, capsys, method):
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
     (tmp_path / "selection.txt").unlink()
-    rows = int(np.count_nonzero(load_cache(tmp_path / "cache.bin").task_id != 0))
+    rows = int(np.count_nonzero(load_cache(tmp_path / "cache.bin").task_id > 0))  # the source rows
     capsys.readouterr()
     assert run(["select", *TINY, "--select.method", method, "--corpus.n", "100"], tmp_path) == 2
     lines = capsys.readouterr().err.splitlines()

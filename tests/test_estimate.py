@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from gradsel import estimate
 from gradsel.estimate import (
     SolveConfig,
+    Stop,
     estimate_f,
     estimate_f_linearized,
     estimate_subset,
     solve_subset,
     write_ledger,
 )
-from gradsel.linearize import GradientCache, build_cache, load_cache, save_cache
+from gradsel.linearize import TARGET_VAL_ID, GradientCache, build_cache, load_cache, save_cache
 from gradsel.model import ModelConfig, Network, _sigmoid
 from gradsel.taskgen import Corpus, TaskDataset
 from gradsel.trainer import eval_loss
@@ -24,39 +25,39 @@ from conftest import SOLVE_CFG
 from reference import subset_objective
 
 
-def _fake_cache(b, y, G, task_id=None, val=None):
-    b = np.asarray(b, dtype=np.float64)
+def _fake_cache(b, G, task_id=None, val=None):
+    """A cache of rows (b, G) under task_id (default all 1), then the
+    target-val rows val = (b, G) if given."""
     n, d = np.asarray(G).shape
     tid = np.ones(n, dtype=np.int64) if task_id is None else np.asarray(task_id, dtype=np.int64)
-    if val is None:
-        val_y, val_b, val_G = np.ones(1), np.zeros(1), np.zeros((1, d))
-    else:
-        val_y, val_b, val_G = val
+    val_b, val_G = (np.zeros(0), np.zeros((0, d))) if val is None else val
     return GradientCache(
-        sample_ref=np.arange(n),
-        task_id=tid,
-        y=np.asarray(y, dtype=np.float64),
-        b=b,
-        g_proj=np.asarray(G, dtype=np.float64),
-        val_y=np.asarray(val_y, dtype=np.float64),
-        val_b=np.asarray(val_b, dtype=np.float64),
-        val_g_proj=np.asarray(val_G, dtype=np.float64),
+        task_id=np.concatenate([tid, np.full(len(val_b), TARGET_VAL_ID)]),
+        b=np.concatenate([b, val_b]).astype(np.float64),
+        g_proj=np.concatenate([G, val_G]).astype(np.float64),
         theta_star_digest="0" * 64,
         P=np.eye(d),
         projector_seed=None,
     )
 
 
+def _signed_rows(rng, n, d):
+    """b, label signs y and gradients G drawn in that order, with y folded
+    into G's rows as a signed-margin cache holds them."""
+    b, y, G = rng.standard_normal(n), rng.choice([-1.0, 1.0], size=n), rng.standard_normal((n, d))
+    return b, y[:, None] * G
+
+
 def test_objective_at_zero_is_mean_softplus_b():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(12)
-    cache = _fake_cache(b, np.ones(12), rng.standard_normal((12, 5)))
+    cache = _fake_cache(b, rng.standard_normal((12, 5)))
     value, _ = subset_objective(cache, {1}, np.zeros(5), 0.0, include_target=False)
     assert value == pytest.approx(np.mean(np.log1p(np.exp(b))), abs=1e-12)
 
 
 def test_objective_degenerate_all_zero():
-    cache = _fake_cache(np.zeros(8), np.ones(8), np.zeros((8, 4)))
+    cache = _fake_cache(np.zeros(8), np.zeros((8, 4)))
     value, grad = subset_objective(cache, {1}, np.zeros(4), 0.0, include_target=False)
     assert value == pytest.approx(math.log(2), abs=1e-15)
     assert np.array_equal(grad, np.zeros(4))
@@ -64,11 +65,7 @@ def test_objective_degenerate_all_zero():
 
 def test_objective_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
-    cache = _fake_cache(
-        rng.standard_normal(30),
-        rng.choice([-1.0, 1.0], size=30),
-        rng.standard_normal((30, 5)),
-    )
+    cache = _fake_cache(*_signed_rows(rng, 30, 5))
     x = rng.standard_normal(5)
     lam = 0.05
     _, grad = subset_objective(cache, {1}, x, lam, include_target=False)
@@ -85,7 +82,7 @@ def test_objective_gradient_matches_finite_differences():
 
 
 def test_solve_all_zero_gradients_returns_zero():
-    cache = _fake_cache(np.ones(10), np.ones(10), np.zeros((10, 4)))
+    cache = _fake_cache(np.ones(10), np.zeros((10, 4)))
     x, iters, converged = solve_subset(cache, {1}, SolveConfig(ridge_lambda=0.01), include_target=False)
     assert converged
     assert np.allclose(x, np.zeros(4), atol=1e-10)
@@ -93,11 +90,7 @@ def test_solve_all_zero_gradients_returns_zero():
 
 def test_solver_matches_grid_oracle_d2():
     rng = np.random.default_rng(2)
-    cache = _fake_cache(
-        rng.standard_normal(40),
-        rng.choice([-1.0, 1.0], size=40),
-        rng.standard_normal((40, 2)),
-    )
+    cache = _fake_cache(*_signed_rows(rng, 40, 2))
     cfg = SolveConfig(ridge_lambda=0.05, grad_tol=1e-12)
     x, _, converged = solve_subset(cache, {1}, cfg, include_target=False)
     assert converged
@@ -114,11 +107,7 @@ def test_solver_matches_grid_oracle_d2():
 
 def test_solution_beats_random_perturbations():
     rng = np.random.default_rng(3)
-    cache = _fake_cache(
-        rng.standard_normal(60),
-        rng.choice([-1.0, 1.0], size=60),
-        rng.standard_normal((60, 8)),
-    )
+    cache = _fake_cache(*_signed_rows(rng, 60, 8))
     cfg = SolveConfig(ridge_lambda=0.02)
     x, _, _ = solve_subset(cache, {1}, cfg, include_target=False)
     v_star, _ = subset_objective(cache, {1}, x, cfg.ridge_lambda, include_target=False)
@@ -131,11 +120,7 @@ def test_solution_beats_random_perturbations():
 
 def test_convexity_same_optimum_from_random_starts():
     rng = np.random.default_rng(4)
-    cache = _fake_cache(
-        rng.standard_normal(50),
-        rng.choice([-1.0, 1.0], size=50),
-        rng.standard_normal((50, 6)),
-    )
+    cache = _fake_cache(*_signed_rows(rng, 50, 6))
     cfg = SolveConfig(ridge_lambda=0.05, grad_tol=1e-11)
     values = []
     for trial in range(3):
@@ -150,27 +135,23 @@ def test_convexity_same_optimum_from_random_starts():
 def test_failed_line_search_keeps_the_iterate(monkeypatch):
     # no step decreases the objective: the solve stops where it started
     rng = np.random.default_rng(5)
-    cache = _fake_cache(
-        rng.standard_normal(20),
-        rng.choice([-1.0, 1.0], size=20),
-        rng.standard_normal((20, 4)),
-    )
+    cache = _fake_cache(*_signed_rows(rng, 20, 4))
     x0 = rng.standard_normal(4)
     monkeypatch.setattr(
         estimate, "_value_grad",
-        lambda b, y, G, x, lam: (float(np.any(x != x0)), np.ones_like(x), np.zeros(len(b))),
+        lambda b, G, x, lam: (float(np.any(x != x0)), np.ones_like(x), np.zeros(len(b))),
     )
-    x, iters, converged = solve_subset(cache, {1}, SolveConfig(), include_target=False, x0=x0)
+    x, iters, stop = solve_subset(cache, {1}, SolveConfig(), include_target=False, x0=x0)
     assert np.array_equal(x, x0)
-    assert not converged
+    assert stop is Stop.LINESEARCH
     assert iters == 1
 
 
-def _newton_float64_hessian(b, y, G, lam, cfg):
+def _newton_float64_hessian(b, G, lam, cfg):
     """Reference: the solver's damped Newton from x=0 with the Hessian formed
     in float64 by the plain weighted product."""
     x = np.zeros(G.shape[1])
-    value, grad, z = estimate._value_grad(b, y, G, x, lam)
+    value, grad, z = estimate._value_grad(b, G, x, lam)
     for it in range(1, cfg.max_iters + 1):
         if np.linalg.norm(grad) <= cfg.grad_tol:
             return x, it - 1, True
@@ -181,7 +162,7 @@ def _newton_float64_hessian(b, y, G, lam, cfg):
         step = 1.0
         for _ in range(60):
             cand = x + step * direction
-            cand_value, cand_grad, cand_z = estimate._value_grad(b, y, G, cand, lam)
+            cand_value, cand_grad, cand_z = estimate._value_grad(b, G, cand, lam)
             if cand_value <= value + 1e-4 * step * slope:
                 break
             if cand_value <= value + 1e-10 * abs(value) and cand_grad @ direction <= (2e-4 - 1.0) * slope:
@@ -210,12 +191,12 @@ def test_float32_hessian_newton_tracks_float64_newton(seed, d, n, scale, spread,
     if spread is not None:
         G[:, 1:] = G[:, [0]] + spread * scale * rng.standard_normal((n, d - 1))
     b = rng.standard_normal(n)
-    y = rng.choice([-1.0, 1.0], size=n)
+    G = rng.choice([-1.0, 1.0], size=n)[:, None] * G  # the labels' signs, folded into the rows
     cfg = SolveConfig(ridge_lambda=ridge)
     band = 2 * cfg.grad_tol / ridge  # both ends lie within grad_tol/ridge of the minimizer
 
-    x_ref, iters_ref, converged_ref = _newton_float64_hessian(b, y, G, ridge, cfg)
-    x, iters, converged = estimate._newton(b, y, G, ridge, cfg, np.zeros(d))
+    x_ref, iters_ref, converged_ref = _newton_float64_hessian(b, G, ridge, cfg)
+    x, iters, converged = estimate._newton(b, G, ridge, cfg, np.zeros(d))
     assert converged_ref
     # a converged answer is right whatever the Hessian's precision: the stop
     # reads the exact float64 gradient
@@ -243,9 +224,9 @@ def test_newton_converges_when_decrease_is_below_rounding(seed):
     d = int(rng.integers(1, 4))
     G = 10 * rng.standard_normal((40, d))
     b = rng.standard_normal(40)
-    y = rng.choice([-1.0, 1.0], size=40)
+    G = rng.choice([-1.0, 1.0], size=40)[:, None] * G  # the labels' signs, folded into the rows
     cfg = SolveConfig(ridge_lambda=0.1)
-    _, iters, converged = estimate._newton(b, y, G, 0.1, cfg, np.zeros(d))
+    _, iters, converged = estimate._newton(b, G, 0.1, cfg, np.zeros(d))
     assert converged
     assert iters <= 6
 
@@ -256,21 +237,18 @@ def test_loaded_gradients_are_float32_exact(tmp_path, cache):
     path = tmp_path / "cache.bin"
     save_cache(path, cache)
     back = load_cache(path)
-    for g in (back.g_proj, back.val_g_proj):
-        assert np.array_equal(g.astype(np.float32).astype(np.float64), g)
+    assert np.array_equal(back.g_proj.astype(np.float32).astype(np.float64), back.g_proj)
 
 
 def test_rows_consulted_are_exactly_subset_plus_target():
     rng = np.random.default_rng(6)
     tid = np.array([0, 0, 1, 1, 2, 2, 3, 3], dtype=np.int64)
-    cache = _fake_cache(
-        rng.standard_normal(8), np.ones(8), rng.standard_normal((8, 3)), task_id=tid
-    )
+    cache = _fake_cache(rng.standard_normal(8), rng.standard_normal((8, 3)), task_id=tid)
     assert np.array_equal(cache.rows_for({1, 3}), np.flatnonzero(np.isin(tid, [0, 1, 3])))
     assert np.array_equal(cache.rows_for({2}, include_target=False), np.flatnonzero(tid == 2))
     # the solve reads exactly those rows: other rows may hold anything
     poisoned = _fake_cache(
-        np.where(np.isin(tid, [0, 1, 3]), cache.b, np.nan), np.ones(8),
+        np.where(np.isin(tid, [0, 1, 3]), cache.b, np.nan),
         np.where(np.isin(tid, [0, 1, 3])[:, None], cache.g_proj, np.nan), task_id=tid,
     )
     x, _, converged = solve_subset(poisoned, {1, 3}, SolveConfig(ridge_lambda=0.1))
@@ -279,7 +257,7 @@ def test_rows_consulted_are_exactly_subset_plus_target():
 
 
 def test_empty_subset_data_raises():
-    cache = _fake_cache(np.ones(4), np.ones(4), np.zeros((4, 2)))
+    cache = _fake_cache(np.ones(4), np.zeros((4, 2)))
     with pytest.raises(ValueError):
         solve_subset(cache, {7}, SolveConfig(), include_target=False)
 
@@ -293,15 +271,11 @@ def test_estimate_f_zero_displacement(gauss_net, theta_star, gauss_corpus, cache
 def test_estimate_f_linearized_zero_and_missing():
     rng = np.random.default_rng(7)
     val_b = rng.standard_normal(9)
-    cache = _fake_cache(
-        np.ones(4), np.ones(4), np.zeros((4, 3)),
-        val=(np.ones(9), val_b, rng.standard_normal((9, 3))),
-    )
+    cache = _fake_cache(np.ones(4), np.zeros((4, 3)), val=(val_b, rng.standard_normal((9, 3))))
     assert estimate_f_linearized(cache, np.zeros(3)) == pytest.approx(
         np.mean(np.log1p(np.exp(val_b))), abs=1e-12
     )
-    empty = _fake_cache(np.ones(4), np.ones(4), np.zeros((4, 3)),
-                        val=(np.zeros(0), np.zeros(0), np.zeros((0, 3))))
+    empty = _fake_cache(np.ones(4), np.zeros((4, 3)))
     with pytest.raises(ValueError):
         estimate_f_linearized(empty, np.zeros(3))
 
@@ -351,7 +325,8 @@ def test_subset_solve_is_fast_at_scale():
     rng = np.random.default_rng(11)
     n, d = 10_000, 100
     G = rng.standard_normal((n, d))
-    cache = _fake_cache(rng.standard_normal(n), rng.choice([-1.0, 1.0], size=n), G)
+    b, y = rng.standard_normal(n), rng.choice([-1.0, 1.0], size=n)
+    cache = _fake_cache(b, y[:, None] * G)
     cfg = SolveConfig(ridge_lambda=0.1)
     start = time.perf_counter()
     x, iters, converged = solve_subset(cache, {1}, cfg, include_target=False)
@@ -363,7 +338,7 @@ def test_subset_solve_is_fast_at_scale():
 def test_estimate_subset_records_metadata(gauss_net, theta_star, gauss_corpus, cache):
     result = estimate_subset(gauss_net, theta_star, cache, {1, 2}, gauss_corpus.target.val, SOLVE_CFG)
     assert result.subset == frozenset({1, 2})
-    assert result.converged
+    assert result.stop is Stop.CONVERGED
     assert math.isfinite(result.f_hat)
 
 

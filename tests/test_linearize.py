@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gradsel import linearize
 from gradsel.linearize import (
     RRSS_DENOM_GUARD,
+    TARGET_VAL_ID,
     _rrss_batch,
     build_cache,
     load_cache,
@@ -75,9 +76,9 @@ def _multi_position_setup(n_train=6, seed=0):
 
 
 def _cached_taylor_margin(cache, i, z):
-    """First-order margin at theta* + P z from cache entry i: the cached
-    b = -y h* gives h* = -b y, and g~ . z equals the full g . (P z)."""
-    return -cache.b[i] * cache.y[i] + cache.g_proj[i] @ z
+    """First-order margin at theta* + P z from cache row i: the cached
+    b = -h* gives h* = -b, and g~ . z equals the full g . (P z)."""
+    return -cache.b[i] + cache.g_proj[i] @ z
 
 
 def _full_taylor_margin(net, theta_star, x, features, label):
@@ -90,15 +91,16 @@ def test_cache_entries_and_b_values():
     net = _linear_net()
     theta = net.init_params()
     cache = build_cache(net, theta, corpus, np.eye(net.param_count), None)
-    # one entry per train sample: the single source sample plus the target's
-    assert cache.n_entries == 2
-    assert sorted(cache.task_id) == [0, 1]
-    for i in range(cache.n_entries):
+    # one row per train sample: the single source sample plus the target's,
+    # then the target's val rows
+    n_val = len(corpus.target.val[0])
+    assert cache.task_id.tolist() == [1, 0] + [TARGET_VAL_ID] * n_val
+    for i in range(2):
         X, labels = corpus.task(int(cache.task_id[i])).train
-        y = 2 * labels[0] - 1
-        assert cache.y[i] == y
-        assert cache.b[i] == pytest.approx(-y * margin(net, theta, X[0], labels[0]), abs=1e-12)
-    assert cache.n_val_entries == len(corpus.target.val[0])
+        # b is minus the labeled class's margin: minus the logit signed by the label
+        z = net.logits(theta, X[:1])[0, 0]
+        assert cache.b[i] == pytest.approx(-(2 * labels[0] - 1) * z, abs=1e-12)
+        assert cache.b[i] == pytest.approx(-margin(net, theta, X[0], labels[0]), abs=1e-12)
 
 
 def test_identity_projector_caches_full_gradient():
@@ -120,15 +122,15 @@ def test_build_cache_matches_per_sample_reference(monkeypatch):
     assert net.param_count > _BLOCK_ROWS
     P = gaussian_projection(net.param_count, 6, 2)
     cache = build_cache(net, theta, corpus, P, 2)
-    for (X, labels), b, g_proj in ((corpus.mixture("train"), cache.b, cache.g_proj),
-                                   (corpus.target.val, cache.val_b, cache.val_g_proj)):
+    val = cache.task_id == TARGET_VAL_ID
+    for (X, labels), rows in ((corpus.mixture("train"), ~val), (corpus.target.val, val)):
+        b, g_proj = cache.b[rows], cache.g_proj[rows]
         assert len(X) == len(b) > linearize._CHUNK
         for i in range(len(X)):
             # rounded to the float32 values every cache holds
             ref = (P.T @ _grad(net, theta, X[i], labels[i])).astype(np.float32)
             assert np.max(np.abs(g_proj[i] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
             assert b[i] == pytest.approx(-margin(net, theta, X[i], labels[i]), abs=1e-12)
-    assert np.all(cache.y == 1.0) and np.all(cache.val_y == 1.0)
 
 
 def test_build_cache_never_builds_a_gradient_block():
@@ -153,7 +155,7 @@ def test_build_cache_never_builds_a_gradient_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cache.g_proj.shape == (420, 20)
+    assert cache.g_proj.shape == (420 + 20, 20)  # train rows, then the target's val rows
     assert peak < linearize._CHUNK * net.param_count * 8 / 4
 
 
@@ -162,9 +164,11 @@ def test_build_cache_rejects_non_finite_entries(split):
     corpus = _mini_corpus(n_train=3)
     X, labels = corpus.tasks[0].train if split == "train" else corpus.target.val
     X[1], labels[1] = np.inf, 1
+    # task 1's train rows come first; the target's val rows come last
+    row, tid = (1, 1) if split == "train" else (len(corpus.mixture("train")[1]) + 1, TARGET_VAL_ID)
     net = _linear_net()
     with np.errstate(invalid="ignore"), pytest.raises(
-        ValueError, match=f"non-finite b or projected gradient in {split} entry 1$"
+        ValueError, match=re.escape(f"non-finite b or projected gradient in row {row} (task id {tid})") + "$"
     ):
         build_cache(net, net.init_params(), corpus, gaussian_projection(net.param_count, 3, 0), 0)
 
@@ -195,13 +199,14 @@ def test_cache_soundness_recompute(gauss_net, theta_star, gauss_corpus, cache):
     # recompute b and the projected gradient for a sample of entries
     X, labels = gauss_corpus.mixture("train")
     tasks = [*gauss_corpus.tasks, gauss_corpus.target]
-    assert np.array_equal(cache.task_id, np.concatenate([[t.task_id] * len(t.train[1]) for t in tasks]))
+    n_val = len(gauss_corpus.target.val[1])
+    assert np.array_equal(cache.task_id, np.concatenate([[t.task_id] * len(t.train[1]) for t in tasks]
+                                                        + [[TARGET_VAL_ID] * n_val]))
     rng = np.random.default_rng(0)
-    for i in rng.choice(cache.n_entries, size=25, replace=False):
-        x, label = X[cache.sample_ref[i]], labels[cache.sample_ref[i]]
-        y = 2 * label - 1
+    for i in rng.choice(len(X), size=25, replace=False):
+        x, label = X[i], labels[i]
         h = margin(gauss_net, theta_star, x, label)
-        assert abs(cache.b[i] - (-y * h)) <= 1e-10
+        assert abs(cache.b[i] - (-h)) <= 1e-10
         g_proj = (_grad(gauss_net, theta_star, x, label) @ cache.P).astype(np.float32)
         assert np.max(np.abs(g_proj - cache.g_proj[i])) <= 1e-10
 
@@ -240,7 +245,7 @@ def test_projected_taylor_consistent_with_full(gauss_net, theta_star, gauss_corp
     z = 0.01 * rng.standard_normal(cache.d)
     X, labels = gauss_corpus.mixture("train")
     for i in (0, 100, 500):
-        x, label = X[cache.sample_ref[i]], labels[cache.sample_ref[i]]
+        x, label = X[i], labels[i]
         h = margin(gauss_net, theta_star, x, label)
         g_proj = (_grad(gauss_net, theta_star, x, label) @ cache.P).astype(np.float32)
         assert _cached_taylor_margin(cache, i, z) == pytest.approx(h + g_proj @ z, abs=1e-10)
@@ -352,7 +357,7 @@ def test_cache_file_roundtrip(tmp_path, cache):
 
 def _assert_same_entries(a, b):
     assert a.digest() == b.digest()
-    for field in ("sample_ref", "task_id", "y", "b", "g_proj", "val_y", "val_b", "val_g_proj"):
+    for field in ("task_id", "b", "g_proj"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
@@ -377,13 +382,34 @@ def test_built_cache_equals_its_loaded_copy(seed, n_tasks, n_train, dim, hidden,
         _assert_same_entries(load_cache(Path(tmp) / "cache.bin"), cache)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 5), dim=st.integers(1, 6),
+       hidden=st.sampled_from([(), (3,), (5, 2)]), activation=st.sampled_from(["tanh", "relu"]),
+       d=st.integers(1, 8))
+def test_binary_rows_of_the_two_labels_are_exact_negations(seed, n, dim, hidden, activation, d):
+    # a binary margin is the logit signed by the label, so the row of
+    # (x, label 1) is the row of (x, label 0) negated, in b and in g, exactly
+    net = Network(ModelConfig(input_dim=dim, hidden_dims=hidden, activation=activation, seed=seed))
+    rng = np.random.default_rng(seed)
+    theta = net.init_params() + 0.1 * rng.standard_normal(net.param_count)
+    X = rng.standard_normal((n, dim))
+    split = (np.vstack([X, X]), np.repeat(np.array([1, 0]), n))
+    corpus = Corpus([TaskDataset(1, split, split)], TaskDataset(0, split, split), {"kind": "toy"})
+    cache = build_cache(net, theta, corpus, gaussian_projection(net.param_count, d, seed), seed)
+    for lo in range(0, len(cache.b), 2 * n):  # task 1, the target, the target's val rows
+        ones, zeros = slice(lo, lo + n), slice(lo + n, lo + 2 * n)
+        assert np.array_equal(cache.b[ones], -cache.b[zeros])
+        assert np.array_equal(cache.g_proj[ones], -cache.g_proj[zeros])
+
+
 def test_build_cache_rejects_gradients_beyond_float32():
     # finite in float64 but beyond float32's range as the cache stores it:
     # build_cache refuses the entry, as load_cache would refuse it in a file
     corpus = _mini_corpus(n_train=3)
     corpus.target.val[0][1] *= 1e39
     net = _linear_net()
-    with pytest.raises(ValueError, match="non-finite b or projected gradient in val entry 1$"):
+    row = len(corpus.mixture("train")[1]) + 1  # the target's second val row
+    with pytest.raises(ValueError, match=re.escape(f"non-finite b or projected gradient in row {row} (task id -1)") + "$"):
         build_cache(net, net.init_params(), corpus, gaussian_projection(net.param_count, 3, 0), 0)
 
 
@@ -409,13 +435,14 @@ def test_cache_file_rejects_injected_and_garbage(tmp_path):
 )
 def test_load_cache_rejects_nonfinite_values(tmp_path, cache, field, row, value):
     # the solver trusts its inputs, so a NaN or inf in any train or val
-    # record is refused at load
+    # record is refused at load; a val_* field names the row-th target-val row
+    if field.startswith("val_"):
+        field, row = field.removeprefix("val_"), int(np.flatnonzero(cache.task_id == TARGET_VAL_ID)[row])
     damaged = getattr(cache, field).copy()
     damaged[row] = value
     path = tmp_path / "cache.bin"
     save_cache(path, dataclasses.replace(cache, **{field: damaged}))
-    split = "val" if field.startswith("val") else "train"
-    message = f"{path}: non-finite b or projected gradient in {split} entry {row}"
+    message = f"{path}: non-finite b or projected gradient in row {row} (task id {cache.task_id[row]})"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_cache(path)
 

@@ -25,7 +25,7 @@ def _reference_margin_gradient(net, params, x, y):
     cfg = net.config
     layers, acts, Z = net._forward(params, x[None, :])
     if cfg.is_binary:
-        delta = np.ones(1)
+        delta = np.array([2.0 * y - 1.0])  # the label's sign
     else:
         blocks = []
         for z, label in zip(Z.reshape(cfg.num_positions, cfg.num_classes), np.atleast_1d(y)):
@@ -194,15 +194,16 @@ def test_loss_gradient_matches_finite_differences(num_classes, positions, activa
 
 
 def test_linear_binary_gradient_is_feature_vector():
-    # no hidden layer, binary head: dh/dW = x, dh/db = 1, independent of label
+    # no hidden layer, binary head: the margin is the logit signed by the
+    # label, so dh/dW = (2 label - 1) x and dh/db = 2 label - 1
     cfg = ModelConfig(input_dim=5, hidden_dims=(), num_classes=2, seed=1)
     net = Network(cfg)
     params = net.init_params()
     x = np.array([0.5, -1.5, 2.0, 0.0, 3.0])
     for label in (0, 1):
         g = _grad(net, params, x, label)
-        assert np.allclose(g[:5], x, atol=1e-14)
-        assert g[5] == pytest.approx(1.0, abs=1e-14)
+        assert np.allclose(g[:5], (2 * label - 1) * x, atol=1e-14)
+        assert g[5] == pytest.approx(2 * label - 1, abs=1e-14)
 
 
 def test_generative_identical_positions_equal_single_position():

@@ -450,9 +450,9 @@ def test_select_ds_reduces_to_plain_fs_on_separated_gradients():
     cache = build_cache(net, theta, corpus, np.eye(net.param_count), None)
 
     # overwrite source gradients with two tight, well-separated clusters
-    for i in range(cache.n_entries):
+    for i in range(len(cache.task_id)):
         tid = int(cache.task_id[i])
-        if tid == 0:
+        if tid <= 0:
             continue
         g = 0.02 * rng.standard_normal(cache.d)
         g[tid - 1] += 1.0
@@ -464,7 +464,7 @@ def test_select_ds_reduces_to_plain_fs_on_separated_gradients():
     grouped = group_cache(cache, 2, seed=5)
     # the groups are the tasks, up to relabeling
     pairs = set(zip(cache.task_id.tolist(), grouped.task_id.tolist()))
-    assert len(pairs) == len(set(grouped.task_id.tolist())) == 3
+    assert len(pairs) == len(set(grouped.task_id.tolist())) == 4  # two groups, the target, its val rows
     ds_report, plain_report = fs(grouped), fs(cache)
     # group ids are an arbitrary relabeling of task ids, so compare the
     # multisets of evaluated scores and the chosen-set scores
@@ -511,7 +511,7 @@ def test_select_ds_re_excludes_planted_noisy_groups():
     # end-to-end data-selection check on a planted cache: six tight gradient
     # clusters, three of them with unfit entries whose fix direction damages
     # the target val entries; ds-re must drop the damaging groups
-    from gradsel.linearize import GradientCache
+    from gradsel.linearize import TARGET_VAL_ID, GradientCache
 
     rng = np.random.default_rng(21)
     d = 12
@@ -546,14 +546,10 @@ def test_select_ds_re_excludes_planted_noisy_groups():
             val_b.append(0.0)
 
     planted = GradientCache(
-        sample_ref=np.arange(n),
-        task_id=np.ones(n, dtype=np.int64),  # a single raw source task
-        y=np.ones(n),
-        b=np.array(b_rows),
-        g_proj=np.array(g_rows),
-        val_y=np.ones(len(val_b)),
-        val_b=np.array(val_b),
-        val_g_proj=np.array(val_g),
+        # a single raw source task, then the target-val rows
+        task_id=np.repeat(np.array([1, TARGET_VAL_ID], dtype=np.int64), [n, len(val_b)]),
+        b=np.array(b_rows + val_b),
+        g_proj=np.array(g_rows + val_g),
         theta_star_digest="0" * 64,
         P=np.eye(d),
         projector_seed=None,
@@ -568,6 +564,21 @@ def test_select_ds_re_excludes_planted_noisy_groups():
     report = ensemble_select(ev, 6, GRID, m=120, alpha_frac=0.34, seed=4)
     # map chosen group ids back to planted membership
     planted_noisy = np.repeat([g in noisy_groups for g in range(6)], per_group)
-    chosen_mask = np.isin(grouped.task_id, list(report.chosen))
+    chosen_mask = np.isin(grouped.task_id[:n], list(report.chosen))
     excluded = 1.0 - planted_noisy[chosen_mask].sum() / planted_noisy.sum()
     assert excluded >= 0.8
+
+
+def _majority_purity(groups, helpful):
+    """Share of rows whose group's majority (helpful or harmful) they share."""
+    return sum(max(helpful[groups == g].sum(), (~helpful[groups == g]).sum()) for g in np.unique(groups)) / len(groups)
+
+
+def test_gradient_groups_split_helpful_from_harmful_rows(gauss_corpus, cache):
+    # ds-* clusters the signed margin gradients the objective reads, so a
+    # cluster holds rows that pull the solution the same way: helpful tasks
+    # (1-10) and harmful ones (11-20) rarely share one
+    source = cache.task_id > 0
+    helpful = np.isin(cache.task_id[source], gauss_corpus.meta["helpful_ids"])
+    grouped = group_cache(cache, 20, 6)
+    assert _majority_purity(grouped.task_id[source], helpful) >= 0.7
