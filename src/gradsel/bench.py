@@ -113,20 +113,10 @@ def exp_rrss(
     """Linearization quality: mean RRSS per relative distance, along random
     directions."""
     rows = rrss_sweep(net, theta_star, *corpus.target.val, distances, n_directions, seed)
-    table = [
-        {
-            "distance": r.distance,
-            "mean_rrss": r.mean_rrss,
-            "std_rrss": r.std_rrss,
-            "n_used": r.n_used,
-            "n_flagged": r.n_flagged,
-        }
-        for r in rows
-    ]
     return ExperimentReport(
         name="rrss",
-        scalars={"max_mean_rrss": max(r.mean_rrss for r in rows)},
-        tables={"rrss": table},
+        scalars={"max_mean_rrss": max(r["mean_rrss"] for r in rows)},
+        tables={"rrss": rows},
         seeds={"directions": seed},
         corpus_digest=corpus.digest(),
     )

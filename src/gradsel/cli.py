@@ -8,8 +8,10 @@ flag of the same name. All randomness flows from named seeds in the config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import fcntl
 import hashlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -121,7 +123,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def resolve_config(config_path: str | None, overrides: dict[str, str]) -> dict[str, str]:
     """Defaults, then the config file, then the flags. Each set value must
-    parse as the type of its key's default."""
+    parse as the type of its key's default, and a float must be finite."""
     cfg = {k: str(v) for k, v in DEFAULT_CONFIG.items()}
     from_file = {}
     if config_path:
@@ -134,9 +136,11 @@ def resolve_config(config_path: str | None, overrides: dict[str, str]) -> dict[s
             raise StageError(f"unknown config key {k!r}")
         kind = type(DEFAULT_CONFIG[k])
         try:
-            kind(v)
+            value = kind(v)
         except ValueError:
             raise StageError(f"config {k}: expected {kind.__name__}, got {v!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise StageError(f"config {k}: expected a finite float, got {v!r}")
         cfg[k] = v
     return cfg
 
@@ -150,11 +154,14 @@ def config_digest(cfg: dict[str, str]) -> str:
 
 
 def _numbers(cfg: dict[str, str], key: str, kind: type) -> tuple:
-    """A comma-separated list of ints or floats."""
+    """A comma-separated list of ints or finite floats."""
     try:
-        return tuple(kind(v) for v in cfg[key].split(",") if v != "")
+        values = tuple(kind(v) for v in cfg[key].split(",") if v != "")
     except ValueError:
         raise StageError(f"config {key}: expected a list of {kind.__name__}, got {cfg[key]!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise StageError(f"config {key}: expected finite values, got {cfg[key]!r}")
+    return values
 
 
 def _checked(make, **fields):
@@ -197,10 +204,9 @@ def recipe(cfg: dict[str, str], kind: str, input_dim: int) -> tuple[ModelConfig,
         step_size=float(cfg["addition.step_size"]),
         batch_size=int(cfg["train.batch_size"]),
         max_epochs=int(cfg["addition.epochs"]),
-        early_stop_patience=10**9,
+        early_stop_patience=None,
         seed=int(cfg["train.seed"]),
         optimizer="adam",
-        restore_best=False,
     )
     return model, train
 
@@ -247,31 +253,23 @@ class RunDir:
             )
         return p
 
+    @contextlib.contextmanager
     def lock(self):
-        return _Lock(self.root / ".lock")
-
-
-class _Lock:
-    """An exclusive flock on the run directory's .lock file. The kernel drops
-    it when the holding process exits, however it exits, so a killed run
-    leaves no stale lock. The file is left in place; unlocked, it blocks
-    nothing."""
-
-    def __init__(self, path: Path):
-        self.path = path
-
-    def __enter__(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fd = os.open(self.path, os.O_CREAT | os.O_RDONLY, 0o644)
+        """An exclusive flock on the run directory's .lock file. The kernel
+        drops it when the holding process exits, however it exits, so a
+        killed run leaves no stale lock. The file is left in place; unlocked,
+        it blocks nothing."""
+        path = self.root / ".lock"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_CREAT | os.O_RDONLY, 0o644)
         try:
-            fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            os.close(self._fd)
-            raise StageError(f"run directory is locked: another command holds {self.path}") from None
-        return self
-
-    def __exit__(self, *exc):
-        os.close(self._fd)  # releases the lock
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise StageError(f"run directory is locked: another command holds {path}") from None
+            yield
+        finally:
+            os.close(fd)  # releases the lock
 
 
 def _load(run: RunDir, artifact: str, produced_by: str, loader):

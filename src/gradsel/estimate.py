@@ -116,16 +116,13 @@ def _newton(b, G, lam, cfg, x0):
 
 
 def solve_subset(
-    cache: GradientCache,
-    subset,
-    cfg: SolveConfig,
-    include_target: bool = True,
-    x0: np.ndarray | None = None,
+    cache: GradientCache, subset, cfg: SolveConfig, x0: np.ndarray | None = None
 ) -> tuple[np.ndarray, int, Stop]:
-    """Minimize the subset objective from x0 (default 0). Returns
-    (x_hat, iterations, stop); a solve that stops short of the gradient
-    tolerance is reported by its Stop, not raised."""
-    idx = cache.rows_for(subset, include_target=include_target)
+    """Minimize the objective over the rows of the subset's tasks and the
+    target's train rows, from x0 (default 0). Returns (x_hat, iterations,
+    stop); a solve that stops short of the gradient tolerance is reported by
+    its Stop, not raised."""
+    idx = cache.rows_for(subset)
     if idx.size == 0:
         raise ValueError(f"no cached samples for subset {sorted(subset)}")
     start = np.zeros(cache.d) if x0 is None else np.asarray(x0, dtype=np.float64)
@@ -159,12 +156,19 @@ def estimate_subset(
     theta_star: ParamVector,
     cache: GradientCache,
     subset,
-    target_val: Split,
+    target_val: Split | None,
     cfg: SolveConfig,
+    linearized: bool = False,
 ) -> EstimateResult:
-    """Solve one subset (with the target's train rows) and score it."""
+    """Solve one subset (with the target's train rows) and score it: by
+    estimate_f on target_val, or with linearized by estimate_f_linearized on
+    the cache's target-val rows (target_val is then unused). Every estimator
+    score in the program, the selection drivers' included, comes from here."""
     x_hat, iters, stop = solve_subset(cache, subset, cfg)
-    f_hat = estimate_f(net, theta_star, cache, x_hat, target_val)
+    if linearized:
+        f_hat = estimate_f_linearized(cache, x_hat)
+    else:
+        f_hat = estimate_f(net, theta_star, cache, x_hat, target_val)
     return EstimateResult(
         subset=frozenset(int(t) for t in subset),
         f_hat=f_hat,

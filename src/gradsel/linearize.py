@@ -55,12 +55,10 @@ class GradientCache:
     def d(self) -> int:
         return self.P.shape[1]
 
-    def rows_for(self, subset, include_target: bool = True) -> np.ndarray:
-        """Indices of rows with task_id in subset (plus the target's train
-        rows unless disabled)."""
-        wanted = set(int(t) for t in subset)
-        if include_target:
-            wanted.add(TARGET_TASK_ID)
+    def rows_for(self, subset) -> np.ndarray:
+        """Indices of the rows a subset's solve reads: those of its tasks and
+        the target's train rows, in row order."""
+        wanted = {int(t) for t in subset} | {TARGET_TASK_ID}
         return np.flatnonzero(np.isin(self.task_id, sorted(wanted)))
 
     def digest(self) -> str:
@@ -133,15 +131,6 @@ def _rrss_batch(net, x, X, labels, h_star, lin) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
-class RrssRow:
-    distance: float
-    mean_rrss: float
-    std_rrss: float
-    n_used: int
-    n_flagged: int
-
-
 def rrss_sweep(
     net: Network,
     theta_star: ParamVector,
@@ -151,8 +140,11 @@ def rrss_sweep(
     n_directions: int,
     seed: int,
     endpoint_params: list[ParamVector] | None = None,
-) -> list[RrssRow]:
-    """Mean/std RRSS at each relative distance, over displacement directions.
+) -> list[dict]:
+    """Mean/std RRSS at each relative distance, over displacement directions:
+    one row {distance, mean_rrss, std_rrss, n_used, n_flagged} per distance,
+    the rrss table bench writes. n_used counts the per-sample values averaged
+    and n_flagged those skipped for a near-zero denominator.
 
     Directions come first from normalized (endpoint - theta*) vectors when
     fine-tuned endpoints are supplied, then random unit directions fill up to
@@ -205,13 +197,13 @@ def rrss_sweep(
                 per_direction.append(ok.mean())
         arr = np.array(per_direction)
         rows.append(
-            RrssRow(
-                distance=float(dist),
-                mean_rrss=float(arr.mean()) if arr.size else math.nan,
-                std_rrss=float(arr.std()) if arr.size else math.nan,
-                n_used=used,
-                n_flagged=flagged,
-            )
+            {
+                "distance": float(dist),
+                "mean_rrss": float(arr.mean()) if arr.size else math.nan,
+                "std_rrss": float(arr.std()) if arr.size else math.nan,
+                "n_used": used,
+                "n_flagged": flagged,
+            }
         )
     return rows
 

@@ -67,11 +67,6 @@ class ModelConfig:
             return 1
         return self.num_positions * self.num_classes
 
-    @property
-    def param_count(self) -> int:
-        dims = (self.input_dim, *self.hidden_dims, self.output_units)
-        return sum((din + 1) * dout for din, dout in zip(dims[:-1], dims[1:]))
-
 
 def _logsumexp(z: np.ndarray, axis: int = -1) -> np.ndarray:
     m = np.max(z, axis=axis, keepdims=True)
@@ -103,7 +98,6 @@ class Network:
             self._offsets.append((off, off + din * dout, off + din * dout + dout))
             off += (din + 1) * dout
         self.param_count = off
-        assert self.param_count == config.param_count
 
     # ---- parameters ----
 

@@ -13,7 +13,7 @@ A report is saved as a selection artifact (see artifact.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -26,35 +26,35 @@ from .taskgen import TARGET_TASK_ID, Corpus, cluster_into_groups
 from .trainer import TrainConfig, eval_loss, fine_tune_subset
 
 
+# The budget table's counters, in the order selection.txt lists them.
+# task_units sums |S| over calls (the per-task training cost convention
+# behind the closed-form pass counts); forward_passes and fine_tune_runs are
+# the oracle's trainer-reported sample forward passes and fine-tunes;
+# nonconverged counts estimator solves that ran out of iterations short of
+# the gradient tolerance, linesearch_failures those whose line search found
+# no decrease, and nonfinite counts scores that came out NaN or infinite.
+BUDGET_KEYS = (
+    "calls", "task_units", "forward_passes", "fine_tune_runs", "nonconverged", "linesearch_failures", "nonfinite",
+)
+_UNCONVERGED = {est.Stop.MAX_ITERS: "nonconverged", est.Stop.LINESEARCH: "linesearch_failures"}
+
+
 @dataclass
 class Evaluator:
-    """A scoring function over task subsets, with budget and health counters.
+    """A scoring function over task subsets and its budget table.
 
-    task_units accumulates |S| per call (the per-task training cost
-    convention behind the closed-form pass counts); forward_pass_count and
-    fine_tune_runs accumulate the oracle's trainer-reported sample forward
-    passes and fine-tunes. nonconverged counts estimator solves that ran out
-    of iterations short of the gradient tolerance, linesearch_failures those
-    whose line search found no decrease, and nonfinite counts scores that
-    came out NaN or infinite.
-    """
+    _score(subset, budget) returns the subset's score and adds its own work
+    to budget; the call itself counts calls, task_units and nonfinite."""
 
-    _score: Callable[[frozenset[int]], float]
-    call_count: int = 0
-    task_units: int = 0
-    forward_pass_count: int = 0
-    fine_tune_runs: int = 0
-    nonconverged: int = 0
-    linesearch_failures: int = 0
-    nonfinite: int = 0
+    _score: Callable[[frozenset[int], dict[str, int]], float]
+    budget: dict[str, int] = field(default_factory=lambda: dict.fromkeys(BUDGET_KEYS, 0))
 
     def __call__(self, subset) -> float:
         s = frozenset(int(t) for t in subset)
-        self.call_count += 1
-        self.task_units += len(s)
-        value = self._score(s)
-        if not math.isfinite(value):
-            self.nonfinite += 1
+        self.budget["calls"] += 1
+        self.budget["task_units"] += len(s)
+        value = self._score(s, self.budget)
+        self.budget["nonfinite"] += not math.isfinite(value)
         return value
 
 
@@ -66,20 +66,15 @@ def estimator_evaluator(
     cfg: est.SolveConfig,
     linearized: bool = False,
 ) -> Evaluator:
-    """Score subsets with the cached-gradient estimator; no fine-tuning runs."""
+    """Score subsets by est.estimate_subset; no fine-tuning runs."""
 
-    ev: Evaluator
+    def score(subset: frozenset[int], budget: dict[str, int]) -> float:
+        result = est.estimate_subset(net, theta_star, cache, subset, target_val, cfg, linearized)
+        if not result.stop:
+            budget[_UNCONVERGED[result.stop]] += 1
+        return result.f_hat
 
-    def score(subset: frozenset[int]) -> float:
-        x_hat, _, stop = est.solve_subset(cache, subset, cfg)
-        ev.nonconverged += stop is est.Stop.MAX_ITERS
-        ev.linesearch_failures += stop is est.Stop.LINESEARCH
-        if linearized:
-            return est.estimate_f_linearized(cache, x_hat)
-        return est.estimate_f(net, theta_star, cache, x_hat, target_val)
-
-    ev = Evaluator(_score=score)
-    return ev
+    return Evaluator(score)
 
 
 def oracle_evaluator(
@@ -87,16 +82,13 @@ def oracle_evaluator(
 ) -> Evaluator:
     """Score subsets by actually fine-tuning from theta0."""
 
-    ev: Evaluator
-
-    def score(subset: frozenset[int]) -> float:
+    def score(subset: frozenset[int], budget: dict[str, int]) -> float:
         fit = fine_tune_subset(net, theta0, subset, corpus, cfg)
-        ev.fine_tune_runs += 1
-        ev.forward_pass_count += fit.forward_passes
+        budget["fine_tune_runs"] += 1
+        budget["forward_passes"] += fit.forward_passes
         return eval_loss(net, fit.params, *corpus.target.val)
 
-    ev = Evaluator(_score=score)
-    return ev
+    return Evaluator(score)
 
 
 @dataclass
@@ -107,18 +99,6 @@ class SelectionReport:
     t_scores: np.ndarray | None
     budget: dict[str, int]
     rounds_run: int = 0
-
-
-def _budget(ev: Evaluator) -> dict[str, int]:
-    return {
-        "calls": ev.call_count,
-        "task_units": ev.task_units,
-        "forward_passes": ev.forward_pass_count,
-        "fine_tune_runs": ev.fine_tune_runs,
-        "nonconverged": ev.nonconverged,
-        "linesearch_failures": ev.linesearch_failures,
-        "nonfinite": ev.nonfinite,
-    }
 
 
 def forward_select(evaluator: Evaluator, n: int) -> SelectionReport:
@@ -141,8 +121,6 @@ def forward_select(evaluator: Evaluator, n: int) -> SelectionReport:
     rounds = 0
     for _ in range(n):
         candidates = [t for t in range(1, n + 1) if t not in current]
-        if not candidates:
-            break
         rounds += 1
         scored = []
         for t in candidates:
@@ -162,7 +140,7 @@ def forward_select(evaluator: Evaluator, n: int) -> SelectionReport:
         chosen=set(current),
         trajectory=trajectory,
         t_scores=None,
-        budget=_budget(evaluator),
+        budget=dict(evaluator.budget),
         rounds_run=rounds,
     )
 
@@ -251,7 +229,7 @@ def ensemble_select(
         chosen=fraction_grid_select(T, evaluator, grid),
         trajectory=scores,
         t_scores=T,
-        budget=_budget(evaluator),
+        budget=dict(evaluator.budget),
         rounds_run=m,
     )
 

@@ -190,25 +190,6 @@ def gen_multitask_gaussian(
 # ---------------------------------------------------------------------------
 
 
-def addition_output_digits(a_digits: list[int], b_digits: list[int]) -> list[int]:
-    """Digit sequence (most significant first) of the sum of two digit strings.
-
-    The operands must sum below 10**len, so the output has the same length.
-    Carries are propagated from the least significant position.
-    """
-    if len(a_digits) != len(b_digits):
-        raise ValueError("operands must have equal length")
-    out = []
-    carry = 0
-    for da, db in zip(reversed(a_digits), reversed(b_digits)):
-        s = da + db + carry
-        out.append(s % 10)
-        carry = s // 10
-    if carry:
-        raise ValueError("sum overflows the digit length")
-    return out[::-1]
-
-
 def encode_addition_features(a_digits, b_digits) -> np.ndarray:
     """One-hot encoding of the two operands: 2 * len * 10 features."""
     digits = len(a_digits)
@@ -220,17 +201,19 @@ def encode_addition_features(a_digits, b_digits) -> np.ndarray:
 
 def _addition_split(rng, n, digits, noisy) -> Split:
     """n samples drawn one after another: the operands (redrawn until their
-    sum fits in digits), then a noisy sample's random output digits."""
+    sum fits in digits), then a noisy sample's random output digits. A clean
+    sample's labels are the zero-padded digits of the sum."""
     X = np.zeros((n, 2 * digits * DIGIT_CLASSES))
     Y = np.empty((n, digits), dtype=np.int64)
     for i in range(n):
         while True:
             a = rng.integers(0, 10, size=digits)
             b = rng.integers(0, 10, size=digits)
-            if int("".join(map(str, a)) or "0") + int("".join(map(str, b)) or "0") < 10**digits:
+            total = int("".join(map(str, a))) + int("".join(map(str, b)))
+            if total < 10**digits:
                 break
         X[i] = encode_addition_features(a, b)
-        Y[i] = rng.integers(0, 10, size=digits) if noisy else addition_output_digits(list(a), list(b))
+        Y[i] = rng.integers(0, 10, size=digits) if noisy else [int(ch) for ch in str(total).zfill(digits)]
     return X, _position_labels(Y)
 
 

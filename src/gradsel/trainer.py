@@ -1,7 +1,8 @@
 """Meta-training, fine-tuning and loss evaluation.
 
 Fine-tuning runs mini-batch SGD or Adam with patience-based early stopping on
-a validation set, returning the parameters of the best epoch. Both read
+a validation set, returning the parameters of the best epoch, or for a fixed
+number of epochs, returning the final parameters. Both read
 (X, labels) splits (taskgen.Split) that Corpus.mixture stacks. The oracle
 value of a task subset S (select.oracle_evaluator) is the target validation
 loss after fine_tune_subset on the combined data of S plus the target's train
@@ -23,32 +24,26 @@ from .taskgen import Corpus, Split
 OPTIMIZERS = ("sgd", "adam")
 
 
-class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int, loss: float):
-        super().__init__(f"non-finite loss {loss!r} at epoch {epoch}")
-        self.epoch = epoch
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization recipe. restore_best returns the best-validation-epoch
-    parameters; with it off (and patience >= max_epochs) training becomes a
-    fixed-epoch recipe that returns the final parameters."""
+    """Optimization recipe. Training stops once the validation loss has not
+    improved for early_stop_patience epochs and returns the best epoch's
+    parameters; early_stop_patience=None runs all max_epochs and returns the
+    final parameters. A non-finite validation loss raises ValueError."""
 
     step_size: float = 0.01
     batch_size: int = 32
     max_epochs: int = 60
-    early_stop_patience: int = 3
+    early_stop_patience: int | None = 3
     seed: int = 0
     optimizer: str = "adam"
-    restore_best: bool = True
 
     def __post_init__(self):
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
         if self.batch_size < 1 or self.max_epochs < 0:
             raise ValueError("batch_size must be >= 1 and max_epochs >= 0")
-        if self.early_stop_patience < 0:
+        if self.early_stop_patience is not None and self.early_stop_patience < 0:
             raise ValueError("early_stop_patience must be non-negative")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
@@ -123,17 +118,16 @@ def _fit(
         val_loss = float(net.losses(params, X_val, y_val).mean())
         curve.append(val_loss)
         if not np.isfinite(val_loss):
-            raise TrainingDiverged(epoch, val_loss)
+            raise ValueError(f"non-finite loss {val_loss!r} at epoch {epoch}")
         if val_loss < best_val:
             best_val = val_loss
             best_params = params.copy()
             best_epoch = epoch
-        elif epoch - best_epoch > cfg.early_stop_patience:
+        elif cfg.early_stop_patience is not None and epoch - best_epoch > cfg.early_stop_patience:
             break
 
-    if not cfg.restore_best:
-        best_params = params
-        best_epoch = len(curve)
+    if cfg.early_stop_patience is None:
+        best_params, best_epoch = params, len(curve)
     return FitResult(
         params=best_params,
         val_loss_curve=curve,

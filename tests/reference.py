@@ -55,11 +55,11 @@ def finite_difference_margin_gradient(net, params, x, label, step: float = 1e-5)
     return grad
 
 
-def subset_objective(cache, subset, x, ridge_lambda: float, include_target: bool = True):
+def subset_objective(cache, subset, x, ridge_lambda: float):
     """Value and gradient of the solver's objective over a subset's cached
     rows at x: mean log(1 + exp(b_i - g_i . x)) + ridge_lambda / 2 ||x||^2,
     the log-loss at the first-order margins -b_i + g_i . x."""
-    idx = cache.rows_for(subset, include_target=include_target)
+    idx = cache.rows_for(subset)
     if idx.size == 0:
         raise ValueError(f"no cached samples for subset {sorted(subset)}")
     x = np.asarray(x, dtype=np.float64)

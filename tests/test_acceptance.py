@@ -61,7 +61,7 @@ def test_criterion_2_linearization_exact_for_linear_models():
     draws = [(rng.standard_normal(6) + 1.0, int(rng.integers(2))) for _ in range(25)]
     X, y = np.array([x for x, _ in draws]), np.array([label for _, label in draws])
     rows = rrss_sweep(net, theta, X, y, [0.0025, 0.005, 0.01, 0.025], 10, seed=3)
-    worst = max(r.mean_rrss for r in rows)
+    worst = max(r["mean_rrss"] for r in rows)
     _verdict(2, "linear exactness", worst <= 1e-12, f"max mean RRSS {worst:.2e}")
 
 
@@ -83,7 +83,7 @@ def test_criterion_3_rrss_trend(gauss_corpus):
     distances = [0.0025, 0.005, 0.01, 0.025]
     rows = rrss_sweep(net, theta, X[samples], y[samples], distances, 20, seed=6,
                       endpoint_params=endpoints)
-    means = [r.mean_rrss for r in rows]
+    means = [r["mean_rrss"] for r in rows]
     monotone = all(a <= b for a, b in zip(means, means[1:]))
     ok = monotone and means[0] <= 1e-2
     _verdict(3, "RRSS trend", ok,
@@ -123,7 +123,7 @@ def test_criterion_5_convex_equivalence_oracle():
     theta = net.init_params()
     cache5 = build_cache(net, theta, corpus, np.eye(net.param_count), None)
     ftc = TrainConfig(step_size=0.5, batch_size=10**6, max_epochs=6000,
-                      early_stop_patience=10**6, seed=4, optimizer="sgd", restore_best=False)
+                      early_stop_patience=None, seed=4, optimizer="sgd")
     scfg = SolveConfig(ridge_lambda=1e-9, grad_tol=1e-12, max_iters=500)
     rng2 = np.random.default_rng(1)
     worst = 0.0
@@ -178,7 +178,7 @@ def test_criterion_7_solver_speed():
         projector_seed=None,
     )
     start = time.perf_counter()
-    _, iters, converged = solve_subset(cache7, {1}, SOLVE_CFG, include_target=False)
+    _, iters, converged = solve_subset(cache7, {1}, SOLVE_CFG)
     elapsed = time.perf_counter() - start
     ok = converged and elapsed <= 2.0
     _verdict(7, "solver speed", ok, f"{elapsed:.3f}s for 1e4 samples at d=100 ({iters} iters)")
@@ -188,7 +188,7 @@ def test_criterion_8_noisy_addition_separation():
     mc = ModelConfig(input_dim=100, hidden_dims=(256,), activation="relu",
                      num_classes=10, num_positions=5, init_scale=0.5, seed=7)
     tc = TrainConfig(step_size=0.001, batch_size=32, max_epochs=120,
-                     early_stop_patience=10**9, seed=3, optimizer="adam", restore_best=False)
+                     early_stop_patience=None, seed=3, optimizer="adam")
     report = exp_addition(mc, tc, SolveConfig(ridge_lambda=0.1), seed=21)
     t = report.scalars["auroc_T"]
     grad = report.scalars["auroc_gradient_cosine"]

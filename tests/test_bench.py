@@ -180,7 +180,7 @@ def test_exp_structure_finds_planted_non_monotonicity():
             return 0.8  # every singleton helps
         return 0.8 + 0.3 * (len(s) - 1)  # but combinations hurt
 
-    ev = Evaluator(_score=lambda s: score(s))
+    ev = Evaluator(_score=lambda s, budget: score(s))
     report = exp_structure(ev, 4)
     assert report.scalars["non_monotone_found"] == 1.0
     assert "non_monotone" in report.tables
@@ -188,7 +188,7 @@ def test_exp_structure_finds_planted_non_monotonicity():
 
 def test_exp_structure_none_found_is_valid():
     # strictly additive improvements: monotone and submodular, no witness
-    ev = Evaluator(_score=lambda s: 1.0 - 0.01 * len(s))
+    ev = Evaluator(_score=lambda s, budget: 1.0 - 0.01 * len(s))
     report = exp_structure(ev, 4)
     assert report.scalars["non_monotone_found"] == 0.0
     assert "non_monotone" not in report.tables
@@ -203,7 +203,7 @@ def test_exp_structure_submodularity_violation():
             base -= 0.5  # task 3 helps much more on top of a bigger set
         return base
 
-    ev = Evaluator(_score=score)
+    ev = Evaluator(_score=lambda s, budget: score(s))
     report = exp_structure(ev, 4)
     assert report.scalars["chain_length"] >= 2
 

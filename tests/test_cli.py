@@ -68,11 +68,11 @@ def test_recipe_per_corpus_kind():
     cfg = resolve_config(None, {})
     model, train = recipe(cfg, "gaussian", 10)
     assert (model.input_dim, model.num_classes, model.num_positions) == (10, 2, 1)
-    assert (train.optimizer, train.restore_best, train.max_epochs) == ("sgd", True, 300)
+    assert (train.optimizer, train.early_stop_patience, train.max_epochs) == ("sgd", 30, 300)
     # five-digit addition: two one-hot operands in, five digit heads out
     model, train = recipe(cfg, "addition", 100)
     assert (model.input_dim, model.num_classes, model.num_positions, model.activation) == (100, 10, 5, "relu")
-    assert (train.optimizer, train.restore_best, train.max_epochs) == ("adam", False, 120)
+    assert (train.optimizer, train.early_stop_patience, train.max_epochs) == ("adam", None, 120)
 
 
 def test_malformed_config_line():
@@ -669,6 +669,12 @@ def test_select_fraction_grid_applies_to_every_re(tiny_run, tmp_path, method):
         (["gen", "--corpus.n", "1"], "need at least 2 source tasks"),
         (["gen", "--corpus.kind", "addition", "--corpus.n_clean", "50"], "n_clean must not exceed n_groups"),
         (["select", "--select.method", "ds-fs", "--corpus.n", "0"], "ds-fs cannot split the cache's source rows"),
+        (["meta-train", "--model.activation", "relu", "--train.step_size", "1e18"], "non-finite loss inf at epoch"),
+        # a float key takes finite values only
+        (["select", "--estimate.ridge_lambda", "inf"], "config estimate.ridge_lambda: expected a finite float, got 'inf'"),
+        (["select", "--estimate.grad_tol", "nan"], "config estimate.grad_tol: expected a finite float, got 'nan'"),
+        (["gen", "--corpus.rotation_deg", "nan"], "config corpus.rotation_deg: expected a finite float, got 'nan'"),
+        (["bench", "--exp", "rrss", "--bench.rrss_distances", "nan,0.01"], "config bench.rrss_distances: expected finite values"),
     ],
 )
 def test_bad_config_value_fails_in_one_line(tiny_run, tmp_path, capsys, argv, message):

@@ -52,13 +52,13 @@ def test_objective_at_zero_is_mean_softplus_b():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(12)
     cache = _fake_cache(b, rng.standard_normal((12, 5)))
-    value, _ = subset_objective(cache, {1}, np.zeros(5), 0.0, include_target=False)
+    value, _ = subset_objective(cache, {1}, np.zeros(5), 0.0)
     assert value == pytest.approx(np.mean(np.log1p(np.exp(b))), abs=1e-12)
 
 
 def test_objective_degenerate_all_zero():
     cache = _fake_cache(np.zeros(8), np.zeros((8, 4)))
-    value, grad = subset_objective(cache, {1}, np.zeros(4), 0.0, include_target=False)
+    value, grad = subset_objective(cache, {1}, np.zeros(4), 0.0)
     assert value == pytest.approx(math.log(2), abs=1e-15)
     assert np.array_equal(grad, np.zeros(4))
 
@@ -68,22 +68,22 @@ def test_objective_gradient_matches_finite_differences():
     cache = _fake_cache(*_signed_rows(rng, 30, 5))
     x = rng.standard_normal(5)
     lam = 0.05
-    _, grad = subset_objective(cache, {1}, x, lam, include_target=False)
+    _, grad = subset_objective(cache, {1}, x, lam)
     fd = np.zeros(5)
     eps = 1e-6
     for i in range(5):
         xp, xm = x.copy(), x.copy()
         xp[i] += eps
         xm[i] -= eps
-        vp, _ = subset_objective(cache, {1}, xp, lam, include_target=False)
-        vm, _ = subset_objective(cache, {1}, xm, lam, include_target=False)
+        vp, _ = subset_objective(cache, {1}, xp, lam)
+        vm, _ = subset_objective(cache, {1}, xm, lam)
         fd[i] = (vp - vm) / (2 * eps)
     assert np.max(np.abs(grad - fd)) <= 1e-6
 
 
 def test_solve_all_zero_gradients_returns_zero():
     cache = _fake_cache(np.ones(10), np.zeros((10, 4)))
-    x, iters, converged = solve_subset(cache, {1}, SolveConfig(ridge_lambda=0.01), include_target=False)
+    x, iters, converged = solve_subset(cache, {1}, SolveConfig(ridge_lambda=0.01))
     assert converged
     assert np.allclose(x, np.zeros(4), atol=1e-10)
 
@@ -92,15 +92,15 @@ def test_solver_matches_grid_oracle_d2():
     rng = np.random.default_rng(2)
     cache = _fake_cache(*_signed_rows(rng, 40, 2))
     cfg = SolveConfig(ridge_lambda=0.05, grad_tol=1e-12)
-    x, _, converged = solve_subset(cache, {1}, cfg, include_target=False)
+    x, _, converged = solve_subset(cache, {1}, cfg)
     assert converged
-    v_solver, _ = subset_objective(cache, {1}, x, cfg.ridge_lambda, include_target=False)
+    v_solver, _ = subset_objective(cache, {1}, x, cfg.ridge_lambda)
     # dense grid oracle over [-3, 3]^2
     grid = np.linspace(-3, 3, 241)
     best = math.inf
     for u in grid:
         for v in grid:
-            val, _ = subset_objective(cache, {1}, np.array([u, v]), cfg.ridge_lambda, include_target=False)
+            val, _ = subset_objective(cache, {1}, np.array([u, v]), cfg.ridge_lambda)
             best = min(best, val)
     assert v_solver <= best + 1e-3
 
@@ -109,11 +109,11 @@ def test_solution_beats_random_perturbations():
     rng = np.random.default_rng(3)
     cache = _fake_cache(*_signed_rows(rng, 60, 8))
     cfg = SolveConfig(ridge_lambda=0.02)
-    x, _, _ = solve_subset(cache, {1}, cfg, include_target=False)
-    v_star, _ = subset_objective(cache, {1}, x, cfg.ridge_lambda, include_target=False)
+    x, _, _ = solve_subset(cache, {1}, cfg)
+    v_star, _ = subset_objective(cache, {1}, x, cfg.ridge_lambda)
     for _ in range(100):
         v, _ = subset_objective(
-            cache, {1}, x + 0.1 * rng.standard_normal(8), cfg.ridge_lambda, include_target=False
+            cache, {1}, x + 0.1 * rng.standard_normal(8), cfg.ridge_lambda
         )
         assert v_star <= v + 1e-12
 
@@ -125,9 +125,9 @@ def test_convexity_same_optimum_from_random_starts():
     values = []
     for trial in range(3):
         x0 = rng.standard_normal(6) if trial else None
-        x, _, converged = solve_subset(cache, {1}, cfg, include_target=False, x0=x0)
+        x, _, converged = solve_subset(cache, {1}, cfg, x0=x0)
         assert converged
-        v, _ = subset_objective(cache, {1}, x, cfg.ridge_lambda, include_target=False)
+        v, _ = subset_objective(cache, {1}, x, cfg.ridge_lambda)
         values.append(v)
     assert max(values) - min(values) <= 1e-8
 
@@ -141,7 +141,7 @@ def test_failed_line_search_keeps_the_iterate(monkeypatch):
         estimate, "_value_grad",
         lambda b, G, x, lam: (float(np.any(x != x0)), np.ones_like(x), np.zeros(len(b))),
     )
-    x, iters, stop = solve_subset(cache, {1}, SolveConfig(), include_target=False, x0=x0)
+    x, iters, stop = solve_subset(cache, {1}, SolveConfig(), x0=x0)
     assert np.array_equal(x, x0)
     assert stop is Stop.LINESEARCH
     assert iters == 1
@@ -245,7 +245,7 @@ def test_rows_consulted_are_exactly_subset_plus_target():
     tid = np.array([0, 0, 1, 1, 2, 2, 3, 3], dtype=np.int64)
     cache = _fake_cache(rng.standard_normal(8), rng.standard_normal((8, 3)), task_id=tid)
     assert np.array_equal(cache.rows_for({1, 3}), np.flatnonzero(np.isin(tid, [0, 1, 3])))
-    assert np.array_equal(cache.rows_for({2}, include_target=False), np.flatnonzero(tid == 2))
+    assert np.array_equal(cache.rows_for({2}), np.flatnonzero(np.isin(tid, [0, 2])))
     # the solve reads exactly those rows: other rows may hold anything
     poisoned = _fake_cache(
         np.where(np.isin(tid, [0, 1, 3]), cache.b, np.nan),
@@ -259,7 +259,7 @@ def test_rows_consulted_are_exactly_subset_plus_target():
 def test_empty_subset_data_raises():
     cache = _fake_cache(np.ones(4), np.zeros((4, 2)))
     with pytest.raises(ValueError):
-        solve_subset(cache, {7}, SolveConfig(), include_target=False)
+        solve_subset(cache, {7}, SolveConfig())
 
 
 def test_estimate_f_zero_displacement(gauss_net, theta_star, gauss_corpus, cache):
@@ -329,7 +329,7 @@ def test_subset_solve_is_fast_at_scale():
     cache = _fake_cache(b, y[:, None] * G)
     cfg = SolveConfig(ridge_lambda=0.1)
     start = time.perf_counter()
-    x, iters, converged = solve_subset(cache, {1}, cfg, include_target=False)
+    x, iters, converged = solve_subset(cache, {1}, cfg)
     elapsed = time.perf_counter() - start
     assert converged
     assert elapsed < 2.0

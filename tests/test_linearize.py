@@ -286,7 +286,7 @@ def test_rrss_flags_near_zero_denominator():
 
 def test_rrss_sweep_zero_distance(gauss_net, theta_star, gauss_corpus):
     rows = rrss_sweep(gauss_net, theta_star, *_first(gauss_corpus.target.val, 20), [0.0], 4, seed=0)
-    assert rows[0].mean_rrss == pytest.approx(0.0, abs=1e-20)
+    assert rows[0]["mean_rrss"] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_taylor_margin_tracks_forward_pass_at_five_percent(gauss_corpus):
@@ -319,20 +319,20 @@ def test_rrss_sweep_monotone_and_stable(gauss_corpus):
     samples = _first(gauss_corpus.target.val, 40)
     distances = [0.0025, 0.005, 0.01, 0.025]
     rows = rrss_sweep(net, theta, *samples, distances, 10, seed=1)
-    means = [r.mean_rrss for r in rows]
+    means = [r["mean_rrss"] for r in rows]
     assert all(a <= b for a, b in zip(means, means[1:]))
     # doubling the direction count moves the means by < 2 standard errors
     rows2 = rrss_sweep(net, theta, *samples, distances, 20, seed=2)
     for r1, r2 in zip(rows, rows2):
-        se = max(r1.std_rrss / math.sqrt(10), 1e-18)
-        assert abs(r1.mean_rrss - r2.mean_rrss) <= 2 * (se + r2.std_rrss / math.sqrt(20))
+        se = max(r1["std_rrss"] / math.sqrt(10), 1e-18)
+        assert abs(r1["mean_rrss"] - r2["mean_rrss"]) <= 2 * (se + r2["std_rrss"] / math.sqrt(20))
 
 
 def test_rrss_sweep_uses_endpoints(gauss_net, theta_star, gauss_corpus):
     endpoint = theta_star + 0.01 * np.ones_like(theta_star)
     rows = rrss_sweep(gauss_net, theta_star, *_first(gauss_corpus.target.val, 10),
                       [0.001], 1, seed=3, endpoint_params=[endpoint])
-    assert rows[0].n_used > 0
+    assert rows[0]["n_used"] > 0
 
 
 def test_rrss_sweep_rejects_negative_distance(gauss_net, theta_star, gauss_corpus):

@@ -41,9 +41,7 @@ def _reference_margin_gradient(net, params, x, y):
 
 def test_param_count_matches_hand_count():
     # 3 inputs -> 4 hidden -> 1 output: (3*4 + 4) + (4*1 + 1) = 21
-    cfg = ModelConfig(input_dim=3, hidden_dims=(4,), num_classes=2)
-    assert cfg.param_count == 21
-    assert Network(cfg).param_count == 21
+    assert Network(ModelConfig(input_dim=3, hidden_dims=(4,), num_classes=2)).param_count == 21
 
 
 def test_zero_init_scale_gives_zero_vector():

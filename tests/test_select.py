@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradsel.estimate import Stop, estimate_subset
 from gradsel.select import (
     Evaluator,
     compute_T,
@@ -28,7 +29,7 @@ GRID = (0.05, 0.10, 0.15, 0.20)  # the default select.fraction_grid
 
 
 def fake_evaluator(score_fn):
-    return Evaluator(_score=score_fn)
+    return Evaluator(_score=lambda s, budget: score_fn(s))
 
 
 # ---- forward selection ----
@@ -351,9 +352,9 @@ def test_evaluator_counters():
     ev = fake_evaluator(lambda s: 1.0)
     ev(frozenset({1, 2}))
     ev(frozenset({3}))
-    assert ev.call_count == 2
-    assert ev.task_units == 3
-    assert ev.fine_tune_runs == 0
+    assert ev.budget["calls"] == 2
+    assert ev.budget["task_units"] == 3
+    assert ev.budget["fine_tune_runs"] == 0
 
 
 def test_evaluator_counts_nonfinite_scores():
@@ -361,8 +362,8 @@ def test_evaluator_counts_nonfinite_scores():
     ev = fake_evaluator(lambda s: next(values))
     for t in range(1, 6):
         ev(frozenset({t}))
-    assert ev.call_count == 5
-    assert ev.nonfinite == 3
+    assert ev.budget["calls"] == 5
+    assert ev.budget["nonfinite"] == 3
 
 
 def test_estimator_evaluator_counts_nonconverged_solves(gauss_net, theta_star, gauss_corpus, cache):
@@ -372,16 +373,36 @@ def test_estimator_evaluator_counts_nonconverged_solves(gauss_net, theta_star, g
         ev = estimator_evaluator(gauss_net, theta_star, cache, gauss_corpus.target.val, cfg)
         for s in subsets:
             ev(s)
-        assert ev.nonconverged == expected
-        assert ev.nonfinite == 0
+        assert ev.budget["nonconverged"] == expected
+        assert ev.budget["nonfinite"] == 0
 
 
 def test_estimator_evaluator_never_finetunes(gauss_net, theta_star, gauss_corpus, cache):
     ev = estimator_evaluator(gauss_net, theta_star, cache, gauss_corpus.target.val, SOLVE_CFG)
     ev(frozenset({1, 2, 3}))
     ev(frozenset())
-    assert ev.fine_tune_runs == 0
-    assert ev.call_count == 2
+    assert ev.budget["fine_tune_runs"] == 0
+    assert ev.budget["calls"] == 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.frozensets(st.integers(min_value=1, max_value=20)), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=6),
+)
+def test_estimator_scores_are_estimate_subset(gauss_net, theta_star, gauss_corpus, cache, subsets, max_iters):
+    # few iterations, so some solves stop short and the budget must say so
+    cfg = dataclasses.replace(SOLVE_CFG, max_iters=max_iters)
+    for linearized in (False, True):
+        ev = estimator_evaluator(gauss_net, theta_star, cache, gauss_corpus.target.val, cfg, linearized)
+        stops = []
+        for s in subsets:
+            result = estimate_subset(gauss_net, theta_star, cache, s, gauss_corpus.target.val, cfg, linearized)
+            assert ev(s) == result.f_hat
+            stops.append(result.stop)
+        assert ev.budget["calls"] == len(subsets)
+        assert ev.budget["nonconverged"] == stops.count(Stop.MAX_ITERS)
+        assert ev.budget["linesearch_failures"] == stops.count(Stop.LINESEARCH)
 
 
 def test_oracle_evaluator_budget_matches_trainer(gauss_net, theta_star, gauss_corpus):
@@ -393,9 +414,9 @@ def test_oracle_evaluator_budget_matches_trainer(gauss_net, theta_star, gauss_co
         fine_tune_subset(gauss_net, theta_star, s, gauss_corpus, FINETUNE_CFG).forward_passes
         for s in subsets
     )
-    assert ev.forward_pass_count == expected
-    assert ev.fine_tune_runs == 2
-    assert ev.task_units == 3
+    assert ev.budget["forward_passes"] == expected
+    assert ev.budget["fine_tune_runs"] == 2
+    assert ev.budget["task_units"] == 3
 
 
 # ---- integrated selection on the planted corpus ----

@@ -9,7 +9,6 @@ from gradsel import artifact, taskgen
 from gradsel.taskgen import (
     Corpus,
     TaskDataset,
-    addition_output_digits,
     cluster_into_groups,
     encode_addition_features,
     gen_multitask_gaussian,
@@ -73,37 +72,21 @@ def test_reproducibility_byte_identical():
 
 # ---- addition generator ----
 
-def test_addition_worked_example():
-    # 67013 + 23924 = 90937
-    assert addition_output_digits([6, 7, 0, 1, 3], [2, 3, 9, 2, 4]) == [9, 0, 9, 3, 7]
+def _sum_digits(x: np.ndarray, digits: int) -> list[int]:
+    """The digits, most significant first, of the sum of the two operands
+    a one-hot feature row encodes, taken by integer division."""
+    a, b = (int("".join(map(str, row))) for row in x.reshape(2, digits, 10).argmax(axis=2))
+    return [(a + b) // 10**k % 10 for k in reversed(range(digits))]
 
 
-def test_addition_all_zeros():
-    assert addition_output_digits([0, 0, 0, 0, 0], [0, 0, 0, 0, 0]) == [0, 0, 0, 0, 0]
-
-
-def test_addition_against_big_integer_oracle():
-    rng = np.random.default_rng(4)
-    checked = 0
-    while checked < 1000:
-        a = rng.integers(0, 10, size=5)
-        b = rng.integers(0, 10, size=5)
-        ia = int("".join(map(str, a)))
-        ib = int("".join(map(str, b)))
-        if ia + ib >= 10**5:
-            continue
-        expect = [int(ch) for ch in str(ia + ib).zfill(5)]
-        assert addition_output_digits(list(a), list(b)) == expect
-        checked += 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6 - 1), st.integers(min_value=0, max_value=10**6 - 1))
-def test_addition_oracle_property(ia, ib):
-    digits = 7  # wide enough that any two 6-digit operands fit
-    a = [int(ch) for ch in str(ia).zfill(digits)]
-    b = [int(ch) for ch in str(ib).zfill(digits)]
-    assert addition_output_digits(a, b) == [int(ch) for ch in str(ia + ib).zfill(digits)]
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**32 - 1))
+def test_clean_addition_labels_are_the_padded_sum(digits, seed):
+    c = gen_noisy_addition(3, 2, digits, 6, seed, target_samples=4)
+    for task in (c.target, c.task(1), c.task(2)):
+        for X, labels in (task.train, task.val):
+            for x, y in zip(X, labels.reshape(len(X), digits)):
+                assert y.tolist() == _sum_digits(x, digits)
 
 
 def test_addition_features_one_hot():
@@ -118,9 +101,7 @@ def test_clean_groups_match_oracle_noisy_groups_random():
     clean_hits = noisy_hits = clean_n = noisy_n = 0
     for t in c.tasks:
         for x, y in zip(*t.train):
-            digits_a = [int(np.argmax(x[i * 10 : (i + 1) * 10])) for i in range(5)]
-            digits_b = [int(np.argmax(x[(5 + i) * 10 : (6 + i) * 10])) for i in range(5)]
-            truth = addition_output_digits(digits_a, digits_b)
+            truth = _sum_digits(x, 5)
             hits = sum(int(a == b) for a, b in zip(truth, y))
             if t.task_id <= 3:
                 clean_hits += hits
