@@ -89,6 +89,55 @@ def test_clean_addition_labels_are_the_padded_sum(digits, seed):
                 assert y.tolist() == _sum_digits(x, digits)
 
 
+class _ScriptedRng:
+    """Stands in for a Generator: integers() hands out the given draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def integers(self, low, high, size):
+        return np.asarray(self.draws.pop(0))
+
+
+def _clean_labels(a_digits, b_digits) -> list[int]:
+    """The clean labels the addition generator gives the operand pair."""
+    _, labels = taskgen._addition_split(_ScriptedRng(a_digits, b_digits), 1, len(a_digits), noisy=False)
+    return labels.reshape(-1).tolist()
+
+
+def test_addition_worked_example():
+    # 67013 + 23924 = 90937
+    assert _clean_labels([6, 7, 0, 1, 3], [2, 3, 9, 2, 4]) == [9, 0, 9, 3, 7]
+
+
+def test_addition_all_zeros():
+    assert _clean_labels([0, 0, 0, 0, 0], [0, 0, 0, 0, 0]) == [0, 0, 0, 0, 0]
+
+
+def test_addition_against_big_integer_oracle():
+    rng = np.random.default_rng(4)
+    checked = 0
+    while checked < 1000:
+        a = rng.integers(0, 10, size=5)
+        b = rng.integers(0, 10, size=5)
+        ia = int("".join(map(str, a)))
+        ib = int("".join(map(str, b)))
+        if ia + ib >= 10**5:
+            continue
+        expect = [int(ch) for ch in str(ia + ib).zfill(5)]
+        assert _clean_labels(list(a), list(b)) == expect
+        checked += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6 - 1), st.integers(min_value=0, max_value=10**6 - 1))
+def test_addition_oracle_property(ia, ib):
+    digits = 7  # wide enough that any two 6-digit operands fit
+    a = [int(ch) for ch in str(ia).zfill(digits)]
+    b = [int(ch) for ch in str(ib).zfill(digits)]
+    assert _clean_labels(a, b) == [int(ch) for ch in str(ia + ib).zfill(digits)]
+
+
 def test_addition_features_one_hot():
     x = encode_addition_features([6, 7, 0, 1, 3], [2, 3, 9, 2, 4])
     assert x.shape == (100,)
