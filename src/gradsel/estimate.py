@@ -13,6 +13,17 @@ runs in float64, so a converged solve meets the same gradient tolerance.
 That holds while the Hessian's condition number stays well below 1/eps32
 (~1.7e7); a solve beyond it may stop unconverged, and its Stop says why.
 
+Every subset solve the program runs (estimate_subset) starts one Newton
+step from x_all, the solve over every train row: at x_all, with H_all the
+all-rows Hessian and s_t, n_t task t's sum of g_i sigmoid(z_i) and row
+count, a subset S starts at
+    x_all - H_all^-1 (lambda x_all - sum_{t in S+target} s_t / sum n_t),
+the influence-function estimate of its optimum. x_all, H_all^-1 and the
+per-task sums are computed once per cache and SolveConfig and memoized on
+the cache, so a score is a function of (cache, subset, config) alone, never
+of what was scored before it; the start only shortens the solve, which runs
+to the same gradient tolerance.
+
 A solution x_hat lives in d-space; estimate_f lifts it to parameter space by
 the cache's own P, as theta* + P x_hat.
 """
@@ -29,7 +40,7 @@ import numpy as np
 from . import artifact
 from .linearize import TARGET_VAL_ID, GradientCache
 from .model import Network, ParamVector, _sigmoid
-from .taskgen import Split
+from .taskgen import TARGET_TASK_ID, Split
 from .trainer import eval_loss
 
 
@@ -40,8 +51,10 @@ class SolveConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be non-negative")
+        # a positive ridge keeps every solve's minimizer unique, even on
+        # separable rows, and the all-rows Hessian of the shared start SPD
+        if self.ridge_lambda <= 0:
+            raise ValueError("ridge_lambda must be positive")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
 
@@ -129,6 +142,37 @@ def solve_subset(
     return _newton(cache.b[idx], cache.g_proj[idx], cfg.ridge_lambda, cfg, start)
 
 
+def _all_tasks_start(cache: GradientCache, cfg: SolveConfig) -> tuple:
+    """(task ids, row counts, gradient sums s_t, x_all, H_all^-1) over the
+    cache's train rows, computed once per cfg and memoized on the cache."""
+    memo = cache.starts.get(cfg)
+    if memo is None:
+        train = cache.task_id != TARGET_VAL_ID
+        b, G, lam = cache.b[train], cache.g_proj[train], cfg.ridge_lambda
+        x_all, _, _ = _newton(b, G, lam, cfg, np.zeros(cache.d))
+        s = _sigmoid(b - G @ x_all)
+        H = (G.T * (s * (1.0 - s) / len(b))) @ G
+        H.flat[:: H.shape[0] + 1] += lam
+        ids, task_of_row = np.unique(cache.task_id[train], return_inverse=True)
+        sums = np.zeros((len(ids), cache.d))
+        np.add.at(sums, task_of_row, G * s[:, None])
+        memo = cache.starts[cfg] = (ids, np.bincount(task_of_row), sums, x_all, np.linalg.inv(H))
+    return memo
+
+
+def _subset_start(cache: GradientCache, subset, cfg: SolveConfig) -> np.ndarray | None:
+    """One Newton step from x_all toward the subset's optimum, with the
+    all-rows Hessian (module docstring); None when the subset has no rows,
+    which solve_subset then reports."""
+    ids, counts, sums, x_all, H_inv = _all_tasks_start(cache, cfg)
+    mine = np.isin(ids, [*subset, TARGET_TASK_ID])
+    n = counts[mine].sum()
+    if n == 0:
+        return None
+    grad = cfg.ridge_lambda * x_all - sums[mine].sum(axis=0) / n
+    return x_all - H_inv @ grad
+
+
 def estimate_f(
     net: Network,
     theta_star: ParamVector,
@@ -163,8 +207,9 @@ def estimate_subset(
     """Solve one subset (with the target's train rows) and score it: by
     estimate_f on target_val, or with linearized by estimate_f_linearized on
     the cache's target-val rows (target_val is then unused). Every estimator
-    score in the program, the selection drivers' included, comes from here."""
-    x_hat, iters, stop = solve_subset(cache, subset, cfg)
+    score in the program, the selection drivers' included, comes from here,
+    and every solve starts from the shared start (module docstring)."""
+    x_hat, iters, stop = solve_subset(cache, subset, cfg, _subset_start(cache, subset, cfg))
     if linearized:
         f_hat = estimate_f_linearized(cache, x_hat)
     else:

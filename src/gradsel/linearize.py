@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,10 @@ class GradientCache:
     projection P the gradients went through.
 
     Contents are immutable once built and safe for concurrent reads.
+    starts memoizes, per SolveConfig, what estimate.py derives from the
+    contents to start every subset solve (see estimate_subset); it is left
+    out of __init__, ==, repr and digest(), so dataclasses.replace gives a
+    relabeled copy a memo of its own, and a memo lives as long as its cache.
     """
 
     task_id: np.ndarray  # (n,) int64; TARGET_VAL_ID on the target's val rows
@@ -50,6 +54,7 @@ class GradientCache:
     theta_star_digest: str
     P: np.ndarray  # (p, d), read-only
     projector_seed: int | None  # gaussian_projection's seed for P; None for any other P
+    starts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:

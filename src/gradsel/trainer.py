@@ -75,6 +75,9 @@ def relative_distance(x: ParamVector, theta_star: ParamVector) -> float:
     return float(np.linalg.norm(x - theta_star) / denom)
 
 
+# a diverging run overflows before its validation loss goes non-finite; the
+# check on that loss is the one report, so numpy's warnings are silenced
+@np.errstate(over="ignore", invalid="ignore")
 def _fit(
     net: Network,
     theta0: ParamVector,

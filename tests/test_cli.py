@@ -1,5 +1,9 @@
 import fcntl
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -548,10 +552,17 @@ def test_solver_health_reaches_selection_and_report(tiny_run, tmp_path, capsys):
 
 def test_line_search_failures_are_told_apart_from_max_iters(tiny_run, tmp_path, monkeypatch):
     # no candidate ever decreases the objective: every solve stops in its
-    # first line search, and the budget and the ledger say so
+    # first line search, and the budget and the ledger say so. The objective
+    # is lowest at the first point a solve over a row set evaluates, which is
+    # where that solve starts.
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
-    monkeypatch.setattr(gradsel.estimate, "_value_grad",
-                        lambda b, G, x, lam: (float(np.any(x != 0)), np.ones_like(x), np.zeros(len(b))))
+    starts = {}
+
+    def uphill(b, G, x, lam):
+        start = starts.setdefault(b.tobytes(), x.copy())
+        return float(np.any(x != start)), np.ones_like(x), np.zeros(len(b))
+
+    monkeypatch.setattr(gradsel.estimate, "_value_grad", uphill)
     assert run(["select", *TINY], tmp_path) == 0
     budget = _budget(tmp_path / "selection.txt")
     assert budget["linesearch_failures"] == budget["calls"] > 0
@@ -649,7 +660,7 @@ def test_select_fraction_grid_applies_to_every_re(tiny_run, tmp_path, method):
         (["select", "--select.method", "xx"], "unknown selection method 'xx'"),
         (["meta-train", "--model.activation", "foo"], "config: activation must be one of"),
         (["meta-train", "--train.batch_size", "0"], "config: batch_size must be >= 1"),
-        (["estimate", "--subset", "1", "--estimate.ridge_lambda", "-1"], "config: ridge_lambda must be non-negative"),
+        (["estimate", "--subset", "1", "--estimate.ridge_lambda", "-1"], "config: ridge_lambda must be positive"),
         (["cache", "--project.d", "x"], "config project.d: expected int, got 'x'"),
         (["select", "--select.alpha", "0.5.1"], "config select.alpha: expected float, got '0.5.1'"),
         (["meta-train", "--model.hidden_dims", "16,x"], "config model.hidden_dims: expected a list of int"),
@@ -675,6 +686,8 @@ def test_select_fraction_grid_applies_to_every_re(tiny_run, tmp_path, method):
         (["select", "--estimate.grad_tol", "nan"], "config estimate.grad_tol: expected a finite float, got 'nan'"),
         (["gen", "--corpus.rotation_deg", "nan"], "config corpus.rotation_deg: expected a finite float, got 'nan'"),
         (["bench", "--exp", "rrss", "--bench.rrss_distances", "nan,0.01"], "config bench.rrss_distances: expected finite values"),
+        # at lambda 0 the projected rows can be separable, so no minimizer exists
+        (["estimate", "--subset", "1,2", "--estimate.ridge_lambda", "0"], "config: ridge_lambda must be positive"),
     ],
 )
 def test_bad_config_value_fails_in_one_line(tiny_run, tmp_path, capsys, argv, message):
@@ -688,3 +701,20 @@ def test_bad_config_value_fails_in_one_line(tiny_run, tmp_path, capsys, argv, me
     assert len(lines) == 1
     assert lines[0].startswith(f"gradsel {argv[0]}: {message}")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def test_diverging_training_prints_one_line(tiny_run, tmp_path):
+    # in its own process, so numpy's warnings reach stderr as they do from
+    # the command line (pytest would capture them)
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # the CI's diverging run: overflow in training before the loss is inf at epoch 22
+    argv = ["meta-train", *TINY, "--model.activation", "relu", "--train.step_size", "1e4",
+            "--train.early_stop_patience", "30"]
+    proc = subprocess.run([sys.executable, "-m", "gradsel", "--out", str(tmp_path), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("gradsel meta-train: non-finite loss inf at epoch ")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -355,7 +356,74 @@ def test_ledger_write(tmp_path, gauss_net, theta_star, gauss_corpus, cache):
 
 
 def test_solve_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(ridge_lambda=-1.0)
+    for ridge in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="ridge_lambda must be positive"):
+            SolveConfig(ridge_lambda=ridge)
     with pytest.raises(ValueError):
         SolveConfig(grad_tol=0.0)
+
+
+# ---- the shared start ----
+
+
+def _solve_of(cache, subset, cfg):
+    """estimate_subset's (x_hat, iterations, stop) for the subset: the solve
+    it runs from the shared start."""
+    seen = []
+
+    def spy(*args):
+        seen.append(solve_subset(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "solve_subset", spy)
+        estimate_subset(None, None, cache, subset, None, cfg, linearized=True)
+    return seen[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_tasks=st.integers(min_value=2, max_value=6),
+    d=st.integers(min_value=1, max_value=12),
+    ridge=st.sampled_from([0.1, 1e-2, 1e-4]),
+    data=st.data(),
+)
+def test_shared_start_reaches_the_zero_start_answer(seed, n_tasks, d, ridge, data):
+    # the start only shortens the solve: from it and from x = 0 the solve
+    # converges to points within grad_tol/ridge of the one minimizer
+    rng = np.random.default_rng(seed)
+    tid = np.repeat(np.arange(n_tasks + 1), rng.integers(1, 20, size=n_tasks + 1))
+    b, G = _signed_rows(rng, len(tid), d)
+    cache = _fake_cache(b, G, task_id=tid, val=(np.zeros(1), np.zeros((1, d))))
+    subset = data.draw(st.sets(st.integers(min_value=1, max_value=n_tasks)))
+    cfg = SolveConfig(ridge_lambda=ridge)
+    x, _, stop = _solve_of(cache, subset, cfg)
+    x_zero, _, stop_zero = solve_subset(cache, subset, cfg)
+    assert stop is Stop.CONVERGED and stop_zero is Stop.CONVERGED
+    assert np.linalg.norm(x - x_zero) <= 2 * cfg.grad_tol / ridge
+
+
+def test_score_does_not_depend_on_what_was_scored_before(gauss_net, theta_star, gauss_corpus, cache):
+    rng = np.random.default_rng(12)
+    subsets = [frozenset(int(t) for t in rng.choice(np.arange(1, 21), size=k, replace=False))
+               for k in rng.integers(0, 21, size=20)]
+
+    def scores(order):
+        fresh = dataclasses.replace(cache)  # a copy with no start memoized yet
+        return {s: estimate_subset(gauss_net, theta_star, fresh, s, gauss_corpus.target.val, SOLVE_CFG).f_hat
+                for s in order}
+
+    assert scores(subsets) == scores(subsets[::-1])
+
+
+def test_shared_start_halves_the_newton_iterations(cache):
+    # from x = 0 these solves take 3.98 iterations on average
+    rng = np.random.default_rng(6)
+    fresh = dataclasses.replace(cache)
+    iters = [
+        estimate_subset(None, None, fresh, rng.choice(np.arange(1, 21), size=15, replace=False), None,
+                        SOLVE_CFG, linearized=True).solver_iters
+        for _ in range(200)
+    ]
+    assert np.mean(iters) <= 2.3

@@ -450,6 +450,21 @@ def test_select_ds_single_group(gauss_net, theta_star, gauss_corpus, cache):
     assert forward_select(ev, 1).chosen in (set(), {1})
 
 
+def test_grouped_cache_gets_its_own_start(cache):
+    # the shared start lives on the cache object: a regrouped copy of a cache
+    # that holds one starts with none and builds its own from its group ids
+    source = dataclasses.replace(cache)
+    estimate_subset(None, None, source, {1}, None, SOLVE_CFG, linearized=True)
+    grouped = group_cache(source, 5, seed=0)
+    assert grouped.starts == {} and len(source.starts) == 1
+    estimate_subset(None, None, grouped, {1}, None, SOLVE_CFG, linearized=True)
+    [(ids, counts, _, x_all, _)] = grouped.starts.values()
+    [(source_ids, _, _, source_x_all, _)] = source.starts.values()
+    assert ids.tolist() == [0, 1, 2, 3, 4, 5] and source_ids.tolist() == list(range(21))
+    assert counts.tolist() == np.bincount(grouped.task_id[grouped.task_id >= 0]).tolist()
+    assert np.array_equal(x_all, source_x_all)  # the same train rows, in the same order
+
+
 def test_select_ds_reduces_to_plain_fs_on_separated_gradients():
     # plant perfectly task-separated cached gradients: clustering must recover
     # the task partition, making FS over the regrouped cache structurally
