@@ -2,23 +2,23 @@
 
 Costs are counted in forward-pass units: one unit is the average cost of
 training on one task, matching the closed-form counts used to compare
-selection methods. The experiments wire the pipeline pieces into reproducible
-reports keyed by corpus digest and seeds.
+selection methods. The experiments score the pipeline pieces they are given
+into reproducible reports keyed by corpus digest and seeds.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import estimate as est
 from . import select as sel
-from .linearize import GradientCache, build_cache, rrss_sweep
-from .model import ModelConfig, Network, ParamVector
-from .project import gaussian_projection
-from .taskgen import Corpus, gen_noisy_addition
-from .trainer import TrainConfig, eval_loss, fine_tune_subset, meta_train, relative_distance
+from .linearize import GradientCache, rrss_sweep
+from .model import Network, ParamVector
+from .taskgen import Corpus
+from .trainer import TrainConfig, eval_loss, fine_tune_subset, relative_distance
 
 
 @dataclass
@@ -107,8 +107,8 @@ def exp_rrss(
     theta_star: ParamVector,
     corpus: Corpus,
     distances: list[float],
-    n_directions: int = 20,
-    seed: int = 0,
+    n_directions: int,
+    seed: int,
 ) -> ExperimentReport:
     """Linearization quality: mean RRSS per relative distance, along random
     directions."""
@@ -129,8 +129,8 @@ def exp_relerr(
     corpus: Corpus,
     train_cfg: TrainConfig,
     solve_cfg: est.SolveConfig,
-    m: int = 30,
-    seed: int = 0,
+    m: int,
+    seed: int,
 ) -> ExperimentReport:
     """Estimator fidelity against the oracle over m random subsets of half
     the tasks (one estimator solve each), plus the forward-pass cost of both
@@ -232,48 +232,35 @@ def exp_speedup(
 
 
 def exp_addition(
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
+    net: Network,
+    theta_star: ParamVector,
+    cache: GradientCache,
+    corpus: Corpus,
     solve_cfg: est.SolveConfig,
-    n_groups: int = 20,
-    n_clean: int = 10,
-    digits: int = 5,
-    samples_per_group: int = 500,
-    target_samples: int = 60,
-    d: int = 100,
-    m: int = 300,
-    alpha_frac: float = 0.15,
-    seed: int = 0,
+    m: int,
+    alpha_frac: float,
+    seed: int,
 ) -> ExperimentReport:
     """Noisy-addition separation: per-group relevance scores vs the gradient
     cosine and feature similarity baselines, summarized by AUROC.
 
     Scores come from the linearized evaluator, which reads the first-order
     damage on the cached target-val rows directly and separates more cleanly at
-    this scale than a forward pass at the lifted parameters.
+    this scale than a forward pass at the lifted parameters. seed draws the
+    random subsets; the report's corpus and projector seeds are the corpus's
+    and the cache's.
     """
-    corpus = gen_noisy_addition(
-        n_groups, n_clean, digits, samples_per_group, seed, target_samples=target_samples
-    )
-    net = Network(model_cfg)
-    fit = meta_train(net, corpus, train_cfg)
-    theta_star = fit.params
-    P = gaussian_projection(net.param_count, d, seed + 1)
-    cache = build_cache(net, theta_star, corpus, P, seed + 1)
-
+    n_groups = corpus.n_tasks
+    ids = range(1, n_groups + 1)
     evaluator = sel.estimator_evaluator(
         net, theta_star, cache, corpus.target.val, solve_cfg, linearized=True
     )
-    scores = sel.random_ensemble(evaluator, n_groups, m=m, alpha_frac=alpha_frac, seed=seed + 2)
+    scores = sel.random_ensemble(evaluator, n_groups, m=m, alpha_frac=alpha_frac, seed=seed)
     T = sel.compute_T(scores, n_groups)
 
-    clean_mask = np.array([tid in set(corpus.meta["clean_ids"]) for tid in range(1, n_groups + 1)])
-    grad_cos = np.array(
-        [baseline_gradient_cosine(cache, tid, 0) for tid in range(1, n_groups + 1)]
-    )
-    feat_sim = np.array(
-        [baseline_feature_similarity(net, theta_star, corpus, tid, 0) for tid in range(1, n_groups + 1)]
-    )
+    clean_mask = np.isin(ids, corpus.meta["clean_ids"])
+    grad_cos = np.array([baseline_gradient_cosine(cache, tid, 0) for tid in ids])
+    feat_sim = np.array([baseline_feature_similarity(net, theta_star, corpus, tid, 0) for tid in ids])
 
     auroc_T = separation_auroc(T, clean_mask)
     # baselines score similarity (higher = cleaner), so negate to reuse the
@@ -289,7 +276,7 @@ def exp_addition(
             "gradient_cosine": float(grad_cos[tid - 1]),
             "feature_similarity": float(feat_sim[tid - 1]),
         }
-        for tid in range(1, n_groups + 1)
+        for tid in ids
     ]
     return ExperimentReport(
         name="addition",
@@ -298,10 +285,10 @@ def exp_addition(
             "auroc_gradient_cosine": auroc_grad,
             "auroc_feature_similarity": auroc_feat,
             "n_groups": n_groups,
-            "n_clean": n_clean,
+            "n_clean": corpus.meta["n_clean"],
         },
         tables={"groups": rows},
-        seeds={"corpus": seed, "projector": seed + 1, "subsets": seed + 2},
+        seeds={"corpus": corpus.meta["seed"], "projector": cache.projector_seed, "subsets": seed},
         corpus_digest=corpus.digest(),
     )
 
@@ -309,7 +296,9 @@ def exp_addition(
 def exp_structure(evaluator: sel.Evaluator, n: int) -> ExperimentReport:
     """Greedy search for a non-monotone chain (adding a pairwise-helpful task
     raises the loss) and a submodularity violation (a marginal gain that grows
-    with the base set). Reports witnesses, or 'none found'."""
+    with the base set). Reports witnesses, or 'none found'. Each subset is
+    scored once."""
+    evaluator = functools.cache(evaluator)
     base = evaluator(frozenset())
     pair_scores = {t: evaluator(frozenset({t})) for t in range(1, n + 1)}
     helpers = sorted(

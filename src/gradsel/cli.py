@@ -22,7 +22,7 @@ from . import artifact, bench, estimate as est, select as sel
 from .linearize import TARGET_VAL_ID, build_cache, load_cache, row_task_ids, save_cache
 from .model import ModelConfig, Network
 from .project import gaussian_projection
-from .taskgen import gen_multitask_gaussian, gen_noisy_addition, load_corpus, save_corpus
+from .taskgen import Corpus, gen_multitask_gaussian, gen_noisy_addition, load_corpus, save_corpus
 from .trainer import (
     TrainConfig,
     eval_loss,
@@ -177,23 +177,23 @@ def _check_choice(what: str, value: str, choices: tuple[str, ...]) -> None:
         raise StageError(f"unknown {what} {value!r} (choose from {', '.join(choices)})")
 
 
-def recipe(cfg: dict[str, str], kind: str, input_dim: int) -> tuple[ModelConfig, TrainConfig]:
-    """The model and the meta-training recipe for a corpus kind.
+def recipe(cfg: dict[str, str], corpus: Corpus) -> tuple[ModelConfig, TrainConfig]:
+    """The model and the meta-training recipe for a corpus.
 
-    Addition corpora need the fixed-epoch recipe: their combined-val
-    minimum sits at the no-learning point, so early stopping cannot train
-    them (the noisy groups' val labels are random). An addition sample is
-    two one-hot operands of ten inputs per digit, and the head predicts
-    every output digit."""
-    addition = kind == "addition"
+    The model reads the corpus's input width and predicts one class per
+    label column. Addition corpora need the fixed-epoch recipe: their
+    combined-val minimum sits at the no-learning point, so early stopping
+    cannot train them (the noisy groups' val labels are random)."""
+    addition = corpus.meta.get("kind") == "addition"
     head = "addition" if addition else "model"
+    labels = corpus.target.train[1]
     model = _checked(
         ModelConfig,
-        input_dim=input_dim,
+        input_dim=corpus.input_dim,
         hidden_dims=_numbers(cfg, f"{head}.hidden_dims", int),
         activation=cfg[f"{head}.activation"],
         num_classes=10 if addition else 2,
-        num_positions=input_dim // 20 if addition else 1,
+        num_positions=1 if labels.ndim == 1 else labels.shape[1],
         init_scale=float(cfg["model.init_scale"]),
         seed=int(cfg["model.seed"]),
     )
@@ -285,7 +285,7 @@ def _load(run: RunDir, artifact: str, produced_by: str, loader):
 
 def _load_model_pieces(run: RunDir, cfg: dict[str, str]):
     corpus = _load(run, "corpus", "gen", load_corpus)
-    model, train = recipe(cfg, corpus.meta.get("kind"), corpus.input_dim)
+    model, train = recipe(cfg, corpus)
     return corpus, Network(model), train
 
 
@@ -443,30 +443,40 @@ def stage_select(run: RunDir, cfg: dict[str, str]) -> None:
     print(f"select[{method}]: chose {{{chosen}}}, wrote {run.path('selection')}")
 
 
+def _addition_run(cfg: dict[str, str], n: int, n_clean: int, seed: int):
+    """The noisy-addition run that bench scores, built in memory by the gen,
+    meta-train and cache stages' library calls on the addition.* sizes, with
+    corpus seed `seed` and projector seed seed + 1."""
+    corpus = gen_noisy_addition(
+        n, n_clean, int(cfg["corpus.digits"]), int(cfg["addition.samples_per_group"]), seed,
+        target_samples=int(cfg["addition.target_samples"]),
+    )
+    model, train = recipe(cfg, corpus)
+    net = Network(model)
+    theta = meta_train(net, corpus, train).params
+    P = gaussian_projection(net.param_count, int(cfg["project.d"]), seed + 1)
+    return net, theta, build_cache(net, theta, corpus, P, seed + 1), corpus
+
+
 def stage_bench(run: RunDir, cfg: dict[str, str], experiments: list[str]) -> None:
     for name in experiments:
         _check_choice("experiment", name, EXPERIMENTS)
     scfg = solve_config(cfg)
     ft_cfg = train_config(cfg, "finetune")
+    n, n_clean, seed = (int(cfg[k]) for k in ("corpus.n", "corpus.n_clean", "bench.seed"))
+    if "addition" in experiments and not 0 < n_clean < n:  # refused before the costly training
+        raise StageError(f"addition needs clean and noisy groups: corpus.n_clean {n_clean} is not in 1..{n - 1}")
     if set(experiments) - {"addition"}:  # addition builds its own corpus, model and cache
         corpus, net, theta, cache = _load_estimation_state(run, cfg)
     reports = []
     for name in experiments:
         if name == "addition":
-            digits = int(cfg["corpus.digits"])
-            model, train = recipe(cfg, "addition", 20 * digits)
             reports.append(
                 bench.exp_addition(
-                    model, train, scfg,
-                    n_groups=int(cfg["corpus.n"]),
-                    n_clean=int(cfg["corpus.n_clean"]),
-                    digits=digits,
-                    samples_per_group=int(cfg["addition.samples_per_group"]),
-                    target_samples=int(cfg["addition.target_samples"]),
-                    d=int(cfg["project.d"]),
+                    *_addition_run(cfg, n, n_clean, seed), scfg,
                     m=int(cfg["addition.m"]),
                     alpha_frac=float(cfg["addition.alpha"]),
-                    seed=int(cfg["bench.seed"]),
+                    seed=seed + 2,
                 )
             )
         elif name == "rrss":
@@ -477,7 +487,7 @@ def stage_bench(run: RunDir, cfg: dict[str, str], experiments: list[str]) -> Non
                     corpus,
                     distances=list(_numbers(cfg, "bench.rrss_distances", float)),
                     n_directions=int(cfg["bench.rrss_directions"]),
-                    seed=int(cfg["bench.seed"]),
+                    seed=seed,
                 )
             )
         elif name == "relerr":
@@ -485,13 +495,11 @@ def stage_bench(run: RunDir, cfg: dict[str, str], experiments: list[str]) -> Non
                 bench.exp_relerr(
                     net, theta, cache, corpus, ft_cfg, scfg,
                     m=int(cfg["bench.relerr_subsets"]),
-                    seed=int(cfg["bench.seed"]),
+                    seed=seed,
                 )
             )
         elif name == "speedup":
-            reports.append(
-                bench.exp_speedup(net, theta, cache, corpus, ft_cfg, scfg)
-            )
+            reports.append(bench.exp_speedup(net, theta, cache, corpus, ft_cfg, scfg))
         else:
             evaluator = sel.estimator_evaluator(net, theta, cache, corpus.target.val, scfg)
             reports.append(bench.exp_structure(evaluator, corpus.n_tasks))

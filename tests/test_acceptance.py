@@ -22,7 +22,7 @@ from gradsel.select import (
     random_ensemble,
     threshold_select,
 )
-from gradsel.taskgen import Corpus, TaskDataset, gen_multitask_gaussian
+from gradsel.taskgen import Corpus, TaskDataset, gen_multitask_gaussian, gen_noisy_addition
 from gradsel.trainer import TrainConfig, eval_loss, fine_tune_subset, meta_train
 
 from conftest import DEFAULT_CORPUS, FINETUNE_CFG, META_CFG, SOLVE_CFG
@@ -185,11 +185,15 @@ def test_criterion_7_solver_speed():
 
 
 def test_criterion_8_noisy_addition_separation():
-    mc = ModelConfig(input_dim=100, hidden_dims=(256,), activation="relu",
-                     num_classes=10, num_positions=5, init_scale=0.5, seed=7)
+    # 20 five-digit groups of 500, 10 clean; corpus seed 21, projector 22, subsets 23
+    corpus = gen_noisy_addition(20, 10, 5, 500, seed=21, target_samples=60)
+    net = Network(ModelConfig(input_dim=100, hidden_dims=(256,), activation="relu",
+                              num_classes=10, num_positions=5, init_scale=0.5, seed=7))
     tc = TrainConfig(step_size=0.001, batch_size=32, max_epochs=120,
                      early_stop_patience=None, seed=3, optimizer="adam")
-    report = exp_addition(mc, tc, SolveConfig(ridge_lambda=0.1), seed=21)
+    theta = meta_train(net, corpus, tc).params
+    cache = build_cache(net, theta, corpus, gaussian_projection(net.param_count, 100, 22), 22)
+    report = exp_addition(net, theta, cache, corpus, SolveConfig(ridge_lambda=0.1), m=300, alpha_frac=0.15, seed=23)
     t = report.scalars["auroc_T"]
     grad = report.scalars["auroc_gradient_cosine"]
     feat = report.scalars["auroc_feature_similarity"]

@@ -203,9 +203,12 @@ def test_exp_structure_submodularity_violation():
             base -= 0.5  # task 3 helps much more on top of a bigger set
         return base
 
-    ev = Evaluator(_score=lambda s, budget: score(s))
+    scored = []
+    ev = Evaluator(_score=lambda s, budget: scored.append(s) or score(s))
     report = exp_structure(ev, 4)
     assert report.scalars["chain_length"] >= 2
+    # the chain's prefixes and the probe's singleton are scored once each
+    assert len(scored) == len(set(scored))
 
 
 def test_exp_rrss_deterministic(gauss_net, theta_star, gauss_corpus):

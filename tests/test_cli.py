@@ -10,6 +10,7 @@ import pytest
 
 import gradsel.artifact
 import gradsel.estimate
+from gradsel.bench import exp_addition, report_to_csv_lines
 from gradsel.cli import (
     DEFAULT_CONFIG,
     StageError,
@@ -18,10 +19,12 @@ from gradsel.cli import (
     parse_config_text,
     recipe,
     resolve_config,
+    solve_config,
 )
 from gradsel import linearize
 from gradsel.linearize import TARGET_VAL_ID, load_cache, save_cache
-from gradsel.taskgen import load_corpus, save_corpus
+from gradsel.model import Network
+from gradsel.taskgen import gen_multitask_gaussian, gen_noisy_addition, load_corpus, save_corpus
 from gradsel.trainer import load_checkpoint, save_checkpoint
 
 from conftest import TINY
@@ -70,11 +73,13 @@ def test_removed_train_keys_rejected(tmp_path, capsys, key):
 
 def test_recipe_per_corpus_kind():
     cfg = resolve_config(None, {})
-    model, train = recipe(cfg, "gaussian", 10)
+    gaussian = gen_multitask_gaussian(n=2, samples_per_task=4, dim=10, frac_helpful=0.5,
+                                      rotation_deg=90.0, label_noise=0.0, seed=0)
+    model, train = recipe(cfg, gaussian)
     assert (model.input_dim, model.num_classes, model.num_positions) == (10, 2, 1)
     assert (train.optimizer, train.early_stop_patience, train.max_epochs) == ("sgd", 30, 300)
     # five-digit addition: two one-hot operands in, five digit heads out
-    model, train = recipe(cfg, "addition", 100)
+    model, train = recipe(cfg, gen_noisy_addition(2, 1, 5, 4, seed=0))
     assert (model.input_dim, model.num_classes, model.num_positions, model.activation) == (100, 10, 5, "relu")
     assert (train.optimizer, train.early_stop_patience, train.max_epochs) == ("adam", None, 120)
 
@@ -311,6 +316,54 @@ def test_bench_addition_small(tmp_path):
     rows = dict(line.split(",") for line in scalars.strip().splitlines()[1:])
     assert 0.0 <= float(rows["auroc_T"]) <= 1.0
     assert (tmp_path / "bench" / "addition_groups.csv").exists()
+
+
+def test_bench_addition_scores_the_run_the_stages_build(tmp_path):
+    # bench builds its addition run with the gen, meta-train and cache
+    # stages' calls, seeded B, B + 1 and B + 2: scoring the stages' run
+    # gives the same groups table
+    S, T, B = 30, 10, 9
+    sizes = [
+        "--corpus.n", "4", "--corpus.n_clean", "2", "--corpus.digits", "2",
+        "--addition.hidden_dims", "16", "--addition.epochs", "3", "--project.d", "20",
+    ]
+    staged = tmp_path / "staged"
+    for argv in (
+        ["gen", "--corpus.kind", "addition", "--corpus.samples_per_task", str(S),
+         "--corpus.target_samples", str(T), "--corpus.seed", str(B)],
+        ["meta-train"],
+        ["cache", "--project.seed", str(B + 1)],
+    ):
+        assert main(["--out", str(staged), *argv, *sizes]) == 0
+    cfg = resolve_config(None, {"addition.hidden_dims": "16"})
+    corpus = load_corpus(staged / "corpus.txt")
+    net = Network(recipe(cfg, corpus)[0])
+    theta = load_checkpoint(staged / "checkpoint.bin")[0]
+    report = exp_addition(
+        net, theta, load_cache(staged / "cache.bin"), corpus, solve_config(cfg), m=12, alpha_frac=0.15, seed=B + 2
+    )
+    assert report.seeds == {"corpus": B, "projector": B + 1, "subsets": B + 2}
+
+    argv = ["bench", "--exp", "addition", *sizes, "--addition.samples_per_group", str(S),
+            "--addition.target_samples", str(T), "--addition.m", "12", "--bench.seed", str(B)]
+    assert run(argv, tmp_path) == 0
+    groups = (tmp_path / "bench" / "addition_groups.csv").read_text().splitlines()
+    assert groups == report_to_csv_lines(report)["addition_groups"]
+
+
+@pytest.mark.parametrize("n_clean", ["0", "4", "5"])
+def test_bench_addition_refuses_a_single_group_before_training(tmp_path, capsys, monkeypatch, n_clean):
+    # AUROC needs clean and noisy groups; without both, bench stops before
+    # it generates or trains anything
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an unscorable addition run was built")
+
+    monkeypatch.setattr("gradsel.cli.gen_noisy_addition", unreachable)
+    monkeypatch.setattr("gradsel.cli.meta_train", unreachable)
+    assert run(["bench", "--exp", "addition", "--corpus.n", "4", "--corpus.n_clean", n_clean], tmp_path) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "corpus.n_clean" in lines[0]
+    assert not (tmp_path / "bench").exists()
 
 
 def test_one_digit_addition_runs_in_memory_and_from_its_file(tmp_path):
