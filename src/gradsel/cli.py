@@ -449,7 +449,7 @@ def _addition_run(cfg: dict[str, str], n: int, n_clean: int, seed: int):
     corpus seed `seed` and projector seed seed + 1."""
     corpus = gen_noisy_addition(
         n, n_clean, int(cfg["corpus.digits"]), int(cfg["addition.samples_per_group"]), seed,
-        target_samples=int(cfg["addition.target_samples"]),
+        target_samples=int(cfg["addition.target_samples"]) or None,  # 0: as many as a group, as in stage_gen
     )
     model, train = recipe(cfg, corpus)
     net = Network(model)

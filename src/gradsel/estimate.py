@@ -6,7 +6,8 @@ The objective over a subset's cached rows (b_i, g~_i) is
 in d-space: the mean log-loss at the first-order margins -b_i + g~_i . x.
 It is convex; a tiny ridge keeps the minimizer finite even when
 the projected data is separable. The solver is damped Newton, which is cheap
-because the Hessian is only d x d. The Hessian is accumulated in float32,
+because the Hessian is only d x d, after fixed-Hessian steps while those pay
+(below). The Hessian is accumulated in float32,
 the precision of the gradients every cache holds, built or loaded; all else
 (margins, objective, gradient, linear solve, line search, stopping rule)
 runs in float64, so a converged solve meets the same gradient tolerance.
@@ -21,8 +22,18 @@ count, a subset S starts at
 the influence-function estimate of its optimum. x_all, H_all^-1 and the
 per-task sums are computed once per cache and SolveConfig and memoized on
 the cache, so a score is a function of (cache, subset, config) alone, never
-of what was scored before it; the start only shortens the solve, which runs
-to the same gradient tolerance.
+of what was scored before it.
+
+From there the solve iterates x <- x - H_all^-1 grad_S(x) with the same
+memoized inverse (Kantorovich's simplified Newton): a step needs no Hessian
+of its own, no float32 cast and no linear solve. A step contracts by about
+rho(I - H_all^-1 H_S), small when S holds most of the rows but near 1 for a
+small S, so each step is kept only while its slope is negative, it halves
+||grad|| and it passes the line search's acceptance test; the first that
+fails costs one objective evaluation, and the solve goes on from where it
+is by damped Newton. The start and the fixed steps only shorten the solve,
+which runs to the same gradient tolerance; solver_iters counts steps of
+both kinds.
 
 A solution x_hat lives in d-space; estimate_f lifts it to parameter space by
 the cache's own P, as theta* + P x_hat.
@@ -38,9 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifact
-from .linearize import TARGET_VAL_ID, GradientCache
+from .linearize import TARGET_VAL_ID, GradientCache, task_mask
 from .model import Network, ParamVector, _sigmoid
-from .taskgen import TARGET_TASK_ID, Split
+from .taskgen import Split
 from .trainer import eval_loss
 
 
@@ -86,14 +97,44 @@ def _value_grad(b, G, x, lam):
     return value, grad, z
 
 
-def _newton(b, G, lam, cfg, x0):
+def _accepts(value, slope, step, cand_value, cand_slope):
+    """Whether a candidate at step * direction from x (objective value, slope
+    grad . direction < 0 at x) decreases the objective enough: Armijo, or
+    near the minimizer, where the decrease sinks below the rounding of value,
+    the approximate Armijo test of Hager & Zhang (2005), which decides from
+    the exact directional derivative cand_slope at the candidate instead."""
+    if cand_value <= value + 1e-4 * step * slope:
+        return True
+    return cand_value <= value + 1e-10 * abs(value) and cand_slope <= (2e-4 - 1.0) * slope
+
+
+def _newton(b, G, lam, cfg, x0, H_inv=None):
+    """Minimize the objective over rows (b, G) from x0 to cfg.grad_tol.
+    Given H_inv, the solve first takes full fixed steps -H_inv grad, each
+    kept only while its slope is negative, it halves ||grad|| and _accepts
+    it; after the first that fails it drops H_inv and goes on from where it
+    is by damped Newton. Returns (x, steps of both kinds, stop)."""
     x = x0.copy()
     n = len(b)
-    G32 = G.astype(np.float32)  # for the Hessian only (module docstring)
+    G32 = None  # for the Hessian only (module docstring), cast when first needed
     value, grad, z = _value_grad(b, G, x, lam)
+    grad_norm = np.linalg.norm(grad)
     for it in range(1, cfg.max_iters + 1):
-        if np.linalg.norm(grad) <= cfg.grad_tol:
+        if grad_norm <= cfg.grad_tol:
             return x, it - 1, Stop.CONVERGED
+        if H_inv is not None:
+            direction = -(H_inv @ grad)
+            slope = grad @ direction
+            if slope < 0:  # False for a NaN slope too
+                cand = x + direction
+                cand_value, cand_grad, cand_z = _value_grad(b, G, cand, lam)
+                cand_norm = np.linalg.norm(cand_grad)
+                if cand_norm <= 0.5 * grad_norm and _accepts(value, slope, 1.0, cand_value, cand_grad @ direction):
+                    x, value, grad, z, grad_norm = cand, cand_value, cand_grad, cand_z, cand_norm
+                    continue
+            H_inv = None
+        if G32 is None:
+            G32 = G.astype(np.float32)
         s = _sigmoid(z)
         w = s * (1.0 - s)
         # rows scaled by sqrt(w / n), so H is one symmetric product (syrk)
@@ -112,12 +153,7 @@ def _newton(b, G, lam, cfg, x0):
         for _ in range(60):
             cand = x + step * direction
             cand_value, cand_grad, cand_z = _value_grad(b, G, cand, lam)
-            if cand_value <= value + 1e-4 * step * slope:
-                break
-            # near the minimizer the decrease sinks below the rounding of
-            # value; there the approximate Armijo test of Hager & Zhang (2005)
-            # decides from the exact directional derivative instead
-            if cand_value <= value + 1e-10 * abs(value) and cand_grad @ direction <= (2e-4 - 1.0) * slope:
+            if _accepts(value, slope, step, cand_value, cand_grad @ direction):
                 break
             step *= 0.5
         else:
@@ -125,26 +161,33 @@ def _newton(b, G, lam, cfg, x0):
             # uphill candidate
             return x, it, Stop.LINESEARCH
         x, value, grad, z = cand, cand_value, cand_grad, cand_z
-    return x, cfg.max_iters, Stop.CONVERGED if np.linalg.norm(grad) <= cfg.grad_tol else Stop.MAX_ITERS
+        grad_norm = np.linalg.norm(grad)
+    return x, cfg.max_iters, Stop.CONVERGED if grad_norm <= cfg.grad_tol else Stop.MAX_ITERS
 
 
 def solve_subset(
-    cache: GradientCache, subset, cfg: SolveConfig, x0: np.ndarray | None = None
+    cache: GradientCache,
+    subset,
+    cfg: SolveConfig,
+    x0: np.ndarray | None = None,
+    H_inv: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, Stop]:
     """Minimize the objective over the rows of the subset's tasks and the
-    target's train rows, from x0 (default 0). Returns (x_hat, iterations,
-    stop); a solve that stops short of the gradient tolerance is reported by
-    its Stop, not raised."""
+    target's train rows, from x0 (default 0): by fixed steps -H_inv grad
+    while they pay, given H_inv, then by damped Newton (_newton). Returns
+    (x_hat, steps, stop); a solve that stops short of the gradient tolerance
+    is reported by its Stop, not raised."""
     idx = cache.rows_for(subset)
     if idx.size == 0:
         raise ValueError(f"no cached samples for subset {sorted(subset)}")
     start = np.zeros(cache.d) if x0 is None else np.asarray(x0, dtype=np.float64)
-    return _newton(cache.b[idx], cache.g_proj[idx], cfg.ridge_lambda, cfg, start)
+    return _newton(cache.b[idx], cache.g_proj[idx], cfg.ridge_lambda, cfg, start, H_inv)
 
 
 def _all_tasks_start(cache: GradientCache, cfg: SolveConfig) -> tuple:
-    """(task ids, row counts, gradient sums s_t, x_all, H_all^-1) over the
-    cache's train rows, computed once per cfg and memoized on the cache."""
+    """(row counts, gradient sums s_t, x_all, H_all^-1) over the cache's
+    train rows, the first two indexed by task id, computed once per cfg and
+    memoized on the cache."""
     memo = cache.starts.get(cfg)
     if memo is None:
         train = cache.task_id != TARGET_VAL_ID
@@ -153,24 +196,25 @@ def _all_tasks_start(cache: GradientCache, cfg: SolveConfig) -> tuple:
         s = _sigmoid(b - G @ x_all)
         H = (G.T * (s * (1.0 - s) / len(b))) @ G
         H.flat[:: H.shape[0] + 1] += lam
-        ids, task_of_row = np.unique(cache.task_id[train], return_inverse=True)
-        sums = np.zeros((len(ids), cache.d))
-        np.add.at(sums, task_of_row, G * s[:, None])
-        memo = cache.starts[cfg] = (ids, np.bincount(task_of_row), sums, x_all, np.linalg.inv(H))
+        tid = cache.task_id[train]
+        counts = np.bincount(tid)
+        sums = np.zeros((len(counts), cache.d))
+        np.add.at(sums, tid, G * s[:, None])
+        memo = cache.starts[cfg] = (counts, sums, x_all, np.linalg.inv(H))
     return memo
 
 
-def _subset_start(cache: GradientCache, subset, cfg: SolveConfig) -> np.ndarray | None:
-    """One Newton step from x_all toward the subset's optimum, with the
-    all-rows Hessian (module docstring); None when the subset has no rows,
-    which solve_subset then reports."""
-    ids, counts, sums, x_all, H_inv = _all_tasks_start(cache, cfg)
-    mine = np.isin(ids, [*subset, TARGET_TASK_ID])
+def _subset_start(cache: GradientCache, subset, cfg: SolveConfig) -> tuple[np.ndarray | None, np.ndarray]:
+    """(x0, H_all^-1): x0 one Newton step from x_all toward the subset's
+    optimum, with the all-rows Hessian (module docstring), or None when the
+    subset has no rows, which solve_subset then reports."""
+    counts, sums, x_all, H_inv = _all_tasks_start(cache, cfg)
+    mine = task_mask(subset, len(counts))[:-1]
     n = counts[mine].sum()
     if n == 0:
-        return None
+        return None, H_inv
     grad = cfg.ridge_lambda * x_all - sums[mine].sum(axis=0) / n
-    return x_all - H_inv @ grad
+    return x_all - H_inv @ grad, H_inv
 
 
 def estimate_f(
@@ -209,7 +253,7 @@ def estimate_subset(
     the cache's target-val rows (target_val is then unused). Every estimator
     score in the program, the selection drivers' included, comes from here,
     and every solve starts from the shared start (module docstring)."""
-    x_hat, iters, stop = solve_subset(cache, subset, cfg, _subset_start(cache, subset, cfg))
+    x_hat, iters, stop = solve_subset(cache, subset, cfg, *_subset_start(cache, subset, cfg))
     if linearized:
         f_hat = estimate_f_linearized(cache, x_hat)
     else:

@@ -63,8 +63,7 @@ class GradientCache:
     def rows_for(self, subset) -> np.ndarray:
         """Indices of the rows a subset's solve reads: those of its tasks and
         the target's train rows, in row order."""
-        wanted = {int(t) for t in subset} | {TARGET_TASK_ID}
-        return np.flatnonzero(np.isin(self.task_id, sorted(wanted)))
+        return np.flatnonzero(task_mask(subset, self.task_id.max() + 1)[self.task_id])
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -72,6 +71,15 @@ class GradientCache:
             h.update(np.ascontiguousarray(arr).tobytes())
         h.update(self.theta_star_digest.encode())
         return h.hexdigest()
+
+
+def task_mask(subset, n_ids: int) -> np.ndarray:
+    """(n_ids + 1,) bools indexed by task id, True at the subset's ids and
+    the target's (TARGET_TASK_ID) below n_ids; the last entry, the one
+    TARGET_VAL_ID (-1) reads, stays False."""
+    mask = np.zeros(n_ids + 1, dtype=bool)
+    mask[[t for t in {*map(int, subset), TARGET_TASK_ID} if 0 <= t < n_ids]] = True
+    return mask
 
 
 def row_task_ids(corpus: Corpus) -> np.ndarray:

@@ -351,6 +351,28 @@ def test_bench_addition_scores_the_run_the_stages_build(tmp_path):
     assert groups == report_to_csv_lines(report)["addition_groups"]
 
 
+def test_target_samples_zero_reads_alike_in_gen_and_bench(tmp_path, monkeypatch):
+    # 0 means "as many as a source group" on both routes to an addition corpus
+    sizes = ["--corpus.n", "4", "--corpus.n_clean", "2", "--corpus.digits", "2"]
+    assert run(["gen", "--corpus.kind", "addition", "--corpus.samples_per_task", "20",
+                "--corpus.target_samples", "0", *sizes], tmp_path) == 0
+    staged = load_corpus(tmp_path / "corpus.txt").target
+    built = []
+
+    class Built(Exception):
+        pass
+
+    def first_stage_only(*args, **kwargs):
+        built.append(gen_noisy_addition(*args, **kwargs).target)
+        raise Built  # skip the training that follows
+
+    monkeypatch.setattr("gradsel.cli.gen_noisy_addition", first_stage_only)
+    with pytest.raises(Built):
+        run(["bench", "--exp", "addition", *sizes, "--addition.samples_per_group", "20",
+             "--addition.target_samples", "0"], tmp_path / "bench-run")
+    assert [len(s[1]) for s in (built[0].train, built[0].val)] == [len(s[1]) for s in (staged.train, staged.val)]
+
+
 @pytest.mark.parametrize("n_clean", ["0", "4", "5"])
 def test_bench_addition_refuses_a_single_group_before_training(tmp_path, capsys, monkeypatch, n_clean):
     # AUROC needs clean and noisy groups; without both, bench stops before

@@ -247,6 +247,9 @@ def test_rows_consulted_are_exactly_subset_plus_target():
     cache = _fake_cache(rng.standard_normal(8), rng.standard_normal((8, 3)), task_id=tid)
     assert np.array_equal(cache.rows_for({1, 3}), np.flatnonzero(np.isin(tid, [0, 1, 3])))
     assert np.array_equal(cache.rows_for({2}), np.flatnonzero(np.isin(tid, [0, 2])))
+    # an id past the last task picks no row, the target's val rows included
+    with_val = _fake_cache(cache.b, cache.g_proj, task_id=tid, val=(np.zeros(2), np.zeros((2, 3))))
+    assert np.array_equal(with_val.rows_for({3, 4}), np.flatnonzero(np.isin(tid, [0, 3])))
     # the solve reads exactly those rows: other rows may hold anything
     poisoned = _fake_cache(
         np.where(np.isin(tid, [0, 1, 3]), cache.b, np.nan),
@@ -390,8 +393,9 @@ def _solve_of(cache, subset, cfg):
     data=st.data(),
 )
 def test_shared_start_reaches_the_zero_start_answer(seed, n_tasks, d, ridge, data):
-    # the start only shortens the solve: from it and from x = 0 the solve
-    # converges to points within grad_tol/ridge of the one minimizer
+    # the start and the fixed steps only shorten the solve: estimate_subset's
+    # solve, damped Newton alone from the same start and damped Newton from
+    # x = 0 converge to points within grad_tol/ridge of the one minimizer
     rng = np.random.default_rng(seed)
     tid = np.repeat(np.arange(n_tasks + 1), rng.integers(1, 20, size=n_tasks + 1))
     b, G = _signed_rows(rng, len(tid), d)
@@ -399,8 +403,10 @@ def test_shared_start_reaches_the_zero_start_answer(seed, n_tasks, d, ridge, dat
     subset = data.draw(st.sets(st.integers(min_value=1, max_value=n_tasks)))
     cfg = SolveConfig(ridge_lambda=ridge)
     x, _, stop = _solve_of(cache, subset, cfg)
+    x_newton, _, stop_newton = solve_subset(cache, subset, cfg, estimate._subset_start(cache, subset, cfg)[0])
     x_zero, _, stop_zero = solve_subset(cache, subset, cfg)
-    assert stop is Stop.CONVERGED and stop_zero is Stop.CONVERGED
+    assert stop is stop_newton is stop_zero is Stop.CONVERGED
+    assert np.linalg.norm(x - x_newton) <= 2 * cfg.grad_tol / ridge
     assert np.linalg.norm(x - x_zero) <= 2 * cfg.grad_tol / ridge
 
 
@@ -418,12 +424,43 @@ def test_score_does_not_depend_on_what_was_scored_before(gauss_net, theta_star, 
 
 
 def test_shared_start_halves_the_newton_iterations(cache):
-    # from x = 0 these solves take 3.98 iterations on average
+    # from x = 0 these solves take 3.98 iterations on average; damped Newton
+    # alone from the shared start (no fixed steps) takes about half
     rng = np.random.default_rng(6)
     fresh = dataclasses.replace(cache)
-    iters = [
-        estimate_subset(None, None, fresh, rng.choice(np.arange(1, 21), size=15, replace=False), None,
-                        SOLVE_CFG, linearized=True).solver_iters
-        for _ in range(200)
-    ]
+    iters = []
+    for _ in range(200):
+        subset = rng.choice(np.arange(1, 21), size=15, replace=False)
+        iters.append(solve_subset(fresh, subset, SOLVE_CFG, estimate._subset_start(fresh, subset, SOLVE_CFG)[0])[1])
     assert np.mean(iters) <= 2.3
+
+
+def test_fixed_steps_spare_the_hessian_solves(cache, monkeypatch):
+    # on 15 of 20 tasks H_all^-1 is close to the subset's inverse Hessian,
+    # so fixed steps reach grad_tol and a Hessian is rarely solved
+    rng = np.random.default_rng(6)
+    fresh = dataclasses.replace(cache)
+    estimate._all_tasks_start(fresh, SOLVE_CFG)  # its own solve is not counted
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    for _ in range(200):
+        subset = rng.choice(np.arange(1, 21), size=15, replace=False)
+        assert estimate_subset(None, None, fresh, subset, None, SOLVE_CFG, linearized=True).stop
+    assert len(solves) / 200 <= 0.5
+
+
+@pytest.mark.parametrize("fault", ["zeros", "negated", "nan"])
+def test_a_useless_fixed_step_falls_back_to_newton(fault):
+    # the first fixed step is refused (zero, uphill or NaN slope), so the
+    # solve is damped Newton from the start, step for step
+    rng = np.random.default_rng(8)
+    tid = np.repeat(np.arange(4), 15)
+    cache = _fake_cache(*_signed_rows(rng, len(tid), 5), task_id=tid)
+    cfg = SolveConfig(ridge_lambda=1e-2)
+    x0, H_inv = estimate._subset_start(cache, {1, 2}, cfg)
+    bad = {"zeros": np.zeros_like(H_inv), "negated": -H_inv, "nan": np.full_like(H_inv, np.nan)}[fault]
+    x, iters, stop = solve_subset(cache, {1, 2}, cfg, x0, bad)
+    x_newton, iters_newton, stop_newton = solve_subset(cache, {1, 2}, cfg, x0)
+    assert stop is stop_newton is Stop.CONVERGED
+    assert np.array_equal(x, x_newton) and iters == iters_newton > 0
