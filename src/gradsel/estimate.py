@@ -7,12 +7,8 @@ in d-space: the mean log-loss at the first-order margins -b_i + g~_i . x.
 It is convex; a tiny ridge keeps the minimizer finite even when
 the projected data is separable. The solver is damped Newton, which is cheap
 because the Hessian is only d x d, after fixed-Hessian steps while those pay
-(below). The Hessian is accumulated in float32,
-the precision of the gradients every cache holds, built or loaded; all else
-(margins, objective, gradient, linear solve, line search, stopping rule)
-runs in float64, so a converged solve meets the same gradient tolerance.
-That holds while the Hessian's condition number stays well below 1/eps32
-(~1.7e7); a solve beyond it may stop unconverged, and its Stop says why.
+(below). One function, _hessian, forms every Hessian, Newton's and the
+shared start's, in float64 like all of the solver's arithmetic.
 
 Every subset solve the program runs (estimate_subset) starts one Newton
 step from x_all, the solve over every train row: at x_all, with H_all the
@@ -26,7 +22,7 @@ of what was scored before it.
 
 From there the solve iterates x <- x - H_all^-1 grad_S(x) with the same
 memoized inverse (Kantorovich's simplified Newton): a step needs no Hessian
-of its own, no float32 cast and no linear solve. A step contracts by about
+of its own and no linear solve. A step contracts by about
 rho(I - H_all^-1 H_S), small when S holds most of the rows but near 1 for a
 small S, so each step is kept only while its slope is negative, it halves
 ||grad|| and it passes the line search's acceptance test; the first that
@@ -68,6 +64,8 @@ class SolveConfig:
             raise ValueError("ridge_lambda must be positive")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 class Stop(enum.Enum):
@@ -97,6 +95,16 @@ def _value_grad(b, G, x, lam):
     return value, grad, z
 
 
+def _hessian(G, z, lam):
+    """G^T diag(w) G / n + lam I, w = sigmoid(z) (1 - sigmoid(z)): the Hessian
+    at margins z, one symmetric product (syrk) of rows scaled by sqrt(w / n)."""
+    s = _sigmoid(z)
+    Gs = G * np.sqrt(s * (1.0 - s) / len(z))[:, None]
+    H = Gs.T @ Gs
+    H.flat[:: H.shape[0] + 1] += lam
+    return H
+
+
 def _accepts(value, slope, step, cand_value, cand_slope):
     """Whether a candidate at step * direction from x (objective value, slope
     grad . direction < 0 at x) decreases the objective enough: Armijo, or
@@ -115,8 +123,6 @@ def _newton(b, G, lam, cfg, x0, H_inv=None):
     it; after the first that fails it drops H_inv and goes on from where it
     is by damped Newton. Returns (x, steps of both kinds, stop)."""
     x = x0.copy()
-    n = len(b)
-    G32 = None  # for the Hessian only (module docstring), cast when first needed
     value, grad, z = _value_grad(b, G, x, lam)
     grad_norm = np.linalg.norm(grad)
     for it in range(1, cfg.max_iters + 1):
@@ -133,16 +139,8 @@ def _newton(b, G, lam, cfg, x0, H_inv=None):
                     x, value, grad, z, grad_norm = cand, cand_value, cand_grad, cand_z, cand_norm
                     continue
             H_inv = None
-        if G32 is None:
-            G32 = G.astype(np.float32)
-        s = _sigmoid(z)
-        w = s * (1.0 - s)
-        # rows scaled by sqrt(w / n), so H is one symmetric product (syrk)
-        Gs = G32 * np.sqrt(w / n).astype(np.float32)[:, None]
-        H = (Gs.T @ Gs).astype(np.float64)
-        H.flat[:: H.shape[0] + 1] += lam
         try:
-            direction = np.linalg.solve(H, -grad)
+            direction = np.linalg.solve(_hessian(G, z, lam), -grad)
         except np.linalg.LinAlgError:
             direction = -grad
         slope = grad @ direction
@@ -193,14 +191,12 @@ def _all_tasks_start(cache: GradientCache, cfg: SolveConfig) -> tuple:
         train = cache.task_id != TARGET_VAL_ID
         b, G, lam = cache.b[train], cache.g_proj[train], cfg.ridge_lambda
         x_all, _, _ = _newton(b, G, lam, cfg, np.zeros(cache.d))
-        s = _sigmoid(b - G @ x_all)
-        H = (G.T * (s * (1.0 - s) / len(b))) @ G
-        H.flat[:: H.shape[0] + 1] += lam
+        z = b - G @ x_all
         tid = cache.task_id[train]
         counts = np.bincount(tid)
         sums = np.zeros((len(counts), cache.d))
-        np.add.at(sums, tid, G * s[:, None])
-        memo = cache.starts[cfg] = (counts, sums, x_all, np.linalg.inv(H))
+        np.add.at(sums, tid, G * _sigmoid(z)[:, None])
+        memo = cache.starts[cfg] = (counts, sums, x_all, np.linalg.inv(_hessian(G, z, lam)))
     return memo
 
 

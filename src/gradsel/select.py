@@ -222,6 +222,8 @@ def ensemble_select(
     grid cross-validation."""
     if not grid:
         raise ValueError("the fraction grid is empty")
+    if not all(0.0 < q <= 1.0 for q in grid):  # before any subset is scored
+        raise ValueError("fraction must be in (0, 1]")
     scores = random_ensemble(evaluator, n, m=m, alpha_frac=alpha_frac, seed=seed)
     T = compute_T(scores, n)
     return SelectionReport(

@@ -763,6 +763,8 @@ def test_select_fraction_grid_applies_to_every_re(tiny_run, tmp_path, method):
         (["bench", "--exp", "rrss", "--bench.rrss_distances", "nan,0.01"], "config bench.rrss_distances: expected finite values"),
         # at lambda 0 the projected rows can be separable, so no minimizer exists
         (["estimate", "--subset", "1,2", "--estimate.ridge_lambda", "0"], "config: ridge_lambda must be positive"),
+        (["estimate", "--subset", "1,2", "--estimate.max_iters", "-3"], "config: max_iters must be >= 1"),
+        (["select", "--select.method", "re", "--select.fraction_grid", "0.5,1.5"], "fraction must be in (0, 1]"),
     ],
 )
 def test_bad_config_value_fails_in_one_line(tiny_run, tmp_path, capsys, argv, message):

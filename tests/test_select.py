@@ -295,6 +295,15 @@ def test_ensemble_select_builds_T_from_finite_scores(poisoned, bad):
     assert report.chosen == threshold_select(report.t_scores, fraction=GRID[0])
 
 
+def test_a_bad_grid_fraction_fails_before_any_subset_is_scored():
+    scored = []
+    ev = fake_evaluator(lambda s: scored.append(s) or 0.0)
+    for grid in [(0.5, 1.5), (0.0,), (-0.1, 0.2), (float("nan"),)]:
+        with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\]"):
+            ensemble_select(ev, 4, grid, m=50, alpha_frac=0.5, seed=0)
+    assert scored == []
+
+
 def test_threshold_modes():
     T = np.array([0.6, 0.5, 0.7])
     assert threshold_select(T, fraction=1.0) == {1, 2, 3}
