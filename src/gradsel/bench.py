@@ -18,7 +18,7 @@ from . import select as sel
 from .linearize import GradientCache, rrss_sweep
 from .model import Network, ParamVector
 from .taskgen import Corpus
-from .trainer import TrainConfig, eval_loss, fine_tune_subset, relative_distance
+from .trainer import TrainConfig, eval_loss, fine_tune_each, relative_distance
 
 
 @dataclass
@@ -140,14 +140,24 @@ def exp_relerr(
     rng = np.random.default_rng(seed)
     n = corpus.n_tasks
     size = max(1, round(n / 2))
+    subsets = [frozenset(int(t) + 1 for t in rng.choice(n, size=size, replace=False)) for _ in range(m)]
+    oracle = fine_tune_each(
+        net,
+        theta_star,
+        subsets,
+        corpus,
+        train_cfg,
+        lambda fit: (
+            eval_loss(net, fit.params, *corpus.target.val),
+            fit.forward_passes,
+            relative_distance(fit.params, theta_star),
+        ),
+    )
     oracle_passes = 0
     rows = []
     f_true, f_hat = [], []
-    for _ in range(m):
-        subset = frozenset(int(t) + 1 for t in rng.choice(n, size=size, replace=False))
-        fit = fine_tune_subset(net, theta_star, subset, corpus, train_cfg)
-        truth = eval_loss(net, fit.params, *corpus.target.val)
-        oracle_passes += fit.forward_passes
+    for subset, (truth, passes, distance) in zip(subsets, oracle):
+        oracle_passes += passes
         result = est.estimate_subset(net, theta_star, cache, subset, corpus.target.val, solve_cfg)
         f_true.append(truth)
         f_hat.append(result.f_hat)
@@ -157,7 +167,7 @@ def exp_relerr(
                 "f_true": truth,
                 "f_hat": result.f_hat,
                 "solver_iters": result.solver_iters,
-                "rel_distance": relative_distance(fit.params, theta_star),
+                "rel_distance": distance,
             }
         )
     err = relative_error(f_true, f_hat)

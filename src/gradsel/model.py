@@ -135,14 +135,21 @@ class Network:
 
     def _forward(self, params, X):
         """Return (per-layer (W, b) views of params, activations per layer
-        including input, output logits). The backward pass reuses the views."""
+        including input, output logits). The backward pass reuses the views.
+        Each layer's bias and activation are applied in place in the one
+        array its matmul makes."""
         layers = self.unpack(params)
         acts = [self._check_features(X)]
         a = acts[0]
         for i, (W, b) in enumerate(layers):
-            z = a @ W.T + b
+            z = a @ W.T
+            z += b
             if i < len(layers) - 1:
-                a = np.tanh(z) if self.config.activation == "tanh" else np.maximum(z, 0.0)
+                if self.config.activation == "tanh":
+                    np.tanh(z, out=z)
+                else:
+                    np.maximum(z, 0.0, out=z)
+                a = z
                 acts.append(a)
             else:
                 return layers, acts, z
@@ -200,16 +207,20 @@ class Network:
     def _layer_deltas(self, layers, acts, delta):
         """Yield (layer index, output deltas (N, out)) from the last layer to
         the first, backpropagating the output-layer deltas through the
-        (W, b) views _forward built."""
+        (W, b) views _forward built. Once the caller has used acts[i] for
+        layer i, its storage holds the activation's derivative, so hidden
+        activations are overwritten; the input acts[0] is never written."""
         for i in range(len(layers) - 1, -1, -1):
             yield i, delta
             if i > 0:
                 delta = delta @ layers[i][0]
                 a = acts[i]
                 if self.config.activation == "tanh":
-                    delta = delta * (1.0 - a * a)
+                    np.multiply(a, a, out=a)
+                    np.subtract(1.0, a, out=a)
                 else:
-                    delta = delta * (a > 0.0)
+                    np.greater(a, 0.0, out=a)
+                delta *= a
 
     def _backward(self, layers, acts, delta):
         """Backpropagate output-layer deltas (N, out) to a flat mean gradient."""

@@ -28,6 +28,8 @@ def gaussian_projection(p: int, d: int, seed: int) -> np.ndarray:
     for i, lo in enumerate(range(0, p, _BLOCK_ROWS)):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(GENERATOR_VERSION, i))
         gen = np.random.Generator(np.random.Philox(ss))
-        P[lo : lo + _BLOCK_ROWS] = gen.standard_normal((min(_BLOCK_ROWS, p - lo), d)) / np.sqrt(d)
+        block = P[lo : lo + _BLOCK_ROWS]
+        gen.standard_normal(out=block)
+        block /= np.sqrt(d)
     P.flags.writeable = False
     return P

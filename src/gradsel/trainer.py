@@ -6,14 +6,21 @@ number of epochs, returning the final parameters. Both read
 (X, labels) splits (taskgen.Split) that Corpus.mixture stacks. The oracle
 value of a task subset S (select.oracle_evaluator) is the target validation
 loss after fine_tune_subset on the combined data of S plus the target's train
-split. The meta-trained parameters are saved as a checkpoint artifact (see
+split; fine_tune_each runs many such fine-tunes side by side, one per CPU.
+The meta-trained parameters are saved as a checkpoint artifact (see
 artifact.py).
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import hashlib
+import os
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -22,6 +29,8 @@ from .model import Network, ParamVector
 from .taskgen import Corpus, Split
 
 OPTIMIZERS = ("sgd", "adam")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -90,9 +99,9 @@ def _fit(
     rng = np.random.default_rng(cfg.seed)
     params = theta0.copy()
 
-    # Adam state (unused for sgd)
-    m = np.zeros_like(params)
-    v = np.zeros_like(params)
+    # Adam state and two work buffers (unused for sgd); each step updates
+    # them in place with the textbook expression's operations, in its order
+    m, v, mh, vh = (np.zeros_like(params) for _ in range(4))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -108,14 +117,25 @@ def _fit(
             idx = perm[start : start + cfg.batch_size]
             g = net.loss_gradient(params, X[idx], y[idx])
             if cfg.optimizer == "sgd":
-                params -= cfg.step_size * g
+                g *= cfg.step_size
+                params -= g
             else:
+                # params -= step_size * mh / (sqrt(vh) + eps), with
+                # m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g,
+                # mh = m / (1 - beta1^step) and vh = v / (1 - beta2^step)
                 step += 1
-                m = beta1 * m + (1 - beta1) * g
-                v = beta2 * v + (1 - beta2) * g * g
-                mh = m / (1 - beta1**step)
-                vh = v / (1 - beta2**step)
-                params -= cfg.step_size * mh / (np.sqrt(vh) + eps)
+                m *= beta1
+                m += np.multiply(1 - beta1, g, out=mh)
+                v *= beta2
+                np.multiply(1 - beta2, g, out=vh)
+                v += np.multiply(vh, g, out=vh)
+                np.divide(m, 1 - beta1**step, out=mh)
+                np.divide(v, 1 - beta2**step, out=vh)
+                np.sqrt(vh, out=vh)
+                vh += eps
+                mh *= cfg.step_size
+                mh /= vh
+                params -= mh
         forward_passes += n
 
         val_loss = float(net.losses(params, X_val, y_val).mean())
@@ -164,6 +184,97 @@ def fine_tune_subset(
     if bad:
         raise ValueError(f"unknown task ids in subset: {sorted(bad)}")
     return _fit(net, theta0, corpus.mixture("train", subset), corpus.mixture("val", subset), cfg)
+
+
+def fine_tune_each(
+    net: Network,
+    theta0: ParamVector,
+    subsets: Sequence[frozenset[int]],
+    corpus: Corpus,
+    cfg: TrainConfig,
+    derive: Callable[[FitResult], T],
+) -> list[T]:
+    """[derive(fine_tune_subset(net, theta0, S, corpus, cfg)) for S in
+    subsets], with no fit kept past its derive call.
+
+    The fine-tunes are independent, so they run side by side: the calling
+    thread and one helper thread per further CPU the process may run on each
+    take the next subset until none is left. For the call's duration
+    OpenBLAS runs one thread, so every fit computes what it computes on one
+    CPU. Where numpy's OpenBLAS thread setter is not found, the fits run one
+    after another. A failing fit raises as a serial loop would: the first
+    subset in order that failed raises its exception, once every running fit
+    has ended.
+    """
+    out: list = [None] * len(subsets)
+    errors: dict[int, Exception] = {}
+    pending = iter(range(len(subsets)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        while not stop.is_set():
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                out[i] = derive(fine_tune_subset(net, theta0, subsets[i], corpus, cfg))
+            except Exception as e:  # raised in the calling thread below
+                errors[i] = e
+                stop.set()
+
+    with _one_blas_thread() as pinned:
+        helpers = min(len(os.sched_getaffinity(0)), len(subsets)) - 1 if pinned else 0
+        threads = [threading.Thread(target=work) for _ in range(helpers)]
+        for t in threads:
+            t.start()
+        try:
+            work()
+        finally:
+            stop.set()
+            for t in threads:
+                t.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    found the way perfbench's host facts find the getter; None where they
+    are not (another BLAS, or no /proc/self/maps to look in)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = {line.split()[-1] for line in maps if "openblas" in line and line.rstrip().endswith(".so")}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        dll = ctypes.CDLL(lib)
+        get = getattr(dll, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(dll, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread inside the block, then restore its count.
+    Yields whether it could."""
+    found = _openblas_threads()
+    if found is None:
+        yield False
+        return
+    get, put = found
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
 
 
 # ---------------------------------------------------------------------------

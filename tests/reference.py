@@ -4,6 +4,9 @@ No stage runs them: each computes a quantity the slow, obvious way, so a test
 can compare a fast path with it.
 """
 
+import copy
+import types
+
 import numpy as np
 
 
@@ -68,3 +71,57 @@ def subset_objective(cache, subset, x, ridge_lambda: float):
     value = float(np.mean(np.logaddexp(0.0, z)) + 0.5 * ridge_lambda * (x @ x))
     grad = -(G.T @ (1.0 / (1.0 + np.exp(-z)))) / len(b) + ridge_lambda * x
     return value, grad
+
+
+def allocating_network(net):
+    """A copy of net whose forward and backward kernels allocate a new array
+    for each bias add, activation and activation derivative, as the
+    textbook expressions do; Network's in-place kernels must match it bit
+    for bit."""
+    ref = copy.copy(net)
+    ref._forward = types.MethodType(_allocating_forward, ref)
+    ref._layer_deltas = types.MethodType(_allocating_layer_deltas, ref)
+    return ref
+
+
+def _allocating_forward(net, params, X):
+    layers = net.unpack(params)
+    acts = [net._check_features(X)]
+    for i, (W, b) in enumerate(layers):
+        z = acts[-1] @ W.T + b
+        if i < len(layers) - 1:
+            acts.append(np.tanh(z) if net.config.activation == "tanh" else np.maximum(z, 0.0))
+    return layers, acts, z
+
+
+def _allocating_layer_deltas(net, layers, acts, delta):
+    for i in range(len(layers) - 1, -1, -1):
+        yield i, delta
+        if i > 0:
+            a = acts[i]
+            derivative = 1.0 - a * a if net.config.activation == "tanh" else a > 0.0
+            delta = (delta @ layers[i][0]) * derivative
+
+
+def adam_fit(net, theta0, X, y, step_size, batch_size, epochs, seed):
+    """Adam from theta0 for a fixed number of epochs in the textbook form,
+    drawing batches as trainer._fit does: a permutation of the rows per
+    epoch from default_rng(seed), cut into batches in order."""
+    rng = np.random.default_rng(seed)
+    params = theta0.copy()
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    for _ in range(epochs):
+        perm = rng.permutation(len(X))
+        for start in range(0, len(X), batch_size):
+            idx = perm[start : start + batch_size]
+            g = net.loss_gradient(params, X[idx], y[idx])
+            step += 1
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g * g
+            mh = m / (1 - beta1**step)
+            vh = v / (1 - beta2**step)
+            params = params - step_size * mh / (np.sqrt(vh) + eps)
+    return params

@@ -780,18 +780,35 @@ def test_bad_config_value_fails_in_one_line(tiny_run, tmp_path, capsys, argv, me
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
-def test_diverging_training_prints_one_line(tiny_run, tmp_path):
-    # in its own process, so numpy's warnings reach stderr as they do from
-    # the command line (pytest would capture them)
-    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+def _run_in_own_process(run_dir, argv):
+    """Run one CLI stage in its own process, so numpy's warnings reach stderr
+    as they do from the command line (pytest would capture them)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "gradsel", "--out", str(run_dir), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_diverging_training_prints_one_line(tiny_run, tmp_path):
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
     # the CI's diverging run: overflow in training before the loss is inf at epoch 22
     argv = ["meta-train", *TINY, "--model.activation", "relu", "--train.step_size", "1e4",
             "--train.early_stop_patience", "30"]
-    proc = subprocess.run([sys.executable, "-m", "gradsel", "--out", str(tmp_path), *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_in_own_process(tmp_path, argv)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("gradsel meta-train: non-finite loss inf at epoch ")
+
+
+def test_diverging_oracle_fine_tune_prints_one_line(tiny_run, tmp_path):
+    # the relerr fine-tunes run side by side on a host with several CPUs; a
+    # diverging one still ends the stage in one line
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    argv = ["bench", "--exp", "relerr", "--bench.relerr_subsets", "4", *TINY,
+            "--finetune.step_size", "1e307", "--finetune.early_stop_patience", "30"]
+    proc = _run_in_own_process(tmp_path, argv)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("gradsel bench: non-finite loss inf at epoch ")

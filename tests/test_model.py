@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gradsel.model import DimensionMismatchError, ModelConfig, Network
 from gradsel.project import gaussian_projection
-from reference import finite_difference_margin_gradient, margin, margin_gradients
+from reference import allocating_network, finite_difference_margin_gradient, margin, margin_gradients
 
 
 def _grad(net, params, x, label):
@@ -322,3 +322,29 @@ def test_margin_gradient_product_checks_matrix_shape():
     for bad in (np.zeros(net.param_count), np.zeros((net.param_count + 1, 2))):
         with pytest.raises(DimensionMismatchError):
             net.margin_gradient_product(bad)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("head", HEADS)
+def test_in_place_kernels_match_allocating_reference(head, activation):
+    # the forward and backward kernels write bias adds, activations and
+    # derivatives in place: every output is bit for bit the allocating one's,
+    # and the caller's features are left as they were
+    num_classes, positions = head
+    net = Network(ModelConfig(input_dim=6, hidden_dims=(9, 5), activation=activation,
+                              num_classes=num_classes, num_positions=positions, seed=2))
+    ref = allocating_network(net)
+    rng = np.random.default_rng(3)
+    params = net.init_params() + 0.3 * rng.standard_normal(net.param_count)
+    X = rng.standard_normal((11, 6))
+    labels = rng.integers(num_classes, size=(11, positions) if positions > 1 else (11,))
+    X_before = X.copy()
+    M = gaussian_projection(net.param_count, 7, 4)
+    for name, call in [
+        ("losses", lambda n: n.losses(params, X, labels)),
+        ("margins", lambda n: n.margins(params, X, labels)),
+        ("loss_gradient", lambda n: n.loss_gradient(params, X, labels)),
+        ("margin_gradient_product", lambda n: n.margin_gradient_product(M)(params, X, labels)),
+    ]:
+        assert call(net).tobytes() == call(ref).tobytes(), name
+    assert np.array_equal(X, X_before)

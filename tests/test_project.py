@@ -55,6 +55,15 @@ def test_streaming_matches_dense_across_block_boundary():
         assert np.array_equal(P[i * B : (i + 1) * B], _philox_block(5, i, rows, d))
 
 
+@pytest.mark.parametrize("p, d", [(3841, 100), (38706, 100), (10, 3), (20000, 7)])
+def test_in_place_fill_is_byte_identical_to_block_expression(p, d):
+    # P is filled block by block in place; its bytes are those of the
+    # blocks drawn whole and scaled into new arrays
+    B = project._BLOCK_ROWS
+    blocks = [_philox_block(9, i, min(B, p - lo), d) for i, lo in enumerate(range(0, p, B))]
+    assert gaussian_projection(p, d, 9).tobytes() == np.concatenate(blocks).tobytes()
+
+
 def test_stored_matches_streamed():
     # projecting and lifting with P gives what applying its block stream one
     # block at a time gives

@@ -1,13 +1,19 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from gradsel import trainer
 from gradsel.model import ModelConfig, Network
 from gradsel.taskgen import Corpus, TaskDataset
 from gradsel.trainer import (
     TrainConfig,
+    _fit,
     eval_loss,
+    fine_tune_each,
     fine_tune_subset,
     load_checkpoint,
     meta_train,
@@ -18,6 +24,7 @@ from gradsel.trainer import (
 from gradsel.select import oracle_evaluator
 
 from conftest import FINETUNE_CFG
+from reference import adam_fit
 
 
 def _separable_task(n=40, dim=4, seed=0, task_id=1):
@@ -215,3 +222,117 @@ def test_train_config_validation():
         TrainConfig(early_stop_patience=-1)
     with pytest.raises(ValueError):
         TrainConfig(optimizer="rmsprop")
+
+
+def test_in_place_adam_matches_textbook_update():
+    # _fit's Adam updates its state in place; the parameters are bit for
+    # bit those of the textbook expressions
+    corpus = _tiny_corpus()
+    net = Network(ModelConfig(input_dim=4, hidden_dims=(6,), num_classes=2, seed=1))
+    cfg = TrainConfig(step_size=0.05, batch_size=8, max_epochs=4, early_stop_patience=None, seed=2)
+    (X, y), val = corpus.mixture("train"), corpus.mixture("val")
+    fit = _fit(net, net.init_params(), (X, y), val, cfg)
+    ref = adam_fit(net, net.init_params(), X, y, cfg.step_size, cfg.batch_size, cfg.max_epochs, cfg.seed)
+    assert fit.params.tobytes() == ref.tobytes()
+
+
+def _cpus(monkeypatch, n):
+    """Make the process see n CPUs it may run on, so fine_tune_each starts
+    n - 1 helpers where OpenBLAS's thread setter is found."""
+    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _fit_bytes(fit):
+    return fit.params.tobytes(), fit.val_loss_curve, fit.forward_passes, fit.best_epoch
+
+
+def test_fine_tune_each_is_the_same_with_helpers_and_without(gauss_net, theta_star, gauss_corpus, monkeypatch):
+    subsets = [frozenset({1, 2, 3}), frozenset({4}), frozenset(range(5, 15)), frozenset({17, 20})]
+    _cpus(monkeypatch, 1)
+    alone = fine_tune_each(gauss_net, theta_star, subsets, gauss_corpus, FINETUNE_CFG, _fit_bytes)
+    _cpus(monkeypatch, 4)
+    shared = fine_tune_each(gauss_net, theta_star, subsets, gauss_corpus, FINETUNE_CFG, _fit_bytes)
+    assert shared == alone
+    assert [r[2] for r in alone] == [
+        fine_tune_subset(gauss_net, theta_star, s, gauss_corpus, FINETUNE_CFG).forward_passes for s in subsets
+    ]
+
+
+def test_fine_tune_each_stress_more_workers_than_cores(monkeypatch):
+    # 7 helpers and the caller on 2 subsets each, switching threads as often
+    # as the interpreter allows: every subset is fit once, into its own slot
+    corpus = _tiny_corpus()
+    net = Network(ModelConfig(input_dim=4, hidden_dims=(6,), num_classes=2, seed=1))
+    cfg = TrainConfig(step_size=0.1, batch_size=8, max_epochs=3, early_stop_patience=None, seed=2)
+    subsets = [frozenset(s) for s in ({1}, {2}, {1, 2}, set())] * 4
+    calls = []
+
+    def derive(fit):
+        calls.append(1)
+        return fit.params.tobytes()
+
+    _cpus(monkeypatch, 1)
+    serial = fine_tune_each(net, net.init_params(), subsets, corpus, cfg, derive)
+    _cpus(monkeypatch, 8)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(
+            target=lambda: got.append(fine_tune_each(net, net.init_params(), subsets, corpus, cfg, derive))
+        )
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert got == [serial]
+    assert len(calls) == 2 * len(subsets)
+
+
+def test_fine_tune_each_raises_the_first_failing_subset(monkeypatch):
+    # subset {7} fails late and {9} at once; with helpers or without, the
+    # error raised is the one a serial loop meets first
+    corpus = _tiny_corpus()
+    net = Network(ModelConfig(input_dim=4, hidden_dims=(6,), num_classes=2, seed=1))
+    cfg = TrainConfig(step_size=0.1, batch_size=8, max_epochs=3, seed=2)
+    subsets = [frozenset({1}), frozenset({7}), frozenset({2}), frozenset({9})]
+
+    def fine_tune(net, theta0, subset, corpus, cfg):
+        if subset == {7}:
+            time.sleep(0.2)
+        return fine_tune_subset(net, theta0, subset, corpus, cfg)
+
+    monkeypatch.setattr(trainer, "fine_tune_subset", fine_tune)
+    for cpus in (1, 4):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError, match=r"unknown task ids in subset: \[7\]"):
+            fine_tune_each(net, net.init_params(), subsets, corpus, cfg, lambda fit: fit.best_epoch)
+
+
+def test_fine_tune_each_pins_one_blas_thread_and_restores_the_count(monkeypatch):
+    found = trainer._openblas_threads()
+    if found is None:
+        pytest.skip("numpy's OpenBLAS thread-count functions are not loaded")
+    get, put = found
+    corpus = _tiny_corpus()
+    net = Network(ModelConfig(input_dim=4, hidden_dims=(6,), activation="relu",
+                              num_classes=2, init_scale=5.0, seed=1))
+    fine = TrainConfig(step_size=0.1, batch_size=8, max_epochs=3, seed=2, optimizer="sgd")
+    diverging = TrainConfig(step_size=1e18, batch_size=8, max_epochs=10, early_stop_patience=10, seed=2,
+                            optimizer="sgd")
+    subsets = [frozenset({1}), frozenset({2}), frozenset({1, 2})]
+    _cpus(monkeypatch, 2)
+    original = get()
+    put(2)
+    try:
+        before = get()
+        inside = fine_tune_each(net, net.init_params(), subsets, corpus, fine, lambda fit: get())
+        assert inside == [1, 1, 1]
+        assert get() == before
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=r"^non-finite loss .* at epoch \d+$"):
+                fine_tune_each(net, net.init_params(), subsets, corpus, diverging, lambda fit: get())
+        assert get() == before
+    finally:
+        put(original)
