@@ -137,10 +137,9 @@ def exp_relerr(
     routes."""
     if m < 1:
         raise ValueError("need at least one subset")
-    rng = np.random.default_rng(seed)
     n = corpus.n_tasks
     size = max(1, round(n / 2))
-    subsets = [frozenset(int(t) + 1 for t in rng.choice(n, size=size, replace=False)) for _ in range(m)]
+    subsets = sel.random_subsets(n, size, m, seed)
     oracle = fine_tune_each(
         net,
         theta_star,

@@ -154,13 +154,15 @@ def random_ensemble(
         raise ValueError("alpha_frac must be in (0, 1]")
     if m < 1:
         raise ValueError("m must be >= 1")
-    size = max(1, int(round(alpha_frac * n)))
+    subsets = random_subsets(n, max(1, int(round(alpha_frac * n))), m, seed)
+    return [(subset, evaluator(subset)) for subset in subsets]
+
+
+def random_subsets(n: int, size: int, m: int, seed: int) -> list[frozenset[int]]:
+    """m subsets of size distinct task ids in 1..n, drawn in order from one
+    generator seeded with seed."""
     rng = np.random.default_rng(seed)
-    scores = []
-    for _ in range(m):
-        subset = frozenset(int(t) + 1 for t in rng.choice(n, size=size, replace=False))
-        scores.append((subset, evaluator(subset)))
-    return scores
+    return [frozenset(int(t) + 1 for t in rng.choice(n, size=size, replace=False)) for _ in range(m)]
 
 
 def compute_T(scores: list[tuple[frozenset[int], float]], n: int) -> np.ndarray:
@@ -197,17 +199,17 @@ def threshold_select(T: np.ndarray, fraction: float) -> set[int]:
 def fraction_grid_select(T: np.ndarray, evaluator: Evaluator, grid: tuple[float, ...]) -> set[int]:
     """Threshold cross-validation: score the selected set at each grid
     fraction and keep the set that evaluates best (the first fraction's on
-    ties). Non-finite scores are skipped; raises ValueError if no grid
-    fraction scores finite."""
+    ties). Fractions that select the same set share one score. Non-finite
+    scores are skipped; raises ValueError if no grid fraction scores
+    finite."""
     best = None
-    for q in grid:
-        chosen = threshold_select(T, fraction=q)
-        value = evaluator(frozenset(chosen))
+    for chosen in dict.fromkeys(frozenset(threshold_select(T, fraction=q)) for q in grid):
+        value = evaluator(chosen)
         if math.isfinite(value) and (best is None or value < best[0]):
             best = (value, chosen)
     if best is None:
         raise ValueError("no grid fraction has a finite score")
-    return best[1]
+    return set(best[1])
 
 
 def ensemble_select(

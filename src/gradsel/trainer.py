@@ -9,11 +9,14 @@ loss after fine_tune_subset on the combined data of S plus the target's train
 split; fine_tune_each runs many such fine-tunes side by side, one per CPU.
 The meta-trained parameters are saved as a checkpoint artifact (see
 artifact.py).
+
+Importing this module (gradsel.cli does) sets numpy's OpenBLAS to one thread
+for the whole process, so a stage computes the same bytes at any
+OPENBLAS_NUM_THREADS and on any number of CPUs.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import hashlib
 import os
@@ -31,6 +34,30 @@ from .taskgen import Corpus, Split
 OPTIMIZERS = ("sgd", "adam")
 
 T = TypeVar("T")
+
+
+def _set_one_blas_thread() -> bool:
+    """Set numpy's bundled OpenBLAS to one thread, through the setter beside
+    the getter perfbench's host facts find; False where it is not found
+    (another BLAS, or no /proc/self/maps to look in)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = {line.split()[-1] for line in maps if "openblas" in line and line.rstrip().endswith(".so")}
+    except OSError:
+        return False
+    for lib in sorted(libs):
+        put = getattr(ctypes.CDLL(lib), "scipy_openblas_set_num_threads64_", None)
+        if put is not None:
+            put.argtypes, put.restype = [ctypes.c_int], None
+            put(1)
+            return True
+    return False
+
+
+# One BLAS thread for the whole process (see the module docstring): the CPUs
+# go only to independent work, fine_tune_each's helpers, which start only
+# where this worked.
+_ONE_BLAS_THREAD = _set_one_blas_thread()
 
 
 @dataclass(frozen=True)
@@ -199,12 +226,12 @@ def fine_tune_each(
 
     The fine-tunes are independent, so they run side by side: the calling
     thread and one helper thread per further CPU the process may run on each
-    take the next subset until none is left. For the call's duration
-    OpenBLAS runs one thread, so every fit computes what it computes on one
-    CPU. Where numpy's OpenBLAS thread setter is not found, the fits run one
-    after another. A failing fit raises as a serial loop would: the first
-    subset in order that failed raises its exception, once every running fit
-    has ended.
+    take the next subset until none is left. OpenBLAS runs one thread (set
+    on import), so every fit computes what it computes on one CPU. Where
+    numpy's OpenBLAS thread setter was not found, the fits run one after
+    another. A failing fit raises as a serial loop would: the first subset
+    in order that failed raises its exception, once every running fit has
+    ended.
     """
     out: list = [None] * len(subsets)
     errors: dict[int, Exception] = {}
@@ -224,57 +251,19 @@ def fine_tune_each(
                 errors[i] = e
                 stop.set()
 
-    with _one_blas_thread() as pinned:
-        helpers = min(len(os.sched_getaffinity(0)), len(subsets)) - 1 if pinned else 0
-        threads = [threading.Thread(target=work) for _ in range(helpers)]
+    helpers = min(len(os.sched_getaffinity(0)), len(subsets)) - 1 if _ONE_BLAS_THREAD else 0
+    threads = [threading.Thread(target=work) for _ in range(helpers)]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        stop.set()
         for t in threads:
-            t.start()
-        try:
-            work()
-        finally:
-            stop.set()
-            for t in threads:
-                t.join()
+            t.join()
     if errors:
         raise errors[min(errors)]
     return out
-
-
-def _openblas_threads():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
-    found the way perfbench's host facts find the getter; None where they
-    are not (another BLAS, or no /proc/self/maps to look in)."""
-    try:
-        with open("/proc/self/maps") as maps:
-            libs = {line.split()[-1] for line in maps if "openblas" in line and line.rstrip().endswith(".so")}
-    except OSError:
-        return None
-    for lib in sorted(libs):
-        dll = ctypes.CDLL(lib)
-        get = getattr(dll, "scipy_openblas_get_num_threads64_", None)
-        put = getattr(dll, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin OpenBLAS to one thread inside the block, then restore its count.
-    Yields whether it could."""
-    found = _openblas_threads()
-    if found is None:
-        yield False
-        return
-    get, put = found
-    before = get()
-    put(1)
-    try:
-        yield True
-    finally:
-        put(before)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from gradsel.select import (
     group_cache,
     oracle_evaluator,
     random_ensemble,
+    random_subsets,
     threshold_select,
 )
 from gradsel.model import ModelConfig, Network
@@ -199,7 +200,7 @@ def test_random_ensemble_deterministic_and_validated():
     ev = fake_evaluator(lambda s: 0.0)
     a = random_ensemble(ev, 6, m=10, alpha_frac=0.5, seed=3)
     b = random_ensemble(fake_evaluator(lambda s: 0.0), 6, m=10, alpha_frac=0.5, seed=3)
-    assert [s for s, _ in a] == [s for s, _ in b]
+    assert [s for s, _ in a] == [s for s, _ in b] == random_subsets(6, 3, 10, seed=3)
     with pytest.raises(ValueError):
         random_ensemble(ev, 6, m=0, alpha_frac=0.75, seed=0)
     with pytest.raises(ValueError):
@@ -449,6 +450,17 @@ def test_fraction_grid_select_picks_min(gauss_corpus):
     chosen = fraction_grid_select(T, fake_evaluator(score), GRID)
     assert chosen == {1}  # the 0.05 fraction's set; every set holds task 1
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("n, sizes", [(4, [1]), (10, [1, 2])])
+def test_fraction_grid_select_scores_each_threshold_set_once(n, sizes):
+    # at n = 4 every default fraction selects the same one task, at n = 10
+    # two sets; each is scored once, in grid order, and the first still wins
+    T = np.linspace(0.1, 2.0, n)
+    ev = fake_evaluator(lambda s: float(min(s)))
+    assert fraction_grid_select(T, ev, GRID) == {1}
+    assert ev.budget["calls"] == len(sizes)
+    assert ev.budget["task_units"] == sum(sizes)
 
 
 def test_select_ds_single_group(gauss_net, theta_star, gauss_corpus, cache):

@@ -1,7 +1,10 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,29 +313,52 @@ def test_fine_tune_each_raises_the_first_failing_subset(monkeypatch):
             fine_tune_each(net, net.init_params(), subsets, corpus, cfg, lambda fit: fit.best_epoch)
 
 
-def test_fine_tune_each_pins_one_blas_thread_and_restores_the_count(monkeypatch):
-    found = trainer._openblas_threads()
-    if found is None:
-        pytest.skip("numpy's OpenBLAS thread-count functions are not loaded")
-    get, put = found
-    corpus = _tiny_corpus()
-    net = Network(ModelConfig(input_dim=4, hidden_dims=(6,), activation="relu",
-                              num_classes=2, init_scale=5.0, seed=1))
-    fine = TrainConfig(step_size=0.1, batch_size=8, max_epochs=3, seed=2, optimizer="sgd")
-    diverging = TrainConfig(step_size=1e18, batch_size=8, max_epochs=10, early_stop_patience=10, seed=2,
-                            optimizer="sgd")
-    subsets = [frozenset({1}), frozenset({2}), frozenset({1, 2})]
-    _cpus(monkeypatch, 2)
-    original = get()
-    put(2)
-    try:
-        before = get()
-        inside = fine_tune_each(net, net.init_params(), subsets, corpus, fine, lambda fit: get())
-        assert inside == [1, 1, 1]
-        assert get() == before
-        with np.errstate(all="ignore"):
-            with pytest.raises(ValueError, match=r"^non-finite loss .* at epoch \d+$"):
-                fine_tune_each(net, net.init_params(), subsets, corpus, diverging, lambda fit: get())
-        assert get() == before
-    finally:
-        put(original)
+# Runs in its own process under OPENBLAS_NUM_THREADS=2: prints the OpenBLAS
+# thread count after `import gradsel.cli`, then the counts that derive reads
+# in a fine_tune_each call with one helper, or "skip" where numpy's OpenBLAS
+# getter is not found.
+_BLAS_PROBE = """
+import ctypes
+import numpy  # loads OpenBLAS
+
+get = None
+try:
+    with open("/proc/self/maps") as maps:
+        libs = {line.split()[-1] for line in maps if "openblas" in line and line.rstrip().endswith(".so")}
+except OSError:
+    libs = set()
+for lib in sorted(libs):
+    get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
+    if get is not None:
+        get.argtypes, get.restype = [], ctypes.c_int
+        break
+if get is None:
+    print("skip")
+    raise SystemExit
+
+import gradsel.cli
+from gradsel import trainer
+from gradsel.model import ModelConfig, Network
+from gradsel.taskgen import gen_multitask_gaussian
+
+print(get())
+corpus = gen_multitask_gaussian(3, 12, 4, 0.5, 135.0, 0.3, 0)
+net = Network(ModelConfig(input_dim=4, hidden_dims=(6,), num_classes=2, seed=1))
+cfg = trainer.TrainConfig(step_size=0.1, batch_size=8, max_epochs=3, seed=2, optimizer="sgd")
+trainer.os.sched_getaffinity = lambda pid: {0, 1}
+subsets = [frozenset({1}), frozenset({2}), frozenset({3}), frozenset({1, 2})]
+print(trainer.fine_tune_each(net, net.init_params(), subsets, corpus, cfg, lambda fit: get()))
+"""
+
+
+def test_importing_gradsel_runs_openblas_on_one_thread():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    if lines == ["skip"]:
+        pytest.skip("numpy's OpenBLAS thread-count getter is not loaded")
+    assert lines == ["1", "[1, 1, 1, 1]"]
