@@ -41,6 +41,31 @@ def relative_error(f_true: list[float], f_hat: list[float]) -> float:
     return float(np.mean((f_true - f_hat) ** 2 / f_true**2))
 
 
+def error_figures(f_true: list[float], f_hat: list[float]) -> dict[str, float]:
+    """The estimator's error over subsets, by name: relative_error (above);
+    mean_abs_relative_error, mean |f - f_hat| / |f|; mean_signed_relative_error,
+    mean (f - f_hat) / f, positive where the estimates sit below the true
+    losses; spearman_rho, the rank correlation of f and f_hat, tied values
+    taking their average rank (NaN where either list is constant)."""
+    err = relative_error(f_true, f_hat)
+    f_true = np.asarray(f_true, dtype=np.float64)
+    rel = (f_true - np.asarray(f_hat, dtype=np.float64)) / f_true
+    rx, ry = (r - r.mean() for r in (_average_ranks(f_true), _average_ranks(f_hat)))
+    scale = np.sqrt((rx @ rx) * (ry @ ry))
+    return {
+        "relative_error": err,
+        "mean_abs_relative_error": float(np.mean(np.abs(rel))),
+        "mean_signed_relative_error": float(np.mean(rel)),
+        "spearman_rho": float(rx @ ry / scale) if scale > 0 else float("nan"),
+    }
+
+
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of values, each group of equal values at its average rank."""
+    _, group, counts = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
+
+
 def predicted_forward_passes(method: str, n: int, depth: int | None = None) -> int:
     """Closed-form forward-pass counts of the selection routes bench reports.
 
@@ -169,7 +194,8 @@ def exp_relerr(
                 "rel_distance": distance,
             }
         )
-    err = relative_error(f_true, f_hat)
+    errors = error_figures(f_true, f_hat)
+    err = errors["relative_error"]
     # plot-ready cost/error frontier: the oracle route's error is zero by
     # definition, the estimator pays only the flat cached-gradient cost
     frontier = [
@@ -189,7 +215,7 @@ def exp_relerr(
     return ExperimentReport(
         name="relerr",
         scalars={
-            "relative_error": err,
+            **errors,
             "m": m,
             "oracle_forward_passes": oracle_passes,
             "solves": m,

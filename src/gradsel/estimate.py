@@ -40,6 +40,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +90,17 @@ class EstimateResult:
 
 
 def _value_grad(b, G, x, lam):
-    z = b - G @ x
-    value = float(np.mean(np.logaddexp(0.0, z)) + 0.5 * lam * (x @ x))
-    grad = -(G.T @ _sigmoid(z)) / len(b) + lam * x
+    """(objective value, gradient, margins z = b - G x) at x. The arithmetic
+    of mean(logaddexp(0, z)) + lam / 2 x.x and -(G^T sigmoid(z)) / n + lam x,
+    in their order, with z and the gradient formed in place."""
+    n = len(b)
+    z = G @ x
+    np.subtract(b, z, out=z)
+    value = float(np.logaddexp(0.0, z).sum() / n + 0.5 * lam * (x @ x))
+    grad = G.T @ _sigmoid(z)
+    np.negative(grad, out=grad)
+    grad /= n
+    grad += lam * x
     return value, grad, z
 
 
@@ -124,7 +133,7 @@ def _newton(b, G, lam, cfg, x0, H_inv=None):
     is by damped Newton. Returns (x, steps of both kinds, stop)."""
     x = x0.copy()
     value, grad, z = _value_grad(b, G, x, lam)
-    grad_norm = np.linalg.norm(grad)
+    grad_norm = math.sqrt(grad @ grad)
     for it in range(1, cfg.max_iters + 1):
         if grad_norm <= cfg.grad_tol:
             return x, it - 1, Stop.CONVERGED
@@ -134,7 +143,7 @@ def _newton(b, G, lam, cfg, x0, H_inv=None):
             if slope < 0:  # False for a NaN slope too
                 cand = x + direction
                 cand_value, cand_grad, cand_z = _value_grad(b, G, cand, lam)
-                cand_norm = np.linalg.norm(cand_grad)
+                cand_norm = math.sqrt(cand_grad @ cand_grad)
                 if cand_norm <= 0.5 * grad_norm and _accepts(value, slope, 1.0, cand_value, cand_grad @ direction):
                     x, value, grad, z, grad_norm = cand, cand_value, cand_grad, cand_z, cand_norm
                     continue
@@ -159,7 +168,7 @@ def _newton(b, G, lam, cfg, x0, H_inv=None):
             # uphill candidate
             return x, it, Stop.LINESEARCH
         x, value, grad, z = cand, cand_value, cand_grad, cand_z
-        grad_norm = np.linalg.norm(grad)
+        grad_norm = math.sqrt(grad @ grad)
     return x, cfg.max_iters, Stop.CONVERGED if grad_norm <= cfg.grad_tol else Stop.MAX_ITERS
 
 

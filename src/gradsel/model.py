@@ -133,16 +133,16 @@ class Network:
             )
         return X
 
-    def _forward(self, params, X):
+    def _forward(self, params, X, work: Workspace | None = None):
         """Return (per-layer (W, b) views of params, activations per layer
         including input, output logits). The backward pass reuses the views.
         Each layer's bias and activation are applied in place in the one
-        array its matmul makes."""
+        array its matmul makes, or writes into the workspace when given one."""
         layers = self.unpack(params)
         acts = [self._check_features(X)]
         a = acts[0]
         for i, (W, b) in enumerate(layers):
-            z = a @ W.T
+            z = a @ W.T if work is None else np.matmul(a, W.T, out=work.outs[i][: len(a)])
             z += b
             if i < len(layers) - 1:
                 if self.config.activation == "tanh":
@@ -204,16 +204,27 @@ class Network:
 
     # ---- gradients ----
 
-    def _layer_deltas(self, layers, acts, delta):
+    def _layer_deltas(self, layers, acts, delta, work: Workspace | None = None):
         """Yield (layer index, output deltas (N, out)) from the last layer to
         the first, backpropagating the output-layer deltas through the
-        (W, b) views _forward built. Once the caller has used acts[i] for
-        layer i, its storage holds the activation's derivative, so hidden
-        activations are overwritten; the input acts[0] is never written."""
+        (W, b) views _forward built, into the workspace when given one. Once
+        the caller has used acts[i] for layer i, its storage holds the
+        activation's derivative, so hidden activations are overwritten; the
+        input acts[0] is never written."""
         for i in range(len(layers) - 1, -1, -1):
             yield i, delta
             if i > 0:
-                delta = delta @ layers[i][0]
+                W = layers[i][0]
+                out = None if work is None else work.backs[i - 1][: len(delta)]
+                if len(W) == 1:
+                    # through one unit, delta @ W is one product per element,
+                    # which gemm (slow at K = 1) adds to a zeroed sum; the
+                    # broadcast product plus 0.0, which turns a -0 product
+                    # into that sum's +0, has its bits
+                    delta = np.multiply(delta, W, out=out)
+                    delta += 0.0
+                else:
+                    delta = np.matmul(delta, W, out=out)
                 a = acts[i]
                 if self.config.activation == "tanh":
                     np.multiply(a, a, out=a)
@@ -222,11 +233,12 @@ class Network:
                     np.greater(a, 0.0, out=a)
                 delta *= a
 
-    def _backward(self, layers, acts, delta):
-        """Backpropagate output-layer deltas (N, out) to a flat mean gradient."""
-        grad = np.empty(self.param_count)
+    def _backward(self, layers, acts, delta, work: Workspace | None = None):
+        """Backpropagate output-layer deltas (N, out) to a flat mean gradient,
+        written into the workspace when given one."""
+        grad = np.empty(self.param_count) if work is None else work.grad
         n = delta.shape[0]
-        for i, d in self._layer_deltas(layers, acts, delta):
+        for i, d in self._layer_deltas(layers, acts, delta, work):
             w0, w1, b1 = self._offsets[i]
             np.matmul(d.T, acts[i], out=grad[w0:w1].reshape(self._shapes[i]))
             np.sum(d, axis=0, out=grad[w1:b1])
@@ -290,9 +302,13 @@ class Network:
 
         return product
 
-    def loss_gradient(self, params: ParamVector, X: np.ndarray, labels: np.ndarray) -> ParamVector:
-        """Mean log-loss gradient over a batch."""
-        layers, acts, Z = self._forward(params, X)
+    def loss_gradient(
+        self, params: ParamVector, X: np.ndarray, labels: np.ndarray, work: Workspace | None = None
+    ) -> ParamVector:
+        """Mean log-loss gradient over a batch. Given a workspace (of at
+        least len(X) rows), the layers' outputs and deltas and the returned
+        gradient live in it, and the next call with it overwrites them."""
+        layers, acts, Z = self._forward(params, X, work)
         cfg = self.config
         if cfg.is_binary:
             y = _label_signs(labels)
@@ -302,7 +318,21 @@ class Network:
             delta = _softmax(Zp)
             delta[np.arange(len(Z))[:, None], np.arange(cfg.num_positions), y] -= 1.0
             delta = delta.reshape(len(Z), -1) / cfg.num_positions
-        return self._backward(layers, acts, delta)
+        return self._backward(layers, acts, delta, work)
+
+
+class Workspace:
+    """The arrays Network.loss_gradient writes on batches of at most rows
+    samples, made once so that a training loop allocates none of them per
+    step: each layer's matmul output (rows, out), each delta backpropagated
+    into a hidden layer (rows, out of that layer), and the flat gradient.
+    One caller uses a workspace at a time."""
+
+    def __init__(self, net: Network, rows: int):
+        widths = [dout for dout, _ in net._shapes]
+        self.outs = [np.empty((rows, w)) for w in widths]
+        self.backs = [np.empty((rows, w)) for w in widths[:-1]]
+        self.grad = np.empty(net.param_count)
 
 
 def _label_signs(labels) -> np.ndarray:
@@ -311,10 +341,14 @@ def _label_signs(labels) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) where z >= 0, else exp(z) / (1 + exp(z)), with no
+    mask gather: every element takes the one exp, add and divide its branch
+    takes, so the result is that two-branch form's bit for bit. min(z, -z)
+    is -|z| but returns a NaN z itself (np.minimum returns the first of two
+    NaNs), which the else branch exponentiates with its sign bit kept."""
+    e = np.minimum(z, -z)
+    np.exp(e, out=e)
+    num = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(num, e, out=num)
 

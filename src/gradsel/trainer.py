@@ -28,7 +28,7 @@ from typing import TypeVar
 import numpy as np
 
 from . import artifact
-from .model import Network, ParamVector
+from .model import Network, ParamVector, Workspace
 from .taskgen import Corpus, Split
 
 OPTIMIZERS = ("sgd", "adam")
@@ -126,8 +126,11 @@ def _fit(
     rng = np.random.default_rng(cfg.seed)
     params = theta0.copy()
 
-    # Adam state and two work buffers (unused for sgd); each step updates
-    # them in place with the textbook expression's operations, in its order
+    # the batch gradient's arrays, made once per fit (so threads running
+    # fits side by side share none), then Adam state and two work buffers
+    # (unused for sgd); each step updates them in place with the textbook
+    # expression's operations, in its order
+    work = Workspace(net, min(cfg.batch_size, n))
     m, v, mh, vh = (np.zeros_like(params) for _ in range(4))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
@@ -142,7 +145,7 @@ def _fit(
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            g = net.loss_gradient(params, X[idx], y[idx])
+            g = net.loss_gradient(params, X[idx], y[idx], work)
             if cfg.optimizer == "sgd":
                 g *= cfg.step_size
                 params -= g
@@ -156,11 +159,12 @@ def _fit(
                 v *= beta2
                 np.multiply(1 - beta2, g, out=vh)
                 v += np.multiply(vh, g, out=vh)
-                np.divide(m, 1 - beta1**step, out=mh)
-                np.divide(v, 1 - beta2**step, out=vh)
-                np.sqrt(vh, out=vh)
+                # x / 1.0 is x, so a correction that has rounded to 1.0 (for
+                # beta1 from step 356 on) is skipped, not divided by
+                c1, c2 = 1 - beta1**step, 1 - beta2**step
+                np.multiply(m if c1 == 1.0 else np.divide(m, c1, out=mh), cfg.step_size, out=mh)
+                np.sqrt(v if c2 == 1.0 else np.divide(v, c2, out=vh), out=vh)
                 vh += eps
-                mh *= cfg.step_size
                 mh /= vh
                 params -= mh
         forward_passes += n

@@ -65,12 +65,29 @@ def subset_objective(cache, subset, x, ridge_lambda: float):
     idx = cache.rows_for(subset)
     if idx.size == 0:
         raise ValueError(f"no cached samples for subset {sorted(subset)}")
-    x = np.asarray(x, dtype=np.float64)
-    b, G = cache.b[idx], cache.g_proj[idx]
-    z = b - G @ x
-    value = float(np.mean(np.logaddexp(0.0, z)) + 0.5 * ridge_lambda * (x @ x))
-    grad = -(G.T @ (1.0 / (1.0 + np.exp(-z)))) / len(b) + ridge_lambda * x
+    value, grad, _ = value_grad(cache.b[idx], cache.g_proj[idx], np.asarray(x, dtype=np.float64), ridge_lambda)
     return value, grad
+
+
+def masked_sigmoid(z) -> np.ndarray:
+    """The logistic function in its two-branch form, each branch on the
+    elements a boolean mask gathers: 1 / (1 + exp(-z)) where z >= 0, else
+    exp(z) / (1 + exp(z)), neither of which overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def value_grad(b, G, x, lam):
+    """The solver objective's (value, gradient, margins) over rows (b, G) at
+    x, each an allocating expression (estimate._value_grad's arithmetic)."""
+    z = b - G @ x
+    value = float(np.mean(np.logaddexp(0.0, z)) + 0.5 * lam * (x @ x))
+    grad = -(G.T @ masked_sigmoid(z)) / len(b) + lam * x
+    return value, grad, z
 
 
 def allocating_network(net):
@@ -84,7 +101,7 @@ def allocating_network(net):
     return ref
 
 
-def _allocating_forward(net, params, X):
+def _allocating_forward(net, params, X, work=None):
     layers = net.unpack(params)
     acts = [net._check_features(X)]
     for i, (W, b) in enumerate(layers):
@@ -94,7 +111,7 @@ def _allocating_forward(net, params, X):
     return layers, acts, z
 
 
-def _allocating_layer_deltas(net, layers, acts, delta):
+def _allocating_layer_deltas(net, layers, acts, delta, work=None):
     for i in range(len(layers) - 1, -1, -1):
         yield i, delta
         if i > 0:

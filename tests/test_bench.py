@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from gradsel.bench import (
     baseline_feature_similarity,
     baseline_gradient_cosine,
+    error_figures,
     exp_structure,
     predicted_forward_passes,
     relative_error,
@@ -44,6 +47,28 @@ def test_relative_error_validation():
         relative_error([1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         relative_error([], [])
+
+
+def test_error_figures_hand_example():
+    # relative errors (f - f_hat) / f = 0.1, -0.04, 0.1, 0.28; f ranks 1-4,
+    # f_hat ranks 1, 2, 3.5, 3.5 (a tie), so rho = 4.5 / sqrt(5 * 4.5)
+    f_true, f_hat = [0.2, 0.25, 0.4, 0.5], [0.18, 0.26, 0.36, 0.36]
+    want = {
+        "relative_error": (0.01 + 0.0016 + 0.01 + 0.0784) / 4,
+        "mean_abs_relative_error": (0.1 + 0.04 + 0.1 + 0.28) / 4,
+        "mean_signed_relative_error": (0.1 - 0.04 + 0.1 + 0.28) / 4,
+        "spearman_rho": math.sqrt(0.9),
+    }
+    order = [2, 0, 3, 1]  # the subsets' order changes no figure
+    for f, g in [(f_true, f_hat), ([f_true[i] for i in order], [f_hat[i] for i in order])]:
+        got = error_figures(f, g)
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k] == pytest.approx(want[k], abs=1e-15), k
+    assert error_figures(f_true, f_true[::-1])["spearman_rho"] == pytest.approx(-1.0, abs=1e-15)
+    assert math.isnan(error_figures([0.3, 0.5], [0.2, 0.2])["spearman_rho"])
+    with pytest.raises(ValueError):
+        error_figures([1.0, 0.0], [1.0, 1.0])
 
 
 # ---- forward pass counts ----

@@ -416,6 +416,8 @@ def test_bench_relerr_small(tmp_path):
     rows = dict(line.split(",") for line in scalars.strip().splitlines()[1:])
     assert float(rows["m"]) == 4.0
     assert float(rows["relative_error"]) >= 0.0
+    assert float(rows["mean_abs_relative_error"]) >= abs(float(rows["mean_signed_relative_error"]))
+    assert -1.0 <= float(rows["spearman_rho"]) <= 1.0
     assert (tmp_path / "bench" / "relerr_subsets.csv").exists()
     frontier = (tmp_path / "bench" / "relerr_frontier.csv").read_text().splitlines()
     assert frontier[0].startswith("method,forward_pass_units")

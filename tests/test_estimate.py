@@ -23,7 +23,7 @@ from gradsel.taskgen import Corpus, TaskDataset
 from gradsel.trainer import eval_loss
 
 from conftest import SOLVE_CFG
-from reference import subset_objective
+from reference import subset_objective, value_grad
 
 
 def _fake_cache(b, G, task_id=None, val=None):
@@ -463,3 +463,23 @@ def test_a_useless_fixed_step_falls_back_to_newton(fault):
     x_newton, iters_newton, stop_newton = solve_subset(cache, {1, 2}, cfg, x0)
     assert stop is stop_newton is Stop.CONVERGED
     assert np.array_equal(x, x_newton) and iters == iters_newton > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 700),
+    d=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.floats(1e-8, 10.0),
+    scale=st.sampled_from([0.1, 1.0, 30.0]),
+)
+def test_value_grad_is_the_allocating_expression_bit_for_bit(n, d, seed, lam, scale):
+    # _value_grad forms z and the gradient in place and takes the mean as
+    # sum / n; every output is the allocating expression's, bit for bit
+    rng = np.random.default_rng(seed)
+    b, G, x = scale * rng.standard_normal(n), rng.standard_normal((n, d)), scale * rng.standard_normal(d)
+    value, grad, z = estimate._value_grad(b, G, x, lam)
+    want_value, want_grad, want_z = value_grad(b, G, x, lam)
+    assert value.hex() == want_value.hex()
+    assert grad.tobytes() == want_grad.tobytes()
+    assert z.tobytes() == want_z.tobytes()

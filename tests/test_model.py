@@ -5,9 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradsel.model import DimensionMismatchError, ModelConfig, Network
+from gradsel.model import DimensionMismatchError, ModelConfig, Network, Workspace, _sigmoid
 from gradsel.project import gaussian_projection
-from reference import allocating_network, finite_difference_margin_gradient, margin, margin_gradients
+from reference import (
+    allocating_network,
+    finite_difference_margin_gradient,
+    margin,
+    margin_gradients,
+    masked_sigmoid,
+)
 
 
 def _grad(net, params, x, label):
@@ -347,4 +353,54 @@ def test_in_place_kernels_match_allocating_reference(head, activation):
         ("margin_gradient_product", lambda n: n.margin_gradient_product(M)(params, X, labels)),
     ]:
         assert call(net).tobytes() == call(ref).tobytes(), name
+    # a workspace with more rows than any batch, reused across batch sizes
+    work = Workspace(net, 16)
+    for rows in (11, 4, 11):
+        got = net.loss_gradient(params, X[:rows], labels[:rows], work)
+        assert got.tobytes() == ref.loss_gradient(params, X[:rows], labels[:rows]).tobytes(), rows
     assert np.array_equal(X, X_before)
+
+
+@pytest.mark.parametrize("work_rows", [None, 8])
+def test_one_unit_layer_backprop_keeps_the_gemm_bits_at_signed_zeros(work_rows):
+    # output deltas of -0 (a binary head at a logit past 745 with label 1)
+    # backpropagated through the one-unit layer: gemm adds each -0 product
+    # to a zeroed sum, giving +0, and the broadcast product must match it
+    net = Network(ModelConfig(input_dim=3, hidden_dims=(6,), seed=4))
+    ref = allocating_network(net)
+    params = net.init_params()
+    X = np.random.default_rng(5).standard_normal((8, 3))
+    delta = np.full((8, 1), -0.0)
+    work = None if work_rows is None else Workspace(net, work_rows)
+
+    def deltas(n, work=None):
+        layers, acts, _ = n._forward(params, X, work)
+        return [d.tobytes() for _, d in n._layer_deltas(layers, acts, delta, work)]
+
+    assert deltas(net, work) == deltas(ref)
+
+
+SIGMOID_SPECIALS = [math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 800.0, -800.0,
+                    5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 36.0, -36.0, 710.0, -746.0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from([1, 80, 640, 20_000]),
+    scale=st.sampled_from([1.0, 40.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=40),
+)
+@example(n=1, scale=1.0, seed=0, specials=[math.nan])
+@example(n=1, scale=1.0, seed=0, specials=[-math.nan])
+@example(n=1, scale=1.0, seed=0, specials=[-0.0])
+@example(n=80, scale=1.0, seed=1, specials=SIGMOID_SPECIALS)
+@example(n=640, scale=40.0, seed=2, specials=SIGMOID_SPECIALS * 4)
+@example(n=20_000, scale=1e3, seed=3, specials=SIGMOID_SPECIALS * 100)
+def test_sigmoid_is_the_masked_two_branch_form_bit_for_bit(n, scale, seed, specials):
+    rng = np.random.default_rng(seed)
+    z = scale * rng.standard_normal(n)
+    z[rng.integers(n, size=len(specials))] = specials
+    z_before = z.copy()
+    assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+    assert z.tobytes() == z_before.tobytes()

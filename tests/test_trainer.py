@@ -228,15 +228,19 @@ def test_train_config_validation():
 
 
 def test_in_place_adam_matches_textbook_update():
-    # _fit's Adam updates its state in place; the parameters are bit for
-    # bit those of the textbook expressions
+    # _fit's Adam updates its state in place and skips the first moment's
+    # bias correction once it rounds to 1.0 (step 356); the parameters are
+    # bit for bit those of the textbook expressions, before and after
     corpus = _tiny_corpus()
     net = Network(ModelConfig(input_dim=4, hidden_dims=(6,), num_classes=2, seed=1))
-    cfg = TrainConfig(step_size=0.05, batch_size=8, max_epochs=4, early_stop_patience=None, seed=2)
     (X, y), val = corpus.mixture("train"), corpus.mixture("val")
-    fit = _fit(net, net.init_params(), (X, y), val, cfg)
-    ref = adam_fit(net, net.init_params(), X, y, cfg.step_size, cfg.batch_size, cfg.max_epochs, cfg.seed)
-    assert fit.params.tobytes() == ref.tobytes()
+    for batch_size, epochs in [(8, 4), (1, 7)]:
+        cfg = TrainConfig(step_size=0.05, batch_size=batch_size, max_epochs=epochs, early_stop_patience=None, seed=2)
+        fit = _fit(net, net.init_params(), (X, y), val, cfg)
+        ref = adam_fit(net, net.init_params(), X, y, cfg.step_size, cfg.batch_size, cfg.max_epochs, cfg.seed)
+        assert fit.params.tobytes() == ref.tobytes(), batch_size
+    steps = epochs * len(X)
+    assert 1 - 0.9**steps == 1.0 and 1 - 0.9**355 != 1.0 and steps > 356
 
 
 def _cpus(monkeypatch, n):
