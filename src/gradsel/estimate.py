@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifact
-from .linearize import TARGET_VAL_ID, GradientCache, task_mask
+from .linearize import TARGET_VAL_ID, GradientCache
 from .model import Network, ParamVector, _sigmoid
 from .taskgen import Split
 from .trainer import eval_loss
@@ -178,13 +178,15 @@ def solve_subset(
     cfg: SolveConfig,
     x0: np.ndarray | None = None,
     H_inv: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, Stop]:
     """Minimize the objective over the rows of the subset's tasks and the
     target's train rows, from x0 (default 0): by fixed steps -H_inv grad
     while they pay, given H_inv, then by damped Newton (_newton). Returns
     (x_hat, steps, stop); a solve that stops short of the gradient tolerance
-    is reported by its Stop, not raised."""
-    idx = cache.rows_for(subset)
+    is reported by its Stop, not raised. mask is the subset's
+    cache.task_mask, built here when not given."""
+    idx = cache.rows_for(cache.task_mask(subset) if mask is None else mask)
     if idx.size == 0:
         raise ValueError(f"no cached samples for subset {sorted(subset)}")
     start = np.zeros(cache.d) if x0 is None else np.asarray(x0, dtype=np.float64)
@@ -209,12 +211,13 @@ def _all_tasks_start(cache: GradientCache, cfg: SolveConfig) -> tuple:
     return memo
 
 
-def _subset_start(cache: GradientCache, subset, cfg: SolveConfig) -> tuple[np.ndarray | None, np.ndarray]:
-    """(x0, H_all^-1): x0 one Newton step from x_all toward the subset's
-    optimum, with the all-rows Hessian (module docstring), or None when the
-    subset has no rows, which solve_subset then reports."""
+def _subset_start(cache: GradientCache, mask: np.ndarray, cfg: SolveConfig) -> tuple[np.ndarray | None, np.ndarray]:
+    """(x0, H_all^-1) for the subset whose cache.task_mask is mask: x0 one
+    Newton step from x_all toward the subset's optimum, with the all-rows
+    Hessian (module docstring), or None when the subset has no rows, which
+    solve_subset then reports."""
     counts, sums, x_all, H_inv = _all_tasks_start(cache, cfg)
-    mine = task_mask(subset, len(counts))[:-1]
+    mine = mask[: len(counts)]
     n = counts[mine].sum()
     if n == 0:
         return None, H_inv
@@ -258,7 +261,8 @@ def estimate_subset(
     the cache's target-val rows (target_val is then unused). Every estimator
     score in the program, the selection drivers' included, comes from here,
     and every solve starts from the shared start (module docstring)."""
-    x_hat, iters, stop = solve_subset(cache, subset, cfg, *_subset_start(cache, subset, cfg))
+    mask = cache.task_mask(subset)
+    x_hat, iters, stop = solve_subset(cache, subset, cfg, *_subset_start(cache, mask, cfg), mask)
     if linearized:
         f_hat = estimate_f_linearized(cache, x_hat)
     else:

@@ -27,13 +27,18 @@ from . import artifact
 from .model import Network, ParamVector
 from .project import GENERATOR_VERSION, gaussian_projection
 from .taskgen import TARGET_TASK_ID, Corpus
-from .trainer import param_digest
+from .trainer import param_digest, side_by_side
 
 RRSS_DENOM_GUARD = 1e-8
 
 TARGET_VAL_ID = -1  # task id of the target's validation rows
 
-_CHUNK = 256
+# Rows per chunk of build_cache, at any CPU count, so a cache's bytes never
+# depend on it (a gemm's bits can depend on its row count: 64-row chunks
+# change the addition cache). With two chunks in flight, 128 rows hold the
+# intermediates one 256-row chunk held; two 256-row chunks raised the
+# addition run's peak RSS by 17%.
+_CHUNK = 128
 
 
 @dataclass
@@ -43,9 +48,10 @@ class GradientCache:
 
     Contents are immutable once built and safe for concurrent reads.
     starts memoizes, per SolveConfig, what estimate.py derives from the
-    contents to start every subset solve (see estimate_subset); it is left
-    out of __init__, ==, repr and digest(), so dataclasses.replace gives a
-    relabeled copy a memo of its own, and a memo lives as long as its cache.
+    contents to start every subset solve (see estimate_subset), and n_ids
+    is one past the largest task id; both are left out of __init__, ==,
+    repr and digest(), so dataclasses.replace gives a relabeled copy its
+    own, and a memo lives as long as its cache.
     """
 
     task_id: np.ndarray  # (n,) int64; TARGET_VAL_ID on the target's val rows
@@ -55,15 +61,28 @@ class GradientCache:
     P: np.ndarray  # (p, d), read-only
     projector_seed: int | None  # gaussian_projection's seed for P; None for any other P
     starts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    n_ids: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.n_ids = int(self.task_id.max(initial=TARGET_VAL_ID)) + 1
 
     @property
     def d(self) -> int:
         return self.P.shape[1]
 
-    def rows_for(self, subset) -> np.ndarray:
-        """Indices of the rows a subset's solve reads: those of its tasks and
-        the target's train rows, in row order."""
-        return np.flatnonzero(task_mask(subset, self.task_id.max() + 1)[self.task_id])
+    def task_mask(self, subset) -> np.ndarray:
+        """(n_ids + 1,) bools indexed by task id, True at the subset's ids and
+        the target's (TARGET_TASK_ID) below n_ids; the last entry, the one
+        TARGET_VAL_ID (-1) reads, stays False. A subset solve builds it once,
+        for its rows and its start."""
+        mask = np.zeros(self.n_ids + 1, dtype=bool)
+        mask[[t for t in {*map(int, subset), TARGET_TASK_ID} if 0 <= t < self.n_ids]] = True
+        return mask
+
+    def rows_for(self, mask: np.ndarray) -> np.ndarray:
+        """Indices of the rows a subset's solve reads, given its task_mask:
+        those of its tasks and the target's train rows, in row order."""
+        return np.flatnonzero(mask[self.task_id])
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -71,15 +90,6 @@ class GradientCache:
             h.update(np.ascontiguousarray(arr).tobytes())
         h.update(self.theta_star_digest.encode())
         return h.hexdigest()
-
-
-def task_mask(subset, n_ids: int) -> np.ndarray:
-    """(n_ids + 1,) bools indexed by task id, True at the subset's ids and
-    the target's (TARGET_TASK_ID) below n_ids; the last entry, the one
-    TARGET_VAL_ID (-1) reads, stays False."""
-    mask = np.zeros(n_ids + 1, dtype=bool)
-    mask[[t for t in {*map(int, subset), TARGET_TASK_ID} if 0 <= t < n_ids]] = True
-    return mask
 
 
 def row_task_ids(corpus: Corpus) -> np.ndarray:
@@ -91,19 +101,22 @@ def row_task_ids(corpus: Corpus) -> np.ndarray:
     return np.repeat(np.array(ids, dtype=np.int64), counts)
 
 
-def _fill_rows(net: Network, theta: ParamVector, X: np.ndarray, labels: np.ndarray, product, b, g) -> None:
-    """Write a batch's rows at theta into b (N,) and g (N, d).
-
-    product is net.margin_gradient_product(P) for the (p, d) projection P,
-    whose per-layer factors of P are built once per cache. It projects
-    _CHUNK samples at a time from each layer's (activation, delta) factors,
-    so no (N, p) gradient block is ever built; its largest intermediate is
-    _CHUNK * min(in, out) * d floats. The margins are taken per chunk too,
-    so no forward pass spans all samples."""
-    for lo in range(0, len(X), _CHUNK):
-        chunk = slice(lo, lo + _CHUNK)
-        b[chunk] = -net.margins(theta, X[chunk], labels[chunk])
-        g[chunk] = product(theta, X[chunk], labels[chunk])
+def _chunks(splits: list, b: np.ndarray, g: np.ndarray) -> list[tuple]:
+    """(pieces, b rows, g rows) of each _CHUNK-sample chunk of the samples
+    of splits, a list of (X, labels) stacked in order, whose rows b (N,)
+    and g (N, d) take. A chunk's pieces are the (X, labels) slices of the
+    splits it spans, so the stack is never copied whole."""
+    starts = np.cumsum([0] + [len(X) for X, _ in splits])
+    chunks = []
+    for lo in range(0, starts[-1], _CHUNK):
+        hi = min(lo + _CHUNK, starts[-1])
+        pieces = [
+            (X[max(lo - s, 0) : hi - s], labels[max(lo - s, 0) : hi - s])
+            for (X, labels), s in zip(splits, starts)
+            if s < hi and lo < s + len(X)
+        ]
+        chunks.append((pieces, b[lo:hi], g[lo:hi]))
+    return chunks
 
 
 def build_cache(
@@ -114,16 +127,30 @@ def build_cache(
     (p, d) matrix P; projector_seed is the seed gaussian_projection built P
     from, or None for any other P. The rows pass through the records
     cache.bin stores, so the result equals what load_cache reads back from
-    save_cache's file, and refuses a non-finite row by the same check."""
+    save_cache's file, and refuses a non-finite row by the same check.
+
+    The per-layer factors of P are built once (margin_gradient_product), and
+    rows are filled _CHUNK samples at a time, from each layer's (activation,
+    delta) factors, so no (N, p) gradient block and no forward pass over all
+    samples is ever built; the largest intermediate is _CHUNK * min(in, out)
+    * d floats per chunk. The chunks are independent, so side_by_side fills
+    them, one per CPU."""
     if P.ndim != 2 or P.shape[0] != net.param_count:
         raise ValueError(f"P has shape {P.shape} but the model has {net.param_count} parameters")
     product = net.margin_gradient_product(P)
     task_id = row_task_ids(corpus)
     b, g = np.empty(len(task_id)), np.empty((len(task_id), P.shape[1]))
-    X, labels = corpus.mixture("train")
-    n = len(X)
-    _fill_rows(net, theta_star, X, labels, product, b[:n], g[:n])
-    _fill_rows(net, theta_star, *corpus.target.val, product, b[n:], g[n:])
+    train = [t.train for t in [*corpus.tasks, corpus.target]]  # in mixture order
+    n = sum(len(X) for X, _ in train)
+    chunks = _chunks(train, b[:n], g[:n]) + _chunks([corpus.target.val], b[n:], g[n:])
+
+    def fill(i: int) -> None:
+        pieces, bc, gc = chunks[i]
+        Xc, yc = pieces[0] if len(pieces) == 1 else (np.concatenate(part) for part in zip(*pieces))
+        bc[:] = -net.margins(theta_star, Xc, yc)
+        gc[:] = product(theta_star, Xc, yc)
+
+    side_by_side(len(chunks), fill)
     return _from_records(_pack(task_id, b, g), param_digest(theta_star), P, projector_seed)
 
 

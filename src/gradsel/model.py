@@ -75,6 +75,16 @@ def _logsumexp(z: np.ndarray, axis: int = -1) -> np.ndarray:
     )
 
 
+def _exp_rows(z: np.ndarray, m: np.ndarray, s: np.ndarray) -> None:
+    """exp(z - max) over the last axis, in place in z, with the operations
+    _softmax and _logsumexp apply; m and s (z's shape less its last axis)
+    take each row's max and the sum of its exponentials."""
+    np.maximum.reduce(z, axis=-1, out=m)
+    np.subtract(z, m[..., None], out=z)
+    np.exp(z, out=z)
+    np.add.reduce(z, axis=-1, out=s)
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
     m = np.max(z, axis=-1, keepdims=True)
     e = np.exp(z - m)
@@ -137,8 +147,14 @@ class Network:
         """Return (per-layer (W, b) views of params, activations per layer
         including input, output logits). The backward pass reuses the views.
         Each layer's bias and activation are applied in place in the one
-        array its matmul makes, or writes into the workspace when given one."""
-        layers = self.unpack(params)
+        array its matmul makes, or writes into the workspace when given one,
+        which also keeps the views of the last params array it saw."""
+        if work is None:
+            layers = self.unpack(params)
+        else:
+            if work.params is not params:
+                work.params, work.layers = params, self.unpack(params)
+            layers = work.layers
         acts = [self._check_features(X)]
         a = acts[0]
         for i, (W, b) in enumerate(layers):
@@ -165,14 +181,32 @@ class Network:
 
     def _heads(self, Z: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
         """Non-binary logits as (N, L, C) blocks and labels as (N, L). A
-        multi-class head is the one-position case and takes (N,) labels."""
+        multi-class head is the one-position case and takes (N,) labels.
+        Raises ValueError for a label outside 0..C - 1."""
         cfg = self.config
         n = len(Z)
         labels = np.asarray(labels, dtype=np.int64)
         want = (n,) if cfg.num_positions == 1 else (n, cfg.num_positions)
         if labels.shape != want:
             raise ValueError(f"expected labels of shape {want}, got {labels.shape}")
+        # as unsigned, a negative label is past every class too: one reduction
+        if n and np.maximum.reduce(labels.view(np.uint64), axis=None) >= cfg.num_classes:
+            raise ValueError(f"labels must be class indices in 0..{cfg.num_classes - 1}")
         return Z.reshape(n, cfg.num_positions, cfg.num_classes), labels.reshape(n, cfg.num_positions)
+
+    def _head_arrays(self, y: np.ndarray, work: Workspace | None) -> tuple[np.ndarray, ...]:
+        """For (N, L) labels y of a multi-class head: three float (N, L)
+        arrays for the head to write (row maxima, row sums, labeled logits),
+        and the flat index, into the (N, L * C) logits, of each sample's
+        labeled class at each position; the workspace's rows when given one."""
+        n, positions = y.shape
+        if work is None:
+            classes = self.config.num_classes
+            at = np.arange(0, n * positions * classes, classes).reshape(n, positions)
+            at += y
+            return np.empty((n, positions)), np.empty((n, positions)), np.empty((n, positions)), at
+        at = np.add(work.label_base[:n], y, out=work.label_at[:n])
+        return work.row_max[:n], work.row_sum[:n], work.label_logit[:n], at
 
     def margins(self, params: ParamVector, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Batch margins of the labeled class (module docstring). labels is
@@ -188,19 +222,24 @@ class Network:
         np.put_along_axis(masked, at_label, -np.inf, axis=-1)
         return (zy - _logsumexp(masked, axis=-1)).mean(axis=1)
 
-    def losses(self, params: ParamVector, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Batch log-losses; equals cross-entropy for (multi-)class heads."""
-        Z = self.logits(params, X)
-        cfg = self.config
-        if cfg.is_binary:
+    def losses(
+        self, params: ParamVector, X: np.ndarray, labels: np.ndarray, work: Workspace | None = None
+    ) -> np.ndarray:
+        """Batch log-losses; equals cross-entropy for (multi-)class heads.
+        Given a workspace (of at least len(X) rows), the forward pass and the
+        head's arrays live in it, and the next call with it overwrites them."""
+        Z = self._forward(params, X, work)[2]
+        if self.config.is_binary:
             return np.logaddexp(0.0, -_label_signs(labels) * Z[:, 0])
         Zp, y = self._heads(Z, labels)
-        n = np.arange(len(Z))
-        ce = np.stack(
-            [_logsumexp(Zp[:, i, :], axis=1) - Zp[n, i, y[:, i]] for i in range(cfg.num_positions)],
-            axis=1,
-        )
-        return ce.mean(axis=1)
+        # every position's logsumexp(z) - z_y at once, in place in Z
+        m, s, zy, at = self._head_arrays(y, work)
+        np.take(Z, at, out=zy)
+        _exp_rows(Zp, m, s)
+        np.log(s, out=s)
+        s += m
+        s -= zy
+        return np.add.reduce(s, axis=1) / y.shape[1]
 
     # ---- gradients ----
 
@@ -241,8 +280,13 @@ class Network:
         for i, d in self._layer_deltas(layers, acts, delta, work):
             w0, w1, b1 = self._offsets[i]
             np.matmul(d.T, acts[i], out=grad[w0:w1].reshape(self._shapes[i]))
-            np.sum(d, axis=0, out=grad[w1:b1])
-        grad /= n
+            np.add.reduce(d, axis=0, out=grad[w1:b1])
+        if n & (n - 1):
+            grad /= n
+        else:
+            # x / 2^j and x * 2^-j round the same real number, so at a
+            # power-of-two batch the product has the quotient's bits
+            grad *= 1.0 / n
         return grad
 
     def _margin_deltas(self, Z: np.ndarray, labels) -> np.ndarray:
@@ -289,9 +333,11 @@ class Network:
                 factors.append((False, Mi.reshape(dout, din * k), M[w1:b1]))
 
         def product(params: ParamVector, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
-            layers, acts, Z = self._forward(params, X)
-            delta = self._margin_deltas(Z, labels)
-            n = len(Z)
+            # the logits are let go once they give the deltas, before the
+            # gemms make this call's largest arrays
+            layers, acts, delta = self._forward(params, X)
+            delta = self._margin_deltas(delta, labels)
+            n = len(delta)
             out = np.zeros((n, k))
             for i, d in self._layer_deltas(layers, acts, delta):
                 in_first, F, M_bias = factors[i]
@@ -309,30 +355,44 @@ class Network:
         least len(X) rows), the layers' outputs and deltas and the returned
         gradient live in it, and the next call with it overwrites them."""
         layers, acts, Z = self._forward(params, X, work)
-        cfg = self.config
-        if cfg.is_binary:
+        if self.config.is_binary:
             y = _label_signs(labels)
             delta = (-y * _sigmoid(-y * Z[:, 0]))[:, None]
         else:
+            # d loss / d logits = (softmax - onehot(y)) / L, in place in Z
             Zp, y = self._heads(Z, labels)
-            delta = _softmax(Zp)
-            delta[np.arange(len(Z))[:, None], np.arange(cfg.num_positions), y] -= 1.0
-            delta = delta.reshape(len(Z), -1) / cfg.num_positions
+            m, s, _, at = self._head_arrays(y, work)
+            _exp_rows(Zp, m, s)
+            np.divide(Zp, s[..., None], out=Zp)
+            Z.reshape(-1)[at] -= 1.0
+            Z /= y.shape[1]
+            delta = Z
         return self._backward(layers, acts, delta, work)
 
 
 class Workspace:
-    """The arrays Network.loss_gradient writes on batches of at most rows
-    samples, made once so that a training loop allocates none of them per
-    step: each layer's matmul output (rows, out), each delta backpropagated
-    into a hidden layer (rows, out of that layer), and the flat gradient.
-    One caller uses a workspace at a time."""
+    """The arrays Network.loss_gradient and Network.losses write on batches
+    of at most rows samples, made once so that a training loop allocates
+    none of them per step: each layer's matmul output (rows, out), each
+    delta backpropagated into a hidden layer (rows, out of that layer), the
+    flat gradient, and a multi-class head's (rows, L) row maxima, row sums,
+    labeled logits and label indices. It also keeps the (W, b) views of the
+    last parameter vector it was used with, so a loop that updates one
+    vector in place makes them once. One caller uses a workspace at a time.
+    A forward-only caller (a validation pass) never writes the deltas or the
+    gradient, so their pages are never faulted in."""
 
     def __init__(self, net: Network, rows: int):
         widths = [dout for dout, _ in net._shapes]
         self.outs = [np.empty((rows, w)) for w in widths]
         self.backs = [np.empty((rows, w)) for w in widths[:-1]]
         self.grad = np.empty(net.param_count)
+        self.params, self.layers = None, []
+        positions, classes = net.config.num_positions, net.config.num_classes
+        self.row_max, self.row_sum, self.label_logit = (np.empty((rows, positions)) for _ in range(3))
+        self.label_at = np.empty((rows, positions), dtype=np.int64)
+        # flat index of each (sample, position)'s first logit
+        self.label_base = np.arange(0, rows * positions * classes, classes).reshape(rows, positions)
 
 
 def _label_signs(labels) -> np.ndarray:

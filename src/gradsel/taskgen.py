@@ -191,30 +191,36 @@ def gen_multitask_gaussian(
 
 
 def encode_addition_features(a_digits, b_digits) -> np.ndarray:
-    """One-hot encoding of the two operands: 2 * len * 10 features."""
-    digits = len(a_digits)
-    x = np.zeros(2 * digits * DIGIT_CLASSES)
-    for i, d in enumerate(list(a_digits) + list(b_digits)):
-        x[i * DIGIT_CLASSES + int(d)] = 1.0
+    """One-hot encoding of operand pairs: two (..., len) digit arrays, most
+    significant first, to (..., 2 * len * 10) features."""
+    digits = np.concatenate([np.asarray(a_digits, dtype=np.int64), np.asarray(b_digits, dtype=np.int64)], axis=-1)
+    x = np.zeros((*digits.shape[:-1], digits.shape[-1] * DIGIT_CLASSES))
+    np.put_along_axis(x, np.arange(digits.shape[-1]) * DIGIT_CLASSES + digits, 1.0, axis=-1)
     return x
 
 
 def _addition_split(rng, n, digits, noisy) -> Split:
     """n samples drawn one after another: the operands (redrawn until their
     sum fits in digits), then a noisy sample's random output digits. A clean
-    sample's labels are the zero-padded digits of the sum."""
-    X = np.zeros((n, 2 * digits * DIGIT_CLASSES))
-    Y = np.empty((n, digits), dtype=np.int64)
+    sample's labels are the zero-padded digits of the sum. Only the draws
+    run per sample; features and sums are made for all samples at once."""
+    A, B, Y = (np.empty((n, digits), dtype=np.int64) for _ in range(3))
     for i in range(n):
         while True:
             a = rng.integers(0, 10, size=digits)
             b = rng.integers(0, 10, size=digits)
-            total = int("".join(map(str, a))) + int("".join(map(str, b)))
-            if total < 10**digits:
+            # a + b < 10**digits iff a <= 10**digits - 1 - b, whose digits
+            # are 9 - b; equal-length digit lists compare as their numbers
+            if a.tolist() <= (9 - b).tolist():
                 break
-        X[i] = encode_addition_features(a, b)
-        Y[i] = rng.integers(0, 10, size=digits) if noisy else [int(ch) for ch in str(total).zfill(digits)]
-    return X, _position_labels(Y)
+        A[i], B[i] = a, b
+        if noisy:
+            Y[i] = rng.integers(0, 10, size=digits)
+    if not noisy:  # long addition, least significant digit first
+        carry = np.zeros(n, dtype=np.int64)
+        for j in reversed(range(digits)):
+            carry, Y[:, j] = np.divmod(A[:, j] + B[:, j] + carry, 10)
+    return encode_addition_features(A, B), _position_labels(Y)
 
 
 def gen_noisy_addition(

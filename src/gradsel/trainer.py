@@ -6,17 +6,22 @@ number of epochs, returning the final parameters. Both read
 (X, labels) splits (taskgen.Split) that Corpus.mixture stacks. The oracle
 value of a task subset S (select.oracle_evaluator) is the target validation
 loss after fine_tune_subset on the combined data of S plus the target's train
-split; fine_tune_each runs many such fine-tunes side by side, one per CPU.
-The meta-trained parameters are saved as a checkpoint artifact (see
+split. The meta-trained parameters are saved as a checkpoint artifact (see
 artifact.py).
 
 Importing this module (gradsel.cli does) sets numpy's OpenBLAS to one thread
 for the whole process, so a stage computes the same bytes at any
-OPENBLAS_NUM_THREADS and on any number of CPUs.
+OPENBLAS_NUM_THREADS and on any number of CPUs. The CPUs go to independent
+jobs instead, through side_by_side, which two callers use: fine_tune_each
+(the oracle's fine-tunes) and linearize.build_cache (its chunks of rows).
+A fit itself, meta_train's included, runs on its calling thread; its steps
+write the batch, the activations, deltas and gradient, and Adam's state into
+arrays made once per fit.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import hashlib
 import os
@@ -55,7 +60,7 @@ def _set_one_blas_thread() -> bool:
 
 
 # One BLAS thread for the whole process (see the module docstring): the CPUs
-# go only to independent work, fine_tune_each's helpers, which start only
+# go only to independent work, side_by_side's helpers, which start only
 # where this worked.
 _ONE_BLAS_THREAD = _set_one_blas_thread()
 
@@ -126,16 +131,20 @@ def _fit(
     rng = np.random.default_rng(cfg.seed)
     params = theta0.copy()
 
-    # the batch gradient's arrays, made once per fit (so threads running
-    # fits side by side share none), then Adam state and two work buffers
-    # (unused for sgd); each step updates them in place with the textbook
-    # expression's operations, in its order
-    work = Workspace(net, min(cfg.batch_size, n))
+    # the batch, its gradient's arrays and the validation pass's arrays,
+    # made once per fit (so threads running fits side by side share none),
+    # then Adam state and two work buffers (unused for sgd); each step
+    # updates them in place with the textbook expression's operations, in
+    # its order
+    rows = min(cfg.batch_size, n)
+    X_batch = np.empty((rows, *X.shape[1:]), dtype=X.dtype)
+    y_batch = np.empty((rows, *y.shape[1:]), dtype=y.dtype)
+    work, val_work = Workspace(net, rows), Workspace(net, len(X_val))
     m, v, mh, vh = (np.zeros_like(params) for _ in range(4))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    best_val = float(net.losses(params, X_val, y_val).mean())
+    best_val = float(net.losses(params, X_val, y_val, val_work).mean())
     best_params = params.copy()
     best_epoch = 0
     curve: list[float] = []
@@ -145,7 +154,12 @@ def _fit(
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            g = net.loss_gradient(params, X[idx], y[idx], work)
+            # a permutation's indices are in range, so "clip" clips none; it
+            # spares the copy through a buffer that "raise" makes of out
+            k = len(idx)
+            Xk = np.take(X, idx, axis=0, out=X_batch[:k], mode="clip")
+            yk = np.take(y, idx, axis=0, out=y_batch[:k], mode="clip")
+            g = net.loss_gradient(params, Xk, yk, work)
             if cfg.optimizer == "sgd":
                 g *= cfg.step_size
                 params -= g
@@ -169,7 +183,7 @@ def _fit(
                 params -= mh
         forward_passes += n
 
-        val_loss = float(net.losses(params, X_val, y_val).mean())
+        val_loss = float(net.losses(params, X_val, y_val, val_work).mean())
         curve.append(val_loss)
         if not np.isfinite(val_loss):
             raise ValueError(f"non-finite loss {val_loss!r} at epoch {epoch}")
@@ -217,29 +231,18 @@ def fine_tune_subset(
     return _fit(net, theta0, corpus.mixture("train", subset), corpus.mixture("val", subset), cfg)
 
 
-def fine_tune_each(
-    net: Network,
-    theta0: ParamVector,
-    subsets: Sequence[frozenset[int]],
-    corpus: Corpus,
-    cfg: TrainConfig,
-    derive: Callable[[FitResult], T],
-) -> list[T]:
-    """[derive(fine_tune_subset(net, theta0, S, corpus, cfg)) for S in
-    subsets], with no fit kept past its derive call.
-
-    The fine-tunes are independent, so they run side by side: the calling
-    thread and one helper thread per further CPU the process may run on each
-    take the next subset until none is left. OpenBLAS runs one thread (set
-    on import), so every fit computes what it computes on one CPU. Where
-    numpy's OpenBLAS thread setter was not found, the fits run one after
-    another. A failing fit raises as a serial loop would: the first subset
-    in order that failed raises its exception, once every running fit has
-    ended.
-    """
-    out: list = [None] * len(subsets)
+def side_by_side(count: int, job: Callable[[int], T]) -> list[T]:
+    """[job(i) for i in range(count)], the jobs run side by side: the
+    calling thread and one helper thread per further CPU the process may
+    run on (count threads at most) each take the next index until none is
+    left. OpenBLAS runs one thread (set on import), so every job computes
+    what it computes on one CPU; where numpy's OpenBLAS thread setter was
+    not found, the jobs run one after another. A failing job raises as a
+    serial loop would: the lowest index that failed raises its exception,
+    once every running job has ended."""
+    out: list = [None] * count
     errors: dict[int, Exception] = {}
-    pending = iter(range(len(subsets)))
+    pending = iter(range(count))
     lock = threading.Lock()
     stop = threading.Event()
 
@@ -250,13 +253,15 @@ def fine_tune_each(
             if i is None:
                 return
             try:
-                out[i] = derive(fine_tune_subset(net, theta0, subsets[i], corpus, cfg))
+                out[i] = job(i)
             except Exception as e:  # raised in the calling thread below
                 errors[i] = e
                 stop.set()
 
-    helpers = min(len(os.sched_getaffinity(0)), len(subsets)) - 1 if _ONE_BLAS_THREAD else 0
-    threads = [threading.Thread(target=work) for _ in range(helpers)]
+    helpers = min(len(os.sched_getaffinity(0)), count) - 1 if _ONE_BLAS_THREAD else 0
+    # each helper runs in a copy of the caller's context, so the caller's
+    # np.errstate holds in it too
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work,)) for _ in range(helpers)]
     for t in threads:
         t.start()
     try:
@@ -268,6 +273,20 @@ def fine_tune_each(
     if errors:
         raise errors[min(errors)]
     return out
+
+
+def fine_tune_each(
+    net: Network,
+    theta0: ParamVector,
+    subsets: Sequence[frozenset[int]],
+    corpus: Corpus,
+    cfg: TrainConfig,
+    derive: Callable[[FitResult], T],
+) -> list[T]:
+    """[derive(fine_tune_subset(net, theta0, S, corpus, cfg)) for S in
+    subsets], with no fit kept past its derive call. The fine-tunes are
+    independent, so side_by_side runs them, one per CPU."""
+    return side_by_side(len(subsets), lambda i: derive(fine_tune_subset(net, theta0, subsets[i], corpus, cfg)))
 
 
 # ---------------------------------------------------------------------------

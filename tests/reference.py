@@ -62,7 +62,7 @@ def subset_objective(cache, subset, x, ridge_lambda: float):
     """Value and gradient of the solver's objective over a subset's cached
     rows at x: mean log(1 + exp(b_i - g_i . x)) + ridge_lambda / 2 ||x||^2,
     the log-loss at the first-order margins -b_i + g_i . x."""
-    idx = cache.rows_for(subset)
+    idx = cache.rows_for(cache.task_mask(subset))
     if idx.size == 0:
         raise ValueError(f"no cached samples for subset {sorted(subset)}")
     value, grad, _ = value_grad(cache.b[idx], cache.g_proj[idx], np.asarray(x, dtype=np.float64), ridge_lambda)
@@ -92,13 +92,56 @@ def value_grad(b, G, x, lam):
 
 def allocating_network(net):
     """A copy of net whose forward and backward kernels allocate a new array
-    for each bias add, activation and activation derivative, as the
-    textbook expressions do; Network's in-place kernels must match it bit
-    for bit."""
+    for each bias add, activation and activation derivative, and whose
+    loss_gradient and losses are the textbook expressions over them (a
+    softmax, then 1 subtracted at each label; a logsumexp per position);
+    Network's in-place kernels and heads, with a workspace or without, must
+    match it bit for bit."""
     ref = copy.copy(net)
     ref._forward = types.MethodType(_allocating_forward, ref)
     ref._layer_deltas = types.MethodType(_allocating_layer_deltas, ref)
+    ref.loss_gradient = types.MethodType(_textbook_loss_gradient, ref)
+    ref.losses = types.MethodType(_textbook_losses, ref)
     return ref
+
+
+def _logsumexp(z, axis):
+    m = np.max(z, axis=axis, keepdims=True)
+    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(z - m), axis=axis))
+
+
+def _textbook_losses(net, params, X, labels, work=None):
+    Z = net._forward(params, X)[2]
+    cfg = net.config
+    if cfg.is_binary:
+        return np.logaddexp(0.0, -(2.0 * np.asarray(labels) - 1.0) * Z[:, 0])
+    n = len(Z)
+    Zp, y = Z.reshape(n, cfg.num_positions, cfg.num_classes), np.asarray(labels).reshape(n, cfg.num_positions)
+    rows = np.arange(n)
+    ce = np.stack([_logsumexp(Zp[:, i, :], axis=1) - Zp[rows, i, y[:, i]] for i in range(cfg.num_positions)], axis=1)
+    return ce.mean(axis=1)
+
+
+def _textbook_loss_gradient(net, params, X, labels, work=None):
+    layers, acts, Z = net._forward(params, X)
+    cfg = net.config
+    n = len(Z)
+    if cfg.is_binary:
+        y = 2.0 * np.asarray(labels) - 1.0
+        delta = (-y * masked_sigmoid(-y * Z[:, 0]))[:, None]
+    else:
+        Zp = Z.reshape(n, cfg.num_positions, cfg.num_classes)
+        e = np.exp(Zp - np.max(Zp, axis=-1, keepdims=True))
+        delta = e / np.sum(e, axis=-1, keepdims=True)
+        y = np.asarray(labels).reshape(n, cfg.num_positions)
+        delta[np.arange(n)[:, None], np.arange(cfg.num_positions), y] -= 1.0
+        delta = delta.reshape(n, -1) / cfg.num_positions
+    grad = np.empty(net.param_count)
+    for i, d in net._layer_deltas(layers, acts, delta):
+        w0, w1, b1 = net._offsets[i]
+        grad[w0:w1] = (d.T @ acts[i]).ravel()
+        grad[w1:b1] = np.sum(d, axis=0)
+    return grad / n
 
 
 def _allocating_forward(net, params, X, work=None):
@@ -142,3 +185,23 @@ def adam_fit(net, theta0, X, y, step_size, batch_size, epochs, seed):
             vh = v / (1 - beta2**step)
             params = params - step_size * mh / (np.sqrt(vh) + eps)
     return params
+
+
+def addition_split(rng, n, digits, noisy):
+    """taskgen._addition_split one sample at a time: the operands drawn
+    until their sum, taken through their decimal strings, fits in digits;
+    the one-hot features set one digit at a time; a clean sample's labels
+    the characters of the zero-padded sum."""
+    X = np.zeros((n, 2 * digits * 10))
+    Y = np.empty((n, digits), dtype=np.int64)
+    for i in range(n):
+        while True:
+            a = rng.integers(0, 10, size=digits)
+            b = rng.integers(0, 10, size=digits)
+            total = int("".join(map(str, a))) + int("".join(map(str, b)))
+            if total < 10**digits:
+                break
+        for j, d in enumerate(list(a) + list(b)):
+            X[i, j * 10 + int(d)] = 1.0
+        Y[i] = rng.integers(0, 10, size=digits) if noisy else [int(ch) for ch in str(total).zfill(digits)]
+    return X, Y[:, 0] if digits == 1 else Y

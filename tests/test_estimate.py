@@ -241,11 +241,11 @@ def test_rows_consulted_are_exactly_subset_plus_target():
     rng = np.random.default_rng(6)
     tid = np.array([0, 0, 1, 1, 2, 2, 3, 3], dtype=np.int64)
     cache = _fake_cache(rng.standard_normal(8), rng.standard_normal((8, 3)), task_id=tid)
-    assert np.array_equal(cache.rows_for({1, 3}), np.flatnonzero(np.isin(tid, [0, 1, 3])))
-    assert np.array_equal(cache.rows_for({2}), np.flatnonzero(np.isin(tid, [0, 2])))
+    assert np.array_equal(cache.rows_for(cache.task_mask({1, 3})), np.flatnonzero(np.isin(tid, [0, 1, 3])))
+    assert np.array_equal(cache.rows_for(cache.task_mask({2})), np.flatnonzero(np.isin(tid, [0, 2])))
     # an id past the last task picks no row, the target's val rows included
     with_val = _fake_cache(cache.b, cache.g_proj, task_id=tid, val=(np.zeros(2), np.zeros((2, 3))))
-    assert np.array_equal(with_val.rows_for({3, 4}), np.flatnonzero(np.isin(tid, [0, 3])))
+    assert np.array_equal(with_val.rows_for(with_val.task_mask({3, 4})), np.flatnonzero(np.isin(tid, [0, 3])))
     # the solve reads exactly those rows: other rows may hold anything
     poisoned = _fake_cache(
         np.where(np.isin(tid, [0, 1, 3]), cache.b, np.nan),
@@ -402,7 +402,7 @@ def test_shared_start_reaches_the_zero_start_answer(seed, n_tasks, d, ridge, dat
     subset = data.draw(st.sets(st.integers(min_value=1, max_value=n_tasks)))
     cfg = SolveConfig(ridge_lambda=ridge)
     x, _, stop = _solve_of(cache, subset, cfg)
-    x_newton, _, stop_newton = solve_subset(cache, subset, cfg, estimate._subset_start(cache, subset, cfg)[0])
+    x_newton, _, stop_newton = solve_subset(cache, subset, cfg, estimate._subset_start(cache, cache.task_mask(subset), cfg)[0])
     x_zero, _, stop_zero = solve_subset(cache, subset, cfg)
     assert stop is stop_newton is stop_zero is Stop.CONVERGED
     assert np.linalg.norm(x - x_newton) <= 2 * cfg.grad_tol / ridge
@@ -430,7 +430,7 @@ def test_shared_start_halves_the_newton_iterations(cache):
     iters = []
     for _ in range(200):
         subset = rng.choice(np.arange(1, 21), size=15, replace=False)
-        iters.append(solve_subset(fresh, subset, SOLVE_CFG, estimate._subset_start(fresh, subset, SOLVE_CFG)[0])[1])
+        iters.append(solve_subset(fresh, subset, SOLVE_CFG, estimate._subset_start(fresh, fresh.task_mask(subset), SOLVE_CFG)[0])[1])
     assert np.mean(iters) <= 2.3
 
 
@@ -457,7 +457,7 @@ def test_a_useless_fixed_step_falls_back_to_newton(fault):
     tid = np.repeat(np.arange(4), 15)
     cache = _fake_cache(*_signed_rows(rng, len(tid), 5), task_id=tid)
     cfg = SolveConfig(ridge_lambda=1e-2)
-    x0, H_inv = estimate._subset_start(cache, {1, 2}, cfg)
+    x0, H_inv = estimate._subset_start(cache, cache.task_mask({1, 2}), cfg)
     bad = {"zeros": np.zeros_like(H_inv), "negated": -H_inv, "nan": np.full_like(H_inv, np.nan)}[fault]
     x, iters, stop = solve_subset(cache, {1, 2}, cfg, x0, bad)
     x_newton, iters_newton, stop_newton = solve_subset(cache, {1, 2}, cfg, x0)

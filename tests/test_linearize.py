@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradsel import linearize
+from gradsel import linearize, trainer
 from gradsel.linearize import (
     RRSS_DENOM_GUARD,
     TARGET_VAL_ID,
@@ -133,10 +133,13 @@ def test_build_cache_matches_per_sample_reference(monkeypatch):
             assert b[i] == pytest.approx(-margin(net, theta, X[i], labels[i]), abs=1e-12)
 
 
-def test_build_cache_never_builds_a_gradient_block():
-    # a multi-position relu model with p = 36,196 and two 256-row chunks of
-    # train samples: projecting from the layer factors keeps the traced peak
-    # under a quarter of one (_CHUNK, p) float64 gradient block (74 MB)
+def test_build_cache_never_builds_a_gradient_block(monkeypatch):
+    # a multi-position relu model with p = 36,196 and four 128-row chunks of
+    # train samples, two at a time (the caller and one helper on two CPUs,
+    # so the peak does not grow with the host's CPU count): projecting from
+    # the layer factors keeps the traced peak under a quarter of one
+    # (_CHUNK, p) float64 gradient block (37 MB)
+    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1})
     net = Network(ModelConfig(input_dim=40, hidden_dims=(256,), activation="relu",
                               num_classes=10, num_positions=10, seed=0))
     assert net.param_count >= 30_000
@@ -157,6 +160,22 @@ def test_build_cache_never_builds_a_gradient_block():
         tracemalloc.stop()
     assert cache.g_proj.shape == (420 + 20, 20)  # train rows, then the target's val rows
     assert peak < linearize._CHUNK * net.param_count * 8 / 4
+
+
+def test_build_cache_is_the_same_with_helpers_and_without(monkeypatch):
+    # chunks of 4 rows, some spanning two tasks' splits, filled by the
+    # caller alone and side by side with 5 helpers: the same bits
+    monkeypatch.setattr(linearize, "_CHUNK", 4)
+    net, theta, corpus = _multi_position_setup()
+    P = gaussian_projection(net.param_count, 6, 2)
+    built = []
+    for cpus in (1, 6):
+        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        built.append(build_cache(net, theta, corpus, P, 2))
+    alone, shared = built
+    assert len(corpus.tasks[0].train[0]) % linearize._CHUNK != 0
+    for name in ("task_id", "b", "g_proj"):
+        assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
 @pytest.mark.parametrize("split", ["train", "val"])

@@ -282,6 +282,9 @@ def test_config_validation():
 
 HEADS = [(2, 1), (3, 1), (10, 1), (4, 3)]  # binary, multi-class, multi-position
 
+SIGMOID_SPECIALS = [math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 800.0, -800.0,
+                    5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 36.0, -36.0, 710.0, -746.0]
+
 
 @settings(max_examples=120, deadline=None)
 @given(
@@ -334,7 +337,8 @@ def test_margin_gradient_product_checks_matrix_shape():
 @pytest.mark.parametrize("head", HEADS)
 def test_in_place_kernels_match_allocating_reference(head, activation):
     # the forward and backward kernels write bias adds, activations and
-    # derivatives in place: every output is bit for bit the allocating one's,
+    # derivatives in place, and the heads their softmax and cross-entropy in
+    # the logits: every output is bit for bit the allocating, textbook one's,
     # and the caller's features are left as they were
     num_classes, positions = head
     net = Network(ModelConfig(input_dim=6, hidden_dims=(9, 5), activation=activation,
@@ -342,8 +346,8 @@ def test_in_place_kernels_match_allocating_reference(head, activation):
     ref = allocating_network(net)
     rng = np.random.default_rng(3)
     params = net.init_params() + 0.3 * rng.standard_normal(net.param_count)
-    X = rng.standard_normal((11, 6))
-    labels = rng.integers(num_classes, size=(11, positions) if positions > 1 else (11,))
+    X = 3.0 * rng.standard_normal((32, 6))
+    labels = rng.integers(num_classes, size=(32, positions) if positions > 1 else (32,))
     X_before = X.copy()
     M = gaussian_projection(net.param_count, 7, 4)
     for name, call in [
@@ -353,12 +357,48 @@ def test_in_place_kernels_match_allocating_reference(head, activation):
         ("margin_gradient_product", lambda n: n.margin_gradient_product(M)(params, X, labels)),
     ]:
         assert call(net).tobytes() == call(ref).tobytes(), name
-    # a workspace with more rows than any batch, reused across batch sizes
-    work = Workspace(net, 16)
-    for rows in (11, 4, 11):
-        got = net.loss_gradient(params, X[:rows], labels[:rows], work)
-        assert got.tobytes() == ref.loss_gradient(params, X[:rows], labels[:rows]).tobytes(), rows
+    # a training step's and a validation pass's workspace, reused across
+    # batch sizes (a power of two, then not) and across an in-place update
+    # of the parameters, as a fit's loop makes both
+    work, val_work = Workspace(net, 32), Workspace(net, 32)
+    for rows in (32, 12, 1, 32):
+        Xk, yk = X[:rows], labels[:rows]
+        got = net.loss_gradient(params, Xk, yk, work)
+        assert got.tobytes() == ref.loss_gradient(params, Xk, yk).tobytes(), rows
+        assert net.losses(params, Xk, yk, val_work).tobytes() == ref.losses(params, Xk, yk).tobytes(), rows
+        params -= 0.1 * got
+    # another parameter array: the workspace makes its views anew
+    other = params + 0.5
+    assert net.loss_gradient(other, X, labels, work).tobytes() == ref.loss_gradient(other, X, labels).tobytes()
     assert np.array_equal(X, X_before)
+
+
+def test_heads_refuse_labels_outside_the_classes():
+    net = Network(ModelConfig(input_dim=3, num_classes=4, num_positions=2, seed=0))
+    params, X = net.init_params(), np.zeros((2, 3))
+    for bad in ([[0, 4], [1, 2]], [[0, 1], [-1, 2]]):
+        for call in (net.losses, net.margins, net.loss_gradient):
+            with pytest.raises(ValueError, match="class indices in 0..3"):
+                call(params, X, np.array(bad))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    j=st.integers(min_value=0, max_value=64),
+    values=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=40),
+)
+@example(j=5, values=SIGMOID_SPECIALS)
+@example(j=0, values=SIGMOID_SPECIALS)
+@example(j=64, values=[5e-324, -5e-324, 2.2250738585072014e-308, 1.5e-323, 3.0 * 2.0**-1070])
+def test_dividing_by_a_power_of_two_is_multiplying_by_its_inverse(j, values):
+    # the batch mean's shortcut: x / 2^j and x * 2^-j round the same real
+    # number, so their bits agree, NaNs, infinities, zeros and subnormals
+    # (where both round) included
+    x = np.array(values + SIGMOID_SPECIALS, dtype=np.float64)
+    k = 2**j
+    scaled = x.copy()
+    scaled *= 1.0 / k
+    assert scaled.tobytes() == (x / k).tobytes()
 
 
 @pytest.mark.parametrize("work_rows", [None, 8])
@@ -378,10 +418,6 @@ def test_one_unit_layer_backprop_keeps_the_gemm_bits_at_signed_zeros(work_rows):
         return [d.tobytes() for _, d in n._layer_deltas(layers, acts, delta, work)]
 
     assert deltas(net, work) == deltas(ref)
-
-
-SIGMOID_SPECIALS = [math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 800.0, -800.0,
-                    5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 36.0, -36.0, 710.0, -746.0]
 
 
 @settings(max_examples=80, deadline=None)

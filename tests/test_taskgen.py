@@ -17,6 +17,7 @@ from gradsel.taskgen import (
     save_corpus,
     serialize_corpus,
 )
+from reference import addition_split
 
 
 # ---- gaussian generator ----
@@ -136,6 +137,29 @@ def test_addition_oracle_property(ia, ib):
     a = [int(ch) for ch in str(ia).zfill(digits)]
     b = [int(ch) for ch in str(ib).zfill(digits)]
     assert _clean_labels(a, b) == [int(ch) for ch in str(ia + ib).zfill(digits)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    digits=st.integers(min_value=1, max_value=7),
+    n=st.integers(min_value=0, max_value=40),
+    noisy=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_addition_split_is_the_per_sample_generator_byte_for_byte(digits, n, noisy, seed):
+    # the same features and labels from the same draws, in the same order
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    X, labels = taskgen._addition_split(fast, n, digits, noisy)
+    X_ref, labels_ref = addition_split(slow, n, digits, noisy)
+    assert (X.shape, labels.shape, labels.dtype) == (X_ref.shape, labels_ref.shape, labels_ref.dtype)
+    assert X.tobytes() == X_ref.tobytes() and labels.tobytes() == labels_ref.tobytes()
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_addition_corpus_is_the_per_sample_generators_byte_for_byte(monkeypatch):
+    fast = serialize_corpus(gen_noisy_addition(5, 2, 3, 30, seed=3, target_samples=8))
+    monkeypatch.setattr(taskgen, "_addition_split", addition_split)
+    assert fast == serialize_corpus(gen_noisy_addition(5, 2, 3, 30, seed=3, target_samples=8))
 
 
 def test_addition_features_one_hot():
