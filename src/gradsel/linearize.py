@@ -133,8 +133,8 @@ def build_cache(
     rows are filled _CHUNK samples at a time, from each layer's (activation,
     delta) factors, so no (N, p) gradient block and no forward pass over all
     samples is ever built; the largest intermediate is _CHUNK * min(in, out)
-    * d floats per chunk. The chunks are independent, so side_by_side fills
-    them, one per CPU."""
+    * d floats per chunk. The chunks are independent, so side_by_side
+    computes them, one per CPU, and the rows each returns are stored here."""
     if P.ndim != 2 or P.shape[0] != net.param_count:
         raise ValueError(f"P has shape {P.shape} but the model has {net.param_count} parameters")
     product = net.margin_gradient_product(P)
@@ -144,13 +144,13 @@ def build_cache(
     n = sum(len(X) for X, _ in train)
     chunks = _chunks(train, b[:n], g[:n]) + _chunks([corpus.target.val], b[n:], g[n:])
 
-    def fill(i: int) -> None:
-        pieces, bc, gc = chunks[i]
+    def fill(i: int) -> tuple[np.ndarray, np.ndarray]:
+        pieces, _, _ = chunks[i]
         Xc, yc = pieces[0] if len(pieces) == 1 else (np.concatenate(part) for part in zip(*pieces))
-        bc[:] = -net.margins(theta_star, Xc, yc)
-        gc[:] = product(theta_star, Xc, yc)
+        return -net.margins(theta_star, Xc, yc), product(theta_star, Xc, yc)
 
-    side_by_side(len(chunks), fill)
+    for (_, bc, gc), (b_rows, g_rows) in zip(chunks, side_by_side(len(chunks), fill)):
+        bc[:], gc[:] = b_rows, g_rows
     return _from_records(_pack(task_id, b, g), param_digest(theta_star), P, projector_seed)
 
 

@@ -23,7 +23,7 @@ from . import estimate as est
 from .linearize import GradientCache
 from .model import Network, ParamVector
 from .taskgen import TARGET_TASK_ID, Corpus, cluster_into_groups
-from .trainer import TrainConfig, eval_loss, fine_tune_subset
+from .trainer import TrainConfig, eval_loss, fine_tune_subset, side_by_side
 
 
 # The budget table's counters, in the order selection.txt lists them.
@@ -44,18 +44,36 @@ class Evaluator:
     """A scoring function over task subsets and its budget table.
 
     _score(subset, budget) returns the subset's score and adds its own work
-    to budget; the call itself counts calls, task_units and nonfinite."""
+    to budget; many counts calls, task_units and nonfinite. A batch's
+    subsets are scored side by side (trainer.side_by_side), each but the
+    caller's share in a forked process, so a scorer's side effects other
+    than its budget never reach the caller."""
 
     _score: Callable[[frozenset[int], dict[str, int]], float]
     budget: dict[str, int] = field(default_factory=lambda: dict.fromkeys(BUDGET_KEYS, 0))
 
     def __call__(self, subset) -> float:
-        s = frozenset(int(t) for t in subset)
-        self.budget["calls"] += 1
-        self.budget["task_units"] += len(s)
-        value = self._score(s, self.budget)
-        self.budget["nonfinite"] += not math.isfinite(value)
-        return value
+        return self.many([subset])[0]
+
+    def many(self, subsets) -> list[float]:
+        """The subsets' scores, in order. Each is scored into a budget of
+        its own, and the budget table then adds them up in order, as one
+        call per subset would; a failing scorer raises the first failing
+        subset's error and leaves the table as it was."""
+        sets = [frozenset(int(t) for t in s) for s in subsets]
+
+        def score(i: int) -> tuple[float, dict[str, int]]:
+            budget = dict.fromkeys(BUDGET_KEYS, 0)
+            return self._score(sets[i], budget), budget
+
+        scored = side_by_side(len(sets), score)
+        for s, (value, budget) in zip(sets, scored):
+            self.budget["calls"] += 1
+            self.budget["task_units"] += len(s)
+            for key, n in budget.items():
+                self.budget[key] += n
+            self.budget["nonfinite"] += not math.isfinite(value)
+        return [value for value, _ in scored]
 
 
 def estimator_evaluator(
@@ -66,7 +84,10 @@ def estimator_evaluator(
     cfg: est.SolveConfig,
     linearized: bool = False,
 ) -> Evaluator:
-    """Score subsets by est.estimate_subset; no fine-tuning runs."""
+    """Score subsets by est.estimate_subset; no fine-tuning runs. The shared
+    start every solve begins from is computed here, once, so the processes
+    that score a batch inherit it."""
+    est._all_tasks_start(cache, cfg)
 
     def score(subset: frozenset[int], budget: dict[str, int]) -> float:
         result = est.estimate_subset(net, theta_star, cache, subset, target_val, cfg, linearized)
@@ -122,13 +143,10 @@ def forward_select(evaluator: Evaluator, n: int) -> SelectionReport:
     for _ in range(n):
         candidates = [t for t in range(1, n + 1) if t not in current]
         rounds += 1
-        scored = []
-        for t in candidates:
-            subset = current | {t}
-            score = evaluator(subset)
-            trajectory.append((subset, score))
-            if math.isfinite(score):
-                scored.append((score, t))
+        subsets = [current | {t} for t in candidates]
+        scores = evaluator.many(subsets)
+        trajectory += zip(subsets, scores)
+        scored = [(score, t) for score, t in zip(scores, candidates) if math.isfinite(score)]
         best_score, best_task = min(scored, default=(math.inf, None))
         if best_score < current_score:
             current = current | {best_task}
@@ -155,7 +173,7 @@ def random_ensemble(
     if m < 1:
         raise ValueError("m must be >= 1")
     subsets = random_subsets(n, max(1, int(round(alpha_frac * n))), m, seed)
-    return [(subset, evaluator(subset)) for subset in subsets]
+    return list(zip(subsets, evaluator.many(subsets)))
 
 
 def random_subsets(n: int, size: int, m: int, seed: int) -> list[frozenset[int]]:

@@ -12,20 +12,22 @@ artifact.py).
 Importing this module (gradsel.cli does) sets numpy's OpenBLAS to one thread
 for the whole process, so a stage computes the same bytes at any
 OPENBLAS_NUM_THREADS and on any number of CPUs. The CPUs go to independent
-jobs instead, through side_by_side, which two callers use: fine_tune_each
-(the oracle's fine-tunes) and linearize.build_cache (its chunks of rows).
-A fit itself, meta_train's included, runs on its calling thread; its steps
-write the batch, the activations, deltas and gradient, and Adam's state into
-arrays made once per fit.
+jobs instead, through side_by_side, which runs each job in the caller or in
+a forked worker process, so a job's side effects never reach the caller; it
+returns what the jobs return. Three callers use it: fine_tune_each (the
+oracle's fine-tunes), linearize.build_cache (its chunks of rows) and
+select.Evaluator.many (a batch of subset scores). A fit itself, meta_train's
+included, runs in one process; its steps write the batch, the activations,
+deltas and gradient, and Adam's state into arrays made once per fit.
 """
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
 import hashlib
 import os
-import threading
+import pickle
+import signal
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
@@ -60,8 +62,8 @@ def _set_one_blas_thread() -> bool:
 
 
 # One BLAS thread for the whole process (see the module docstring): the CPUs
-# go only to independent work, side_by_side's helpers, which start only
-# where this worked.
+# go only to independent work, side_by_side's worker processes, which start
+# only where this worked.
 _ONE_BLAS_THREAD = _set_one_blas_thread()
 
 
@@ -132,7 +134,7 @@ def _fit(
     params = theta0.copy()
 
     # the batch, its gradient's arrays and the validation pass's arrays,
-    # made once per fit (so threads running fits side by side share none),
+    # made once per fit,
     # then Adam state and two work buffers (unused for sgd); each step
     # updates them in place with the textbook expression's operations, in
     # its order
@@ -232,47 +234,97 @@ def fine_tune_subset(
 
 
 def side_by_side(count: int, job: Callable[[int], T]) -> list[T]:
-    """[job(i) for i in range(count)], the jobs run side by side: the
-    calling thread and one helper thread per further CPU the process may
-    run on (count threads at most) each take the next index until none is
-    left. OpenBLAS runs one thread (set on import), so every job computes
-    what it computes on one CPU; where numpy's OpenBLAS thread setter was
-    not found, the jobs run one after another. A failing job raises as a
-    serial loop would: the lowest index that failed raises its exception,
-    once every running job has ended."""
-    out: list = [None] * count
-    errors: dict[int, Exception] = {}
-    pending = iter(range(count))
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def work() -> None:
-        while not stop.is_set():
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            try:
-                out[i] = job(i)
-            except Exception as e:  # raised in the calling thread below
-                errors[i] = e
-                stop.set()
-
-    helpers = min(len(os.sched_getaffinity(0)), count) - 1 if _ONE_BLAS_THREAD else 0
-    # each helper runs in a copy of the caller's context, so the caller's
-    # np.errstate holds in it too
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work,)) for _ in range(helpers)]
-    for t in threads:
-        t.start()
+    """[job(i) for i in range(count)], the jobs run side by side in W
+    workers, W the number of CPUs the process may run on (count at most):
+    the caller is worker 0 and forks one child process per further worker;
+    worker k runs indices k, k + W, k + 2W, ... in order, so which worker
+    runs a job depends only on W. A child inherits the caller's memory and
+    np.errstate, sends its results back as one pickle and leaves by
+    os._exit, so a job's side effects never reach the caller. OpenBLAS runs
+    one thread (set on import), so every job computes what it computes on
+    one CPU; where numpy's OpenBLAS thread setter was not found, the jobs
+    run one after another in the caller. A failing job raises as a serial
+    loop would: the lowest index that failed raises its exception, once
+    every worker has ended; one that cannot be pickled becomes a
+    RuntimeError naming its type. No child outlives the call."""
+    workers = min(len(os.sched_getaffinity(0)), count) if _ONE_BLAS_THREAD else 1
+    if workers <= 1:
+        return [job(i) for i in range(count)]
+    children = {}  # pid -> the read end of its pipe
     try:
-        work()
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: never returns into the caller's stack
+                code = 1
+                try:
+                    os.close(r)
+                    with os.fdopen(w, "wb") as out:
+                        out.write(_pickled(_run_stride(job, k, count, workers)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children[pid] = os.fdopen(r, "rb")
+        results = _run_stride(job, 0, count, workers)
+        while children:
+            pid, pipe = next(iter(children.items()))
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if not data:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"a side_by_side worker process ended (exit code {code}) without its results")
+            results += pickle.loads(data)
     finally:
-        stop.set()
-        for t in threads:
-            t.join()
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    errors = {i: value for i, ok, value in results if not ok}
     if errors:
         raise errors[min(errors)]
-    return out
+    return [value for _, _, value in sorted(results, key=lambda r: r[0])]
+
+
+def _run_stride(job: Callable[[int], T], k: int, count: int, step: int) -> list[tuple]:
+    """(i, True, job(i)) for i = k, k + step, ... below count, ending at the
+    first job that raises, as (i, False, its exception): the worker's later
+    indices are all higher."""
+    results = []
+    for i in range(k, count, step):
+        try:
+            results.append((i, True, job(i)))
+        except Exception as e:  # raised by side_by_side in the caller
+            results.append((i, False, e))
+            break
+    return results
+
+
+def _pickled(results: list[tuple]) -> bytes:
+    """results as one pickle. Each exception first goes through a pickle
+    round trip (one whose __init__ takes other arguments pickles but does
+    not unpickle), and so does each value if the whole does not pickle;
+    what fails it is sent as a RuntimeError naming its type."""
+    results = [r if r[1] else _sendable(*r) for r in results]
+    try:
+        return pickle.dumps(results)
+    except Exception:
+        return pickle.dumps([_sendable(*r) for r in results])
+
+
+def _sendable(i: int, ok: bool, value) -> tuple:
+    """(i, ok, value), or (i, False, a RuntimeError naming value's type)
+    where value does not survive a pickle round trip."""
+    try:
+        pickle.loads(pickle.dumps(value))
+        return i, ok, value
+    except Exception as e:
+        what = "returned" if ok else "raised"
+        return i, False, RuntimeError(
+            f"job {i} {what} a {type(value).__qualname__}, which cannot be sent from its worker process: {e!r}"
+        )
 
 
 def fine_tune_each(
@@ -285,7 +337,8 @@ def fine_tune_each(
 ) -> list[T]:
     """[derive(fine_tune_subset(net, theta0, S, corpus, cfg)) for S in
     subsets], with no fit kept past its derive call. The fine-tunes are
-    independent, so side_by_side runs them, one per CPU."""
+    independent, so side_by_side runs them, one per CPU; derive runs where
+    its fit ran, so its result must pickle and its side effects stay there."""
     return side_by_side(len(subsets), lambda i: derive(fine_tune_subset(net, theta0, subsets[i], corpus, cfg)))
 
 

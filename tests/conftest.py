@@ -7,6 +7,7 @@ steps; tests treat these as read-only.
 
 import pytest
 
+from gradsel import trainer
 from gradsel.cli import main
 from gradsel.estimate import SolveConfig
 from gradsel.linearize import build_cache
@@ -50,6 +51,13 @@ TINY = [
     "--select.m", "30",
     "--select.method", "fs",
 ]
+
+
+def _cpus(monkeypatch, n):
+    """Make the process see n CPUs it may run on, so trainer.side_by_side
+    runs its jobs in n workers (the caller and n - 1 forked children) where
+    OpenBLAS's thread setter is found."""
+    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 @pytest.fixture(scope="session")

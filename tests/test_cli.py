@@ -27,7 +27,7 @@ from gradsel.model import Network
 from gradsel.taskgen import gen_multitask_gaussian, gen_noisy_addition, load_corpus, save_corpus
 from gradsel.trainer import load_checkpoint, save_checkpoint
 
-from conftest import TINY
+from conftest import TINY, _cpus
 
 
 def run(args, tmp_path):
@@ -719,6 +719,18 @@ def test_select_with_oracle_evaluator(tiny_run, tmp_path):
     budget = _budget(tmp_path / "selection.txt")
     assert budget["fine_tune_runs"] > 0
     assert budget["fine_tune_runs"] == budget["calls"]
+
+
+@pytest.mark.parametrize("flags", [["--select.method", "re"], ["--select.method", "fs"],
+                                   ["--select.method", "fs", "--select.evaluator", "oracle"]])
+def test_selection_is_the_same_bytes_in_any_number_of_workers(tiny_run, tmp_path, monkeypatch, flags):
+    reports = []
+    for cpus in (1, 2, 4):
+        _cpus(monkeypatch, cpus)
+        shutil.copytree(tiny_run, tmp_path / str(cpus))
+        assert run(["select", *TINY, *flags], tmp_path / str(cpus)) == 0
+        reports.append((tmp_path / str(cpus) / "selection.txt").read_bytes())
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 @pytest.mark.parametrize("method", ["re", "ds-re"])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradsel import linearize, trainer
+from gradsel import linearize
 from gradsel.linearize import (
     RRSS_DENOM_GUARD,
     TARGET_VAL_ID,
@@ -24,6 +24,8 @@ from gradsel.model import ModelConfig, Network
 from gradsel.project import _BLOCK_ROWS, gaussian_projection
 from gradsel.taskgen import Corpus, TaskDataset
 from gradsel.trainer import param_digest
+
+from conftest import _cpus
 from reference import margin, margin_gradients
 
 
@@ -135,11 +137,11 @@ def test_build_cache_matches_per_sample_reference(monkeypatch):
 
 def test_build_cache_never_builds_a_gradient_block(monkeypatch):
     # a multi-position relu model with p = 36,196 and four 128-row chunks of
-    # train samples, two at a time (the caller and one helper on two CPUs,
-    # so the peak does not grow with the host's CPU count): projecting from
-    # the layer factors keeps the traced peak under a quarter of one
-    # (_CHUNK, p) float64 gradient block (37 MB)
-    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1})
+    # train samples, filled on 1 CPU (the caller fills every chunk, one at a
+    # time) and on 4 (the caller fills one; forked workers, whose memory
+    # this process does not trace, fill the rest and send back their rows):
+    # projecting from the layer factors keeps the traced peak under a
+    # quarter of one (_CHUNK, p) float64 gradient block (37 MB) either way
     net = Network(ModelConfig(input_dim=40, hidden_dims=(256,), activation="relu",
                               num_classes=10, num_positions=10, seed=0))
     assert net.param_count >= 30_000
@@ -152,25 +154,27 @@ def test_build_cache_never_builds_a_gradient_block(monkeypatch):
     assert len(corpus.mixture("train")[0]) > linearize._CHUNK
     P = gaussian_projection(net.param_count, 20, 1)  # built before tracing starts
     theta = net.init_params()
-    tracemalloc.start()
-    try:
-        cache = build_cache(net, theta, corpus, P, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert cache.g_proj.shape == (420 + 20, 20)  # train rows, then the target's val rows
-    assert peak < linearize._CHUNK * net.param_count * 8 / 4
+    for cpus in (1, 4):
+        _cpus(monkeypatch, cpus)
+        tracemalloc.start()
+        try:
+            cache = build_cache(net, theta, corpus, P, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cache.g_proj.shape == (420 + 20, 20)  # train rows, then the target's val rows
+        assert peak < linearize._CHUNK * net.param_count * 8 / 4, cpus
 
 
 def test_build_cache_is_the_same_with_helpers_and_without(monkeypatch):
     # chunks of 4 rows, some spanning two tasks' splits, filled by the
-    # caller alone and side by side with 5 helpers: the same bits
+    # caller alone and side by side with 5 forked workers: the same bits
     monkeypatch.setattr(linearize, "_CHUNK", 4)
     net, theta, corpus = _multi_position_setup()
     P = gaussian_projection(net.param_count, 6, 2)
     built = []
     for cpus in (1, 6):
-        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        _cpus(monkeypatch, cpus)
         built.append(build_cache(net, theta, corpus, P, 2))
     alone, shared = built
     assert len(corpus.tasks[0].train[0]) % linearize._CHUNK != 0

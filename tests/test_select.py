@@ -23,7 +23,7 @@ from gradsel.select import (
 from gradsel.model import ModelConfig, Network
 from gradsel.trainer import fine_tune_subset
 
-from conftest import FINETUNE_CFG, SOLVE_CFG
+from conftest import FINETUNE_CFG, SOLVE_CFG, _cpus
 
 
 GRID = (0.05, 0.10, 0.15, 0.20)  # the default select.fraction_grid
@@ -281,7 +281,10 @@ def test_ensemble_select_builds_T_from_finite_scores(poisoned, bad):
         return bad if len(calls) - 1 in poisoned else sum(weight[t] for t in s)
 
     def run():
-        return ensemble_select(fake_evaluator(score), 3, GRID, m=20, alpha_frac=2 / 3, seed=1)
+        # one CPU, so every draw is scored in this process and counted in calls
+        with pytest.MonkeyPatch.context() as mp:
+            _cpus(mp, 1)
+            return ensemble_select(fake_evaluator(score), 3, GRID, m=20, alpha_frac=2 / 3, seed=1)
 
     draws = random_ensemble(fake_evaluator(lambda s: 0.0), 3, m=20, alpha_frac=2 / 3, seed=1)
     covered = set().union(*(s for i, (s, _) in enumerate(draws) if i not in poisoned))
@@ -413,6 +416,55 @@ def test_estimator_scores_are_estimate_subset(gauss_net, theta_star, gauss_corpu
         assert ev.budget["calls"] == len(subsets)
         assert ev.budget["nonconverged"] == stops.count(Stop.MAX_ITERS)
         assert ev.budget["linesearch_failures"] == stops.count(Stop.LINESEARCH)
+
+
+def _scored_one_by_one_and_in_batches(make, subsets, monkeypatch):
+    """(scores, budget) of make() scoring subsets by single calls, then by
+    one batch in 1 and in 4 workers, as float hex strings and key-value
+    lists, so equal means equal bit for bit and in order."""
+    runs = []
+    for cpus, batch in ((1, False), (1, True), (4, True)):
+        _cpus(monkeypatch, cpus)
+        ev = make()
+        scores = ev.many(subsets) if batch else [ev(s) for s in subsets]
+        runs.append(([float(v).hex() for v in scores], list(ev.budget.items())))
+    return runs
+
+
+def test_estimator_batch_is_single_calls_bit_for_bit(gauss_net, theta_star, gauss_corpus, cache, monkeypatch):
+    # max_iters 2, so some solves stop short and the scorer adds to budgets
+    subsets = [frozenset(), frozenset({1}), frozenset({2, 3, 4}), frozenset(range(1, 16)), frozenset({7, 19})] * 2
+    for linearized in (False, True):
+        cfg = dataclasses.replace(SOLVE_CFG, max_iters=2)
+        runs = _scored_one_by_one_and_in_batches(
+            lambda: estimator_evaluator(gauss_net, theta_star, cache, gauss_corpus.target.val, cfg, linearized),
+            subsets, monkeypatch,
+        )
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert dict(runs[0][1])["nonconverged"] > 0
+
+
+def test_oracle_batch_is_single_calls_bit_for_bit(gauss_net, theta_star, gauss_corpus, monkeypatch):
+    subsets = [frozenset({1, 2}), frozenset({15}), frozenset(), frozenset({3, 9, 11}), frozenset({20})]
+    runs = _scored_one_by_one_and_in_batches(
+        lambda: oracle_evaluator(gauss_net, theta_star, gauss_corpus, FINETUNE_CFG), subsets, monkeypatch
+    )
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert dict(runs[0][1])["fine_tune_runs"] == len(subsets)
+
+
+def test_a_failing_batch_raises_the_first_failing_subset(monkeypatch):
+    def score(s):
+        if len(s) > 1:
+            raise ValueError(f"cannot score {sorted(s)}")
+        return 1.0
+
+    for cpus in (1, 4):
+        _cpus(monkeypatch, cpus)
+        ev = fake_evaluator(score)
+        with pytest.raises(ValueError, match=r"cannot score \[2, 3\]"):
+            ev.many([frozenset({1}), frozenset({2, 3}), frozenset(), frozenset({1, 4})])
+        assert ev.budget["calls"] == 0
 
 
 def test_oracle_evaluator_budget_matches_trainer(gauss_net, theta_star, gauss_corpus):

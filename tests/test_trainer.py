@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from gradsel.trainer import (
 )
 from gradsel.select import oracle_evaluator
 
-from conftest import FINETUNE_CFG
+from conftest import FINETUNE_CFG, _cpus
 from reference import adam_fit
 
 
@@ -243,12 +242,6 @@ def test_in_place_adam_matches_textbook_update():
     assert 1 - 0.9**steps == 1.0 and 1 - 0.9**355 != 1.0 and steps > 356
 
 
-def _cpus(monkeypatch, n):
-    """Make the process see n CPUs it may run on, so fine_tune_each starts
-    n - 1 helpers where OpenBLAS's thread setter is found."""
-    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def _fit_bytes(fit):
     return fit.params.tobytes(), fit.val_loss_curve, fit.forward_passes, fit.best_epoch
 
@@ -266,35 +259,28 @@ def test_fine_tune_each_is_the_same_with_helpers_and_without(gauss_net, theta_st
 
 
 def test_fine_tune_each_stress_more_workers_than_cores(monkeypatch):
-    # 7 helpers and the caller on 2 subsets each, switching threads as often
-    # as the interpreter allows: every subset is fit once, into its own slot
+    # the caller and 7 forked workers on 2 subsets each: every subset is fit
+    # once, into its own slot, by the worker its index strides to
     corpus = _tiny_corpus()
     net = Network(ModelConfig(input_dim=4, hidden_dims=(6,), num_classes=2, seed=1))
     cfg = TrainConfig(step_size=0.1, batch_size=8, max_epochs=3, early_stop_patience=None, seed=2)
     subsets = [frozenset(s) for s in ({1}, {2}, {1, 2}, set())] * 4
-    calls = []
 
     def derive(fit):
-        calls.append(1)
-        return fit.params.tobytes()
+        return fit.params.tobytes(), os.getpid()
 
     _cpus(monkeypatch, 1)
     serial = fine_tune_each(net, net.init_params(), subsets, corpus, cfg, derive)
     _cpus(monkeypatch, 8)
-    got = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        worker = threading.Thread(
-            target=lambda: got.append(fine_tune_each(net, net.init_params(), subsets, corpus, cfg, derive))
-        )
-        worker.start()
-        worker.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not worker.is_alive()
-    assert got == [serial]
+    got = fine_tune_each(net, net.init_params(), subsets, corpus, cfg, derive)
+    assert [fit for fit, _ in got] == [fit for fit, _ in serial]
+    calls = [pid for _, pid in serial + got]  # one derive per fit, counted from what came back
     assert len(calls) == 2 * len(subsets)
+    assert {pid for _, pid in serial} == {os.getpid()}
+    if trainer._ONE_BLAS_THREAD:
+        pids = [pid for _, pid in got]
+        assert len(set(pids)) == 8 and pids[0] == os.getpid()
+        assert pids == pids[:8] * 2
 
 
 def test_fine_tune_each_raises_the_first_failing_subset(monkeypatch):
@@ -315,6 +301,117 @@ def test_fine_tune_each_raises_the_first_failing_subset(monkeypatch):
         _cpus(monkeypatch, cpus)
         with pytest.raises(ValueError, match=r"unknown task ids in subset: \[7\]"):
             fine_tune_each(net, net.init_params(), subsets, corpus, cfg, lambda fit: fit.best_epoch)
+
+
+@pytest.fixture
+def four_workers(monkeypatch):
+    """side_by_side runs in 4 workers, the caller and 3 forked children,
+    whether or not OpenBLAS's thread setter was found (the contract tested
+    here does not depend on the BLAS)."""
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(trainer, "_ONE_BLAS_THREAD", True)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _TwoArgError(Exception):
+    # pickles, but does not unpickle: BaseException pickles only args
+    def __init__(self, message, detail):
+        super().__init__(message)
+        self.detail = detail
+
+
+def test_side_by_side_returns_results_in_index_order(four_workers):
+    got = trainer.side_by_side(11, lambda i: (i, np.arange(i), os.getpid()))
+    assert [(i, a.tolist()) for i, a, _ in got] == [(i, list(range(i))) for i in range(11)]
+    # worker k ran indices k, k + 4, ...; worker 0 is the caller
+    pids = [pid for _, _, pid in got]
+    assert pids[0] == os.getpid() and len(set(pids)) == 4
+    assert pids == [pids[i % 4] for i in range(11)]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("failing", [(5, 6, 9), (3, 4), (4, 7), (9,)])
+def test_side_by_side_raises_the_lowest_failing_index(four_workers, failing):
+    # failing jobs in children, in the caller (4) or in both: the error is
+    # the one a serial loop meets first, with its message
+    def job(i):
+        if i in failing:
+            raise ValueError(f"job {i} failed")
+        return i
+
+    with pytest.raises(ValueError, match=f"^job {min(failing)} failed$"):
+        trainer.side_by_side(12, job)
+    _no_child_left()
+
+
+def test_side_by_side_names_what_cannot_be_pickled(four_workers):
+    class LocalError(Exception):  # a local class cannot be pickled
+        pass
+
+    for error, name in ((LocalError("x"), "LocalError"), (_TwoArgError("x", 1), "_TwoArgError")):
+        def job(i, error=error):
+            if i == 2:
+                raise error
+            return i
+
+        with pytest.raises(RuntimeError, match=f"job 2 raised a .*{name}, which cannot be sent"):
+            trainer.side_by_side(8, job)
+    with pytest.raises(RuntimeError, match="job 3 returned a function, which cannot be sent"):
+        trainer.side_by_side(8, lambda i: (lambda: i) if i == 3 else i)
+    _no_child_left()
+
+
+def test_side_by_side_never_forks_for_fewer_than_two_jobs(four_workers, monkeypatch):
+    monkeypatch.setattr(trainer.os, "fork", lambda: pytest.fail("forked"))
+    assert trainer.side_by_side(0, lambda i: pytest.fail("ran a job")) == []
+    assert trainer.side_by_side(1, lambda i: (i, os.getpid())) == [(0, os.getpid())]
+
+
+def test_side_by_side_children_keep_the_callers_errstate(four_workers):
+    with np.errstate(over="raise", invalid="ignore"):
+        got = trainer.side_by_side(4, lambda i: (np.geterr()["over"], np.geterr()["invalid"], os.getpid()))
+    assert [e[:2] for e in got] == [("raise", "ignore")] * 4
+    assert len({pid for *_, pid in got}) == 4
+
+
+def test_side_by_side_reaps_every_child_on_interrupt(four_workers):
+    # the caller's job is interrupted while the children's still sleep:
+    # every child is killed and reaped before the interrupt goes on
+    def job(i):
+        if i == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        trainer.side_by_side(4, job)
+    assert time.perf_counter() - start < 30
+    _no_child_left()
+
+
+# Prints one unflushed line to a pipe (block-buffered), then the results of
+# a side_by_side call in 4 workers.
+_PRINT_PROBE = """
+from gradsel import trainer
+trainer.os.sched_getaffinity = lambda pid: set(range(4))
+trainer._ONE_BLAS_THREAD = True
+print("before the call")
+print(trainer.side_by_side(4, lambda i: i))
+"""
+
+
+def test_side_by_side_children_print_nothing_of_the_callers(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-c", _PRINT_PROBE], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["before the call", "[0, 1, 2, 3]"]
 
 
 # Runs in its own process under OPENBLAS_NUM_THREADS=2: prints the OpenBLAS
