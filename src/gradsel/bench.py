@@ -8,7 +8,6 @@ into reproducible reports keyed by corpus digest and seeds.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,79 +327,6 @@ def exp_addition(
     )
 
 
-def exp_structure(evaluator: sel.Evaluator, n: int) -> ExperimentReport:
-    """Greedy search for a non-monotone chain (adding a pairwise-helpful task
-    raises the loss) and a submodularity violation (a marginal gain that grows
-    with the base set). Reports witnesses, or 'none found'. Each subset is
-    scored once."""
-    evaluator = functools.cache(evaluator)
-    base = evaluator(frozenset())
-    pair_scores = {t: evaluator(frozenset({t})) for t in range(1, n + 1)}
-    helpers = sorted(
-        (t for t in pair_scores if pair_scores[t] < base),
-        key=lambda t: (pair_scores[t], t),
-    )
-
-    chain: list[int] = []
-    chain_scores = [base]
-    non_monotone = None
-    for t in helpers:
-        chain.append(t)
-        value = evaluator(frozenset(chain))
-        chain_scores.append(value)
-        if value > chain_scores[-2] and non_monotone is None:
-            non_monotone = {
-                "subset": ";".join(str(x) for x in sorted(chain[:-1])),
-                "added_task": t,
-                "before": chain_scores[-2],
-                "after": value,
-            }
-
-    # marginal gains along the same chain: submodularity of f needs the gain
-    # of a fixed probe task to shrink as the base set grows
-    submodularity_violation = None
-    if len(chain) >= 2:
-        probe = chain[-1]
-        prefix_scores: dict[int, float] = {}
-        for k in range(len(chain) - 1):  # prefixes that do not contain probe
-            small = frozenset(chain[:k])
-            prefix_scores[k] = evaluator(small | {probe}) - evaluator(small)
-        ks = sorted(prefix_scores)
-        for a, b in zip(ks[:-1], ks[1:]):
-            if prefix_scores[b] > prefix_scores[a]:
-                submodularity_violation = {
-                    "task": probe,
-                    "small_prefix": a,
-                    "large_prefix": b,
-                    "gain_small": prefix_scores[a],
-                    "gain_large": prefix_scores[b],
-                }
-                break
-
-    scalars = {
-        "n": n,
-        "chain_length": len(chain),
-        "non_monotone_found": float(non_monotone is not None),
-        "submodularity_violation_found": float(submodularity_violation is not None),
-    }
-    tables = {
-        "chain": [
-            {"step": k, "score": s} for k, s in enumerate(chain_scores)
-        ],
-    }
-    if non_monotone:
-        tables["non_monotone"] = [non_monotone]
-    if submodularity_violation:
-        tables["submodularity_violation"] = [submodularity_violation]
-    return ExperimentReport(
-        name="structure",
-        scalars=scalars,
-        tables=tables,
-        seeds={},
-        corpus_digest="",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Report emission
 # ---------------------------------------------------------------------------
@@ -433,7 +359,7 @@ def _cell(v) -> str:
 def summarize(reports: list[ExperimentReport]) -> str:
     lines = []
     for r in reports:
-        lines.append(f"[{r.name}] corpus={r.corpus_digest[:12] or '-'} seeds={r.seeds}")
+        lines.append(f"[{r.name}] corpus={r.corpus_digest[:12]} seeds={r.seeds}")
         for k in sorted(r.scalars):
             lines.append(f"  {k} = {r.scalars[k]:.6g}")
     return "\n".join(lines) + "\n"

@@ -96,7 +96,7 @@ ARTIFACTS = {
 
 SELECT_METHODS = ("fs", "re", "ds-fs", "ds-re")
 EVALUATORS = ("estimator", "oracle")
-EXPERIMENTS = ("rrss", "relerr", "speedup", "addition", "structure")
+EXPERIMENTS = ("rrss", "relerr", "speedup", "addition")
 
 
 class StageError(RuntimeError):
@@ -498,11 +498,8 @@ def stage_bench(run: RunDir, cfg: dict[str, str], experiments: list[str]) -> Non
                     seed=seed,
                 )
             )
-        elif name == "speedup":
-            reports.append(bench.exp_speedup(net, theta, cache, corpus, ft_cfg, scfg))
         else:
-            evaluator = sel.estimator_evaluator(net, theta, cache, corpus.target.val, scfg)
-            reports.append(bench.exp_structure(evaluator, corpus.n_tasks))
+            reports.append(bench.exp_speedup(net, theta, cache, corpus, ft_cfg, scfg))
     out = run.root / "bench"
     out.mkdir(exist_ok=True)
     for r in reports:

@@ -261,8 +261,13 @@ def _record_dtype(d: int) -> np.dtype:
 
 
 def _pack(task_id, b, g) -> np.ndarray:
-    """The rows as cache.bin's records."""
+    """The rows as cache.bin's records. Raises ValueError naming the first
+    task id the record's 16-bit field cannot hold, which would wrap."""
     records = np.empty(len(task_id), dtype=_record_dtype(g.shape[1]))
+    tid = np.iinfo(records.dtype["tid"])
+    wide = (task_id < tid.min) | (task_id > tid.max)
+    if wide.any():
+        raise ValueError(f"task id {task_id[np.argmax(wide)]} does not fit cache.bin's task ids ({tid.min}..{tid.max})")
     records["tid"], records["b"] = task_id, b
     with np.errstate(over="ignore"):  # a gradient beyond float32's range becomes inf
         records["g"] = g

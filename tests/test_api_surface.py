@@ -7,6 +7,9 @@ alive only by its tests, and fails the check. Names are matched by
 identifier, so a method counts as used when any reachable code reads an
 attribute of that name. Reference implementations that tests compare the
 production paths against live in tests/reference.py, not in src/.
+
+A second check does the same for imports: a module-level import whose name
+its module never reads is left over from deleted code.
 """
 
 import ast
@@ -81,3 +84,24 @@ def _unused() -> list[str]:
 def test_every_public_name_is_used_by_the_program():
     assert _unused() == []
 
+
+def _unread_imports() -> list[str]:
+    """module.name for each name a module-level import binds and its module
+    never reads. __future__ imports bind nothing; __init__.py re-exports."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+                out += [f"{path.stem}.{name}" for name in bound if name not in read]
+    return out
+
+
+def test_every_module_level_import_is_read():
+    assert _unread_imports() == []

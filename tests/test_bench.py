@@ -7,7 +7,6 @@ from gradsel.bench import (
     baseline_feature_similarity,
     baseline_gradient_cosine,
     error_figures,
-    exp_structure,
     predicted_forward_passes,
     relative_error,
     report_to_csv_lines,
@@ -15,7 +14,6 @@ from gradsel.bench import (
     summarize,
 )
 from gradsel.linearize import GradientCache
-from gradsel.select import Evaluator
 
 
 def _fake_cache(g_proj, task_id):
@@ -191,49 +189,6 @@ def test_pairwise_cosine_vs_oracle_correlation_recorded(
     corr = float(np.corrcoef(cosines, f_values)[0, 1])
     print(f"pairwise cosine vs oracle f({{i,j}}) correlation: {corr:+.3f}")
     assert -1.0 <= corr <= 1.0
-
-
-# ---- structure experiment ----
-
-def test_exp_structure_finds_planted_non_monotonicity():
-    # pairwise-helpful tasks whose joint inclusion hurts
-    def score(s):
-        s = set(s)
-        if not s:
-            return 1.0
-        if len(s) == 1:
-            return 0.8  # every singleton helps
-        return 0.8 + 0.3 * (len(s) - 1)  # but combinations hurt
-
-    ev = Evaluator(_score=lambda s, budget: score(s))
-    report = exp_structure(ev, 4)
-    assert report.scalars["non_monotone_found"] == 1.0
-    assert "non_monotone" in report.tables
-
-
-def test_exp_structure_none_found_is_valid():
-    # strictly additive improvements: monotone and submodular, no witness
-    ev = Evaluator(_score=lambda s, budget: 1.0 - 0.01 * len(s))
-    report = exp_structure(ev, 4)
-    assert report.scalars["non_monotone_found"] == 0.0
-    assert "non_monotone" not in report.tables
-
-
-def test_exp_structure_submodularity_violation():
-    # marginal gain of the probe task grows with the base set
-    def score(s):
-        s = frozenset(s)
-        base = 1.0 - 0.05 * len(s)
-        if 3 in s and len(s) >= 3:
-            base -= 0.5  # task 3 helps much more on top of a bigger set
-        return base
-
-    scored = []
-    ev = Evaluator(_score=lambda s, budget: scored.append(s) or score(s))
-    report = exp_structure(ev, 4)
-    assert report.scalars["chain_length"] >= 2
-    # the chain's prefixes and the probe's singleton are scored once each
-    assert len(scored) == len(set(scored))
 
 
 def test_exp_rrss_deterministic(gauss_net, theta_star, gauss_corpus):

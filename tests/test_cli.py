@@ -229,16 +229,14 @@ def test_config_reflects_last_writing_stage(tmp_path):
     assert "train.max_epochs = 7" in text
 
 
-def test_bench_rrss_and_structure(tmp_path):
+def test_bench_rrss(tmp_path):
     for stage in (["gen"], ["meta-train"], ["cache"]):
         assert run([*stage, *TINY], tmp_path) == 0
-    args = ["bench", "--exp", "rrss", "--exp", "structure",
-            "--bench.rrss_directions", "4", *TINY]
+    args = ["bench", "--exp", "rrss", "--bench.rrss_directions", "4", *TINY]
     assert run(args, tmp_path) == 0
     bench_dir = tmp_path / "bench"
     assert (bench_dir / "rrss_scalars.csv").exists()
     assert (bench_dir / "rrss_rrss.csv").exists()
-    assert (bench_dir / "structure_scalars.csv").exists()
     assert (bench_dir / "summary.txt").exists()
     assert run(["report", *TINY], tmp_path) == 0
     summary = (tmp_path / "report" / "summary.txt").read_text()
@@ -424,12 +422,13 @@ def test_bench_relerr_small(tmp_path):
     assert len(frontier) == 3
 
 
-def test_bench_unknown_experiment_runs_nothing(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["typo", "structure"])
+def test_bench_unknown_experiment_runs_nothing(tmp_path, capsys, name):
     # the names are checked before any artifact is loaded or experiment run
-    assert run(["bench", "--exp", "rrss", "--exp", "typo", *TINY], tmp_path) == 2
+    assert run(["bench", "--exp", "rrss", "--exp", name, *TINY], tmp_path) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("gradsel bench: unknown experiment 'typo'")
+    assert lines[0].startswith(f"gradsel bench: unknown experiment '{name}'")
     assert not (tmp_path / "bench").exists()
 
 

@@ -470,6 +470,28 @@ def test_load_cache_rejects_nonfinite_values(tmp_path, cache, field, row, value)
         load_cache(path)
 
 
+def test_task_ids_beyond_the_records_16_bits_are_refused(tmp_path, cache):
+    # cache.bin stores a task id in 16 bits: 32,767 round-trips, and 32,768
+    # is refused by name instead of wrapping to -32,768
+    path = tmp_path / "cache.bin"
+    for tid in (32767, -32768):
+        relabeled = dataclasses.replace(cache, task_id=np.where(cache.task_id == 1, tid, cache.task_id))
+        save_cache(path, relabeled)
+        assert np.array_equal(load_cache(path).task_id, relabeled.task_id)
+    path.unlink()
+    for tid in (32768, -32769, 40000):
+        ids = cache.task_id.copy()
+        ids[3:] = tid
+        with pytest.raises(ValueError, match=f"^task id {tid} does not fit cache.bin's task ids \\(-32768..32767\\)$"):
+            save_cache(path, dataclasses.replace(cache, task_id=ids))
+        assert not path.exists()
+    # build_cache passes its rows through the same records, so it refuses too
+    corpus, net = _mini_corpus(), _linear_net()
+    corpus.tasks[0].task_id = 32768
+    with pytest.raises(ValueError, match="^task id 32768 does not fit"):
+        build_cache(net, net.init_params(), corpus, gaussian_projection(net.param_count, 3, 0), 0)
+
+
 def test_build_cache_dimension_check():
     corpus = _mini_corpus()
     net = _linear_net()
