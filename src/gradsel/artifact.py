@@ -48,12 +48,17 @@ def write(path, kind: str, version: int, header: dict, body: bytes) -> None:
 
 
 def read(path, kind: str, version: int, keys: dict[str, type]) -> tuple[dict, bytes]:
-    """(header, body) of a container whose header holds a value of each
-    keys[k]'s type under each key k (JSON true and false are not ints).
-    Raises ValueError naming the file when the checksum does not match, the
-    file holds another kind or version, or a key is missing or mistyped."""
+    """(header, body) of the container at path (see decode)."""
     with open(path, "rb") as f:
-        data = f.read()
+        return decode(path, f.read(), kind, version, keys)
+
+
+def decode(path, data: bytes, kind: str, version: int, keys: dict[str, type]) -> tuple[dict, bytes]:
+    """(header, body) of the container bytes data, read from path, whose
+    header holds a value of each keys[k]'s type under each key k (JSON true
+    and false are not ints). Raises ValueError naming the file when the
+    checksum does not match, the file holds another kind or version, or a
+    key is missing or mistyped."""
     data, trailer = data[:-_TRAILER], data[-_TRAILER:]
     if trailer != _trailer(data):
         raise ValueError(f"{path}: checksum mismatch (damaged or not a gradsel artifact)")

@@ -157,8 +157,8 @@ def exp_relerr(
     seed: int,
 ) -> ExperimentReport:
     """Estimator fidelity against the oracle over m random subsets of half
-    the tasks (one estimator solve each), plus the forward-pass cost of both
-    routes."""
+    the tasks (one estimator solve each, in blocks side by side as select
+    scores them), plus the forward-pass cost of both routes."""
     if m < 1:
         raise ValueError("need at least one subset")
     n = corpus.n_tasks
@@ -176,12 +176,15 @@ def exp_relerr(
             relative_distance(fit.params, theta_star),
         ),
     )
+    est.prepare(cache, solve_cfg)
+    estimates = sel.scored_in_blocks(
+        subsets, lambda block: est.estimate_subsets(net, theta_star, cache, block, corpus.target.val, solve_cfg)
+    )
     oracle_passes = 0
     rows = []
     f_true, f_hat = [], []
-    for subset, (truth, passes, distance) in zip(subsets, oracle):
+    for subset, (truth, passes, distance), result in zip(subsets, oracle, estimates):
         oracle_passes += passes
-        result = est.estimate_subset(net, theta_star, cache, subset, corpus.target.val, solve_cfg)
         f_true.append(truth)
         f_hat.append(result.f_hat)
         rows.append(

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifact, bench, estimate as est, select as sel
-from .linearize import TARGET_VAL_ID, build_cache, load_cache, row_task_ids, save_cache
+from .linearize import TARGET_VAL_ID, build_cache, check_task_ids, load_cache, row_task_ids, save_cache
 from .model import ModelConfig, Network
 from .project import gaussian_projection
 from .taskgen import Corpus, gen_multitask_gaussian, gen_noisy_addition, load_corpus, save_corpus
@@ -311,6 +311,9 @@ def _record_config(run: RunDir, cfg: dict[str, str]) -> None:
 
 def stage_gen(run: RunDir, cfg: dict[str, str]) -> None:
     kind = cfg["corpus.kind"]
+    # source task ids run to corpus.n; one cache.bin cannot hold is refused
+    # here, before any sample is drawn or any training runs
+    check_task_ids(np.array([int(cfg["corpus.n"])]))
     if kind == "gaussian":
         corpus = gen_multitask_gaussian(
             n=int(cfg["corpus.n"]),

@@ -17,6 +17,7 @@ projected gradients (in float64 arrays) and float64 b values.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -48,10 +49,11 @@ class GradientCache:
 
     Contents are immutable once built and safe for concurrent reads.
     starts memoizes, per SolveConfig, what estimate.py derives from the
-    contents to start every subset solve (see estimate_subset), and n_ids
-    is one past the largest task id; both are left out of __init__, ==,
-    repr and digest(), so dataclasses.replace gives a relabeled copy its
-    own, and a memo lives as long as its cache.
+    contents to start every subset solve (see estimate_subsets), n_ids is
+    one past the largest task id, and id_rows (computed on first use) holds
+    each id's rows; all three are left out of __init__, ==, repr and
+    digest(), so dataclasses.replace gives a relabeled copy its own, and a
+    memo lives as long as its cache.
     """
 
     task_id: np.ndarray  # (n,) int64; TARGET_VAL_ID on the target's val rows
@@ -83,6 +85,15 @@ class GradientCache:
         """Indices of the rows a subset's solve reads, given its task_mask:
         those of its tasks and the target's train rows, in row order."""
         return np.flatnonzero(mask[self.task_id])
+
+    @functools.cached_property
+    def id_rows(self) -> list[np.ndarray]:
+        """The indices of each task id's rows, for ids 0..n_ids - 1, in row
+        order, found once per cache: a block of subset solves reads its
+        tasks' rows through them, task by task."""
+        order = np.argsort(self.task_id, kind="stable")
+        cuts = np.searchsorted(self.task_id[order], np.arange(self.n_ids + 1))
+        return [order[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -260,14 +271,20 @@ def _record_dtype(d: int) -> np.dtype:
     return np.dtype([("tid", "<i2"), ("b", "<f8"), ("g", "<f4", (d,))])
 
 
-def _pack(task_id, b, g) -> np.ndarray:
-    """The rows as cache.bin's records. Raises ValueError naming the first
-    task id the record's 16-bit field cannot hold, which would wrap."""
-    records = np.empty(len(task_id), dtype=_record_dtype(g.shape[1]))
-    tid = np.iinfo(records.dtype["tid"])
+def check_task_ids(task_id: np.ndarray) -> None:
+    """Raise ValueError naming the first task id that cache.bin's 16-bit
+    record field cannot hold, which would wrap."""
+    tid = np.iinfo(_record_dtype(0)["tid"])
     wide = (task_id < tid.min) | (task_id > tid.max)
     if wide.any():
         raise ValueError(f"task id {task_id[np.argmax(wide)]} does not fit cache.bin's task ids ({tid.min}..{tid.max})")
+
+
+def _pack(task_id, b, g) -> np.ndarray:
+    """The rows as cache.bin's records; refuses task ids they cannot hold
+    (check_task_ids)."""
+    check_task_ids(task_id)
+    records = np.empty(len(task_id), dtype=_record_dtype(g.shape[1]))
     records["tid"], records["b"] = task_id, b
     with np.errstate(over="ignore"):  # a gradient beyond float32's range becomes inf
         records["g"] = g

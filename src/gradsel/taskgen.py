@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,11 +47,17 @@ class TaskDataset:
 
 @dataclass
 class Corpus:
-    """n source tasks (ids 1..n) plus a distinct target task (id 0)."""
+    """n source tasks (ids 1..n) plus a distinct target task (id 0).
+
+    _digest keeps the SHA-256 of the corpus artifact's bytes once known:
+    those load_corpus read or save_corpus wrote, else serialize_corpus's,
+    computed on the first digest() call. It is left out of __init__, ==
+    and repr."""
 
     tasks: list[TaskDataset]
     target: TaskDataset
     meta: dict
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [t.task_id for t in self.tasks]
@@ -81,7 +87,13 @@ class Corpus:
         return np.concatenate([X for X, _ in parts]), np.concatenate([y for _, y in parts])
 
     def digest(self) -> str:
-        return hashlib.sha256(serialize_corpus(self)).hexdigest()
+        """The SHA-256 of the corpus artifact: of the file's bytes for a
+        corpus loaded or saved, so a valid file written another way than
+        save_corpus writes (say 0x1.8p+0 for 0x1.8000000000000p+0) has a
+        digest of its own."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(serialize_corpus(self)).hexdigest()
+        return self._digest
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +381,19 @@ def serialize_corpus(corpus: Corpus) -> bytes:
 
 
 def save_corpus(path, corpus: Corpus) -> None:
-    artifact.write_atomic(path, serialize_corpus(corpus))
+    """Write the corpus artifact; the corpus keeps the digest of its bytes."""
+    data = serialize_corpus(corpus)
+    artifact.write_atomic(path, data)
+    corpus._digest = hashlib.sha256(data).hexdigest()
 
 
 def load_corpus(path) -> Corpus:
-    """Read a corpus artifact; raises ValueError naming the file when it is
-    not a corpus container, a sample line is malformed or a split is ragged."""
-    header, body = artifact.read(path, "corpus", 1, {"dim": int, "meta": dict})
+    """Read a corpus artifact, keeping the digest of the bytes read; raises
+    ValueError naming the file when it is not a corpus container, a sample
+    line is malformed or a split is ragged."""
+    with open(path, "rb") as f:
+        data = f.read()
+    header, body = artifact.decode(path, data, "corpus", 1, {"dim": int, "meta": dict})
     dim, meta = header["dim"], header["meta"]
     onehot = meta.get("kind") == "addition"
     buckets: dict[tuple[int, str], list] = {}
@@ -398,7 +416,9 @@ def load_corpus(path) -> Corpus:
 
     ids = sorted({tid for tid, _ in buckets} | {TARGET_TASK_ID})  # the target first
     tasks = [TaskDataset(tid, stacked(tid, "train"), stacked(tid, "val")) for tid in ids]
-    return Corpus(tasks[1:], tasks[0], meta)
+    corpus = Corpus(tasks[1:], tasks[0], meta)
+    corpus._digest = hashlib.sha256(data).hexdigest()
+    return corpus
 
 
 def _parse_sample(line: str, dim: int, onehot: bool) -> tuple[int, str, np.ndarray, list[int]]:
@@ -407,7 +427,15 @@ def _parse_sample(line: str, dim: int, onehot: bool) -> tuple[int, str, np.ndarr
         x = np.zeros(dim)
         x[[int(i) for i in feats_s.split(",")]] = 1.0
     else:
-        x = np.array([float.fromhex(v) for v in feats_s.split(",")])
+        feats = feats_s.split(",")
+        # float.fromhex reads a bare 1.5 as hex digits, 1.3125. Only a line
+        # holding fewer 0x than features can hold a feature without one (a
+        # feature holding two is no float, which fromhex refuses)
+        if feats_s.count("0x") != len(feats):
+            bad = next((v for v in feats if not v.removeprefix("-").startswith("0x")), None)
+            if bad is not None:
+                raise ValueError(f"feature {bad!r} is not a hex float (0x...)")
+        x = np.array([float.fromhex(v) for v in feats])
         if x.shape != (dim,):
             raise ValueError(f"expected {dim} features, got {x.shape[0]}")
     return int(tid_s), split, x, [int(v) for v in label_s.split(",")]

@@ -5,6 +5,7 @@ can compare a fast path with it.
 """
 
 import copy
+import math
 import types
 
 import numpy as np
@@ -67,6 +68,79 @@ def subset_objective(cache, subset, x, ridge_lambda: float):
         raise ValueError(f"no cached samples for subset {sorted(subset)}")
     value, grad, _ = value_grad(cache.b[idx], cache.g_proj[idx], np.asarray(x, dtype=np.float64), ridge_lambda)
     return value, grad
+
+
+def fixed_step_newton(b, G, lam, cfg, x0, H_inv):
+    """One subset's solve over rows (b, G) from x0, as the estimator took it
+    one subset at a time with matrix-vector products: full fixed steps
+    -H_inv grad, each kept only while its slope is negative, it halves
+    ||grad|| and estimate._accepts it; after the first that fails, damped
+    Newton from where it is, in the same count of steps. Returns (x, steps
+    of both kinds, stop)."""
+    from gradsel.estimate import Stop, _accepts, _hessian, _value_grad
+
+    x = x0.copy()
+    value, grad, z = _value_grad(b, G, x, lam)
+    grad_norm = math.sqrt(grad @ grad)
+    for it in range(1, cfg.max_iters + 1):
+        if grad_norm <= cfg.grad_tol:
+            return x, it - 1, Stop.CONVERGED
+        if H_inv is not None:
+            direction = -(H_inv @ grad)
+            slope = grad @ direction
+            if slope < 0:
+                cand = x + direction
+                cand_value, cand_grad, cand_z = _value_grad(b, G, cand, lam)
+                cand_norm = math.sqrt(cand_grad @ cand_grad)
+                if cand_norm <= 0.5 * grad_norm and _accepts(value, slope, 1.0, cand_value, cand_grad @ direction):
+                    x, value, grad, z, grad_norm = cand, cand_value, cand_grad, cand_z, cand_norm
+                    continue
+            H_inv = None
+        try:
+            direction = np.linalg.solve(_hessian(G, z, lam), -grad)
+        except np.linalg.LinAlgError:
+            direction = -grad
+        slope = grad @ direction
+        if slope >= 0:
+            direction = -grad
+            slope = grad @ direction
+        step = 1.0
+        for _ in range(60):
+            cand = x + step * direction
+            cand_value, cand_grad, cand_z = _value_grad(b, G, cand, lam)
+            if _accepts(value, slope, step, cand_value, cand_grad @ direction):
+                break
+            step *= 0.5
+        else:
+            return x, it, Stop.LINESEARCH
+        x, value, grad, z = cand, cand_value, cand_grad, cand_z
+        grad_norm = math.sqrt(grad @ grad)
+    return x, cfg.max_iters, Stop.CONVERGED if grad_norm <= cfg.grad_tol else Stop.MAX_ITERS
+
+
+def estimate_alone(net, theta_star, cache, subset, target_val, cfg, linearized=False, H_inv=None):
+    """(x_hat, f_hat, steps, stop) of one subset solved and scored alone, by
+    matrix-vector products: its start x_all - H_all^-1 grad_S(x_all) from
+    the memoized per-task sums, fixed_step_newton over its gathered rows
+    (with H_inv in place of H_all^-1 if given), then theta* + P x_hat
+    evaluated on target_val, or with linearized the mean linearized loss
+    over the cached target-val rows."""
+    from gradsel import estimate
+    from gradsel.linearize import TARGET_VAL_ID
+
+    sums, x_all, H_all_inv = estimate._all_tasks_start(cache, cfg)
+    mask = cache.task_mask(subset)
+    idx = cache.rows_for(mask)
+    mine = mask[: len(sums)]
+    x0 = x_all - H_all_inv @ (cfg.ridge_lambda * x_all - sums[mine].sum(axis=0) / len(idx))
+    steps = H_all_inv if H_inv is None else H_inv
+    x, iters, stop = fixed_step_newton(cache.b[idx], cache.g_proj[idx], cfg.ridge_lambda, cfg, x0, steps)
+    if linearized:
+        val = cache.task_id == TARGET_VAL_ID
+        f_hat = float(np.mean(np.logaddexp(0.0, cache.b[val] - cache.g_proj[val] @ x)))
+    else:
+        f_hat = float(net.losses(theta_star + cache.P @ x, *target_val).mean())
+    return x, f_hat, iters, stop
 
 
 def masked_sigmoid(z) -> np.ndarray:

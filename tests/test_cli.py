@@ -34,6 +34,31 @@ def run(args, tmp_path):
     return main(["--out", str(tmp_path), *args])
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "addition"])
+def test_gen_refuses_task_ids_cache_bin_cannot_hold(tmp_path, capsys, kind):
+    # refused before any sample is drawn, not by cache after meta-training
+    assert run(["gen", "--corpus.kind", kind, "--corpus.n", "32768"], tmp_path) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "gradsel gen: task id 32768 does not fit cache.bin's task ids (-32768..32767)"
+    ]
+    assert not (tmp_path / "corpus.txt").exists()
+
+
+def test_a_corpus_file_written_another_way_needs_a_new_checkpoint(tiny_run, tmp_path, capsys):
+    # the checkpoint records the digest of the corpus file it was trained
+    # on; a valid rewrite with other bytes is another corpus
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "corpus.txt"
+    header, body = gradsel.artifact.read(path, "corpus", 1, {})
+    line, rest = body.split(b"\n", 1)
+    gradsel.artifact.write(path, "corpus", 1, header, line.replace(b"p", b"0p", 1) + b"\n" + rest)
+    capsys.readouterr()
+    assert run(["cache", *TINY], tmp_path) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "gradsel cache: checkpoint was trained on a different corpus; re-run meta-train"
+    ]
+
+
 def test_config_file_and_overrides(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("corpus.n = 7\n# comment line\nproject.d = 33\n")
@@ -628,9 +653,10 @@ def test_solver_health_reaches_selection_and_report(tiny_run, tmp_path, capsys):
 
 def test_line_search_failures_are_told_apart_from_max_iters(tiny_run, tmp_path, monkeypatch):
     # no candidate ever decreases the objective: every solve stops in its
-    # first line search, and the budget and the ledger say so. The objective
-    # is lowest at the first point a solve over a row set evaluates, which is
-    # where that solve starts.
+    # first line search, and the budget and the ledger say so. A block's
+    # fixed step never halves the gradient, so every subset goes on by
+    # damped Newton from its start, where the objective of its rows is lowest
+    # (at the first point a solve over that row set evaluates).
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
     starts = {}
 
@@ -639,10 +665,12 @@ def test_line_search_failures_are_told_apart_from_max_iters(tiny_run, tmp_path, 
         return float(np.any(x != start)), np.ones_like(x), np.zeros(len(b))
 
     monkeypatch.setattr(gradsel.estimate, "_value_grad", uphill)
+    monkeypatch.setattr(gradsel.estimate, "_block_value_grad", lambda parts, X, *_: (np.zeros(len(X)), np.ones_like(X)))
     assert run(["select", *TINY], tmp_path) == 0
     budget = _budget(tmp_path / "selection.txt")
     assert budget["linesearch_failures"] == budget["calls"] > 0
     assert budget["nonconverged"] == 0
+    starts.clear()  # a start's bits depend on its block, and select's blocks are not estimate's
     assert run(["estimate", *TINY, "--subset", "1,2", "--subset", "3"], tmp_path) == 0
     rows = (tmp_path / "estimates.csv").read_text().splitlines()[1:]
     assert [row.rsplit(",", 1)[1] for row in rows] == ["linesearch", "linesearch"]

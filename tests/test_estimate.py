@@ -14,7 +14,9 @@ from gradsel.estimate import (
     estimate_f,
     estimate_f_linearized,
     estimate_subset,
+    estimate_subsets,
     solve_subset,
+    solve_subsets,
     write_ledger,
 )
 from gradsel.linearize import TARGET_VAL_ID, GradientCache, build_cache, load_cache, save_cache
@@ -23,7 +25,7 @@ from gradsel.taskgen import Corpus, TaskDataset
 from gradsel.trainer import eval_loss
 
 from conftest import SOLVE_CFG
-from reference import subset_objective, value_grad
+from reference import estimate_alone, fixed_step_newton, subset_objective, value_grad
 
 
 def _fake_cache(b, G, task_id=None, val=None):
@@ -264,7 +266,7 @@ def test_empty_subset_data_raises():
 
 def test_estimate_f_zero_displacement(gauss_net, theta_star, gauss_corpus, cache):
     base = eval_loss(gauss_net, theta_star, *gauss_corpus.target.val)
-    value = estimate_f(gauss_net, theta_star, cache, np.zeros(cache.d), gauss_corpus.target.val)
+    [value] = estimate_f(gauss_net, theta_star, cache, np.zeros((1, cache.d)), gauss_corpus.target.val)
     assert value == pytest.approx(base, abs=1e-14)
 
 
@@ -272,12 +274,12 @@ def test_estimate_f_linearized_zero_and_missing():
     rng = np.random.default_rng(7)
     val_b = rng.standard_normal(9)
     cache = _fake_cache(np.ones(4), np.zeros((4, 3)), val=(val_b, rng.standard_normal((9, 3))))
-    assert estimate_f_linearized(cache, np.zeros(3)) == pytest.approx(
+    assert estimate_f_linearized(cache, np.zeros((1, 3)))[0] == pytest.approx(
         np.mean(np.log1p(np.exp(val_b))), abs=1e-12
     )
     empty = _fake_cache(np.ones(4), np.zeros((4, 3)))
     with pytest.raises(ValueError):
-        estimate_f_linearized(empty, np.zeros(3))
+        estimate_f_linearized(empty, np.zeros((1, 3)))
 
 
 def _linear_setup(seed=0):
@@ -303,8 +305,8 @@ def test_linearized_exact_for_linear_model_identity_projector():
     rng = np.random.default_rng(9)
     for _ in range(3):
         x = 0.5 * rng.standard_normal(cache.d)
-        lin = estimate_f_linearized(cache, x)
-        full = estimate_f(net, theta, cache, x, corpus.target.val)
+        [lin] = estimate_f_linearized(cache, x[None])
+        [full] = estimate_f(net, theta, cache, x[None], corpus.target.val)
         assert lin == pytest.approx(full, abs=1e-10)
 
 
@@ -315,8 +317,8 @@ def test_linearized_agrees_with_forward_on_default_corpus(
     for _ in range(5):
         S = frozenset(int(t) + 1 for t in rng.choice(20, size=10, replace=False))
         x, _, _ = solve_subset(cache, S, SOLVE_CFG)
-        lin = estimate_f_linearized(cache, x)
-        full = estimate_f(gauss_net, theta_star, cache, x, gauss_corpus.target.val)
+        [lin] = estimate_f_linearized(cache, x[None])
+        [full] = estimate_f(gauss_net, theta_star, cache, x[None], gauss_corpus.target.val)
         assert abs(lin - full) / full <= 0.10
 
 
@@ -374,13 +376,18 @@ def _solve_of(cache, subset, cfg):
     seen = []
 
     def spy(*args):
-        seen.append(solve_subset(*args))
-        return seen[-1]
+        seen.extend(solve_subsets(*args))
+        return seen
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimate, "solve_subset", spy)
+        mp.setattr(estimate, "solve_subsets", spy)
         estimate_subset(None, None, cache, subset, None, cfg, linearized=True)
     return seen[0]
+
+
+def _start(cache, subset, cfg):
+    """The subset's shared start, as its block of one starts from."""
+    return estimate._starts(cache, [subset], cfg)[0][0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -402,7 +409,7 @@ def test_shared_start_reaches_the_zero_start_answer(seed, n_tasks, d, ridge, dat
     subset = data.draw(st.sets(st.integers(min_value=1, max_value=n_tasks)))
     cfg = SolveConfig(ridge_lambda=ridge)
     x, _, stop = _solve_of(cache, subset, cfg)
-    x_newton, _, stop_newton = solve_subset(cache, subset, cfg, estimate._subset_start(cache, cache.task_mask(subset), cfg)[0])
+    x_newton, _, stop_newton = solve_subset(cache, subset, cfg, _start(cache, subset, cfg))
     x_zero, _, stop_zero = solve_subset(cache, subset, cfg)
     assert stop is stop_newton is stop_zero is Stop.CONVERGED
     assert np.linalg.norm(x - x_newton) <= 2 * cfg.grad_tol / ridge
@@ -430,7 +437,7 @@ def test_shared_start_halves_the_newton_iterations(cache):
     iters = []
     for _ in range(200):
         subset = rng.choice(np.arange(1, 21), size=15, replace=False)
-        iters.append(solve_subset(fresh, subset, SOLVE_CFG, estimate._subset_start(fresh, fresh.task_mask(subset), SOLVE_CFG)[0])[1])
+        iters.append(solve_subset(fresh, subset, SOLVE_CFG, _start(fresh, subset, SOLVE_CFG))[1])
     assert np.mean(iters) <= 2.3
 
 
@@ -457,10 +464,10 @@ def test_a_useless_fixed_step_falls_back_to_newton(fault):
     tid = np.repeat(np.arange(4), 15)
     cache = _fake_cache(*_signed_rows(rng, len(tid), 5), task_id=tid)
     cfg = SolveConfig(ridge_lambda=1e-2)
-    x0, H_inv = estimate._subset_start(cache, cache.task_mask({1, 2}), cfg)
+    X0, H_inv = estimate._starts(cache, [{1, 2}], cfg)
     bad = {"zeros": np.zeros_like(H_inv), "negated": -H_inv, "nan": np.full_like(H_inv, np.nan)}[fault]
-    x, iters, stop = solve_subset(cache, {1, 2}, cfg, x0, bad)
-    x_newton, iters_newton, stop_newton = solve_subset(cache, {1, 2}, cfg, x0)
+    [(x, iters, stop)] = solve_subsets(cache, [{1, 2}], cfg, X0, bad)
+    x_newton, iters_newton, stop_newton = solve_subset(cache, {1, 2}, cfg, X0[0])
     assert stop is stop_newton is Stop.CONVERGED
     assert np.array_equal(x, x_newton) and iters == iters_newton > 0
 
@@ -483,3 +490,80 @@ def test_value_grad_is_the_allocating_expression_bit_for_bit(n, d, seed, lam, sc
     assert value.hex() == want_value.hex()
     assert grad.tobytes() == want_grad.tobytes()
     assert z.tobytes() == want_z.tobytes()
+
+
+# ---- blocks of subsets ----
+
+
+def _faulty(H_inv, fault):
+    return {
+        None: H_inv, "zeros": np.zeros_like(H_inv), "negated": -H_inv, "nan": np.full_like(H_inv, np.nan)
+    }[fault]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_tasks=st.integers(min_value=1, max_value=6),
+    d=st.integers(min_value=1, max_value=12),
+    ridge=st.sampled_from([0.1, 1e-2, 1e-4]),
+    max_iters=st.sampled_from([1, 2, 3, 100]),
+    separable=st.booleans(),
+    relabeled=st.booleans(),
+    fault=st.sampled_from([None, "zeros", "negated", "nan"]),
+    data=st.data(),
+)
+def test_a_block_solves_each_subset_as_the_one_subset_reference(
+    seed, n_tasks, d, ridge, max_iters, separable, relabeled, fault, data
+):
+    # a block's fixed steps are gemms over each task's rows, where the
+    # reference takes each subset alone by matrix-vector products over its
+    # gathered rows: the same steps and Stop, and x_hat and f_hat to
+    # rounding. max_iters 1-3 stop solves short; a zero, negated or NaN
+    # H_inv refuses every fixed step; separable rows leave only the ridge to
+    # bound the minimizer; relabeled ids scatter each id's rows as
+    # select.group_cache does; subsets may name the target or no known id.
+    # x_hat can be a small difference of its start and the steps, so its
+    # rounding is relative to the larger of the two
+    rng = np.random.default_rng(seed)
+    tid = np.repeat(np.arange(n_tasks + 1), rng.integers(1, 20, size=n_tasks + 1))
+    if relabeled:
+        tid = rng.permutation(tid)
+    b, G = _signed_rows(rng, len(tid), d)
+    if separable:  # every row on the positive side of one direction
+        G *= np.where(G @ rng.standard_normal(d) < 0, -1.0, 1.0)[:, None]
+    cache = _fake_cache(b, G, task_id=tid, val=(rng.standard_normal(5), rng.standard_normal((5, d))))
+    subsets = data.draw(st.lists(st.frozensets(st.integers(min_value=0, max_value=n_tasks + 1)), min_size=1, max_size=8))
+    cfg = SolveConfig(ridge_lambda=ridge, max_iters=max_iters)
+    X0, H_inv = estimate._starts(cache, subsets, cfg)
+    solved = solve_subsets(cache, subsets, cfg, X0, _faulty(H_inv, fault))
+    f_hat = estimate_f_linearized(cache, np.array([x for x, _, _ in solved]))
+    for s, x0, (x, iters, stop), f in zip(subsets, X0, solved, f_hat):
+        x_ref, f_ref, iters_ref, stop_ref = estimate_alone(None, None, cache, s, None, cfg, True, _faulty(H_inv, fault))
+        assert (iters, stop) == (iters_ref, stop_ref)
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * max(np.linalg.norm(x_ref), np.linalg.norm(x0))
+        assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
+
+
+def test_default_blocks_take_each_subsets_steps(gauss_net, theta_star, gauss_corpus, cache):
+    # RE's first 128 default draws in two blocks of 64, and the first FS
+    # round, scored as select scores them: each subset takes the steps and
+    # stops as it does alone, and its f_hat agrees to rounding
+    from gradsel.select import random_subsets
+
+    draws = random_subsets(20, 15, 128, 6)
+    blocks = [draws[:64], draws[64:], [frozenset({t}) for t in range(1, 21)]]
+    val = gauss_corpus.target.val
+    for block in blocks:
+        for s, r in zip(block, estimate_subsets(gauss_net, theta_star, cache, block, val, SOLVE_CFG)):
+            _, f_ref, iters_ref, stop_ref = estimate_alone(gauss_net, theta_star, cache, s, val, SOLVE_CFG)
+            assert (r.solver_iters, r.stop) == (iters_ref, stop_ref)
+            assert abs(r.f_hat - f_ref) <= 1e-12 * f_ref
+
+
+def test_a_block_raises_for_its_first_subset_without_rows():
+    cache = _fake_cache(np.ones(4), np.zeros((4, 2)))
+    with pytest.raises(ValueError, match=r"no cached samples for subset \[5\]"):
+        solve_subsets(cache, [{1}, {5}, {7}], SolveConfig(), np.zeros((3, 2)), np.eye(2))
+    with pytest.raises(ValueError, match=r"no cached samples for subset \[7\]"):
+        estimate_subsets(None, None, cache, [{1}, {7}], None, SolveConfig(), linearized=True)

@@ -29,8 +29,8 @@ from conftest import FINETUNE_CFG, SOLVE_CFG, _cpus
 GRID = (0.05, 0.10, 0.15, 0.20)  # the default select.fraction_grid
 
 
-def fake_evaluator(score_fn):
-    return Evaluator(_score=lambda s, budget: score_fn(s))
+def fake_evaluator(score_fn, block=1):
+    return Evaluator(lambda subsets: [(score_fn(s), {}) for s in subsets], block)
 
 
 # ---- forward selection ----
@@ -269,31 +269,27 @@ def test_compute_T_skips_nonfinite_scores(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sets(st.integers(min_value=0, max_value=19)), st.sampled_from(NON_FINITE))
+@given(st.sets(st.sampled_from([frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})])), st.sampled_from(NON_FINITE))
 def test_ensemble_select_builds_T_from_finite_scores(poisoned, bad):
-    # draws of a 3-task ensemble whose index is in poisoned score non-finite;
-    # RE must go on from the finite draws, or name a task none of them covers
+    # draws of a 3-task ensemble whose subset is in poisoned score
+    # non-finite; RE must go on from the finite draws, or name a task none
+    # of them covers
     weight = {1: 0.1, 2: 0.5, 3: 0.9}
-    calls = []
 
     def score(s):
-        calls.append(s)
-        return bad if len(calls) - 1 in poisoned else sum(weight[t] for t in s)
+        return bad if s in poisoned else sum(weight[t] for t in s)
 
     def run():
-        # one CPU, so every draw is scored in this process and counted in calls
-        with pytest.MonkeyPatch.context() as mp:
-            _cpus(mp, 1)
-            return ensemble_select(fake_evaluator(score), 3, GRID, m=20, alpha_frac=2 / 3, seed=1)
+        return ensemble_select(fake_evaluator(score), 3, GRID, m=20, alpha_frac=2 / 3, seed=1)
 
     draws = random_ensemble(fake_evaluator(lambda s: 0.0), 3, m=20, alpha_frac=2 / 3, seed=1)
-    covered = set().union(*(s for i, (s, _) in enumerate(draws) if i not in poisoned))
+    covered = set().union(*(s for s, _ in draws if s not in poisoned))
     if covered != {1, 2, 3}:
         with pytest.raises(ValueError, match="finite-scored subset"):
             run()
         return
     report = run()
-    assert report.budget["nonfinite"] == len(poisoned)
+    assert report.budget["nonfinite"] == sum(s in poisoned for s, _ in draws)
     finite = [(s, v) for s, v in report.trajectory if math.isfinite(v)]
     assert np.array_equal(report.t_scores, compute_T(finite, 3))
     assert report.chosen == threshold_select(report.t_scores, fraction=GRID[0])
@@ -432,15 +428,26 @@ def _scored_one_by_one_and_in_batches(make, subsets, monkeypatch):
 
 
 def test_estimator_batch_is_single_calls_bit_for_bit(gauss_net, theta_star, gauss_corpus, cache, monkeypatch):
-    # max_iters 2, so some solves stop short and the scorer adds to budgets
-    subsets = [frozenset(), frozenset({1}), frozenset({2, 3, 4}), frozenset(range(1, 16)), frozenset({7, 19})] * 2
+    # max_iters 2, so some solves stop short and the scorer adds to budgets.
+    # 150 distinct subsets are three blocks, scored in 1 and in 4 workers to
+    # the same bits. A single call is a block of one, and a gemm's bits
+    # depend on its width, so single calls agree with the batch to rounding,
+    # and their budgets exactly
+    rng = np.random.default_rng(3)
+    drawn = [frozenset(int(t) for t in rng.choice(np.arange(1, 21), size=k, replace=False))
+             for k in rng.integers(1, 21, size=145)]
+    subsets = [frozenset(), frozenset({1}), frozenset({2, 3, 4}), frozenset(range(1, 16)), frozenset({7, 19}), *drawn] * 2
+    assert len(set(subsets)) > 128
     for linearized in (False, True):
         cfg = dataclasses.replace(SOLVE_CFG, max_iters=2)
         runs = _scored_one_by_one_and_in_batches(
             lambda: estimator_evaluator(gauss_net, theta_star, cache, gauss_corpus.target.val, cfg, linearized),
             subsets, monkeypatch,
         )
-        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert runs[2] == runs[1]
+        assert runs[1][1] == runs[0][1]
+        single, batch = ([float.fromhex(v) for v in scores] for scores, _ in runs[:2])
+        np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
         assert dict(runs[0][1])["nonconverged"] > 0
 
 
@@ -465,6 +472,26 @@ def test_a_failing_batch_raises_the_first_failing_subset(monkeypatch):
         with pytest.raises(ValueError, match=r"cannot score \[2, 3\]"):
             ev.many([frozenset({1}), frozenset({2, 3}), frozenset(), frozenset({1, 4})])
         assert ev.budget["calls"] == 0
+
+
+def test_a_repeated_subset_is_scored_once_and_counted_each_time(monkeypatch):
+    # blocks of 2 distinct subsets in order of first appearance, the same in
+    # 1 and 3 workers; each repeat gets its subset's score and budget again
+    a, b, c = frozenset({1}), frozenset({2, 3}), frozenset()
+    batch = [a, b, a, c, b, a]
+
+    def score(block):  # a score that tells the blocks apart
+        return [(10.0 * len(block) + i, {"fine_tune_runs": 1, "forward_passes": len(s)}) for i, s in enumerate(block)]
+
+    for cpus in (1, 3):
+        _cpus(monkeypatch, cpus)
+        seen = []
+        ev = Evaluator(lambda block: seen.append(block) or score(block), 2)
+        assert ev.many(batch) == [20.0, 21.0, 20.0, 10.0, 21.0, 20.0]
+        if cpus == 1:
+            assert seen == [[a, b], [c]]
+        assert ev.budget["calls"] == ev.budget["fine_tune_runs"] == 6
+        assert ev.budget["forward_passes"] == ev.budget["task_units"] == 7
 
 
 def test_oracle_evaluator_budget_matches_trainer(gauss_net, theta_star, gauss_corpus):
@@ -531,10 +558,10 @@ def test_grouped_cache_gets_its_own_start(cache):
     grouped = group_cache(source, 5, seed=0)
     assert grouped.starts == {} and len(source.starts) == 1
     estimate_subset(None, None, grouped, {1}, None, SOLVE_CFG, linearized=True)
-    [(counts, _, x_all, _)] = grouped.starts.values()
-    [(source_counts, _, source_x_all, _)] = source.starts.values()
-    assert len(counts) == 6 and len(source_counts) == 21  # one row count per group, per task id
-    assert counts.tolist() == np.bincount(grouped.task_id[grouped.task_id >= 0]).tolist()
+    [(sums, x_all, _)] = grouped.starts.values()
+    [(source_sums, source_x_all, _)] = source.starts.values()
+    assert len(sums) == 6 and len(source_sums) == 21  # one gradient sum per group, per task id
+    assert [len(rows) for rows in grouped.id_rows] == np.bincount(grouped.task_id[grouped.task_id >= 0]).tolist()
     assert np.array_equal(x_all, source_x_all)  # the same train rows, in the same order
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +279,65 @@ def test_bad_sample_line_is_named_by_its_file_line(tmp_path):
     artifact.write(path, "corpus", 1, header, ("\n".join(lines) + "\n").encode())
     assert path.read_text().splitlines()[3] == "0 train 1,2 x"  # file line 4
     with pytest.raises(ValueError, match=f"{path.name}: line 4: "):
+        load_corpus(path)
+
+
+def _make(kind):
+    if kind == "gaussian":
+        return gen_multitask_gaussian(3, 10, 4, 0.5, 135.0, 0.1, seed=6)
+    return gen_noisy_addition(3, 2, 2, 10, seed=6)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "addition"])
+def test_digest_hashes_the_artifact_bytes_once(tmp_path, kind, monkeypatch):
+    # generated, saved or loaded, a corpus's digest is the SHA-256 of
+    # serialize_corpus's bytes; a saved or loaded one takes it from the bytes
+    # written or read, and a generated one serializes at most once
+    want = hashlib.sha256(serialize_corpus(_make(kind))).hexdigest()
+    generated, saved = _make(kind), _make(kind)
+    path = tmp_path / "corpus.txt"
+    save_corpus(path, saved)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+    serialized = []
+    serialize = taskgen.serialize_corpus
+    monkeypatch.setattr(taskgen, "serialize_corpus", lambda c: serialized.append(c) or serialize(c))
+    loaded = load_corpus(path)
+    assert loaded.digest() == saved.digest() == want
+    assert serialized == []
+    assert generated.digest() == generated.digest() == want
+    assert serialized == [generated]
+
+
+def test_a_valid_file_written_another_way_has_its_own_digest(tmp_path):
+    # a feature with an extra trailing zero reads as the same float, but
+    # the file is not the bytes save_corpus writes: its digest is its own
+    c = _make("gaussian")
+    path = tmp_path / "corpus.txt"
+    save_corpus(path, c)
+    header, body = artifact.read(path, "corpus", 1, {})
+    lines = body.decode().splitlines()
+    tid, split, labels, feats = lines[0].split()
+    first, rest = feats.split(",", 1)
+    mantissa, exponent = first.split("p")
+    lines[0] = f"{tid} {split} {labels} {mantissa}0p{exponent},{rest}"
+    artifact.write(path, "corpus", 1, header, ("\n".join(lines) + "\n").encode())
+    back = load_corpus(path)
+    _assert_same_arrays(c, back)
+    assert back.digest() == hashlib.sha256(path.read_bytes()).hexdigest() != c.digest()
+
+
+@pytest.mark.parametrize("feature", ["1.5", "10", "-2", "inf", "0X1P+0"])
+def test_a_feature_not_written_as_hex_is_refused_by_line(tmp_path, feature):
+    # float.fromhex reads 1.5 as 1.3125 and 10 as 16.0, so each feature
+    # must be in the 0x form save_corpus writes
+    path = tmp_path / "corpus.txt"
+    save_corpus(path, _make("gaussian"))
+    header, body = artifact.read(path, "corpus", 1, {})
+    lines = body.decode().splitlines()
+    tid, split, labels, feats = lines[2].split()
+    lines[2] = f"{tid} {split} {labels} {feats.rsplit(',', 1)[0]},{feature}"
+    artifact.write(path, "corpus", 1, header, ("\n".join(lines) + "\n").encode())
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 4: feature {feature!r} is not a hex float (0x...)')}$"):
         load_corpus(path)
 
 
