@@ -39,24 +39,38 @@ BUDGET_KEYS = (
 _UNCONVERGED = {est.Stop.MAX_ITERS: "nonconverged", est.Stop.LINESEARCH: "linesearch_failures"}
 
 
-# Subsets per estimator job. Evaluator.many and bench's relerr hand
-# side_by_side blocks of this many, formed in batch order, so a score's bits
-# (which depend on its block, as a gemm's do on its width) never depend on
-# the CPU count. Measured on the default run's 977 distinct RE subsets, one
-# CPU, best of 3: blocks of 1 took 1.09 s, 16 0.65 s, 32 0.50 s, 64 0.42 s,
-# 128 0.36 s and 256 0.35 s, against 0.67 s for the per-subset solver this
-# replaced. 64 keeps RE's draws at 16 jobs for as many CPUs, and an FS round
-# of at most 20 candidates at one job, which forks no worker.
-_BLOCK = 64
+def estimator_block(n: int) -> int:
+    """Subsets per estimator job in a batch of n distinct subsets,
+    max(10, ceil(n / 4)): at most four blocks, and none under 10 subsets
+    unless the batch is. Evaluator.many and bench's relerr hand
+    side_by_side blocks of this many, formed in batch order, so a score's
+    bits (which depend on its block, as a gemm's do on its width) never
+    depend on the CPU count. Larger blocks are faster per subset: on the
+    default run's 977 distinct RE subsets, one CPU, best of 5, blocks of 64
+    took 0.31 s, 128 0.29 s, 245 (four blocks) 0.24 s and 977 0.24 s. Four
+    blocks still feed up to four CPUs, and an FS round of 11 to 20
+    candidates is two blocks, which fork: most FS subsets end by damped
+    Newton, whose steps a fork splits (the default FS on 2 CPUs, median of
+    15: 0.096 s, against 0.099 s with one block a round)."""
+    return max(10, math.ceil(n / 4))
 
 
-def scored_in_blocks(items: list, score: Callable[[list], list], size: int = _BLOCK) -> list:
+def scored_in_blocks(
+    items: list, score: Callable[[list], list], size: Callable[[int], int] = estimator_block
+) -> list:
     """score(items), computed block by block: score is called on blocks of
-    size items in order, side by side (trainer.side_by_side), and what it
-    returns for each block is joined in order. The blocks depend on the
-    order alone, never on the CPU count; the first failing block raises."""
-    blocks = [items[lo : lo + size] for lo in range(0, len(items), size)]
+    size(len(items)) items in order, side by side (trainer.side_by_side),
+    and what it returns for each block is joined in order. The blocks depend
+    on the order alone, never on the CPU count; the first failing block
+    raises."""
+    n = size(len(items))
+    blocks = [items[lo : lo + n] for lo in range(0, len(items), n)]
     return [r for block in side_by_side(len(blocks), lambda i: score(blocks[i])) for r in block]
+
+
+def _one(n: int) -> int:
+    """One subset per job, whatever the batch: the oracle's fine-tunes."""
+    return 1
 
 
 @dataclass
@@ -65,12 +79,13 @@ class Evaluator:
 
     _score(subsets) returns each subset's (score, budget), budget holding
     the work its score took under the table's keys; many hands it blocks of
-    block subsets and counts calls, task_units and nonfinite. The blocks are
-    scored side by side (scored_in_blocks), each but the caller's share in
-    a forked process, so a scorer's side effects never reach the caller."""
+    block(n) of a batch's n distinct subsets and counts calls, task_units
+    and nonfinite. The blocks are scored side by side (scored_in_blocks),
+    each but the caller's share in a forked process, so a scorer's side
+    effects never reach the caller."""
 
     _score: Callable[[list[frozenset[int]]], list[tuple[float, dict[str, int]]]]
-    block: int = 1
+    block: Callable[[int], int] = _one
     budget: dict[str, int] = field(default_factory=lambda: dict.fromkeys(BUDGET_KEYS, 0))
 
     def __call__(self, subset) -> float:
@@ -104,8 +119,8 @@ def estimator_evaluator(
     cfg: est.SolveConfig,
     linearized: bool = False,
 ) -> Evaluator:
-    """Score subsets by est.estimate_subsets, _BLOCK at a time; no
-    fine-tuning runs. What every solve starts from is found here, once
+    """Score subsets by est.estimate_subsets, in blocks of estimator_block;
+    no fine-tuning runs. What every solve starts from is found here, once
     (est.prepare), so the processes that score a batch inherit it."""
     est.prepare(cache, cfg)
 
@@ -113,7 +128,7 @@ def estimator_evaluator(
         results = est.estimate_subsets(net, theta_star, cache, subsets, target_val, cfg, linearized)
         return [(r.f_hat, {} if r.stop else {_UNCONVERGED[r.stop]: 1}) for r in results]
 
-    return Evaluator(score, _BLOCK)
+    return Evaluator(score, estimator_block)
 
 
 def oracle_evaluator(

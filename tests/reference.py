@@ -80,7 +80,7 @@ def fixed_step_newton(b, G, lam, cfg, x0, H_inv):
     from gradsel.estimate import Stop, _accepts, _hessian, _value_grad
 
     x = x0.copy()
-    value, grad, z = _value_grad(b, G, x, lam)
+    value, grad, s = _value_grad(b, G, x, lam)
     grad_norm = math.sqrt(grad @ grad)
     for it in range(1, cfg.max_iters + 1):
         if grad_norm <= cfg.grad_tol:
@@ -90,14 +90,14 @@ def fixed_step_newton(b, G, lam, cfg, x0, H_inv):
             slope = grad @ direction
             if slope < 0:
                 cand = x + direction
-                cand_value, cand_grad, cand_z = _value_grad(b, G, cand, lam)
+                cand_value, cand_grad, cand_s = _value_grad(b, G, cand, lam)
                 cand_norm = math.sqrt(cand_grad @ cand_grad)
                 if cand_norm <= 0.5 * grad_norm and _accepts(value, slope, 1.0, cand_value, cand_grad @ direction):
-                    x, value, grad, z, grad_norm = cand, cand_value, cand_grad, cand_z, cand_norm
+                    x, value, grad, s, grad_norm = cand, cand_value, cand_grad, cand_s, cand_norm
                     continue
             H_inv = None
         try:
-            direction = np.linalg.solve(_hessian(G, z, lam), -grad)
+            direction = np.linalg.solve(_hessian(G, s, lam), -grad)
         except np.linalg.LinAlgError:
             direction = -grad
         slope = grad @ direction
@@ -107,13 +107,13 @@ def fixed_step_newton(b, G, lam, cfg, x0, H_inv):
         step = 1.0
         for _ in range(60):
             cand = x + step * direction
-            cand_value, cand_grad, cand_z = _value_grad(b, G, cand, lam)
+            cand_value, cand_grad, cand_s = _value_grad(b, G, cand, lam)
             if _accepts(value, slope, step, cand_value, cand_grad @ direction):
                 break
             step *= 0.5
         else:
             return x, it, Stop.LINESEARCH
-        x, value, grad, z = cand, cand_value, cand_grad, cand_z
+        x, value, grad, s = cand, cand_value, cand_grad, cand_s
         grad_norm = math.sqrt(grad @ grad)
     return x, cfg.max_iters, Stop.CONVERGED if grad_norm <= cfg.grad_tol else Stop.MAX_ITERS
 
@@ -156,12 +156,14 @@ def masked_sigmoid(z) -> np.ndarray:
 
 
 def value_grad(b, G, x, lam):
-    """The solver objective's (value, gradient, margins) over rows (b, G) at
-    x, each an allocating expression (estimate._value_grad's arithmetic)."""
+    """The solver objective's (value, gradient, sigmoid of the margins) over
+    rows (b, G) at x, each an allocating expression of estimate._value_grad's
+    arithmetic: margins z = b - G x, loss terms max(z, 0) + log1p(exp(-|z|))."""
     z = b - G @ x
-    value = float(np.mean(np.logaddexp(0.0, z)) + 0.5 * lam * (x @ x))
-    grad = -(G.T @ masked_sigmoid(z)) / len(b) + lam * x
-    return value, grad, z
+    value = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))) + 0.5 * lam * (x @ x))
+    s = masked_sigmoid(z)
+    grad = -(G.T @ s) / len(b) + lam * x
+    return value, grad, s
 
 
 def allocating_network(net):

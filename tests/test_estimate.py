@@ -154,18 +154,17 @@ def _newton_float64_hessian(b, G, lam, cfg):
     """Reference: the solver's damped Newton from x=0 with the Hessian formed
     in float64 by the plain weighted product."""
     x = np.zeros(G.shape[1])
-    value, grad, z = estimate._value_grad(b, G, x, lam)
+    value, grad, s = estimate._value_grad(b, G, x, lam)
     for it in range(1, cfg.max_iters + 1):
         if np.linalg.norm(grad) <= cfg.grad_tol:
             return x, it - 1, True
-        s = _sigmoid(z)
         H = (G.T * (s * (1.0 - s))) @ G / len(b) + lam * np.eye(G.shape[1])
         direction = np.linalg.solve(H, -grad)
         slope = grad @ direction
         step = 1.0
         for _ in range(60):
             cand = x + step * direction
-            cand_value, cand_grad, cand_z = estimate._value_grad(b, G, cand, lam)
+            cand_value, cand_grad, cand_s = estimate._value_grad(b, G, cand, lam)
             if cand_value <= value + 1e-4 * step * slope:
                 break
             if cand_value <= value + 1e-10 * abs(value) and cand_grad @ direction <= (2e-4 - 1.0) * slope:
@@ -173,7 +172,7 @@ def _newton_float64_hessian(b, G, lam, cfg):
             step *= 0.5
         else:
             return x, it, False
-        x, value, grad, z = cand, cand_value, cand_grad, cand_z
+        x, value, grad, s = cand, cand_value, cand_grad, cand_s
     return x, cfg.max_iters, bool(np.linalg.norm(grad) <= cfg.grad_tol)
 
 
@@ -485,11 +484,36 @@ def test_value_grad_is_the_allocating_expression_bit_for_bit(n, d, seed, lam, sc
     # sum / n; every output is the allocating expression's, bit for bit
     rng = np.random.default_rng(seed)
     b, G, x = scale * rng.standard_normal(n), rng.standard_normal((n, d)), scale * rng.standard_normal(d)
-    value, grad, z = estimate._value_grad(b, G, x, lam)
-    want_value, want_grad, want_z = value_grad(b, G, x, lam)
+    value, grad, s = estimate._value_grad(b, G, x, lam)
+    want_value, want_grad, want_s = value_grad(b, G, x, lam)
     assert value.hex() == want_value.hex()
     assert grad.tobytes() == want_grad.tobytes()
-    assert z.tobytes() == want_z.tobytes()
+    assert s.tobytes() == want_s.tobytes()
+
+
+_SPECIAL_MARGINS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    z=st.lists(st.one_of(st.floats(-800.0, 800.0), st.sampled_from(_SPECIAL_MARGINS)), min_size=1, max_size=40),
+    rows=st.integers(1, 3),
+)
+@example(z=_SPECIAL_MARGINS + [800.0, -800.0, 5e-324, -5e-324, 36.7, -36.7, 709.8, -745.2], rows=1)
+def test_one_exponential_gives_the_sigmoid_bit_for_bit_and_the_loss_to_an_ulp(z, rows):
+    # the solver's loss terms and sigmoid from one exp(-|z|): the sigmoid is
+    # model._sigmoid's, byte for byte (NaNs and signed zeros included), and
+    # the loss terms are log(1 + exp(z)) within an ulp of the larger of
+    # |np.logaddexp(0, z)| and 1, with its infinities and NaNs
+    z = np.tile(np.array(z), (rows, 1))
+    terms, s = estimate._log1pexp_sigmoid(z.copy())
+    assert s.tobytes() == _sigmoid(z).tobytes()
+    with np.errstate(invalid="ignore"):  # a NaN margin, and inf - inf
+        want = np.logaddexp(0.0, z)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(terms), nan)
+        terms, want = terms[~nan], want[~nan]
+        assert np.all((terms == want) | (np.abs(terms - want) <= np.spacing(np.maximum(np.abs(want), 1.0))))
 
 
 # ---- blocks of subsets ----
@@ -546,13 +570,16 @@ def test_a_block_solves_each_subset_as_the_one_subset_reference(
 
 
 def test_default_blocks_take_each_subsets_steps(gauss_net, theta_star, gauss_corpus, cache):
-    # RE's first 128 default draws in two blocks of 64, and the first FS
-    # round, scored as select scores them: each subset takes the steps and
-    # stops as it does alone, and its f_hat agrees to rounding
-    from gradsel.select import random_subsets
+    # the first of the four blocks RE's 977 distinct default draws are cut
+    # into, and the first FS round's two blocks of 10, scored as select
+    # scores them: each subset takes the steps and stops as it does alone,
+    # and its f_hat agrees to rounding
+    from gradsel.select import estimator_block, random_subsets
 
-    draws = random_subsets(20, 15, 128, 6)
-    blocks = [draws[:64], draws[64:], [frozenset({t}) for t in range(1, 21)]]
+    draws = list(dict.fromkeys(random_subsets(20, 15, 1000, 6)))
+    singles = [frozenset({t}) for t in range(1, 21)]
+    assert (len(draws), estimator_block(len(draws)), estimator_block(len(singles))) == (977, 245, 10)
+    blocks = [draws[:245], singles[:10], singles[10:]]
     val = gauss_corpus.target.val
     for block in blocks:
         for s, r in zip(block, estimate_subsets(gauss_net, theta_star, cache, block, val, SOLVE_CFG)):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradsel.estimate import Stop, estimate_subset
+from gradsel.estimate import Stop, estimate_subset, estimate_subsets
 from gradsel.select import (
     Evaluator,
     compute_T,
     ensemble_select,
+    estimator_block,
     forward_select,
     fraction_grid_select,
     estimator_evaluator,
@@ -18,6 +19,7 @@ from gradsel.select import (
     oracle_evaluator,
     random_ensemble,
     random_subsets,
+    scored_in_blocks,
     threshold_select,
 )
 from gradsel.model import ModelConfig, Network
@@ -29,8 +31,8 @@ from conftest import FINETUNE_CFG, SOLVE_CFG, _cpus
 GRID = (0.05, 0.10, 0.15, 0.20)  # the default select.fraction_grid
 
 
-def fake_evaluator(score_fn, block=1):
-    return Evaluator(lambda subsets: [(score_fn(s), {}) for s in subsets], block)
+def fake_evaluator(score_fn):
+    return Evaluator(lambda subsets: [(score_fn(s), {}) for s in subsets])
 
 
 # ---- forward selection ----
@@ -429,7 +431,7 @@ def _scored_one_by_one_and_in_batches(make, subsets, monkeypatch):
 
 def test_estimator_batch_is_single_calls_bit_for_bit(gauss_net, theta_star, gauss_corpus, cache, monkeypatch):
     # max_iters 2, so some solves stop short and the scorer adds to budgets.
-    # 150 distinct subsets are three blocks, scored in 1 and in 4 workers to
+    # 150 distinct subsets are four blocks of 38, scored in 1 and in 4 workers to
     # the same bits. A single call is a block of one, and a gemm's bits
     # depend on its width, so single calls agree with the batch to rounding,
     # and their budgets exactly
@@ -486,12 +488,45 @@ def test_a_repeated_subset_is_scored_once_and_counted_each_time(monkeypatch):
     for cpus in (1, 3):
         _cpus(monkeypatch, cpus)
         seen = []
-        ev = Evaluator(lambda block: seen.append(block) or score(block), 2)
+        ev = Evaluator(lambda block: seen.append(block) or score(block), lambda n: 2)
         assert ev.many(batch) == [20.0, 21.0, 20.0, 10.0, 21.0, 20.0]
         if cpus == 1:
             assert seen == [[a, b], [c]]
         assert ev.budget["calls"] == ev.budget["fine_tune_runs"] == 6
         assert ev.budget["forward_passes"] == ev.budget["task_units"] == 7
+
+
+def test_estimator_batches_are_cut_into_at_most_four_blocks(monkeypatch):
+    # max(10, ceil(n / 4)) subsets a block: from the batch length alone,
+    # cut in order, the same blocks at 1 CPU and at 3
+    cuts = {1: [1], 9: [9], 10: [10], 11: [10, 1], 20: [10, 10], 100: [25] * 4, 977: [245, 245, 245, 242]}
+    assert [estimator_block(n) for n in cuts] == [10, 10, 10, 10, 10, 25, 245]
+    for n, want in cuts.items():
+        for cpus in (1, 3):
+            _cpus(monkeypatch, cpus)
+            # each item scored as (its block's first item, the block's length)
+            blocks = dict(scored_in_blocks(list(range(n)), lambda block: [(block[0], len(block))] * len(block)))
+            assert list(blocks.values()) == want
+            assert list(blocks) == [sum(want[:i]) for i in range(len(want))]
+
+
+def test_estimator_batches_score_the_same_at_1_and_3_cpus(gauss_net, theta_star, gauss_corpus, cache, monkeypatch):
+    # an FS first round (two blocks of 10) and 100 distinct RE draws (four
+    # blocks of 25): each batch's scores are its blocks' estimate_subsets
+    # scores, bit for bit, whether one process scores them or three
+    val = gauss_corpus.target.val
+    draws = list(dict.fromkeys(random_subsets(20, 15, 120, 6)))[:100]
+    for batch in ([frozenset({t}) for t in range(1, 21)], draws):
+        size = estimator_block(len(batch))
+        want = [
+            r.f_hat.hex()
+            for lo in range(0, len(batch), size)
+            for r in estimate_subsets(gauss_net, theta_star, cache, batch[lo : lo + size], val, SOLVE_CFG)
+        ]
+        for cpus in (1, 3):
+            _cpus(monkeypatch, cpus)
+            ev = estimator_evaluator(gauss_net, theta_star, cache, val, SOLVE_CFG)
+            assert [v.hex() for v in ev.many(batch)] == want
 
 
 def test_oracle_evaluator_budget_matches_trainer(gauss_net, theta_star, gauss_corpus):

@@ -367,6 +367,59 @@ def test_incomplete_or_ragged_split_is_named_by_its_file(tmp_path, edit, message
         load_corpus(path)
 
 
+def _shift_a_field(lines):
+    # line 1 gains a fifth field and line 2 loses its first: as many fields
+    # as before, but two malformed lines
+    return [lines[0] + " 7", lines[1].split(" ", 1)[1], *lines[2:]]
+
+
+_GAUSSIAN_EDITS = {
+    "canonical": lambda lines: lines,
+    "tabs and CRLF": lambda lines: [line.replace(" ", "\t", 1) + "\r" for line in lines],
+    "signed feature": lambda lines: [lines[0].rsplit(",", 1)[0] + ",+0x0p+0", *lines[1:]],
+    "two labels a line": lambda lines: [line.replace(" 0 ", " 0,1 ").replace(" 1 ", " 1,0 ") for line in lines],
+    "one line with two labels": lambda lines: [lines[0].replace(" train ", " train 5,", 1), *lines[1:]],
+    "missing field": lambda lines: [lines[0], lines[1].rsplit(" ", 1)[0], *lines[2:]],
+    "shifted field": _shift_a_field,
+    "short features": lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]],
+    "decimal feature": lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",1.5", *lines[2:]],
+    "overflowing feature": lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",0x1p99999", *lines[2:]],
+    "bad task id": lambda lines: [lines[0], "x" + lines[1].split(" ", 1)[1], *lines[2:]],
+    "blank line": lambda lines: [lines[0], "", *lines[1:]],
+    "no val lines": _drop_task_2_val,
+    "empty body": lambda lines: [],
+}
+
+
+@pytest.mark.parametrize("edit", _GAUSSIAN_EDITS)
+def test_a_gaussian_body_loads_as_the_per_line_parser_loads_it(tmp_path, monkeypatch, edit):
+    # load_corpus reads a Gaussian body whole and falls back to the
+    # per-line parser for any line it could not read alike: every file,
+    # well formed or not, loads to the same arrays or fails with the same
+    # error either way
+    path = tmp_path / "corpus.txt"
+    save_corpus(path, _make("gaussian"))
+    header, body = artifact.read(path, "corpus", 1, {})
+    lines = _GAUSSIAN_EDITS[edit](body.decode().splitlines())
+    artifact.write(path, "corpus", 1, header, "".join(line + "\n" for line in lines).encode())
+
+    def outcome():
+        try:
+            c = load_corpus(path)
+        except Exception as e:
+            return type(e).__name__, str(e)
+        return [(a.dtype, a.shape, a.tobytes()) for t in [c.target, *c.tasks] for a in (*t.train, *t.val)]
+
+    readable = edit in ("canonical", "tabs and CRLF", "signed feature", "two labels a line")
+    if readable:  # read whole, with no line parsed alone
+        monkeypatch.setattr(taskgen, "_parse_sample", None)
+    whole = outcome()
+    monkeypatch.undo()
+    monkeypatch.setattr(taskgen, "_parse_gaussian", lambda lines, dim: None)
+    assert whole == outcome()
+    assert isinstance(whole, list) == readable
+
+
 def test_load_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not-a-corpus v1\n")
