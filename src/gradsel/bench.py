@@ -176,9 +176,9 @@ def exp_relerr(
             relative_distance(fit.params, theta_star),
         ),
     )
-    est.prepare(cache, solve_cfg)
+    problem = est.prepare(cache, solve_cfg)
     estimates = sel.scored_in_blocks(
-        subsets, lambda block: est.estimate_subsets(net, theta_star, cache, block, corpus.target.val, solve_cfg)
+        subsets, lambda block: est.estimate_subsets(net, theta_star, problem, block, corpus.target.val)
     )
     oracle_passes = 0
     rows = []

@@ -392,10 +392,8 @@ def stage_estimate(run: RunDir, cfg: dict[str, str], subsets: list[str]) -> None
         parsed.append(ids)
     if not parsed:
         raise StageError("estimate needs at least one --subset")
-    results = [
-        est.estimate_subset(net, theta, cache, s, corpus.target.val, scfg)
-        for s in parsed
-    ]
+    problem = est.prepare(cache, scfg)
+    results = [est.estimate_subset(net, theta, problem, s, corpus.target.val) for s in parsed]
     est.write_ledger(run.path("estimates"), results)
     _record_config(run, cfg)
     for r in results:

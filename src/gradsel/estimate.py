@@ -17,12 +17,13 @@ step from x_all, the solve over every train row: at x_all, with H_all the
 all-rows Hessian and s_t, n_t task t's sum of g_i sigmoid(z_i) and row
 count, a subset S starts at
     x_all - H_all^-1 (lambda x_all - sum_{t in S+target} s_t / sum n_t),
-the influence-function estimate of its optimum. x_all, H_all^-1 and the
-per-task sums are computed once per cache and SolveConfig and memoized on
-the cache, so a score never depends on what was scored before it.
+the influence-function estimate of its optimum. x_all, H_all^-1, the
+per-task sums and each task id's rows are found once per cache and
+SolveConfig, by prepare, whose Problem every solve then reads, so a score
+never depends on what was scored before it.
 
 From there the solve iterates x <- x - H_all^-1 grad_S(x) with the same
-memoized inverse (Kantorovich's simplified Newton): a step needs no Hessian
+inverse (Kantorovich's simplified Newton): a step needs no Hessian
 of its own and no linear solve. A step contracts by about
 rho(I - H_all^-1 H_S), small when S holds most of the rows but near 1 for a
 small S, so each step is kept only while its slope is negative, it halves
@@ -64,7 +65,7 @@ import numpy as np
 from . import artifact
 from .linearize import TARGET_VAL_ID, GradientCache
 from .model import Network, ParamVector
-from .taskgen import Split
+from .taskgen import TARGET_TASK_ID, Split
 from .trainer import eval_loss
 
 
@@ -194,8 +195,61 @@ def _newton(b, G, lam, cfg, x0, done=0):
     return x, cfg.max_iters, Stop.CONVERGED if grad_norm <= cfg.grad_tol else Stop.MAX_ITERS
 
 
+@dataclass(frozen=True)
+class Problem:
+    """What every subset solve over a cache with a SolveConfig reads besides
+    its rows, found once by prepare: each task id's rows and the shared
+    start (module docstring)."""
+
+    cache: GradientCache
+    cfg: SolveConfig
+    id_rows: list[np.ndarray]  # id_rows[t]: task id t's row indices in row order, t in 0..max id
+    sums: np.ndarray  # (max id + 1, d): s_t, task t's sum of g_i sigmoid(z_i) at x_all
+    x_all: np.ndarray  # (d,): the solve over every train row
+    H_inv: np.ndarray  # (d, d): H_all^-1, the inverse of the all-rows Hessian at x_all
+
+
+def prepare(cache: GradientCache, cfg: SolveConfig) -> Problem:
+    """The Problem of solving subsets over cache with cfg. Callers build it
+    once, before any fork, so the processes that score subsets inherit it."""
+    n_ids = int(cache.task_id.max(initial=TARGET_VAL_ID)) + 1
+    order = np.argsort(cache.task_id, kind="stable")
+    cuts = np.searchsorted(cache.task_id[order], np.arange(n_ids + 1))
+    train = cache.task_id != TARGET_VAL_ID
+    b, G, lam = cache.b[train], cache.g_proj[train], cfg.ridge_lambda
+    x_all, _, _ = _newton(b, G, lam, cfg, np.zeros(cache.d))
+    _, s = _log1pexp_sigmoid(b - G @ x_all)
+    sums = np.zeros((n_ids, cache.d))
+    np.add.at(sums, cache.task_id[train], G * s[:, None])
+    id_rows = [order[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    return Problem(cache, cfg, id_rows, sums, x_all, np.linalg.inv(_hessian(G, s, lam)))
+
+
+def _members(problem: Problem, subsets: list) -> tuple[np.ndarray, np.ndarray]:
+    """(member, n): member[j, t] whether subset j's solve reads task id t's
+    rows (its own ids' and the target's), n[j] how many rows it reads.
+    Raises ValueError naming the first subset that holds an id outside
+    1..max id, as the oracle does, or that reads no row."""
+    member = np.zeros((len(subsets), len(problem.id_rows)), dtype=bool)
+    for j, subset in enumerate(subsets):
+        ids = [int(t) for t in subset]
+        bad = sorted({t for t in ids if not 0 < t < len(problem.id_rows)})
+        if bad:
+            raise ValueError(f"unknown task ids in subset: {bad}")
+        member[j, [*ids, TARGET_TASK_ID]] = True
+    n = member @ np.array([len(rows) for rows in problem.id_rows], dtype=np.int64)
+    if not n.all():
+        raise ValueError(f"no cached samples for subset {sorted(subsets[int(np.argmin(n))])}")
+    return member, n
+
+
+def _rows(problem: Problem, tasks) -> np.ndarray:
+    """The indices of the given task ids' rows, in row order."""
+    return np.sort(np.concatenate([problem.id_rows[t] for t in tasks]))
+
+
 def solve_subset(
-    cache: GradientCache, subset, cfg: SolveConfig, x0: np.ndarray | None = None, done: int = 0
+    problem: Problem, subset, x0: np.ndarray | None = None, done: int = 0
 ) -> tuple[np.ndarray, int, Stop]:
     """Minimize the objective over the rows of the subset's tasks and the
     target's train rows, gathered in row order, by damped Newton from x0
@@ -203,29 +257,18 @@ def solve_subset(
     it a subset whose fixed step was refused). Returns (x_hat, steps, stop);
     a solve that stops short of the gradient tolerance is reported by its
     Stop, not raised."""
-    idx = cache.rows_for(cache.task_mask(subset))
-    if idx.size == 0:
-        raise ValueError(f"no cached samples for subset {sorted(subset)}")
+    member, _ = _members(problem, [subset])
+    idx = _rows(problem, np.flatnonzero(member[0]))
+    cache, cfg = problem.cache, problem.cfg
     start = np.zeros(cache.d) if x0 is None else np.asarray(x0, dtype=np.float64)
     return _newton(cache.b[idx], cache.g_proj[idx], cfg.ridge_lambda, cfg, start, done)
-
-
-def _members(cache: GradientCache, subsets: list) -> tuple[np.ndarray, np.ndarray]:
-    """(member, n): member[j, t] whether subset j's solve reads task id t's
-    rows (its own ids' and the target's), n[j] how many rows it reads.
-    Raises ValueError naming the first subset that reads none."""
-    member = np.array([cache.task_mask(s)[:-1] for s in subsets]).reshape(len(subsets), cache.n_ids)
-    n = member @ np.array([len(rows) for rows in cache.id_rows], dtype=np.int64)
-    if not n.all():
-        raise ValueError(f"no cached samples for subset {sorted(subsets[int(np.argmin(n))])}")
-    return member, n
 
 
 def _rowdot(A, B) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
 
-def _segments(cache: GradientCache, member: np.ndarray) -> list[tuple]:
+def _segments(problem: Problem, member: np.ndarray) -> list[tuple]:
     """The rows a block reads, one segment per set of task ids held by the
     same subsets (member as _members gives it): (reads, b, G), reads the
     (B,) bools marking those subsets and (b, G) the tasks' rows in row
@@ -234,14 +277,14 @@ def _segments(cache: GradientCache, member: np.ndarray) -> list[tuple]:
     by_readers: dict[bytes, list[int]] = {}
     columns = np.ascontiguousarray(member.T)
     for t in np.flatnonzero(columns.any(axis=1)):
-        if len(cache.id_rows[t]):
+        if len(problem.id_rows[t]):
             by_readers.setdefault(columns[t].tobytes(), []).append(t)
     segments = []
     for tasks in by_readers.values():
-        rows = np.sort(np.concatenate([cache.id_rows[t] for t in tasks]))
+        rows = _rows(problem, tasks)
         if rows[-1] - rows[0] == len(rows) - 1:
             rows = slice(rows[0], rows[-1] + 1)
-        segments.append((columns[tasks[0]], cache.b[rows], cache.g_proj[rows]))
+        segments.append((columns[tasks[0]], problem.cache.b[rows], problem.cache.g_proj[rows]))
     return segments
 
 
@@ -271,20 +314,19 @@ def _block_value_grad(segments, X, which, n, lam) -> tuple[np.ndarray, np.ndarra
     return value, grad
 
 
-def solve_subsets(
-    cache: GradientCache, subsets, cfg: SolveConfig, X0: np.ndarray, H_inv: np.ndarray
-) -> list[tuple[np.ndarray, int, Stop]]:
-    """Solve each subset of a block from its row of X0: by full fixed steps
-    -H_inv grad, taken for the whole block at once and each kept only while
-    its slope is negative, it halves ||grad|| and _accepts it; a subset
-    whose step is refused goes on from where it stands by damped Newton
-    (solve_subset). The steps count toward one shared cfg.max_iters.
-    Returns each subset's (x_hat, steps, stop) in order."""
-    subsets = list(subsets)
-    member, n = _members(cache, subsets)
-    X = np.array(X0, dtype=np.float64).reshape(len(subsets), cache.d)
+def solve_subsets(problem: Problem, subsets: list, H_inv: np.ndarray) -> list[tuple[np.ndarray, int, Stop]]:
+    """Solve each subset of a block from its shared start (_starts): by full
+    fixed steps -H_inv grad (estimate_subsets passes problem.H_inv), taken
+    for the whole block at once and each kept only while its slope is
+    negative, it halves ||grad|| and _accepts it; a subset whose step is
+    refused goes on from where it stands by damped Newton (solve_subset).
+    The steps count toward one shared cfg.max_iters. Returns each subset's
+    (x_hat, steps, stop) in order."""
+    cfg = problem.cfg
+    member, n = _members(problem, subsets)
+    X = _starts(problem, member, n)
     lam, tol = cfg.ridge_lambda, cfg.grad_tol
-    segments = _segments(cache, member)
+    segments = _segments(problem, member)
     results: list = [None] * len(subsets)
     live = np.arange(len(subsets))  # the block's subsets still taking fixed steps
     value, grad = _block_value_grad(segments, X, live, n, lam)
@@ -300,7 +342,7 @@ def solve_subsets(
                 if converged:
                     results[j] = x, it - 1, Stop.CONVERGED
                 else:
-                    results[j] = solve_subset(cache, subsets[j], cfg, x, it - 1)
+                    results[j] = solve_subset(problem, subsets[j], x, it - 1)
             live, X, value, grad, norm, direction, slope = (
                 a[steps] for a in (live, X, value, grad, norm, direction, slope)
             )
@@ -313,7 +355,7 @@ def solve_subsets(
         kept = (cand_norm <= 0.5 * norm) & _accepts(value, slope, 1.0, cand_value, _rowdot(cand_grad, direction))
         if not kept.all():
             for j, x in zip(live[~kept], X[~kept]):
-                results[j] = solve_subset(cache, subsets[j], cfg, x, it - 1)
+                results[j] = solve_subset(problem, subsets[j], x, it - 1)
             live, cand, cand_value, cand_grad, cand_norm = (
                 a[kept] for a in (live, cand, cand_value, cand_grad, cand_norm)
             )
@@ -326,44 +368,17 @@ def solve_subsets(
     return results
 
 
-def _all_tasks_start(cache: GradientCache, cfg: SolveConfig) -> tuple:
-    """(gradient sums s_t indexed by task id, x_all, H_all^-1) over the
-    cache's train rows, computed once per cfg and memoized on the cache."""
-    memo = cache.starts.get(cfg)
-    if memo is None:
-        train = cache.task_id != TARGET_VAL_ID
-        b, G, lam = cache.b[train], cache.g_proj[train], cfg.ridge_lambda
-        x_all, _, _ = _newton(b, G, lam, cfg, np.zeros(cache.d))
-        _, s = _log1pexp_sigmoid(b - G @ x_all)
-        sums = np.zeros((cache.n_ids, cache.d))
-        np.add.at(sums, cache.task_id[train], G * s[:, None])
-        memo = cache.starts[cfg] = (sums, x_all, np.linalg.inv(_hessian(G, s, lam)))
-    return memo
-
-
-def prepare(cache: GradientCache, cfg: SolveConfig) -> None:
-    """Find now what every solve over cache with cfg reads besides its rows
-    (the shared start, each task id's rows), so processes forked afterwards
-    to score subsets inherit it instead of each finding it again."""
-    _all_tasks_start(cache, cfg)
-    cache.id_rows  # computed on first use
-
-
-def _starts(cache: GradientCache, subsets: list, cfg: SolveConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(X0, H_all^-1): row j of X0 is one Newton step from x_all toward
-    subset j's optimum with the all-rows Hessian (module docstring), all
-    rows from one gemm."""
-    member, n = _members(cache, subsets)
-    sums, x_all, H_inv = _all_tasks_start(cache, cfg)
-    grad = cfg.ridge_lambda * x_all - (member.astype(np.float64) @ sums) / n[:, None]
-    return x_all - grad @ H_inv.T, H_inv
+def _starts(problem: Problem, member: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Row j is one Newton step from x_all toward subset j's optimum with the
+    all-rows Hessian (module docstring), member and n as _members gives
+    them; all rows from one gemm."""
+    x_all, lam = problem.x_all, problem.cfg.ridge_lambda
+    grad = lam * x_all - (member.astype(np.float64) @ problem.sums) / n[:, None]
+    return x_all - grad @ problem.H_inv.T
 
 
 # Bytes of the (rows, p) parameter vectors estimate_f lifts at a time, 8
-# rows at the default p. Measured on the default run's 977 RE subsets in
-# blocks of 64, one CPU: 0.393 s and 0.6 MB of peak RSS above the loaded
-# state; 2**19 bytes took 0.388 s and 1.1 MB, a whole block's lift (2 MB)
-# 0.376 s and 2.5 MB. A gemm's bits can depend on its width, which this
+# rows at the default p. A gemm's bits can depend on its width, which this
 # fixes for a given p and block.
 _LIFT_BYTES = 2**18
 
@@ -401,10 +416,9 @@ def estimate_f_linearized(cache: GradientCache, X_hat: np.ndarray) -> list[float
 def estimate_subsets(
     net: Network,
     theta_star: ParamVector,
-    cache: GradientCache,
+    problem: Problem,
     subsets,
     target_val: Split | None,
-    cfg: SolveConfig,
     linearized: bool = False,
 ) -> list[EstimateResult]:
     """Solve a block of subsets (each with the target's train rows) from the
@@ -413,12 +427,12 @@ def estimate_subsets(
     target-val rows (target_val is then unused). Every estimator score in
     the program, the selection drivers' included, comes from here."""
     subsets = [frozenset(int(t) for t in s) for s in subsets]
-    solved = solve_subsets(cache, subsets, cfg, *_starts(cache, subsets, cfg))
-    X_hat = np.array([x for x, _, _ in solved]).reshape(len(subsets), cache.d)
+    solved = solve_subsets(problem, subsets, problem.H_inv)
+    X_hat = np.array([x for x, _, _ in solved]).reshape(len(subsets), problem.cache.d)
     if linearized:
-        f_hat = estimate_f_linearized(cache, X_hat)
+        f_hat = estimate_f_linearized(problem.cache, X_hat)
     else:
-        f_hat = estimate_f(net, theta_star, cache, X_hat, target_val)
+        f_hat = estimate_f(net, theta_star, problem.cache, X_hat, target_val)
     return [
         EstimateResult(subset=s, f_hat=f, solver_iters=iters, stop=stop)
         for s, f, (_, iters, stop) in zip(subsets, f_hat, solved)
@@ -426,16 +440,10 @@ def estimate_subsets(
 
 
 def estimate_subset(
-    net: Network,
-    theta_star: ParamVector,
-    cache: GradientCache,
-    subset,
-    target_val: Split | None,
-    cfg: SolveConfig,
-    linearized: bool = False,
+    net: Network, theta_star: ParamVector, problem: Problem, subset, target_val: Split
 ) -> EstimateResult:
     """estimate_subsets for a block of one subset."""
-    return estimate_subsets(net, theta_star, cache, [subset], target_val, cfg, linearized)[0]
+    return estimate_subsets(net, theta_star, problem, [subset], target_val)[0]
 
 
 # ---------------------------------------------------------------------------

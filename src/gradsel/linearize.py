@@ -17,17 +17,16 @@ projected gradients (in float64 arrays) and float64 b values.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import artifact
 from .model import Network, ParamVector
 from .project import GENERATOR_VERSION, gaussian_projection
-from .taskgen import TARGET_TASK_ID, Corpus
+from .taskgen import Corpus
 from .trainer import param_digest, side_by_side
 
 RRSS_DENOM_GUARD = 1e-8
@@ -45,16 +44,9 @@ _CHUNK = 128
 @dataclass
 class GradientCache:
     """One (task id, b, projected gradient) row per cached sample, and the
-    projection P the gradients went through.
-
-    Contents are immutable once built and safe for concurrent reads.
-    starts memoizes, per SolveConfig, what estimate.py derives from the
-    contents to start every subset solve (see estimate_subsets), n_ids is
-    one past the largest task id, and id_rows (computed on first use) holds
-    each id's rows; all three are left out of __init__, ==, repr and
-    digest(), so dataclasses.replace gives a relabeled copy its own, and a
-    memo lives as long as its cache.
-    """
+    projection P the gradients went through. Contents are immutable once
+    built and safe for concurrent reads; what the estimator derives from them
+    to solve subsets is estimate.prepare's, not the cache's."""
 
     task_id: np.ndarray  # (n,) int64; TARGET_VAL_ID on the target's val rows
     b: np.ndarray  # (n,) float64
@@ -62,38 +54,10 @@ class GradientCache:
     theta_star_digest: str
     P: np.ndarray  # (p, d), read-only
     projector_seed: int | None  # gaussian_projection's seed for P; None for any other P
-    starts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    n_ids: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.n_ids = int(self.task_id.max(initial=TARGET_VAL_ID)) + 1
 
     @property
     def d(self) -> int:
         return self.P.shape[1]
-
-    def task_mask(self, subset) -> np.ndarray:
-        """(n_ids + 1,) bools indexed by task id, True at the subset's ids and
-        the target's (TARGET_TASK_ID) below n_ids; the last entry, the one
-        TARGET_VAL_ID (-1) reads, stays False. A subset solve builds it once,
-        for its rows and its start."""
-        mask = np.zeros(self.n_ids + 1, dtype=bool)
-        mask[[t for t in {*map(int, subset), TARGET_TASK_ID} if 0 <= t < self.n_ids]] = True
-        return mask
-
-    def rows_for(self, mask: np.ndarray) -> np.ndarray:
-        """Indices of the rows a subset's solve reads, given its task_mask:
-        those of its tasks and the target's train rows, in row order."""
-        return np.flatnonzero(mask[self.task_id])
-
-    @functools.cached_property
-    def id_rows(self) -> list[np.ndarray]:
-        """The indices of each task id's rows, for ids 0..n_ids - 1, in row
-        order, found once per cache: a block of subset solves reads its
-        tasks' rows through them, task by task."""
-        order = np.argsort(self.task_id, kind="stable")
-        cuts = np.searchsorted(self.task_id[order], np.arange(self.n_ids + 1))
-        return [order[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -117,13 +81,13 @@ def _chunks(splits: list, b: np.ndarray, g: np.ndarray) -> list[tuple]:
     of splits, a list of (X, labels) stacked in order, whose rows b (N,)
     and g (N, d) take. A chunk's pieces are the (X, labels) slices of the
     splits it spans, so the stack is never copied whole."""
-    starts = np.cumsum([0] + [len(X) for X, _ in splits])
+    offsets = np.cumsum([0] + [len(X) for X, _ in splits])
     chunks = []
-    for lo in range(0, starts[-1], _CHUNK):
-        hi = min(lo + _CHUNK, starts[-1])
+    for lo in range(0, offsets[-1], _CHUNK):
+        hi = min(lo + _CHUNK, offsets[-1])
         pieces = [
             (X[max(lo - s, 0) : hi - s], labels[max(lo - s, 0) : hi - s])
-            for (X, labels), s in zip(splits, starts)
+            for (X, labels), s in zip(splits, offsets)
             if s < hi and lo < s + len(X)
         ]
         chunks.append((pieces, b[lo:hi], g[lo:hi]))
@@ -190,23 +154,22 @@ def rrss_sweep(
     distances: list[float],
     n_directions: int,
     seed: int,
-    endpoint_params: list[ParamVector] | None = None,
 ) -> list[dict]:
     """Mean/std RRSS at each relative distance, over displacement directions:
     one row {distance, mean_rrss, std_rrss, n_used, n_flagged} per distance,
     the rrss table bench writes. n_used counts the per-sample values averaged
     and n_flagged those skipped for a near-zero denominator.
 
-    Directions come first from normalized (endpoint - theta*) vectors when
-    fine-tuned endpoints are supplied, then random unit directions fill up to
-    n_directions. Every direction is rescaled so that ||X - theta*|| equals
-    distance * ||theta*|| exactly.
+    The n_directions directions are random unit vectors, each rescaled so
+    that ||X - theta*|| equals distance * ||theta*|| exactly.
 
     theta*'s margins and the first-order terms g^T (X - theta*) are computed
     once per sweep, the latter by Network.margin_gradient_product with the
     (p, distances x directions) matrix of displacements as M, so no
     per-sample gradient is built; each point X costs one forward pass.
     """
+    if not distances:
+        raise ValueError("need at least one distance")
     if any(dist < 0 for dist in distances):
         raise ValueError("distances must be non-negative")
     if n_directions < 1:
@@ -215,15 +178,9 @@ def rrss_sweep(
     norm_star = np.linalg.norm(theta_star)
 
     directions = []
-    for endpoint in endpoint_params or []:
-        diff = endpoint - theta_star
-        nrm = np.linalg.norm(diff)
-        if nrm > 0:
-            directions.append(diff / nrm)
-    while len(directions) < n_directions:
+    for _ in range(n_directions):
         u = rng.standard_normal(theta_star.shape[0])
         directions.append(u / np.linalg.norm(u))
-    directions = directions[:n_directions]
 
     h_star = net.margins(theta_star, X, labels)
     points = [theta_star + dist * norm_star * u for dist in distances for u in directions]

@@ -120,12 +120,12 @@ def estimator_evaluator(
     linearized: bool = False,
 ) -> Evaluator:
     """Score subsets by est.estimate_subsets, in blocks of estimator_block;
-    no fine-tuning runs. What every solve starts from is found here, once
+    no fine-tuning runs. The Problem every solve reads is built here, once
     (est.prepare), so the processes that score a batch inherit it."""
-    est.prepare(cache, cfg)
+    problem = est.prepare(cache, cfg)
 
     def score(subsets: list[frozenset[int]]) -> list[tuple[float, dict[str, int]]]:
-        results = est.estimate_subsets(net, theta_star, cache, subsets, target_val, cfg, linearized)
+        results = est.estimate_subsets(net, theta_star, problem, subsets, target_val, linearized)
         return [(r.f_hat, {} if r.stop else {_UNCONVERGED[r.stop]: 1}) for r in results]
 
     return Evaluator(score, estimator_block)

@@ -294,9 +294,12 @@ def gen_noisy_addition(
 # Gradient clustering (data-selection preprocessing)
 # ---------------------------------------------------------------------------
 
+_KMEANS_ITERS = 100  # Lloyd iterations at most; they stop once no label changes
 
-def _kmeans(X: np.ndarray, k: int, seed: int, n_iter: int = 100) -> np.ndarray:
-    """Seeded k-means++ followed by Lloyd iterations; returns labels."""
+
+def _kmeans(X: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Seeded k-means++ followed by at most _KMEANS_ITERS Lloyd iterations;
+    returns labels."""
     n = len(X)
     rng = np.random.default_rng(seed)
     x_sq = np.sum(X * X, axis=1)
@@ -316,7 +319,7 @@ def _kmeans(X: np.ndarray, k: int, seed: int, n_iter: int = 100) -> np.ndarray:
             centers[j] = X[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(n_iter):
+    for _ in range(_KMEANS_ITERS):
         dist = dist_to(centers)
         new_labels = dist.argmin(axis=1)
         for j in range(k):

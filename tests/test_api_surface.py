@@ -9,7 +9,9 @@ attribute of that name. Reference implementations that tests compare the
 production paths against live in tests/reference.py, not in src/.
 
 A second check does the same for imports: a module-level import whose name
-its module never reads is left over from deleted code.
+its module never reads is left over from deleted code. A third does it for
+parameter defaults: a default that no call in the program overrides is a
+knob only tests turn, or none does.
 """
 
 import ast
@@ -105,3 +107,61 @@ def _unread_imports() -> list[str]:
 
 def test_every_module_level_import_is_read():
     assert _unread_imports() == []
+
+
+# The command line's entry point: the console script calls it with no
+# arguments, so it reads sys.argv.
+_DEFAULT_EXEMPT = {"cli.main.argv"}
+
+
+def _calls() -> dict[str, list[tuple[int, set[str], bool]]]:
+    """For each called name (a function's, or an attribute's), one (number
+    of positional arguments, keyword names, whether an argument is starred)
+    per call in the program."""
+    out: dict[str, list] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                starred = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords
+                )
+                out.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}, starred))
+    return out
+
+
+def _never_overridden_defaults() -> list[str]:
+    """module[.class].function.parameter for each parameter default that no
+    call in the program overrides, by position, by keyword or by a starred
+    argument, which may pass anything."""
+    calls = _calls()
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {
+            id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for f in cls.body if isinstance(f, ast.FunctionDef)
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+            bound = id(fn) in methods and not static  # self or cls is passed implicitly
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            params = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+            params += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            qual = f"{path.stem}.{methods[id(fn)]}.{fn.name}" if id(fn) in methods else f"{path.stem}.{fn.name}"
+            for param, index in params:
+                if f"{qual}.{param}" in _DEFAULT_EXEMPT:
+                    continue
+                if not any(
+                    starred or param in keywords or (index is not None and n > index)
+                    for n, keywords, starred in calls.get(fn.name, [])
+                ):
+                    out.append(f"{qual}.{param}")
+    return out
+
+
+def test_every_parameter_default_is_overridden_by_the_program():
+    assert _never_overridden_defaults() == []

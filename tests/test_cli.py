@@ -769,6 +769,19 @@ def test_select_fraction_grid_applies_to_every_re(tiny_run, tmp_path, method):
     assert _budget(tmp_path / "selection.txt")["calls"] == 21
 
 
+@pytest.mark.parametrize("method", ["re", "fs", "ds-re"])
+def test_a_select_stage_prepares_its_problem_once(tiny_run, tmp_path, monkeypatch, method):
+    # on one CPU every block is scored in this process, so a Problem built
+    # per block, and not once per stage, would be counted here
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    _cpus(monkeypatch, 1)
+    calls = []
+    prepare = gradsel.estimate.prepare
+    monkeypatch.setattr(gradsel.estimate, "prepare", lambda *args: calls.append(args) or prepare(*args))
+    assert run(["select", *TINY, "--select.method", method], tmp_path) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -806,6 +819,7 @@ def test_select_fraction_grid_applies_to_every_re(tiny_run, tmp_path, method):
         (["estimate", "--subset", "1,2", "--estimate.ridge_lambda", "0"], "config: ridge_lambda must be positive"),
         (["estimate", "--subset", "1,2", "--estimate.max_iters", "-3"], "config: max_iters must be >= 1"),
         (["select", "--select.method", "re", "--select.fraction_grid", "0.5,1.5"], "fraction must be in (0, 1]"),
+        (["bench", "--exp", "rrss", "--bench.rrss_distances", ","], "need at least one distance"),
     ],
 )
 def test_bad_config_value_fails_in_one_line(tiny_run, tmp_path, capsys, argv, message):

@@ -15,6 +15,7 @@ from gradsel.estimate import (
     estimate_f_linearized,
     estimate_subset,
     estimate_subsets,
+    prepare,
     solve_subset,
     solve_subsets,
     write_ledger,
@@ -86,7 +87,7 @@ def test_objective_gradient_matches_finite_differences():
 
 def test_solve_all_zero_gradients_returns_zero():
     cache = _fake_cache(np.ones(10), np.zeros((10, 4)))
-    x, iters, converged = solve_subset(cache, {1}, SolveConfig(ridge_lambda=0.01))
+    x, iters, converged = solve_subset(prepare(cache, SolveConfig(ridge_lambda=0.01)), {1})
     assert converged
     assert np.allclose(x, np.zeros(4), atol=1e-10)
 
@@ -95,7 +96,7 @@ def test_solver_matches_grid_oracle_d2():
     rng = np.random.default_rng(2)
     cache = _fake_cache(*_signed_rows(rng, 40, 2))
     cfg = SolveConfig(ridge_lambda=0.05, grad_tol=1e-12)
-    x, _, converged = solve_subset(cache, {1}, cfg)
+    x, _, converged = solve_subset(prepare(cache, cfg), {1})
     assert converged
     v_solver, _ = subset_objective(cache, {1}, x, cfg.ridge_lambda)
     # dense grid oracle over [-3, 3]^2
@@ -112,7 +113,7 @@ def test_solution_beats_random_perturbations():
     rng = np.random.default_rng(3)
     cache = _fake_cache(*_signed_rows(rng, 60, 8))
     cfg = SolveConfig(ridge_lambda=0.02)
-    x, _, _ = solve_subset(cache, {1}, cfg)
+    x, _, _ = solve_subset(prepare(cache, cfg), {1})
     v_star, _ = subset_objective(cache, {1}, x, cfg.ridge_lambda)
     for _ in range(100):
         v, _ = subset_objective(
@@ -124,13 +125,13 @@ def test_solution_beats_random_perturbations():
 def test_convexity_same_optimum_from_random_starts():
     rng = np.random.default_rng(4)
     cache = _fake_cache(*_signed_rows(rng, 50, 6))
-    cfg = SolveConfig(ridge_lambda=0.05, grad_tol=1e-11)
+    problem = prepare(cache, SolveConfig(ridge_lambda=0.05, grad_tol=1e-11))
     values = []
     for trial in range(3):
         x0 = rng.standard_normal(6) if trial else None
-        x, _, converged = solve_subset(cache, {1}, cfg, x0=x0)
+        x, _, converged = solve_subset(problem, {1}, x0=x0)
         assert converged
-        v, _ = subset_objective(cache, {1}, x, cfg.ridge_lambda)
+        v, _ = subset_objective(cache, {1}, x, problem.cfg.ridge_lambda)
         values.append(v)
     assert max(values) - min(values) <= 1e-8
 
@@ -138,13 +139,13 @@ def test_convexity_same_optimum_from_random_starts():
 def test_failed_line_search_keeps_the_iterate(monkeypatch):
     # no step decreases the objective: the solve stops where it started
     rng = np.random.default_rng(5)
-    cache = _fake_cache(*_signed_rows(rng, 20, 4))
+    problem = prepare(_fake_cache(*_signed_rows(rng, 20, 4)), SolveConfig())
     x0 = rng.standard_normal(4)
     monkeypatch.setattr(
         estimate, "_value_grad",
         lambda b, G, x, lam: (float(np.any(x != x0)), np.ones_like(x), np.zeros(len(b))),
     )
-    x, iters, stop = solve_subset(cache, {1}, SolveConfig(), x0=x0)
+    x, iters, stop = solve_subset(problem, {1}, x0=x0)
     assert np.array_equal(x, x0)
     assert stop is Stop.LINESEARCH
     assert iters == 1
@@ -240,27 +241,29 @@ def test_loaded_gradients_are_float32_exact(tmp_path, cache):
 
 def test_rows_consulted_are_exactly_subset_plus_target():
     rng = np.random.default_rng(6)
-    tid = np.array([0, 0, 1, 1, 2, 2, 3, 3], dtype=np.int64)
+    tid = rng.permutation(np.array([0, 0, 1, 1, 2, 2, 3, 3], dtype=np.int64))  # each id's rows apart
     cache = _fake_cache(rng.standard_normal(8), rng.standard_normal((8, 3)), task_id=tid)
-    assert np.array_equal(cache.rows_for(cache.task_mask({1, 3})), np.flatnonzero(np.isin(tid, [0, 1, 3])))
-    assert np.array_equal(cache.rows_for(cache.task_mask({2})), np.flatnonzero(np.isin(tid, [0, 2])))
-    # an id past the last task picks no row, the target's val rows included
-    with_val = _fake_cache(cache.b, cache.g_proj, task_id=tid, val=(np.zeros(2), np.zeros((2, 3))))
-    assert np.array_equal(with_val.rows_for(with_val.task_mask({3, 4})), np.flatnonzero(np.isin(tid, [0, 3])))
-    # the solve reads exactly those rows: other rows may hold anything
-    poisoned = _fake_cache(
-        np.where(np.isin(tid, [0, 1, 3]), cache.b, np.nan),
-        np.where(np.isin(tid, [0, 1, 3])[:, None], cache.g_proj, np.nan), task_id=tid,
-    )
-    x, _, converged = solve_subset(poisoned, {1, 3}, SolveConfig(ridge_lambda=0.1))
-    assert converged
-    assert np.array_equal(x, solve_subset(cache, {1, 3}, SolveConfig(ridge_lambda=0.1))[0])
+    problem = prepare(cache, SolveConfig(ridge_lambda=0.1))
+    for subset, tasks in (({1, 3}, [0, 1, 3]), ({2}, [0, 2])):
+        # the solve reads exactly its tasks' rows and the target's, in row
+        # order: other rows may hold anything
+        keep = np.isin(tid, tasks)
+        assert np.array_equal(estimate._rows(problem, tasks), np.flatnonzero(keep))
+        poisoned = _fake_cache(np.where(keep, cache.b, np.nan), np.where(keep[:, None], cache.g_proj, np.nan), tid)
+        x, _, converged = solve_subset(dataclasses.replace(problem, cache=poisoned), subset)
+        assert converged
+        assert np.array_equal(x, solve_subset(problem, subset)[0])
 
 
 def test_empty_subset_data_raises():
-    cache = _fake_cache(np.ones(4), np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        solve_subset(cache, {7}, SolveConfig())
+    # task 2 has no rows and there is no target row to read; 7 and the
+    # target's own id are no task a subset can name
+    problem = prepare(_fake_cache(np.ones(4), np.zeros((4, 2)), task_id=[1, 1, 3, 3]), SolveConfig())
+    with pytest.raises(ValueError, match=r"no cached samples for subset \[2\]"):
+        solve_subset(problem, {2})
+    for subset, bad in (({1, 7}, 7), ({0}, 0), ({-1}, -1)):
+        with pytest.raises(ValueError, match=rf"unknown task ids in subset: \[{bad}\]"):
+            solve_subset(problem, subset)
 
 
 def test_estimate_f_zero_displacement(gauss_net, theta_star, gauss_corpus, cache):
@@ -313,9 +316,10 @@ def test_linearized_agrees_with_forward_on_default_corpus(
     gauss_net, theta_star, gauss_corpus, cache
 ):
     rng = np.random.default_rng(10)
+    problem = prepare(cache, SOLVE_CFG)
     for _ in range(5):
         S = frozenset(int(t) + 1 for t in rng.choice(20, size=10, replace=False))
-        x, _, _ = solve_subset(cache, S, SOLVE_CFG)
+        x, _, _ = solve_subset(problem, S)
         [lin] = estimate_f_linearized(cache, x[None])
         [full] = estimate_f(gauss_net, theta_star, cache, x[None], gauss_corpus.target.val)
         assert abs(lin - full) / full <= 0.10
@@ -328,16 +332,16 @@ def test_subset_solve_is_fast_at_scale():
     G = rng.standard_normal((n, d))
     b, y = rng.standard_normal(n), rng.choice([-1.0, 1.0], size=n)
     cache = _fake_cache(b, y[:, None] * G)
-    cfg = SolveConfig(ridge_lambda=0.1)
+    problem = prepare(cache, SolveConfig(ridge_lambda=0.1))
     start = time.perf_counter()
-    x, iters, converged = solve_subset(cache, {1}, cfg)
+    x, iters, converged = solve_subset(problem, {1})
     elapsed = time.perf_counter() - start
     assert converged
     assert elapsed < 2.0
 
 
 def test_estimate_subset_records_metadata(gauss_net, theta_star, gauss_corpus, cache):
-    result = estimate_subset(gauss_net, theta_star, cache, {1, 2}, gauss_corpus.target.val, SOLVE_CFG)
+    result = estimate_subset(gauss_net, theta_star, prepare(cache, SOLVE_CFG), {1, 2}, gauss_corpus.target.val)
     assert result.subset == frozenset({1, 2})
     assert result.stop is Stop.CONVERGED
     assert math.isfinite(result.f_hat)
@@ -346,7 +350,7 @@ def test_estimate_subset_records_metadata(gauss_net, theta_star, gauss_corpus, c
 def test_ledger_write(tmp_path, gauss_net, theta_star, gauss_corpus, cache):
     path = tmp_path / "estimates.csv"
     path.write_text("stale ledger\n")
-    r = estimate_subset(gauss_net, theta_star, cache, {3, 1}, gauss_corpus.target.val, SOLVE_CFG)
+    r = estimate_subset(gauss_net, theta_star, prepare(cache, SOLVE_CFG), {3, 1}, gauss_corpus.target.val)
     write_ledger(path, [r, r])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "subset,f_hat,solver_iters,flags"
@@ -369,24 +373,19 @@ def test_solve_config_validation():
 # ---- the shared start ----
 
 
-def _solve_of(cache, subset, cfg):
+def _solve_of(problem, subset):
     """estimate_subset's (x_hat, iterations, stop) for the subset: the solve
-    it runs from the shared start."""
-    seen = []
-
-    def spy(*args):
-        seen.extend(solve_subsets(*args))
-        return seen
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimate, "solve_subsets", spy)
-        estimate_subset(None, None, cache, subset, None, cfg, linearized=True)
-    return seen[0]
+    it runs from the shared start, a block of one."""
+    return solve_subsets(problem, [subset], problem.H_inv)[0]
 
 
-def _start(cache, subset, cfg):
-    """The subset's shared start, as its block of one starts from."""
-    return estimate._starts(cache, [subset], cfg)[0][0]
+def _start_rows(problem, subsets):
+    """The subsets' shared starts, as their block starts from them."""
+    return estimate._starts(problem, *estimate._members(problem, subsets))
+
+
+def _start(problem, subset):
+    return _start_rows(problem, [subset])[0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -407,9 +406,10 @@ def test_shared_start_reaches_the_zero_start_answer(seed, n_tasks, d, ridge, dat
     cache = _fake_cache(b, G, task_id=tid, val=(np.zeros(1), np.zeros((1, d))))
     subset = data.draw(st.sets(st.integers(min_value=1, max_value=n_tasks)))
     cfg = SolveConfig(ridge_lambda=ridge)
-    x, _, stop = _solve_of(cache, subset, cfg)
-    x_newton, _, stop_newton = solve_subset(cache, subset, cfg, _start(cache, subset, cfg))
-    x_zero, _, stop_zero = solve_subset(cache, subset, cfg)
+    problem = prepare(cache, cfg)
+    x, _, stop = _solve_of(problem, subset)
+    x_newton, _, stop_newton = solve_subset(problem, subset, _start(problem, subset))
+    x_zero, _, stop_zero = solve_subset(problem, subset)
     assert stop is stop_newton is stop_zero is Stop.CONVERGED
     assert np.linalg.norm(x - x_newton) <= 2 * cfg.grad_tol / ridge
     assert np.linalg.norm(x - x_zero) <= 2 * cfg.grad_tol / ridge
@@ -420,10 +420,10 @@ def test_score_does_not_depend_on_what_was_scored_before(gauss_net, theta_star, 
     subsets = [frozenset(int(t) for t in rng.choice(np.arange(1, 21), size=k, replace=False))
                for k in rng.integers(0, 21, size=20)]
 
+    problem = prepare(cache, SOLVE_CFG)
+
     def scores(order):
-        fresh = dataclasses.replace(cache)  # a copy with no start memoized yet
-        return {s: estimate_subset(gauss_net, theta_star, fresh, s, gauss_corpus.target.val, SOLVE_CFG).f_hat
-                for s in order}
+        return {s: estimate_subset(gauss_net, theta_star, problem, s, gauss_corpus.target.val).f_hat for s in order}
 
     assert scores(subsets) == scores(subsets[::-1])
 
@@ -432,11 +432,11 @@ def test_shared_start_halves_the_newton_iterations(cache):
     # from x = 0 these solves take 3.98 iterations on average; damped Newton
     # alone from the shared start (no fixed steps) takes about half
     rng = np.random.default_rng(6)
-    fresh = dataclasses.replace(cache)
+    problem = prepare(cache, SOLVE_CFG)
     iters = []
     for _ in range(200):
         subset = rng.choice(np.arange(1, 21), size=15, replace=False)
-        iters.append(solve_subset(fresh, subset, SOLVE_CFG, _start(fresh, subset, SOLVE_CFG))[1])
+        iters.append(solve_subset(problem, subset, _start(problem, subset))[1])
     assert np.mean(iters) <= 2.3
 
 
@@ -444,14 +444,13 @@ def test_fixed_steps_spare_the_hessian_solves(cache, monkeypatch):
     # on 15 of 20 tasks H_all^-1 is close to the subset's inverse Hessian,
     # so fixed steps reach grad_tol and a Hessian is rarely solved
     rng = np.random.default_rng(6)
-    fresh = dataclasses.replace(cache)
-    estimate._all_tasks_start(fresh, SOLVE_CFG)  # its own solve is not counted
+    problem = prepare(cache, SOLVE_CFG)  # its own solve is not counted
     solves = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
     for _ in range(200):
         subset = rng.choice(np.arange(1, 21), size=15, replace=False)
-        assert estimate_subset(None, None, fresh, subset, None, SOLVE_CFG, linearized=True).stop
+        assert _solve_of(problem, subset)[2]
     assert len(solves) / 200 <= 0.5
 
 
@@ -462,11 +461,9 @@ def test_a_useless_fixed_step_falls_back_to_newton(fault):
     rng = np.random.default_rng(8)
     tid = np.repeat(np.arange(4), 15)
     cache = _fake_cache(*_signed_rows(rng, len(tid), 5), task_id=tid)
-    cfg = SolveConfig(ridge_lambda=1e-2)
-    X0, H_inv = estimate._starts(cache, [{1, 2}], cfg)
-    bad = {"zeros": np.zeros_like(H_inv), "negated": -H_inv, "nan": np.full_like(H_inv, np.nan)}[fault]
-    [(x, iters, stop)] = solve_subsets(cache, [{1, 2}], cfg, X0, bad)
-    x_newton, iters_newton, stop_newton = solve_subset(cache, {1, 2}, cfg, X0[0])
+    problem = prepare(cache, SolveConfig(ridge_lambda=1e-2))
+    [(x, iters, stop)] = solve_subsets(problem, [{1, 2}], _faulty(problem.H_inv, fault))
+    x_newton, iters_newton, stop_newton = solve_subset(problem, {1, 2}, _start(problem, {1, 2}))
     assert stop is stop_newton is Stop.CONVERGED
     assert np.array_equal(x, x_newton) and iters == iters_newton > 0
 
@@ -546,8 +543,7 @@ def test_a_block_solves_each_subset_as_the_one_subset_reference(
     # rounding. max_iters 1-3 stop solves short; a zero, negated or NaN
     # H_inv refuses every fixed step; separable rows leave only the ridge to
     # bound the minimizer; relabeled ids scatter each id's rows as
-    # select.group_cache does; subsets may name the target or no known id.
-    # x_hat can be a small difference of its start and the steps, so its
+    # select.group_cache does; a subset may be empty. x_hat can be a small difference of its start and the steps, so its
     # rounding is relative to the larger of the two
     rng = np.random.default_rng(seed)
     tid = np.repeat(np.arange(n_tasks + 1), rng.integers(1, 20, size=n_tasks + 1))
@@ -557,13 +553,13 @@ def test_a_block_solves_each_subset_as_the_one_subset_reference(
     if separable:  # every row on the positive side of one direction
         G *= np.where(G @ rng.standard_normal(d) < 0, -1.0, 1.0)[:, None]
     cache = _fake_cache(b, G, task_id=tid, val=(rng.standard_normal(5), rng.standard_normal((5, d))))
-    subsets = data.draw(st.lists(st.frozensets(st.integers(min_value=0, max_value=n_tasks + 1)), min_size=1, max_size=8))
-    cfg = SolveConfig(ridge_lambda=ridge, max_iters=max_iters)
-    X0, H_inv = estimate._starts(cache, subsets, cfg)
-    solved = solve_subsets(cache, subsets, cfg, X0, _faulty(H_inv, fault))
+    subsets = data.draw(st.lists(st.frozensets(st.integers(min_value=1, max_value=n_tasks)), min_size=1, max_size=8))
+    problem = prepare(cache, SolveConfig(ridge_lambda=ridge, max_iters=max_iters))
+    H_inv = _faulty(problem.H_inv, fault)
+    solved = solve_subsets(problem, subsets, H_inv)
     f_hat = estimate_f_linearized(cache, np.array([x for x, _, _ in solved]))
-    for s, x0, (x, iters, stop), f in zip(subsets, X0, solved, f_hat):
-        x_ref, f_ref, iters_ref, stop_ref = estimate_alone(None, None, cache, s, None, cfg, True, _faulty(H_inv, fault))
+    for s, x0, (x, iters, stop), f in zip(subsets, _start_rows(problem, subsets), solved, f_hat):
+        x_ref, f_ref, iters_ref, stop_ref = estimate_alone(None, None, problem, s, None, True, H_inv)
         assert (iters, stop) == (iters_ref, stop_ref)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * max(np.linalg.norm(x_ref), np.linalg.norm(x0))
         assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
@@ -581,16 +577,18 @@ def test_default_blocks_take_each_subsets_steps(gauss_net, theta_star, gauss_cor
     assert (len(draws), estimator_block(len(draws)), estimator_block(len(singles))) == (977, 245, 10)
     blocks = [draws[:245], singles[:10], singles[10:]]
     val = gauss_corpus.target.val
+    problem = prepare(cache, SOLVE_CFG)
     for block in blocks:
-        for s, r in zip(block, estimate_subsets(gauss_net, theta_star, cache, block, val, SOLVE_CFG)):
-            _, f_ref, iters_ref, stop_ref = estimate_alone(gauss_net, theta_star, cache, s, val, SOLVE_CFG)
+        for s, r in zip(block, estimate_subsets(gauss_net, theta_star, problem, block, val)):
+            _, f_ref, iters_ref, stop_ref = estimate_alone(gauss_net, theta_star, problem, s, val)
             assert (r.solver_iters, r.stop) == (iters_ref, stop_ref)
             assert abs(r.f_hat - f_ref) <= 1e-12 * f_ref
 
 
 def test_a_block_raises_for_its_first_subset_without_rows():
-    cache = _fake_cache(np.ones(4), np.zeros((4, 2)))
-    with pytest.raises(ValueError, match=r"no cached samples for subset \[5\]"):
-        solve_subsets(cache, [{1}, {5}, {7}], SolveConfig(), np.zeros((3, 2)), np.eye(2))
-    with pytest.raises(ValueError, match=r"no cached samples for subset \[7\]"):
-        estimate_subsets(None, None, cache, [{1}, {7}], None, SolveConfig(), linearized=True)
+    # tasks 2 and 4 have no rows, and there is no target row to read
+    problem = prepare(_fake_cache(np.ones(6), np.zeros((6, 2)), task_id=[1, 1, 3, 3, 5, 5]), SolveConfig())
+    with pytest.raises(ValueError, match=r"no cached samples for subset \[2\]"):
+        solve_subsets(problem, [{1}, {2}, {4}], np.eye(2))
+    with pytest.raises(ValueError, match=r"no cached samples for subset \[4\]"):
+        estimate_subsets(None, None, problem, [{1, 3}, {4}], None, linearized=True)

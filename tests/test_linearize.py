@@ -351,13 +351,6 @@ def test_rrss_sweep_monotone_and_stable(gauss_corpus):
         assert abs(r1["mean_rrss"] - r2["mean_rrss"]) <= 2 * (se + r2["std_rrss"] / math.sqrt(20))
 
 
-def test_rrss_sweep_uses_endpoints(gauss_net, theta_star, gauss_corpus):
-    endpoint = theta_star + 0.01 * np.ones_like(theta_star)
-    rows = rrss_sweep(gauss_net, theta_star, *_first(gauss_corpus.target.val, 10),
-                      [0.001], 1, seed=3, endpoint_params=[endpoint])
-    assert rows[0]["n_used"] > 0
-
-
 def test_rrss_sweep_rejects_negative_distance(gauss_net, theta_star, gauss_corpus):
     with pytest.raises(ValueError):
         rrss_sweep(gauss_net, theta_star, *_first(gauss_corpus.target.val, 5), [-0.1], 2, seed=0)

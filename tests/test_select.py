@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradsel.estimate import Stop, estimate_subset, estimate_subsets
+from gradsel.estimate import Stop, estimate_subsets, prepare
 from gradsel.select import (
     Evaluator,
     compute_T,
@@ -404,11 +404,12 @@ def test_estimator_evaluator_never_finetunes(gauss_net, theta_star, gauss_corpus
 def test_estimator_scores_are_estimate_subset(gauss_net, theta_star, gauss_corpus, cache, subsets, max_iters):
     # few iterations, so some solves stop short and the budget must say so
     cfg = dataclasses.replace(SOLVE_CFG, max_iters=max_iters)
+    problem = prepare(cache, cfg)
     for linearized in (False, True):
         ev = estimator_evaluator(gauss_net, theta_star, cache, gauss_corpus.target.val, cfg, linearized)
         stops = []
         for s in subsets:
-            result = estimate_subset(gauss_net, theta_star, cache, s, gauss_corpus.target.val, cfg, linearized)
+            [result] = estimate_subsets(gauss_net, theta_star, problem, [s], gauss_corpus.target.val, linearized)
             assert ev(s) == result.f_hat
             stops.append(result.stop)
         assert ev.budget["calls"] == len(subsets)
@@ -515,13 +516,14 @@ def test_estimator_batches_score_the_same_at_1_and_3_cpus(gauss_net, theta_star,
     # blocks of 25): each batch's scores are its blocks' estimate_subsets
     # scores, bit for bit, whether one process scores them or three
     val = gauss_corpus.target.val
+    problem = prepare(cache, SOLVE_CFG)
     draws = list(dict.fromkeys(random_subsets(20, 15, 120, 6)))[:100]
     for batch in ([frozenset({t}) for t in range(1, 21)], draws):
         size = estimator_block(len(batch))
         want = [
             r.f_hat.hex()
             for lo in range(0, len(batch), size)
-            for r in estimate_subsets(gauss_net, theta_star, cache, batch[lo : lo + size], val, SOLVE_CFG)
+            for r in estimate_subsets(gauss_net, theta_star, problem, batch[lo : lo + size], val)
         ]
         for cpus in (1, 3):
             _cpus(monkeypatch, cpus)
@@ -586,18 +588,26 @@ def test_select_ds_single_group(gauss_net, theta_star, gauss_corpus, cache):
 
 
 def test_grouped_cache_gets_its_own_start(cache):
-    # the shared start lives on the cache object: a regrouped copy of a cache
-    # that holds one starts with none and builds its own from its group ids
-    source = dataclasses.replace(cache)
-    estimate_subset(None, None, source, {1}, None, SOLVE_CFG, linearized=True)
-    grouped = group_cache(source, 5, seed=0)
-    assert grouped.starts == {} and len(source.starts) == 1
-    estimate_subset(None, None, grouped, {1}, None, SOLVE_CFG, linearized=True)
-    [(sums, x_all, _)] = grouped.starts.values()
-    [(source_sums, source_x_all, _)] = source.starts.values()
-    assert len(sums) == 6 and len(source_sums) == 21  # one gradient sum per group, per task id
-    assert [len(rows) for rows in grouped.id_rows] == np.bincount(grouped.task_id[grouped.task_id >= 0]).tolist()
-    assert np.array_equal(x_all, source_x_all)  # the same train rows, in the same order
+    # a regrouped cache's Problem holds one gradient sum and one row list per
+    # group id (the target's 0 included), and the source's x_all: the same
+    # train rows, in the same order
+    source, grouped = prepare(cache, SOLVE_CFG), prepare(group_cache(cache, 5, seed=0), SOLVE_CFG)
+    assert len(grouped.sums) == 6 and len(source.sums) == 21
+    tid = grouped.cache.task_id
+    assert [rows.tolist() for rows in grouped.id_rows] == [np.flatnonzero(tid == t).tolist() for t in range(6)]
+    assert np.array_equal(grouped.x_all, source.x_all)
+
+
+def test_both_evaluators_refuse_ids_that_name_no_task(gauss_net, theta_star, gauss_corpus, cache):
+    # an id outside 1..n is refused by the estimator as by the oracle, not
+    # scored as if the subset lacked it
+    estimator = estimator_evaluator(gauss_net, theta_star, cache, gauss_corpus.target.val, SOLVE_CFG)
+    oracle = oracle_evaluator(gauss_net, theta_star, gauss_corpus, FINETUNE_CFG)
+    for subset, bad in (({1, 99}, 99), ({0}, 0)):
+        for ev in (estimator, oracle):
+            with pytest.raises(ValueError, match=rf"^unknown task ids in subset: \[{bad}\]$"):
+                ev(subset)
+            assert ev.budget["calls"] == 0
 
 
 def test_select_ds_reduces_to_plain_fs_on_separated_gradients():
