@@ -273,13 +273,13 @@ class RunDir:
 
 
 def _load(run: RunDir, artifact: str, produced_by: str, loader):
-    """Load a required artifact. A malformed one becomes a one-line
-    StageError naming the artifact and the stage that makes it."""
+    """Load a required artifact. A malformed or unreadable one becomes a
+    one-line StageError naming the artifact and the stage that makes it."""
     path = run.require(artifact, produced_by)
     try:
         return loader(path)
-    except ValueError as e:
-        reason = str(e).removeprefix(f"{path}: ")
+    except (OSError, ValueError) as e:
+        reason = getattr(e, "strerror", None) or str(e).removeprefix(f"{path}: ")
         raise StageError(f"{path.name}: {reason}; re-run '{produced_by}'") from None
 
 
@@ -610,7 +610,9 @@ def main(argv: list[str] | None = None) -> int:
                 stage_bench(run, cfg, args.exp or ["rrss"])
             elif args.command == "report":
                 stage_report(run, cfg)
-    except (StageError, ValueError) as e:  # ValueError: an input the program's checks reject
+    # ValueError: an input the program's checks reject; OSError: a path it
+    # cannot use, such as an --out that names a file
+    except (StageError, ValueError, OSError) as e:
         print(f"gradsel {args.command}: {e}", file=sys.stderr)
         return 2
     return 0

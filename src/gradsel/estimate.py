@@ -7,10 +7,11 @@ in d-space: the mean log-loss at the first-order margins -b_i + g~_i . x.
 It is convex; a tiny ridge keeps the minimizer finite even when
 the projected data is separable. Its terms log(1 + exp(z_i)),
 z_i = b_i - g~_i . x, and the sigmoid(z_i) of its gradient and Hessian come
-from one exponential per row (_log1pexp_sigmoid). The solver is damped
-Newton, which is cheap because the Hessian is only d x d, after
-fixed-Hessian steps while those pay (below). One function, _hessian, forms every Hessian, Newton's and the
-shared start's, in float64 like all of the solver's arithmetic.
+from one exponential per row (model._log1pexp_sigmoid, whose sigmoid the
+training step's binary head takes too). The solver is damped Newton, which
+is cheap because the Hessian is only d x d, after fixed-Hessian steps while
+those pay (below). One function, _hessian, forms every Hessian, Newton's
+and the shared start's, in float64 like all of the solver's arithmetic.
 
 Every subset solve the program runs (estimate_subsets) starts one Newton
 step from x_all, the solve over every train row: at x_all, with H_all the
@@ -64,7 +65,7 @@ import numpy as np
 
 from . import artifact
 from .linearize import TARGET_VAL_ID, GradientCache
-from .model import Network, ParamVector
+from .model import Network, ParamVector, _log1pexp_sigmoid
 from .taskgen import TARGET_TASK_ID, Split
 from .trainer import eval_loss
 
@@ -104,24 +105,6 @@ class EstimateResult:
     f_hat: float
     solver_iters: int
     stop: Stop
-
-
-def _log1pexp_sigmoid(z):
-    """(log(1 + exp(z)), sigmoid(z)) elementwise from one exponential pass,
-    e = exp(min(z, -z)) = exp(-|z|): the loss terms as max(z, 0) + log1p(e),
-    within an ulp of np.logaddexp(0, z) at a fraction of its cost, and the
-    sigmoid as where(z >= 0, 1, e) / (1 + e), model._sigmoid's operations
-    and so its bits (the where taken as max(e, z >= 0), the same since e
-    lies in [0, 1] or is z's NaN). z is overwritten by the loss terms."""
-    e = np.negative(z)
-    np.minimum(z, e, out=e)
-    np.exp(e, out=e)
-    s = np.maximum(e, z >= 0)
-    np.maximum(z, 0.0, out=z)
-    z += np.log1p(e)
-    e += 1.0
-    np.divide(s, e, out=s)
-    return z, s
 
 
 def _value_grad(b, G, x, lam):

@@ -68,27 +68,34 @@ class ModelConfig:
         return self.num_positions * self.num_classes
 
 
-def _logsumexp(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = np.max(z, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(
-        np.sum(np.exp(z - m), axis=axis)
-    )
-
-
 def _exp_rows(z: np.ndarray, m: np.ndarray, s: np.ndarray) -> None:
-    """exp(z - max) over the last axis, in place in z, with the operations
-    _softmax and _logsumexp apply; m and s (z's shape less its last axis)
-    take each row's max and the sum of its exponentials."""
+    """exp(z - max) over the last axis, in place in z: a softmax is z / s
+    and a logsumexp m + log(s) after it. m and s (z's shape less its last
+    axis) take each row's max and the sum of its exponentials."""
     np.maximum.reduce(z, axis=-1, out=m)
     np.subtract(z, m[..., None], out=z)
     np.exp(z, out=z)
     np.add.reduce(z, axis=-1, out=s)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    m = np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
+def _log1pexp_sigmoid(z):
+    """(log(1 + exp(z)), sigmoid(z)) elementwise from one exponential pass,
+    e = exp(min(z, -z)) = exp(-|z|): the loss terms as max(z, 0) + log1p(e),
+    within an ulp of np.logaddexp(0, z) at a fraction of its cost, and the
+    sigmoid as where(z >= 0, 1, e) / (1 + e), the two-branch form
+    1 / (1 + exp(-z)) where z >= 0, else exp(z) / (1 + exp(z)), bit for bit
+    (the where taken as max(e, z >= 0), the same since e lies in [0, 1] or
+    is z's NaN, whose sign bit min(z, -z) keeps: np.minimum returns the
+    first of two NaNs). z is overwritten by the loss terms."""
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    s = np.maximum(e, z >= 0)
+    np.maximum(z, 0.0, out=z)
+    z += np.log1p(e)
+    e += 1.0
+    np.divide(s, e, out=s)
+    return z, s
 
 
 class Network:
@@ -220,7 +227,9 @@ class Network:
         zy = np.take_along_axis(Zp, at_label, axis=-1)[..., 0]
         masked = Zp.copy()
         np.put_along_axis(masked, at_label, -np.inf, axis=-1)
-        return (zy - _logsumexp(masked, axis=-1)).mean(axis=1)
+        m, s = np.empty(y.shape), np.empty(y.shape)
+        _exp_rows(masked, m, s)
+        return (zy - (m + np.log(s))).mean(axis=1)
 
     def losses(
         self, params: ParamVector, X: np.ndarray, labels: np.ndarray, work: Workspace | None = None
@@ -300,9 +309,12 @@ class Network:
         # d margin / d z_k: 1 at the labeled class, else minus the softmax
         # restricted to the other classes. Bounded, so stable at any confidence.
         at_label = y[..., None]
-        masked = Zp.copy()
-        np.put_along_axis(masked, at_label, -np.inf, axis=-1)
-        delta = -_softmax(masked)
+        delta = Zp.copy()
+        np.put_along_axis(delta, at_label, -np.inf, axis=-1)
+        m, s = np.empty(y.shape), np.empty(y.shape)
+        _exp_rows(delta, m, s)
+        np.divide(delta, s[..., None], out=delta)
+        np.negative(delta, out=delta)
         np.put_along_axis(delta, at_label, 1.0, axis=-1)
         return delta.reshape(n, -1) / cfg.num_positions
 
@@ -357,7 +369,7 @@ class Network:
         layers, acts, Z = self._forward(params, X, work)
         if self.config.is_binary:
             y = _label_signs(labels)
-            delta = (-y * _sigmoid(-y * Z[:, 0]))[:, None]
+            delta = (-y * _log1pexp_sigmoid(-y * Z[:, 0])[1])[:, None]
         else:
             # d loss / d logits = (softmax - onehot(y)) / L, in place in Z
             Zp, y = self._heads(Z, labels)
@@ -398,17 +410,4 @@ class Workspace:
 def _label_signs(labels) -> np.ndarray:
     """A binary head's labels as the signs 2l - 1 of their margins' logits."""
     return 2.0 * np.asarray(labels, dtype=np.int64) - 1.0
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)) where z >= 0, else exp(z) / (1 + exp(z)), with no
-    mask gather: every element takes the one exp, add and divide its branch
-    takes, so the result is that two-branch form's bit for bit. min(z, -z)
-    is -|z| but returns a NaN z itself (np.minimum returns the first of two
-    NaNs), which the else branch exponentiates with its sign bit kept."""
-    e = np.minimum(z, -z)
-    np.exp(e, out=e)
-    num = np.where(z >= 0, 1.0, e)
-    e += 1.0
-    return np.divide(num, e, out=num)
 

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import io
-from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -401,24 +399,18 @@ def load_corpus(path) -> Corpus:
     header, body = artifact.decode(path, data, "corpus", 1, {"dim": int, "meta": dict})
     dim, meta = header["dim"], header["meta"]
     onehot = meta.get("kind") == "addition"
-    lines = body.decode().splitlines()
-    buckets = None if onehot else _parse_gaussian(lines, dim)
-    whole = buckets is not None
-    if not whole:
-        buckets = {}
-        for lineno, line in enumerate(lines, 2):
-            try:
-                tid, split, x, y = _parse_sample(line, dim, onehot)
-            except (ValueError, IndexError) as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
-            buckets.setdefault((tid, split), []).append((x, y))
+    buckets: dict[tuple[int, str], list] = {}
+    for lineno, line in enumerate(body.decode().splitlines(), 2):
+        try:
+            tid, split, x, y = _parse_sample(line, dim, onehot)
+        except (ValueError, IndexError, OverflowError) as e:  # OverflowError: a feature past float64
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
+        buckets.setdefault((tid, split), []).append((x, y))
 
     def stacked(tid: int, split: str) -> Split:
         rows = buckets.get((tid, split))
         if not rows:
             raise ValueError(f"{path}: task {tid} has no {split} lines")
-        if whole:
-            return rows
         try:
             Y = np.array([y for _, y in rows], dtype=np.int64)
         except ValueError:
@@ -430,40 +422,6 @@ def load_corpus(path) -> Corpus:
     corpus = Corpus(tasks[1:], tasks[0], meta)
     corpus._digest = hashlib.sha256(data).hexdigest()
     return corpus
-
-
-def _parse_gaussian(lines: list[str], dim: int) -> dict[tuple[int, str], Split] | None:
-    """A Gaussian body's splits by (task id, split), rows in line order,
-    parsed as whole arrays: one split per line, then one float.fromhex pass
-    over every feature and one int pass over every label. None where some
-    line may be one _parse_sample refuses, which the caller then names:
-    every line must hold four fields, dim features and as many labels as
-    the first, each feature one 0x (so _parse_sample's per-line 0x check
-    holds on every line), and every number must parse."""
-    fields = [line.split() for line in lines]
-    if set(map(len, fields)) != {4}:
-        return None
-    tids, splits, labels, feats = zip(*fields)
-    n, n_labels = len(fields), labels[0].count(",") + 1
-    if set(map(str.count, feats, repeat(","))) != {dim - 1} or sum(map(str.count, feats, repeat("0x"))) != n * dim:
-        return None
-    if set(map(str.count, labels, repeat(","))) != {n_labels - 1}:
-        return None
-    try:
-        X = np.fromiter(map(float.fromhex, _items(feats)), np.float64, n * dim)
-        Y = np.fromiter(map(int, _items(labels)), np.int64, n * n_labels)
-        rows: dict[tuple[int, str], list[int]] = {}
-        for i, key in enumerate(zip(map(int, tids), splits)):
-            rows.setdefault(key, []).append(i)
-    except (ValueError, OverflowError):
-        return None
-    X, Y = X.reshape(n, dim), Y.reshape(n, n_labels)
-    return {key: (X[idx], _position_labels(Y[idx])) for key, idx in rows.items()}
-
-
-def _items(fields) -> Iterator[str]:
-    """The comma-separated items of each field, in order."""
-    return chain.from_iterable(map(str.split, fields, repeat(",")))
 
 
 def _parse_sample(line: str, dim: int, onehot: bool) -> tuple[int, str, np.ndarray, list[int]]:

@@ -185,6 +185,42 @@ def _logsumexp(z, axis):
     return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(z - m), axis=axis))
 
 
+def _softmax(z):
+    m = np.max(z, axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _others_masked(net, Z, labels):
+    """A multi-class head's (N, L, C) logits, its labels as (N, L, 1)
+    indices, and a copy of the logits with -inf at each label."""
+    cfg = net.config
+    Zp = Z.reshape(len(Z), cfg.num_positions, cfg.num_classes)
+    at_label = np.asarray(labels).reshape(len(Z), cfg.num_positions, 1)
+    masked = Zp.copy()
+    np.put_along_axis(masked, at_label, -np.inf, axis=-1)
+    return Zp, at_label, masked
+
+
+def head_margins(net, params, X, labels) -> np.ndarray:
+    """Network.margins of a multi-class head as allocating expressions: per
+    position, z_y minus a logsumexp over the other classes, then the mean
+    over positions."""
+    Zp, at_label, masked = _others_masked(net, net.logits(params, X), labels)
+    zy = np.take_along_axis(Zp, at_label, axis=-1)[..., 0]
+    return (zy - _logsumexp(masked, axis=-1)).mean(axis=1)
+
+
+def head_margin_deltas(net, Z, labels) -> np.ndarray:
+    """Network._margin_deltas of a multi-class head as allocating
+    expressions: minus the softmax over the other classes, 1 at the label,
+    over the number of positions."""
+    _, at_label, masked = _others_masked(net, Z, labels)
+    delta = -_softmax(masked)
+    np.put_along_axis(delta, at_label, 1.0, axis=-1)
+    return delta.reshape(len(Z), -1) / net.config.num_positions
+
+
 def _textbook_losses(net, params, X, labels, work=None):
     Z = net._forward(params, X)[2]
     cfg = net.config

@@ -1,12 +1,14 @@
-"""Public API must be used by the program itself, not only by tests.
+"""Every function, class and method must be used by the program itself, not
+only by tests.
 
 The check parses src/gradsel/*.py and walks references outward from module
-level code (the CLI entry point, constants). A public top-level function or
-class, or a public method, that no reachable code names is dead weight kept
-alive only by its tests, and fails the check. Names are matched by
-identifier, so a method counts as used when any reachable code reads an
-attribute of that name. Reference implementations that tests compare the
-production paths against live in tests/reference.py, not in src/.
+level code (the CLI entry point, constants). A top-level function or class,
+or a method, public or private, that no reachable code names is dead weight
+kept alive only by its tests (or by nothing), and fails the check; dunder
+methods run implicitly and are exempt. Names are matched by identifier, so
+a method counts as used when any reachable code reads an attribute of that
+name. Reference implementations that tests compare the production paths
+against live in tests/reference.py, not in src/.
 
 A second check does the same for imports: a module-level import whose name
 its module never reads is left over from deleted code. A third does it for
@@ -32,12 +34,13 @@ def _names(nodes) -> set[str]:
     return out
 
 
-def _units():
+def _units(src: Path):
     """(qualified name, short name, identifiers it reads) for every top-level
-    function and class and every method, plus the identifiers read by module
-    level code. __init__.py only re-exports, which is not a use."""
+    function and class and every method in src's modules, plus the
+    identifiers read by module level code. __init__.py only re-exports,
+    which is not a use."""
     units, roots = [], set()
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
             continue
         mod = path.stem
@@ -57,8 +60,8 @@ def _units():
     return units, roots
 
 
-def _unused() -> list[str]:
-    units, names = _units()
+def _unused(src: Path = SRC) -> list[str]:
+    units, names = _units(src)
     reached: set[str] = set()
     while True:
         new = [
@@ -79,12 +82,25 @@ def _unused() -> list[str]:
     return sorted(
         qual
         for qual, short, _ in units
-        if qual not in reached and not short.startswith("_")
+        if qual not in reached and not (short.startswith("__") and short.endswith("__"))
     )
 
 
 def test_every_public_name_is_used_by_the_program():
     assert _unused() == []
+
+
+def test_a_private_helper_no_code_calls_is_flagged(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def main():\n    return _used()\n\n\n"
+        "def _used():\n    return Box()._kept()\n\n\n"
+        "def _left_over():\n    pass\n\n\n"
+        "class Box:\n    def __init__(self):\n        pass\n\n"
+        "    def _kept(self):\n        pass\n\n"
+        "    def _stale(self):\n        pass\n\n\n"
+        "main()\n"
+    )
+    assert _unused(tmp_path) == ["mod.Box._stale", "mod._left_over"]
 
 
 def _unread_imports() -> list[str]:

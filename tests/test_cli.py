@@ -495,7 +495,8 @@ MISTYPED = {"corpus.txt": ("corpus", "dim", "5"), "checkpoint.bin": ("checkpoint
     "artifact, stage, binary, damage",
     [(*a, damage) for damage in DAMAGE for a in DAMAGED_ARTIFACTS]
     + [(*a, "drop_header_key") for a in DAMAGED_ARTIFACTS if a[0] in HEADER_KEY]
-    + [(*a, "mistype_header_key") for a in DAMAGED_ARTIFACTS if a[0] in MISTYPED],
+    + [(*a, "mistype_header_key") for a in DAMAGED_ARTIFACTS if a[0] in MISTYPED]
+    + [(*a, "replace_by_directory") for a in DAMAGED_ARTIFACTS],
 )
 def test_damaged_artifact_fails_in_one_line(tiny_run, tmp_path, capsys, artifact, stage, binary, damage):
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
@@ -512,6 +513,9 @@ def test_damaged_artifact_fails_in_one_line(tiny_run, tmp_path, capsys, artifact
         kind, key, value = MISTYPED[artifact]
         header, body = gradsel.artifact.read(path, kind, VERSION[artifact], {})
         gradsel.artifact.write(path, kind, VERSION[artifact], {**header, key: value}, body)
+    elif damage == "replace_by_directory":  # open() fails, not the parse
+        path.unlink()
+        path.mkdir()
     else:
         path.write_bytes(DAMAGE[damage](data))
     capsys.readouterr()
@@ -523,6 +527,17 @@ def test_damaged_artifact_fails_in_one_line(tiny_run, tmp_path, capsys, artifact
         assert f"header has no {key!r} key" in lines[0]
     if damage == "mistype_header_key":
         assert f"header key {key!r} is {value!r}, not of type " in lines[0]
+    if damage == "replace_by_directory":
+        assert ": Is a directory; re-run '" in lines[0]
+
+
+def test_an_out_that_names_a_file_fails_in_one_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.write_text("")
+    assert main(["--out", str(out), "gen", *TINY]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("gradsel gen: ") and "File exists" in lines[0], lines
+    assert out.read_text() == ""
 
 
 def test_cache_projected_for_another_model_fails_in_one_line(tiny_run, tmp_path, capsys):

@@ -21,12 +21,12 @@ from gradsel.estimate import (
     write_ledger,
 )
 from gradsel.linearize import TARGET_VAL_ID, GradientCache, build_cache, load_cache, save_cache
-from gradsel.model import ModelConfig, Network, _sigmoid
+from gradsel.model import ModelConfig, Network, _log1pexp_sigmoid
 from gradsel.taskgen import Corpus, TaskDataset
 from gradsel.trainer import eval_loss
 
 from conftest import SOLVE_CFG
-from reference import estimate_alone, fixed_step_newton, subset_objective, value_grad
+from reference import estimate_alone, fixed_step_newton, masked_sigmoid, subset_objective, value_grad
 
 
 def _fake_cache(b, G, task_id=None, val=None):
@@ -499,12 +499,12 @@ _SPECIAL_MARGINS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
 @example(z=_SPECIAL_MARGINS + [800.0, -800.0, 5e-324, -5e-324, 36.7, -36.7, 709.8, -745.2], rows=1)
 def test_one_exponential_gives_the_sigmoid_bit_for_bit_and_the_loss_to_an_ulp(z, rows):
     # the solver's loss terms and sigmoid from one exp(-|z|): the sigmoid is
-    # model._sigmoid's, byte for byte (NaNs and signed zeros included), and
-    # the loss terms are log(1 + exp(z)) within an ulp of the larger of
-    # |np.logaddexp(0, z)| and 1, with its infinities and NaNs
+    # the masked two-branch form's, byte for byte (NaNs and signed zeros
+    # included), and the loss terms are log(1 + exp(z)) within an ulp of the
+    # larger of |np.logaddexp(0, z)| and 1, with its infinities and NaNs
     z = np.tile(np.array(z), (rows, 1))
-    terms, s = estimate._log1pexp_sigmoid(z.copy())
-    assert s.tobytes() == _sigmoid(z).tobytes()
+    terms, s = _log1pexp_sigmoid(z.copy())
+    assert s.tobytes() == masked_sigmoid(z).tobytes()
     with np.errstate(invalid="ignore"):  # a NaN margin, and inf - inf
         want = np.logaddexp(0.0, z)
         nan = np.isnan(want)

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradsel.model import DimensionMismatchError, ModelConfig, Network, Workspace, _sigmoid
+from gradsel.model import DimensionMismatchError, ModelConfig, Network, Workspace, _log1pexp_sigmoid
 from gradsel.project import gaussian_projection
 from reference import (
     allocating_network,
     finite_difference_margin_gradient,
+    head_margin_deltas,
+    head_margins,
     margin,
     margin_gradients,
     masked_sigmoid,
@@ -437,6 +439,39 @@ def test_sigmoid_is_the_masked_two_branch_form_bit_for_bit(n, scale, seed, speci
     rng = np.random.default_rng(seed)
     z = scale * rng.standard_normal(n)
     z[rng.integers(n, size=len(specials))] = specials
-    z_before = z.copy()
-    assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
-    assert z.tobytes() == z_before.tobytes()
+    # loss_gradient's binary head takes the sigmoid of the solver's kernel
+    assert _log1pexp_sigmoid(z.copy())[1].tobytes() == masked_sigmoid(z).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    positions=st.integers(1, 5),
+    classes=st.integers(2, 11),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0]),
+    ties=st.booleans(),
+    at_max=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4, positions=1, classes=3, scale=800.0, ties=True, at_max=True, seed=0)
+@example(n=4, positions=5, classes=2, scale=800.0, ties=True, at_max=False, seed=1)
+def test_head_margins_and_deltas_are_the_allocating_forms_bit_for_bit(n, positions, classes, scale, ties, at_max, seed):
+    # margins and _margin_deltas exponentiate the masked logits in place
+    # (_exp_rows); their bytes are those of a logsumexp and a softmax that
+    # allocate, at logits up to +-800, on rows of equal logits and with the
+    # label at a row's maximum
+    if positions == 1:
+        classes = max(classes, 3)  # two classes at one position is the binary head
+    rng = np.random.default_rng(seed)
+    Z = rng.uniform(-scale, scale, (n, positions, classes))
+    Z[rng.random(Z.shape) < 0.1] = scale * rng.choice([-1.0, 1.0])
+    if ties:
+        Z[rng.random((n, positions)) < 0.5] = Z[0, 0, 0]
+        Z[..., 1] = Z[..., 0]
+    labels = Z.argmax(axis=-1) if at_max else rng.integers(0, classes, (n, positions))
+    labels = labels[:, 0] if positions == 1 else labels
+    net = Network(ModelConfig(input_dim=positions * classes, num_classes=classes, num_positions=positions))
+    params = np.concatenate([np.eye(positions * classes).ravel(), np.zeros(positions * classes)])
+    X = Z.reshape(n, -1)
+    assert net.margins(params, X, labels).tobytes() == head_margins(net, params, X, labels).tobytes()
+    assert net._margin_deltas(X, labels).tobytes() == head_margin_deltas(net, X, labels).tobytes()

@@ -373,51 +373,73 @@ def _shift_a_field(lines):
     return [lines[0] + " 7", lines[1].split(" ", 1)[1], *lines[2:]]
 
 
+def _signed_feature(corpus):
+    corpus.target.train[0][0, -1] = 0.0
+
+
+def _two_labels(corpus):
+    for t in [corpus.target, *corpus.tasks]:
+        t.train, t.val = ((X, np.stack([y, 1 - y], axis=1)) for X, y in (t.train, t.val))
+
+
+# each edit of a saved Gaussian body, and what loading it gives: the
+# refusal after the file's path, else a change to the generated corpus
+# that makes the corpus it loads to
 _GAUSSIAN_EDITS = {
-    "canonical": lambda lines: lines,
-    "tabs and CRLF": lambda lines: [line.replace(" ", "\t", 1) + "\r" for line in lines],
-    "signed feature": lambda lines: [lines[0].rsplit(",", 1)[0] + ",+0x0p+0", *lines[1:]],
-    "two labels a line": lambda lines: [line.replace(" 0 ", " 0,1 ").replace(" 1 ", " 1,0 ") for line in lines],
-    "one line with two labels": lambda lines: [lines[0].replace(" train ", " train 5,", 1), *lines[1:]],
-    "missing field": lambda lines: [lines[0], lines[1].rsplit(" ", 1)[0], *lines[2:]],
-    "shifted field": _shift_a_field,
-    "short features": lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]],
-    "decimal feature": lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",1.5", *lines[2:]],
-    "overflowing feature": lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",0x1p99999", *lines[2:]],
-    "bad task id": lambda lines: [lines[0], "x" + lines[1].split(" ", 1)[1], *lines[2:]],
-    "blank line": lambda lines: [lines[0], "", *lines[1:]],
-    "no val lines": _drop_task_2_val,
-    "empty body": lambda lines: [],
+    "canonical": (lambda lines: lines, lambda corpus: None),
+    "tabs and CRLF": (lambda lines: [line.replace(" ", "\t", 1) + "\r" for line in lines], lambda corpus: None),
+    "signed feature": (lambda lines: [lines[0].rsplit(",", 1)[0] + ",+0x0p+0", *lines[1:]], _signed_feature),
+    "two labels a line": (
+        lambda lines: [line.replace(" 0 ", " 0,1 ").replace(" 1 ", " 1,0 ") for line in lines], _two_labels
+    ),
+    "one line with two labels": (
+        lambda lines: [lines[0].replace(" train ", " train 5,", 1), *lines[1:]],
+        "task 0 train lines differ in their number of labels",
+    ),
+    "missing field": (
+        lambda lines: [lines[0], lines[1].rsplit(" ", 1)[0], *lines[2:]],
+        "line 3: not enough values to unpack (expected 4, got 3)",
+    ),
+    "shifted field": (_shift_a_field, "line 2: too many values to unpack (expected 4)"),
+    "short features": (
+        lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]], "line 3: expected 4 features, got 3"
+    ),
+    "decimal feature": (
+        lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",1.5", *lines[2:]],
+        "line 3: feature '1.5' is not a hex float (0x...)",
+    ),
+    "overflowing feature": (
+        lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",0x1p99999", *lines[2:]],
+        "line 3: hexadecimal value too large to represent as a float",
+    ),
+    "bad task id": (
+        lambda lines: [lines[0], "x" + lines[1].split(" ", 1)[1], *lines[2:]],
+        "line 3: not enough values to unpack (expected 4, got 3)",
+    ),
+    "blank line": (lambda lines: [lines[0], "", *lines[1:]], "line 3: not enough values to unpack (expected 4, got 0)"),
+    "no val lines": (_drop_task_2_val, "task 2 has no val lines"),
+    "empty body": (lambda lines: [], "task 0 has no train lines"),
 }
 
 
 @pytest.mark.parametrize("edit", _GAUSSIAN_EDITS)
-def test_a_gaussian_body_loads_as_the_per_line_parser_loads_it(tmp_path, monkeypatch, edit):
-    # load_corpus reads a Gaussian body whole and falls back to the
-    # per-line parser for any line it could not read alike: every file,
-    # well formed or not, loads to the same arrays or fails with the same
-    # error either way
+def test_a_gaussian_body_loads_as_the_per_line_parser_loads_it(tmp_path, edit):
+    # each line is parsed alone: a body loads to the arrays its lines hold,
+    # or the first line or split that cannot be read is named, in one
+    # ValueError (an overflowing feature too)
     path = tmp_path / "corpus.txt"
-    save_corpus(path, _make("gaussian"))
+    corpus = _make("gaussian")
+    save_corpus(path, corpus)
     header, body = artifact.read(path, "corpus", 1, {})
-    lines = _GAUSSIAN_EDITS[edit](body.decode().splitlines())
+    rewrite, outcome = _GAUSSIAN_EDITS[edit]
+    lines = rewrite(body.decode().splitlines())
     artifact.write(path, "corpus", 1, header, "".join(line + "\n" for line in lines).encode())
-
-    def outcome():
-        try:
-            c = load_corpus(path)
-        except Exception as e:
-            return type(e).__name__, str(e)
-        return [(a.dtype, a.shape, a.tobytes()) for t in [c.target, *c.tasks] for a in (*t.train, *t.val)]
-
-    readable = edit in ("canonical", "tabs and CRLF", "signed feature", "two labels a line")
-    if readable:  # read whole, with no line parsed alone
-        monkeypatch.setattr(taskgen, "_parse_sample", None)
-    whole = outcome()
-    monkeypatch.undo()
-    monkeypatch.setattr(taskgen, "_parse_gaussian", lambda lines, dim: None)
-    assert whole == outcome()
-    assert isinstance(whole, list) == readable
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {outcome}')}$"):
+            load_corpus(path)
+    else:
+        outcome(corpus)
+        _assert_same_arrays(corpus, load_corpus(path))
 
 
 def test_load_rejects_wrong_header(tmp_path):
