@@ -4,49 +4,45 @@ and evaluate the reconstructed parameters on the target validation set.
 The objective over a subset's cached rows (b_i, g~_i) is
     mean log(1 + exp(b_i - g~_i . x)) + (lambda / 2) ||x||^2
 in d-space: the mean log-loss at the first-order margins -b_i + g~_i . x.
-It is convex; a tiny ridge keeps the minimizer finite even when
-the projected data is separable. Its terms log(1 + exp(z_i)),
-z_i = b_i - g~_i . x, and the sigmoid(z_i) of its gradient and Hessian come
-from one exponential per row (model._log1pexp_sigmoid, whose sigmoid the
-training step's binary head takes too). The solver is damped Newton, which
-is cheap because the Hessian is only d x d, after fixed-Hessian steps while
-those pay (below). One function, _hessian, forms every Hessian, Newton's
-and the shared start's, in float64 like all of the solver's arithmetic.
+It is convex; a tiny ridge keeps the minimizer finite even when the
+projected data is separable. Its terms log(1 + exp(z_i)), z_i = b_i - g~_i . x,
+and the sigmoid(z_i) of its gradient and Hessian come from one exponential
+per row (model._log1pexp_sigmoid). All of the solver's arithmetic is float64.
 
-Every subset solve the program runs (estimate_subsets) starts one Newton
-step from x_all, the solve over every train row: at x_all, with H_all the
-all-rows Hessian and s_t, n_t task t's sum of g_i sigmoid(z_i) and row
-count, a subset S starts at
+Every subset solve (estimate_subsets) starts one Newton step from x_all,
+the solve over every train row: with H_all the all-rows Hessian at x_all
+and s_t, n_t task t's sum of g_i sigmoid(z_i) there and its row count, a
+subset S starts at
     x_all - H_all^-1 (lambda x_all - sum_{t in S+target} s_t / sum n_t),
-the influence-function estimate of its optimum. x_all, H_all^-1, the
-per-task sums and each task id's rows are found once per cache and
-SolveConfig, by prepare, whose Problem every solve then reads, so a score
-never depends on what was scored before it.
+the influence-function estimate of its optimum. prepare finds x_all,
+H_all^-1, the sums and each task id's rows once per cache and SolveConfig,
+so a score never depends on what was scored before it.
 
-From there the solve iterates x <- x - H_all^-1 grad_S(x) with the same
-inverse (Kantorovich's simplified Newton): a step needs no Hessian
-of its own and no linear solve. A step contracts by about
-rho(I - H_all^-1 H_S), small when S holds most of the rows but near 1 for a
-small S, so each step is kept only while its slope is negative, it halves
-||grad|| and it passes the line search's acceptance test; the first that
-fails costs one objective evaluation, and the solve goes on from where it
-is by damped Newton. The start and the fixed steps only shorten the solve,
-which runs to the same gradient tolerance; solver_iters counts steps of
-both kinds.
+One loop (_solve) solves every subset of a block, each in one of two
+modes, and counts its steps of both kinds in solver_iters. In fixed mode a
+subset steps x <- x - H_all^-1 grad_S(x) (Kantorovich's simplified
+Newton: no Hessian of its own, no linear solve). Such a step contracts by
+about rho(I - H_all^-1 H_S), small when S holds most of the rows but near
+1 for a small S, so it is kept only while its slope is negative, it halves
+||grad|| and it passes the line search's acceptance test (_accepts); the
+first that fails switches the subset to damped Newton where it stands. In
+Newton mode the direction solves H_S(x) d = -grad_S(x), and a refused step
+halves its length, 60 times at most before the subset stops with
+Stop.LINESEARCH. Each round evaluates every live subset's candidate
+x + t d in one pass and decides them all by the one test. Hessians are
+formed only where a subset needs a new Newton direction, from the
+sigmoids of the evaluation at its point, and a round's Newton systems are
+one stacked solve. prepare solves the all-rows subset by the same loop,
+in Newton mode from x = 0.
 
-Subsets are solved in blocks (solve_subsets; one subset is a block of
-one). The starts of a block are one gemm, and its fixed steps are taken for
-all its subsets at once. The block's rows are split into segments, the rows
-of tasks that the same subsets hold; per segment, one gemm gives the
-margins of every subset holding it and one more their gradient terms, so a
-subset's rows are read for it alone and never copied per subset. Only a
-subset whose fixed step is refused gathers its rows, for its damped Newton
-steps. A gemm's bits depend on its width, so a score is a function of the
-cache, the config, the subset and its block: the same subset scored in
-another block can differ in its last bits. On the default run's RE draws,
-FS trajectory and relerr subsets, in their default blocks, scores moved by
-at most 5.4e-16 relative from solving each subset alone, and no subset's
-steps or Stop changed. Callers form blocks from the batch order alone
+A block's rows are split into segments, the rows of the tasks that the
+same subsets hold; per segment, one gemm gives the margins of every live
+subset holding it and one more their gradient terms, so no subset's rows
+are gathered. A gemm's bits depend on its width, so a score is a function
+of the cache, the config, the subset and its block: on the default run's
+RE draws, FS trajectory and relerr subsets, scores moved by at most
+5.4e-16 relative from solving each subset alone, with the same steps and
+Stop. Callers form blocks from the batch order alone
 (select.scored_in_blocks), so no artifact depends on the CPU count.
 
 A solution x_hat lives in d-space; estimate_f lifts a block of them to
@@ -55,10 +51,10 @@ parameter space by the cache's own P, as theta* + P x_hat, by gemm.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,32 +103,6 @@ class EstimateResult:
     stop: Stop
 
 
-def _value_grad(b, G, x, lam):
-    """(objective value, gradient, sigmoid(z)) at x, z = b - G x the margins:
-    mean(log(1 + exp(z))) + lam / 2 x.x and -(G^T sigmoid(z)) / n + lam x,
-    in their order, with z and the gradient formed in place."""
-    n = len(b)
-    z = G @ x
-    np.subtract(b, z, out=z)
-    terms, s = _log1pexp_sigmoid(z)
-    value = float(terms.sum() / n + 0.5 * lam * (x @ x))
-    grad = G.T @ s
-    np.negative(grad, out=grad)
-    grad /= n
-    grad += lam * x
-    return value, grad, s
-
-
-def _hessian(G, s, lam):
-    """G^T diag(w) G / n + lam I, w = s (1 - s) for s = sigmoid(z): the
-    Hessian at margins z, one symmetric product (syrk) of rows scaled by
-    sqrt(w / n)."""
-    Gs = G * np.sqrt(s * (1.0 - s) / len(s))[:, None]
-    H = Gs.T @ Gs
-    H.flat[:: H.shape[0] + 1] += lam
-    return H
-
-
 def _accepts(value, slope, step, cand_value, cand_slope):
     """Whether a candidate at step * direction from x (objective value, slope
     grad . direction < 0 at x) decreases the objective enough: Armijo, or
@@ -144,45 +114,10 @@ def _accepts(value, slope, step, cand_value, cand_slope):
     return armijo | ((cand_value <= value + 1e-10 * abs(value)) & (cand_slope <= (2e-4 - 1.0) * slope))
 
 
-def _newton(b, G, lam, cfg, x0, done=0):
-    """Minimize the objective over rows (b, G) by damped Newton from x0 to
-    cfg.grad_tol, done of cfg.max_iters steps having been taken before.
-    Returns (x, steps in all, stop)."""
-    x = x0.copy()
-    value, grad, s = _value_grad(b, G, x, lam)
-    grad_norm = math.sqrt(grad @ grad)
-    for it in range(done + 1, cfg.max_iters + 1):
-        if grad_norm <= cfg.grad_tol:
-            return x, it - 1, Stop.CONVERGED
-        try:
-            direction = np.linalg.solve(_hessian(G, s, lam), -grad)
-        except np.linalg.LinAlgError:
-            direction = -grad
-        slope = grad @ direction
-        if slope >= 0:
-            direction = -grad
-            slope = grad @ direction
-        step = 1.0
-        for _ in range(60):
-            cand = x + step * direction
-            cand_value, cand_grad, cand_s = _value_grad(b, G, cand, lam)
-            if _accepts(value, slope, step, cand_value, cand_grad @ direction):
-                break
-            step *= 0.5
-        else:
-            # no step decreases the objective: stay at x rather than take an
-            # uphill candidate
-            return x, it, Stop.LINESEARCH
-        x, value, grad, s = cand, cand_value, cand_grad, cand_s
-        grad_norm = math.sqrt(grad @ grad)
-    return x, cfg.max_iters, Stop.CONVERGED if grad_norm <= cfg.grad_tol else Stop.MAX_ITERS
-
-
 @dataclass(frozen=True)
 class Problem:
     """What every subset solve over a cache with a SolveConfig reads besides
-    its rows, found once by prepare: each task id's rows and the shared
-    start (module docstring)."""
+    its rows, found once by prepare (module docstring)."""
 
     cache: GradientCache
     cfg: SolveConfig
@@ -198,21 +133,24 @@ def prepare(cache: GradientCache, cfg: SolveConfig) -> Problem:
     n_ids = int(cache.task_id.max(initial=TARGET_VAL_ID)) + 1
     order = np.argsort(cache.task_id, kind="stable")
     cuts = np.searchsorted(cache.task_id[order], np.arange(n_ids + 1))
-    train = cache.task_id != TARGET_VAL_ID
-    b, G, lam = cache.b[train], cache.g_proj[train], cfg.ridge_lambda
-    x_all, _, _ = _newton(b, G, lam, cfg, np.zeros(cache.d))
-    _, s = _log1pexp_sigmoid(b - G @ x_all)
-    sums = np.zeros((n_ids, cache.d))
-    np.add.at(sums, cache.task_id[train], G * s[:, None])
     id_rows = [order[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
-    return Problem(cache, cfg, id_rows, sums, x_all, np.linalg.inv(_hessian(G, s, lam)))
+    # the all-rows solve is a block of one subset holding every task
+    segments = _segments(cache, id_rows, np.ones((1, n_ids), dtype=bool))
+    one, n = np.zeros(1, dtype=np.int64), np.array([cuts[-1] - cuts[0]])
+    X, _, _ = _solve(segments, n, np.zeros((1, cache.d)), cfg, None)
+    sigmoids = _block_value_grad(segments, X, one, n, cfg.ridge_lambda, True)[2]
+    [(_, G, s)] = sigmoids  # over the train rows in row order
+    sums = np.zeros((n_ids, cache.d))
+    np.add.at(sums, cache.task_id[cache.task_id != TARGET_VAL_ID], G * s[0][:, None])
+    H = _hessians(sigmoids, one, n, cfg.ridge_lambda)[0]
+    return Problem(cache, cfg, id_rows, sums, X[0], np.linalg.inv(H))
 
 
 def _members(problem: Problem, subsets: list) -> tuple[np.ndarray, np.ndarray]:
-    """(member, n): member[j, t] whether subset j's solve reads task id t's
-    rows (its own ids' and the target's), n[j] how many rows it reads.
-    Raises ValueError naming the first subset that holds an id outside
-    1..max id, as the oracle does, or that reads no row."""
+    """(member, n): member[j, t] whether subset j reads task id t's rows (its
+    ids' and the target's), n[j] how many rows it reads. Raises ValueError
+    naming the first subset holding an id outside 1..max id, as the oracle
+    does, or reading no row."""
     member = np.zeros((len(subsets), len(problem.id_rows)), dtype=bool)
     for j, subset in enumerate(subsets):
         ids = [int(t) for t in subset]
@@ -226,135 +164,166 @@ def _members(problem: Problem, subsets: list) -> tuple[np.ndarray, np.ndarray]:
     return member, n
 
 
-def _rows(problem: Problem, tasks) -> np.ndarray:
-    """The indices of the given task ids' rows, in row order."""
-    return np.sort(np.concatenate([problem.id_rows[t] for t in tasks]))
-
-
-def solve_subset(
-    problem: Problem, subset, x0: np.ndarray | None = None, done: int = 0
-) -> tuple[np.ndarray, int, Stop]:
-    """Minimize the objective over the rows of the subset's tasks and the
-    target's train rows, gathered in row order, by damped Newton from x0
-    (default 0), done steps having been taken before (solve_subsets hands
-    it a subset whose fixed step was refused). Returns (x_hat, steps, stop);
-    a solve that stops short of the gradient tolerance is reported by its
-    Stop, not raised."""
-    member, _ = _members(problem, [subset])
-    idx = _rows(problem, np.flatnonzero(member[0]))
-    cache, cfg = problem.cache, problem.cfg
-    start = np.zeros(cache.d) if x0 is None else np.asarray(x0, dtype=np.float64)
-    return _newton(cache.b[idx], cache.g_proj[idx], cfg.ridge_lambda, cfg, start, done)
-
-
 def _rowdot(A, B) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
 
-def _segments(problem: Problem, member: np.ndarray) -> list[tuple]:
-    """The rows a block reads, one segment per set of task ids held by the
-    same subsets (member as _members gives it): (reads, b, G), reads the
+def _segments(cache: GradientCache, id_rows: list[np.ndarray], member: np.ndarray) -> list[tuple]:
+    """The rows a block reads (member as _members gives it), one segment
+    per set of task ids held by the same subsets: (reads, b, G), reads the
     (B,) bools marking those subsets and (b, G) the tasks' rows in row
-    order, a view where they are contiguous. A block of one subset is one
-    segment of its rows; in the default run's RE blocks each task is one."""
+    order, a view where they are contiguous."""
     by_readers: dict[bytes, list[int]] = {}
     columns = np.ascontiguousarray(member.T)
     for t in np.flatnonzero(columns.any(axis=1)):
-        if len(problem.id_rows[t]):
+        if len(id_rows[t]):
             by_readers.setdefault(columns[t].tobytes(), []).append(t)
     segments = []
     for tasks in by_readers.values():
-        rows = _rows(problem, tasks)
+        rows = np.sort(np.concatenate([id_rows[t] for t in tasks]))
         if rows[-1] - rows[0] == len(rows) - 1:
             rows = slice(rows[0], rows[-1] + 1)
-        segments.append((columns[tasks[0]], problem.cache.b[rows], problem.cache.g_proj[rows]))
+        segments.append((columns[tasks[0]], cache.b[rows], cache.g_proj[rows]))
     return segments
 
 
-def _block_value_grad(segments, X, which, n, lam) -> tuple[np.ndarray, np.ndarray]:
-    """(values, gradients) of the objective at each row x of X over its
-    subset's rows: which holds the rows' subsets as indices into the block,
-    n their row counts, and segments the block's rows (_segments)."""
+def _block_value_grad(segments, X, which, n, lam, keep) -> tuple[np.ndarray, np.ndarray, list]:
+    """(values, gradients, sigmoids) of the objective at each row x of X
+    over its subset's rows (segments), which holding the rows' subsets as
+    ascending indices into the block and n their row counts. With keep,
+    sigmoids holds (readers, G, s) per segment read: the subsets of which
+    reading it, its rows' G and one row of sigmoid(z) per reader."""
     value = np.zeros(len(X))
     grad = np.zeros_like(X)
+    sigmoids = []
     for reads, b, G in segments:
-        on = reads[which]
-        if on.all():
-            cols, z = slice(None), X @ G.T
-        elif on.any():
-            cols = np.flatnonzero(on)
-            z = X[cols] @ G.T
-        else:
+        cols = np.flatnonzero(reads[which])
+        if not len(cols):
             continue
+        if cols[-1] - cols[0] == len(cols) - 1:  # a run of rows: views, not copies
+            cols = slice(cols[0], cols[-1] + 1)
+        z = X[cols] @ G.T
         np.subtract(b, z, out=z)
         terms, s = _log1pexp_sigmoid(z)
         value[cols] += terms.sum(axis=1)
         grad[cols] -= s @ G
+        if keep:
+            sigmoids.append((which[cols], G, s))
     value /= n
     value += 0.5 * lam * _rowdot(X, X)
     grad /= n[:, None]
     grad += lam * X
-    return value, grad
+    return value, grad, sigmoids
 
 
-def solve_subsets(problem: Problem, subsets: list, H_inv: np.ndarray) -> list[tuple[np.ndarray, int, Stop]]:
-    """Solve each subset of a block from its shared start (_starts): by full
-    fixed steps -H_inv grad (estimate_subsets passes problem.H_inv), taken
-    for the whole block at once and each kept only while its slope is
-    negative, it halves ||grad|| and _accepts it; a subset whose step is
-    refused goes on from where it stands by damped Newton (solve_subset).
-    The steps count toward one shared cfg.max_iters. Returns each subset's
-    (x_hat, steps, stop) in order."""
-    cfg = problem.cfg
-    member, n = _members(problem, subsets)
-    X = _starts(problem, member, n)
-    lam, tol = cfg.ridge_lambda, cfg.grad_tol
-    segments = _segments(problem, member)
-    results: list = [None] * len(subsets)
-    live = np.arange(len(subsets))  # the block's subsets still taking fixed steps
-    value, grad = _block_value_grad(segments, X, live, n, lam)
+def _hessians(sigmoids, which, n, lam) -> np.ndarray:
+    """The Hessians G^T diag(s (1 - s)) G / n + lam I of the subsets which
+    (indices into the block) with row counts n, where _block_value_grad gave
+    sigmoids: per subset, one symmetric product (syrk) of the rows it reads,
+    scaled by sqrt(s (1 - s) / n) into one buffer, segment after segment."""
+    index = {j: k for k, j in enumerate(which.tolist())}
+    parts: list[list] = [[] for _ in which]
+    for readers, G, s in sigmoids:
+        w = s * (1.0 - s)
+        for row, j in enumerate(readers.tolist()):
+            if j in index:
+                parts[index[j]].append((G, w[row]))
+    d = sigmoids[0][1].shape[1]
+    H = np.empty((len(which), d, d))
+    rows = np.empty((max(n), d))
+    for h, m, part in zip(H, n, parts):
+        lo = 0
+        for G, w in part:
+            np.multiply(G, np.sqrt(w / m)[:, None], out=rows[lo : lo + len(G)])
+            lo += len(G)
+        np.matmul(rows[:m].T, rows[:m], out=h)
+    H.reshape(len(which), -1)[:, :: d + 1] += lam
+    return H
+
+
+def _put(a, b, where) -> np.ndarray:
+    """a with b's rows where `where` holds: b if it holds everywhere."""
+    if where.all():
+        return b
+    np.copyto(a, b, where=where.reshape(-1, *[1] * (a.ndim - 1)))
+    return a
+
+
+def _solve(segments, n, X, cfg: SolveConfig, H_inv) -> tuple[np.ndarray, np.ndarray, list[Stop]]:
+    """Minimize each subset's objective over a block's rows (segments, and
+    row counts n) from the rows of X, which it may overwrite: in fixed mode
+    with H_inv, in Newton mode from the start if H_inv is None (module
+    docstring), in at most cfg.max_iters steps. Returns (x_hat rows, steps,
+    stops); a solve short of cfg.grad_tol is told by its Stop, not raised.
+    The live subsets' state is compacted as subsets end."""
+    lam, tol, B = cfg.ridge_lambda, cfg.grad_tol, len(X)
+    X_hat, steps_hat, stop_hat = np.empty_like(X), np.zeros(B, dtype=np.int64), np.zeros(B, dtype=np.int64)
+    live = np.arange(B)
+    newton = np.full(B, H_inv is None)
+    value, grad, sigmoids = _block_value_grad(segments, X, live, n, lam, H_inv is None)
     norm = np.sqrt(_rowdot(grad, grad))
-    for it in range(1, cfg.max_iters + 1):
-        direction = grad @ H_inv.T
-        np.negative(direction, out=direction)
-        slope = _rowdot(grad, direction)
-        done = norm <= tol
-        steps = ~done & (slope < 0)  # no fixed step on a NaN norm or slope
-        if not steps.all():
-            for j, x, converged in zip(live[~steps], X[~steps], done[~steps]):
-                if converged:
-                    results[j] = x, it - 1, Stop.CONVERGED
-                else:
-                    results[j] = solve_subset(problem, subsets[j], x, it - 1)
-            live, X, value, grad, norm, direction, slope = (
-                a[steps] for a in (live, X, value, grad, norm, direction, slope)
+    noted = newton.copy()  # sigmoids holds the sigmoids at its point
+    direction, slope, step = np.zeros_like(X), np.zeros(B), np.ones(B)
+    steps, halvings = np.zeros(B, dtype=np.int64), np.zeros(B, dtype=np.int64)
+    fresh = np.ones(B, dtype=bool)  # needs a new direction
+    while True:
+        failed = halvings == 60  # stays at x rather than take an uphill candidate
+        ends = failed | (fresh & ((norm <= tol) | (steps == cfg.max_iters)))
+        if ends.any():
+            X_hat[live[ends]] = X[ends]
+            steps_hat[live[ends]] = (steps + failed)[ends]  # a failed line search is a step taken
+            stop_hat[live[ends]] = np.where(failed, 2, ~(norm <= tol))[ends]  # an index into Stop
+            live, X, value, grad, norm, direction, slope, step, steps, halvings, newton, fresh, noted = (
+                a[~ends]
+                for a in (live, X, value, grad, norm, direction, slope, step, steps, halvings, newton, fresh, noted)
             )
             if not live.size:
-                return results
+                return X_hat, steps_hat, [list(Stop)[k] for k in stop_hat]
             segments = [seg for seg in segments if seg[0][live].any()]
-        cand = X + direction
-        cand_value, cand_grad = _block_value_grad(segments, cand, live, n[live], lam)
+        fixed = fresh & ~newton
+        if fixed.any():
+            D = grad @ H_inv.T
+            np.negative(D, out=D)
+            direction, slope = _put(direction, D, fixed), _put(slope, _rowdot(grad, D), fixed)
+            newton |= fixed & ~(slope < 0)  # no fixed step on a NaN norm or slope
+        need = np.flatnonzero(fresh & newton)
+        if need.size:
+            at, m = live[need], n[live[need]]
+            if not noted[need].all():  # a subset new to Newton mode: its sigmoids, once more
+                sigmoids = _block_value_grad(segments, X[need], at, m, lam, True)[2]
+            H = _hessians(sigmoids, at, m, lam)
+            D = -grad[need]
+            try:
+                D = np.linalg.solve(H, D[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:  # a singular Hessian: that subset steps along -grad
+                for k, h in enumerate(H):
+                    with contextlib.suppress(np.linalg.LinAlgError):
+                        D[k] = np.linalg.solve(h, D[k])
+            up = _rowdot(grad[need], D) >= 0
+            D[up] = -grad[need[up]]
+            direction[need], slope[need] = D, _rowdot(grad[need], D)
+        step[fresh], halvings[fresh] = 1.0, 0
+        cand = X + (direction if (step == 1.0).all() else step[:, None] * direction)
+        keep = bool(newton.any())  # only Newton steps read the sigmoids again
+        cand_value, cand_grad, sigmoids = _block_value_grad(segments, cand, live, n[live], lam, keep)
         cand_norm = np.sqrt(_rowdot(cand_grad, cand_grad))
-        kept = (cand_norm <= 0.5 * norm) & _accepts(value, slope, 1.0, cand_value, _rowdot(cand_grad, direction))
-        if not kept.all():
-            for j, x in zip(live[~kept], X[~kept]):
-                results[j] = solve_subset(problem, subsets[j], x, it - 1)
-            live, cand, cand_value, cand_grad, cand_norm = (
-                a[kept] for a in (live, cand, cand_value, cand_grad, cand_norm)
-            )
-            if not live.size:
-                return results
-            segments = [seg for seg in segments if seg[0][live].any()]
-        X, value, grad, norm = cand, cand_value, cand_grad, cand_norm
-    for j, x, g in zip(live, X, norm):
-        results[j] = x, cfg.max_iters, Stop.CONVERGED if g <= tol else Stop.MAX_ITERS
-    return results
+        kept = _accepts(value, slope, step, cand_value, _rowdot(cand_grad, direction))
+        kept &= newton | (cand_norm <= 0.5 * norm)
+        X, grad = _put(X, cand, kept), _put(grad, cand_grad, kept)
+        value, norm = _put(value, cand_value, kept), _put(norm, cand_norm, kept)
+        steps += kept
+        switched = ~kept & ~newton  # goes on by damped Newton where it stands
+        halved = ~kept & newton
+        step[halved] *= 0.5
+        halvings += halved
+        newton |= switched
+        fresh = kept | switched
+        noted = kept & keep
 
 
 def _starts(problem: Problem, member: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Row j is one Newton step from x_all toward subset j's optimum with the
-    all-rows Hessian (module docstring), member and n as _members gives
-    them; all rows from one gemm."""
+    all-rows Hessian (module docstring), all rows from one gemm."""
     x_all, lam = problem.x_all, problem.cfg.ridge_lambda
     grad = lam * x_all - (member.astype(np.float64) @ problem.sums) / n[:, None]
     return x_all - grad @ problem.H_inv.T
@@ -410,15 +379,16 @@ def estimate_subsets(
     target-val rows (target_val is then unused). Every estimator score in
     the program, the selection drivers' included, comes from here."""
     subsets = [frozenset(int(t) for t in s) for s in subsets]
-    solved = solve_subsets(problem, subsets, problem.H_inv)
-    X_hat = np.array([x for x, _, _ in solved]).reshape(len(subsets), problem.cache.d)
+    member, n = _members(problem, subsets)
+    segments = _segments(problem.cache, problem.id_rows, member)
+    X_hat, steps, stops = _solve(segments, n, _starts(problem, member, n), problem.cfg, problem.H_inv)
     if linearized:
         f_hat = estimate_f_linearized(problem.cache, X_hat)
     else:
         f_hat = estimate_f(net, theta_star, problem.cache, X_hat, target_val)
     return [
-        EstimateResult(subset=s, f_hat=f, solver_iters=iters, stop=stop)
-        for s, f, (_, iters, stop) in zip(subsets, f_hat, solved)
+        EstimateResult(subset=s, f_hat=f, solver_iters=int(k), stop=stop)
+        for s, f, k, stop in zip(subsets, f_hat, steps, stops)
     ]
 
 

