@@ -10,9 +10,9 @@ a true margin at X is from its first-order prediction.
 The cache carries the projection P its rows went through, so the estimator
 lifts a solution by the same P. It is saved as an artifact.py container of
 fixed-width records whose header keeps P's sizes and seed, not P itself;
-load_cache rebuilds P from them. build_cache passes its rows through the
-same records, so every cache, built or loaded, holds float32-rounded
-projected gradients (in float64 arrays) and float64 b values.
+load_cache rebuilds P from them. build_cache writes its rows into the same
+records, so every cache, built or loaded, holds float32-rounded projected
+gradients (in float64 arrays) and float64 b values.
 """
 
 from __future__ import annotations
@@ -76,11 +76,11 @@ def row_task_ids(corpus: Corpus) -> np.ndarray:
     return np.repeat(np.array(ids, dtype=np.int64), counts)
 
 
-def _chunks(splits: list, b: np.ndarray, g: np.ndarray) -> list[tuple]:
-    """(pieces, b rows, g rows) of each _CHUNK-sample chunk of the samples
-    of splits, a list of (X, labels) stacked in order, whose rows b (N,)
-    and g (N, d) take. A chunk's pieces are the (X, labels) slices of the
-    splits it spans, so the stack is never copied whole."""
+def _chunks(splits: list, records: np.ndarray) -> list[tuple]:
+    """(pieces, records) of each _CHUNK-sample chunk of the samples of
+    splits, a list of (X, labels) stacked in order, whose rows the records
+    (N,) take. A chunk's pieces are the (X, labels) slices of the splits it
+    spans, so the stack is never copied whole."""
     offsets = np.cumsum([0] + [len(X) for X, _ in splits])
     chunks = []
     for lo in range(0, offsets[-1], _CHUNK):
@@ -90,7 +90,7 @@ def _chunks(splits: list, b: np.ndarray, g: np.ndarray) -> list[tuple]:
             for (X, labels), s in zip(splits, offsets)
             if s < hi and lo < s + len(X)
         ]
-        chunks.append((pieces, b[lo:hi], g[lo:hi]))
+        chunks.append((pieces, records[lo:hi]))
     return chunks
 
 
@@ -100,33 +100,41 @@ def build_cache(
     """Stage-1 cache: one row per train sample of tasks 1..n and the target,
     then the target's val rows for the linearized evaluator, projected by the
     (p, d) matrix P; projector_seed is the seed gaussian_projection built P
-    from, or None for any other P. The rows pass through the records
-    cache.bin stores, so the result equals what load_cache reads back from
-    save_cache's file, and refuses a non-finite row by the same check.
+    from, or None for any other P. The rows are written straight into the
+    records cache.bin stores, so the result equals what load_cache reads
+    back from save_cache's file, and refuses a non-finite row by the same
+    check; a task id the records cannot hold is refused before any row is
+    computed.
 
-    The per-layer factors of P are built once (margin_gradient_product), and
-    rows are filled _CHUNK samples at a time, from each layer's (activation,
-    delta) factors, so no (N, p) gradient block and no forward pass over all
-    samples is ever built; the largest intermediate is _CHUNK * min(in, out)
-    * d floats per chunk. The chunks are independent, so side_by_side
-    computes them, one per CPU, and the rows each returns are stored here."""
+    The per-layer factors of P are views of it (margin_gradient_product),
+    and rows are filled _CHUNK samples at a time, from each layer's
+    (activation, delta) factors, so no (N, p) gradient block, no copy of P
+    and no forward pass over all samples is ever built; the largest
+    intermediate is _CHUNK * min(in, out) * d floats per chunk. The chunks
+    are independent, so side_by_side computes them, one per CPU; each
+    returns its b values and its projected gradients rounded to float32, as
+    the records hold them, and they are stored in the records here."""
     if P.ndim != 2 or P.shape[0] != net.param_count:
         raise ValueError(f"P has shape {P.shape} but the model has {net.param_count} parameters")
     product = net.margin_gradient_product(P)
     task_id = row_task_ids(corpus)
-    b, g = np.empty(len(task_id)), np.empty((len(task_id), P.shape[1]))
+    check_task_ids(task_id)
+    records = np.empty(len(task_id), dtype=_record_dtype(P.shape[1]))
+    records["tid"] = task_id
     train = [t.train for t in [*corpus.tasks, corpus.target]]  # in mixture order
     n = sum(len(X) for X, _ in train)
-    chunks = _chunks(train, b[:n], g[:n]) + _chunks([corpus.target.val], b[n:], g[n:])
+    chunks = _chunks(train, records[:n]) + _chunks([corpus.target.val], records[n:])
 
     def fill(i: int) -> tuple[np.ndarray, np.ndarray]:
-        pieces, _, _ = chunks[i]
+        pieces, _ = chunks[i]
         Xc, yc = pieces[0] if len(pieces) == 1 else (np.concatenate(part) for part in zip(*pieces))
-        return -net.margins(theta_star, Xc, yc), product(theta_star, Xc, yc)
+        b_rows, g_rows = -net.margins(theta_star, Xc, yc), product(theta_star, Xc, yc)
+        with np.errstate(over="ignore"):  # a gradient beyond float32's range becomes inf
+            return b_rows, g_rows.astype(np.float32)
 
-    for (_, bc, gc), (b_rows, g_rows) in zip(chunks, side_by_side(len(chunks), fill)):
-        bc[:], gc[:] = b_rows, g_rows
-    return _from_records(_pack(task_id, b, g), param_digest(theta_star), P, projector_seed)
+    for (_, rows), (b_rows, g_rows) in zip(chunks, side_by_side(len(chunks), fill)):
+        rows["b"], rows["g"] = b_rows, g_rows
+    return _from_records(records, param_digest(theta_star), P, projector_seed)
 
 
 # ---------------------------------------------------------------------------

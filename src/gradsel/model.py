@@ -325,12 +325,13 @@ class Network:
         Layer i's per-sample weight gradient is the outer product of its
         output deltas d (N, out) and inputs a (N, in), so its part of the
         product is sum_{o,j} d[n,o] a[n,j] M_i[o,j,:], with M_i the layer's
-        rows of M as (out, in, k). One gemm contracts the larger of in and
-        out with M_i, leaving an (N, min(in, out), k) intermediate; one
-        batched matvec against the other factor finishes it, and d @ M_bias
-        adds the bias rows. The per-layer factors are built here, once per M:
-        where in > out, M_i is reordered to (in, out * k), the only copy made;
-        otherwise it is a view of M.
+        rows of M as (out, in, k). The larger of in and out is contracted
+        with M_i first, leaving an intermediate of N * min(in, out) * k
+        floats: where in > out, a @ M_i[o] for each output unit o, stacked
+        as (out, N, k); otherwise one gemm of d with M_i as (out, in * k).
+        One batched matvec against the other factor finishes it, and
+        d @ M_bias adds the bias rows. Every factor of a C-ordered M is a
+        view of it, so no part of M is copied.
         """
         M = np.asarray(M, dtype=np.float64)
         if M.ndim != 2 or M.shape[0] != self.param_count:
@@ -339,10 +340,7 @@ class Network:
         factors = []
         for (dout, din), (w0, w1, b1) in zip(self._shapes, self._offsets):
             Mi = M[w0:w1].reshape(dout, din, k)
-            if din > dout:
-                factors.append((True, np.ascontiguousarray(Mi.transpose(1, 0, 2)).reshape(din, dout * k), M[w1:b1]))
-            else:
-                factors.append((False, Mi.reshape(dout, din * k), M[w1:b1]))
+            factors.append((din > dout, Mi if din > dout else Mi.reshape(dout, din * k), M[w1:b1]))
 
         def product(params: ParamVector, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
             # the logits are let go once they give the deltas, before the
@@ -353,8 +351,10 @@ class Network:
             out = np.zeros((n, k))
             for i, d in self._layer_deltas(layers, acts, delta):
                 in_first, F, M_bias = factors[i]
-                first, second = (acts[i], d) if in_first else (d, acts[i])
-                out += np.matmul(second[:, None, :], (first @ F).reshape(n, second.shape[1], k))[:, 0]
+                if in_first:  # one (N, in) @ (in, k) gemm per output unit, stacked as (out, N, k)
+                    out += np.matmul(d[:, None, :], np.matmul(acts[i], F).transpose(1, 0, 2))[:, 0]
+                else:
+                    out += np.matmul(acts[i][:, None, :], (d @ F).reshape(n, acts[i].shape[1], k))[:, 0]
                 out += d @ M_bias
             return out
 

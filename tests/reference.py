@@ -44,6 +44,30 @@ def margin_gradients(net, params, X, labels) -> np.ndarray:
     return out
 
 
+def reordered_margin_gradient_product(net, M, params, X, labels) -> np.ndarray:
+    """G @ M as Network.margin_gradient_product computed it with a reordered
+    copy of M: each in > out layer's rows of M as one contiguous (in, out k)
+    matrix, contracted with the layer's inputs in one gemm whose (N, out, k)
+    result is then contracted with its deltas; an in <= out layer contracts
+    its deltas with M's (out, in k) rows, then its inputs."""
+    k = M.shape[1]
+    layers, acts, Z = net._forward(params, X)
+    delta = net._margin_deltas(Z, labels)
+    n = len(delta)
+    out = np.zeros((n, k))
+    for i, d in net._layer_deltas(layers, acts, delta):
+        (dout, din), (w0, w1, b1) = net._shapes[i], net._offsets[i]
+        Mi = M[w0:w1].reshape(dout, din, k)
+        if din > dout:
+            F = np.ascontiguousarray(Mi.transpose(1, 0, 2)).reshape(din, dout * k)
+            first, second = acts[i], d
+        else:
+            F, first, second = Mi.reshape(dout, din * k), d, acts[i]
+        out += np.matmul(second[:, None, :], (first @ F).reshape(n, second.shape[1], k))[:, 0]
+        out += d @ M[w1:b1]
+    return out
+
+
 def finite_difference_margin_gradient(net, params, x, label, step: float = 1e-5) -> np.ndarray:
     """Central-difference margin gradient of the sample (x, label)."""
     grad = np.zeros_like(params)

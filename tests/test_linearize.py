@@ -141,7 +141,10 @@ def test_build_cache_never_builds_a_gradient_block(monkeypatch):
     # time) and on 4 (the caller fills one; forked workers, whose memory
     # this process does not trace, fill the rest and send back their rows):
     # projecting from the layer factors keeps the traced peak under a
-    # quarter of one (_CHUNK, p) float64 gradient block (37 MB) either way
+    # quarter of one (_CHUNK, p) float64 gradient block (37 MB) either way,
+    # and under 3.5 MB: no factor copies P's rows (a reordered copy of the
+    # head layer's would take 4.1 MB), and the rows go straight into the
+    # float32 records, with no float64 table of them
     net = Network(ModelConfig(input_dim=40, hidden_dims=(256,), activation="relu",
                               num_classes=10, num_positions=10, seed=0))
     assert net.param_count >= 30_000
@@ -164,6 +167,7 @@ def test_build_cache_never_builds_a_gradient_block(monkeypatch):
             tracemalloc.stop()
         assert cache.g_proj.shape == (420 + 20, 20)  # train rows, then the target's val rows
         assert peak < linearize._CHUNK * net.param_count * 8 / 4, cpus
+        assert peak < 3.5e6, (cpus, peak)
 
 
 def test_build_cache_is_the_same_with_helpers_and_without(monkeypatch):
@@ -463,7 +467,7 @@ def test_load_cache_rejects_nonfinite_values(tmp_path, cache, field, row, value)
         load_cache(path)
 
 
-def test_task_ids_beyond_the_records_16_bits_are_refused(tmp_path, cache):
+def test_task_ids_beyond_the_records_16_bits_are_refused(tmp_path, cache, monkeypatch):
     # cache.bin stores a task id in 16 bits: 32,767 round-trips, and 32,768
     # is refused by name instead of wrapping to -32,768
     path = tmp_path / "cache.bin"
@@ -478,9 +482,15 @@ def test_task_ids_beyond_the_records_16_bits_are_refused(tmp_path, cache):
         with pytest.raises(ValueError, match=f"^task id {tid} does not fit cache.bin's task ids \\(-32768..32767\\)$"):
             save_cache(path, dataclasses.replace(cache, task_id=ids))
         assert not path.exists()
-    # build_cache passes its rows through the same records, so it refuses too
+    # build_cache writes its rows into the same records, so it refuses too,
+    # before any chunk of rows is computed
     corpus, net = _mini_corpus(), _linear_net()
     corpus.tasks[0].task_id = 32768
+
+    def no_chunks(count, job):
+        raise AssertionError("a chunk of rows was computed")
+
+    monkeypatch.setattr(linearize, "side_by_side", no_chunks)
     with pytest.raises(ValueError, match="^task id 32768 does not fit"):
         build_cache(net, net.init_params(), corpus, gaussian_projection(net.param_count, 3, 0), 0)
 

@@ -15,6 +15,7 @@ from reference import (
     margin,
     margin_gradients,
     masked_sigmoid,
+    reordered_margin_gradient_product,
 )
 
 
@@ -326,6 +327,45 @@ def test_margin_gradient_product_matches_full_gradients(head, activation, input_
     got = net.margin_gradient_product(M)(params, X, labels)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    head=st.sampled_from(HEADS),
+    activation=st.sampled_from(["tanh", "relu"]),
+    input_dim=st.integers(1, 48),
+    hidden=st.integers(1, 48),
+    n=st.integers(1, 300),
+    k=st.integers(1, 120),
+    seed=st.integers(0, 2**16),
+)
+# a one-unit layer between two wider ones; the addition model's in > out
+# head layer, at the cache's chunk of rows and d
+@example(head=(2, 1), activation="tanh", input_dim=9, hidden=1, n=300, k=120, seed=0)
+@example(head=(10, 5), activation="relu", input_dim=8, hidden=256, n=128, k=100, seed=1)
+def test_margin_gradient_product_is_the_reordered_gemm(head, activation, input_dim, hidden, n, k, seed):
+    # where in > out, each output unit's rows of M are contracted with the
+    # layer's inputs in place; the reference copies them into one (in, out k)
+    # matrix for one gemm. A one-unit layer makes the same gemm call either
+    # way, so the bits agree; elsewhere BLAS may take another kernel for the
+    # narrower gemms (OpenBLAS does at about 1e6 multiplies or fewer), so
+    # the sums over in agree to their rounding
+    num_classes, positions = head
+    net = Network(ModelConfig(input_dim=input_dim, hidden_dims=(hidden,), activation=activation,
+                              num_classes=num_classes, num_positions=positions, seed=seed))
+    rng = np.random.default_rng(seed)
+    params = net.init_params() + 0.3 * rng.standard_normal(net.param_count)
+    X = rng.standard_normal((n, input_dim))
+    labels = rng.integers(num_classes, size=(n, positions) if positions > 1 else (n,))
+    M = rng.standard_normal((net.param_count, k))
+    ref = reordered_margin_gradient_product(net, M, params, X, labels)
+    got = net.margin_gradient_product(M)(params, X, labels)
+    if all(dout == 1 for dout, din in net._shapes if din > dout):
+        assert got.tobytes() == ref.tobytes()
+    else:
+        terms = max(din + dout for dout, din in net._shapes) + len(net._shapes)
+        bound = 2 * terms * np.finfo(float).eps * (np.abs(margin_gradients(net, params, X, labels)) @ np.abs(M))
+        assert np.all(np.abs(got - ref) <= bound)
 
 
 def test_margin_gradient_product_checks_matrix_shape():
