@@ -272,12 +272,13 @@ class RunDir:
             os.close(fd)  # releases the lock
 
 
-def _load(run: RunDir, artifact: str, produced_by: str, loader):
-    """Load a required artifact. A malformed or unreadable one becomes a
-    one-line StageError naming the artifact and the stage that makes it."""
+def _load(run: RunDir, artifact: str, produced_by: str, loader, *args):
+    """Load a required artifact by loader(path, *args). A malformed or
+    unreadable one becomes a one-line StageError naming the artifact and the
+    stage that makes it."""
     path = run.require(artifact, produced_by)
     try:
-        return loader(path)
+        return loader(path, *args)
     except (OSError, ValueError) as e:
         reason = getattr(e, "strerror", None) or str(e).removeprefix(f"{path}: ")
         raise StageError(f"{path.name}: {reason}; re-run '{produced_by}'") from None
@@ -292,6 +293,9 @@ def _load_model_pieces(run: RunDir, cfg: dict[str, str]):
 def _load_trained(run: RunDir, cfg: dict[str, str]):
     corpus, net, _ = _load_model_pieces(run, cfg)
     theta, _, corpus_dig = _load(run, "checkpoint", "meta-train", load_checkpoint)
+    if len(theta) != net.param_count:
+        raise StageError(f"checkpoint.bin: holds {len(theta)} parameters, but the model has "
+                         f"{net.param_count}; re-run 'meta-train'")
     if corpus_dig != corpus.digest():
         raise StageError("checkpoint was trained on a different corpus; re-run meta-train")
     return corpus, net, theta
@@ -370,8 +374,8 @@ def stage_cache(run: RunDir, cfg: dict[str, str]) -> None:
 
 def _load_estimation_state(run: RunDir, cfg: dict[str, str]):
     corpus, net, theta = _load_trained(run, cfg)
-    cache = _load(run, "cache", "cache", load_cache)
-    if cache.theta_star_digest != param_digest(theta) or cache.P.shape[0] != net.param_count:
+    cache = _load(run, "cache", "cache", load_cache, net.param_count)
+    if cache.theta_star_digest != param_digest(theta):
         raise StageError("cache does not match the checkpoint; re-run cache")
     # the rows' task ids in order, so a cache re-split or relabeled between
     # tasks is refused even where the row totals agree

@@ -107,7 +107,8 @@ def build_cache(
     computed.
 
     The per-layer factors of P are views of it (margin_gradient_product),
-    and rows are filled _CHUNK samples at a time, from each layer's
+    and rows are filled _CHUNK samples at a time, each chunk's margins and
+    projected gradients from one forward pass and each layer's
     (activation, delta) factors, so no (N, p) gradient block, no copy of P
     and no forward pass over all samples is ever built; the largest
     intermediate is _CHUNK * min(in, out) * d floats per chunk. The chunks
@@ -128,9 +129,9 @@ def build_cache(
     def fill(i: int) -> tuple[np.ndarray, np.ndarray]:
         pieces, _ = chunks[i]
         Xc, yc = pieces[0] if len(pieces) == 1 else (np.concatenate(part) for part in zip(*pieces))
-        b_rows, g_rows = -net.margins(theta_star, Xc, yc), product(theta_star, Xc, yc)
+        h, g_rows = product(theta_star, Xc, yc)
         with np.errstate(over="ignore"):  # a gradient beyond float32's range becomes inf
-            return b_rows, g_rows.astype(np.float32)
+            return -h, g_rows.astype(np.float32)
 
     for (_, rows), (b_rows, g_rows) in zip(chunks, side_by_side(len(chunks), fill)):
         rows["b"], rows["g"] = b_rows, g_rows
@@ -172,7 +173,7 @@ def rrss_sweep(
     that ||X - theta*|| equals distance * ||theta*|| exactly.
 
     theta*'s margins and the first-order terms g^T (X - theta*) are computed
-    once per sweep, the latter by Network.margin_gradient_product with the
+    once per sweep, by one Network.margin_gradient_product call with the
     (p, distances x directions) matrix of displacements as M, so no
     per-sample gradient is built; each point X costs one forward pass.
     """
@@ -190,15 +191,15 @@ def rrss_sweep(
         u = rng.standard_normal(theta_star.shape[0])
         directions.append(u / np.linalg.norm(u))
 
-    h_star = net.margins(theta_star, X, labels)
     points = [theta_star + dist * norm_star * u for dist in distances for u in directions]
-    # g^T (X - theta*) at every point, from one product. The displacement is
-    # X - theta* as rounded, not dist * ||theta*|| * u: the two differ by
-    # about eps * ||theta*||, which moves RRSS at small distances by ~1e-11.
+    # theta*'s margins and g^T (X - theta*) at every point, from one
+    # product. The displacement is X - theta* as rounded, not
+    # dist * ||theta*|| * u: the two differ by about eps * ||theta*||,
+    # which moves RRSS at small distances by ~1e-11.
     steps = np.empty((len(theta_star), len(points)))
     for k, x in enumerate(points):
         steps[:, k] = x - theta_star
-    lin = net.margin_gradient_product(steps)(theta_star, X, labels)
+    h_star, lin = net.margin_gradient_product(steps)(theta_star, X, labels)
     rows = []
     for i, dist in enumerate(distances):
         per_direction = []
@@ -287,16 +288,19 @@ def save_cache(path, cache: GradientCache) -> None:
     artifact.write(path, "cache", 2, header, _pack(cache.task_id, cache.b, cache.g_proj).tobytes())
 
 
-def load_cache(path) -> GradientCache:
-    """Read a cache artifact and rebuild its P from the header's sizes and
-    seed. Raises ValueError naming the file when it is not a cache v2
-    container, its projector generator differs from this program's, or a
-    row is not finite (see _from_records)."""
+def load_cache(path, p: int) -> GradientCache:
+    """Read the cache artifact of a model with p parameters and rebuild its
+    P from the header's sizes and seed. Raises ValueError naming the file
+    when it is not a cache v2 container, its projector generator differs
+    from this program's, its header's p is not p (refused before any of P
+    is made), or a row is not finite (see _from_records)."""
     header, body = artifact.read(path, "cache", 2, {
         "p": int, "d": int, "projector_seed": int, "generator_version": int, "theta_star_digest": str,
     })
     if header["generator_version"] != GENERATOR_VERSION:
         raise ValueError(f"{path}: projector generator version mismatch")
+    if header["p"] != p:
+        raise ValueError(f"{path}: projected for {header['p']} parameters, but the model has {p}")
     records = np.frombuffer(body, dtype=_record_dtype(header["d"]))
     P = gaussian_projection(header["p"], header["d"], header["projector_seed"])
     try:

@@ -151,34 +151,28 @@ class Network:
         return X
 
     def _forward(self, params, X, work: Workspace | None = None):
-        """Return (per-layer (W, b) views of params, activations per layer
-        including input, output logits). The backward pass reuses the views.
-        Each layer's bias and activation are applied in place in the one
-        array its matmul makes, or writes into the workspace when given one,
-        which also keeps the views of the last params array it saw."""
+        """Return (the workspace, activations per layer including input,
+        output logits). Each layer's matmul writes into the workspace, and
+        its bias and activation are applied in place there; without one, a
+        fresh workspace for len(X) rows is made. The workspace keeps the
+        (W, b) views of the last params array it saw, which the backward
+        pass reuses."""
+        X = self._check_features(X)
         if work is None:
-            layers = self.unpack(params)
-        else:
-            if work.params is not params:
-                work.params, work.layers = params, self.unpack(params)
-            layers = work.layers
-        acts = [self._check_features(X)]
-        a = acts[0]
-        for i, (W, b) in enumerate(layers):
-            z = a @ W.T if work is None else np.matmul(a, W.T, out=work.outs[i][: len(a)])
+            work = Workspace(self, len(X))
+        if work.params is not params:
+            work.params, work.layers = params, self.unpack(params)
+        acts = [X]
+        for i, (W, b) in enumerate(work.layers):
+            z = np.matmul(acts[-1], W.T, out=work.outs[i][: len(X)])
             z += b
-            if i < len(layers) - 1:
-                if self.config.activation == "tanh":
-                    np.tanh(z, out=z)
-                else:
-                    np.maximum(z, 0.0, out=z)
-                a = z
-                acts.append(a)
+            if i == len(work.layers) - 1:
+                return work, acts, z
+            if self.config.activation == "tanh":
+                np.tanh(z, out=z)
             else:
-                return layers, acts, z
-
-    def logits(self, params: ParamVector, X: np.ndarray) -> np.ndarray:
-        return self._forward(params, X)[2]
+                np.maximum(z, 0.0, out=z)
+            acts.append(z)
 
     def penultimate(self, params: ParamVector, X: np.ndarray) -> np.ndarray:
         """Activations feeding the output layer (the input itself if no hidden layer)."""
@@ -201,35 +195,44 @@ class Network:
             raise ValueError(f"labels must be class indices in 0..{cfg.num_classes - 1}")
         return Z.reshape(n, cfg.num_positions, cfg.num_classes), labels.reshape(n, cfg.num_positions)
 
-    def _head_arrays(self, y: np.ndarray, work: Workspace | None) -> tuple[np.ndarray, ...]:
-        """For (N, L) labels y of a multi-class head: three float (N, L)
-        arrays for the head to write (row maxima, row sums, labeled logits),
-        and the flat index, into the (N, L * C) logits, of each sample's
-        labeled class at each position; the workspace's rows when given one."""
-        n, positions = y.shape
-        if work is None:
-            classes = self.config.num_classes
-            at = np.arange(0, n * positions * classes, classes).reshape(n, positions)
-            at += y
-            return np.empty((n, positions)), np.empty((n, positions)), np.empty((n, positions)), at
+    def _head_arrays(self, y: np.ndarray, work: Workspace) -> tuple[np.ndarray, ...]:
+        """For (N, L) labels y of a multi-class head: the workspace's three
+        float (N, L) arrays for the head to write (row maxima, row sums,
+        labeled logits), and the flat index, into the (N, L * C) logits, of
+        each sample's labeled class at each position."""
+        n = len(y)
         at = np.add(work.label_base[:n], y, out=work.label_at[:n])
         return work.row_max[:n], work.row_sum[:n], work.label_logit[:n], at
+
+    def _margin_head(self, Z: np.ndarray, labels, work: Workspace) -> tuple[np.ndarray, np.ndarray]:
+        """(margins (N,), d margin / d logits (N, out)) of the logits Z a
+        forward pass wrote into work, the latter in place in Z: the margins
+        (module docstring) and the output-layer deltas that
+        margin_gradient_product backpropagates."""
+        if self.config.is_binary:
+            signs = _label_signs(labels)
+            return signs * Z[:, 0], signs[:, None]
+        Zp, y = self._heads(Z, labels)
+        # log(p_y / (1 - p_y)) = z_y - logsumexp over the other classes, from
+        # the logits with -inf at each label, exponentiated once
+        m, s, zy, at = self._head_arrays(y, work)
+        np.take(Z, at, out=zy)
+        Z.reshape(-1)[at] = -np.inf
+        _exp_rows(Zp, m, s)
+        h = (zy - (m + np.log(s))).mean(axis=1)
+        # d margin / d z_k: 1 at the labeled class, else minus the softmax
+        # restricted to the other classes. Bounded, so stable at any confidence.
+        np.divide(Zp, s[..., None], out=Zp)
+        np.negative(Z, out=Z)
+        Z.reshape(-1)[at] = 1.0
+        Z /= y.shape[1]
+        return h, Z
 
     def margins(self, params: ParamVector, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Batch margins of the labeled class (module docstring). labels is
         (N,) or (N, L) for multi-position heads."""
-        Z = self.logits(params, X)
-        if self.config.is_binary:
-            return _label_signs(labels) * Z[:, 0]
-        Zp, y = self._heads(Z, labels)
-        # log(p_y / (1 - p_y)) = z_y - logsumexp over the other classes
-        at_label = y[..., None]
-        zy = np.take_along_axis(Zp, at_label, axis=-1)[..., 0]
-        masked = Zp.copy()
-        np.put_along_axis(masked, at_label, -np.inf, axis=-1)
-        m, s = np.empty(y.shape), np.empty(y.shape)
-        _exp_rows(masked, m, s)
-        return (zy - (m + np.log(s))).mean(axis=1)
+        work, _, Z = self._forward(params, X)
+        return self._margin_head(Z, labels, work)[0]
 
     def losses(
         self, params: ParamVector, X: np.ndarray, labels: np.ndarray, work: Workspace | None = None
@@ -237,7 +240,7 @@ class Network:
         """Batch log-losses; equals cross-entropy for (multi-)class heads.
         Given a workspace (of at least len(X) rows), the forward pass and the
         head's arrays live in it, and the next call with it overwrites them."""
-        Z = self._forward(params, X, work)[2]
+        work, _, Z = self._forward(params, X, work)
         if self.config.is_binary:
             return np.logaddexp(0.0, -_label_signs(labels) * Z[:, 0])
         Zp, y = self._heads(Z, labels)
@@ -252,18 +255,18 @@ class Network:
 
     # ---- gradients ----
 
-    def _layer_deltas(self, layers, acts, delta, work: Workspace | None = None):
+    def _layer_deltas(self, work: Workspace, acts, delta):
         """Yield (layer index, output deltas (N, out)) from the last layer to
         the first, backpropagating the output-layer deltas through the
-        (W, b) views _forward built, into the workspace when given one. Once
+        (W, b) views _forward kept in work, into work's delta arrays. Once
         the caller has used acts[i] for layer i, its storage holds the
         activation's derivative, so hidden activations are overwritten; the
         input acts[0] is never written."""
-        for i in range(len(layers) - 1, -1, -1):
+        for i in range(len(work.layers) - 1, -1, -1):
             yield i, delta
             if i > 0:
-                W = layers[i][0]
-                out = None if work is None else work.backs[i - 1][: len(delta)]
+                W = work.layers[i][0]
+                out = work.backs[i - 1][: len(delta)]
                 if len(W) == 1:
                     # through one unit, delta @ W is one product per element,
                     # which gemm (slow at K = 1) adds to a zeroed sum; the
@@ -281,46 +284,11 @@ class Network:
                     np.greater(a, 0.0, out=a)
                 delta *= a
 
-    def _backward(self, layers, acts, delta, work: Workspace | None = None):
-        """Backpropagate output-layer deltas (N, out) to a flat mean gradient,
-        written into the workspace when given one."""
-        grad = np.empty(self.param_count) if work is None else work.grad
-        n = delta.shape[0]
-        for i, d in self._layer_deltas(layers, acts, delta, work):
-            w0, w1, b1 = self._offsets[i]
-            np.matmul(d.T, acts[i], out=grad[w0:w1].reshape(self._shapes[i]))
-            np.add.reduce(d, axis=0, out=grad[w1:b1])
-        if n & (n - 1):
-            grad /= n
-        else:
-            # x / 2^j and x * 2^-j round the same real number, so at a
-            # power-of-two batch the product has the quotient's bits
-            grad *= 1.0 / n
-        return grad
-
-    def _margin_deltas(self, Z: np.ndarray, labels) -> np.ndarray:
-        """d margin / d logits, one (out,) row per sample: the output-layer
-        deltas margin_gradient_product backpropagates."""
-        cfg = self.config
-        n = len(Z)
-        if cfg.is_binary:
-            return _label_signs(labels)[:, None]
-        Zp, y = self._heads(Z, labels)
-        # d margin / d z_k: 1 at the labeled class, else minus the softmax
-        # restricted to the other classes. Bounded, so stable at any confidence.
-        at_label = y[..., None]
-        delta = Zp.copy()
-        np.put_along_axis(delta, at_label, -np.inf, axis=-1)
-        m, s = np.empty(y.shape), np.empty(y.shape)
-        _exp_rows(delta, m, s)
-        np.divide(delta, s[..., None], out=delta)
-        np.negative(delta, out=delta)
-        np.put_along_axis(delta, at_label, 1.0, axis=-1)
-        return delta.reshape(n, -1) / cfg.num_positions
-
     def margin_gradient_product(self, M: np.ndarray):
-        """Return f(params, X, labels) = G @ M for a (p, k) matrix M, with G
-        the (N, p) per-sample margin gradients, computed without building G.
+        """Return f(params, X, labels) = (h, G @ M) for a (p, k) matrix M,
+        with h the (N,) margins and G the (N, p) per-sample margin
+        gradients, both from one forward pass and G @ M computed without
+        building G.
 
         Layer i's per-sample weight gradient is the outer product of its
         output deltas d (N, out) and inputs a (N, in), so its part of the
@@ -342,21 +310,19 @@ class Network:
             Mi = M[w0:w1].reshape(dout, din, k)
             factors.append((din > dout, Mi if din > dout else Mi.reshape(dout, din * k), M[w1:b1]))
 
-        def product(params: ParamVector, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
-            # the logits are let go once they give the deltas, before the
-            # gemms make this call's largest arrays
-            layers, acts, delta = self._forward(params, X)
-            delta = self._margin_deltas(delta, labels)
+        def product(params: ParamVector, X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            work, acts, Z = self._forward(params, X)
+            h, delta = self._margin_head(Z, labels, work)
             n = len(delta)
             out = np.zeros((n, k))
-            for i, d in self._layer_deltas(layers, acts, delta):
+            for i, d in self._layer_deltas(work, acts, delta):
                 in_first, F, M_bias = factors[i]
                 if in_first:  # one (N, in) @ (in, k) gemm per output unit, stacked as (out, N, k)
                     out += np.matmul(d[:, None, :], np.matmul(acts[i], F).transpose(1, 0, 2))[:, 0]
                 else:
                     out += np.matmul(acts[i][:, None, :], (d @ F).reshape(n, acts[i].shape[1], k))[:, 0]
                 out += d @ M_bias
-            return out
+            return h, out
 
         return product
 
@@ -366,7 +332,7 @@ class Network:
         """Mean log-loss gradient over a batch. Given a workspace (of at
         least len(X) rows), the layers' outputs and deltas and the returned
         gradient live in it, and the next call with it overwrites them."""
-        layers, acts, Z = self._forward(params, X, work)
+        work, acts, Z = self._forward(params, X, work)
         if self.config.is_binary:
             y = _label_signs(labels)
             delta = (-y * _log1pexp_sigmoid(-y * Z[:, 0])[1])[:, None]
@@ -379,19 +345,33 @@ class Network:
             Z.reshape(-1)[at] -= 1.0
             Z /= y.shape[1]
             delta = Z
-        return self._backward(layers, acts, delta, work)
+        # backpropagated to the flat mean gradient, in the workspace
+        grad = work.grad
+        n = len(delta)
+        for i, d in self._layer_deltas(work, acts, delta):
+            w0, w1, b1 = self._offsets[i]
+            np.matmul(d.T, acts[i], out=grad[w0:w1].reshape(self._shapes[i]))
+            np.add.reduce(d, axis=0, out=grad[w1:b1])
+        if n & (n - 1):
+            grad /= n
+        else:
+            # x / 2^j and x * 2^-j round the same real number, so at a
+            # power-of-two batch the product has the quotient's bits
+            grad *= 1.0 / n
+        return grad
 
 
 class Workspace:
-    """The arrays Network.loss_gradient and Network.losses write on batches
-    of at most rows samples, made once so that a training loop allocates
-    none of them per step: each layer's matmul output (rows, out), each
-    delta backpropagated into a hidden layer (rows, out of that layer), the
-    flat gradient, and a multi-class head's (rows, L) row maxima, row sums,
-    labeled logits and label indices. It also keeps the (W, b) views of the
-    last parameter vector it was used with, so a loop that updates one
-    vector in place makes them once. One caller uses a workspace at a time.
-    A forward-only caller (a validation pass) never writes the deltas or the
+    """The arrays every pass of a Network writes, on batches of at most rows
+    samples: each layer's matmul output (rows, out), each delta
+    backpropagated into a hidden layer (rows, out of that layer), the flat
+    gradient, and a multi-class head's (rows, L) row maxima, row sums,
+    labeled logits and label indices. Network._forward makes a fresh one
+    for a call given none; a training loop makes its own once, so that its
+    steps allocate none of them. It also keeps the (W, b) views of the last
+    parameter vector it was used with, so a loop that updates one vector in
+    place makes them once. One caller uses a workspace at a time. A
+    forward-only caller (a validation pass) never writes the deltas or the
     gradient, so their pages are never faulted in."""
 
     def __init__(self, net: Network, rows: int):

@@ -14,9 +14,11 @@ for the whole process, so a stage computes the same bytes at any
 OPENBLAS_NUM_THREADS and on any number of CPUs. The CPUs go to independent
 jobs instead, through side_by_side, which runs each job in the caller or in
 a forked worker process, so a job's side effects never reach the caller; it
-returns what the jobs return. Three callers use it: fine_tune_each (the
-oracle's fine-tunes), linearize.build_cache (its chunks of rows) and
-select.Evaluator.many (a batch of subset scores). A fit itself, meta_train's
+returns what the jobs return. Three callers use it: fine_tune_each (bench
+relerr's oracle fine-tunes), linearize.build_cache (its chunks of rows) and
+select.scored_in_blocks (the blocks of a batch of subset scores: the
+selection evaluators', the oracle's fine-tunes among them, and relerr's
+estimator blocks). A fit itself, meta_train's
 included, runs in one process; its steps write the batch, the activations,
 deltas and gradient, and Adam's state into arrays made once per fit.
 """

@@ -16,7 +16,7 @@ def margin(net, params, x, label) -> float:
     logits: (2 label - 1) z for a binary head's logit z, else the labeled
     class's log-odds averaged over positions; label is a class index, or the
     (L,) position labels of a multi-position head."""
-    z = net.logits(params, x[None, :])[0]
+    z = net._forward(params, x[None, :])[2][0]
     if net.config.is_binary:
         return float((2 * label - 1) * z[0])
     per_position = z.reshape(net.config.num_positions, net.config.num_classes)
@@ -33,11 +33,11 @@ def margin_gradients(net, params, X, labels) -> np.ndarray:
     the average of per-position margin gradients. The block that
     Network.margin_gradient_product never builds.
     """
-    layers, acts, Z = net._forward(params, X)
-    delta = net._margin_deltas(Z, labels)
-    n = len(Z)
+    work, acts, Z = net._forward(params, X)
+    _, delta = net._margin_head(Z, labels, work)
+    n = len(delta)
     out = np.empty((n, net.param_count))
-    for i, d in net._layer_deltas(layers, acts, delta):
+    for i, d in net._layer_deltas(work, acts, delta):
         w0, w1, b1 = net._offsets[i]
         np.multiply(d[:, :, None], acts[i][:, None, :], out=out[:, w0:w1].reshape(n, *net._shapes[i]))
         out[:, w1:b1] = d
@@ -51,11 +51,11 @@ def reordered_margin_gradient_product(net, M, params, X, labels) -> np.ndarray:
     result is then contracted with its deltas; an in <= out layer contracts
     its deltas with M's (out, in k) rows, then its inputs."""
     k = M.shape[1]
-    layers, acts, Z = net._forward(params, X)
-    delta = net._margin_deltas(Z, labels)
+    work, acts, Z = net._forward(params, X)
+    _, delta = net._margin_head(Z, labels, work)
     n = len(delta)
     out = np.zeros((n, k))
-    for i, d in net._layer_deltas(layers, acts, delta):
+    for i, d in net._layer_deltas(work, acts, delta):
         (dout, din), (w0, w1, b1) = net._shapes[i], net._offsets[i]
         Mi = M[w0:w1].reshape(dout, din, k)
         if din > dout:
@@ -194,14 +194,16 @@ def value_grad(b, G, x, lam):
 
 def allocating_network(net):
     """A copy of net whose forward and backward kernels allocate a new array
-    for each bias add, activation and activation derivative, and whose
-    loss_gradient and losses are the textbook expressions over them (a
-    softmax, then 1 subtracted at each label; a logsumexp per position);
-    Network's in-place kernels and heads, with a workspace or without, must
-    match it bit for bit."""
+    for each bias add, activation and activation derivative, whose margin
+    head is textbook_margin_head, and whose loss_gradient and losses are the
+    textbook expressions over them (a softmax, then 1 subtracted at each
+    label; a logsumexp per position); Network's in-place kernels and heads,
+    in a workspace a caller passes or in the one _forward makes, must match
+    it bit for bit."""
     ref = copy.copy(net)
     ref._forward = types.MethodType(_allocating_forward, ref)
     ref._layer_deltas = types.MethodType(_allocating_layer_deltas, ref)
+    ref._margin_head = types.MethodType(textbook_margin_head, ref)
     ref.loss_gradient = types.MethodType(_textbook_loss_gradient, ref)
     ref.losses = types.MethodType(_textbook_losses, ref)
     return ref
@@ -218,34 +220,24 @@ def _softmax(z):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _others_masked(net, Z, labels):
-    """A multi-class head's (N, L, C) logits, its labels as (N, L, 1)
-    indices, and a copy of the logits with -inf at each label."""
+def textbook_margin_head(net, Z, labels, work=None):
+    """Network._margin_head as allocating expressions, Z left as it was: a
+    binary head's margins the logit signed by the label, whose sign is each
+    delta; otherwise per position z_y minus a logsumexp over the other
+    classes, then the mean over positions, and as deltas minus the softmax
+    over the other classes, 1 at the label, over the number of positions."""
     cfg = net.config
+    if cfg.is_binary:
+        signs = 2.0 * np.asarray(labels) - 1.0
+        return signs * Z[:, 0], signs[:, None]
     Zp = Z.reshape(len(Z), cfg.num_positions, cfg.num_classes)
     at_label = np.asarray(labels).reshape(len(Z), cfg.num_positions, 1)
     masked = Zp.copy()
     np.put_along_axis(masked, at_label, -np.inf, axis=-1)
-    return Zp, at_label, masked
-
-
-def head_margins(net, params, X, labels) -> np.ndarray:
-    """Network.margins of a multi-class head as allocating expressions: per
-    position, z_y minus a logsumexp over the other classes, then the mean
-    over positions."""
-    Zp, at_label, masked = _others_masked(net, net.logits(params, X), labels)
     zy = np.take_along_axis(Zp, at_label, axis=-1)[..., 0]
-    return (zy - _logsumexp(masked, axis=-1)).mean(axis=1)
-
-
-def head_margin_deltas(net, Z, labels) -> np.ndarray:
-    """Network._margin_deltas of a multi-class head as allocating
-    expressions: minus the softmax over the other classes, 1 at the label,
-    over the number of positions."""
-    _, at_label, masked = _others_masked(net, Z, labels)
     delta = -_softmax(masked)
     np.put_along_axis(delta, at_label, 1.0, axis=-1)
-    return delta.reshape(len(Z), -1) / net.config.num_positions
+    return (zy - _logsumexp(masked, axis=-1)).mean(axis=1), delta.reshape(len(Z), -1) / cfg.num_positions
 
 
 def _textbook_losses(net, params, X, labels, work=None):
@@ -261,7 +253,7 @@ def _textbook_losses(net, params, X, labels, work=None):
 
 
 def _textbook_loss_gradient(net, params, X, labels, work=None):
-    layers, acts, Z = net._forward(params, X)
+    work, acts, Z = net._forward(params, X)
     cfg = net.config
     n = len(Z)
     if cfg.is_binary:
@@ -275,7 +267,7 @@ def _textbook_loss_gradient(net, params, X, labels, work=None):
         delta[np.arange(n)[:, None], np.arange(cfg.num_positions), y] -= 1.0
         delta = delta.reshape(n, -1) / cfg.num_positions
     grad = np.empty(net.param_count)
-    for i, d in net._layer_deltas(layers, acts, delta):
+    for i, d in net._layer_deltas(work, acts, delta):
         w0, w1, b1 = net._offsets[i]
         grad[w0:w1] = (d.T @ acts[i]).ravel()
         grad[w1:b1] = np.sum(d, axis=0)
@@ -283,16 +275,19 @@ def _textbook_loss_gradient(net, params, X, labels, work=None):
 
 
 def _allocating_forward(net, params, X, work=None):
+    """Network._forward with no workspace: the (W, b) views stand in for
+    it, under the name the backward pass reads them by."""
     layers = net.unpack(params)
     acts = [net._check_features(X)]
     for i, (W, b) in enumerate(layers):
         z = acts[-1] @ W.T + b
         if i < len(layers) - 1:
             acts.append(np.tanh(z) if net.config.activation == "tanh" else np.maximum(z, 0.0))
-    return layers, acts, z
+    return types.SimpleNamespace(layers=layers), acts, z
 
 
-def _allocating_layer_deltas(net, layers, acts, delta, work=None):
+def _allocating_layer_deltas(net, work, acts, delta):
+    layers = work.layers
     for i in range(len(layers) - 1, -1, -1):
         yield i, delta
         if i > 0:

@@ -48,7 +48,7 @@ def test_criterion_1_gradient_correctness():
             full = net.margin_gradient_product(np.eye(net.param_count))
             for _ in range(3):
                 x, label = rng.standard_normal(6), int(rng.integers(2))
-                g = full(params, x[None], np.array([label]))[0]
+                g = full(params, x[None], np.array([label]))[1][0]
                 fd = finite_difference_margin_gradient(net, params, x, label, step=1e-5)
                 worst = max(worst, np.linalg.norm(fd - g) / np.linalg.norm(g))
     _verdict(1, "gradient correctness", worst <= 1e-5, f"max FD relative error {worst:.2e}")

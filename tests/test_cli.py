@@ -376,9 +376,8 @@ def test_bench_addition_scores_the_run_the_stages_build(tmp_path):
     corpus = load_corpus(staged / "corpus.txt")
     net = Network(recipe(cfg, corpus)[0])
     theta = load_checkpoint(staged / "checkpoint.bin")[0]
-    report = exp_addition(
-        net, theta, load_cache(staged / "cache.bin"), corpus, solve_config(cfg), m=12, alpha_frac=0.15, seed=B + 2
-    )
+    cache = load_cache(staged / "cache.bin", net.param_count)
+    report = exp_addition(net, theta, cache, corpus, solve_config(cfg), m=12, alpha_frac=0.15, seed=B + 2)
     assert report.seeds == {"corpus": B, "projector": B + 1, "subsets": B + 2}
 
     argv = ["bench", "--exp", "addition", *sizes, "--addition.samples_per_group", str(S),
@@ -555,16 +554,25 @@ def test_an_out_that_names_a_file_fails_in_one_line(tmp_path, capsys):
 
 
 def test_cache_projected_for_another_model_fails_in_one_line(tiny_run, tmp_path, capsys):
-    # the checksum holds, but the P rebuilt from the header has another row
-    # count than the model has parameters
+    # the checksum holds, but the header's p is not the model's parameter
+    # count; it is refused before P is made, which at p = 10**12 would not fit
+    # in memory
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "cache.bin"
     header, body = gradsel.artifact.read(path, "cache", 2, {})
-    gradsel.artifact.write(path, "cache", 2, {**header, "p": header["p"] + 1}, body)
-    capsys.readouterr()
-    assert run(["select", *TINY], tmp_path) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert lines == ["gradsel select: cache does not match the checkpoint; re-run cache"]
+    for p in (header["p"] + 1, 10**12):
+        gradsel.artifact.write(path, "cache", 2, {**header, "p": p}, body)
+        capsys.readouterr()
+        assert run(["select", *TINY], tmp_path) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            f"gradsel select: cache.bin: projected for {p} parameters, but the model has {header['p']}; re-run 'cache'"
+        ]
+
+
+def _load_cache(path):
+    """cache.bin loaded for the model its header says it was projected for."""
+    return load_cache(path, gradsel.artifact.read(path, "cache", 2, {})[0]["p"])
 
 
 def _rewrite_cache(path, edit):
@@ -642,7 +650,7 @@ def test_cache_cut_at_any_record_boundary_fails_in_one_line(tiny_run, tmp_path, 
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "cache.bin"
     data = path.read_bytes()
-    cache = load_cache(path)
+    cache = _load_cache(path)
     start = data.index(b"\n") + 1
     size = 10 + 4 * cache.d
     n_records = len(cache.task_id)
@@ -718,7 +726,7 @@ def test_line_search_failures_are_told_apart_from_max_iters(tiny_run, tmp_path, 
 def test_nonfinite_cache_fails_in_one_line(tiny_run, tmp_path, capsys, stage):
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "cache.bin"
-    cache = load_cache(path)
+    cache = _load_cache(path)
     cache.g_proj[2, 1] = np.nan
     cache.b[4] = np.inf
     save_cache(path, cache)
@@ -745,13 +753,21 @@ def test_nonfinite_checkpoint_fails_cache_in_one_line(tiny_run, tmp_path, capsys
     assert len(lines) == 1
     assert lines[0] == "gradsel cache: non-finite b or projected gradient in row 0 (task id 1)"
     assert not (tmp_path / "cache.bin").exists()
+    # a checkpoint of another model size: refused by name, not by a
+    # parameter-vector length error from inside the network
+    assert run(["cache", *TINY, "--model.hidden_dims", "64"], tmp_path) == 2
+    p = len(params)
+    assert capsys.readouterr().err.splitlines() == [
+        f"gradsel cache: checkpoint.bin: holds {p} parameters, but the model has {(5 + 1) * 64 + 65}; "
+        "re-run 'meta-train'"
+    ]
 
 
 @pytest.mark.parametrize("method", ["ds-fs", "ds-re"])
 def test_select_ds_with_more_groups_than_source_rows_fails_in_one_line(tiny_run, tmp_path, capsys, method):
     shutil.copytree(tiny_run, tmp_path, dirs_exist_ok=True)
     (tmp_path / "selection.txt").unlink()
-    rows = int(np.count_nonzero(load_cache(tmp_path / "cache.bin").task_id > 0))  # the source rows
+    rows = int(np.count_nonzero(_load_cache(tmp_path / "cache.bin").task_id > 0))  # the source rows
     capsys.readouterr()
     assert run(["select", *TINY, "--select.method", method, "--corpus.n", "100"], tmp_path) == 2
     lines = capsys.readouterr().err.splitlines()

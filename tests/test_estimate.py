@@ -237,7 +237,7 @@ def test_loaded_gradients_are_float32_exact(tmp_path, cache):
     # float32 values, which the solver then uses in float64
     path = tmp_path / "cache.bin"
     save_cache(path, cache)
-    back = load_cache(path)
+    back = load_cache(path, cache.P.shape[0])
     assert np.array_equal(back.g_proj.astype(np.float32).astype(np.float64), back.g_proj)
 
 

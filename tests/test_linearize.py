@@ -100,9 +100,25 @@ def test_cache_entries_and_b_values():
     for i in range(2):
         X, labels = corpus.task(int(cache.task_id[i])).train
         # b is minus the labeled class's margin: minus the logit signed by the label
-        z = net.logits(theta, X[:1])[0, 0]
+        z = net._forward(theta, X[:1])[2][0, 0]
         assert cache.b[i] == pytest.approx(-(2 * labels[0] - 1) * z, abs=1e-12)
         assert cache.b[i] == pytest.approx(-margin(net, theta, X[0], labels[0]), abs=1e-12)
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_cache_b_is_minus_the_margins_bit_for_bit(multi):
+    # build_cache takes b from the pass that projects the gradients; it is
+    # minus Network.margins of the same rows, byte for byte, on a binary head
+    # and on a multi-position one
+    if multi:
+        net, theta, corpus = _multi_position_setup()
+    else:
+        net = Network(ModelConfig(input_dim=4, hidden_dims=(6,), num_classes=2, seed=3))
+        theta, corpus = net.init_params(), _mini_corpus(n_train=5)
+    cache = build_cache(net, theta, corpus, gaussian_projection(net.param_count, 5, 1), 1)
+    X, y = (np.concatenate(part) for part in zip(*[t.train for t in [*corpus.tasks, corpus.target]]))
+    h = np.concatenate([net.margins(theta, X, y), net.margins(theta, *corpus.target.val)])
+    assert cache.b.tobytes() == (-h).tobytes()
 
 
 def test_identity_projector_caches_full_gradient():
@@ -211,7 +227,7 @@ def test_projection_blocks_generated_once(tmp_path, monkeypatch):
     cache = build_cache(net, theta, corpus, P, 2)
     assert cache.P is P and calls == []
     save_cache(tmp_path / "cache.bin", cache)
-    back = load_cache(tmp_path / "cache.bin")
+    back = load_cache(tmp_path / "cache.bin", net.param_count)
     assert calls == [(net.param_count, 6, 2)]
     assert np.array_equal(back.P, P)
 
@@ -363,7 +379,7 @@ def test_rrss_sweep_rejects_negative_distance(gauss_net, theta_star, gauss_corpu
 def test_cache_file_roundtrip(tmp_path, cache):
     path = tmp_path / "cache.bin"
     save_cache(path, cache)
-    back = load_cache(path)
+    back = load_cache(path, cache.P.shape[0])
     # load rebuilds the P the rows were projected by from the header's seed
     assert np.array_equal(back.P, cache.P) and not back.P.flags.writeable
     assert back.theta_star_digest == cache.theta_star_digest
@@ -399,7 +415,7 @@ def test_built_cache_equals_its_loaded_copy(seed, n_tasks, n_train, dim, hidden,
     cache = build_cache(net, net.init_params(), corpus, gaussian_projection(net.param_count, d, seed), seed)
     with tempfile.TemporaryDirectory() as tmp:
         save_cache(Path(tmp) / "cache.bin", cache)
-        _assert_same_entries(load_cache(Path(tmp) / "cache.bin"), cache)
+        _assert_same_entries(load_cache(Path(tmp) / "cache.bin", net.param_count), cache)
 
 
 @settings(max_examples=25, deadline=None)
@@ -446,7 +462,7 @@ def test_cache_file_rejects_injected_and_garbage(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOPE" + b"\x00" * 100)
     with pytest.raises(ValueError):
-        load_cache(bad)
+        load_cache(bad, net.param_count)
 
 
 @pytest.mark.parametrize(
@@ -464,7 +480,7 @@ def test_load_cache_rejects_nonfinite_values(tmp_path, cache, field, row, value)
     save_cache(path, dataclasses.replace(cache, **{field: damaged}))
     message = f"{path}: non-finite b or projected gradient in row {row} (task id {cache.task_id[row]})"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        load_cache(path)
+        load_cache(path, cache.P.shape[0])
 
 
 def test_task_ids_beyond_the_records_16_bits_are_refused(tmp_path, cache, monkeypatch):
@@ -474,7 +490,7 @@ def test_task_ids_beyond_the_records_16_bits_are_refused(tmp_path, cache, monkey
     for tid in (32767, -32768):
         relabeled = dataclasses.replace(cache, task_id=np.where(cache.task_id == 1, tid, cache.task_id))
         save_cache(path, relabeled)
-        assert np.array_equal(load_cache(path).task_id, relabeled.task_id)
+        assert np.array_equal(load_cache(path, cache.P.shape[0]).task_id, relabeled.task_id)
     path.unlink()
     for tid in (32768, -32769, 40000):
         ids = cache.task_id.copy()

@@ -10,12 +10,11 @@ from gradsel.project import gaussian_projection
 from reference import (
     allocating_network,
     finite_difference_margin_gradient,
-    head_margin_deltas,
-    head_margins,
     margin,
     margin_gradients,
     masked_sigmoid,
     reordered_margin_gradient_product,
+    textbook_margin_head,
 )
 
 
@@ -30,9 +29,10 @@ def _loss(net, params, x, label):
 
 def _reference_margin_gradient(net, params, x, y):
     """Row-by-row reference: one sample forward, its margin delta built class
-    by class, then the mean backward pass over that single row."""
+    by class, then the backward pass over that single row, each layer's
+    gradient the outer product of its delta and its input."""
     cfg = net.config
-    layers, acts, Z = net._forward(params, x[None, :])
+    work, acts, Z = net._forward(params, x[None, :])
     if cfg.is_binary:
         delta = np.array([2.0 * y - 1.0])  # the label's sign
     else:
@@ -45,7 +45,12 @@ def _reference_margin_gradient(net, params, x, y):
             block[label] = 1.0
             blocks.append(block / cfg.num_positions)
         delta = np.concatenate(blocks)
-    return net._backward(layers, acts, delta[None, :])
+    grad = np.empty(net.param_count)
+    for i, d in net._layer_deltas(work, acts, delta[None, :]):
+        w0, w1, b1 = net._offsets[i]
+        grad[w0:w1] = np.outer(d[0], acts[i][0]).ravel()
+        grad[w1:b1] = d[0]
+    return grad
 
 
 def test_param_count_matches_hand_count():
@@ -90,7 +95,7 @@ def test_margin_softmax_identity():
     rng = np.random.default_rng(0)
     for label in (0, 3, 6):
         x = rng.standard_normal(5)
-        z = net.logits(params, x[None, :])[0]
+        z = net._forward(params, x[None, :])[2][0]
         p = np.exp(z - z.max())
         p /= p.sum()
         h = margin(net, params, x, label)
@@ -324,9 +329,11 @@ def test_margin_gradient_product_matches_full_gradients(head, activation, input_
         M = rng.standard_normal((p, k))
         M /= np.linalg.norm(M, axis=0)
     ref = margin_gradients(net, params, X, labels) @ M
-    got = net.margin_gradient_product(M)(params, X, labels)
+    h, got = net.margin_gradient_product(M)(params, X, labels)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the same pass gives the margins, bit for bit
+    assert h.tobytes() == net.margins(params, X, labels).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -359,7 +366,7 @@ def test_margin_gradient_product_is_the_reordered_gemm(head, activation, input_d
     labels = rng.integers(num_classes, size=(n, positions) if positions > 1 else (n,))
     M = rng.standard_normal((net.param_count, k))
     ref = reordered_margin_gradient_product(net, M, params, X, labels)
-    got = net.margin_gradient_product(M)(params, X, labels)
+    got = net.margin_gradient_product(M)(params, X, labels)[1]
     if all(dout == 1 for dout, din in net._shapes if din > dout):
         assert got.tobytes() == ref.tobytes()
     else:
@@ -396,9 +403,12 @@ def test_in_place_kernels_match_allocating_reference(head, activation):
         ("losses", lambda n: n.losses(params, X, labels)),
         ("margins", lambda n: n.margins(params, X, labels)),
         ("loss_gradient", lambda n: n.loss_gradient(params, X, labels)),
-        ("margin_gradient_product", lambda n: n.margin_gradient_product(M)(params, X, labels)),
     ]:
         assert call(net).tobytes() == call(ref).tobytes(), name
+    # both parts of the product: the margins and G @ M from one pass
+    for part, got, want in zip(("margins", "G @ M"), net.margin_gradient_product(M)(params, X, labels),
+                               ref.margin_gradient_product(M)(params, X, labels)):
+        assert got.tobytes() == want.tobytes(), part
     # a training step's and a validation pass's workspace, reused across
     # batch sizes (a power of two, then not) and across an in-place update
     # of the parameters, as a fit's loop makes both
@@ -467,8 +477,8 @@ def test_one_unit_layer_backprop_keeps_the_gemm_bits_at_signed_zeros(work_rows):
     work = None if work_rows is None else Workspace(net, work_rows)
 
     def deltas(n, work=None):
-        layers, acts, _ = n._forward(params, X, work)
-        return [d.tobytes() for _, d in n._layer_deltas(layers, acts, delta, work)]
+        work, acts, _ = n._forward(params, X, work)
+        return [d.tobytes() for _, d in n._layer_deltas(work, acts, delta)]
 
     assert deltas(net, work) == deltas(ref)
 
@@ -507,10 +517,10 @@ def test_sigmoid_is_the_masked_two_branch_form_bit_for_bit(n, scale, seed, speci
 @example(n=4, positions=1, classes=3, scale=800.0, ties=True, at_max=True, seed=0)
 @example(n=4, positions=5, classes=2, scale=800.0, ties=True, at_max=False, seed=1)
 def test_head_margins_and_deltas_are_the_allocating_forms_bit_for_bit(n, positions, classes, scale, ties, at_max, seed):
-    # margins and _margin_deltas exponentiate the masked logits in place
-    # (_exp_rows); their bytes are those of a logsumexp and a softmax that
-    # allocate, at logits up to +-800, on rows of equal logits and with the
-    # label at a row's maximum
+    # the margin head exponentiates the masked logits once, in place
+    # (_exp_rows); its margins' and deltas' bytes are those of a logsumexp
+    # and a softmax that allocate, at logits up to +-800, on rows of equal
+    # logits and with the label at a row's maximum
     if positions == 1:
         classes = max(classes, 3)  # two classes at one position is the binary head
     rng = np.random.default_rng(seed)
@@ -524,5 +534,7 @@ def test_head_margins_and_deltas_are_the_allocating_forms_bit_for_bit(n, positio
     net = Network(ModelConfig(input_dim=positions * classes, num_classes=classes, num_positions=positions))
     params = np.concatenate([np.eye(positions * classes).ravel(), np.zeros(positions * classes)])
     X = Z.reshape(n, -1)
-    assert net.margins(params, X, labels).tobytes() == head_margins(net, params, X, labels).tobytes()
-    assert net._margin_deltas(X, labels).tobytes() == head_margin_deltas(net, X, labels).tobytes()
+    logits = net._forward(params, X)[2]
+    assert net.margins(params, X, labels).tobytes() == textbook_margin_head(net, logits, labels)[0].tobytes()
+    for got, want in zip(net._margin_head(X.copy(), labels, Workspace(net, n)), textbook_margin_head(net, X, labels)):
+        assert got.tobytes() == want.tobytes()
