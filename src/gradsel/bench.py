@@ -69,14 +69,14 @@ def predicted_forward_passes(method: str, n: int, depth: int | None = None) -> i
     """Closed-form forward-pass counts of the selection routes bench reports.
 
     fs: sum_{i=1..n} (n-i+1) i = n(n+1)(n+2)/6, or the partial sum when
-    truncated at depth. estimated_fs / estimated_re: 3n.
+    truncated at depth. estimated_fs: 3n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if method == "fs":
         k = n if depth is None else min(depth, n)
         return sum((n - i + 1) * i for i in range(1, k + 1))
-    if method in ("estimated_fs", "estimated_re"):
+    if method == "estimated_fs":
         return 3 * n
     raise ValueError(f"unknown method {method!r}")
 
@@ -158,7 +158,7 @@ def exp_relerr(
 ) -> ExperimentReport:
     """Estimator fidelity against the oracle over m random subsets of half
     the tasks (one estimator solve each, in blocks side by side as select
-    scores them), plus the forward-pass cost of both routes."""
+    scores them), plus the oracle's measured forward passes."""
     if m < 1:
         raise ValueError("need at least one subset")
     n = corpus.n_tasks
@@ -196,34 +196,16 @@ def exp_relerr(
                 "rel_distance": distance,
             }
         )
-    errors = error_figures(f_true, f_hat)
-    err = errors["relative_error"]
-    # plot-ready cost/error frontier: the oracle route's error is zero by
-    # definition, the estimator pays only the flat cached-gradient cost
-    frontier = [
-        {
-            "method": "oracle",
-            "forward_pass_units": m * size,
-            "measured_forward_passes": oracle_passes,
-            "relative_error": 0.0,
-        },
-        {
-            "method": "estimator",
-            "forward_pass_units": predicted_forward_passes("estimated_re", n),
-            "measured_forward_passes": 0,
-            "relative_error": err,
-        },
-    ]
     return ExperimentReport(
         name="relerr",
         scalars={
-            **errors,
+            **error_figures(f_true, f_hat),
             "m": m,
             "oracle_forward_passes": oracle_passes,
             "solves": m,
             "max_rel_distance": max(r["rel_distance"] for r in rows),
         },
-        tables={"subsets": rows, "frontier": frontier},
+        tables={"subsets": rows},
         seeds={"subsets": seed},
         corpus_digest=corpus.digest(),
     )

@@ -2,7 +2,9 @@
 
 Each stage reads and writes declared artifacts inside a run directory. A flat
 dotted-key config controls every default; any key can be overridden with a
-flag of the same name. All randomness flows from named seeds in the config.
+flag of the same name. A key shapes only the artifact its own stage writes:
+later stages read the model from checkpoint.bin and the projection from
+cache.bin. All randomness flows from named seeds in the config.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ from .linearize import TARGET_VAL_ID, build_cache, check_task_ids, load_cache, r
 from .model import ModelConfig, Network
 from .project import gaussian_projection
 from .taskgen import Corpus, gen_multitask_gaussian, gen_noisy_addition, load_corpus, save_corpus
-from .trainer import (
-    TrainConfig,
-    eval_loss,
-    load_checkpoint,
-    meta_train,
-    param_digest,
-    save_checkpoint,
-)
+from .trainer import TrainConfig, eval_loss, load_checkpoint, meta_train, save_checkpoint
 
 OUT_ENV_VAR = "GRADSEL_OUT"
 
@@ -284,20 +279,10 @@ def _load(run: RunDir, artifact: str, produced_by: str, loader, *args):
         raise StageError(f"{path.name}: {reason}; re-run '{produced_by}'") from None
 
 
-def _load_model_pieces(run: RunDir, cfg: dict[str, str]):
+def _load_trained(run: RunDir):
+    """The corpus, and the network and parameters meta-train trained on it."""
     corpus = _load(run, "corpus", "gen", load_corpus)
-    model, train = recipe(cfg, corpus)
-    return corpus, Network(model), train
-
-
-def _load_trained(run: RunDir, cfg: dict[str, str]):
-    corpus, net, _ = _load_model_pieces(run, cfg)
-    theta, _, corpus_dig = _load(run, "checkpoint", "meta-train", load_checkpoint)
-    if len(theta) != net.param_count:
-        raise StageError(f"checkpoint.bin: holds {len(theta)} parameters, but the model has "
-                         f"{net.param_count}; re-run 'meta-train'")
-    if corpus_dig != corpus.digest():
-        raise StageError("checkpoint was trained on a different corpus; re-run meta-train")
+    net, theta = _load(run, "checkpoint", "meta-train", load_checkpoint, corpus.digest())
     return corpus, net, theta
 
 
@@ -346,14 +331,11 @@ def stage_gen(run: RunDir, cfg: dict[str, str]) -> None:
 
 
 def stage_meta_train(run: RunDir, cfg: dict[str, str]) -> None:
-    corpus, net, train = _load_model_pieces(run, cfg)
+    corpus = _load(run, "corpus", "gen", load_corpus)
+    model, train = recipe(cfg, corpus)
+    net = Network(model)
     fit = meta_train(net, corpus, train)
-    save_checkpoint(
-        run.path("checkpoint"),
-        fit.params,
-        config_digest=config_digest(cfg),
-        corpus_digest=corpus.digest(),
-    )
+    save_checkpoint(run.path("checkpoint"), net, fit.params, corpus.digest())
     _record_config(run, cfg)
     train_loss = eval_loss(net, fit.params, *corpus.mixture("train"))
     print(
@@ -363,7 +345,7 @@ def stage_meta_train(run: RunDir, cfg: dict[str, str]) -> None:
 
 
 def stage_cache(run: RunDir, cfg: dict[str, str]) -> None:
-    corpus, net, theta = _load_trained(run, cfg)
+    corpus, net, theta = _load_trained(run)
     seed = int(cfg["project.seed"])
     P = gaussian_projection(net.param_count, int(cfg["project.d"]), seed)
     cache = build_cache(net, theta, corpus, P, seed)
@@ -372,28 +354,17 @@ def stage_cache(run: RunDir, cfg: dict[str, str]) -> None:
     print(f"cache: {np.count_nonzero(cache.task_id != TARGET_VAL_ID)} train entries, wrote {run.path('cache')}")
 
 
-def _load_estimation_state(run: RunDir, cfg: dict[str, str]):
-    corpus, net, theta = _load_trained(run, cfg)
-    cache = _load(run, "cache", "cache", load_cache, net.param_count)
-    if cache.theta_star_digest != param_digest(theta):
-        raise StageError("cache does not match the checkpoint; re-run cache")
-    # the rows' task ids in order, so a cache re-split or relabeled between
-    # tasks is refused even where the row totals agree
-    if not np.array_equal(cache.task_id, row_task_ids(corpus)):
-        raise StageError("cache does not match the corpus; re-run cache")
+def _load_estimation_state(run: RunDir):
+    """_load_trained's pieces and the cache made from them."""
+    corpus, net, theta = _load_trained(run)
+    cache = _load(run, "cache", "cache", load_cache, theta, row_task_ids(corpus))
     return corpus, net, theta, cache
 
 
 def stage_estimate(run: RunDir, cfg: dict[str, str], subsets: list[str]) -> None:
     scfg = solve_config(cfg)
-    corpus, net, theta, cache = _load_estimation_state(run, cfg)
-    parsed = []
-    for spec in subsets:
-        ids = frozenset(int(t) for t in spec.split(",") if t != "")
-        bad = sorted(set(ids) - set(range(1, corpus.n_tasks + 1)))
-        if bad:
-            raise StageError(f"unknown task id {bad[0]} in subset {spec!r}")
-        parsed.append(ids)
+    corpus, net, theta, cache = _load_estimation_state(run)
+    parsed = [frozenset(int(t) for t in spec.split(",") if t != "") for spec in subsets]
     if not parsed:
         raise StageError("estimate needs at least one --subset")
     problem = est.prepare(cache, scfg)
@@ -416,7 +387,7 @@ def stage_select(run: RunDir, cfg: dict[str, str]) -> None:
     scfg = solve_config(cfg)
     ft_cfg = train_config(cfg, "finetune")
     grid = _numbers(cfg, "select.fraction_grid", float)
-    corpus, net, theta, cache = _load_estimation_state(run, cfg)
+    corpus, net, theta, cache = _load_estimation_state(run)
     n = int(cfg["corpus.n"]) if grouped else corpus.n_tasks
     if oracle:
         evaluator = sel.oracle_evaluator(net, theta, corpus, ft_cfg)
@@ -472,7 +443,7 @@ def stage_bench(run: RunDir, cfg: dict[str, str], experiments: list[str]) -> Non
     if "addition" in experiments and not 0 < n_clean < n:  # refused before the costly training
         raise StageError(f"addition needs clean and noisy groups: corpus.n_clean {n_clean} is not in 1..{n - 1}")
     if set(experiments) - {"addition"}:  # addition builds its own corpus, model and cache
-        corpus, net, theta, cache = _load_estimation_state(run, cfg)
+        corpus, net, theta, cache = _load_estimation_state(run)
     reports = []
     for name in experiments:
         if name == "addition":

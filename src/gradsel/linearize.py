@@ -288,21 +288,32 @@ def save_cache(path, cache: GradientCache) -> None:
     artifact.write(path, "cache", 2, header, _pack(cache.task_id, cache.b, cache.g_proj).tobytes())
 
 
-def load_cache(path, p: int) -> GradientCache:
-    """Read the cache artifact of a model with p parameters and rebuild its
-    P from the header's sizes and seed. Raises ValueError naming the file
-    when it is not a cache v2 container, its projector generator differs
-    from this program's, its header's p is not p (refused before any of P
-    is made), or a row is not finite (see _from_records)."""
+def load_cache(path, theta_star: ParamVector, task_id: np.ndarray) -> GradientCache:
+    """Read the cache artifact made at theta_star for the rows whose task
+    ids are task_id (row_task_ids of its corpus) and rebuild its P from the
+    header's sizes and seed. Raises ValueError naming the file when it is
+    not a cache v2 container or its projector generator differs from this
+    program's; before any of P is made, when its header's p is not
+    len(theta_star), its theta* digest is not theta_star's, its body is not
+    len(task_id) whole records of the header's d, or its rows' task ids are
+    not task_id; and when a row is not finite (see _from_records)."""
     header, body = artifact.read(path, "cache", 2, {
         "p": int, "d": int, "projector_seed": int, "generator_version": int, "theta_star_digest": str,
     })
+    p, d = header["p"], header["d"]
     if header["generator_version"] != GENERATOR_VERSION:
         raise ValueError(f"{path}: projector generator version mismatch")
-    if header["p"] != p:
-        raise ValueError(f"{path}: projected for {header['p']} parameters, but the model has {p}")
-    records = np.frombuffer(body, dtype=_record_dtype(header["d"]))
-    P = gaussian_projection(header["p"], header["d"], header["projector_seed"])
+    if p != len(theta_star):
+        raise ValueError(f"{path}: projected for {p} parameters, but the model has {len(theta_star)}")
+    if header["theta_star_digest"] != param_digest(theta_star):
+        raise ValueError(f"{path}: made at another theta* than the checkpoint's")
+    # a record is its fixed fields, then d float32s
+    if d < 1 or len(body) != len(task_id) * (_record_dtype(0).itemsize + 4 * d):
+        raise ValueError(f"{path}: holds {len(body)} bytes of records, not the corpus's {len(task_id)} rows at d = {d}")
+    records = np.frombuffer(body, dtype=_record_dtype(d))
+    if not np.array_equal(records["tid"], task_id):
+        raise ValueError(f"{path}: its rows' task ids are not the corpus's")
+    P = gaussian_projection(p, d, header["projector_seed"])
     try:
         return _from_records(records, header["theta_star_digest"], P, header["projector_seed"])
     except ValueError as e:

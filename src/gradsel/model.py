@@ -56,6 +56,7 @@ class ModelConfig:
         if self.init_scale < 0:
             raise ValueError("init_scale must be non-negative")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        object.__setattr__(self, "init_scale", float(self.init_scale))
 
     @property
     def is_binary(self) -> bool:

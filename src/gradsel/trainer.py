@@ -6,8 +6,8 @@ number of epochs, returning the final parameters. Both read
 (X, labels) splits (taskgen.Split) that Corpus.mixture stacks. The oracle
 value of a task subset S (select.oracle_evaluator) is the target validation
 loss after fine_tune_subset on the combined data of S plus the target's train
-split. The meta-trained parameters are saved as a checkpoint artifact (see
-artifact.py).
+split. The meta-trained network, its ModelConfig and parameters, is saved
+as a checkpoint artifact (see artifact.py).
 
 Importing this module (gradsel.cli does) sets numpy's OpenBLAS to one thread
 for the whole process, so a stage computes the same bytes at any
@@ -31,13 +31,13 @@ import os
 import pickle
 import signal
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TypeVar
 
 import numpy as np
 
 from . import artifact
-from .model import Network, ParamVector, Workspace
+from .model import ModelConfig, Network, ParamVector, Workspace
 from .taskgen import Corpus, Split
 
 OPTIMIZERS = ("sgd", "adam")
@@ -345,23 +345,41 @@ def fine_tune_each(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint artifact: the config and corpus digests in the container header,
-# then the parameters as little-endian float64
+# Checkpoint artifact: the model's ModelConfig fields and the corpus digest in
+# the container header, then the parameters as little-endian float64
 # ---------------------------------------------------------------------------
+
+# the JSON type of each ModelConfig field in the checkpoint header
+_MODEL_KEYS = {"input_dim": int, "hidden_dims": list, "activation": str, "num_classes": int,
+               "num_positions": int, "init_scale": float, "seed": int}
 
 
 def param_digest(params: ParamVector) -> str:
     return hashlib.sha256(np.ascontiguousarray(params, dtype="<f8").tobytes()).hexdigest()
 
 
-def save_checkpoint(path, params: ParamVector, config_digest: str, corpus_digest: str) -> None:
-    header = {"config_digest": config_digest, "corpus_digest": corpus_digest}
-    artifact.write(path, "checkpoint", 1, header, np.ascontiguousarray(params, dtype="<f8").tobytes())
+def save_checkpoint(path, net: Network, params: ParamVector, corpus_digest: str) -> None:
+    header = {**asdict(net.config), "corpus_digest": corpus_digest}
+    artifact.write(path, "checkpoint", 2, header, np.ascontiguousarray(params, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> tuple[ParamVector, str, str]:
-    """Returns (params, config_digest, corpus_digest). Raises ValueError
-    naming the file when it is not a checkpoint container."""
-    header, body = artifact.read(path, "checkpoint", 1, {"config_digest": str, "corpus_digest": str})
-    params = np.frombuffer(body, dtype="<f8").copy()
-    return params, header["config_digest"], header["corpus_digest"]
+def load_checkpoint(path, corpus_digest: str) -> tuple[Network, ParamVector]:
+    """(net, params): the network meta-train trained, as its header
+    describes it, and its parameters. Raises ValueError naming the file
+    when it is not a checkpoint v2 container, was trained on a corpus whose
+    digest is not corpus_digest, describes a model ModelConfig refuses or
+    a hidden width that is not a JSON int, or its body is not that model's
+    parameter vector."""
+    header, body = artifact.read(path, "checkpoint", 2, {**_MODEL_KEYS, "corpus_digest": str})
+    if header["corpus_digest"] != corpus_digest:
+        raise ValueError(f"{path}: trained on a different corpus")
+    hidden = header["hidden_dims"]
+    if not all(isinstance(h, int) and not isinstance(h, bool) for h in hidden):
+        raise ValueError(f"{path}: header key 'hidden_dims' is {hidden!r}, not a list of ints")
+    try:
+        net = Network(ModelConfig(**{key: header[key] for key in _MODEL_KEYS}))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    if len(body) != 8 * net.param_count:
+        raise ValueError(f"{path}: holds {len(body)} bytes of parameters, not its model's {net.param_count} float64s")
+    return net, np.frombuffer(body, dtype="<f8").copy()

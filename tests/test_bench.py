@@ -84,7 +84,6 @@ def test_fs_truncated_matches_partial_sum():
 
 def test_estimated_and_baseline_counts():
     assert predicted_forward_passes("estimated_fs", 20) == 60
-    assert predicted_forward_passes("estimated_re", 20) == 60
 
 
 def test_formula_speedup_ratio():

@@ -232,12 +232,12 @@ def test_newton_converges_when_decrease_is_below_rounding(seed):
     assert iters <= 6
 
 
-def test_loaded_gradients_are_float32_exact(tmp_path, cache):
+def test_loaded_gradients_are_float32_exact(tmp_path, theta_star, cache):
     # float32 is only cache.bin's storage format: gradients read back are
     # float32 values, which the solver then uses in float64
     path = tmp_path / "cache.bin"
     save_cache(path, cache)
-    back = load_cache(path, cache.P.shape[0])
+    back = load_cache(path, theta_star, cache.task_id)
     assert np.array_equal(back.g_proj.astype(np.float32).astype(np.float64), back.g_proj)
 
 

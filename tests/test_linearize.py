@@ -227,7 +227,7 @@ def test_projection_blocks_generated_once(tmp_path, monkeypatch):
     cache = build_cache(net, theta, corpus, P, 2)
     assert cache.P is P and calls == []
     save_cache(tmp_path / "cache.bin", cache)
-    back = load_cache(tmp_path / "cache.bin", net.param_count)
+    back = load_cache(tmp_path / "cache.bin", theta, cache.task_id)
     assert calls == [(net.param_count, 6, 2)]
     assert np.array_equal(back.P, P)
 
@@ -376,10 +376,10 @@ def test_rrss_sweep_rejects_negative_distance(gauss_net, theta_star, gauss_corpu
         rrss_sweep(gauss_net, theta_star, *_first(gauss_corpus.target.val, 5), [-0.1], 2, seed=0)
 
 
-def test_cache_file_roundtrip(tmp_path, cache):
+def test_cache_file_roundtrip(tmp_path, theta_star, cache):
     path = tmp_path / "cache.bin"
     save_cache(path, cache)
-    back = load_cache(path, cache.P.shape[0])
+    back = load_cache(path, theta_star, cache.task_id)
     # load rebuilds the P the rows were projected by from the header's seed
     assert np.array_equal(back.P, cache.P) and not back.P.flags.writeable
     assert back.theta_star_digest == cache.theta_star_digest
@@ -412,10 +412,11 @@ def test_built_cache_equals_its_loaded_copy(seed, n_tasks, n_train, dim, hidden,
         return _task(tid, list(zip(rng.standard_normal((n_train + 2, dim)), labels)), n_train)
 
     corpus = Corpus([task(t) for t in range(1, n_tasks + 1)], task(0), {"kind": "toy"})
-    cache = build_cache(net, net.init_params(), corpus, gaussian_projection(net.param_count, d, seed), seed)
+    theta = net.init_params()
+    cache = build_cache(net, theta, corpus, gaussian_projection(net.param_count, d, seed), seed)
     with tempfile.TemporaryDirectory() as tmp:
         save_cache(Path(tmp) / "cache.bin", cache)
-        _assert_same_entries(load_cache(Path(tmp) / "cache.bin", net.param_count), cache)
+        _assert_same_entries(load_cache(Path(tmp) / "cache.bin", theta, cache.task_id), cache)
 
 
 @settings(max_examples=25, deadline=None)
@@ -462,14 +463,14 @@ def test_cache_file_rejects_injected_and_garbage(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOPE" + b"\x00" * 100)
     with pytest.raises(ValueError):
-        load_cache(bad, net.param_count)
+        load_cache(bad, theta, cache.task_id)
 
 
 @pytest.mark.parametrize(
     "field, row, value",
     [("g_proj", 3, np.nan), ("b", 5, np.inf), ("val_g_proj", 0, -np.inf), ("val_b", 1, np.nan)],
 )
-def test_load_cache_rejects_nonfinite_values(tmp_path, cache, field, row, value):
+def test_load_cache_rejects_nonfinite_values(tmp_path, theta_star, cache, field, row, value):
     # the solver trusts its inputs, so a NaN or inf in any train or val
     # record is refused at load; a val_* field names the row-th target-val row
     if field.startswith("val_"):
@@ -480,17 +481,17 @@ def test_load_cache_rejects_nonfinite_values(tmp_path, cache, field, row, value)
     save_cache(path, dataclasses.replace(cache, **{field: damaged}))
     message = f"{path}: non-finite b or projected gradient in row {row} (task id {cache.task_id[row]})"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        load_cache(path, cache.P.shape[0])
+        load_cache(path, theta_star, cache.task_id)
 
 
-def test_task_ids_beyond_the_records_16_bits_are_refused(tmp_path, cache, monkeypatch):
+def test_task_ids_beyond_the_records_16_bits_are_refused(tmp_path, theta_star, cache, monkeypatch):
     # cache.bin stores a task id in 16 bits: 32,767 round-trips, and 32,768
     # is refused by name instead of wrapping to -32,768
     path = tmp_path / "cache.bin"
     for tid in (32767, -32768):
         relabeled = dataclasses.replace(cache, task_id=np.where(cache.task_id == 1, tid, cache.task_id))
         save_cache(path, relabeled)
-        assert np.array_equal(load_cache(path, cache.P.shape[0]).task_id, relabeled.task_id)
+        assert np.array_equal(load_cache(path, theta_star, relabeled.task_id).task_id, relabeled.task_id)
     path.unlink()
     for tid in (32768, -32769, 40000):
         ids = cache.task_id.copy()

@@ -196,25 +196,29 @@ def test_divergence_reports_epoch():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    params = rng.standard_normal(57)
+    # the checkpoint carries its model: load builds the network it was
+    # trained as, for the corpus it was trained on
+    net = Network(ModelConfig(input_dim=3, hidden_dims=(4, 5), activation="relu", num_classes=10,
+                              num_positions=2, init_scale=1, seed=9))
+    params = np.random.default_rng(3).standard_normal(net.param_count)
     path = tmp_path / "theta.bin"
-    save_checkpoint(path, params, config_digest="ab" * 32, corpus_digest="cd" * 32)
-    back, cfg_d, corp_d = load_checkpoint(path)
+    save_checkpoint(path, net, params, corpus_digest="cd" * 32)
+    back_net, back = load_checkpoint(path, "cd" * 32)
+    assert back_net.config == net.config and back_net.param_count == net.param_count
     assert np.array_equal(back, params)
-    assert cfg_d == "ab" * 32 and corp_d == "cd" * 32
     assert param_digest(back) == param_digest(params)
-
-    save_checkpoint(path, params, config_digest="ab" * 32, corpus_digest="cd" * 32)
-    again, _, _ = load_checkpoint(path)
-    assert np.array_equal(again, params)
+    first = path.read_bytes()
+    save_checkpoint(path, back_net, back, corpus_digest="cd" * 32)
+    assert path.read_bytes() == first
+    with pytest.raises(ValueError, match=f"^{path}: trained on a different corpus$"):
+        load_checkpoint(path, "ab" * 32)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"XXXX" + b"\x00" * 64)
     with pytest.raises(ValueError):
-        load_checkpoint(path)
+        load_checkpoint(path, "cd" * 32)
 
 
 def test_train_config_validation():
